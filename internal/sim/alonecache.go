@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -18,10 +19,11 @@ import (
 // of one application running alone on one (canonicalized) configuration.
 // Instead of every SlowdownTracker ticking a private single-core replica
 // to each milestone — re-simulating the same benchmark once per workload
-// mix — the cache simulates each (config, stream) pair once, records one
-// point per retiring cycle into a compact sorted array while extending
-// lazily on demand under a per-entry lock, and answers every CyclesAt
-// query from any mix or worker by binary search.
+// mix — the cache simulates each (config, stream) pair once on a lean
+// solo replica (newSystem's lean mode), records the retiring cycles as
+// run-length segments while extending lazily on demand under a per-entry
+// lock, and answers every CyclesAt query from any mix or worker by binary
+// search.
 //
 // Sharing is sound because curve identity is exact: instruction streams
 // are pure functions of their AppSource.Key (for generator-backed
@@ -37,9 +39,12 @@ type AloneCurveCache struct {
 	mu      sync.Mutex
 	entries map[aloneKey]*aloneCurve
 
-	saved  atomic.Uint64 // replica cycles avoided versus private replicas
-	points atomic.Int64  // total recorded curve points
-	tel    atomic.Pointer[aloneCacheTel]
+	saved atomic.Uint64 // replica cycles avoided versus private replicas
+	// Totals over the listed entries only. Written under mu (so a Reset
+	// orders against every extension's accounting), read lock-free.
+	points   atomic.Int64 // logical curve points
+	segments atomic.Int64 // stored run-length segments
+	tel      atomic.Pointer[aloneCacheTel]
 }
 
 // aloneKey identifies one curve: the canonical alone-config fingerprint
@@ -58,6 +63,7 @@ type aloneCacheTel struct {
 	savedCycles    *telemetry.Gauge
 	entries        *telemetry.Gauge
 	points         *telemetry.Gauge
+	segments       *telemetry.Gauge
 }
 
 // NewAloneCurveCache returns an empty cache.
@@ -69,8 +75,9 @@ func NewAloneCurveCache() *AloneCurveCache {
 // scope of r: hits (queries answered without simulating), misses (curves
 // built), extensions (queries that had to advance a replica),
 // extended_cycles (replica cycles actually simulated), and the
-// saved_cycles / entries / points gauges. A nil registry disables
-// telemetry. Safe to call concurrently with queries.
+// saved_cycles / entries / points / segments gauges (points are logical
+// curve points, segments the stored records that track memory). A nil
+// registry disables telemetry. Safe to call concurrently with queries.
 func (c *AloneCurveCache) SetTelemetry(r *telemetry.Registry) {
 	if c == nil || r == nil {
 		return
@@ -84,13 +91,15 @@ func (c *AloneCurveCache) SetTelemetry(r *telemetry.Registry) {
 		savedCycles:    sc.Gauge("saved_cycles"),
 		entries:        sc.Gauge("entries"),
 		points:         sc.Gauge("points"),
+		segments:       sc.Gauge("segments"),
 	}
+	t.savedCycles.Set(int64(c.saved.Load()))
 	c.mu.Lock()
 	t.entries.Set(int64(len(c.entries)))
-	c.mu.Unlock()
 	t.points.Set(c.points.Load())
-	t.savedCycles.Set(int64(c.saved.Load()))
+	t.segments.Set(c.segments.Load())
 	c.tel.Store(t)
+	c.mu.Unlock()
 }
 
 // Cursor returns a per-tracker-slot view of app's alone curve under cfg,
@@ -105,14 +114,23 @@ func (c *AloneCurveCache) Cursor(cfg Config, app AppSource) (*AloneCursor, error
 	alone := cfg.aloneCurveConfig()
 	key := aloneKey{cfg: alone.Fingerprint(), app: app.Key}
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	cv := c.entries[key]
-	if cv == nil {
-		sys, err := NewWithSources(alone, []AppSource{app})
-		if err != nil {
-			return nil, err
-		}
-		cv = &aloneCurve{cache: c, sys: sys}
+	c.mu.Unlock()
+	if cv != nil {
+		return &AloneCursor{curve: cv}, nil
+	}
+	// Build the replica (megabytes of cache arrays) outside the cache-wide
+	// lock so concurrent tracker set-ups do not queue behind one
+	// allocation; if another goroutine listed the same key meanwhile, its
+	// curve wins and this replica is dropped.
+	sys, err := newSystem(alone, []AppSource{app}, true)
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if cv = c.entries[key]; cv == nil {
+		cv = &aloneCurve{cache: c, key: key, sys: sys}
 		c.entries[key] = cv
 		if t := c.tel.Load(); t != nil {
 			t.misses.Inc()
@@ -129,8 +147,9 @@ func (c *AloneCurveCache) Len() int {
 	return len(c.entries)
 }
 
-// Points returns the total number of recorded curve points across all
-// entries (each point costs 8–16 bytes).
+// Points returns the total number of logical curve points (one per
+// retiring replica cycle) across the listed entries. Memory tracks the
+// far smaller number of stored segments (24 bytes each, see curveSeg).
 func (c *AloneCurveCache) Points() int64 { return c.points.Load() }
 
 // SavedCycles returns the cumulative replica cycles that cache hits
@@ -138,15 +157,34 @@ func (c *AloneCurveCache) Points() int64 { return c.points.Load() }
 func (c *AloneCurveCache) SavedCycles() uint64 { return c.saved.Load() }
 
 // Reset drops all cached curves, bounding memory between independent
-// sweeps. Outstanding cursors keep their (now unlisted) curves working.
+// sweeps. Outstanding cursors keep their (now unlisted) curves working;
+// those curves no longer count towards Points or the gauges.
 func (c *AloneCurveCache) Reset() {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.entries = map[aloneKey]*aloneCurve{}
-	c.mu.Unlock()
 	c.points.Store(0)
+	c.segments.Store(0)
 	if t := c.tel.Load(); t != nil {
 		t.entries.Set(0)
 		t.points.Set(0)
+		t.segments.Set(0)
+	}
+}
+
+// grew accounts one extension of cv — points and segs are what it added —
+// towards the cache totals, provided cv is still listed: a curve dropped
+// by Reset lives on for its cursors but is no longer the cache's memory.
+func (c *AloneCurveCache) grew(cv *aloneCurve, points, segs int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.entries[cv.key] != cv {
+		return
+	}
+	p, s := c.points.Add(points), c.segments.Add(segs)
+	if t := c.tel.Load(); t != nil {
+		t.points.Set(p)
+		t.segments.Set(s)
 	}
 }
 
@@ -169,23 +207,33 @@ func (c *AloneCurveCache) observe(delta, ticked uint64) {
 		t.hits.Inc()
 	}
 	t.savedCycles.Set(int64(c.saved.Load()))
-	t.points.Set(c.points.Load())
 }
 
+// curveSeg is one run of a curve: the n points (instr0+k*w, cycle0+k)
+// for k in [0,n) — a core retiring w instructions on each of n
+// consecutive cycles. A core at steady state retires its full width every
+// cycle, so runs are long: a compute-bound app stores about one segment
+// per thousand points, a memory-bound one (which retires on few cycles to
+// begin with) one per handful.
+type curveSeg struct {
+	instr0, cycle0 uint64
+	w, n           uint32
+}
+
+// lastInstr returns the instruction count of the segment's last point.
+func (s *curveSeg) lastInstr() uint64 { return s.instr0 + uint64(s.n-1)*uint64(s.w) }
+
 // aloneCurve is one cached (instructions -> cycles) step curve plus the
-// replica that extends it. Points are packed (instr<<32 | cycle) into a
-// single uint64 slice while both fit in 32 bits — both sequences are
-// monotone, so packed values sort by instruction count and one slice
-// halves the footprint; runs long enough to overflow spill into the wide
-// parallel-slice continuation.
+// lean replica that extends it.
 type aloneCurve struct {
 	cache *AloneCurveCache
+	key   aloneKey
 
 	mu     sync.RWMutex
 	sys    *System
-	packed []uint64
-	instrW []uint64
-	cycleW []uint64
+	segs   []curveSeg
+	last   uint64 // instruction count of the last recorded point
+	points int64  // logical points recorded (sum of segs[i].n)
 }
 
 // cyclesAt returns the first cycle with at least n instructions retired,
@@ -197,7 +245,7 @@ func (c *aloneCurve) cyclesAt(n uint64) (cyc, ticked uint64) {
 		return 0, 0
 	}
 	c.mu.RLock()
-	if c.covered(n) {
+	if c.last >= n {
 		cyc = c.lookup(n)
 		c.mu.RUnlock()
 		return cyc, 0
@@ -206,54 +254,64 @@ func (c *aloneCurve) cyclesAt(n uint64) (cyc, ticked uint64) {
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for !c.covered(n) {
-		prev := c.sys.Retired(0)
-		before := c.sys.Cycle()
+	if c.last >= n { // another cursor extended past n meanwhile
+		return c.lookup(n), 0
+	}
+	sys, prev := c.sys, c.last
+	start, segs0, points0 := sys.Cycle(), len(c.segs), c.points
+	for prev < n {
 		// Step, not Tick: memory-bound stretches take the skip-ahead fast
 		// path. A skip window retires nothing, so every retirement still
-		// lands on its exact cycle; ticked keeps counting replica cycles
+		// lands on its exact cycle; ticked counts the replica cycles
 		// simulated (skipped ones included — they are covered work).
-		c.sys.Step()
-		ticked += c.sys.Cycle() - before
-		if r := c.sys.Retired(0); r > prev {
-			c.append(r, c.sys.Cycle())
+		sys.Step()
+		if r := sys.Retired(0); r > prev {
+			c.append(r, sys.Cycle())
+			prev = r
 		}
 	}
-	return c.lookup(n), ticked
+	c.last = prev
+	// Lock order: a curve's mu, then the cache's (never the reverse).
+	c.cache.grew(c, c.points-points0, int64(len(c.segs)-segs0))
+	// The point just recorded is the first at or past n.
+	return sys.Cycle(), sys.Cycle() - start
 }
 
-// covered reports whether the recorded curve already reaches milestone n.
-// Callers hold c.mu (either mode).
-func (c *aloneCurve) covered(n uint64) bool {
-	if m := len(c.instrW); m > 0 {
-		return c.instrW[m-1] >= n
-	}
-	if m := len(c.packed); m > 0 {
-		return c.packed[m-1]>>32 >= n
-	}
-	return false
-}
-
-// lookup binary-searches the first point with instr >= n and returns its
-// cycle. Callers hold c.mu and have checked covered(n).
+// lookup returns the cycle of the first point with instr >= n: binary
+// search for the first segment ending at or past n, then the position
+// inside its run. Callers hold c.mu and have checked c.last >= n.
 func (c *aloneCurve) lookup(n uint64) uint64 {
-	if m := len(c.packed); m > 0 && c.packed[m-1]>>32 >= n {
-		i := sort.Search(m, func(i int) bool { return c.packed[i]>>32 >= n })
-		return c.packed[i] & (1<<32 - 1)
+	i := sort.Search(len(c.segs), func(i int) bool { return c.segs[i].lastInstr() >= n })
+	s := &c.segs[i]
+	if n <= s.instr0 {
+		return s.cycle0
 	}
-	i := sort.Search(len(c.instrW), func(i int) bool { return c.instrW[i] >= n })
-	return c.cycleW[i]
+	w := uint64(s.w)
+	return s.cycle0 + (n-s.instr0+w-1)/w
 }
 
-// append records the point (instr, cycle). Callers hold c.mu for writing.
+// append records the point (instr, cycle), extending the last segment's
+// run when the point continues it. Callers hold c.mu for writing and
+// append strictly increasing instr and cycle.
 func (c *aloneCurve) append(instr, cycle uint64) {
-	if len(c.instrW) == 0 && instr < 1<<32 && cycle < 1<<32 {
-		c.packed = append(c.packed, instr<<32|cycle)
-	} else {
-		c.instrW = append(c.instrW, instr)
-		c.cycleW = append(c.cycleW, cycle)
+	c.points++
+	if m := len(c.segs); m > 0 {
+		s := &c.segs[m-1]
+		// Only the very next cycle can continue a run; a stall gap (or a
+		// full counter) starts a new segment.
+		if cycle == s.cycle0+uint64(s.n) && s.n < math.MaxUint32 {
+			d := instr - s.instr0
+			if s.n == 1 && d <= math.MaxUint32 {
+				s.w, s.n = uint32(d), 2 // the second point fixes the run's width
+				return
+			}
+			if s.n > 1 && d == uint64(s.n)*uint64(s.w) {
+				s.n++
+				return
+			}
+		}
 	}
-	c.cache.points.Add(1)
+	c.segs = append(c.segs, curveSeg{instr0: instr, cycle0: cycle, n: 1})
 }
 
 // AloneCursor is one tracker slot's handle on a shared alone curve. It

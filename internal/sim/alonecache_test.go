@@ -1,10 +1,11 @@
 package sim
 
 import (
-	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
+	"asmsim/internal/rng"
 	"asmsim/internal/telemetry"
 	"asmsim/internal/workload"
 )
@@ -26,71 +27,97 @@ func mustSpecs(t testing.TB, names []string) []workload.Spec {
 // bit-identical ActualSlowdowns to the private-replica tracker across a
 // sweep of mixes that reuse benchmarks — including across configs that
 // differ only in knobs the curve key normalizes away (per-mix Seed,
-// Quantum, ATS sampling).
+// Quantum, ATS sampling). The private tracker runs full AloneProfile
+// systems, so this also holds the cache's lean replica (no ATS, no
+// pollution filter) to the full one at every milestone, for low-, medium-
+// and high-intensity apps, with the prefetcher's ATS mirror skipped and
+// on a two-channel memory system.
 func TestSlowdownTrackerSharedEquivalence(t *testing.T) {
-	cache := NewAloneCurveCache()
-	reg := telemetry.NewRegistry()
-	cache.SetTelemetry(reg.Scope("sim"))
 	mixes := [][]string{
 		{"mcf", "libquantum", "bzip2", "h264ref"},
 		{"bzip2", "h264ref", "gcc", "mcf"},
+		{"povray", "sphinx3", "lbm", "h264ref"},
 	}
-	for mi, names := range mixes {
-		cfg := DefaultConfig()
-		cfg.Quantum = 120_000
-		cfg.ATSSampledSets = 64
-		cfg.Seed = 7 + uint64(mi)*1000 // per-mix seed, as the sweeps set it
-		cfg.StreamSeed = 7
-		if mi == 1 {
-			cfg.Quantum = 60_000 // normalized out of the curve key
-		}
-		specs := mustSpecs(t, names)
-		sys, err := New(cfg, specs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cached, err := NewSlowdownTrackerShared(cfg, specs, cache)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plain, err := NewSlowdownTracker(cfg, specs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys.AddQuantumListener(func(_ *System, st *QuantumStats) {
-			want := plain.ActualSlowdowns(st)
-			got := cached.ActualSlowdowns(st)
-			for a := range want {
-				if got[a] != want[a] {
-					t.Fatalf("mix %d app %d (%s) quantum %d: cached %v != uncached %v",
-						mi, a, names[a], st.Quantum, got[a], want[a])
+	variants := []struct {
+		name  string
+		tweak func(*Config)
+	}{
+		{"base", func(*Config) {}},
+		{"prefetch", func(c *Config) { c.Prefetch = true }},
+		{"2ch", func(c *Config) { c.Channels = 2 }},
+	}
+	for _, v := range variants {
+		t.Run(v.name, func(t *testing.T) {
+			cache := NewAloneCurveCache()
+			reg := telemetry.NewRegistry()
+			cache.SetTelemetry(reg.Scope("sim"))
+			for mi, names := range mixes {
+				cfg := DefaultConfig()
+				cfg.Quantum = 120_000
+				cfg.ATSSampledSets = 64
+				cfg.Seed = 7 + uint64(mi)*1000 // per-mix seed, as the sweeps set it
+				cfg.StreamSeed = 7
+				if mi == 1 {
+					cfg.Quantum = 60_000 // normalized out of the curve key
 				}
+				v.tweak(&cfg)
+				specs := mustSpecs(t, names)
+				sys, err := New(cfg, specs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cached, err := NewSlowdownTrackerShared(cfg, specs, cache)
+				if err != nil {
+					t.Fatal(err)
+				}
+				plain, err := NewSlowdownTracker(cfg, specs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sys.AddQuantumListener(func(_ *System, st *QuantumStats) {
+					want := plain.ActualSlowdowns(st)
+					got := cached.ActualSlowdowns(st)
+					for a := range want {
+						if got[a] != want[a] {
+							t.Fatalf("mix %d app %d (%s) quantum %d: cached %v != uncached %v",
+								mi, a, names[a], st.Quantum, got[a], want[a])
+						}
+						if c, p := cached.lastCycle[a], plain.lastCycle[a]; c != p {
+							t.Fatalf("mix %d app %d (%s) quantum %d: cached milestone cycle %d != replica's %d",
+								mi, a, names[a], st.Quantum, c, p)
+						}
+					}
+				})
+				sys.RunQuanta(3)
+			}
+			// 8 distinct benchmarks across the mixes; the repeats (and the
+			// second mix's different Quantum/Seed) must all hit shared entries.
+			if cache.Len() != 8 {
+				t.Fatalf("cache holds %d curves, want 8 (one per distinct benchmark)", cache.Len())
+			}
+			if cache.SavedCycles() == 0 {
+				t.Fatal("repeated benchmarks saved no cycles")
+			}
+			sc := reg.Scope("sim").Scope("alone_cache")
+			if sc.Counter("hits").Value() == 0 || sc.Counter("extensions").Value() == 0 {
+				t.Fatal("telemetry recorded no alone_cache activity")
+			}
+			if got := sc.Gauge("points").Value(); got != cache.Points() || got == 0 {
+				t.Fatalf("points gauge %d, cache.Points() %d", got, cache.Points())
+			}
+			if segs := sc.Gauge("segments").Value(); segs <= 0 || segs >= cache.Points() {
+				t.Fatalf("segments gauge %d not in (0, points=%d)", segs, cache.Points())
 			}
 		})
-		sys.RunQuanta(3)
-	}
-	// 5 distinct benchmarks across both mixes; the repeats (and the
-	// second mix's different Quantum/Seed) must all hit shared entries.
-	if cache.Len() != 5 {
-		t.Fatalf("cache holds %d curves, want 5 (one per distinct benchmark)", cache.Len())
-	}
-	if cache.SavedCycles() == 0 {
-		t.Fatal("repeated benchmarks saved no cycles")
-	}
-	hits := false
-	for _, m := range reg.Snapshot() {
-		if strings.HasPrefix(m.Name, "sim.alone_cache.") && m.Value > 0 {
-			hits = true
-		}
-	}
-	if !hits {
-		t.Fatal("telemetry recorded no alone_cache activity")
 	}
 }
 
-// TestAloneCurveConcurrentExtension: many goroutines extend and query the
+// TestAloneCurveConcurrentExtension: many goroutines create cursors on
+// one key at once (replicas are built outside the cache lock, so losers
+// of the insert race must discard theirs) and then extend and query the
 // same curve concurrently (run under -race); every answer must equal the
-// private replica's, regardless of interleaving.
+// private replica's, regardless of interleaving, and the curve must be
+// counted exactly once.
 func TestAloneCurveConcurrentExtension(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Quantum = 100_000
@@ -106,11 +133,15 @@ func TestAloneCurveConcurrentExtension(t *testing.T) {
 	}
 
 	cache := NewAloneCurveCache()
+	reg := telemetry.NewRegistry()
+	cache.SetTelemetry(reg)
 	var wg sync.WaitGroup
+	start := make(chan struct{})
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			<-start
 			cu, err := cache.Cursor(cfg, apps[0])
 			if err != nil {
 				t.Error(err)
@@ -127,6 +158,7 @@ func TestAloneCurveConcurrentExtension(t *testing.T) {
 			}
 		}(g)
 	}
+	close(start)
 	wg.Wait()
 	if cache.Len() != 1 {
 		t.Fatalf("one stream produced %d curves", cache.Len())
@@ -134,6 +166,197 @@ func TestAloneCurveConcurrentExtension(t *testing.T) {
 	if cache.Points() == 0 {
 		t.Fatal("curve recorded no points")
 	}
+	sc := reg.Scope("alone_cache")
+	if m, e := sc.Counter("misses").Value(), sc.Gauge("entries").Value(); m != 1 || e != 1 {
+		t.Fatalf("racing cursors counted misses=%d entries=%d, want 1 and 1", m, e)
+	}
+}
+
+// TestAloneCacheResetAccounting: a curve dropped by Reset keeps serving
+// its outstanding cursors, but what it records from then on is no longer
+// the cache's: Points and the points/segments gauges describe the listed
+// entries only.
+func TestAloneCacheResetAccounting(t *testing.T) {
+	cfg := DefaultConfig()
+	apps := SourcesFromSpecs(mustSpecs(t, []string{"gcc", "mcf"}), cfg.streamSeed())
+	cache := NewAloneCurveCache()
+	reg := telemetry.NewRegistry()
+	cache.SetTelemetry(reg)
+	sc := reg.Scope("alone_cache")
+	gauges := func() (points, segs, entries int64) {
+		return sc.Gauge("points").Value(), sc.Gauge("segments").Value(), sc.Gauge("entries").Value()
+	}
+
+	live, err := cache.Cursor(cfg, apps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := live.CyclesAt(20_000)
+	if p, s, e := gauges(); p == 0 || s == 0 || e != 1 || p != cache.Points() {
+		t.Fatalf("before reset: points=%d segments=%d entries=%d Points()=%d", p, s, e, cache.Points())
+	}
+
+	cache.Reset()
+	if after := live.CyclesAt(40_000); after <= before {
+		t.Fatalf("unlisted curve stopped extending: %d then %d", before, after)
+	}
+	if p, s, e := gauges(); p != 0 || s != 0 || e != 0 || cache.Points() != 0 {
+		t.Fatalf("unlisted curve leaked into the totals: points=%d segments=%d entries=%d Points()=%d",
+			p, s, e, cache.Points())
+	}
+
+	// A curve listed after the reset is accounted on its own.
+	fresh, err := cache.Cursor(cfg, apps[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh.CyclesAt(5_000)
+	live.CyclesAt(60_000)
+	if p, s, _ := gauges(); p != fresh.curve.points || s != int64(len(fresh.curve.segs)) || p != cache.Points() {
+		t.Fatalf("totals points=%d segments=%d, listed curve has %d/%d",
+			p, s, fresh.curve.points, len(fresh.curve.segs))
+	}
+}
+
+// TestCurveSegmentsMatchPointOracle: the run-length store against a naive
+// point slice. Random monotone (instr, cycle) sequences — retire widths
+// 1-3 that change mid-run, stall gaps, single-point segments, and both
+// coordinates starting beyond 2^32 — are appended to both; lookup must
+// agree on every milestone around every point, and the segment store must
+// account every point exactly once.
+func TestCurveSegmentsMatchPointOracle(t *testing.T) {
+	type point struct{ instr, cycle uint64 }
+	for trial := 0; trial < 40; trial++ {
+		r := rng.NewNamed(uint64(trial)+1, "curve-oracle")
+		var instr, cycle uint64
+		if trial%2 == 1 {
+			instr, cycle = 1<<32-50, 1<<33+uint64(trial) // crosses 2^32 mid-run
+		}
+		if trial%5 == 4 {
+			instr, cycle = 1<<40, 1<<41
+		}
+		first := instr
+		var cv aloneCurve
+		var pts []point
+		w := uint64(3)
+		for len(pts) < 3000 {
+			switch r.Intn(10) {
+			case 0: // stall gap, sometimes long
+				cycle += 1 + uint64(r.Intn(400))
+			case 1: // width change mid-run
+				w = 1 + uint64(r.Intn(3))
+			case 2: // isolated single point
+				cycle += 2
+				instr += 1 + uint64(r.Intn(3))
+				cycle++
+				pts = append(pts, point{instr, cycle})
+				cv.append(instr, cycle)
+				cycle += 2
+				continue
+			}
+			for run := 1 + r.Intn(60); run > 0; run-- {
+				instr += w
+				cycle++
+				pts = append(pts, point{instr, cycle})
+				cv.append(instr, cycle)
+			}
+		}
+		cv.last = instr
+
+		if cv.points != int64(len(pts)) {
+			t.Fatalf("trial %d: %d points recorded, %d appended", trial, cv.points, len(pts))
+		}
+		var sum int64
+		for _, s := range cv.segs {
+			sum += int64(s.n)
+		}
+		if sum != cv.points {
+			t.Fatalf("trial %d: segments hold %d points, counter says %d", trial, sum, cv.points)
+		}
+		if len(cv.segs) >= len(pts)/2 {
+			t.Fatalf("trial %d: %d segments for %d points — runs are not merging", trial, len(cv.segs), len(pts))
+		}
+
+		// Every milestone from just below the first point to the last one.
+		j := 0
+		for n := first + 1; n <= instr; n++ {
+			for pts[j].instr < n {
+				j++
+			}
+			if got := cv.lookup(n); got != pts[j].cycle {
+				t.Fatalf("trial %d: lookup(%d) = %d, oracle %d (point %d of %d)",
+					trial, n, got, pts[j].cycle, j, len(pts))
+			}
+		}
+		if got := cv.lookup(1); got != pts[0].cycle {
+			t.Fatalf("trial %d: lookup(1) = %d, want the first point's cycle %d", trial, got, pts[0].cycle)
+		}
+	}
+
+	// A retire jump too wide for a segment's 32-bit width starts a new
+	// segment instead of truncating.
+	var cv aloneCurve
+	const far = 10 + 1<<33
+	cv.append(10, 5)
+	cv.append(far, 6)
+	cv.append(far+3, 7)
+	for _, q := range []struct{ n, want uint64 }{{1, 5}, {10, 5}, {11, 6}, {far, 6}, {far + 1, 7}, {far + 3, 7}} {
+		if got := cv.lookup(q.n); got != q.want {
+			t.Fatalf("wide jump: lookup(%d) = %d, want %d", q.n, got, q.want)
+		}
+	}
+}
+
+// TestAloneCurveFootprint pins the curve store's size, which is an exact
+// repeat for a fixed (app, instruction count, config): a storage
+// regression fails here, not only in the benchmark ledger. 3 M
+// instructions take a compute-bound app ~1 M retiring cycles (one point
+// each before the run-length store) and a streaming one ~0.25 M.
+func TestAloneCurveFootprint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates ~20 M replica cycles")
+	}
+	for _, tc := range []struct {
+		app     string
+		maxSegs int
+	}{{"povray", 2_000}, {"libquantum", 300_000}} {
+		cv := freshCurve(t, tc.app)
+		cv.cyclesAt(3_000_000)
+		t.Logf("%s: %d points in %d segments (%d KiB)", tc.app, cv.points, len(cv.segs), curveBytes(cv)>>10)
+		if len(cv.segs) > tc.maxSegs {
+			t.Errorf("%s: 3 M instructions stored as %d segments, budget %d", tc.app, len(cv.segs), tc.maxSegs)
+		}
+	}
+
+	// One paper quantum (Q = 5 M cycles) of a compute-bound alone run.
+	cv := freshCurve(t, "povray")
+	for n := uint64(1_000_000); cv.sys.Cycle() < 5_000_000; n += 1_000_000 {
+		cv.cyclesAt(n)
+	}
+	t.Logf("povray: %d alone cycles, %d points in %d segments (%d KiB)",
+		cv.sys.Cycle(), cv.points, len(cv.segs), curveBytes(cv)>>10)
+	if b := curveBytes(cv); b > 256<<10 {
+		t.Errorf("a compute-bound curve over one 5 M-cycle quantum holds %d bytes, budget 256 KiB", b)
+	}
+}
+
+// freshCurve returns an empty alone curve (on a cache of its own) for the
+// named benchmark under the default configuration.
+func freshCurve(tb testing.TB, name string) *aloneCurve {
+	tb.Helper()
+	cfg := DefaultConfig()
+	apps := SourcesFromSpecs(mustSpecs(tb, []string{name}), cfg.streamSeed())
+	cu, err := NewAloneCurveCache().Cursor(cfg, apps[0])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return cu.curve
+}
+
+// curveBytes is the memory a curve's segment slice pins (capacity, not
+// length: growslice's slack is resident too).
+func curveBytes(cv *aloneCurve) int {
+	return cap(cv.segs) * int(unsafe.Sizeof(curveSeg{}))
 }
 
 // TestAloneCursorZeroMilestone: milestone 0 answers cycle 0 without

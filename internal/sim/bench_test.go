@@ -137,6 +137,53 @@ func BenchmarkAloneProfileSkipOff(b *testing.B) {
 	p.CyclesAt(uint64(b.N))
 }
 
+// BenchmarkAloneCurveExtend measures building a cached ground-truth curve:
+// one op extends a fresh curve to 1 M instructions on its lean replica
+// (replica construction is untimed). povray is the compute-bound extreme
+// (long runs, almost nothing stored), mcf the memory-bound one (short
+// runs, skip-ahead between them). The work is single-threaded and
+// seed-fixed, so B/op, allocs/op and segs/op repeat exactly and
+// benchdiff gates on them hard; ns/instr is the host cost per replica
+// instruction.
+func BenchmarkAloneCurveExtend(b *testing.B) {
+	const instrs = 1_000_000
+	for _, name := range []string{"povray", "mcf"} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			var segs int
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				cv := freshCurve(b, name)
+				b.StartTimer()
+				cv.cyclesAt(instrs)
+				segs = len(cv.segs)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/instrs, "ns/instr")
+			b.ReportMetric(float64(segs), "segs/op")
+		})
+	}
+}
+
+var benchSink uint64
+
+// BenchmarkAloneCurveLookup measures the cache-hit path — read lock,
+// binary search over the segments, position inside the run — on a
+// 1 M-instruction gcc curve (a few thousand segments), striding through
+// the milestones so successive searches take different branches.
+func BenchmarkAloneCurveLookup(b *testing.B) {
+	const instrs = 1_000_000
+	cv := freshCurve(b, "gcc")
+	cv.cyclesAt(instrs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	n := uint64(1)
+	for i := 0; i < b.N; i++ {
+		cyc, _ := cv.cyclesAt(n)
+		benchSink += cyc
+		n = (n+611_953)%instrs + 1
+	}
+}
+
 // BenchmarkGeneratorNext measures instruction synthesis cost.
 func BenchmarkGeneratorNext(b *testing.B) {
 	spec, _ := workload.ByName("mcf")

@@ -242,7 +242,8 @@ func FingerprintHash(parts ...string) string {
 // share one curve:
 //
 //   - ATSSampledSets and the pollution filter only feed estimation
-//     counters, never hit/miss outcomes or latencies;
+//     counters, never hit/miss outcomes or latencies (the curve cache's
+//     replicas leave both structures out altogether, see newSystem);
 //   - Quantum boundaries only reset accounting state (per-quantum DRAM
 //     and cache counters), never scheduling state, so quantum length
 //     cannot change when instructions retire;

@@ -109,8 +109,8 @@ type System struct {
 	l1     []*cache.Cache
 	l1mshr []*cache.MSHR
 	l2     *cache.Cache
-	ats    []*cache.AuxTagStore
-	pf     []*cache.PollutionFilter
+	ats    []*cache.AuxTagStore     // nil on a lean system (see newSystem)
+	pf     []*cache.PollutionFilter // nil on a lean system
 	pref   []*prefetch.Stride
 
 	mem *dram.System
@@ -200,6 +200,19 @@ func New(cfg Config, specs []workload.Spec) (*System, error) {
 // recorded traces via internal/trace). Sources must replay identically on
 // every New call for the alone-run ground truth to be exact.
 func NewWithSources(cfg Config, apps []AppSource) (*System, error) {
+	return newSystem(cfg, apps, false)
+}
+
+// newSystem is NewWithSources with the lean switch the alone-curve cache
+// uses for its solo replicas: a lean system carries no estimator state —
+// no auxiliary tag stores and no pollution filters (s.ats and s.pf stay
+// nil). Both structures only ever feed estimation counters (ATS*/PF*
+// fields of AppQuantum, MissEvent flags), never a hit/miss outcome, a
+// latency or a scheduling decision, so a lean system retires every
+// instruction on the same cycle as a full one; nobody reads a curve
+// replica's estimation counters. Lean is deliberately not a Config knob:
+// it is not part of a run's identity (Fingerprint).
+func newSystem(cfg Config, apps []AppSource, lean bool) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -236,8 +249,10 @@ func NewWithSources(cfg Config, apps []AppSource) (*System, error) {
 		src := apps[i].New(i)
 		s.l1 = append(s.l1, cache.New(cfg.L1Sets(), cfg.L1Ways, n))
 		s.l1mshr = append(s.l1mshr, cache.NewMSHR(cfg.MSHRs))
-		s.ats = append(s.ats, cache.NewAuxTagStore(cfg.L2Sets(), cfg.L2Ways, sampled))
-		s.pf = append(s.pf, cache.NewPollutionFilter(filterBits, 4))
+		if !lean {
+			s.ats = append(s.ats, cache.NewAuxTagStore(cfg.L2Sets(), cfg.L2Ways, sampled))
+			s.pf = append(s.pf, cache.NewPollutionFilter(filterBits, 4))
+		}
 		s.cores = append(s.cores, cpu.New(i, src, s, cfg.WindowSize, cfg.IssueWidth))
 		if cfg.Prefetch {
 			s.pref = append(s.pref, prefetch.New())
@@ -698,8 +713,12 @@ func (s *System) accessL2(app int, line uint64, storeMiss bool, now uint64) {
 		aq.EpochAccesses++
 	}
 
-	// Auxiliary tag store probe (demand accesses only).
-	sampled, atsHit, _ := s.ats[app].Access(line)
+	// Auxiliary tag store probe (demand accesses only; lean systems have
+	// none).
+	var sampled, atsHit bool
+	if s.ats != nil {
+		sampled, atsHit, _ = s.ats[app].Access(line)
+	}
 	if sampled {
 		aq.ATSProbes++
 		if atsHit {
@@ -738,7 +757,7 @@ func (s *System) accessL2(app int, line uint64, storeMiss bool, now uint64) {
 	if inEpoch {
 		aq.EpochMisses++
 	}
-	pfCont := s.pf[app].Test(line)
+	pfCont := s.pf != nil && s.pf[app].Test(line)
 	if pfCont {
 		s.pf[app].Remove(line) // the line is being refetched
 	}
@@ -808,7 +827,9 @@ func (s *System) missDone(txn *missTxn, now uint64) {
 		// Mirror the fill into the alone-state directory: the prefetcher
 		// is trained on this app's own stream and would have issued the
 		// same prefetch in the alone run.
-		s.ats[app].Install(txn.line)
+		if s.ats != nil {
+			s.ats[app].Install(txn.line)
+		}
 		s.pfLines[txn.line] = true
 		return
 	}
@@ -989,7 +1010,9 @@ func (s *System) insertL2(app int, line uint64, dirty bool, now uint64) {
 	if int(v.App) != app {
 		// FST's pollution filter: the victim's owner lost this line to
 		// another application.
-		s.pf[v.App].Add(v.LineAddr)
+		if s.pf != nil {
+			s.pf[v.App].Add(v.LineAddr)
+		}
 		if s.evictors != nil {
 			// Cache-side attribution: remember who displaced the line so a
 			// later contention miss on it can name its cause app.
@@ -1071,7 +1094,9 @@ func (s *System) endQuantum(now uint64) {
 		s.prevMemStall[a] = s.cores[a].MemStallCycles()
 		aq.QueueingCycles = s.mem.QueueingCycles(a)
 		aq.MemInterfCycles = s.mem.InterferenceCycles(a)
-		aq.ATSHitsAtWay = s.ats[a].PositionHits()
+		if s.ats != nil {
+			aq.ATSHitsAtWay = s.ats[a].PositionHits()
+		}
 	}
 	s.qs.Quantum = s.quantum
 
@@ -1158,8 +1183,8 @@ func (s *System) resetQuantumStats() {
 		L2Ways:       s.cfg.L2Ways,
 		Apps:         apps,
 	}
-	for a := 0; a < n; a++ {
-		s.ats[a].ResetStats()
+	for _, ats := range s.ats {
+		ats.ResetStats()
 		// The pollution filter is NOT cleared: FST's design only removes
 		// entries when a line is refetched, so an under-provisioned
 		// filter saturates over time — the source of FST's accuracy loss
