@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: check build vet test race bench bench-smoke bench-json bench-diff trace-smoke trace-diff trace-merge-smoke dash-smoke serve-smoke slo-smoke cover
+.PHONY: check build vet test race test-1p bench bench-smoke bench-json bench-diff trace-smoke trace-diff trace-merge-smoke dash-smoke serve-smoke slo-smoke cover
 
 # check is the CI gate: build + vet + tests, then the race detector over
 # the concurrency-heavy packages (sweep workers, cluster rounds, faults,
 # shared telemetry/trace sinks, the job service), then the observability
 # smoke tests and the attribution regression gate.
-check: build vet test race trace-smoke trace-diff trace-merge-smoke dash-smoke serve-smoke slo-smoke
+check: build vet test race test-1p trace-smoke trace-diff trace-merge-smoke dash-smoke serve-smoke slo-smoke
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,15 @@ test:
 
 race:
 	$(GO) test -race ./internal/sim/... ./internal/exp/... ./internal/dram/... ./internal/cluster/... ./internal/faults/... ./internal/telemetry/... ./internal/evtrace/... ./internal/dash/... ./internal/serve/...
+
+# test-1p re-runs the packages whose runs are followed by alone-curve
+# chase goroutines (DESIGN.md decision 10) on a single processor: with one
+# P the chaser and the shared run it follows interleave on one thread —
+# lock hand-offs and preemption points the two-P race run never takes.
+# -count=1: the test cache does not key on GOMAXPROCS, so without it this
+# target would replay `make test`'s results.
+test-1p:
+	GOMAXPROCS=1 $(GO) test -count=1 ./internal/sim/... ./internal/exp/...
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .

@@ -352,8 +352,9 @@ func Run(cfg Config, names []string, opt RunOptions) (*RunResult, error) {
 	return RunContext(context.Background(), cfg, names, opt)
 }
 
-// RunContext is Run with cancellation: the simulation checks ctx between
-// quanta and returns ctx's error (with no result) when cancelled.
+// RunContext is Run with cancellation: the simulation polls ctx every few
+// thousand cycles, so it stops mid-quantum, and returns ctx's error (with
+// no result) when cancelled.
 func RunContext(ctx context.Context, cfg Config, names []string, opt RunOptions) (*RunResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -397,6 +398,7 @@ func RunContext(ctx context.Context, cfg Config, names []string, opt RunOptions)
 			return nil, err
 		}
 		tracker.AttachAloneTracer(opt.AloneTrace)
+		tracker.Follow(sys)
 	}
 
 	n := len(specs)
@@ -459,11 +461,8 @@ func RunContext(ctx context.Context, cfg Config, names []string, opt RunOptions)
 			}
 		}
 	})
-	for q := 0; q < opt.WarmupQuanta+opt.Quanta; q++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("asmsim: run cancelled after %d quanta: %w", q, err)
-		}
-		sys.RunQuanta(1)
+	if err := sys.RunQuantaCtx(ctx, opt.WarmupQuanta+opt.Quanta); err != nil {
+		return nil, fmt.Errorf("asmsim: run cancelled after %d quanta: %w", sys.QuantumIndex(), err)
 	}
 	if measured == 0 {
 		return nil, fmt.Errorf("asmsim: no measured quanta")

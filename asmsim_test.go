@@ -3,8 +3,12 @@ package asmsim
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -218,5 +222,54 @@ func TestRunWithTelemetry(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("sim.quanta counter missing or wrong: %+v", reg.Snapshot())
+	}
+}
+
+// pollLimitCtx reports cancellation after a fixed number of Err polls.
+type pollLimitCtx struct {
+	context.Context
+	polls, limit int
+}
+
+func (c *pollLimitCtx) Err() error {
+	if c.polls++; c.polls > c.limit {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestRunContextCancelsMidQuantum: the facade polls its context from
+// inside the cycle loop, so a run cancelled a few polls in stops within
+// its first quantum instead of finishing it.
+func TestRunContextCancelsMidQuantum(t *testing.T) {
+	cfg := fastConfig()
+	cfg.Quantum = 5_000_000
+	ctx := &pollLimitCtx{Context: context.Background(), limit: 4}
+	res, err := RunContext(ctx, cfg, []string{"mcf", "libquantum"}, RunOptions{Quanta: 8, GroundTruth: true})
+	if res != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunContext = %v, %v; want no result and context.Canceled", res, err)
+	}
+	if !strings.Contains(err.Error(), "run cancelled after 0 quanta") {
+		t.Fatalf("error %q does not report a mid-quantum stop", err)
+	}
+}
+
+// TestRunSharedAloneCacheMatchesPrivate: with a shared alone cache Run's
+// ground truth follows the shared run on its own goroutines; the result
+// must be the private replicas'.
+func TestRunSharedAloneCacheMatchesPrivate(t *testing.T) {
+	names := []string{"mcf", "povray", "gcc", "libquantum"}
+	opt := RunOptions{WarmupQuanta: 1, Quanta: 1, GroundTruth: true}
+	want, err := Run(fastConfig(), names, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.SharedAloneCache = NewAloneCurveCache()
+	got, err := Run(fastConfig(), names, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("shared-cache run %+v, private-replica run %+v", got, want)
 	}
 }

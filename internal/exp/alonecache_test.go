@@ -2,6 +2,8 @@ package exp
 
 import (
 	"context"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"asmsim/internal/sim"
@@ -84,5 +86,65 @@ func TestAccuracySweepSharedAloneBitIdentical(t *testing.T) {
 	}
 	if cache.SavedCycles() == 0 {
 		t.Fatal("sweep reusing benchmarks saved no alone cycles")
+	}
+}
+
+// TestFollowedRunsMatchPrivateReplicas: RunAccuracy and RunPolicy on a
+// shared alone cache follow their shared run — each curve is extended on
+// its own goroutine while the mix simulates — and must still return
+// exactly what the synchronous private replicas (no cache, nothing to
+// follow) return: a mix of low-, medium- and high-intensity apps, with
+// the prefetcher and on two channels, on one processor and on two. The
+// two quanta cross one progress hint in mid-quantum. Run under -race
+// (make race).
+func TestFollowedRunsMatchPrivateReplicas(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs eighteen two-quantum mixes")
+	}
+	sc := Scale{WarmupQuanta: 1, MeasuredQuanta: 1, Quantum: 140_000, Epoch: 10_000, Seed: 11}
+	mix := workload.Mix{Names: []string{"povray", "gcc", "mcf", "libquantum"}}
+	variants := map[string]func(*sim.Config){
+		"base":     func(*sim.Config) {},
+		"prefetch": func(c *sim.Config) { c.Prefetch = true },
+		"2ch":      func(c *sim.Config) { c.Channels = 2 },
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for name, tweak := range variants {
+		t.Run(name, func(t *testing.T) {
+			cfg := sc.BaseConfig()
+			cfg.ATSSampledSets = 64
+			tweak(&cfg)
+			run := func(cache *sim.AloneCurveCache) ([]Sample, PolicyOutcome) {
+				scRun := sc
+				scRun.AloneCache = cache
+				samples, err := RunAccuracy(context.Background(), cfg, mix, estAll, scRun)
+				if err != nil {
+					t.Fatal(err)
+				}
+				outcome, err := RunPolicy(context.Background(), cfg, mix, schemeASMCacheMem(), scRun)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return samples, outcome
+			}
+			wantSamples, wantOutcome := run(nil)
+			if len(wantSamples) != len(mix.Names) {
+				t.Fatalf("%d samples from one measured quantum of %d apps", len(wantSamples), len(mix.Names))
+			}
+			for _, procs := range []int{1, 2} {
+				runtime.GOMAXPROCS(procs)
+				cache := sim.NewAloneCurveCache()
+				samples, outcome := run(cache)
+				if !reflect.DeepEqual(samples, wantSamples) {
+					t.Errorf("GOMAXPROCS=%d: followed samples %+v, private replicas %+v", procs, samples, wantSamples)
+				}
+				if !reflect.DeepEqual(outcome, wantOutcome) {
+					t.Errorf("GOMAXPROCS=%d: followed outcome %+v, private replicas %+v", procs, outcome, wantOutcome)
+				}
+				if cache.Len() != len(mix.Names) {
+					t.Errorf("GOMAXPROCS=%d: %d curves for %d apps", procs, cache.Len(), len(mix.Names))
+				}
+			}
+		})
 	}
 }

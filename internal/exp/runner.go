@@ -100,6 +100,7 @@ func RunAccuracy(ctx context.Context, cfg sim.Config, mix workload.Mix, newEst E
 	if err != nil {
 		return nil, err
 	}
+	tracker.Follow(sys)
 	ests := newEst()
 	rec := sc.wrapSLO(sc.Dash.WrapRecorder(sc.Telemetry.Recorder))
 	// The estimates map and samples slice are reused/pre-sized across
@@ -262,6 +263,7 @@ func RunPolicy(ctx context.Context, cfg sim.Config, mix workload.Mix, scheme Sch
 	if err != nil {
 		return PolicyOutcome{}, err
 	}
+	tracker.Follow(sys)
 	n := len(specs)
 	invSum := make([]float64, n) // sum of 1/slowdown per quantum
 	count := 0

@@ -146,6 +146,28 @@ func (t *SlowdownTracker) AttachAloneTracer(tr *evtrace.Tracer) int {
 	return n
 }
 
+// Follow has the tracker's shared curves extended while sys — the shared
+// run whose quantum stats feed ActualSlowdowns, from its first quantum on
+// — is still simulating: every progressStride cycles of RunQuantaCtx each
+// cursor-backed slot announces its core's retired-instruction count to its
+// curve, which extends itself to that milestone on a goroutine of its own
+// (aloneCurve.want) through the same routine a query uses. A hint is never
+// speculative: retired counts only grow, so the next boundary's milestone
+// is at or past it, and the boundary query simply finds that prefix
+// covered. Answers, curve contents and cache accounting are those of an
+// unfollowed run. Slots on private replicas (keyless sources, traced
+// alone runs) have no shared curve and stay synchronous. Call before the
+// run starts; a system advanced by Run or RunQuanta is never followed.
+func (t *SlowdownTracker) Follow(sys *System) {
+	sys.progress = func() {
+		for a, cu := range t.cursors {
+			if cu != nil {
+				cu.curve.want(sys.Retired(a))
+			}
+		}
+	}
+}
+
 // cyclesAt answers slot a's milestone query from its cursor or replica.
 func (t *SlowdownTracker) cyclesAt(a int, instr uint64) uint64 {
 	if cu := t.cursors[a]; cu != nil {

@@ -23,7 +23,10 @@ import (
 // solo replica (newSystem's lean mode), records the retiring cycles as
 // run-length segments while extending lazily on demand under a per-entry
 // lock, and answers every CyclesAt query from any mix or worker by binary
-// search.
+// search. A tracker that follows its shared run (SlowdownTracker.Follow)
+// additionally has each curve extended on a goroutine of its own while the
+// shared run is still simulating, so the quantum-boundary query finds its
+// prefix already covered (see aloneCurve.want).
 //
 // Sharing is sound because curve identity is exact: instruction streams
 // are pure functions of their AppSource.Key (for generator-backed
@@ -39,7 +42,11 @@ type AloneCurveCache struct {
 	mu      sync.Mutex
 	entries map[aloneKey]*aloneCurve
 
-	saved atomic.Uint64 // replica cycles avoided versus private replicas
+	// Saved-cycle accounting: queried sums every cursor's alone-cycle
+	// advance (what private replicas would have simulated), extended the
+	// replica cycles actually simulated, whoever stepped them.
+	queried  atomic.Uint64
+	extended atomic.Uint64
 	// Totals over the listed entries only. Written under mu (so a Reset
 	// orders against every extension's accounting), read lock-free.
 	points   atomic.Int64 // logical curve points
@@ -72,9 +79,10 @@ func NewAloneCurveCache() *AloneCurveCache {
 }
 
 // SetTelemetry publishes the cache's counters under the "alone_cache"
-// scope of r: hits (queries answered without simulating), misses (curves
-// built), extensions (queries that had to advance a replica),
-// extended_cycles (replica cycles actually simulated), and the
+// scope of r: hits (queries that stepped no replica themselves), misses
+// (curves built), extensions (write-lock slices that advanced a replica,
+// at most extendSlice instructions each, on behalf of a query or a
+// follower), extended_cycles (replica cycles actually simulated), and the
 // saved_cycles / entries / points / segments gauges (points are logical
 // curve points, segments the stored records that track memory). A nil
 // registry disables telemetry. Safe to call concurrently with queries.
@@ -93,7 +101,7 @@ func (c *AloneCurveCache) SetTelemetry(r *telemetry.Registry) {
 		points:         sc.Gauge("points"),
 		segments:       sc.Gauge("segments"),
 	}
-	t.savedCycles.Set(int64(c.saved.Load()))
+	t.savedCycles.Set(int64(c.SavedCycles()))
 	c.mu.Lock()
 	t.entries.Set(int64(len(c.entries)))
 	t.points.Set(c.points.Load())
@@ -152,9 +160,18 @@ func (c *AloneCurveCache) Len() int {
 // far smaller number of stored segments (24 bytes each, see curveSeg).
 func (c *AloneCurveCache) Points() int64 { return c.points.Load() }
 
-// SavedCycles returns the cumulative replica cycles that cache hits
-// avoided simulating compared to per-tracker private replicas.
-func (c *AloneCurveCache) SavedCycles() uint64 { return c.saved.Load() }
+// SavedCycles returns the cumulative replica cycles the cache avoided
+// simulating compared to per-tracker private replicas: the sum of every
+// cursor's alone-cycle advance minus the cycles its replicas were stepped.
+// It does not depend on who stepped them; while a followed run is between
+// boundaries its curves can be ahead of its queries, which reads as 0.
+func (c *AloneCurveCache) SavedCycles() uint64 {
+	q, e := c.queried.Load(), c.extended.Load()
+	if q < e {
+		return 0
+	}
+	return q - e
+}
 
 // Reset drops all cached curves, bounding memory between independent
 // sweeps. Outstanding cursors keep their (now unlisted) curves working;
@@ -172,41 +189,42 @@ func (c *AloneCurveCache) Reset() {
 	}
 }
 
-// grew accounts one extension of cv — points and segs are what it added —
-// towards the cache totals, provided cv is still listed: a curve dropped
-// by Reset lives on for its cursors but is no longer the cache's memory.
-func (c *AloneCurveCache) grew(cv *aloneCurve, points, segs int64) {
+// grew accounts one extension slice of cv: the replica cycles it
+// simulated, and — provided cv is still listed: a curve dropped by Reset
+// lives on for its cursors but is no longer the cache's memory — the
+// points and segments it added towards the cache totals.
+func (c *AloneCurveCache) grew(cv *aloneCurve, cycles uint64, points, segs int64) {
+	c.extended.Add(cycles)
+	t := c.tel.Load()
+	if t != nil {
+		t.extensions.Inc()
+		t.extendedCycles.Add(cycles)
+		t.savedCycles.Set(int64(c.SavedCycles()))
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.entries[cv.key] != cv {
 		return
 	}
 	p, s := c.points.Add(points), c.segments.Add(segs)
-	if t := c.tel.Load(); t != nil {
+	if t != nil {
 		t.points.Set(p)
 		t.segments.Set(s)
 	}
 }
 
 // observe records one query's accounting: delta is the alone-cycle
-// advance the query represents, ticked the replica cycles actually
-// simulated to cover it. Their difference is work a private replica
-// would have re-simulated.
-func (c *AloneCurveCache) observe(delta, ticked uint64) {
-	if delta > ticked {
-		c.saved.Add(delta - ticked)
+// advance the query represents — the cycles a private replica would have
+// simulated for it — and stepped whether the query itself had to advance
+// the curve's replica.
+func (c *AloneCurveCache) observe(delta uint64, stepped bool) {
+	c.queried.Add(delta)
+	if t := c.tel.Load(); t != nil {
+		if !stepped {
+			t.hits.Inc()
+		}
+		t.savedCycles.Set(int64(c.SavedCycles()))
 	}
-	t := c.tel.Load()
-	if t == nil {
-		return
-	}
-	if ticked > 0 {
-		t.extensions.Inc()
-		t.extendedCycles.Add(ticked)
-	} else {
-		t.hits.Inc()
-	}
-	t.savedCycles.Set(int64(c.saved.Load()))
 }
 
 // curveSeg is one run of a curve: the n points (instr0+k*w, cycle0+k)
@@ -223,6 +241,14 @@ type curveSeg struct {
 // lastInstr returns the instruction count of the segment's last point.
 func (s *curveSeg) lastInstr() uint64 { return s.instr0 + uint64(s.n-1)*uint64(s.w) }
 
+// extendSlice is the most instructions one hold of a curve's write lock
+// extends it by. A follower extending towards a far milestone must not
+// keep another mix's boundary query — usually already covered — waiting
+// for all of it: at 30–150 ns per alone instruction a slice is 2–10 ms.
+// It is a latency bound, not a throughput knob (2^12, 2^16 and unsliced
+// measured the same on the benchmark ledger).
+const extendSlice = 1 << 16
+
 // aloneCurve is one cached (instructions -> cycles) step curve plus the
 // lean replica that extends it.
 type aloneCurve struct {
@@ -232,49 +258,102 @@ type aloneCurve struct {
 	mu     sync.RWMutex
 	sys    *System
 	segs   []curveSeg
-	last   uint64 // instruction count of the last recorded point
-	points int64  // logical points recorded (sum of segs[i].n)
+	points int64 // logical points recorded (sum of segs[i].n)
+	// last is the instruction count of the last recorded point. Written
+	// under mu; atomic so that want can test coverage without queueing
+	// behind an extension slice.
+	last atomic.Uint64
+
+	// Following (see want): the highest milestone a shared run has
+	// announced, and whether a chase goroutine is extending towards it.
+	wanted  atomic.Uint64
+	chasing atomic.Bool
 }
 
 // cyclesAt returns the first cycle with at least n instructions retired,
-// extending the curve if needed, plus the replica cycles ticked to get
-// there. The fast path answers from the recorded prefix under a read
-// lock; only uncovered queries take the write lock and tick the replica.
-func (c *aloneCurve) cyclesAt(n uint64) (cyc, ticked uint64) {
+// extending the curve if needed, and whether this call stepped the
+// replica. Covered queries answer from the recorded prefix under a read
+// lock.
+func (c *aloneCurve) cyclesAt(n uint64) (cyc uint64, stepped bool) {
 	if n == 0 {
-		return 0, 0
+		return 0, false
 	}
+	stepped = c.extendTo(n)
 	c.mu.RLock()
-	if c.last >= n {
-		cyc = c.lookup(n)
-		c.mu.RUnlock()
-		return cyc, 0
-	}
+	cyc = c.lookup(n)
 	c.mu.RUnlock()
+	return cyc, stepped
+}
 
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.last >= n { // another cursor extended past n meanwhile
-		return c.lookup(n), 0
+// extendTo steps the replica until the curve covers n instructions and
+// reports whether this call did any of the stepping. It is the only
+// routine that advances a curve: boundary queries and chase goroutines
+// both come through here, taking the write lock for at most extendSlice
+// instructions at a time, so whichever of them holds it the replica sees
+// the same Step sequence and the curve the same points.
+func (c *aloneCurve) extendTo(n uint64) (stepped bool) {
+	for c.last.Load() < n {
+		c.mu.Lock()
+		prev := c.last.Load()
+		if prev >= n { // someone else extended past n meanwhile
+			c.mu.Unlock()
+			break
+		}
+		target := n
+		if target-prev > extendSlice {
+			target = prev + extendSlice
+		}
+		sys := c.sys
+		start, segs0, points0 := sys.Cycle(), len(c.segs), c.points
+		for prev < target {
+			// Step, not Tick: memory-bound stretches take the skip-ahead fast
+			// path. A skip window retires nothing, so every retirement still
+			// lands on its exact cycle (skipped cycles count as simulated —
+			// they are covered work).
+			sys.Step()
+			if r := sys.Retired(0); r > prev {
+				c.append(r, sys.Cycle())
+				prev = r
+			}
+		}
+		c.last.Store(prev)
+		// Lock order: a curve's mu, then the cache's (never the reverse).
+		c.cache.grew(c, sys.Cycle()-start, c.points-points0, int64(len(c.segs)-segs0))
+		c.mu.Unlock()
+		stepped = true
 	}
-	sys, prev := c.sys, c.last
-	start, segs0, points0 := sys.Cycle(), len(c.segs), c.points
-	for prev < n {
-		// Step, not Tick: memory-bound stretches take the skip-ahead fast
-		// path. A skip window retires nothing, so every retirement still
-		// lands on its exact cycle; ticked counts the replica cycles
-		// simulated (skipped ones included — they are covered work).
-		sys.Step()
-		if r := sys.Retired(0); r > prev {
-			c.append(r, sys.Cycle())
-			prev = r
+	return stepped
+}
+
+// want announces that a shared run has retired n instructions of this
+// curve's stream, so a boundary query at or past n is coming: it raises
+// the wanted milestone and, if the curve does not cover it yet and no
+// chase is running, starts one. It takes no lock and never blocks — it is
+// called from the shared run's own loop.
+func (c *aloneCurve) want(n uint64) {
+	for {
+		w := c.wanted.Load()
+		if n <= w || c.wanted.CompareAndSwap(w, n) {
+			break
 		}
 	}
-	c.last = prev
-	// Lock order: a curve's mu, then the cache's (never the reverse).
-	c.cache.grew(c, c.points-points0, int64(len(c.segs)-segs0))
-	// The point just recorded is the first at or past n.
-	return sys.Cycle(), sys.Cycle() - start
+	if c.last.Load() < n && c.chasing.CompareAndSwap(false, true) {
+		go c.chase()
+	}
+}
+
+// chase extends the curve to the wanted milestone and exits once it has
+// caught up; the goroutine owns the chasing flag while it runs. After
+// clearing the flag it looks once more: a hint that arrived in between saw
+// the flag set and started nothing.
+func (c *aloneCurve) chase() {
+	for {
+		c.extendTo(c.wanted.Load())
+		c.chasing.Store(false)
+		if c.last.Load() >= c.wanted.Load() || !c.chasing.CompareAndSwap(false, true) {
+			return
+		}
+	}
 }
 
 // lookup returns the cycle of the first point with instr >= n: binary
@@ -327,8 +406,8 @@ type AloneCursor struct {
 // AloneProfile.CyclesAt. Queries must be non-decreasing per cursor (they
 // are: cumulative milestones only grow).
 func (cu *AloneCursor) CyclesAt(instr uint64) uint64 {
-	cyc, ticked := cu.curve.cyclesAt(instr)
-	cu.curve.cache.observe(cyc-cu.last, ticked)
+	cyc, stepped := cu.curve.cyclesAt(instr)
+	cu.curve.cache.observe(cyc-cu.last, stepped)
 	cu.last = cyc
 	return cyc
 }

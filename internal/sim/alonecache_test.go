@@ -261,7 +261,7 @@ func TestCurveSegmentsMatchPointOracle(t *testing.T) {
 				cv.append(instr, cycle)
 			}
 		}
-		cv.last = instr
+		cv.last.Store(instr)
 
 		if cv.points != int64(len(pts)) {
 			t.Fatalf("trial %d: %d points recorded, %d appended", trial, cv.points, len(pts))

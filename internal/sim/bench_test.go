@@ -9,13 +9,13 @@ import (
 )
 
 // benchSystem builds a 4-core contended system.
-func benchSystem(b *testing.B, prefetch bool) *System {
+func benchSystem(b testing.TB, prefetch bool) *System {
 	return benchSystemCfg(b, prefetch, false)
 }
 
 // benchSystemCfg builds the 4-core contended system, optionally pinning
 // the cycle-by-cycle reference path (skip-ahead disabled).
-func benchSystemCfg(b *testing.B, prefetch, disableSkip bool) *System {
+func benchSystemCfg(b testing.TB, prefetch, disableSkip bool) *System {
 	b.Helper()
 	cfg := DefaultConfig()
 	cfg.Quantum = 100_000
@@ -57,7 +57,8 @@ func BenchmarkSystemTickPrefetch(b *testing.B) {
 
 // BenchmarkRunQuanta measures whole-quantum simulation cost for the
 // default 4-core contended system — the guard benchmark for telemetry's
-// disabled-path overhead (<2% regression allowed).
+// disabled-path overhead (<2% regression allowed). It also holds the miss
+// path to its allocation budget (see steadyStateAllocs).
 func BenchmarkRunQuanta(b *testing.B) {
 	sys := benchSystem(b, false)
 	b.ResetTimer()
@@ -65,6 +66,30 @@ func BenchmarkRunQuanta(b *testing.B) {
 		sys.RunQuanta(1)
 	}
 	b.ReportMetric(float64(sys.Config().Quantum), "cycles/op")
+	b.StopTimer()
+	if a := steadyStateAllocs(sys); a > maxQuantumAllocs {
+		b.Fatalf("a steady-state quantum allocates %v objects, budget %d", a, maxQuantumAllocs)
+	}
+}
+
+// steadyStateAllocs returns the heap allocations one quantum of sys costs
+// once its free lists, MSHR waiter lists and queues have grown to size.
+func steadyStateAllocs(sys *System) float64 {
+	sys.RunQuanta(3)
+	return testing.AllocsPerRun(3, func() { sys.RunQuanta(1) })
+}
+
+// maxQuantumAllocs bounds steadyStateAllocs for the 4-core bench system:
+// what remains is per quantum (the ATS position-hit snapshots), not per
+// miss — a 100 k-cycle quantum of this mix used to allocate ~9,000
+// objects.
+const maxQuantumAllocs = 16
+
+func TestRunQuantaSteadyStateAllocs(t *testing.T) {
+	sys := benchSystem(t, false)
+	if a := steadyStateAllocs(sys); a > maxQuantumAllocs {
+		t.Fatalf("a steady-state quantum allocates %v objects, budget %d", a, maxQuantumAllocs)
+	}
 }
 
 // BenchmarkRunQuantaSkipOff is BenchmarkRunQuanta pinned to the

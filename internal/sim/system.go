@@ -19,7 +19,9 @@ import (
 // and merged writes).
 const noWaiter = ^uint64(0)
 
-// missTxn tracks one shared-cache miss from detection to fill.
+// missTxn tracks one shared-cache miss from detection to fill. Txns are
+// recycled through the owning System's free list (newTxn), so the
+// steady-state miss path allocates nothing.
 type missTxn struct {
 	app      int
 	line     uint64
@@ -31,6 +33,9 @@ type missTxn struct {
 	prefetch bool
 	traced   bool // the tracer sampled this miss's lifecycle span
 	req      dram.Request
+	// done is req.Done, built once per object: it runs missDone and then
+	// returns the txn to the free list.
+	done func(*dram.Request, uint64)
 }
 
 // AppSource names one application and builds its instruction stream.
@@ -136,6 +141,13 @@ type System struct {
 	inFlightPf map[uint64]bool
 	pfLines    map[uint64]bool // prefetched, not yet referenced lines
 
+	// Free lists of miss transactions and posted-write requests. They are
+	// plain slices owned by this System (no sync.Pool): a run is
+	// single-threaded and must not depend on what another run released.
+	freeTxns   []*missTxn
+	freeWrites []*dram.Request
+	writeDone  func(*dram.Request, uint64) // recycles a completed write
+
 	// Event-driven skip-ahead fast path (see skipAhead). skipOn caches
 	// !cfg.DisableSkipAhead; the counters tally taken windows and the
 	// cycles they crossed.
@@ -145,6 +157,14 @@ type System struct {
 
 	listeners    []QuantumListener
 	missListener MissListener
+
+	// progress, when set (SlowdownTracker.Follow), is called from
+	// RunQuantaCtx's chunk loop every progressStride cycles so alone-run
+	// ground truth can be computed alongside the run instead of after it.
+	// It observes and never steers: the simulation is the same with or
+	// without it.
+	progress     func()
+	nextProgress uint64
 
 	// Event tracing (all nil/zero when disabled). The hot per-cycle loop
 	// is untouched: tracing costs one nil check per demand miss, two per
@@ -238,6 +258,7 @@ func newSystem(cfg Config, apps []AppSource, lean bool) (*System, error) {
 		inFlightPf:   make(map[uint64]bool),
 		pfLines:      make(map[uint64]bool),
 	}
+	s.writeDone = func(r *dram.Request, _ uint64) { s.freeWrites = append(s.freeWrites, r) }
 	s.l2 = cache.New(cfg.L2Sets(), cfg.L2Ways, n)
 
 	sampled := cfg.ATSSampledSets
@@ -455,6 +476,15 @@ func (s *System) RunQuanta(n int) {
 // (the paper's Q is 5M cycles).
 const cancelCheckStride = 8192
 
+// progressStride is how many cycles RunQuantaCtx advances between calls
+// of the progress hook. Each call may wake an idle processor to extend an
+// alone curve, and a processor woken thousands of times a second spends
+// its time looking for work: hinting every cancelCheckStride cycles cost
+// the acc_mem benchmark 4–9 % more CPU than every 2^18 for the same wall
+// time. The stretch after a quantum's last hint is extended synchronously
+// by the boundary query — 5 % of the paper's 5 M-cycle quantum at most.
+const progressStride = 1 << 18
+
 // RunQuantaCtx advances the system by n quanta, polling ctx every
 // cancelCheckStride cycles so a cancelled or expired context stops the
 // simulation mid-quantum rather than at item or quantum granularity.
@@ -464,13 +494,16 @@ const cancelCheckStride = 8192
 // runs to completion.
 func (s *System) RunQuantaCtx(ctx context.Context, n int) error {
 	if ctx == nil {
-		s.RunQuanta(n)
-		return nil
+		ctx = context.Background()
 	}
 	end := s.cycle + uint64(n)*s.cfg.Quantum
 	for s.cycle < end {
 		if err := ctx.Err(); err != nil {
 			return err
+		}
+		if s.progress != nil && s.cycle >= s.nextProgress {
+			s.nextProgress = s.cycle + progressStride
+			s.progress()
 		}
 		step := uint64(cancelCheckStride)
 		if rem := end - s.cycle; rem < step {
@@ -761,23 +794,35 @@ func (s *System) accessL2(app int, line uint64, storeMiss bool, now uint64) {
 	if pfCont {
 		s.pf[app].Remove(line) // the line is being refetched
 	}
-	txn := &missTxn{
-		app:     app,
-		line:    line,
-		start:   now,
-		dirty:   storeMiss,
-		pfCont:  pfCont,
-		atsCont: sampled && atsHit,
-		sampled: sampled,
-	}
+	txn := s.newTxn()
+	txn.app, txn.line, txn.start = app, line, now
+	txn.dirty = storeMiss
+	txn.pfCont = pfCont
+	txn.atsCont = sampled && atsHit
+	txn.sampled = sampled
+	txn.traced = s.tracer != nil && s.tracer.SampleMiss()
 	if sampled {
 		aq.SampledDemandMisses++
 	}
-	if s.tracer != nil && s.tracer.SampleMiss() {
-		txn.traced = true
-	}
 	s.outMiss[app]++
 	s.sendMiss(txn, now)
+}
+
+// newTxn returns a zeroed miss transaction from the free list.
+func (s *System) newTxn() *missTxn {
+	if n := len(s.freeTxns); n > 0 {
+		txn := s.freeTxns[n-1]
+		s.freeTxns = s.freeTxns[:n-1]
+		*txn = missTxn{done: txn.done}
+		return txn
+	}
+	txn := &missTxn{}
+	txn.done = func(_ *dram.Request, now uint64) {
+		s.missDone(txn, now)
+		// The controller is finished with txn.req once Done returns.
+		s.freeTxns = append(s.freeTxns, txn)
+	}
+	return txn
 }
 
 // sendMiss enqueues the miss at the memory controller, or parks it for
@@ -787,9 +832,7 @@ func (s *System) sendMiss(txn *missTxn, now uint64) {
 		App:      txn.app,
 		LineAddr: txn.line,
 		Prefetch: txn.prefetch,
-		Done: func(r *dram.Request, done uint64) {
-			s.missDone(txn, done)
-		},
+		Done:     txn.done,
 	}
 	if txn.traced {
 		// Per-cause interference breakdown, only for sampled spans so the
@@ -1035,11 +1078,29 @@ func (s *System) writebackToL2(app int, line uint64, now uint64) {
 	s.enqueueWriteback(app, line, now)
 }
 
+// postWrite offers a posted write to memory and reports whether the write
+// queue took it. The request comes from the free list and returns to it
+// when the controller completes it (writeDone) or refuses it.
+func (s *System) postWrite(app int, line uint64, now uint64) bool {
+	var r *dram.Request
+	if n := len(s.freeWrites); n > 0 {
+		r = s.freeWrites[n-1]
+		s.freeWrites = s.freeWrites[:n-1]
+	} else {
+		r = new(dram.Request)
+	}
+	*r = dram.Request{App: app, LineAddr: line, Write: true, Done: s.writeDone}
+	if s.mem.Enqueue(r, now) {
+		return true
+	}
+	s.freeWrites = append(s.freeWrites, r)
+	return false
+}
+
 // enqueueWriteback posts a write to memory, parking it when the write
 // queue is full.
 func (s *System) enqueueWriteback(app int, line uint64, now uint64) {
-	r := &dram.Request{App: app, LineAddr: line, Write: true}
-	if !s.mem.Enqueue(r, now) {
+	if !s.postWrite(app, line, now) {
 		s.pendingWB = append(s.pendingWB, line|uint64(app)<<56)
 	}
 }
@@ -1054,10 +1115,7 @@ func (s *System) flushWritebacks(now uint64) {
 	wasBackpressured := len(s.pendingWB) > s.wbLimit
 	kept := s.pendingWB[:0]
 	for _, packed := range s.pendingWB {
-		line := packed & ((1 << 56) - 1)
-		app := int(packed >> 56)
-		r := &dram.Request{App: app, LineAddr: line, Write: true}
-		if !s.mem.Enqueue(r, now) {
+		if !s.postWrite(int(packed>>56), packed&((1<<56)-1), now) {
 			kept = append(kept, packed)
 		}
 	}
@@ -1077,7 +1135,8 @@ func (s *System) issuePrefetch(app int, line uint64, now uint64) {
 	if !s.mem.CanEnqueue(line, false) {
 		return // prefetches are droppable
 	}
-	txn := &missTxn{app: app, line: line, start: now, prefetch: true}
+	txn := s.newTxn()
+	txn.app, txn.line, txn.start, txn.prefetch = app, line, now, true
 	s.inFlightPf[line] = true
 	s.qs.Apps[app].PrefetchIssued++
 	s.sendMiss(txn, now)
