@@ -1,12 +1,13 @@
 GO ?= go
 
-.PHONY: check build vet test race test-1p bench bench-smoke bench-json bench-diff trace-smoke trace-diff trace-merge-smoke dash-smoke serve-smoke slo-smoke cover
+.PHONY: check build vet test test-debug race test-1p bench bench-smoke bench-json bench-diff trace-smoke trace-diff trace-merge-smoke dash-smoke serve-smoke slo-smoke cover
 
 # check is the CI gate: build + vet + tests, then the race detector over
 # the concurrency-heavy packages (sweep workers, cluster rounds, faults,
-# shared telemetry/trace sinks, the job service), then the observability
-# smoke tests and the attribution regression gate.
-check: build vet test race test-1p trace-smoke trace-diff trace-merge-smoke dash-smoke serve-smoke slo-smoke
+# shared telemetry/trace sinks, the job service), the simulator core again
+# with its debug invariants compiled in, then the observability smoke tests
+# and the attribution regression gate.
+check: build vet test test-debug race test-1p trace-smoke trace-diff trace-merge-smoke dash-smoke serve-smoke slo-smoke
 
 build:
 	$(GO) build ./...
@@ -16,6 +17,13 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# test-debug re-runs the simulator core with -tags asmdebug, which turns
+# the invariants release builds clamp or skip into panics: non-monotonic
+# DRAM request timestamps, and the controller's marked-read count against
+# the queue it summarises (checked on every read pick).
+test-debug:
+	$(GO) test -tags asmdebug ./internal/dram/... ./internal/cpu/... ./internal/sim/...
 
 race:
 	$(GO) test -race ./internal/sim/... ./internal/exp/... ./internal/dram/... ./internal/cluster/... ./internal/faults/... ./internal/telemetry/... ./internal/evtrace/... ./internal/dash/... ./internal/serve/...
@@ -43,10 +51,12 @@ bench-smoke:
 # cross-run comparison: BENCH_sweep.json holds the alone-cache speedup
 # sweeps, BENCH_tick.json the tick-loop benchmarks, the alone-curve
 # build/lookup benchmarks (whose B/op and segs/op are the curve store's
-# footprint) plus the skip-ahead on/off pairs (the memory-intensive pair
-# is the skip-ahead acceptance measurement). -count=3 records three samples per benchmark; benchdiff
-# compares the per-name minimum, the standard robust pick for noisy
-# wall-clock measurements.
+# footprint), the skip-ahead on/off pairs (the memory-intensive pair is
+# the skip-ahead acceptance measurement) and the 8-core run under each
+# memory scheduler (RunQuanta8Core, matched by the RunQuanta pattern here,
+# in bench-smoke and in bench-diff). -count=3 records three samples per
+# benchmark; benchdiff compares the per-name minimum, the standard robust
+# pick for noisy wall-clock measurements.
 bench-json:
 	$(GO) test -run='^$$' -bench='SweepAccuracy' -benchmem -count=3 ./internal/exp/ | $(GO) run ./cmd/benchjson -o BENCH_sweep.json
 	{ $(GO) test -run='^$$' -bench='RunQuanta|SystemTick$$|AloneProfile|AloneCurve' -benchmem -count=3 ./internal/sim/ ; \

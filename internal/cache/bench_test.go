@@ -75,3 +75,12 @@ func BenchmarkMSHR(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCacheNew measures building the paper's shared L2 tag array
+// (2 MB, 16-way): every simulated system, alone replica included, pays it.
+func BenchmarkCacheNew(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		New(2048, 16, 4)
+	}
+}

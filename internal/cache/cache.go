@@ -60,9 +60,17 @@ func New(numSets, ways, numApps int) *Cache {
 		misses:   make([]uint64, numApps),
 		occupied: make([]uint64, numApps),
 	}
-	for i := range c.lines {
-		c.lines[i].App = NoApp
-		c.lru[i] = uint8(i % ways)
+	// Every set starts the same — invalid, unowned lines under the identity
+	// LRU stack — so one set is written and the rest are copies of it,
+	// doubling the initialised prefix each time: the shared L2 alone is
+	// 32 K lines, and every cold job builds ten of them.
+	for w := 0; w < ways; w++ {
+		c.lines[w].App = NoApp
+		c.lru[w] = uint8(w)
+	}
+	for n := ways; n < len(c.lines); n *= 2 {
+		copy(c.lines[n:], c.lines[:n])
+		copy(c.lru[n:], c.lru[:n])
 	}
 	return c
 }

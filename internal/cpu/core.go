@@ -74,8 +74,11 @@ type Core struct {
 
 	// blocked short-circuits Tick while the head is waiting on an
 	// asynchronous memory completion and fetch cannot proceed: nothing
-	// can happen until a fill wakes the core.
+	// can happen until a fill wakes the core. A blocked core is asleep:
+	// it needs no Tick, and every cycle from sleepFrom on is a memory-stall
+	// cycle that wake charges to memStall in one step.
 	blocked     bool
+	sleepFrom   uint64 // first cycle not yet charged while blocked
 	forcedWakes uint64
 }
 
@@ -106,75 +109,93 @@ func (c *Core) Loads() uint64 { return c.loads }
 // Stores returns the number of issued stores.
 func (c *Core) Stores() uint64 { return c.stores }
 
-// MemStallCycles returns the cycles during which retirement was completely
-// blocked by an outstanding memory instruction at the window head (the
-// memory stall time used for MISE's alpha).
-func (c *Core) MemStallCycles() uint64 { return c.memStall }
+// MemStallCycles returns the cycles before upTo during which retirement
+// was completely blocked by an outstanding memory instruction at the window
+// head (the memory stall time used for MISE's alpha). upTo is the first
+// cycle not yet ticked; a sleeping core's stall cycles since it blocked are
+// included without waking it.
+func (c *Core) MemStallCycles(upTo uint64) uint64 {
+	if c.blocked && upTo > c.sleepFrom {
+		return c.memStall + (upTo - c.sleepFrom)
+	}
+	return c.memStall
+}
 
 // ForcedWakeInterval is the period of the sleep failsafe: a blocked core
 // forces one retire/fetch attempt whenever the cycle counter crosses a
 // multiple of this interval, bounding the damage of a missed wake-up.
-// The skip-ahead fast path (sim.System) must never jump across one of
-// these boundaries while any core is blocked, so the failsafe observes
-// the identical cycle sequence with skipping on or off.
+// The owner of a sleeping core (sim.System) must still Tick it on these
+// boundaries, and its skip-ahead fast path must never jump across one, so
+// the failsafe observes the identical cycle sequence with skipping on or
+// off.
 const ForcedWakeInterval = 1 << 16
 
 // forcedWakeMask selects the low bits that are zero on a failsafe cycle.
 const forcedWakeMask = ForcedWakeInterval - 1
 
 // Tick advances the core by one cycle: retire completed instructions in
-// order, then fetch/issue new ones.
+// order, then fetch/issue new ones. On a blocked core it is a no-op except
+// on a forced-wake boundary, so a caller may tick a sleeping core every
+// cycle or only on those boundaries.
 func (c *Core) Tick(now uint64) {
 	if c.blocked {
-		if now&forcedWakeMask == 0 {
-			// Failsafe against a missed wake-up: force one retire/fetch
-			// attempt. Only a productive wake — one that retires or
-			// issues something — indicates a genuinely missed wake-up,
-			// and only those count toward ForcedWakes; an attempt that
-			// finds nothing to do re-blocks with no state change.
-			c.blocked = false
-			r0, n0 := c.retired, c.next
-			c.retire(now)
-			stall := c.fetch(now)
-			if c.retired != r0 || c.next != n0 {
-				c.forcedWakes++
-			}
-			c.reblock(stall)
+		if now&forcedWakeMask != 0 {
 			return
 		}
-		c.memStall++
+		// Failsafe against a missed wake-up: charge the slept cycles, then
+		// force one retire/fetch attempt. Only a productive wake — one
+		// that retires or issues something — indicates a genuinely missed
+		// wake-up, and only those count toward ForcedWakes; an attempt
+		// that finds nothing to do re-blocks with no other state change.
+		c.Wake(now)
+		r0, n0 := c.retired, c.next
+		c.retire(now)
+		stall := c.fetch(now)
+		if c.retired != r0 || c.next != n0 {
+			c.forcedWakes++
+		}
+		c.reblock(stall, now)
 		return
 	}
 	c.retire(now)
-	c.reblock(c.fetch(now))
+	c.reblock(c.fetch(now), now)
 }
 
 // reblock puts the core back to sleep when nothing can change without a
 // memory completion: the head is an outstanding miss and fetch cannot
 // proceed (window full, MSHRs exhausted, or a dependent load). Write-queue
 // rejections are excluded — they clear on DRAM ticks, not fills.
-func (c *Core) reblock(stall stallKind) {
+func (c *Core) reblock(stall stallKind, now uint64) {
 	if c.size > 0 && c.win[c.head].pending {
 		if c.size == len(c.win) || stall == stallMem {
 			c.blocked = true
+			c.sleepFrom = now + 1
 		}
 	}
 }
 
-// Wake clears the sleep state after any memory-system progress for this
-// core (fills, MSHR releases).
-func (c *Core) Wake() { c.blocked = false }
+// Wake ends the core's sleep after any memory-system progress for it
+// (fills, MSHR releases) and charges the cycles it slept — sleepFrom up to
+// but excluding now — as memory-stall cycles, one per cycle a per-cycle
+// Tick of a blocked core would have counted. Wake-ups for cycle now must
+// arrive before Tick(now): the core runs that cycle awake. Waking an awake
+// core does nothing, so several wake-ups may land in one cycle.
+func (c *Core) Wake(now uint64) {
+	if !c.blocked {
+		return
+	}
+	// A wake-up in the very cycle the core blocked (after its Tick) finds
+	// sleepFrom ahead of now: nothing was slept.
+	if now > c.sleepFrom {
+		c.memStall += now - c.sleepFrom
+	}
+	c.blocked = false
+}
 
 // Blocked reports whether the core is asleep waiting for a memory
-// completion. While blocked, a Tick on a non-failsafe cycle only
-// increments the memory-stall counter — the invariant the skip-ahead
-// fast path relies on to advance blocked cores in bulk via SkipStall.
+// completion: until a Wake or Complete, nothing but a forced-wake boundary
+// can change its state, so its owner need not Tick it.
 func (c *Core) Blocked() bool { return c.blocked }
-
-// SkipStall accounts w blocked cycles in one step. It is only valid while
-// the core is blocked and no cycle in the window is a forced-wake
-// boundary; under those conditions it is bit-identical to w Ticks.
-func (c *Core) SkipStall(w uint64) { c.memStall += w }
 
 // ForcedWakes returns how often the failsafe found runnable work on a
 // blocked core (0 in a correct run: every wake-up source must call Wake
@@ -306,5 +327,5 @@ func (c *Core) Complete(token uint64, now uint64) {
 	}
 	e.pending = false
 	e.doneAt = now
-	c.blocked = false
+	c.Wake(now)
 }

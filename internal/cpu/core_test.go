@@ -215,8 +215,8 @@ func TestMemStallAccounting(t *testing.T) {
 	for cyc := uint64(0); cyc < 1000; cyc++ {
 		c.Tick(cyc)
 	}
-	if c.MemStallCycles() == 0 {
-		t.Fatal("fully memory-blocked core must accumulate stall cycles")
+	if got := c.MemStallCycles(1000); got < 900 {
+		t.Fatalf("fully memory-blocked core accumulated %d stall cycles in 1000", got)
 	}
 }
 
@@ -269,4 +269,90 @@ func TestPanicsOnBadGeometry(t *testing.T) {
 		}
 	}()
 	New(0, workload.NewGenerator(genSpec(0.5, 0, 0), 0, 1), &fakePort{}, 0, 3)
+}
+
+// headStalled is the per-cycle definition of a memory-stall cycle, read
+// off the window before Tick(now): nothing can retire and the head is a
+// memory instruction still waiting for its data. It is what retire counts
+// on an awake core and what every cycle of a sleeping core is.
+func headStalled(c *Core, now uint64) bool {
+	if c.size == 0 {
+		return false
+	}
+	e := &c.win[c.head]
+	return e.isMem && (e.pending || e.doneAt > now)
+}
+
+// TestSleptCyclesMatchPerCycleCount holds the interval accounting of a
+// sleeping core (cycles charged in one step at Wake, Complete or a
+// forced-wake boundary) to a count made one cycle at a time, on the
+// schedules where the two are easiest to get wrong: a sleep that spans a
+// forced-wake boundary, two wake-ups in one cycle, and a wake-up on the
+// cycle right after the core blocked. Each schedule runs twice — ticking
+// the sleeping core every cycle, as the benchmark's core driver does, and
+// only when awake or on a boundary, as sim.System does.
+func TestSleptCyclesMatchPerCycleCount(t *testing.T) {
+	type wake struct {
+		at    uint64 // cycle the completions arrive, before Tick(at)
+		twice bool   // deliver a bare Wake as well: two wake-ups, one cycle
+	}
+	const start = ForcedWakeInterval - 300
+	cases := []struct {
+		name  string
+		wakes func(blockedAt uint64) []wake
+	}{
+		{"across a forced-wake boundary", func(b uint64) []wake {
+			return []wake{{at: ForcedWakeInterval + 250}}
+		}},
+		{"two wakes in one cycle", func(b uint64) []wake {
+			return []wake{{at: b + 40, twice: true}}
+		}},
+		{"wake on the cycle after blocking", func(b uint64) []wake {
+			return []wake{{at: b + 1}}
+		}},
+		{"wake on the boundary itself", func(b uint64) []wake {
+			return []wake{{at: ForcedWakeInterval, twice: true}}
+		}},
+	}
+	for _, tc := range cases {
+		for _, tickAsleep := range []bool{true, false} {
+			p := &fakePort{}
+			c := newCore(genSpec(0.9, 0, 0), p)
+			var want uint64
+			var wakes []wake
+			slept := false
+			for now := uint64(start); now < ForcedWakeInterval+600; now++ {
+				for len(wakes) > 0 && wakes[0].at == now {
+					for _, tok := range p.pending {
+						c.Complete(tok, now)
+					}
+					p.pending = p.pending[:0]
+					if wakes[0].twice {
+						c.Wake(now)
+					}
+					wakes = wakes[1:]
+				}
+				if headStalled(c, now) {
+					want++
+				}
+				if tickAsleep || !c.Blocked() || now&forcedWakeMask == 0 {
+					c.Tick(now)
+				}
+				if c.Blocked() && !slept {
+					slept = true
+					wakes = tc.wakes(now)
+				}
+				if got := c.MemStallCycles(now + 1); got != want {
+					t.Fatalf("%s (tickAsleep=%v): cycle %d: %d stall cycles, per-cycle count %d",
+						tc.name, tickAsleep, now, got, want)
+				}
+			}
+			if !slept || len(wakes) != 0 {
+				t.Fatalf("%s: schedule did not run (slept=%v, %d wakes left)", tc.name, slept, len(wakes))
+			}
+			if c.ForcedWakes() != 0 {
+				t.Fatalf("%s: %d forced wakes", tc.name, c.ForcedWakes())
+			}
+		}
+	}
 }

@@ -1,5 +1,7 @@
 package dram
 
+import "fmt"
+
 // bankState tracks one DRAM bank's row buffer and availability.
 type bankState struct {
 	openRow   int64  // -1 = closed (precharged)
@@ -54,8 +56,10 @@ type Controller struct {
 	// complete nothing, so the min check replaces the in-service scan.
 	minComplete uint64
 
-	policy       Scheduler
-	purePick     bool // policy.Pick mutates no state (FR-FCFS): see NextEventCycle
+	policy Scheduler
+	// markedReads counts queued reads carrying PARBS's batch mark, so the
+	// policy learns that a batch is exhausted without scanning the queue.
+	markedReads  int
 	priorityApp  int
 	lastCmdApp   int
 	lastCmdCycle uint64
@@ -119,10 +123,6 @@ func NewController(t Timing, g Geometry, channel, numApps int, policy Scheduler)
 	if t.RefreshEnabled() {
 		c.refreshCountdown = uint64(t.TREFI)
 	}
-	// FR-FCFS scans the queue without touching scheduler state; PARBS
-	// (batch formation/marking) and TCM (rank shuffling) mutate on every
-	// Pick, so their ticks are never skippable while reads are queued.
-	_, c.purePick = policy.(*FRFCFS)
 	for i := range c.banks {
 		c.banks[i].openRow = -1
 		c.banks[i].occupant = -1
@@ -179,6 +179,7 @@ func (c *Controller) Enqueue(r *Request, now uint64) bool {
 	if len(c.readQ) >= c.readQCap {
 		return false
 	}
+	r.marked = false // a recycled request joins no batch it was not marked into
 	c.readQ = append(c.readQ, r)
 	c.bankReads[r.bank]++
 	c.outstanding[r.App]++
@@ -254,10 +255,10 @@ const NoEventCycle = ^uint64(0)
 // tick may do work, and NoEventCycle when no pending work exists at all.
 //
 // The frozen-window argument, per Tick phase:
-//   - policy Pick: FR-FCFS is a pure scan that picks nothing while every
-//     queued read's bank is busy; PARBS and TCM mutate batch or shuffle
-//     state on every Pick whenever reads are queued, so nextTick is
-//     returned for them (purePick).
+//   - policy Pick: a pure scan that picks nothing while every queued
+//     read's bank is busy, except on the tick the policy's next decision
+//     is due (Scheduler.NextDecision: PARBS forms a batch, TCM shuffles
+//     its ranks), which therefore ends the window.
 //   - completeFinished: fires at the first tick at or after the earliest
 //     in-service Complete cycle (minComplete).
 //   - refresh: the countdown fires refreshCountdown-1 ticks after
@@ -273,9 +274,6 @@ const NoEventCycle = ^uint64(0)
 //     frozen while the caller skips (no enqueues happen), so it is
 //     idempotent across the window.
 func (c *Controller) NextEventCycle(nextTick uint64) uint64 {
-	if len(c.readQ) > 0 && !c.purePick {
-		return nextTick
-	}
 	ratio := uint64(c.timing.CPUPerDRAM)
 	next := uint64(NoEventCycle)
 	// alignUp maps an arbitrary CPU cycle to the first tick-grid cycle at
@@ -289,6 +287,14 @@ func (c *Controller) NextEventCycle(nextTick uint64) uint64 {
 	if c.minComplete != NoEventCycle {
 		if t := alignUp(c.minComplete); t < next {
 			next = t
+		}
+	}
+	// Pick only runs with reads queued, so only then is a decision due.
+	if len(c.readQ) > 0 {
+		if d := c.policy.NextDecision(c, nextTick); d != NoEventCycle {
+			if t := alignUp(d); t < next {
+				next = t
+			}
 		}
 	}
 	if c.refreshCountdown > 0 {
@@ -471,12 +477,15 @@ func (c *Controller) pickRead(now uint64) *Request {
 	if len(c.readQ) == 0 {
 		return nil
 	}
+	if debugChecks {
+		c.checkMarkedReads()
+	}
 	free := c.anyBankFree(c.bankReads, now)
-	if !free && c.purePick {
-		// Nothing serviceable and the policy keeps no per-Pick state:
-		// the scan would come up empty. PARBS (batch formation) and TCM
-		// (shuffle clock) mutate on every Pick and must still be
-		// consulted even when they cannot issue.
+	if !free && c.policy.NextDecision(c, now) > now {
+		// Nothing serviceable and no policy decision due this tick: the
+		// scan would come up empty and change nothing. A due decision
+		// (PARBS batch formation, TCM shuffle) is still taken by Pick
+		// even when it cannot issue.
 		return nil
 	}
 	// Priority overlay: if the highest-priority app has any serviceable
@@ -506,10 +515,28 @@ func (c *Controller) pickRead(now uint64) *Request {
 	return r
 }
 
+// checkMarkedReads panics when the marked-read count has drifted from the
+// queue it summarises (asmdebug builds only).
+func (c *Controller) checkMarkedReads() {
+	n := 0
+	for _, r := range c.readQ {
+		if r.marked {
+			n++
+		}
+	}
+	if n != c.markedReads {
+		panic(fmt.Sprintf("dram: %d marked reads queued, count says %d", n, c.markedReads))
+	}
+}
+
 // removeRead deletes index i from the read queue, preserving order (age
 // order matters to every policy).
 func (c *Controller) removeRead(i int) {
-	c.bankReads[c.readQ[i].bank]--
+	r := c.readQ[i]
+	c.bankReads[r.bank]--
+	if r.marked {
+		c.markedReads--
+	}
 	c.readQ = append(c.readQ[:i], c.readQ[i+1:]...)
 }
 

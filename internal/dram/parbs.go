@@ -1,7 +1,5 @@
 package dram
 
-import "sort"
-
 // PARBS implements Parallelism-Aware Batch Scheduling (Mutlu & Moscibroda,
 // ISCA 2008). Requests are grouped into batches: when no marked requests
 // remain, the policy marks up to MarkingCap oldest requests per
@@ -15,26 +13,44 @@ type PARBS struct {
 	MarkingCap int
 
 	rank []int // rank[app] = priority, lower value = higher priority
+
+	// formBatch's scratch, kept across batches so forming one allocates
+	// nothing: marked requests per (app, bank), and per app the largest of
+	// those, their total, and the ranking order being sorted.
+	loads   []int
+	maxLoad []int
+	totals  []int
+	order   []int
 }
 
 // NewPARBS returns a PARBS policy for numApps applications.
 func NewPARBS(numApps int) *PARBS {
-	return &PARBS{MarkingCap: 5, rank: make([]int, numApps)}
+	return &PARBS{
+		MarkingCap: 5,
+		rank:       make([]int, numApps),
+		maxLoad:    make([]int, numApps),
+		totals:     make([]int, numApps),
+		order:      make([]int, numApps),
+	}
 }
 
 // Name implements Scheduler.
 func (*PARBS) Name() string { return "PARBS" }
 
+// NextDecision implements Scheduler: a new batch forms on the first Pick
+// that finds reads queued and the previous batch exhausted. Marked reads
+// only leave the queue by issuing, so while one is queued no decision is
+// pending.
+func (p *PARBS) NextDecision(c *Controller, nextTick uint64) uint64 {
+	if len(c.readQ) > 0 && c.markedReads == 0 {
+		return nextTick
+	}
+	return NoEventCycle
+}
+
 // Pick implements Scheduler.
 func (p *PARBS) Pick(c *Controller, now uint64) (*Request, int) {
-	anyMarked := false
-	for _, r := range c.readQ {
-		if r.marked {
-			anyMarked = true
-			break
-		}
-	}
-	if !anyMarked && len(c.readQ) > 0 {
+	if c.markedReads == 0 && len(c.readQ) > 0 {
 		p.formBatch(c)
 	}
 
@@ -75,42 +91,43 @@ func (p *PARBS) rankOf(app int) int {
 // formBatch marks up to MarkingCap oldest requests per (app, bank) and
 // recomputes application ranks by max-bank-load (shortest job first).
 func (p *PARBS) formBatch(c *Controller) {
-	type key struct{ app, bank int }
-	counts := make(map[key]int)
+	banks := len(c.banks)
+	need := c.numApps * banks
+	if len(p.loads) < need {
+		p.loads = make([]int, need)
+	}
+	loads := p.loads[:need]
+	clear(loads)
+	clear(p.maxLoad)
+	clear(p.totals)
 	// The queue is age-ordered, so a single pass marks the oldest first.
-	loads := make(map[key]int)
-	totals := make([]int, len(p.rank))
 	for _, r := range c.readQ {
-		k := key{r.App, r.bank}
-		if counts[k] >= p.MarkingCap {
+		k := r.App*banks + r.bank
+		if loads[k] >= p.MarkingCap {
 			continue
 		}
-		counts[k]++
-		r.marked = true
 		loads[k]++
-		if r.App < len(totals) {
-			totals[r.App]++
-		}
-	}
-	maxLoad := make([]int, len(p.rank))
-	for k, n := range loads {
-		if k.app < len(maxLoad) && n > maxLoad[k.app] {
-			maxLoad[k.app] = n
+		r.marked = true
+		c.markedReads++
+		if r.App < len(p.totals) {
+			p.totals[r.App]++
+			if loads[k] > p.maxLoad[r.App] {
+				p.maxLoad[r.App] = loads[k]
+			}
 		}
 	}
 	// Rank apps: lower max-bank-load first, total marked as tie-break.
-	order := make([]int, len(p.rank))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if maxLoad[a] != maxLoad[b] {
-			return maxLoad[a] < maxLoad[b]
-		}
-		return totals[a] < totals[b]
-	})
+	order := p.order
+	sortAppsStable(order, p.ranksBefore)
 	for pos, app := range order {
 		p.rank[app] = pos
 	}
+}
+
+// ranksBefore reports whether app a's batch is strictly the shorter job.
+func (p *PARBS) ranksBefore(a, b int) bool {
+	if p.maxLoad[a] != p.maxLoad[b] {
+		return p.maxLoad[a] < p.maxLoad[b]
+	}
+	return p.totals[a] < p.totals[b]
 }

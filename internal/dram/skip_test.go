@@ -3,6 +3,7 @@ package dram
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -119,6 +120,42 @@ func compareControllers(t *testing.T, trial int, a, b *Controller, numApps int) 
 	if a.refreshCountdown != b.refreshCountdown {
 		t.Errorf("trial %d: refresh countdown %d vs %d", trial, a.refreshCountdown, b.refreshCountdown)
 	}
+	if a.markedReads != b.markedReads {
+		t.Errorf("trial %d: marked reads %d vs %d", trial, a.markedReads, b.markedReads)
+	}
+	comparePolicies(t, trial, a.policy, b.policy)
+}
+
+// comparePolicies asserts the two schedulers hold identical state: PARBS's
+// ranks, TCM's ranks, clusters, shuffle clock and — by drawing from both —
+// the position of its random stream.
+func comparePolicies(t *testing.T, trial int, a, b Scheduler) {
+	t.Helper()
+	switch pa := a.(type) {
+	case *PARBS:
+		if pb := b.(*PARBS); !reflect.DeepEqual(pa.rank, pb.rank) {
+			t.Errorf("trial %d: PARBS ranks %v vs %v", trial, pa.rank, pb.rank)
+		}
+	case *TCM:
+		pb := b.(*TCM)
+		if !reflect.DeepEqual(pa.rank, pb.rank) || !reflect.DeepEqual(pa.latency, pb.latency) || pa.lastShuf != pb.lastShuf {
+			t.Errorf("trial %d: TCM ranks %v/%v clusters %v/%v last shuffle %d/%d",
+				trial, pa.rank, pb.rank, pa.latency, pb.latency, pa.lastShuf, pb.lastShuf)
+		}
+		if x, y := pa.rnd.Uint64(), pb.rnd.Uint64(); x != y {
+			t.Errorf("trial %d: TCM random streams at different positions (%#x vs %#x)", trial, x, y)
+		}
+	}
+}
+
+// skipTestPolicies are the schedulers the frozen-window tests run under.
+var skipTestPolicies = []struct {
+	name string
+	mk   func(numApps int) Scheduler
+}{
+	{"FRFCFS", func(int) Scheduler { return NewFRFCFS() }},
+	{"PARBS", func(n int) Scheduler { return NewPARBS(n) }},
+	{"TCM", func(n int) Scheduler { return NewTCM(n, 5) }},
 }
 
 // TestSkipTicksMatchesTicked is the controller-level differential test
@@ -127,8 +164,16 @@ func compareControllers(t *testing.T, trial int, a, b *Controller, numApps int) 
 // cause vectors, and refresh-enabled timing variants) driven through
 // NextEventCycle + SkipTicks must leave every accounting — including the
 // float interference accumulators, compared bit for bit — identical to
-// ticking through every DRAM cycle.
+// ticking through every DRAM cycle, under every scheduling policy: PARBS
+// and TCM keep their marks, ranks and random-stream position because their
+// decision ticks (Scheduler.NextDecision) end the windows.
 func TestSkipTicksMatchesTicked(t *testing.T) {
+	for _, pol := range skipTestPolicies {
+		t.Run(pol.name, func(t *testing.T) { testSkipTicksMatchesTicked(t, pol.mk) })
+	}
+}
+
+func testSkipTicksMatchesTicked(t *testing.T, mkPolicy func(numApps int) Scheduler) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
 		timing := DDR31333()
@@ -138,7 +183,7 @@ func TestSkipTicksMatchesTicked(t *testing.T) {
 		numApps := 2 + trial%3
 		geom := DefaultGeometry(1)
 		mk := func() (*Controller, []*Request) {
-			c := NewController(timing, geom, 0, numApps, NewFRFCFS())
+			c := NewController(timing, geom, 0, numApps, mkPolicy(numApps))
 			c.SetAttribution(NewAttribution(numApps))
 			c.SetPriorityApp(trial % numApps)
 			n := 8 + rng.Intn(40)
@@ -185,22 +230,173 @@ func TestSkipTicksMatchesTicked(t *testing.T) {
 			if reqsT[i].Complete != reqsS[i].Complete {
 				t.Errorf("trial %d req %d: complete %d vs %d", trial, i, reqsT[i].Complete, reqsS[i].Complete)
 			}
+			if reqsT[i].marked != reqsS[i].marked {
+				t.Errorf("trial %d req %d: marked %v vs %v", trial, i, reqsT[i].marked, reqsS[i].marked)
+			}
 		}
 	}
 }
 
-// TestNextEventCycleQuiescent pins the horizon's boundary returns: an
-// idle controller is fully quiescent, and a serviceable queued read makes
-// the very next tick eventful.
+// TestNextEventCycleQuiescent pins the horizon's boundary returns under
+// every policy: an idle controller is fully quiescent, and a serviceable
+// queued read makes the very next tick eventful.
 func TestNextEventCycleQuiescent(t *testing.T) {
-	c := NewController(DDR31333(), DefaultGeometry(1), 0, 2, NewFRFCFS())
-	if got := c.NextEventCycle(0); got != NoEventCycle {
-		t.Fatalf("idle controller: NextEventCycle = %d, want NoEventCycle", got)
+	for _, pol := range skipTestPolicies {
+		c := NewController(DDR31333(), DefaultGeometry(1), 0, 2, pol.mk(2))
+		if got := c.NextEventCycle(0); got != NoEventCycle {
+			t.Fatalf("%s: idle controller: NextEventCycle = %d, want NoEventCycle", pol.name, got)
+		}
+		// One request: next tick must be eventful (issue is possible).
+		r := &Request{App: 0, LineAddr: 1}
+		c.Enqueue(r, 0)
+		if got := c.NextEventCycle(0); got != 0 {
+			t.Fatalf("%s: serviceable read: NextEventCycle = %d, want 0", pol.name, got)
+		}
 	}
-	// One request: next tick must be eventful (issue is possible).
-	r := &Request{App: 0, LineAddr: 1}
-	c.Enqueue(r, 0)
-	if got := c.NextEventCycle(0); got != 0 {
-		t.Fatalf("serviceable read: NextEventCycle = %d, want 0", got)
+}
+
+// sameBankReads returns n reads of app to bank 0 of channel 0, each to a
+// different row, so every one conflicts with its predecessor.
+func sameBankReads(g Geometry, app, n, firstRow int) []*Request {
+	rowStride := uint64(g.LinesPerRow * g.BanksPerChan)
+	reqs := make([]*Request, n)
+	for i := range reqs {
+		reqs[i] = &Request{App: app, LineAddr: uint64(firstRow+i) * rowStride}
+	}
+	return reqs
+}
+
+// twinControllers builds two identical controllers and request sets.
+func twinControllers(numApps int, mk func(int) Scheduler, reqs func() []*Request) (ticked, skippy *Controller, rt, rs []*Request) {
+	build := func() (*Controller, []*Request) {
+		c := NewController(DDR31333(), DefaultGeometry(1), 0, numApps, mk(numApps))
+		c.SetAttribution(NewAttribution(numApps))
+		return c, reqs()
+	}
+	ticked, rt = build()
+	skippy, rs = build()
+	return
+}
+
+// TestSkipWindowEndsAtBatchExhaustion drives PARBS over a queue deeper
+// than its marking cap, so a batch runs out while unmarked reads wait
+// behind a busy bank. The tick after the last marked read issues takes no
+// command and completes nothing, yet it forms the next batch: the horizon
+// must name exactly that tick, and skipping up to it must leave marks,
+// ranks and accounting equal to the ticked twin's.
+func TestSkipWindowEndsAtBatchExhaustion(t *testing.T) {
+	g := DefaultGeometry(1)
+	mk := func(n int) Scheduler { return NewPARBS(n) }
+	ticked, skippy, rt, rs := twinControllers(2, mk, func() []*Request {
+		// Seven reads of app 0 and three of app 1, one bank: the first
+		// batch marks five and three of them.
+		return append(sameBankReads(g, 0, 7, 0), sameBankReads(g, 1, 3, 100)...)
+	})
+	ratio := uint64(ticked.timing.CPUPerDRAM)
+	for i := range rt {
+		ticked.Enqueue(rt[i], 0)
+		skippy.Enqueue(rs[i], 0)
+	}
+	exhaustions := 0
+	var now uint64
+	for skippy.QueuedReads() > 0 || len(skippy.inService) > 0 {
+		h := skippy.NextEventCycle(now)
+		if h == NoEventCycle {
+			t.Fatalf("cycle %d: quiescent with %d reads queued", now, skippy.QueuedReads())
+		}
+		if skippy.QueuedReads() > 0 && skippy.markedReads == 0 && now > 0 {
+			// Batch exhausted: the decision, not a free bank or a
+			// completion, makes this tick eventful.
+			if h != now {
+				t.Fatalf("cycle %d: batch exhausted but NextEventCycle = %d", now, h)
+			}
+			if skippy.anyBankFree(skippy.bankReads, now) || skippy.minComplete <= now {
+				t.Fatalf("cycle %d: exhaustion tick is eventful for another reason", now)
+			}
+			exhaustions++
+		} else if skippy.QueuedReads() > 0 && !skippy.anyBankFree(skippy.bankReads, now) && h == now && skippy.minComplete > now {
+			t.Fatalf("cycle %d: frozen tick with %d marked reads not skipped", now, skippy.markedReads)
+		}
+		if h > now {
+			k := (h - now) / ratio
+			skippy.SkipTicks(now, k)
+			driveTicked(ticked, now, now+(k-1)*ratio, nil)
+			now += k * ratio
+		}
+		skippy.Tick(now)
+		ticked.Tick(now)
+		now += ratio
+		compareControllers(t, int(now), ticked, skippy, 2)
+		for i := range rt {
+			if rt[i].marked != rs[i].marked || rt[i].Complete != rs[i].Complete || rt[i].InterfCycles != rs[i].InterfCycles {
+				t.Fatalf("cycle %d req %d: ticked %+v, skipped %+v", now, i, *rt[i], *rs[i])
+			}
+		}
+		if t.Failed() {
+			t.FailNow()
+		}
+	}
+	if exhaustions == 0 {
+		t.Fatal("no window ended at a batch exhaustion")
+	}
+}
+
+// TestSkipWindowEndsAtShuffleBoundary parks TCM reads behind a busy bank
+// across its shuffle interval: the horizon must be exactly the shuffle
+// tick — earlier than the bank's release — and the Tick there must shuffle
+// on both twins alike.
+func TestSkipWindowEndsAtShuffleBoundary(t *testing.T) {
+	g := DefaultGeometry(1)
+	mk := func(n int) Scheduler { return NewTCM(n, 9) }
+	ticked, skippy, rt, rs := twinControllers(3, mk, func() []*Request {
+		return append(append(sameBankReads(g, 0, 2, 0), sameBankReads(g, 1, 2, 50)...), sameBankReads(g, 2, 2, 90)...)
+	})
+	ratio := uint64(ticked.timing.CPUPerDRAM)
+	tcm := skippy.policy.(*TCM)
+	shuffle := tcm.ShuffleInterval * ratio
+	start := shuffle - 10*ratio // a closed-row access keeps the bank busy 24 ticks
+	driveTicked(ticked, 0, start-ratio, nil)
+	skippy.SkipTicks(0, start/ratio)
+	for i := range rt {
+		ticked.Enqueue(rt[i], start)
+		skippy.Enqueue(rs[i], start)
+	}
+	ticked.Tick(start)
+	skippy.Tick(start)
+	if skippy.QueuedReads() != len(rs)-1 {
+		t.Fatalf("first tick issued %d reads, want 1", len(rs)-skippy.QueuedReads())
+	}
+	next := start + ratio
+	if h := skippy.NextEventCycle(next); h != shuffle {
+		t.Fatalf("NextEventCycle = %d, want the shuffle tick %d (bank busy until %d)", h, shuffle, skippy.banks[0].busyUntil)
+	}
+	if skippy.banks[0].busyUntil <= shuffle {
+		t.Fatalf("bank frees at %d, not after the shuffle tick %d: the window would end anyway", skippy.banks[0].busyUntil, shuffle)
+	}
+	skippy.SkipTicks(next, (shuffle-next)/ratio)
+	driveTicked(ticked, next, shuffle-ratio, nil)
+	compareControllers(t, 0, ticked, skippy, 3)
+	if tcm.lastShuf != 0 {
+		t.Fatalf("shuffled at tick %d, before the boundary", tcm.lastShuf)
+	}
+	skippy.Tick(shuffle)
+	ticked.Tick(shuffle)
+	if tcm.lastShuf != tcm.ShuffleInterval {
+		t.Fatalf("boundary tick did not shuffle (lastShuf %d)", tcm.lastShuf)
+	}
+	if want := shuffle + shuffle; tcm.NextDecision(skippy, shuffle+ratio) != want {
+		t.Fatalf("next decision %d, want %d", tcm.NextDecision(skippy, shuffle+ratio), want)
+	}
+	// Drain both; the draw inside compareControllers checks that the
+	// streams took the same number of shuffles.
+	driveTicked(ticked, shuffle+ratio, shuffle+400*ratio, nil)
+	if driveSkipped(t, skippy, shuffle+ratio, shuffle+400*ratio, nil) == 0 {
+		t.Fatal("drain skipped nothing")
+	}
+	compareControllers(t, 1, ticked, skippy, 3)
+	for i := range rt {
+		if rt[i].Complete != rs[i].Complete || rt[i].Complete == 0 {
+			t.Fatalf("req %d: complete %d vs %d", i, rt[i].Complete, rs[i].Complete)
+		}
 	}
 }

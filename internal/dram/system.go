@@ -8,6 +8,7 @@ type System struct {
 	geom     Geometry
 	channels []*Controller
 	numApps  int
+	served   []uint64 // UpdateTCM's per-channel bandwidth scratch
 }
 
 // PolicyFactory builds one scheduler instance per channel (policies such
@@ -16,7 +17,7 @@ type PolicyFactory func(channel int) Scheduler
 
 // NewSystem returns a memory system with geom.Channels controllers.
 func NewSystem(t Timing, g Geometry, numApps int, factory PolicyFactory) *System {
-	s := &System{timing: t, geom: g, numApps: numApps}
+	s := &System{timing: t, geom: g, numApps: numApps, served: make([]uint64, numApps)}
 	for ch := 0; ch < g.Channels; ch++ {
 		s.channels = append(s.channels, NewController(t, g, ch, numApps, factory(ch)))
 	}
@@ -152,11 +153,10 @@ func (s *System) UpdateTCM(mpki []float64) {
 		if !ok {
 			continue
 		}
-		served := make([]uint64, s.numApps)
-		for a := 0; a < s.numApps; a++ {
-			served[a] = c.ServedReads(a)
+		for a := range s.served {
+			s.served[a] = c.ServedReads(a)
 		}
-		t.UpdateClustering(mpki, served)
+		t.UpdateClustering(mpki, s.served)
 		c.ResetWindowStats()
 	}
 }

@@ -1,10 +1,6 @@
 package dram
 
-import (
-	"sort"
-
-	"asmsim/internal/rng"
-)
+import "asmsim/internal/rng"
 
 // TCM implements Thread Cluster Memory scheduling (Kim et al., MICRO 2010).
 // At every policy quantum the applications are split into a
@@ -26,6 +22,7 @@ type TCM struct {
 	rnd        *rng.Stream
 	lastShuf   uint64
 	perm       []int
+	order      []int // UpdateClustering's sort scratch
 	haveUpdate bool
 }
 
@@ -39,6 +36,7 @@ func NewTCM(numApps int, seed uint64) *TCM {
 		mpki:            make([]float64, numApps),
 		rnd:             rng.NewNamed(seed, "tcm"),
 		perm:            make([]int, numApps),
+		order:           make([]int, numApps),
 	}
 	for i := range t.rank {
 		t.rank[i] = i
@@ -59,13 +57,8 @@ func (t *TCM) UpdateClustering(mpki []float64, served []uint64) {
 	for _, s := range served {
 		total += s
 	}
-	order := make([]int, len(t.latency))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		return mpki[order[i]] < mpki[order[j]]
-	})
+	order := t.order
+	sortAppsStable(order, func(a, b int) bool { return mpki[a] < mpki[b] })
 	var used uint64
 	budget := uint64(t.ClusterThresh * float64(total))
 	for i := range t.latency {
@@ -82,6 +75,15 @@ func (t *TCM) UpdateClustering(mpki []float64, served []uint64) {
 		t.latency[app] = true
 	}
 	t.haveUpdate = true
+}
+
+// NextDecision implements Scheduler: the ranks are re-shuffled on the
+// first Pick at or after DRAM tick lastShuf+ShuffleInterval.
+func (t *TCM) NextDecision(c *Controller, nextTick uint64) uint64 {
+	if d := (t.lastShuf + t.ShuffleInterval) * uint64(c.timing.CPUPerDRAM); d > nextTick {
+		return d
+	}
+	return nextTick
 }
 
 // Pick implements Scheduler.

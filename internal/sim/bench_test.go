@@ -2,6 +2,7 @@ package sim
 
 import (
 	"io"
+	"strings"
 	"testing"
 
 	"asmsim/internal/evtrace"
@@ -23,6 +24,32 @@ func benchSystemCfg(b testing.TB, prefetch, disableSkip bool) *System {
 	cfg.DisableSkipAhead = disableSkip
 	var specs []workload.Spec
 	for _, n := range []string{"mcf", "libquantum", "bzip2", "h264ref"} {
+		s, ok := workload.ByName(n)
+		if !ok {
+			b.Fatal(n)
+		}
+		specs = append(specs, s)
+	}
+	sys, err := New(cfg, specs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return sys
+}
+
+// benchSystem8 builds the policy sweeps' 8-core shape — two low-, three
+// medium- and three high-intensity apps, epochs off — under the given
+// memory scheduler.
+func benchSystem8(b testing.TB, policy Policy) *System {
+	b.Helper()
+	cfg := DefaultConfig()
+	cfg.Cores = 8
+	cfg.Quantum = 100_000
+	cfg.EpochPriority = false
+	cfg.Epoch = 0
+	cfg.Policy = policy
+	var specs []workload.Spec
+	for _, n := range []string{"povray", "h264ref", "gcc", "bzip2", "astar", "mcf", "libquantum", "lbm"} {
 		s, ok := workload.ByName(n)
 		if !ok {
 			b.Fatal(n)
@@ -79,16 +106,46 @@ func steadyStateAllocs(sys *System) float64 {
 	return testing.AllocsPerRun(3, func() { sys.RunQuanta(1) })
 }
 
-// maxQuantumAllocs bounds steadyStateAllocs for the 4-core bench system:
-// what remains is per quantum (the ATS position-hit snapshots), not per
-// miss — a 100 k-cycle quantum of this mix used to allocate ~9,000
-// objects.
+// maxQuantumAllocs bounds steadyStateAllocs for the bench systems: what
+// remains is per quantum and per core (the ATS position-hit snapshots), not
+// per miss, per PARBS batch or per TCM clustering — a 100 k-cycle quantum
+// of the 4-core mix used to allocate ~9,000 objects, and an 8-core PARBS
+// one several objects per batch on top.
 const maxQuantumAllocs = 16
 
 func TestRunQuantaSteadyStateAllocs(t *testing.T) {
-	sys := benchSystem(t, false)
-	if a := steadyStateAllocs(sys); a > maxQuantumAllocs {
-		t.Fatalf("a steady-state quantum allocates %v objects, budget %d", a, maxQuantumAllocs)
+	systems := map[string]*System{
+		"4-core FRFCFS": benchSystem(t, false),
+		"8-core PARBS":  benchSystem8(t, PolicyPARBS),
+		"8-core TCM":    benchSystem8(t, PolicyTCM),
+	}
+	for name, sys := range systems {
+		if a := steadyStateAllocs(sys); a > maxQuantumAllocs {
+			t.Errorf("%s: a steady-state quantum allocates %v objects, budget %d", name, a, maxQuantumAllocs)
+		}
+	}
+}
+
+// BenchmarkRunQuanta8Core is BenchmarkRunQuanta on the 8-core policy-sweep
+// shape under each memory scheduler, timed after three warm-up quanta so
+// allocs/op is the steady-state budget rather than free-list growth
+// averaged over b.N. skipped-cycles/op is simulated, not measured: at a
+// fixed -benchtime=Nx it repeats exactly and moves only when the set of
+// windows skip-ahead can prove dead does.
+func BenchmarkRunQuanta8Core(b *testing.B) {
+	for _, policy := range []Policy{PolicyFRFCFS, PolicyPARBS, PolicyTCM} {
+		b.Run(strings.ToUpper(string(policy)), func(b *testing.B) {
+			sys := benchSystem8(b, policy)
+			sys.RunQuanta(3)
+			skipped := sys.SkipCycles()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sys.RunQuanta(1)
+			}
+			b.ReportMetric(float64(sys.Config().Quantum), "cycles/op")
+			b.ReportMetric(float64(sys.SkipCycles()-skipped)/float64(b.N), "skipped-cycles/op")
+		})
 	}
 }
 

@@ -89,6 +89,23 @@ func followSweep(t *testing.T, tweak func(*Config), quantum uint64, quanta int, 
 	return out
 }
 
+// goroutineBaseline counts the goroutines that are here to stay. The
+// previous subtest's goroutine has signalled its parent but may not have
+// exited yet; counted into the baseline it let waitForGoroutines return
+// with one chase still running (seen under -race on a loaded machine, on
+// the commit before this helper too), so the count is the minimum over a
+// short settling time.
+func goroutineBaseline() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m < n {
+			n = m
+		}
+	}
+	return n
+}
+
 // waitForGoroutines waits until at most want goroutines exist. A chase
 // goroutine clears its flag just before it returns, so there is no event
 // to wait on for the exit itself; the deadline only bounds a failure.
@@ -174,7 +191,7 @@ func TestFollowLeavesNoGoroutines(t *testing.T) {
 	}
 
 	t.Run("completed", func(t *testing.T) {
-		baseline := runtime.NumGoroutine()
+		baseline := goroutineBaseline()
 		sys, _ := followed(NewAloneCurveCache())
 		if err := sys.RunQuantaCtx(context.Background(), 1); err != nil {
 			t.Fatal(err)
@@ -183,7 +200,7 @@ func TestFollowLeavesNoGoroutines(t *testing.T) {
 	})
 
 	t.Run("cancelled", func(t *testing.T) {
-		baseline := runtime.NumGoroutine()
+		baseline := goroutineBaseline()
 		sys, tracker := followed(NewAloneCurveCache())
 		// Enough polls to pass the first hint, far too few for the quantum.
 		ctx := &countdownCtx{Context: context.Background(), limit: int(progressStride/cancelCheckStride) + 4}
@@ -205,7 +222,7 @@ func TestFollowLeavesNoGoroutines(t *testing.T) {
 	})
 
 	t.Run("reset", func(t *testing.T) {
-		baseline := runtime.NumGoroutine()
+		baseline := goroutineBaseline()
 		cache := NewAloneCurveCache()
 		apps := SourcesFromSpecs(specs, cfg.streamSeed())
 		cu, err := cache.Cursor(cfg, apps[0])

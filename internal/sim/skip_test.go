@@ -116,11 +116,11 @@ func TestSkipAheadBitIdentical(t *testing.T) {
 		got := runForSkipDiff(t, cfg, specs, 2)
 		want := runForSkipDiff(t, ref, specs, 2)
 		// The reference path must never skip; the fast path must actually
-		// engage on FR-FCFS configs (non-vacuous equivalence).
+		// engage under every policy (non-vacuous equivalence).
 		if want.skipCycles != 0 {
 			t.Fatalf("config %d: reference path skipped %d cycles", i, want.skipCycles)
 		}
-		if cfg.Policy == PolicyFRFCFS && got.skipCycles == 0 {
+		if got.skipCycles == 0 {
 			t.Errorf("config %d (%v %v): skip-ahead never engaged", i, cfg.Policy, names)
 		}
 		got.skipCycles, want.skipCycles = 0, 0
@@ -208,26 +208,34 @@ func TestRunChunksNoOvershoot(t *testing.T) {
 // core on the skip-ahead path: forced wakes count only productive rescues
 // (a retirement or fetch the normal wake-up paths missed), so any nonzero
 // value means a wake-up path is broken, not that the system was busy.
+// The stateful schedulers are held to it as well: their decision ticks end
+// skip windows, and a window that ran past one would strand a core.
 func TestSkipAheadForcedWakesZero(t *testing.T) {
-	for _, disable := range []bool{false, true} {
-		cfg := DefaultConfig()
-		cfg.Quantum = 100_000
-		cfg.DisableSkipAhead = disable
-		specs := make([]workload.Spec, 0, 4)
-		for _, n := range []string{"mcf", "libquantum", "soplex", "milc"} {
-			sp, ok := workload.ByName(n)
-			if !ok {
-				t.Fatalf("unknown benchmark %s", n)
+	specs := make([]workload.Spec, 0, 4)
+	for _, n := range []string{"mcf", "libquantum", "soplex", "milc"} {
+		sp, ok := workload.ByName(n)
+		if !ok {
+			t.Fatalf("unknown benchmark %s", n)
+		}
+		specs = append(specs, sp)
+	}
+	for _, policy := range []Policy{PolicyFRFCFS, PolicyPARBS, PolicyTCM} {
+		for _, disable := range []bool{false, true} {
+			cfg := DefaultConfig()
+			cfg.Quantum = 100_000
+			cfg.Policy = policy
+			cfg.DisableSkipAhead = disable
+			sys, err := New(cfg, specs)
+			if err != nil {
+				t.Fatal(err)
 			}
-			specs = append(specs, sp)
-		}
-		sys, err := New(cfg, specs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys.RunQuanta(2)
-		if fw := sys.ForcedWakes(); fw != 0 {
-			t.Fatalf("disableSkip=%v: %d forced wakes — a wake-up path is missing", disable, fw)
+			sys.RunQuanta(2)
+			if fw := sys.ForcedWakes(); fw != 0 {
+				t.Fatalf("%s disableSkip=%v: %d forced wakes — a wake-up path is missing", policy, disable, fw)
+			}
+			if !disable && sys.SkipCycles() == 0 {
+				t.Fatalf("%s: skip-ahead never engaged", policy)
+			}
 		}
 	}
 }

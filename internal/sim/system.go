@@ -125,9 +125,12 @@ type System struct {
 	epochWeights []float64
 	epochRnd     *rng.Stream
 
-	// Live per-app outstanding transaction counts.
+	// Live per-app outstanding transaction counts, and the cycle up to
+	// which each app's Table-1 integrals have been charged for them (see
+	// settle).
 	outHits []int
 	outMiss []int
+	settled []uint64
 
 	// Quantum accumulators.
 	qs           QuantumStats
@@ -147,11 +150,14 @@ type System struct {
 	freeTxns   []*missTxn
 	freeWrites []*dram.Request
 	writeDone  func(*dram.Request, uint64) // recycles a completed write
+	mpki       []float64                   // endQuantum's TCM clustering input
 
 	// Event-driven skip-ahead fast path (see skipAhead). skipOn caches
-	// !cfg.DisableSkipAhead; the counters tally taken windows and the
-	// cycles they crossed.
+	// !cfg.DisableSkipAhead; allAsleep is Tick's note that it left every
+	// core blocked, the only state a skip window can start from; the
+	// counters tally taken windows and the cycles they crossed.
 	skipOn      bool
+	allAsleep   bool
 	skipWindows uint64
 	skipCycles  uint64
 
@@ -253,6 +259,8 @@ func newSystem(cfg Config, apps []AppSource, lean bool) (*System, error) {
 		epochRnd:     rng.NewNamed(cfg.Seed, "epochs"),
 		outHits:      make([]int, n),
 		outMiss:      make([]int, n),
+		settled:      make([]uint64, n),
+		mpki:         make([]float64, n),
 		prevRetired:  make([]uint64, n),
 		prevMemStall: make([]uint64, n),
 		inFlightPf:   make(map[uint64]bool),
@@ -441,7 +449,7 @@ func (s *System) L2Partition() []int { return s.l2.Partition() }
 func (s *System) Run(cycles uint64) {
 	end := s.cycle + cycles
 	for s.cycle < end {
-		if s.skipOn {
+		if s.allAsleep && s.skipOn {
 			s.skipAhead(end)
 			if s.cycle >= end {
 				return
@@ -458,7 +466,7 @@ func (s *System) Run(cycles uint64) {
 // retires an instruction (every core is asleep), so stepping cannot
 // overshoot a retirement milestone.
 func (s *System) Step() {
-	if s.skipOn {
+	if s.allAsleep && s.skipOn {
 		s.skipAhead(^uint64(0))
 	}
 	s.Tick()
@@ -527,11 +535,19 @@ func (s *System) Tick() {
 	// Epoch boundary: pick the next owner and prioritize it at memory.
 	if s.epochOn && now == s.nextEpoch {
 		s.nextEpoch += s.cfg.Epoch
+		var next int
 		if s.cfg.EpochRoundRobin {
-			s.epochOwner = int(s.totalEpochs % uint64(s.ncores))
+			next = int(s.totalEpochs % uint64(s.ncores))
 		} else {
-			s.epochOwner = s.epochRnd.Pick(s.epochWeights)
+			next = s.epochRnd.Pick(s.epochWeights)
 		}
+		// Both owners' epoch integrals change rate here: charge the
+		// cycles before now under the old ownership first.
+		if s.epochOwner >= 0 {
+			s.settle(s.epochOwner, now)
+		}
+		s.settle(next, now)
+		s.epochOwner = next
 		s.mem.SetPriorityApp(s.epochOwner)
 		s.qs.Apps[s.epochOwner].EpochCount++
 		s.totalEpochs++
@@ -556,31 +572,19 @@ func (s *System) Tick() {
 	}
 	s.dramCountdown--
 
+	// A blocked core sleeps: it needs no Tick until a completion above
+	// wakes it, except on the forced-wake failsafe boundary.
+	forced := now&(cpu.ForcedWakeInterval-1) == 0
+	asleep := true
 	for _, c := range s.cores {
-		c.Tick(now)
-	}
-
-	// Per-cycle outstanding-transaction integrals (Table 1 and the
-	// quantum-wide variants ASM-Cache uses).
-	owner := s.epochOwner
-	apps := s.qs.Apps
-	outHits, outMiss := s.outHits, s.outMiss
-	for a := 0; a < s.ncores; a++ {
-		aq := &apps[a]
-		if outHits[a] > 0 {
-			aq.QuantumHitTime++
-			if a == owner {
-				aq.EpochHitTime++
-			}
-		}
-		if m := outMiss[a]; m > 0 {
-			aq.QuantumMissTime++
-			aq.MLPIntegral += uint64(m)
-			if a == owner {
-				aq.EpochMissTime++
+		if forced || !c.Blocked() {
+			c.Tick(now)
+			if !c.Blocked() {
+				asleep = false
 			}
 		}
 	}
+	s.allAsleep = asleep
 
 	if now == s.quantumEnd {
 		s.endQuantum(now)
@@ -589,11 +593,44 @@ func (s *System) Tick() {
 	s.cycle++
 }
 
+// settle charges app's outstanding-transaction integrals (Table 1 and the
+// quantum-wide variants ASM-Cache uses) for the cycles [settled, upTo) at
+// its current outstanding counts and epoch ownership: per cycle, one unit
+// of hit time while an L2 hit is outstanding, one unit of miss time plus
+// the outstanding miss count (the MLP integral) while a miss is, and the
+// epoch variants while the app owns the epoch. It is the only writer of
+// those fields. Everything that changes an input — outHits, outMiss,
+// epochOwner — calls settle(app, now) first, so the cycles before now are
+// charged at the old state and cycle now at whatever state its Tick ends
+// in, which is what a charge at the end of every Tick would see;
+// endQuantum closes the quantum with settle(app, now+1).
+func (s *System) settle(app int, upTo uint64) {
+	w := upTo - s.settled[app]
+	if w == 0 {
+		return
+	}
+	s.settled[app] = upTo
+	aq := &s.qs.Apps[app]
+	if s.outHits[app] > 0 {
+		aq.QuantumHitTime += w
+		if app == s.epochOwner {
+			aq.EpochHitTime += w
+		}
+	}
+	if m := s.outMiss[app]; m > 0 {
+		aq.QuantumMissTime += w
+		aq.MLPIntegral += w * uint64(m)
+		if app == s.epochOwner {
+			aq.EpochMissTime += w
+		}
+	}
+}
+
 // skipAhead advances the cycle counter across a provably dead window in
-// one closed-form step, bit-identical to ticking through it. A window
-// [now, h) is dead when every core is blocked (so no instruction can
-// retire or issue, and no new memory request can appear) and nothing is
-// due before h on any clock Tick consults:
+// one closed-form step, bit-identical to ticking through it. The caller
+// has checked that every core is asleep (allAsleep), so no instruction can
+// retire or issue and no new memory request can appear; the window [now, h)
+// is then dead when nothing is due before h on any clock Tick consults:
 //
 //   - the quantum and epoch boundaries (Tick must execute AT them);
 //   - the events heap's earliest L2-hit completion;
@@ -601,17 +638,15 @@ func (s *System) Tick() {
 //   - the memory system: the next DRAM tick when parked retries or
 //     writebacks exist (they are re-attempted on every tick), else
 //     dram.System.NextEventCycle — the first tick that can complete,
-//     refresh, issue, or account anything;
+//     refresh, issue, account anything new, or take a scheduler decision;
 //   - the caller's end bound (Run's chunk end).
 //
-// Within the window the per-cycle state changes are linear — each blocked
-// core accrues one memory-stall cycle, each app with outstanding hits or
-// misses accrues its Table-1 integrals at a frozen rate (the outstanding
-// counts cannot change while all cores sleep and no completion fires),
-// and the skipped DRAM ticks are pure countdown ticks — so all of them
-// accumulate as width × rate, and the DRAM side applies its tick count
-// via SkipTicks. Everything else (queues, caches, schedulers, drain
-// hysteresis) is frozen by construction.
+// The window costs only the DRAM side work: its ticks are frozen ticks,
+// applied in bulk by SkipTicks. The cores' stall cycles and the apps'
+// Table-1 integrals are interval-accounted (cpu.Core.Wake, settle), so
+// they charge the window whenever their next change arrives, skipped or
+// ticked. Everything else (queues, caches, schedulers, drain hysteresis)
+// is frozen by construction.
 func (s *System) skipAhead(end uint64) {
 	now := s.cycle
 	// A forced-wake boundary must execute as a real Tick while cores are
@@ -619,11 +654,6 @@ func (s *System) skipAhead(end uint64) {
 	// next one.
 	if now&(cpu.ForcedWakeInterval-1) == 0 {
 		return
-	}
-	for _, c := range s.cores {
-		if !c.Blocked() {
-			return
-		}
 	}
 	h := end
 	if s.quantumEnd < h {
@@ -662,27 +692,6 @@ func (s *System) skipAhead(end uint64) {
 		s.dramCountdown -= w
 	}
 
-	owner := s.epochOwner
-	apps := s.qs.Apps
-	for a := 0; a < s.ncores; a++ {
-		aq := &apps[a]
-		if s.outHits[a] > 0 {
-			aq.QuantumHitTime += w
-			if a == owner {
-				aq.EpochHitTime += w
-			}
-		}
-		if m := s.outMiss[a]; m > 0 {
-			aq.QuantumMissTime += w
-			aq.MLPIntegral += w * uint64(m)
-			if a == owner {
-				aq.EpochMissTime += w
-			}
-		}
-	}
-	for _, c := range s.cores {
-		c.SkipStall(w)
-	}
 	s.skipWindows++
 	s.skipCycles += w
 	s.cycle = h
@@ -781,6 +790,7 @@ func (s *System) accessL2(app int, line uint64, storeMiss bool, now uint64) {
 			delete(s.pfLines, line)
 			aq.PrefetchUseful++
 		}
+		s.settle(app, now)
 		s.outHits[app]++
 		s.events.push(event{cycle: now + uint64(s.cfg.L2Latency), app: int32(app), line: line})
 		return
@@ -804,6 +814,7 @@ func (s *System) accessL2(app int, line uint64, storeMiss bool, now uint64) {
 	if sampled {
 		aq.SampledDemandMisses++
 	}
+	s.settle(app, now)
 	s.outMiss[app]++
 	s.sendMiss(txn, now)
 }
@@ -916,6 +927,7 @@ func (s *System) missDone(txn *missTxn, now uint64) {
 	}
 
 	s.insertL2(app, txn.line, false, now)
+	s.settle(app, now)
 	s.outMiss[app]--
 	s.fillL1(app, txn.line, now)
 }
@@ -1013,6 +1025,7 @@ func (s *System) emitQuantumTrace(now uint64) {
 
 // completeL2Hit finishes an L2 hit transaction.
 func (s *System) completeL2Hit(app int32, line uint64, now uint64) {
+	s.settle(int(app), now)
 	s.outHits[app]--
 	s.fillL1(int(app), line, now)
 }
@@ -1037,7 +1050,7 @@ func (s *System) fillL1(app int, line uint64, now uint64) {
 		}
 	}
 	// Any fill frees an MSHR and may unblock dependent fetch.
-	s.cores[app].Wake()
+	s.cores[app].Wake(now)
 }
 
 // insertL2 installs a line in the shared cache, updating pollution filters
@@ -1122,7 +1135,7 @@ func (s *System) flushWritebacks(now uint64) {
 	s.pendingWB = kept
 	if wasBackpressured && len(s.pendingWB) <= s.wbLimit {
 		for _, c := range s.cores {
-			c.Wake()
+			c.Wake(now)
 		}
 	}
 }
@@ -1146,11 +1159,14 @@ func (s *System) issuePrefetch(app int, line uint64, now uint64) {
 // per-quantum state.
 func (s *System) endQuantum(now uint64) {
 	for a := 0; a < s.cfg.Cores; a++ {
+		// The quantum ends with cycle now: charge it too.
+		s.settle(a, now+1)
 		aq := &s.qs.Apps[a]
 		aq.Retired = s.cores[a].Retired() - s.prevRetired[a]
 		s.prevRetired[a] = s.cores[a].Retired()
-		aq.MemStallCycles = s.cores[a].MemStallCycles() - s.prevMemStall[a]
-		s.prevMemStall[a] = s.cores[a].MemStallCycles()
+		stall := s.cores[a].MemStallCycles(now + 1)
+		aq.MemStallCycles = stall - s.prevMemStall[a]
+		s.prevMemStall[a] = stall
 		aq.QueueingCycles = s.mem.QueueingCycles(a)
 		aq.MemInterfCycles = s.mem.InterferenceCycles(a)
 		if s.ats != nil {
@@ -1207,11 +1223,10 @@ func (s *System) endQuantum(now uint64) {
 
 	// TCM re-clusters at quantum boundaries using fresh intensity data.
 	if s.cfg.Policy == PolicyTCM {
-		mpki := make([]float64, s.cfg.Cores)
-		for a := range mpki {
-			mpki[a] = s.qs.MPKI(a)
+		for a := range s.mpki {
+			s.mpki[a] = s.qs.MPKI(a)
 		}
-		s.mem.UpdateTCM(mpki)
+		s.mem.UpdateTCM(s.mpki)
 	}
 
 	s.quantum++
