@@ -51,16 +51,16 @@ bench-smoke:
 # cross-run comparison: BENCH_sweep.json holds the alone-cache speedup
 # sweeps, BENCH_tick.json the tick-loop benchmarks, the alone-curve
 # build/lookup benchmarks (whose B/op and segs/op are the curve store's
-# footprint), the skip-ahead on/off pairs (the memory-intensive pair is
-# the skip-ahead acceptance measurement) and the 8-core run under each
-# memory scheduler (RunQuanta8Core, matched by the RunQuanta pattern here,
-# in bench-smoke and in bench-diff). -count=3 records three samples per
+# footprint), the skip-ahead on/off pairs, the 8-core run under each
+# memory scheduler (RunQuanta8Core) and the per-sink observer overhead
+# table (RunQuantaObserved) — both matched by the RunQuanta pattern here,
+# in bench-smoke and in bench-diff. The memory-intensive skip-ahead sweep
+# pair lives in BENCH_sweep.json. -count=3 records three samples per
 # benchmark; benchdiff compares the per-name minimum, the standard robust
 # pick for noisy wall-clock measurements.
 bench-json:
 	$(GO) test -run='^$$' -bench='SweepAccuracy' -benchmem -count=3 ./internal/exp/ | $(GO) run ./cmd/benchjson -o BENCH_sweep.json
-	{ $(GO) test -run='^$$' -bench='RunQuanta|SystemTick$$|AloneProfile|AloneCurve' -benchmem -count=3 ./internal/sim/ ; \
-	  $(GO) test -run='^$$' -bench='SweepAccuracyMemIntensive' -benchmem -count=3 ./internal/exp/ ; } | $(GO) run ./cmd/benchjson -o BENCH_tick.json
+	$(GO) test -run='^$$' -bench='RunQuanta|SystemTick$$|AloneProfile|AloneCurve' -benchmem -count=3 ./internal/sim/ | $(GO) run ./cmd/benchjson -o BENCH_tick.json
 
 # trace-smoke runs a small contended mix with event tracing enabled and
 # validates that the emitted file is well-formed Perfetto-loadable
@@ -99,7 +99,7 @@ trace-merge-smoke:
 # checks the child tears down cleanly on SIGINT.
 dash-smoke:
 	$(GO) build -o $(CURDIR)/.dash-smoke-asmsim ./cmd/asmsim
-	$(GO) run ./cmd/dashsmoke -bin $(CURDIR)/.dash-smoke-asmsim
+	$(GO) run ./cmd/smoke dash -bin $(CURDIR)/.dash-smoke-asmsim
 	rm -f $(CURDIR)/.dash-smoke-asmsim
 
 # serve-smoke drills the job service end to end: start asmserve with a
@@ -111,7 +111,7 @@ dash-smoke:
 # flight-recorder dump on disk.
 serve-smoke:
 	$(GO) build -o $(CURDIR)/.serve-smoke-asmserve ./cmd/asmserve
-	$(GO) run ./cmd/servesmoke -bin $(CURDIR)/.serve-smoke-asmserve
+	$(GO) run ./cmd/smoke serve -bin $(CURDIR)/.serve-smoke-asmserve
 	rm -f $(CURDIR)/.serve-smoke-asmserve
 
 # slo-smoke drives the SLO alerting path end to end: a contended
@@ -123,7 +123,7 @@ serve-smoke:
 SLO_SMOKE_DIR ?= slo-smoke
 slo-smoke:
 	$(GO) build -o $(CURDIR)/.slo-smoke-asmsim ./cmd/asmsim
-	$(GO) run ./cmd/slosmoke -bin $(CURDIR)/.slo-smoke-asmsim -out $(SLO_SMOKE_DIR)
+	$(GO) run ./cmd/smoke slo -bin $(CURDIR)/.slo-smoke-asmsim -out $(SLO_SMOKE_DIR)
 	$(GO) run ./cmd/tracesum -check $(SLO_SMOKE_DIR)/slo-smoke.trace.json
 	rm -f $(CURDIR)/.slo-smoke-asmsim
 
@@ -136,8 +136,7 @@ slo-smoke:
 BENCH_DIFF_TOL ?= 0.15
 bench-diff:
 	$(GO) test -run='^$$' -bench='SweepAccuracy' -benchmem -count=3 ./internal/exp/ | $(GO) run ./cmd/benchjson -o .bench-fresh-sweep.json
-	{ $(GO) test -run='^$$' -bench='RunQuanta|SystemTick$$|AloneProfile|AloneCurve' -benchmem -count=3 ./internal/sim/ ; \
-	  $(GO) test -run='^$$' -bench='SweepAccuracyMemIntensive' -benchmem -count=3 ./internal/exp/ ; } | $(GO) run ./cmd/benchjson -o .bench-fresh-tick.json
+	$(GO) test -run='^$$' -bench='RunQuanta|SystemTick$$|AloneProfile|AloneCurve' -benchmem -count=3 ./internal/sim/ | $(GO) run ./cmd/benchjson -o .bench-fresh-tick.json
 	$(GO) run ./cmd/benchdiff -tol $(BENCH_DIFF_TOL) BENCH_sweep.json .bench-fresh-sweep.json && \
 	  $(GO) run ./cmd/benchdiff -tol $(BENCH_DIFF_TOL) BENCH_tick.json .bench-fresh-tick.json ; \
 	  st=$$? ; rm -f .bench-fresh-sweep.json .bench-fresh-tick.json ; exit $$st

@@ -84,9 +84,11 @@ type (
 	ClusterEvent = cluster.Event
 	// ClusterDrain records one job moved (or parked) off a failed machine.
 	ClusterDrain = cluster.Drain
-	// TelemetryOptions bundles the observability hooks (metrics registry,
-	// quantum recorder, progress reporter). The zero value disables all
-	// telemetry at zero cost.
+	// TelemetryOptions is the one observer value a run takes: metrics
+	// registry, quantum recorder (the dashboard and the SLO engine are
+	// recorders composed into it), progress reporter, event tracer and
+	// attribution subscriber. The zero value disables all observation at
+	// zero cost.
 	TelemetryOptions = telemetry.Options
 	// TelemetryRegistry is an allocation-free atomic counter/gauge/timer
 	// registry with named scopes; nil is a valid no-op registry.
@@ -118,8 +120,9 @@ type (
 	TraceSummary = evtrace.Summary
 	// DashServer is the live observability dashboard: mounted on the
 	// profiler's HTTP mux, it streams metrics, per-quantum records and
-	// interference attribution while a run or sweep executes. A nil
-	// *DashServer disables the dashboard at zero cost.
+	// interference attribution while a run or sweep executes. It is a
+	// QuantumRecorder; its ObserveAttribution is a run's
+	// TelemetryOptions.Attribution.
 	DashServer = dash.Server
 	// FleetPoller scrapes K nodes' /metrics, /debug/asm/hist and
 	// /debug/asm/attribution endpoints on an interval and merges them
@@ -134,8 +137,8 @@ type (
 	// (load one from JSON with LoadSLOSpec).
 	SLOSpec = slo.Spec
 	// SLOEngine evaluates an SLOSpec with multi-window burn-rate
-	// alerting and an estimator-drift watchdog; it rides the quantum
-	// recorder fan-out read-only and never perturbs simulation results.
+	// alerting and an estimator-drift watchdog; it is a QuantumRecorder
+	// reading the records only, so it never perturbs simulation results.
 	SLOEngine = slo.Engine
 	// SLOSinks wires an SLOEngine's alert outputs (metrics registry,
 	// structured log, flight recorder, event tracer, transition hook).
@@ -236,6 +239,11 @@ func OpenJSONLRecorder(path string) (QuantumRecorder, error) {
 	return telemetry.OpenJSONLRecorder(path)
 }
 
+// FanoutRecorders returns one QuantumRecorder feeding every given
+// recorder in order (nils are skipped): how a file recorder, a
+// DashServer and an SLOEngine share a run's TelemetryOptions.Recorder.
+func FanoutRecorders(recs ...QuantumRecorder) QuantumRecorder { return telemetry.Fanout(recs...) }
+
 // NewAloneCurveCache returns an empty alone-run ground-truth curve
 // cache, safe for concurrent use across Runs and experiment sweeps.
 func NewAloneCurveCache() *AloneCurveCache { return sim.NewAloneCurveCache() }
@@ -252,8 +260,8 @@ func OpenTracer(path string, cfg TracerConfig) (*Tracer, error) { return evtrace
 func SummarizeTrace(quanta []QuantumAttribution) TraceSummary { return evtrace.Summarize(quanta) }
 
 // NewDashServer returns a live dashboard ready to Mount on the
-// profiler's mux (telemetry.StartProfiler) and wire into RunOptions.Dash
-// or ExperimentScale.Dash.
+// profiler's mux (telemetry.StartProfiler) and to compose into a run's
+// TelemetryOptions (Recorder and Attribution).
 func NewDashServer() *DashServer { return dash.NewServer() }
 
 // NewFleetPoller returns a poller over the given node base URLs; call
@@ -266,9 +274,9 @@ func NewFleetPoller(opts FleetPollerOptions) *FleetPoller { return serve.NewFlee
 func LoadSLOSpec(path string) (SLOSpec, error) { return slo.Load(path) }
 
 // NewSLOEngine builds an alert engine for spec with the given sinks.
-// Wire it into RunOptions.SLO, ExperimentScale.SLO or the job service's
-// serve.Options.SLO; it observes quantum records without perturbing
-// them.
+// Compose it into a run's TelemetryOptions.Recorder (or the job
+// service's serve.Options.Recorder); it observes quantum records without
+// perturbing them.
 func NewSLOEngine(spec SLOSpec, sinks SLOSinks) *SLOEngine { return slo.New(spec, sinks) }
 
 // QuickScale returns the minutes-scale experiment configuration.
@@ -292,9 +300,10 @@ type RunOptions struct {
 	// starts — use it to install partitioning or bandwidth policies.
 	Attach func(*System)
 	// Telemetry optionally observes the run: Metrics receives the
-	// simulator's counters/gauges/timers and Recorder receives one
-	// QuantumRecord per (app, quantum), warmup included. The zero value
-	// disables both.
+	// simulator's counters/gauges/timers, Recorder receives one
+	// QuantumRecord per (app, quantum), warmup included, and Trace and
+	// Attribution observe the shared run's interference. The zero value
+	// disables all of it.
 	Telemetry TelemetryOptions
 	// SharedAloneCache, when non-nil and GroundTruth is set, serves the
 	// alone-run ground truth from the shared curve cache instead of
@@ -303,10 +312,6 @@ type RunOptions struct {
 	// run once. Reported slowdowns are bit-identical either way. nil
 	// (the default) keeps the private-replica behavior.
 	SharedAloneCache *AloneCurveCache
-	// Trace, when non-nil, records sampled request-lifecycle spans and
-	// exact per-quantum interference attribution matrices for the shared
-	// run. The caller owns the tracer and must Close it.
-	Trace *Tracer
 	// AloneTrace, when non-nil alongside GroundTruth, additionally traces
 	// the alone-run replica replays into the given tracer (span export
 	// for ground truth): each replica is a single-app trace series,
@@ -314,17 +319,6 @@ type RunOptions struct {
 	// feeds TraceSummary.CPIStacksMeasured. Ignored when the ground truth
 	// is served from SharedAloneCache (cursor replays simulate nothing).
 	AloneTrace *Tracer
-	// Dash, when non-nil, streams this run live: quantum records fan out
-	// to connected SSE clients, attribution snapshots feed the dashboard
-	// even when Trace is nil, and Telemetry.Metrics (when set) becomes
-	// the dashboard's registry. nil disables the dashboard at zero cost.
-	Dash *DashServer
-	// SLO, when non-nil, evaluates declarative SLOs over this run's
-	// quantum records: QoS-bound compliance and estimator drift tick on
-	// the simulated clock at quantum boundaries. The engine is purely
-	// observational — results are bit-identical with or without it. nil
-	// disables SLO evaluation at zero cost.
-	SLO *SLOEngine
 }
 
 // RunResult reports per-app outcomes of a Run.
@@ -383,13 +377,7 @@ func RunContext(ctx context.Context, cfg Config, names []string, opt RunOptions)
 	if opt.Attach != nil {
 		opt.Attach(sys)
 	}
-	sys.SetTelemetry(opt.Telemetry.Metrics)
-	if opt.Telemetry.Metrics != nil {
-		opt.Dash.SetRegistry(opt.Telemetry.Metrics)
-	}
-	if tr := opt.Dash.AttachTracer(opt.Trace); tr != nil {
-		sys.SetTracer(tr)
-	}
+	sys.Observe(opt.Telemetry)
 	var tracker *sim.SlowdownTracker
 	if opt.GroundTruth {
 		opt.SharedAloneCache.SetTelemetry(opt.Telemetry.Metrics.Scope("sim"))
@@ -412,11 +400,8 @@ func RunContext(ctx context.Context, cfg Config, names []string, opt RunOptions)
 	}
 	actualSum := make([]float64, n)
 	measured := 0
-	rec := opt.Dash.WrapRecorder(opt.Telemetry.Recorder)
-	if opt.SLO != nil {
-		opt.SLO.SetQuantumCycles(cfg.Quantum)
-		rec = telemetry.Fanout(rec, opt.SLO)
-	}
+	labels := QuantumRecord{TraceID: opt.Telemetry.TraceID, Mix: mix.String()}
+	benches := sys.Names()
 	perEst := make(map[string][]float64, len(ests)) // reused across quanta
 	sys.AddQuantumListener(func(_ *sim.System, st *sim.QuantumStats) {
 		var actual []float64
@@ -426,27 +411,7 @@ func RunContext(ctx context.Context, cfg Config, names []string, opt RunOptions)
 		for _, e := range ests {
 			perEst[e.Name()] = e.Estimate(st)
 		}
-		if rec != nil {
-			for a := 0; a < n; a++ {
-				est := make(map[string]float64, len(perEst))
-				for name, v := range perEst {
-					est[name] = v[a]
-				}
-				qr := &QuantumRecord{
-					TraceID:   opt.Telemetry.TraceID,
-					Mix:       mix.String(),
-					App:       a,
-					Bench:     specs[a].Name,
-					Quantum:   st.Quantum,
-					Estimates: est,
-					Counters:  st.Apps[a].TelemetryCounters(),
-				}
-				if actual != nil {
-					qr.Actual = actual[a]
-				}
-				rec.Record(qr)
-			}
-		}
+		sim.EmitRecords(opt.Telemetry.Recorder, labels, benches, st, actual, perEst)
 		if st.Quantum < opt.WarmupQuanta {
 			return
 		}
@@ -548,14 +513,12 @@ func (c *Cluster) Drains() []ClusterDrain { return c.inner.Drains }
 // them; they are retried every round.
 func (c *Cluster) Unplaced() []string { return c.inner.Unplaced }
 
-// SetTelemetry attaches a metrics registry: audit-log event counters,
-// round counts, and serving/unplaced gauges under the "cluster" scope.
-func (c *Cluster) SetTelemetry(r *TelemetryRegistry) { c.inner.SetTelemetry(r) }
-
-// AttachSLO installs an SLO alert engine over the cluster's evaluation
-// rounds: QoS bounds are checked against every machine's fresh ASM
-// estimates on the round clock. Observational only; nil detaches.
-func (c *Cluster) AttachSLO(e *SLOEngine) { c.inner.AttachSLO(e) }
+// SetTelemetry attaches the cluster's observers: Metrics receives the
+// audit-log event counters, round counts and serving/unplaced gauges
+// under the "cluster" scope; Recorder (an SLOEngine, say) receives one
+// synthesized record per job after each successful machine evaluation,
+// on the round clock. Observational only.
+func (c *Cluster) SetTelemetry(o TelemetryOptions) { c.inner.SetTelemetry(o) }
 
 // EnableTracing begins per-node trace capture: one Perfetto-loadable
 // trace file per machine (node<k>.trace.json under dir) recording that

@@ -41,14 +41,13 @@ import (
 	"syscall"
 	"time"
 
-	"asmsim/internal/dash"
 	"asmsim/internal/faults"
+	"asmsim/internal/observe"
 	"asmsim/internal/serve"
-	"asmsim/internal/slo"
-	"asmsim/internal/telemetry"
 )
 
 func main() {
+	var obs observe.Flags
 	var (
 		addr         = flag.String("addr", "localhost:8080", "HTTP listen address (use :0 for an ephemeral port)")
 		state        = flag.String("state", "", "state directory for the job journal and result cache (empty = in-memory only)")
@@ -60,11 +59,13 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful-drain bound on SIGINT/SIGTERM")
 		faultSpec    = flag.String("faults", "", "inject deterministic service faults: comma-separated key=value (seed, handler-latency-prob, handler-latency, job-drop-prob, journal-fail-prob)")
 		logSpec      = flag.String("log", "", "structured job logs: off (default), text, or json; written to stderr with per-job trace_id")
-		sloPath      = flag.String("slo", "", "evaluate SLOs from this JSON spec file over every job's quantum records and the service latency histograms (see EXPERIMENTS.md); alerts surface on /debug/asm/alerts, /metrics and the flight recorder")
 		sloInterval  = flag.Duration("slo-interval", 0, "latency-SLO histogram polling interval (0 = default 5s)")
-		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
+	obs.Register(flag.CommandLine, map[string]string{
+		"slo":        "evaluate SLOs from this JSON spec file over every job's quantum records and the service latency histograms (see EXPERIMENTS.md); alerts surface on /debug/asm/alerts, /metrics and the flight recorder",
+		"cpuprofile": "write a CPU profile to this file",
+		"memprofile": "write a heap profile to this file on exit",
+	})
 	flag.Parse()
 	if *addr == "" {
 		fatal(fmt.Errorf("asmserve: -addr is required"))
@@ -89,22 +90,13 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	reg := telemetry.NewRegistry()
-	dashSrv := dash.NewServer()
-	dashSrv.SetRegistry(reg)
-	var sloEng *slo.Engine
-	if *sloPath != "" {
-		spec, err := slo.Load(*sloPath)
-		if err != nil {
-			fatal(err)
-		}
-		sloEng = slo.New(spec, slo.Sinks{
-			Metrics:      reg,
-			Log:          logger,
-			OnTransition: dashSrv.PublishAlert,
-		})
-		dashSrv.SetAlertSource(sloEng)
+	// The dashboard is always on, on the job service's listener.
+	obs.Dash = *addr
+	o, err := observe.Start(obs, logger)
+	if err != nil {
+		fatal(err)
 	}
+	tel, _ := o.Run("") // a single-run Run opens nothing, so it cannot fail
 	srv, err := serve.New(serve.Options{
 		Workers:      *workers,
 		QueueDepth:   *queue,
@@ -114,33 +106,32 @@ func main() {
 		DrainTimeout: *drainTimeout,
 		StateDir:     *state,
 		Faults:       fc,
-		Metrics:      reg,
-		Dash:         dashSrv,
+		Metrics:      tel.Metrics,
+		Recorder:     tel.Recorder,
+		Attribution:  tel.Attribution,
 		Log:          logger,
-		SLO:          sloEng,
 	})
 	if err != nil {
 		fatal(err)
 	}
-	if sloEng != nil {
+	if o.SLO != nil {
 		// The service's flight recorder exists only now; a firing alert
 		// dumps its ring (recent job lifecycle + quantum records).
-		sloEng.SetFlight(srv.Flight())
-		stopSLO := sloEng.StartLatencyLoop(reg, *sloInterval)
-		defer stopSLO()
+		o.SLO.SetFlight(srv.Flight())
+		defer o.SLO.StartLatencyLoop(o.Registry, *sloInterval)()
 	}
-	prof, err := telemetry.StartProfiler(*cpuprofile, *memprofile, *addr, dashSrv.Mount, srv.Mount)
-	if err != nil {
+	// The job service owns /metrics on this listener. Close (LIFO) closes
+	// the dashboard broadcaster before the HTTP server stops, so its SSE
+	// handlers drain instead of hanging the shutdown.
+	if err := o.Listen(srv.Mount); err != nil {
 		fatal(err)
 	}
-	// LIFO: the dashboard broadcaster closes before the HTTP server
-	// stops, so its SSE handlers drain instead of hanging the shutdown.
-	defer prof.Stop()
-	defer dashSrv.Close()
+	// asmserve opens no observation files, so Close has nothing to fail
+	// on; the exit code stays the drain's.
+	defer o.Close()
 
-	bound := prof.PprofAddr()
+	bound := o.Addr()
 	fmt.Fprintf(os.Stderr, "asmserve: job service listening on http://%s/api/jobs\n", bound)
-	fmt.Fprintf(os.Stderr, "asmserve: dashboard on http://%s/debug/asm/, pprof on http://%s/debug/pprof/\n", bound, bound)
 	if *state != "" {
 		fmt.Fprintf(os.Stderr, "asmserve: journaling to %s\n", *state)
 	}

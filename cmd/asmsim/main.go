@@ -16,15 +16,15 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 
 	"asmsim"
-	"asmsim/internal/telemetry"
+	"asmsim/internal/observe"
 )
 
 func main() {
+	obs := observe.Flags{TelemetryFormat: "jsonl", TraceSample: 64}
 	var (
 		apps        = flag.String("apps", "mcf,libquantum,bzip2,h264ref", "comma-separated benchmark names, one per core")
 		quanta      = flag.Int("quanta", 4, "measured quanta")
@@ -41,48 +41,21 @@ func main() {
 		list        = flag.Bool("list", false, "list available benchmarks")
 		charact     = flag.Bool("characterize", false, "run every benchmark alone and print its memory characterization")
 		timeout     = flag.Duration("timeout", 0, "abort the run after this long (0 = no deadline)")
-		telDir      = flag.String("telemetry", "", "write quantum-level telemetry (quanta.jsonl + metrics.jsonl) to this directory")
-		telFormat   = flag.String("telemetry-format", "jsonl", "quantum time-series format: jsonl or csv")
-		tracePath   = flag.String("trace", "", "write a Perfetto-loadable chrome-trace JSON (request spans + attribution matrices) to this file")
 		traceAlone  = flag.String("trace-alone", "", "with -groundtruth, also trace the alone-run replica replays to this chrome-trace JSON file")
-		traceSample = flag.Int("trace-sample", 64, "record every Nth demand-miss span in the trace (1 = all; attribution is always exact)")
-		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile  = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-		dashAddr    = flag.String("dash", "", "serve the live dashboard (and pprof) on this address (e.g. localhost:6060); visit /debug/asm/")
-		sloPath     = flag.String("slo", "", "evaluate SLOs from this JSON spec file (see EXPERIMENTS.md): burn-rate alerts over slowdown bounds and estimator drift, surfaced on the dashboard, /metrics, stderr logs and flight-recorder dumps")
-		sloFlight   = flag.String("slo-flight", "", "directory for flight-recorder dumps written when an alert fires (default: the -telemetry dir, else the working directory)")
 	)
+	obs.Register(flag.CommandLine, map[string]string{
+		"telemetry":        "write quantum-level telemetry (quanta.jsonl + metrics.jsonl) to this directory",
+		"telemetry-format": "quantum time-series format: jsonl or csv",
+		"trace":            "write a Perfetto-loadable chrome-trace JSON (request spans + attribution matrices) to this file",
+		"trace-sample":     "record every Nth demand-miss span in the trace (1 = all; attribution is always exact)",
+		"cpuprofile":       "write a CPU profile to this file",
+		"memprofile":       "write a heap profile to this file on exit",
+		"pprof":            "serve net/http/pprof on this address (e.g. localhost:6060)",
+		"dash":             "serve the live dashboard (and pprof) on this address (e.g. localhost:6060); visit /debug/asm/",
+		"slo":              "evaluate SLOs from this JSON spec file (see EXPERIMENTS.md): burn-rate alerts over slowdown bounds and estimator drift, surfaced on the dashboard, /metrics, stderr logs and flight-recorder dumps",
+		"slo-flight":       "directory for flight-recorder dumps written when an alert fires (default: the -telemetry dir, else the working directory)",
+	})
 	flag.Parse()
-
-	// The dashboard and pprof share one listener: -dash selects the
-	// address (and implies the HTTP server); plain -pprof keeps serving
-	// only the profiling routes.
-	var dashSrv *asmsim.DashServer
-	httpAddr := *pprofAddr
-	if *dashAddr != "" {
-		dashSrv = asmsim.NewDashServer()
-		httpAddr = *dashAddr
-	}
-	prof, err := telemetry.StartProfiler(*cpuprofile, *memprofile, httpAddr, dashSrv.Mount, dashSrv.MountMetrics)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer prof.Stop()
-	// LIFO: the broadcaster closes first so Stop can drain SSE handlers.
-	defer dashSrv.Close()
-	if prof.PprofAddr() != "" {
-		fmt.Fprintf(os.Stderr, "pprof server listening on http://%s/debug/pprof/\n", prof.PprofAddr())
-		if dashSrv != nil {
-			fmt.Fprintf(os.Stderr, "dashboard listening on http://%s/debug/asm/\n", prof.PprofAddr())
-		}
-	}
-
-	if *charact {
-		characterize(*quantum, *seed)
-		return
-	}
 
 	if *list {
 		fmt.Println("available benchmarks:")
@@ -110,8 +83,28 @@ func main() {
 	case "tcm":
 		cfg.Policy = asmsim.PolicyTCM
 	default:
-		fmt.Fprintf(os.Stderr, "unknown policy %q\n", *policy)
-		os.Exit(1)
+		fatal(fmt.Errorf("unknown policy %q", *policy))
+	}
+	if *traceAlone != "" && !*groundTruth {
+		fatal(fmt.Errorf("-trace-alone requires -groundtruth (it traces the alone-run replays)"))
+	}
+
+	o, err := observe.Start(obs, slog.New(slog.NewTextHandler(os.Stderr, nil)))
+	if err != nil {
+		fatal(err)
+	}
+	// The dashboard and pprof share one listener: -dash selects the
+	// address (and implies the HTTP server); plain -pprof keeps serving
+	// only the profiling routes.
+	if err := o.Listen(o.Dash.MountMetrics); err != nil {
+		fatal(err)
+	}
+	if *charact {
+		characterize(*quantum, *seed)
+		if o.Close() != nil {
+			os.Exit(1)
+		}
+		return
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -121,94 +114,15 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	var tel asmsim.TelemetryOptions
-	var telReg *asmsim.TelemetryRegistry
-	var recorder telemetry.Recorder
-	if *telDir != "" {
-		if err := os.MkdirAll(*telDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		var rec telemetry.Recorder
-		var err error
-		switch *telFormat {
-		case "jsonl":
-			rec, err = telemetry.OpenJSONLRecorder(filepath.Join(*telDir, "quanta.jsonl"))
-		case "csv":
-			rec, err = telemetry.OpenCSVRecorder(filepath.Join(*telDir, "quanta.csv"),
-				[]string{"ASM", "FST", "PTCA", "MISE"})
-		default:
-			err = fmt.Errorf("unknown telemetry format %q (want jsonl or csv)", *telFormat)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		recorder = rec
-		telReg = asmsim.NewTelemetryRegistry()
-		tel = asmsim.TelemetryOptions{Metrics: telReg, Recorder: rec}
-	}
-	if dashSrv != nil && telReg == nil {
-		// The dashboard's /metrics endpoint wants live counters even when
-		// nothing is written to disk.
-		telReg = asmsim.NewTelemetryRegistry()
-		tel.Metrics = telReg
-	}
-	var tracer *asmsim.Tracer
-	if *tracePath != "" {
-		var err error
-		tracer, err = asmsim.OpenTracer(*tracePath, asmsim.TracerConfig{SampleEvery: *traceSample})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
 	var aloneTracer *asmsim.Tracer
 	if *traceAlone != "" {
-		if !*groundTruth {
-			fmt.Fprintln(os.Stderr, "-trace-alone requires -groundtruth (it traces the alone-run replays)")
-			os.Exit(1)
-		}
-		var err error
-		aloneTracer, err = asmsim.OpenTracer(*traceAlone, asmsim.TracerConfig{SampleEvery: *traceSample})
+		aloneTracer, err = asmsim.OpenTracer(*traceAlone, asmsim.TracerConfig{SampleEvery: obs.TraceSample})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fatal(err)
 		}
+		o.Track("trace-alone", aloneTracer.Close)
 	}
-
-	var sloEng *asmsim.SLOEngine
-	if *sloPath != "" {
-		spec, err := asmsim.LoadSLOSpec(*sloPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if telReg == nil {
-			telReg = asmsim.NewTelemetryRegistry()
-			tel.Metrics = telReg
-		}
-		// The flight recorder rides the quantum stream so a firing alert
-		// dumps the recent records that led up to it.
-		flight := telemetry.NewFlightRecorder(256)
-		dumpDir := *sloFlight
-		if dumpDir == "" {
-			dumpDir = *telDir
-		}
-		if dumpDir == "" {
-			dumpDir = "."
-		}
-		flight.SetDumpDir(dumpDir)
-		sloEng = asmsim.NewSLOEngine(spec, asmsim.SLOSinks{
-			Metrics:      telReg,
-			Log:          slog.New(slog.NewTextHandler(os.Stderr, nil)),
-			Flight:       flight,
-			Trace:        tracer,
-			OnTransition: dashSrv.PublishAlert,
-		})
-		dashSrv.SetAlertSource(sloEng)
-		tel.Recorder = telemetry.Fanout(tel.Recorder, flight)
-	}
+	tel, _ := o.Run("") // a single-run Run opens nothing, so it cannot fail
 
 	res, err := asmsim.RunContext(ctx, cfg, names, asmsim.RunOptions{
 		WarmupQuanta: *warmup,
@@ -216,39 +130,15 @@ func main() {
 		GroundTruth:  *groundTruth,
 		Estimators:   []asmsim.Estimator{asmsim.NewASM(), asmsim.NewFST(), asmsim.NewPTCA(), asmsim.NewMISE()},
 		Telemetry:    tel,
-		Trace:        tracer,
 		AloneTrace:   aloneTracer,
-		Dash:         dashSrv,
-		SLO:          sloEng,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fatal(err)
 	}
 	// Flush the observability outputs before reporting: a recorder or
 	// tracer that cannot write its data is a failed run (non-zero exit),
 	// not a footnote on stderr.
-	exitCode := 0
-	if recorder != nil {
-		if err := recorder.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "telemetry: %v\n", err)
-			exitCode = 1
-		}
-	}
-	if telReg != nil {
-		if err := writeMetricsSnapshot(filepath.Join(*telDir, "metrics.jsonl"), telReg); err != nil {
-			fmt.Fprintf(os.Stderr, "telemetry: %v\n", err)
-			exitCode = 1
-		}
-	}
-	if err := tracer.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-		exitCode = 1
-	}
-	if err := aloneTracer.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "trace-alone: %v\n", err)
-		exitCode = 1
-	}
+	obsErr := o.Close()
 
 	fmt.Printf("%-12s %8s %8s %8s %8s %8s", "app", "IPC", "ASM", "FST", "PTCA", "MISE")
 	if res.ActualSlowdown != nil {
@@ -265,29 +155,18 @@ func main() {
 		fmt.Println()
 	}
 	fmt.Printf("\nmax slowdown %.2f, harmonic speedup %.3f\n", res.MaxSlowdown, res.HarmonicSpeedup)
-	if sloEng != nil {
+	if o.SLO != nil {
 		fmt.Println()
-		for _, a := range sloEng.Alerts() {
-			fmt.Printf("slo %-20s %-9s %-8s bad=%d/%d burn=%.2f budget=%.0f%%\n",
-				a.Name, a.Signal, a.State, a.Bad, a.Ticks, a.BurnRate, 100*a.BudgetRemaining)
-		}
+		o.ReportAlerts(os.Stdout)
 	}
-	if exitCode != 0 {
-		os.Exit(exitCode)
+	if obsErr != nil {
+		os.Exit(1)
 	}
 }
 
-// writeMetricsSnapshot dumps the registry's final state as JSONL.
-func writeMetricsSnapshot(path string, reg *telemetry.Registry) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := reg.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(1)
 }
 
 // characterize runs every named benchmark alone on the default system and

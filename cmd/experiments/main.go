@@ -34,14 +34,13 @@ import (
 	"syscall"
 	"time"
 
-	"asmsim/internal/dash"
-	"asmsim/internal/evtrace"
 	"asmsim/internal/exp"
-	"asmsim/internal/slo"
+	"asmsim/internal/observe"
 	"asmsim/internal/telemetry"
 )
 
 func main() {
+	obs := observe.Flags{TraceSample: 256, PerRun: true}
 	var (
 		list        = flag.Bool("list", false, "list available experiments")
 		run         = flag.String("run", "", "experiment id to run, or 'all'")
@@ -55,15 +54,17 @@ func main() {
 		runTimeout  = flag.Duration("run-timeout", 0, "per-workload-run deadline; a run exceeding it fails like any other item (0 = none)")
 		sharedAlone = flag.Bool("shared-alone", true, "share alone-run ground-truth curves across a sweep's workloads (disable to re-simulate each alone run)")
 		progress    = flag.Bool("progress", true, "report live sweep progress (done/total, ETA, losses) on stderr")
-		telDir      = flag.String("telemetry", "", "write quantum telemetry (<id>.quanta.jsonl per experiment + metrics.jsonl) to this directory")
-		traceDir    = flag.String("trace", "", "write a Perfetto-loadable chrome-trace JSON per experiment (<id>.trace.json) to this directory")
-		traceSample = flag.Int("trace-sample", 256, "record every Nth demand-miss span in traces (1 = all; attribution is always exact)")
-		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile  = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-		dashAddr    = flag.String("dash", "", "serve the live dashboard (and pprof) on this address; visit /debug/asm/ while the sweep runs")
-		sloPath     = flag.String("slo", "", "evaluate SLOs from this JSON spec file over every sweep's quantum records (see EXPERIMENTS.md); the final alert states print to stderr and non-inactive alerts fail the invocation")
 	)
+	obs.Register(flag.CommandLine, map[string]string{
+		"telemetry":    "write quantum telemetry (<id>.quanta.jsonl per experiment + metrics.jsonl) to this directory",
+		"trace":        "write a Perfetto-loadable chrome-trace JSON per experiment (<id>.trace.json) to this directory",
+		"trace-sample": "record every Nth demand-miss span in traces (1 = all; attribution is always exact)",
+		"cpuprofile":   "write a CPU profile to this file",
+		"memprofile":   "write a heap profile to this file on exit",
+		"pprof":        "serve net/http/pprof on this address (e.g. localhost:6060)",
+		"dash":         "serve the live dashboard (and pprof) on this address; visit /debug/asm/ while the sweep runs",
+		"slo":          "evaluate SLOs from this JSON spec file over every sweep's quantum records (see EXPERIMENTS.md); the final alert states print to stderr and non-inactive alerts fail the invocation",
+	})
 	flag.Parse()
 
 	if *list || *run == "" {
@@ -76,28 +77,6 @@ func main() {
 			fmt.Printf("  %-12s %-12s %s\n", e.ID, ref, e.Title)
 		}
 		return
-	}
-
-	// The dashboard and pprof share one listener: -dash selects the
-	// address; plain -pprof serves only the profiling routes.
-	var dashSrv *dash.Server
-	httpAddr := *pprofAddr
-	if *dashAddr != "" {
-		dashSrv = dash.NewServer()
-		httpAddr = *dashAddr
-	}
-	prof, err := telemetry.StartProfiler(*cpuprofile, *memprofile, httpAddr, dashSrv.Mount, dashSrv.MountMetrics)
-	if err != nil {
-		fatal(err)
-	}
-	defer prof.Stop()
-	// LIFO: the broadcaster closes first so Stop can drain SSE handlers.
-	defer dashSrv.Close()
-	if prof.PprofAddr() != "" {
-		fmt.Fprintf(os.Stderr, "pprof server listening on http://%s/debug/pprof/\n", prof.PprofAddr())
-		if dashSrv != nil {
-			fmt.Fprintf(os.Stderr, "dashboard listening on http://%s/debug/asm/\n", prof.PprofAddr())
-		}
 	}
 
 	sc := exp.Quick()
@@ -139,48 +118,18 @@ func main() {
 		exps = []exp.Experiment{e}
 	}
 
-	var reg *telemetry.Registry
-	if *telDir != "" {
-		if err := os.MkdirAll(*telDir, 0o755); err != nil {
-			fatal(err)
-		}
-		reg = telemetry.NewRegistry()
+	o, err := observe.Start(obs, slog.New(slog.NewTextHandler(os.Stderr, nil)))
+	if err != nil {
+		fatal(err)
 	}
-	if dashSrv != nil {
-		// The dashboard's /metrics endpoint wants live counters even when
-		// no telemetry directory is written.
-		if reg == nil {
-			reg = telemetry.NewRegistry()
-		}
-		dashSrv.SetRegistry(reg)
-	}
-	if *traceDir != "" {
-		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
-			fatal(err)
-		}
-	}
-	var sloEng *slo.Engine
-	if *sloPath != "" {
-		spec, err := slo.Load(*sloPath)
-		if err != nil {
-			fatal(err)
-		}
-		if reg == nil {
-			reg = telemetry.NewRegistry()
-		}
-		sloEng = slo.New(spec, slo.Sinks{
-			Metrics:      reg,
-			Log:          slog.New(slog.NewTextHandler(os.Stderr, nil)),
-			OnTransition: dashSrv.PublishAlert,
-		})
-		dashSrv.SetAlertSource(sloEng)
+	// The dashboard and pprof share one listener: -dash selects the
+	// address; plain -pprof serves only the profiling routes.
+	if err := o.Listen(o.Dash.MountMetrics); err != nil {
+		fatal(err)
 	}
 
 	var tables []*exp.Table
 	partial := 0
-	// Observability sinks that fail to flush make the invocation fail:
-	// silently dropped telemetry or trace data must not exit zero.
-	obsFailed := false
 	for _, e := range exps {
 		scRun := sc
 		// Curves are shared within one experiment; dropping them between
@@ -188,25 +137,8 @@ func main() {
 		if scRun.AloneCache != nil {
 			scRun.AloneCache.Reset()
 		}
-		var rec telemetry.Recorder
-		if *telDir != "" {
-			rec, err = telemetry.OpenJSONLRecorder(filepath.Join(*telDir, e.ID+".quanta.jsonl"))
-			if err != nil {
-				fatal(err)
-			}
-			scRun.Telemetry.Recorder = rec
-		}
-		scRun.Telemetry.Metrics = reg
-		scRun.Dash = dashSrv
-		scRun.SLO = sloEng
-		var tracer *evtrace.Tracer
-		if *traceDir != "" {
-			tracer, err = evtrace.Open(filepath.Join(*traceDir, e.ID+".trace.json"),
-				evtrace.Config{SampleEvery: *traceSample})
-			if err != nil {
-				fatal(err)
-			}
-			scRun.Trace = tracer
+		if scRun.Telemetry, err = o.Run(e.ID); err != nil {
+			fatal(err)
 		}
 		var prg *telemetry.Progress
 		if *progress {
@@ -215,20 +147,11 @@ func main() {
 		}
 		// Each experiment's progress replaces the previous one on the
 		// dashboard (the /progress endpoint tracks the live sweep).
-		dashSrv.SetProgress(prg)
+		o.Dash.SetProgress(prg)
 		start := time.Now()
 		table, err := e.Run(ctx, scRun)
 		prg.Finish()
-		if rec != nil {
-			if cerr := rec.Close(); cerr != nil {
-				fmt.Fprintf(os.Stderr, "telemetry: %s: %v\n", e.ID, cerr)
-				obsFailed = true
-			}
-		}
-		if cerr := tracer.Close(); cerr != nil {
-			fmt.Fprintf(os.Stderr, "trace: %s: %v\n", e.ID, cerr)
-			obsFailed = true
-		}
+		o.EndRun()
 		if err != nil {
 			// Emit what completed before dying so a long sweep's output
 			// is not lost to one broken experiment.
@@ -253,27 +176,15 @@ func main() {
 	if err := emit(os.Stdout, tables, *format); err != nil {
 		fatal(err)
 	}
-	if reg != nil {
-		if err := writeMetricsSnapshot(filepath.Join(*telDir, "metrics.jsonl"), reg); err != nil {
-			fmt.Fprintf(os.Stderr, "telemetry: %v\n", err)
-			obsFailed = true
-		}
-	}
-	sloFailed := false
-	if sloEng != nil {
-		for _, a := range sloEng.Alerts() {
-			fmt.Fprintf(os.Stderr, "slo %-20s %-9s %-8s bad=%d/%d burn=%.2f budget=%.0f%%\n",
-				a.Name, a.Signal, a.State, a.Bad, a.Ticks, a.BurnRate, 100*a.BudgetRemaining)
-			if a.State != slo.Inactive {
-				sloFailed = true
-			}
-		}
-	}
+	// Observability sinks that fail to flush make the invocation fail:
+	// silently dropped telemetry or trace data must not exit zero.
+	obsErr := o.Close()
+	sloFailed := o.ReportAlerts(os.Stderr)
 	if partial > 0 {
 		fmt.Fprintf(os.Stderr, "%d of %d experiment(s) completed only partially\n", partial, len(exps))
 		os.Exit(1)
 	}
-	if obsFailed || sloFailed {
+	if obsErr != nil || sloFailed {
 		os.Exit(1)
 	}
 }
@@ -344,19 +255,6 @@ func writeTable(dir string, t *exp.Table, format string) error {
 		return err
 	}
 	return os.WriteFile(filepath.Join(dir, t.ID+"."+ext), []byte(out+"\n"), 0o644)
-}
-
-// writeMetricsSnapshot dumps the registry's final state as JSONL.
-func writeMetricsSnapshot(path string, reg *telemetry.Registry) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := reg.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func fatal(err error) {

@@ -13,13 +13,16 @@ import (
 	"log"
 
 	"asmsim"
-	"asmsim/internal/telemetry"
+	"asmsim/internal/observe"
 )
 
 func main() {
-	dashAddr := flag.String("dash", "", "serve the live dashboard on this address; cluster event/health gauges appear under cluster.* in /debug/asm/metrics")
+	obs := observe.Flags{TraceSample: 16}
 	traceDir := flag.String("trace-dir", "", "capture per-node Perfetto traces into this directory (node<k>.trace.json + migrations.jsonl); merge with: tracesum merge <dir>/node*.trace.json")
-	traceSample := flag.Int("trace-sample", 16, "with -trace-dir, record every Nth miss span (attribution matrices stay exact)")
+	obs.Register(flag.CommandLine, map[string]string{
+		"dash":         "serve the live dashboard on this address; cluster event/health gauges appear under cluster.* in /debug/asm/metrics",
+		"trace-sample": "with -trace-dir, record every Nth miss span (attribution matrices stay exact)",
+	})
 	flag.Parse()
 
 	sys := asmsim.DefaultConfig()
@@ -44,7 +47,7 @@ func main() {
 	// migration instants; tracesum merge folds them into one
 	// cluster-wide Perfetto view.
 	if *traceDir != "" {
-		if err := cl.EnableTracing(*traceDir, asmsim.TracerConfig{SampleEvery: *traceSample}); err != nil {
+		if err := cl.EnableTracing(*traceDir, asmsim.TracerConfig{SampleEvery: obs.TraceSample}); err != nil {
 			log.Fatal(err)
 		}
 		defer func() {
@@ -60,19 +63,16 @@ func main() {
 
 	// With -dash, the balancer's audit-log counters and health gauges
 	// stream live on /debug/asm/metrics while the rounds run.
-	if *dashAddr != "" {
-		dashSrv := asmsim.NewDashServer()
-		reg := asmsim.NewTelemetryRegistry()
-		cl.SetTelemetry(reg)
-		dashSrv.SetRegistry(reg)
-		prof, err := telemetry.StartProfiler("", "", *dashAddr, dashSrv.Mount, dashSrv.MountMetrics)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer prof.Stop()
-		defer dashSrv.Close()
-		fmt.Printf("dashboard listening on http://%s/debug/asm/\n", prof.PprofAddr())
+	o, err := observe.Start(obs, nil)
+	if err != nil {
+		log.Fatal(err)
 	}
+	if err := o.Listen(o.Dash.MountMetrics); err != nil {
+		log.Fatal(err)
+	}
+	defer o.Close()
+	tel, _ := o.Run("") // a single-run Run opens nothing, so it cannot fail
+	cl.SetTelemetry(tel)
 
 	show := func(tag string) {
 		fmt.Printf("%s: worst slowdown %.2fx\n", tag, cl.WorstSlowdown())

@@ -52,7 +52,7 @@ func fleetRound(t *testing.T, cl *asmsim.Cluster) {
 }
 
 // TestFleetAggregationDoesNotPerturbResults is the fleet layer's core
-// guarantee, the cluster analogue of TestDashboardDoesNotPerturbResults:
+// guarantee, the cluster analogue of TestObserversDoNotPerturbResults:
 // a cluster run with the whole observability stack attached — per-node
 // trace capture, telemetry registry, the dashboard's HTTP endpoints
 // live, and a FleetPoller scraping /metrics, /debug/asm/hist and
@@ -73,7 +73,7 @@ func TestFleetAggregationDoesNotPerturbResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := asmsim.NewTelemetryRegistry()
-	observed.SetTelemetry(reg)
+	observed.SetTelemetry(asmsim.TelemetryOptions{Metrics: reg})
 
 	srv := asmsim.NewDashServer()
 	defer srv.Close()

@@ -36,7 +36,6 @@ import (
 	"asmsim/internal/faults"
 	"asmsim/internal/metrics"
 	"asmsim/internal/sim"
-	"asmsim/internal/slo"
 	"asmsim/internal/telemetry"
 	"asmsim/internal/workload"
 )
@@ -198,7 +197,7 @@ type Cluster struct {
 	Events []Event
 	round  int
 	tel    *telemetry.Registry
-	slo    *slo.Engine
+	rec    telemetry.Recorder
 
 	// traces holds per-node tracers while tracing is enabled (see
 	// trace.go); traceDir is where CloseTracing writes the migration
@@ -308,7 +307,7 @@ func (c *Cluster) EvaluateRound() error {
 			m.Health = Healthy
 			m.StaleRounds = 0
 			m.LastErr = nil
-			c.feedSLO(i)
+			c.record(i)
 			continue
 		}
 		m.LastErr = err
@@ -340,35 +339,22 @@ func (c *Cluster) EvaluateRound() error {
 	return nil
 }
 
-// AttachSLO installs an SLO alert engine over the cluster's evaluation
-// rounds: every successful machine evaluation feeds the engine one
-// synthesized quantum record per job (Mix "machine<i>", Quantum = the
-// round index, Actual = the job's fresh ASM estimate), so cluster-wide
-// QoS bounds tick on the round clock. The engine is observational —
-// balancer decisions are identical with or without it. Nil detaches.
-func (c *Cluster) AttachSLO(e *slo.Engine) {
-	c.slo = e
-	if e != nil {
-		// A round is RoundQuanta quanta of System.Quantum cycles each;
-		// alert instants stamp that round-sized tick.
-		e.SetQuantumCycles(c.cfg.System.Quantum * uint64(c.cfg.RoundQuanta))
-	}
-}
-
-// feedSLO synthesizes one quantum record per job on machine i from its
-// freshly refreshed estimates and hands them to the attached engine.
-func (c *Cluster) feedSLO(i int) {
-	if c.slo == nil {
+// record synthesizes one quantum record per job on machine i from its
+// freshly refreshed estimates and hands them to the attached recorder.
+func (c *Cluster) record(i int) {
+	if c.rec == nil {
 		return
 	}
 	m := &c.machines[i]
+	roundCycles := c.cfg.System.Quantum * uint64(c.cfg.RoundQuanta)
 	for a, sd := range m.Slowdowns {
-		c.slo.Record(&telemetry.QuantumRecord{
-			Mix:     fmt.Sprintf("machine%d", i),
-			App:     a,
-			Bench:   m.Jobs[a],
-			Quantum: c.round,
-			Actual:  sd,
+		c.rec.Record(&telemetry.QuantumRecord{
+			Mix:      fmt.Sprintf("machine%d", i),
+			App:      a,
+			Bench:    m.Jobs[a],
+			Quantum:  c.round,
+			Actual:   sd,
+			EndCycle: uint64(c.round+1) * roundCycles,
 		})
 	}
 }

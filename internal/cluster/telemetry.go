@@ -7,13 +7,20 @@ import (
 	"asmsim/internal/telemetry"
 )
 
-// SetTelemetry attaches a metrics registry. Every audit-log entry bumps a
-// counter named events.<kind> under the "cluster" scope, each completed
-// round increments rounds, and the serving/unplaced gauges track the
-// cluster's health at the end of the latest round. A nil registry (the
-// default) disables all of it.
-func (c *Cluster) SetTelemetry(r *telemetry.Registry) {
-	c.tel = r.Scope("cluster")
+// SetTelemetry attaches the cluster's observers. With o.Metrics, every
+// audit-log entry bumps a counter named events.<kind> under the
+// "cluster" scope, each completed round increments rounds, and the
+// serving/unplaced gauges track the cluster's health at the end of the
+// latest round. o.Recorder (an SLO engine, say) receives one synthesized
+// record per job after every successful machine evaluation (Mix
+// "machine<i>", Quantum = the round index, Actual = the job's fresh ASM
+// estimate, EndCycle = the round's end on a clock of RoundQuanta quanta
+// per round), so cluster-wide QoS bounds tick on the round clock.
+// Balancer decisions are identical with or without observers; the zero
+// value (the default) disables all of it.
+func (c *Cluster) SetTelemetry(o telemetry.Options) {
+	c.tel = o.Metrics.Scope("cluster")
+	c.rec = o.Recorder
 }
 
 // WriteEventsJSONL streams the robustness audit log (c.Events) as one

@@ -27,7 +27,7 @@ func TestTelemetryCountsEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	c.SetTelemetry(reg)
+	c.SetTelemetry(telemetry.Options{Metrics: reg})
 	for r := 0; r < 4; r++ {
 		if err := c.EvaluateRound(); err != nil {
 			break // total loss is fine; counters must still agree

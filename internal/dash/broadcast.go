@@ -5,18 +5,19 @@
 // attribution matrix, sweep progress, and a single embedded HTML page
 // that renders all of it with no external assets.
 //
-// The package imports only telemetry and evtrace, never the simulator:
-// the run layers (asmsim, exp) push data in through telemetry.Recorder
-// fan-out and evtrace's per-quantum subscriber hook, so the dashboard can
-// observe any run without the simulator knowing it exists. Everything is
-// nil-safe — a nil *Server wraps recorders and tracers into themselves —
-// and the broadcaster never blocks a producer: a slow or absent SSE
-// client costs the simulation nothing beyond one JSON marshal per record
-// while at least one client is connected, and nothing at all otherwise.
+// The package never imports the simulator: a run reaches the dashboard
+// through its telemetry.Options — the Server is one of the run's
+// Recorders and its ObserveAttribution the run's Attribution — so the
+// dashboard can observe any run without the simulator knowing it exists.
+// Everything is nil-safe, and the broadcaster never blocks a producer: a
+// slow or absent SSE client costs the simulation nothing beyond one JSON
+// marshal per record while at least one client is connected, and nothing
+// at all otherwise.
 package dash
 
 import (
 	"encoding/json"
+	"net/http"
 	"sync"
 	"sync/atomic"
 
@@ -170,6 +171,41 @@ func (b *Broadcaster) Subscribe() (<-chan []byte, func()) {
 				close(sub.ch)
 			}
 		})
+	}
+}
+
+// ServeHTTP streams the broadcast to one client as Server-Sent Events
+// (the dashboard's /debug/asm/quanta, the job service's /api/events).
+// Frames arrive as complete buffers, so the client sees whole frames or
+// nothing; the stream ends when the client disconnects or the
+// broadcaster closes.
+func (b *Broadcaster) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	flusher, ok := w.(http.Flusher)
+	if !ok {
+		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
+		return
+	}
+	ch, cancel := b.Subscribe()
+	defer cancel()
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-store")
+	w.Header().Set("X-Accel-Buffering", "no")
+	// Tell the client we are live before the first frame lands.
+	w.Write([]byte("retry: 1000\n: stream open\n\n"))
+	flusher.Flush()
+	for {
+		select {
+		case frame, open := <-ch:
+			if !open {
+				return
+			}
+			if _, err := w.Write(frame); err != nil {
+				return
+			}
+			flusher.Flush()
+		case <-r.Context().Done():
+			return
+		}
 	}
 }
 

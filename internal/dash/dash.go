@@ -21,12 +21,12 @@ var indexHTML []byte
 // server memory.
 const maxDeltaTokens = 64
 
-// Server is the dashboard's state hub: the run layers hand it the
-// metrics registry, sweep progress, the quantum-record stream
-// (WrapRecorder) and the attribution stream (AttachTracer); Mount
-// registers its HTTP handlers on the profiler's mux. Every method is
-// safe on a nil *Server — WrapRecorder and AttachTracer then return
-// their argument unchanged — so call sites need no enabled-checks.
+// Server is the dashboard's state hub. It is a telemetry.Recorder —
+// composed once into a run's Options.Recorder, it streams the records to
+// SSE clients — and ObserveAttribution is the run's
+// Options.Attribution; the registry, progress and alert source are
+// installed once at start-up. Mount registers its HTTP handlers on the
+// profiler's mux. Every method is safe on a nil *Server.
 type Server struct {
 	bc *Broadcaster
 
@@ -52,8 +52,8 @@ func NewServer() *Server {
 	}
 }
 
-// SetRegistry points /debug/asm/metrics at r (replace semantics: a sweep
-// binary sets it once; per-experiment registries can be swapped in).
+// SetRegistry points /debug/asm/metrics (and /metrics) at r; a binary
+// installs its registry once at start-up.
 func (s *Server) SetRegistry(r *telemetry.Registry) {
 	if s == nil {
 		return
@@ -77,8 +77,8 @@ func (s *Server) SetProgress(p *telemetry.Progress) {
 }
 
 // ObserveAttribution retains q as the latest interference snapshot
-// served by /debug/asm/attribution. It is the evtrace per-quantum
-// subscriber (AttachTracer wires it) and is safe from any goroutine.
+// served by /debug/asm/attribution. It is a run's
+// telemetry.Options.Attribution and is safe from any goroutine.
 func (s *Server) ObserveAttribution(q evtrace.QuantumAttribution) {
 	if s == nil {
 		return
@@ -89,31 +89,14 @@ func (s *Server) ObserveAttribution(q evtrace.QuantumAttribution) {
 	s.mu.Unlock()
 }
 
-// WrapRecorder splices the dashboard's broadcaster into a run's recorder
-// chain: records flow to both rec and any connected SSE clients. On a
-// nil Server rec is returned unchanged, so the wire-up costs nothing
-// when the dashboard is off.
-func (s *Server) WrapRecorder(rec telemetry.Recorder) telemetry.Recorder {
+// Record implements telemetry.Recorder: the record goes to every
+// connected SSE client as one `event: quantum` frame. Free when nobody is
+// listening.
+func (s *Server) Record(rec *telemetry.QuantumRecord) {
 	if s == nil {
-		return rec
+		return
 	}
-	return telemetry.Fanout(rec, s.bc)
-}
-
-// AttachTracer subscribes the dashboard to a run's per-quantum
-// attribution stream. A nil Server returns t unchanged. A non-nil t
-// (the run is already writing a trace file) gains the dashboard as its
-// live subscriber; a nil t is replaced with a matrix-only sink tracer so
-// attribution flows even when no -trace file was requested.
-func (s *Server) AttachTracer(t *evtrace.Tracer) *evtrace.Tracer {
-	if s == nil {
-		return t
-	}
-	if t == nil {
-		t = evtrace.NewSink()
-	}
-	t.SetOnQuantum(s.ObserveAttribution)
-	return t
+	s.bc.Record(rec)
 }
 
 // Mount registers every dashboard route on mux. The signature matches
@@ -125,7 +108,7 @@ func (s *Server) Mount(mux *http.ServeMux) {
 	}
 	mux.HandleFunc("/debug/asm/", s.handleIndex)
 	mux.HandleFunc("/debug/asm/metrics", s.handleMetrics)
-	mux.HandleFunc("/debug/asm/quanta", s.handleQuanta)
+	mux.Handle("/debug/asm/quanta", s.bc)
 	mux.HandleFunc("/debug/asm/attribution", s.handleAttribution)
 	mux.HandleFunc("/debug/asm/progress", s.handleProgress)
 	mux.HandleFunc("/debug/asm/hist", s.handleHist)
@@ -154,9 +137,10 @@ func (s *Server) MountMetrics(mux *http.ServeMux) {
 	})
 }
 
-// Close shuts the SSE fan-out down so connected clients' handlers exit;
-// call it before stopping the profiler's HTTP server so shutdown can
-// drain them. Nil-safe and idempotent.
+// Close implements telemetry.Recorder: it shuts the SSE fan-out down so
+// connected clients' handlers exit; call it before stopping the
+// profiler's HTTP server so shutdown can drain them. Nil-safe and
+// idempotent.
 func (s *Server) Close() error {
 	if s == nil {
 		return nil
@@ -288,40 +272,6 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, resp)
-}
-
-// handleQuanta streams QuantumRecords as Server-Sent Events: one
-// `event: quantum` frame per (app, quantum), drop-oldest under
-// backpressure. The stream ends when the client disconnects or the
-// dashboard closes.
-func (s *Server) handleQuanta(w http.ResponseWriter, r *http.Request) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-store")
-	w.Header().Set("X-Accel-Buffering", "no")
-	ch, cancel := s.bc.Subscribe()
-	defer cancel()
-	// Tell the client we are live before the first quantum lands.
-	w.Write([]byte("retry: 1000\n: stream open\n\n"))
-	flusher.Flush()
-	for {
-		select {
-		case frame, open := <-ch:
-			if !open {
-				return
-			}
-			if _, err := w.Write(frame); err != nil {
-				return
-			}
-			flusher.Flush()
-		case <-r.Context().Done():
-			return
-		}
-	}
 }
 
 // writeJSON renders v with a stable content type; encoding errors are

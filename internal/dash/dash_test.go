@@ -52,40 +52,7 @@ func TestNilServerPassthrough(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("nil Close: %v", err)
 	}
-	r := telemetry.NewJSONLRecorder(io.Discard)
-	if got := s.WrapRecorder(r); got != telemetry.Recorder(r) {
-		t.Fatal("nil Server WrapRecorder must return its argument")
-	}
-	if got := s.WrapRecorder(nil); got != nil {
-		t.Fatal("nil Server WrapRecorder(nil) must stay nil")
-	}
-	tr := evtrace.NewSink()
-	if got := s.AttachTracer(tr); got != tr {
-		t.Fatal("nil Server AttachTracer must return its argument")
-	}
-	if got := s.AttachTracer(nil); got != nil {
-		t.Fatal("nil Server AttachTracer(nil) must stay nil")
-	}
-}
-
-func TestAttachTracerCreatesSink(t *testing.T) {
-	s := NewServer()
-	defer s.Close()
-	tr := s.AttachTracer(nil)
-	if tr == nil {
-		t.Fatal("AttachTracer(nil) on a live Server must create a sink tracer")
-	}
-	tr.Quantum(evtrace.QuantumAttribution{Quantum: 3, Apps: []string{"a"}})
-	var resp attributionResponse
-	s2 := s // same server observed the snapshot via the sink's subscriber
-	rr := httptest.NewRecorder()
-	s2.handleAttribution(rr, httptest.NewRequest("GET", "/debug/asm/attribution", nil))
-	if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if !resp.Present || resp.Seen != 1 || resp.Attribution.Quantum != 3 {
-		t.Fatalf("attribution after sink quantum = %+v", resp)
-	}
+	s.Record(&telemetry.QuantumRecord{})
 }
 
 // TestMetricsGolden pins the /debug/asm/metrics response shape: full
@@ -323,7 +290,8 @@ func TestIndexPage(t *testing.T) {
 	}
 }
 
-// TestQuantaSSE drives the full path: WrapRecorder fan-out, SSE framing
+// TestQuantaSSE drives the full path: the Server as one member of a
+// recorder fan-out, SSE framing
 // over a real HTTP connection, clean termination on Server.Close.
 func TestQuantaSSE(t *testing.T) {
 	s, ts := newTestServer(t)
@@ -346,8 +314,8 @@ func TestQuantaSSE(t *testing.T) {
 			break
 		}
 	}
-	// Wait for the subscription to register, then record through the
-	// wrapped chain.
+	// Wait for the subscription to register, then record through a
+	// fan-out holding the dashboard.
 	deadline := time.Now().Add(2 * time.Second)
 	for s.bc.Stats().Subscribers == 0 {
 		if time.Now().After(deadline) {
@@ -356,7 +324,7 @@ func TestQuantaSSE(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	sink := telemetry.NewJSONLRecorder(io.Discard)
-	chain := s.WrapRecorder(sink)
+	chain := telemetry.Fanout(sink, s)
 	chain.Record(&telemetry.QuantumRecord{
 		Mix: "mcf+lbm", App: 1, Bench: "lbm", Quantum: 4,
 		Actual: 2.25, Estimates: map[string]float64{"ASM": 2.1},

@@ -91,10 +91,7 @@ func RunAccuracy(ctx context.Context, cfg sim.Config, mix workload.Mix, newEst E
 	if err != nil {
 		return nil, err
 	}
-	sys.SetTelemetry(sc.Telemetry.Metrics)
-	if tr := sc.Dash.AttachTracer(sc.Trace); tr != nil {
-		sys.SetTracer(tr)
-	}
+	sys.Observe(sc.Telemetry)
 	sc.AloneCache.SetTelemetry(sc.Telemetry.Metrics.Scope("sim"))
 	tracker, err := sim.NewSlowdownTrackerShared(cfg, specs, sc.AloneCache)
 	if err != nil {
@@ -102,7 +99,8 @@ func RunAccuracy(ctx context.Context, cfg sim.Config, mix workload.Mix, newEst E
 	}
 	tracker.Follow(sys)
 	ests := newEst()
-	rec := sc.wrapSLO(sc.Dash.WrapRecorder(sc.Telemetry.Recorder))
+	labels := telemetry.QuantumRecord{TraceID: sc.Telemetry.TraceID, Mix: mix.String()}
+	benches := sys.Names()
 	// The estimates map and samples slice are reused/pre-sized across
 	// quanta: only the small per-sample Est maps are allocated per
 	// quantum (they escape into the returned samples).
@@ -119,26 +117,9 @@ func RunAccuracy(ctx context.Context, cfg sim.Config, mix workload.Mix, newEst E
 		for _, e := range ests {
 			estimates[e.Name()] = e.Estimate(stEst)
 		}
-		if rec != nil {
-			// The recorder sees every quantum, warmup included: the
-			// per-quantum trajectory is exactly what it exists to expose.
-			for a := range specs {
-				est := make(map[string]float64, len(ests))
-				for name, v := range estimates {
-					est[name] = v[a]
-				}
-				rec.Record(&telemetry.QuantumRecord{
-					TraceID:   sc.Telemetry.TraceID,
-					Mix:       mix.String(),
-					App:       a,
-					Bench:     specs[a].Name,
-					Quantum:   st.Quantum,
-					Actual:    actual[a],
-					Estimates: est,
-					Counters:  st.Apps[a].TelemetryCounters(),
-				})
-			}
-		}
+		// The recorder sees every quantum, warmup included: the
+		// per-quantum trajectory is exactly what it exists to expose.
+		sim.EmitRecords(sc.Telemetry.Recorder, labels, benches, st, actual, estimates)
 		if st.Quantum < sc.WarmupQuanta {
 			return
 		}
@@ -244,10 +225,7 @@ func RunPolicy(ctx context.Context, cfg sim.Config, mix workload.Mix, scheme Sch
 	if err != nil {
 		return PolicyOutcome{}, err
 	}
-	sys.SetTelemetry(sc.Telemetry.Metrics)
-	if tr := sc.Dash.AttachTracer(sc.Trace); tr != nil {
-		sys.SetTracer(tr)
-	}
+	sys.Observe(sc.Telemetry)
 	if scheme.Attach != nil {
 		scheme.Attach(sys)
 	}
@@ -267,23 +245,11 @@ func RunPolicy(ctx context.Context, cfg sim.Config, mix workload.Mix, scheme Sch
 	n := len(specs)
 	invSum := make([]float64, n) // sum of 1/slowdown per quantum
 	count := 0
-	rec := sc.wrapSLO(sc.Dash.WrapRecorder(sc.Telemetry.Recorder))
+	labels := telemetry.QuantumRecord{TraceID: sc.Telemetry.TraceID, Mix: mix.String(), Scheme: scheme.Name}
+	benches := sys.Names()
 	sys.AddQuantumListener(func(_ *sim.System, st *sim.QuantumStats) {
 		actual := tracker.ActualSlowdowns(st)
-		if rec != nil {
-			for a := range specs {
-				rec.Record(&telemetry.QuantumRecord{
-					TraceID:  sc.Telemetry.TraceID,
-					Mix:      mix.String(),
-					Scheme:   scheme.Name,
-					App:      a,
-					Bench:    specs[a].Name,
-					Quantum:  st.Quantum,
-					Actual:   actual[a],
-					Counters: st.Apps[a].TelemetryCounters(),
-				})
-			}
-		}
+		sim.EmitRecords(sc.Telemetry.Recorder, labels, benches, st, actual, nil)
 		if st.Quantum < sc.WarmupQuanta {
 			return
 		}

@@ -3,11 +3,8 @@ package exp
 import (
 	"time"
 
-	"asmsim/internal/dash"
-	"asmsim/internal/evtrace"
 	"asmsim/internal/faults"
 	"asmsim/internal/sim"
-	"asmsim/internal/slo"
 	"asmsim/internal/telemetry"
 )
 
@@ -39,8 +36,9 @@ type Scale struct {
 	// record per (app, quantum) with counters, actual and estimated
 	// slowdowns; Metrics receives per-mix/per-scheme wall-time timers,
 	// worker-utilization gauges and simulator counters; Progress
-	// receives live item start/finish updates. The zero value disables
-	// all observation.
+	// receives live item start/finish updates; Trace and Attribution
+	// observe every shared run's interference (alone replicas are never
+	// traced). The zero value disables all observation.
 	Telemetry telemetry.Options
 	// AloneCache shares alone-run ground-truth curves across every run
 	// of the sweep (and across sweeps, when the same cache is passed to
@@ -49,22 +47,6 @@ type Scale struct {
 	// sharing and re-simulates per run, the pre-cache behavior. Quick()
 	// and Full() populate it.
 	AloneCache *sim.AloneCurveCache
-	// Trace, when non-nil, records sampled request spans and per-quantum
-	// interference attribution matrices for every shared run of the sweep
-	// (alone replicas are never traced). Sweep workers share the tracer;
-	// the caller owns it and must Close it. nil (the default) disables
-	// tracing at zero cost.
-	Trace *evtrace.Tracer
-	// Dash, when non-nil, streams the sweep live over HTTP: quantum
-	// records fan out to connected SSE clients and every run's
-	// attribution snapshots feed the dashboard (even with Trace nil).
-	// nil disables the dashboard at zero cost.
-	Dash *dash.Server
-	// SLO, when non-nil, evaluates declarative SLOs over the sweep's
-	// quantum records (QoS-bound compliance, estimator drift). The
-	// engine rides the recorder fan-out read-only and never perturbs
-	// results. nil disables SLO evaluation at zero cost.
-	SLO *slo.Engine
 }
 
 // Quick returns the scaled-down configuration used by `go test -bench`
@@ -108,17 +90,6 @@ func (sc Scale) BaseConfig() sim.Config {
 
 // TotalQuanta returns warmup + measured quanta.
 func (sc Scale) TotalQuanta() int { return sc.WarmupQuanta + sc.MeasuredQuanta }
-
-// wrapSLO fans the SLO engine into a run's recorder chain (nil-safe on
-// both sides) and pins the engine's sim-cycle clock to this scale's
-// quantum so alert transitions carry deterministic cycle stamps.
-func (sc Scale) wrapSLO(rec telemetry.Recorder) telemetry.Recorder {
-	if sc.SLO == nil {
-		return rec
-	}
-	sc.SLO.SetQuantumCycles(sc.Quantum)
-	return telemetry.Fanout(rec, sc.SLO)
-}
 
 // scaleQuantumForCores grows the quantum with the core count (capped at
 // 2x) so every app still receives a usable number of priority epochs per

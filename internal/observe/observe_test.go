@@ -1,0 +1,78 @@
+package observe
+
+import (
+	"errors"
+	"flag"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"asmsim/internal/telemetry"
+)
+
+func TestRegisterDeclaresOnlyNamedFlags(t *testing.T) {
+	f := Flags{TraceSample: 64}
+	fs := flag.NewFlagSet("x", flag.ContinueOnError)
+	f.Register(fs, map[string]string{"telemetry": "dir", "trace-sample": "every Nth"})
+	if got := fs.Lookup("trace-sample").DefValue; got != "64" {
+		t.Fatalf("trace-sample default %q, want the field's 64", got)
+	}
+	if fs.Lookup("dash") != nil {
+		t.Fatal("an undeclared observer flag was registered")
+	}
+	if err := fs.Parse([]string{"-telemetry", "d", "-trace-sample", "3"}); err != nil {
+		t.Fatal(err)
+	}
+	if f.Telemetry != "d" || f.TraceSample != 3 {
+		t.Fatalf("parsed flags %+v", f)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("an unknown flag name must panic")
+		}
+	}()
+	f.Register(flag.NewFlagSet("y", flag.ContinueOnError), map[string]string{"bogus": ""})
+}
+
+// TestPerRunFilesAndLIFOClose: each Run opens its own files, EndRun
+// flushes them, and Close flushes tracked sinks last-first and fails
+// when any sink did.
+func TestPerRunFilesAndLIFOClose(t *testing.T) {
+	dir := t.TempDir()
+	o, err := Start(Flags{
+		Telemetry: filepath.Join(dir, "tel"),
+		Trace:     filepath.Join(dir, "trace"),
+		PerRun:    true,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"a", "b"} {
+		opts, err := o.Run(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if opts.Recorder == nil || opts.Trace == nil || opts.Metrics != o.Registry {
+			t.Fatalf("run %s options %+v", id, opts)
+		}
+		opts.Recorder.Record(&telemetry.QuantumRecord{Bench: id})
+	}
+	var order []string
+	o.Track("first", func() error { order = append(order, "first"); return nil })
+	o.Track("second", func() error { order = append(order, "second"); return errors.New("disk full") })
+	if err := o.Close(); err == nil {
+		t.Fatal("Close must fail when a sink failed to flush")
+	}
+	if !reflect.DeepEqual(order, []string{"second", "first"}) {
+		t.Fatalf("flush order %v, want LIFO", order)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "tel/metrics.jsonl")); err != nil {
+		t.Error(err)
+	}
+	for _, p := range []string{"tel/a.quanta.jsonl", "tel/b.quanta.jsonl", "trace/a.trace.json", "trace/b.trace.json"} {
+		if fi, err := os.Stat(filepath.Join(dir, p)); err != nil || fi.Size() == 0 {
+			t.Errorf("%s missing or empty after Close: %v", p, err)
+		}
+	}
+}

@@ -34,7 +34,7 @@ import (
 func (s *Server) Mount(mux *http.ServeMux) {
 	mux.Handle("/api/jobs", s.withFaults("jobs", s.handleJobs))
 	mux.Handle("/api/jobs/", s.withFaults("job", s.handleJob))
-	mux.HandleFunc("/api/events", s.handleEvents)
+	mux.Handle("/api/events", s.bc)
 	mux.Handle("/api/debug/flightrecord", s.withFaults("flightrecord", s.handleFlightRecord))
 	mux.Handle("/healthz", s.withFaults("healthz", s.handleHealthz))
 	mux.Handle("/readyz", s.withFaults("readyz", s.handleReadyz))
@@ -155,38 +155,6 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, st)
 	default:
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("serve: %s %s not allowed", r.Method, r.URL.Path))
-	}
-}
-
-// handleEvents streams job lifecycle events and per-quantum records as
-// SSE. Frames arrive from the broadcaster as complete buffers, so a
-// client sees whole frames or nothing even across a server drain.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, errors.New("serve: streaming unsupported"))
-		return
-	}
-	ch, cancel := s.bc.Subscribe()
-	defer cancel()
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	fmt.Fprint(w, "retry: 1000\n: job stream open\n\n")
-	fl.Flush()
-	for {
-		select {
-		case frame, open := <-ch:
-			if !open {
-				return // server drained; stream ends on a frame boundary
-			}
-			if _, err := w.Write(frame); err != nil {
-				return
-			}
-			fl.Flush()
-		case <-r.Context().Done():
-			return
-		}
 	}
 }
 

@@ -15,10 +15,10 @@ import (
 	"time"
 
 	"asmsim/internal/dash"
+	"asmsim/internal/evtrace"
 	"asmsim/internal/exp"
 	"asmsim/internal/faults"
 	"asmsim/internal/rng"
-	"asmsim/internal/slo"
 	"asmsim/internal/telemetry"
 )
 
@@ -117,20 +117,18 @@ type Options struct {
 	// Metrics optionally receives service counters/gauges under the
 	// "serve" scope plus the usual sweep metrics from jobs.
 	Metrics *telemetry.Registry
-	// Dash optionally feeds a live dashboard from every job's run.
-	Dash *dash.Server
-	// SLO optionally evaluates every job's quantum stream against an
-	// SLO spec; the engine rides the per-job recorder fan-out, so
-	// evaluation is strictly observational (see the non-perturbation
-	// test at the repo root). Latency SLOs need their own loop over the
-	// Metrics registry — see slo.Engine.StartLatencyLoop.
-	SLO *slo.Engine
+	// Recorder and Attribution are composed into every job's
+	// telemetry.Options next to the service's own SSE broadcaster and
+	// flight ring: the live dashboard and the SLO engine ride here, so
+	// they observe every job without perturbing it (see the
+	// non-perturbation test at the repo root). Latency SLOs need their
+	// own loop over the Metrics registry — see
+	// slo.Engine.StartLatencyLoop.
+	Recorder    telemetry.Recorder
+	Attribution func(evtrace.QuantumAttribution)
 	// Log receives structured job lifecycle events; every record about a
 	// job carries its trace_id. Nil discards everything.
 	Log *slog.Logger
-	// FlightRingSize caps the flight recorder's event ring (default
-	// 512).
-	FlightRingSize int
 }
 
 func (o Options) withDefaults() Options {
@@ -239,7 +237,7 @@ func New(opts Options) (*Server, error) {
 		store:    store,
 		bc:       dash.NewBroadcaster(),
 		log:      opts.Log,
-		flight:   telemetry.NewFlightRecorder(opts.FlightRingSize),
+		flight:   telemetry.NewFlightRecorder(512),
 		stopPick: make(chan struct{}),
 		jobs:     map[string]*job{},
 		inflight: map[string]*job{},
@@ -589,9 +587,6 @@ func (s *Server) Wait(ctx context.Context, id string) (JobStatus, error) {
 	}
 }
 
-// Events exposes the lifecycle/quantum broadcaster for SSE handlers.
-func (s *Server) Events() *dash.Broadcaster { return s.bc }
-
 // Flight exposes the service's flight recorder so alert sinks (the SLO
 // engine dumps the ring when an alert fires) can share it.
 func (s *Server) Flight() *telemetry.FlightRecorder { return s.flight }
@@ -772,11 +767,12 @@ func (s *Server) attempt(ctx context.Context, j *job, attempt int) (t *exp.Table
 		return nil, fmt.Errorf("serve: job %s: %w", id, err)
 	}
 	return spec.Run(ctx, func(sc *exp.Scale) {
-		sc.Telemetry.Metrics = s.opts.Metrics
-		sc.Telemetry.Recorder = telemetry.Fanout(s.bc, s.flight)
-		sc.Telemetry.TraceID = tid
-		sc.Dash = s.opts.Dash
-		sc.SLO = s.opts.SLO
+		sc.Telemetry = telemetry.Options{
+			Recorder:    telemetry.Fanout(s.bc, s.flight, s.opts.Recorder),
+			Metrics:     s.opts.Metrics,
+			TraceID:     tid,
+			Attribution: s.opts.Attribution,
+		}
 	})
 }
 

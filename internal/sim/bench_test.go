@@ -2,10 +2,15 @@ package sim
 
 import (
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"asmsim/internal/dash"
 	"asmsim/internal/evtrace"
+	"asmsim/internal/slo"
+	"asmsim/internal/telemetry"
 	"asmsim/internal/workload"
 )
 
@@ -162,30 +167,81 @@ func BenchmarkRunQuantaSkipOff(b *testing.B) {
 	b.ReportMetric(float64(sys.Config().Quantum), "cycles/op")
 }
 
-// BenchmarkRunQuantaTraceDisabled is the tracing disabled-path guard: a
-// system that never had SetTracer called must run the quantum loop with
-// zero tracing allocations (the nil checks are the entire cost).
-func BenchmarkRunQuantaTraceDisabled(b *testing.B) {
-	sys := benchSystem(b, false)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sys.RunQuanta(1)
+// BenchmarkRunQuantaObserved is the per-sink overhead table at the one
+// observer attach point (System.Observe plus EmitRecords at every quantum
+// boundary): the contended 4-core quantum bare, then with each sink alone
+// and with all of them — an event tracer (1-in-64 spans + exact
+// attribution), the dashboard with one SSE client draining the stream, an
+// SLO engine with a qos and an accuracy objective, and a JSONL recorder
+// plus metrics registry. The slowdowns handed to the records are a fixed
+// stand-in ground truth, so the SLO engine evaluates every record. Timed
+// after three warm-up quanta: allocs/op is the steady-state cost of the
+// sinks, not free-list growth.
+func BenchmarkRunQuantaObserved(b *testing.B) {
+	spec, err := slo.Parse([]byte(`{"slos":[
+		{"name":"qos","signal":"qos","bound":3},
+		{"name":"drift","signal":"accuracy"}]}`))
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.ReportMetric(float64(sys.Config().Quantum), "cycles/op")
-}
-
-// BenchmarkRunQuantaTraced measures the cost of full event tracing
-// (sampled spans + exact attribution) against BenchmarkRunQuantaTraceDisabled.
-func BenchmarkRunQuantaTraced(b *testing.B) {
-	sys := benchSystem(b, false)
-	sys.SetTracer(evtrace.New(io.Discard, evtrace.Config{SampleEvery: 64}))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sys.RunQuanta(1)
+	sinks := map[string]func(b *testing.B, o *telemetry.Options) telemetry.Recorder{
+		"trace": func(_ *testing.B, o *telemetry.Options) telemetry.Recorder {
+			o.Trace = evtrace.New(io.Discard, evtrace.Config{SampleEvery: 64})
+			return nil
+		},
+		"dash": func(b *testing.B, o *telemetry.Options) telemetry.Recorder {
+			srv := dash.NewServer()
+			mux := http.NewServeMux()
+			srv.Mount(mux)
+			ts := httptest.NewServer(mux)
+			resp, err := http.Get(ts.URL + "/debug/asm/quanta")
+			if err != nil {
+				b.Fatal(err)
+			}
+			go io.Copy(io.Discard, resp.Body)
+			b.Cleanup(func() {
+				srv.Close()
+				resp.Body.Close()
+				ts.Close()
+			})
+			o.Attribution = srv.ObserveAttribution
+			return srv
+		},
+		"slo": func(_ *testing.B, o *telemetry.Options) telemetry.Recorder {
+			return slo.New(spec, slo.Sinks{})
+		},
+		"recorder": func(_ *testing.B, o *telemetry.Options) telemetry.Recorder {
+			o.Metrics = telemetry.NewRegistry()
+			return telemetry.NewJSONLRecorder(io.Discard)
+		},
 	}
-	b.ReportMetric(float64(sys.Config().Quantum), "cycles/op")
+	for _, name := range []string{"bare", "trace", "dash", "slo", "recorder", "all"} {
+		b.Run(name, func(b *testing.B) {
+			var o telemetry.Options
+			var recs []telemetry.Recorder
+			for sink, attach := range sinks {
+				if name == sink || name == "all" {
+					recs = append(recs, attach(b, &o))
+				}
+			}
+			o.Recorder = telemetry.Fanout(recs...)
+			sys := benchSystem(b, false)
+			sys.Observe(o)
+			actual := []float64{1.2, 1.4, 1.6, 1.8}
+			est := map[string][]float64{"ASM": actual}
+			benches := sys.Names()
+			sys.AddQuantumListener(func(_ *System, st *QuantumStats) {
+				EmitRecords(o.Recorder, telemetry.QuantumRecord{Mix: "bench"}, benches, st, actual, est)
+			})
+			sys.RunQuanta(3)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sys.RunQuanta(1)
+			}
+			b.ReportMetric(float64(sys.Config().Quantum), "cycles/op")
+		})
+	}
 }
 
 // BenchmarkAloneProfile measures the ground-truth replay cost per

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"asmsim/internal/evtrace"
+	"asmsim/internal/telemetry"
 )
 
 // traceSystem builds a contended multi-core system with a tracer attached,
@@ -146,6 +147,33 @@ func TestTracingDoesNotPerturbSimulation(t *testing.T) {
 	for a := range plain {
 		if plain[a] != traced[a] {
 			t.Fatalf("tracing perturbed app %d: retired %d with tracer, %d without", a, traced[a], plain[a])
+		}
+	}
+}
+
+// TestObserveCreatesAttributionSink: an Attribution subscriber with no
+// Trace gets a per-run matrix-only sink, so it sees every quantum; with a
+// Trace it subscribes to that tracer instead.
+func TestObserveCreatesAttributionSink(t *testing.T) {
+	for _, traced := range []bool{false, true} {
+		sys, err := New(testConfig(), testSpecs(t, "mcf", "libquantum", "bzip2", "h264ref"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seen []int
+		o := telemetry.Options{Attribution: func(q evtrace.QuantumAttribution) {
+			seen = append(seen, q.Quantum)
+		}}
+		if traced {
+			o.Trace = evtrace.NewSink()
+		}
+		sys.Observe(o)
+		sys.RunQuanta(2)
+		if len(seen) != 2 || seen[0] != 0 || seen[1] != 1 {
+			t.Fatalf("traced=%v: attribution saw quanta %v, want [0 1]", traced, seen)
+		}
+		if traced && len(o.Trace.Quanta()) != 2 {
+			t.Fatalf("the given tracer kept %d quanta, want 2", len(o.Trace.Quanta()))
 		}
 	}
 }

@@ -116,6 +116,33 @@ func (a *AppQuantum) TelemetryCounters() telemetry.AppCounters {
 	}
 }
 
+// EmitRecords hands rec one QuantumRecord per app of st: base's run
+// labels (TraceID, Mix, Scheme), the app's benchmark name and counters,
+// its actual slowdown when actual is non-nil, every estimator's estimate
+// from est, and the quantum's end cycle. It is the one place quantum
+// records are built from QuantumStats. A nil rec costs nothing.
+func EmitRecords(rec telemetry.Recorder, base telemetry.QuantumRecord, benches []string, st *QuantumStats, actual []float64, est map[string][]float64) {
+	if rec == nil {
+		return
+	}
+	for a := range st.Apps {
+		r := base
+		r.App, r.Bench, r.Quantum = a, benches[a], st.Quantum
+		r.EndCycle = uint64(st.Quantum+1) * st.Cycles
+		if actual != nil {
+			r.Actual = actual[a]
+		}
+		if len(est) > 0 {
+			r.Estimates = make(map[string]float64, len(est))
+			for name, v := range est {
+				r.Estimates[name] = v[a]
+			}
+		}
+		r.Counters = st.Apps[a].TelemetryCounters()
+		rec.Record(&r)
+	}
+}
+
 // QuantumStats is the per-quantum snapshot handed to models and policies.
 type QuantumStats struct {
 	// Quantum is the zero-based quantum index.

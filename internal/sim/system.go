@@ -413,6 +413,24 @@ func (s *System) SetTracer(t *evtrace.Tracer) {
 	}
 }
 
+// Observe attaches a run's observers: o.Metrics to the system's
+// counters, then o.Trace. When o.Attribution is set it subscribes to the
+// tracer's per-quantum attribution; with no o.Trace the run gets its own
+// matrix-only sink, so no attribution outlives it. Call before Run.
+func (s *System) Observe(o telemetry.Options) {
+	s.SetTelemetry(o.Metrics)
+	t := o.Trace
+	if o.Attribution != nil {
+		if t == nil {
+			t = evtrace.NewSink()
+		}
+		t.SetOnQuantum(o.Attribution)
+	}
+	if t != nil {
+		s.SetTracer(t)
+	}
+}
+
 // EventQueueDepth returns the number of pending L2-hit completion
 // events (the event heap's current size).
 func (s *System) EventQueueDepth() int { return s.events.len() }

@@ -139,10 +139,6 @@ type Engine struct {
 	insts []*instance
 	sinks Sinks
 
-	// quantumCycles converts a quantum index to the sim cycle of its
-	// boundary, for trace instants. 0 until SetQuantumCycles.
-	quantumCycles uint64
-
 	counters map[string]*telemetry.Counter // transition counters by state
 }
 
@@ -183,17 +179,6 @@ func New(spec Spec, sinks Sinks) *Engine {
 	return e
 }
 
-// SetQuantumCycles tells the engine the run's quantum length so trace
-// instants land on the sim-cycle clock at quantum boundaries.
-func (e *Engine) SetQuantumCycles(q uint64) {
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	e.quantumCycles = q
-	e.mu.Unlock()
-}
-
 // SetFlight (re)wires the flight-recorder sink after construction, for
 // callers whose recorder exists only once a server owning it is built
 // (the job service's, for example). Nil-safe on the engine.
@@ -230,7 +215,7 @@ func (e *Engine) Record(rec *telemetry.QuantumRecord) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	cycle := uint64(rec.Quantum+1) * e.quantumCycles
+	cycle := rec.EndCycle
 	for _, in := range e.insts {
 		if in.slo.App != "" && in.slo.App != rec.Bench {
 			continue

@@ -165,7 +165,6 @@ func TestEngineNilSafety(t *testing.T) {
 	var e *Engine
 	e.Record(rec("mcf", 0, 2.0, nil))
 	e.ObserveLatency(nil)
-	e.SetQuantumCycles(1000)
 	if e.Alerts() != nil || e.HasSignal(SignalQoS) {
 		t.Fatal("nil engine must report nothing")
 	}

@@ -79,8 +79,8 @@ func TestSinkNilSafe(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("nil Sink Close: %v", err)
 	}
-	if got := NewSink(nil, nil); len(got.recs) != 0 {
-		t.Fatalf("NewSink must drop nil members, kept %d", len(got.recs))
+	if got := Fanout(nil, nil); got != nil {
+		t.Fatalf("Fanout of nils must be nil, got %T", got)
 	}
 }
 

@@ -10,6 +10,8 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+
+	"asmsim/internal/evtrace"
 )
 
 // AppCounters is the flat, JSON-stable projection of one application's
@@ -73,6 +75,10 @@ type QuantumRecord struct {
 	Estimates map[string]float64 `json:"estimates,omitempty"`
 	// Counters is the per-quantum counter snapshot.
 	Counters AppCounters `json:"counters"`
+	// EndCycle is the quantum's end on the run's simulated clock, stamped
+	// by whoever emits the record; the SLO engine stamps its alert trace
+	// instants with it. It stays off the wire.
+	EndCycle uint64 `json:"-"`
 }
 
 // Recorder consumes quantum records. Implementations must be safe for
@@ -239,23 +245,12 @@ func (r *CSVRecorder) Close() error {
 	return r.err
 }
 
-// Sink fans one quantum-record stream out to several recorders: the
-// disk recorder (JSONL/CSV) and a live dashboard broadcaster can both
-// subscribe to the same stream without either knowing about the other.
-// A nil *Sink is a no-op Recorder; nil members are skipped.
+// Sink fans one quantum-record stream out to several recorders (build
+// one with Fanout): the disk recorder (JSONL/CSV), the dashboard and the
+// SLO engine all subscribe to the same stream without knowing about each
+// other. A nil *Sink is a no-op Recorder.
 type Sink struct {
 	recs []Recorder
-}
-
-// NewSink bundles the given recorders (nils are dropped).
-func NewSink(recs ...Recorder) *Sink {
-	s := &Sink{}
-	for _, r := range recs {
-		if r != nil {
-			s.recs = append(s.recs, r)
-		}
-	}
-	return s
 }
 
 // Fanout returns a Recorder feeding every given recorder: nil when none
@@ -303,8 +298,12 @@ func (s *Sink) Close() error {
 	return first
 }
 
-// Options bundles the optional observation hooks a run or sweep honors.
-// Every field may be nil; the zero value disables all observation.
+// Options is the one observer value a run takes: everything that watches
+// a run does so at its quantum boundaries through these fields. Every
+// field may be nil; the zero value disables all observation. Live
+// observers (the dashboard's SSE broadcaster, the SLO engine, a flight
+// ring) are Recorders composed into Recorder once by whoever builds the
+// run.
 type Options struct {
 	// Recorder receives one QuantumRecord per (app, quantum).
 	Recorder Recorder
@@ -317,4 +316,12 @@ type Options struct {
 	// entries and SSE frames produced on behalf of one job. It carries
 	// no simulation semantics and never affects results.
 	TraceID string
+	// Trace, when non-nil, records sampled request spans and exact
+	// per-quantum interference attribution for the run. Sweep workers
+	// may share one tracer; the caller owns it and must Close it.
+	Trace *evtrace.Tracer
+	// Attribution, when non-nil, receives every quantum's interference
+	// attribution snapshot (the dashboard's live feed). Without Trace the
+	// run gets a private matrix-only sink, so nothing outlives the run.
+	Attribution func(evtrace.QuantumAttribution)
 }
