@@ -3,8 +3,9 @@ GO ?= go
 .PHONY: check build vet test test-debug race test-1p bench bench-smoke bench-json bench-diff trace-smoke trace-diff trace-merge-smoke dash-smoke serve-smoke slo-smoke cover
 
 # check is the CI gate: build + vet + tests, then the race detector over
-# the concurrency-heavy packages (sweep workers, cluster rounds, faults,
-# shared telemetry/trace sinks, the job service), the simulator core again
+# the concurrency-heavy packages (alone-curve chasers behind asmsim.Run,
+# sweep workers, cluster rounds, faults, shared telemetry/trace sinks, the
+# job service), the simulator core again
 # with its debug invariants compiled in, then the observability smoke tests
 # and the attribution regression gate.
 check: build vet test test-debug race test-1p trace-smoke trace-diff trace-merge-smoke dash-smoke serve-smoke slo-smoke
@@ -26,16 +27,17 @@ test-debug:
 	$(GO) test -tags asmdebug ./internal/dram/... ./internal/cpu/... ./internal/sim/...
 
 race:
-	$(GO) test -race ./internal/sim/... ./internal/exp/... ./internal/dram/... ./internal/cluster/... ./internal/faults/... ./internal/telemetry/... ./internal/evtrace/... ./internal/dash/... ./internal/serve/...
+	$(GO) test -race . ./internal/sim/... ./internal/exp/... ./internal/dram/... ./internal/cluster/... ./internal/faults/... ./internal/telemetry/... ./internal/evtrace/... ./internal/dash/... ./internal/serve/...
 
 # test-1p re-runs the packages whose runs are followed by alone-curve
-# chase goroutines (DESIGN.md decision 10) on a single processor: with one
-# P the chaser and the shared run it follows interleave on one thread —
-# lock hand-offs and preemption points the two-P race run never takes.
+# chase goroutines (DESIGN.md decision 10; asmsim.Run with ground truth
+# among them) on a single processor: with one P the chaser and the shared
+# run it follows interleave on one thread — lock hand-offs and preemption
+# points the two-P race run never takes.
 # -count=1: the test cache does not key on GOMAXPROCS, so without it this
 # target would replay `make test`'s results.
 test-1p:
-	GOMAXPROCS=1 $(GO) test -count=1 ./internal/sim/... ./internal/exp/...
+	GOMAXPROCS=1 $(GO) test -count=1 . ./internal/sim/... ./internal/exp/...
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
@@ -45,22 +47,21 @@ bench:
 # measurement.
 bench-smoke:
 	$(GO) test -run='^$$' -bench='SweepAccuracy|RunAccuracyAllocs' -benchtime=1x -count=1 ./internal/exp/
-	$(GO) test -run='^$$' -bench='RunQuanta|SystemTick$$|AloneProfile|AloneCurve' -benchtime=1x -count=1 ./internal/sim/
+	$(GO) test -run='^$$' -bench='RunQuanta|SystemTick$$|AloneCurve' -benchtime=1x -count=1 ./internal/sim/
 
 # bench-json records the perf-guard benchmarks as JSON artifacts for
-# cross-run comparison: BENCH_sweep.json holds the alone-cache speedup
-# sweeps, BENCH_tick.json the tick-loop benchmarks, the alone-curve
-# build/lookup benchmarks (whose B/op and segs/op are the curve store's
-# footprint), the skip-ahead on/off pairs, the 8-core run under each
-# memory scheduler (RunQuanta8Core) and the per-sink observer overhead
-# table (RunQuantaObserved) — both matched by the RunQuanta pattern here,
-# in bench-smoke and in bench-diff. The memory-intensive skip-ahead sweep
-# pair lives in BENCH_sweep.json. -count=3 records three samples per
+# cross-run comparison: BENCH_sweep.json holds the multi-mix accuracy
+# sweeps (shared alone cache; memory-intensive mixes), BENCH_tick.json the
+# tick-loop benchmarks, the alone-curve build/lookup benchmarks (whose
+# B/op and segs/op are the curve store's footprint), the 8-core run under
+# each memory scheduler (RunQuanta8Core) and the per-sink observer
+# overhead table (RunQuantaObserved) — both matched by the RunQuanta
+# pattern here, in bench-smoke and in bench-diff. -count=3 records three samples per
 # benchmark; benchdiff compares the per-name minimum, the standard robust
 # pick for noisy wall-clock measurements.
 bench-json:
 	$(GO) test -run='^$$' -bench='SweepAccuracy' -benchmem -count=3 ./internal/exp/ | $(GO) run ./cmd/benchjson -o BENCH_sweep.json
-	$(GO) test -run='^$$' -bench='RunQuanta|SystemTick$$|AloneProfile|AloneCurve' -benchmem -count=3 ./internal/sim/ | $(GO) run ./cmd/benchjson -o BENCH_tick.json
+	$(GO) test -run='^$$' -bench='RunQuanta|SystemTick$$|AloneCurve' -benchmem -count=3 ./internal/sim/ | $(GO) run ./cmd/benchjson -o BENCH_tick.json
 
 # trace-smoke runs a small contended mix with event tracing enabled and
 # validates that the emitted file is well-formed Perfetto-loadable
@@ -136,7 +137,7 @@ slo-smoke:
 BENCH_DIFF_TOL ?= 0.15
 bench-diff:
 	$(GO) test -run='^$$' -bench='SweepAccuracy' -benchmem -count=3 ./internal/exp/ | $(GO) run ./cmd/benchjson -o .bench-fresh-sweep.json
-	$(GO) test -run='^$$' -bench='RunQuanta|SystemTick$$|AloneProfile|AloneCurve' -benchmem -count=3 ./internal/sim/ | $(GO) run ./cmd/benchjson -o .bench-fresh-tick.json
+	$(GO) test -run='^$$' -bench='RunQuanta|SystemTick$$|AloneCurve' -benchmem -count=3 ./internal/sim/ | $(GO) run ./cmd/benchjson -o .bench-fresh-tick.json
 	$(GO) run ./cmd/benchdiff -tol $(BENCH_DIFF_TOL) BENCH_sweep.json .bench-fresh-sweep.json && \
 	  $(GO) run ./cmd/benchdiff -tol $(BENCH_DIFF_TOL) BENCH_tick.json .bench-fresh-tick.json ; \
 	  st=$$? ; rm -f .bench-fresh-sweep.json .bench-fresh-tick.json ; exit $$st

@@ -292,7 +292,8 @@ type RunOptions struct {
 	// Quanta is the number of measured quanta (default 3).
 	Quanta int
 	// GroundTruth additionally runs each app alone to measure actual
-	// slowdowns (roughly doubles the runtime).
+	// slowdowns. The alone runs are curves extended on goroutines of their
+	// own while the shared run simulates (see SharedAloneCache).
 	GroundTruth bool
 	// Estimators to evaluate; nil selects ASM only.
 	Estimators []Estimator
@@ -306,18 +307,19 @@ type RunOptions struct {
 	// disables all of it.
 	Telemetry TelemetryOptions
 	// SharedAloneCache, when non-nil and GroundTruth is set, serves the
-	// alone-run ground truth from the shared curve cache instead of
-	// simulating a private alone replica per app: pass the same cache to
-	// several Runs under the same Config to pay each benchmark's alone
-	// run once. Reported slowdowns are bit-identical either way. nil
-	// (the default) keeps the private-replica behavior.
+	// alone-run curves from a cache shared across Runs: pass the same
+	// cache to several Runs under the same Config to pay each benchmark's
+	// alone run once. nil (the default) gives the Run a private cache.
+	// Reported slowdowns are bit-identical either way.
 	SharedAloneCache *AloneCurveCache
 	// AloneTrace, when non-nil alongside GroundTruth, additionally traces
-	// the alone-run replica replays into the given tracer (span export
-	// for ground truth): each replica is a single-app trace series,
-	// separable with evtrace.SplitByApp, whose measured memory-stall time
-	// feeds TraceSummary.CPIStacksMeasured. Ignored when the ground truth
-	// is served from SharedAloneCache (cursor replays simulate nothing).
+	// the alone runs into the given tracer (span export for ground truth):
+	// each app replays alone on a full replica stepped on the Run's own
+	// goroutine, a single-app trace series separable with
+	// evtrace.SplitByApp, whose measured memory-stall time feeds
+	// TraceSummary.CPIStacksMeasured. Ignored when the ground truth is
+	// served from SharedAloneCache (its curves belong to every Run using
+	// it).
 	AloneTrace *Tracer
 }
 
@@ -350,9 +352,6 @@ func Run(cfg Config, names []string, opt RunOptions) (*RunResult, error) {
 // thousand cycles, so it stops mid-quantum, and returns ctx's error (with
 // no result) when cancelled.
 func RunContext(ctx context.Context, cfg Config, names []string, opt RunOptions) (*RunResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if opt.Quanta <= 0 {
 		opt.Quanta = 3
 	}
@@ -360,96 +359,68 @@ func RunContext(ctx context.Context, cfg Config, names []string, opt RunOptions)
 	if len(ests) == 0 {
 		ests = []Estimator{core.NewASM()}
 	}
-	mix := Mix{Names: names}
-	specs := make([]AppSpec, len(names))
-	for i, n := range names {
-		s, ok := workload.ByName(n)
-		if !ok {
+	for _, n := range names {
+		if _, ok := workload.ByName(n); !ok {
 			return nil, fmt.Errorf("asmsim: unknown benchmark %q", n)
 		}
-		specs[i] = s
 	}
-	cfg.Cores = len(specs)
-	sys, err := sim.New(cfg, specs)
-	if err != nil {
-		return nil, err
-	}
-	if opt.Attach != nil {
-		opt.Attach(sys)
-	}
-	sys.Observe(opt.Telemetry)
-	var tracker *sim.SlowdownTracker
-	if opt.GroundTruth {
-		opt.SharedAloneCache.SetTelemetry(opt.Telemetry.Metrics.Scope("sim"))
-		tracker, err = sim.NewSlowdownTrackerShared(cfg, specs, opt.SharedAloneCache)
-		if err != nil {
-			return nil, err
-		}
-		tracker.AttachAloneTracer(opt.AloneTrace)
-		tracker.Follow(sys)
-	}
-
-	n := len(specs)
+	n := len(names)
 	res := &RunResult{
-		Names:     mix.Names,
+		Names:     names,
 		IPC:       make([]float64, n),
 		Estimates: map[string][]float64{},
 	}
 	for _, e := range ests {
 		res.Estimates[e.Name()] = make([]float64, n)
 	}
-	actualSum := make([]float64, n)
-	measured := 0
-	labels := QuantumRecord{TraceID: opt.Telemetry.TraceID, Mix: mix.String()}
-	benches := sys.Names()
-	perEst := make(map[string][]float64, len(ests)) // reused across quanta
-	sys.AddQuantumListener(func(_ *sim.System, st *sim.QuantumStats) {
-		var actual []float64
-		if tracker != nil {
-			actual = tracker.ActualSlowdowns(st)
-		}
-		for _, e := range ests {
-			perEst[e.Name()] = e.Estimate(st)
-		}
-		sim.EmitRecords(opt.Telemetry.Recorder, labels, benches, st, actual, perEst)
-		if st.Quantum < opt.WarmupQuanta {
-			return
-		}
-		measured++
-		for a := 0; a < n; a++ {
-			res.IPC[a] += st.IPC(a)
-			for name, v := range perEst {
-				res.Estimates[name][a] += v[a]
-			}
-			if actual != nil {
-				actualSum[a] += actual[a]
-			}
-		}
-	})
-	if err := sys.RunQuantaCtx(ctx, opt.WarmupQuanta+opt.Quanta); err != nil {
-		return nil, fmt.Errorf("asmsim: run cancelled after %d quanta: %w", sys.QuantumIndex(), err)
+	if opt.GroundTruth {
+		res.ActualSlowdown = make([]float64, n)
 	}
-	if measured == 0 {
-		return nil, fmt.Errorf("asmsim: no measured quanta")
+	sys, err := exp.MixRun{
+		Config:      cfg,
+		Mix:         Mix{Names: names},
+		Telemetry:   opt.Telemetry,
+		Attach:      opt.Attach,
+		Estimators:  ests,
+		GroundTruth: opt.GroundTruth,
+		AloneCache:  opt.SharedAloneCache,
+		AloneTrace:  opt.AloneTrace,
+		Warmup:      opt.WarmupQuanta,
+		Measured:    opt.Quanta,
+		OnQuantum: func(st *sim.QuantumStats, actual []float64, est map[string][]float64) {
+			for a := 0; a < n; a++ {
+				res.IPC[a] += st.IPC(a)
+				for name, v := range est {
+					res.Estimates[name][a] += v[a]
+				}
+				if actual != nil {
+					res.ActualSlowdown[a] += actual[a]
+				}
+			}
+		},
+	}.Run(ctx)
+	if err != nil {
+		if sys != nil {
+			return nil, fmt.Errorf("asmsim: run cancelled after %d quanta: %w", sys.QuantumIndex(), err)
+		}
+		return nil, err
 	}
 	for a := 0; a < n; a++ {
-		res.IPC[a] /= float64(measured)
+		res.IPC[a] /= float64(opt.Quanta)
 		for name := range res.Estimates {
-			res.Estimates[name][a] /= float64(measured)
+			res.Estimates[name][a] /= float64(opt.Quanta)
+		}
+		if opt.GroundTruth {
+			res.ActualSlowdown[a] /= float64(opt.Quanta)
 		}
 	}
 	res.EstimatedSlowdown = res.Estimates[ests[0].Name()]
-	if tracker != nil {
-		res.ActualSlowdown = make([]float64, n)
-		for a := range actualSum {
-			res.ActualSlowdown[a] = actualSum[a] / float64(measured)
-		}
-		res.MaxSlowdown = metrics.MaxSlowdown(res.ActualSlowdown)
-		res.HarmonicSpeedup = metrics.HarmonicSpeedup(res.ActualSlowdown)
-	} else {
-		res.MaxSlowdown = metrics.MaxSlowdown(res.EstimatedSlowdown)
-		res.HarmonicSpeedup = metrics.HarmonicSpeedup(res.EstimatedSlowdown)
+	sd := res.EstimatedSlowdown
+	if opt.GroundTruth {
+		sd = res.ActualSlowdown
 	}
+	res.MaxSlowdown = metrics.MaxSlowdown(sd)
+	res.HarmonicSpeedup = metrics.HarmonicSpeedup(sd)
 	return res, nil
 }
 

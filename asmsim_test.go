@@ -254,9 +254,9 @@ func TestRunContextCancelsMidQuantum(t *testing.T) {
 	}
 }
 
-// TestRunSharedAloneCacheMatchesPrivate: with a shared alone cache Run's
-// ground truth follows the shared run on its own goroutines; the result
-// must be the private replicas'.
+// TestRunSharedAloneCacheMatchesPrivate: Run's ground truth follows the
+// shared run on its own goroutines, on a cache private to the Run or on a
+// shared one; the results must be identical.
 func TestRunSharedAloneCacheMatchesPrivate(t *testing.T) {
 	names := []string{"mcf", "povray", "gcc", "libquantum"}
 	opt := RunOptions{WarmupQuanta: 1, Quanta: 1, GroundTruth: true}
@@ -270,6 +270,6 @@ func TestRunSharedAloneCacheMatchesPrivate(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("shared-cache run %+v, private-replica run %+v", got, want)
+		t.Fatalf("shared-cache run %+v, private-cache run %+v", got, want)
 	}
 }

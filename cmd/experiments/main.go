@@ -42,18 +42,17 @@ import (
 func main() {
 	obs := observe.Flags{TraceSample: 256, PerRun: true}
 	var (
-		list        = flag.Bool("list", false, "list available experiments")
-		run         = flag.String("run", "", "experiment id to run, or 'all'")
-		full        = flag.Bool("full", false, "paper-scale sweep (hours)")
-		workloads   = flag.Int("workloads", 0, "override workload count")
-		quanta      = flag.Int("quanta", 0, "override measured quanta")
-		seed        = flag.Uint64("seed", 0, "override random seed")
-		format      = flag.String("format", "text", "output format: text, csv, json")
-		outDir      = flag.String("o", "", "also write each table to <dir>/<id>.<format>")
-		timeout     = flag.Duration("timeout", 0, "overall deadline for the whole invocation (0 = none)")
-		runTimeout  = flag.Duration("run-timeout", 0, "per-workload-run deadline; a run exceeding it fails like any other item (0 = none)")
-		sharedAlone = flag.Bool("shared-alone", true, "share alone-run ground-truth curves across a sweep's workloads (disable to re-simulate each alone run)")
-		progress    = flag.Bool("progress", true, "report live sweep progress (done/total, ETA, losses) on stderr")
+		list       = flag.Bool("list", false, "list available experiments")
+		run        = flag.String("run", "", "experiment id to run, or 'all'")
+		full       = flag.Bool("full", false, "paper-scale sweep (hours)")
+		workloads  = flag.Int("workloads", 0, "override workload count")
+		quanta     = flag.Int("quanta", 0, "override measured quanta")
+		seed       = flag.Uint64("seed", 0, "override random seed")
+		format     = flag.String("format", "text", "output format: text, csv, json")
+		outDir     = flag.String("o", "", "also write each table to <dir>/<id>.<format>")
+		timeout    = flag.Duration("timeout", 0, "overall deadline for the whole invocation (0 = none)")
+		runTimeout = flag.Duration("run-timeout", 0, "per-workload-run deadline; a run exceeding it fails like any other item (0 = none)")
+		progress   = flag.Bool("progress", true, "report live sweep progress (done/total, ETA, losses) on stderr")
 	)
 	obs.Register(flag.CommandLine, map[string]string{
 		"telemetry":    "write quantum telemetry (<id>.quanta.jsonl per experiment + metrics.jsonl) to this directory",
@@ -95,9 +94,6 @@ func main() {
 	if *runTimeout > 0 {
 		sc.RunTimeout = *runTimeout
 	}
-	if !*sharedAlone {
-		sc.AloneCache = nil
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -134,9 +130,7 @@ func main() {
 		scRun := sc
 		// Curves are shared within one experiment; dropping them between
 		// experiments bounds resident memory over a -run all sweep.
-		if scRun.AloneCache != nil {
-			scRun.AloneCache.Reset()
-		}
+		scRun.AloneCache.Reset()
 		if scRun.Telemetry, err = o.Run(e.ID); err != nil {
 			fatal(err)
 		}

@@ -28,11 +28,13 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
 
 	"asmsim/internal/core"
+	"asmsim/internal/exp"
 	"asmsim/internal/faults"
 	"asmsim/internal/metrics"
 	"asmsim/internal/sim"
@@ -419,19 +421,27 @@ func (c *Cluster) evaluateWithRetry(i int) ([]float64, error) {
 // (which may corrupt a snapshot's counters) and the Sanitize guard (which
 // replaces the resulting NaN/Inf with the previous quantum's estimate).
 func (c *Cluster) evaluate(machine int, jobs []string) ([]float64, error) {
-	specs := make([]workload.Spec, len(jobs))
-	for i, name := range jobs {
-		sp, ok := workload.ByName(name)
-		if !ok {
+	for _, name := range jobs {
+		if _, ok := workload.ByName(name); !ok {
 			return nil, fmt.Errorf("unknown job %q", name)
 		}
-		specs[i] = sp
 	}
-	cfg := c.cfg.System
-	cfg.Cores = len(specs)
-	sys, err := sim.New(cfg, specs)
-	if err != nil {
-		return nil, err
+	asm := core.Sanitize(core.NewASM())
+	warm := min(1, c.cfg.RoundQuanta-1) // the first quantum warms structures when we can afford it
+	sums := make([]float64, len(jobs))
+	run := exp.MixRun{
+		Config:     c.cfg.System,
+		Mix:        workload.Mix{Names: jobs},
+		Estimators: []core.Estimator{asm},
+		Faults:     c.inj,
+		FaultSite:  fmt.Sprintf("machine %d round %d", machine, c.round),
+		Warmup:     warm,
+		Measured:   c.cfg.RoundQuanta - warm,
+		OnQuantum: func(_ *sim.QuantumStats, _ []float64, est map[string][]float64) {
+			for i, v := range est[asm.Name()] {
+				sums[i] += v
+			}
+		},
 	}
 	// With per-node tracing enabled, this round's simulation streams into
 	// the machine's own trace file at the node-local clock: the offset
@@ -441,33 +451,18 @@ func (c *Cluster) evaluate(machine int, jobs []string) ([]float64, error) {
 	nt := c.nodeTracer(machine)
 	if nt != nil {
 		nt.tracer.SetClockOffset(nt.cycles)
-		sys.SetTracer(nt.tracer)
-		defer func() {
-			nt.cycles += sys.Cycle()
-			nt.tracer.SetClockOffset(nt.cycles)
-		}()
+		run.Telemetry.Trace = nt.tracer
 	}
-	asm := core.Sanitize(core.NewASM())
-	site := fmt.Sprintf("machine %d round %d", machine, c.round)
-	sums := make([]float64, len(jobs))
-	quanta := 0
-	sys.AddQuantumListener(func(_ *sim.System, st *sim.QuantumStats) {
-		stEst, _ := c.inj.CorruptStats(site, st)
-		est := asm.Estimate(stEst)
-		if st.Quantum == 0 && c.cfg.RoundQuanta > 1 {
-			return // first quantum warms structures when we can afford it
-		}
-		quanta++
-		for i, v := range est {
-			sums[i] += v
-		}
-	})
-	sys.RunQuanta(c.cfg.RoundQuanta)
-	if quanta == 0 {
-		return nil, fmt.Errorf("no measured quanta")
+	sys, err := run.Run(context.TODO())
+	if nt != nil && sys != nil {
+		nt.cycles += sys.Cycle()
+		nt.tracer.SetClockOffset(nt.cycles)
+	}
+	if err != nil {
+		return nil, err
 	}
 	for i := range sums {
-		sums[i] /= float64(quanta)
+		sums[i] /= float64(run.Measured)
 		if math.IsNaN(sums[i]) || math.IsInf(sums[i], 0) {
 			return nil, fmt.Errorf("non-finite estimate for job %q", jobs[i])
 		}

@@ -65,12 +65,10 @@ type Core struct {
 	lastMemSlot int // window slot of the most recent memory instruction
 	haveLastMem bool
 
-	retired     uint64
-	loads       uint64
-	stores      uint64
-	memStall    uint64 // cycles retirement was blocked by a pending memory op
-	fetchStall  uint64 // cycles fetch was blocked by resources/dependences
-	windowFullC uint64
+	retired  uint64
+	loads    uint64
+	stores   uint64
+	memStall uint64 // cycles retirement was blocked by a pending memory op
 
 	// blocked short-circuits Tick while the head is waiting on an
 	// asynchronous memory completion and fetch cannot proceed: nothing
@@ -239,7 +237,6 @@ func (c *Core) fetch(now uint64) stallKind {
 	issued := 0
 	for issued < c.width {
 		if c.size == len(c.win) {
-			c.windowFullC++
 			return stallNone
 		}
 		if !c.haveCur {
@@ -248,7 +245,6 @@ func (c *Core) fetch(now uint64) stallKind {
 		}
 		in := &c.cur
 		if in.IsMem && in.DependsOnPrev && c.lastMemPending() {
-			c.fetchStall++
 			return stallMem
 		}
 		slot := c.head + c.size // < 2*len(win); wrap without modulo
@@ -262,7 +258,6 @@ func (c *Core) fetch(now uint64) stallKind {
 			*e = winEntry{token: token, doneAt: now + 1}
 		case in.Write:
 			if !c.port.Write(c.id, in.Addr, now) {
-				c.fetchStall++
 				return stallWrite
 			}
 			c.stores++
@@ -271,7 +266,6 @@ func (c *Core) fetch(now uint64) stallKind {
 		default:
 			done, lat, ok := c.port.Read(c.id, in.Addr, token, now)
 			if !ok {
-				c.fetchStall++
 				return stallMem
 			}
 			c.loads++

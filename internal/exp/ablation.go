@@ -25,7 +25,7 @@ func runAblEpoch(ctx context.Context, sc Scale) (*Table, error) {
 		cfg := sc.BaseConfig()
 		cfg.ATSSampledSets = 64
 		cfg.EpochRoundRobin = rr
-		samples, m, err := accuracySweep(ctx, cfg, mixes, sc)
+		samples, m, err := accuracySweep(ctx, cfg, mixes, estAll, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -60,36 +60,11 @@ func runAblQueueing(ctx context.Context, sc Scale) (*Table, error) {
 			a.NoQueueingCorrection = dis
 			return core.SanitizeAll([]core.Estimator{a})
 		}
-		results := make([][]Sample, len(mixes))
-		fails, cancelled := forEach(ctx, len(mixes),
-			func(i int) string { return mixes[i].String() },
-			sc.Telemetry,
-			func(i int) error {
-				c := cfg
-				c.Seed = sc.Seed + uint64(i)*1000
-				c.StreamSeed = sc.Seed
-				s, err := RunAccuracy(ctx, c, mixes[i], newEst, sc)
-				if err != nil {
-					return err
-				}
-				results[i] = s
-				return nil
-			})
-		var all []Sample
-		completed := 0
-		for _, s := range results {
-			if s != nil {
-				completed++
-				all = append(all, s...)
-			}
+		all, m, err := accuracySweep(ctx, cfg, mixes, newEst, sc)
+		if err != nil {
+			return nil, err
 		}
-		manifest.Merge(&Manifest{Total: len(mixes), Completed: completed, Failures: fails, Cancelled: cancelled})
-		if completed == 0 && len(mixes) > 0 {
-			if len(fails) > 0 {
-				return nil, fmt.Errorf("exp: sweep produced no results: %w", fails[0])
-			}
-			return nil, fmt.Errorf("exp: sweep cancelled before any mix completed: %w", ctx.Err())
-		}
+		manifest.Merge(m)
 		name := "with correction"
 		if dis {
 			name = "without correction"
@@ -114,7 +89,7 @@ func runAblATS(ctx context.Context, sc Scale) (*Table, error) {
 	for _, sets := range []int{8, 32, 64, 256, 0} {
 		cfg := sc.BaseConfig()
 		cfg.ATSSampledSets = sets
-		samples, m, err := accuracySweep(ctx, cfg, mixes, sc)
+		samples, m, err := accuracySweep(ctx, cfg, mixes, estAll, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -134,33 +109,25 @@ func runAblATS(ctx context.Context, sc Scale) (*Table, error) {
 // app's cache access rate under a forced way allocation from an
 // unpartitioned run, then actually enforce that allocation and measure.
 func runAblCARn(ctx context.Context, sc Scale) (*Table, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	mix := workload.Mix{Names: []string{"bzip2", "mcf", "soplex", "h264ref"}}
-	specs := mix.Specs()
 	cfg := sc.BaseConfig()
 	cfg.ATSSampledSets = 64
-	cfg.Cores = len(specs)
+	run := MixRun{Config: cfg, Mix: mix, Warmup: sc.WarmupQuanta, Measured: sc.MeasuredQuanta}
 
 	// Pass 1: unpartitioned, record CAR_n predictions for app 0 from the
-	// final measured quantum.
-	sys, err := sim.New(cfg, specs)
-	if err != nil {
-		return nil, err
-	}
-	asm := core.NewASM()
+	// final measured quantum (ASM runs throughout to keep its fallback
+	// state warm).
 	preds := make(map[int]float64)
-	sys.AddQuantumListener(func(_ *sim.System, st *sim.QuantumStats) {
-		asm.Estimate(st) // keep fallback state warm
-		if st.Quantum != sc.WarmupQuanta+sc.MeasuredQuanta-1 {
-			return
+	pass1 := run
+	pass1.Estimators = []core.Estimator{core.NewASM()}
+	pass1.OnQuantum = func(st *sim.QuantumStats, _ []float64, _ map[string][]float64) {
+		if st.Quantum == sc.TotalQuanta()-1 {
+			for _, n := range []int{2, 4, 8, 12, 16} {
+				preds[n] = core.CARAtWays(st, 0, n)
+			}
 		}
-		for _, n := range []int{2, 4, 8, 12, 16} {
-			preds[n] = core.CARAtWays(st, 0, n)
-		}
-	})
-	if err := runQuanta(ctx, sys, sc.TotalQuanta()); err != nil {
+	}
+	if _, err := pass1.Run(ctx); err != nil {
 		return nil, fmt.Errorf("exp: abl-carn pass 1: %w", err)
 	}
 
@@ -171,20 +138,14 @@ func runAblCARn(ctx context.Context, sc Scale) (*Table, error) {
 	}
 	// Pass 2: enforce each allocation and measure the real CAR.
 	for _, n := range []int{2, 4, 8, 12, 16} {
-		alloc := spreadAllocation(n, len(specs), cfg.L2Ways)
-		sys2, err := sim.New(cfg, specs)
-		if err != nil {
-			return nil, err
-		}
-		sys2.SetL2Partition(alloc)
+		alloc := spreadAllocation(n, len(mix.Names), cfg.L2Ways)
 		var accesses uint64
-		sys2.AddQuantumListener(func(_ *sim.System, st *sim.QuantumStats) {
-			if st.Quantum < sc.WarmupQuanta {
-				return
-			}
+		pass2 := run
+		pass2.Attach = func(sys *sim.System) { sys.SetL2Partition(alloc) }
+		pass2.OnQuantum = func(st *sim.QuantumStats, _ []float64, _ map[string][]float64) {
 			accesses += st.Apps[0].L2Accesses
-		})
-		if err := runQuanta(ctx, sys2, sc.TotalQuanta()); err != nil {
+		}
+		if _, err := pass2.Run(ctx); err != nil {
 			return nil, fmt.Errorf("exp: abl-carn pass 2 (%d ways): %w", n, err)
 		}
 		measured := float64(accesses) / float64(uint64(sc.MeasuredQuanta)*cfg.Quantum)
@@ -223,40 +184,14 @@ func runAblSTFM(ctx context.Context, sc Scale) (*Table, error) {
 	mixes := workload.RandomMixes(suitePool(), 4, sc.Workloads, sc.Seed)
 	cfg := sc.BaseConfig()
 	cfg.ATSSampledSets = 0
-	results := make([][]Sample, len(mixes))
-	fails, cancelled := forEach(ctx, len(mixes),
-		func(i int) string { return mixes[i].String() },
-		sc.Telemetry,
-		func(i int) error {
-			c := cfg
-			c.Seed = sc.Seed + uint64(i)*1000
-			c.StreamSeed = sc.Seed
-			s, err := RunAccuracy(ctx, c, mixes[i], func() []core.Estimator {
-				return core.SanitizeAll([]core.Estimator{
-					core.NewASM(), model.NewFST(), model.NewPTCA(),
-					model.NewMISE(), model.NewSTFM(), model.NewRegression(),
-				})
-			}, sc)
-			if err != nil {
-				return err
-			}
-			results[i] = s
-			return nil
+	all, m, err := accuracySweep(ctx, cfg, mixes, func() []core.Estimator {
+		return core.SanitizeAll([]core.Estimator{
+			core.NewASM(), model.NewFST(), model.NewPTCA(),
+			model.NewMISE(), model.NewSTFM(), model.NewRegression(),
 		})
-	var all []Sample
-	completed := 0
-	for _, s := range results {
-		if s != nil {
-			completed++
-			all = append(all, s...)
-		}
-	}
-	m := &Manifest{Total: len(mixes), Completed: completed, Failures: fails, Cancelled: cancelled}
-	if completed == 0 && len(mixes) > 0 {
-		if len(fails) > 0 {
-			return nil, fmt.Errorf("exp: sweep produced no results: %w", fails[0])
-		}
-		return nil, fmt.Errorf("exp: sweep cancelled before any mix completed: %w", ctx.Err())
+	}, sc)
+	if err != nil {
+		return nil, err
 	}
 	t := &Table{
 		ID:     "abl-models",

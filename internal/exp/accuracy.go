@@ -32,45 +32,17 @@ func suitePool() []workload.Spec {
 // returns the pooled samples from the mixes that completed, plus a
 // manifest of the ones that did not. It returns an error only when no
 // mix completed at all.
-func accuracySweep(ctx context.Context, cfg sim.Config, mixes []workload.Mix, sc Scale) ([]Sample, *Manifest, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	results := make([][]Sample, len(mixes))
-	fails, cancelled := forEach(ctx, len(mixes),
-		func(i int) string { return mixes[i].String() },
-		sc.Telemetry,
-		func(i int) error {
-			c := cfg
-			// Per-mix Seed decorrelates epoch lotteries across mixes;
-			// pinning StreamSeed keeps each benchmark's instruction stream
-			// identical in every mix, so the alone-run curve cache shares
-			// one ground-truth curve per benchmark across the whole sweep.
-			c.Seed = sc.Seed + uint64(i)*1000
-			c.StreamSeed = sc.Seed
-			s, err := RunAccuracy(ctx, c, mixes[i], estAll, sc)
-			if err != nil {
-				return err
-			}
-			results[i] = s
-			return nil
-		})
+func accuracySweep(ctx context.Context, cfg sim.Config, mixes []workload.Mix, newEst EstimatorSet, sc Scale) ([]Sample, *Manifest, error) {
+	results, m, err := sweepMixes(ctx, cfg, mixes, sc, func(c sim.Config, mix workload.Mix) ([]Sample, error) {
+		return RunAccuracy(ctx, c, mix, newEst, sc)
+	})
 	var all []Sample
-	completed := 0
 	for _, s := range results {
 		if s != nil {
-			completed++
-			all = append(all, s...)
+			all = append(all, *s...)
 		}
 	}
-	m := &Manifest{Total: len(mixes), Completed: completed, Failures: fails, Cancelled: cancelled}
-	if completed == 0 && len(mixes) > 0 {
-		if len(fails) > 0 {
-			return nil, m, fmt.Errorf("exp: sweep produced no results: %w", fails[0])
-		}
-		return nil, m, fmt.Errorf("exp: sweep cancelled before any mix completed: %w", ctx.Err())
-	}
-	return all, m, nil
+	return all, m, err
 }
 
 // perBenchTable renders a Figure 2/3-style table: per-benchmark error for
@@ -118,7 +90,7 @@ func runFig2(ctx context.Context, sc Scale) (*Table, error) {
 	cfg := sc.BaseConfig()
 	cfg.ATSSampledSets = 0
 	mixes := workload.RandomMixes(suitePool(), 4, sc.Workloads, sc.Seed)
-	samples, m, err := accuracySweep(ctx, cfg, mixes, sc)
+	samples, m, err := accuracySweep(ctx, cfg, mixes, estAll, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +107,7 @@ func runFig3(ctx context.Context, sc Scale) (*Table, error) {
 	cfg := sc.BaseConfig()
 	cfg.ATSSampledSets = 64
 	mixes := workload.RandomMixes(suitePool(), 4, sc.Workloads, sc.Seed)
-	samples, m, err := accuracySweep(ctx, cfg, mixes, sc)
+	samples, m, err := accuracySweep(ctx, cfg, mixes, estAll, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -153,13 +125,13 @@ func runFig4(ctx context.Context, sc Scale) (*Table, error) {
 
 	unsampled := sc.BaseConfig()
 	unsampled.ATSSampledSets = 0
-	su, mu, err := accuracySweep(ctx, unsampled, mixes, sc)
+	su, mu, err := accuracySweep(ctx, unsampled, mixes, estAll, sc)
 	if err != nil {
 		return nil, err
 	}
 	sampled := sc.BaseConfig()
 	sampled.ATSSampledSets = 64
-	ss, ms, err := accuracySweep(ctx, sampled, mixes, sc)
+	ss, ms, err := accuracySweep(ctx, sampled, mixes, estAll, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -210,7 +182,7 @@ func runFig5(ctx context.Context, sc Scale) (*Table, error) {
 	cfg.ATSSampledSets = 0
 	cfg.Prefetch = true
 	mixes := workload.RandomMixes(suitePool(), 4, sc.Workloads, sc.Seed)
-	samples, m, err := accuracySweep(ctx, cfg, mixes, sc)
+	samples, m, err := accuracySweep(ctx, cfg, mixes, estAll, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -240,13 +212,13 @@ func runDBAcc(ctx context.Context, sc Scale) (*Table, error) {
 
 	unsampled := sc.BaseConfig()
 	unsampled.ATSSampledSets = 0
-	su, mu, err := accuracySweep(ctx, unsampled, mixes, sc)
+	su, mu, err := accuracySweep(ctx, unsampled, mixes, estAll, sc)
 	if err != nil {
 		return nil, err
 	}
 	sampled := sc.BaseConfig()
 	sampled.ATSSampledSets = 64
-	ss, ms, err := accuracySweep(ctx, sampled, mixes, sc)
+	ss, ms, err := accuracySweep(ctx, sampled, mixes, estAll, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -279,13 +251,13 @@ func runFig7(ctx context.Context, sc Scale) (*Table, error) {
 
 		unsampled := sc.BaseConfig()
 		unsampled.ATSSampledSets = 0
-		su, mu, err := accuracySweep(ctx, unsampled, mixes, sc)
+		su, mu, err := accuracySweep(ctx, unsampled, mixes, estAll, sc)
 		if err != nil {
 			return nil, err
 		}
 		sampled := sc.BaseConfig()
 		sampled.ATSSampledSets = 64
-		ss, ms, err := accuracySweep(ctx, sampled, mixes, sc)
+		ss, ms, err := accuracySweep(ctx, sampled, mixes, estAll, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -324,13 +296,13 @@ func runFig8(ctx context.Context, sc Scale) (*Table, error) {
 		unsampled := sc.BaseConfig()
 		unsampled.L2Bytes = mbytes << 20
 		unsampled.ATSSampledSets = 0
-		su, mu, err := accuracySweep(ctx, unsampled, mixes, sc)
+		su, mu, err := accuracySweep(ctx, unsampled, mixes, estAll, sc)
 		if err != nil {
 			return nil, err
 		}
 		sampled := unsampled
 		sampled.ATSSampledSets = 64
-		ss, ms, err := accuracySweep(ctx, sampled, mixes, sc)
+		ss, ms, err := accuracySweep(ctx, sampled, mixes, estAll, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -383,7 +355,7 @@ func runTab3(ctx context.Context, sc Scale) (*Table, error) {
 			}
 			cellSc.WarmupQuanta = 1
 			cellSc.MeasuredQuanta = total - 1
-			samples, m, err := accuracySweep(ctx, cfg, mixes, cellSc)
+			samples, m, err := accuracySweep(ctx, cfg, mixes, estAll, cellSc)
 			if err != nil {
 				return nil, err
 			}
@@ -403,7 +375,7 @@ func runMISE(ctx context.Context, sc Scale) (*Table, error) {
 	cfg := sc.BaseConfig()
 	cfg.ATSSampledSets = 64
 	mixes := workload.RandomMixes(suitePool(), 4, sc.Workloads, sc.Seed)
-	samples, m, err := accuracySweep(ctx, cfg, mixes, sc)
+	samples, m, err := accuracySweep(ctx, cfg, mixes, estAll, sc)
 	if err != nil {
 		return nil, err
 	}

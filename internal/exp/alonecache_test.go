@@ -28,8 +28,9 @@ func sweepPool(t testing.TB) []workload.Spec {
 }
 
 // TestAccuracySweepSharedAloneBitIdentical: an accuracy sweep with the
-// shared alone cache must produce byte-for-byte the same samples as the
-// uncached sweep — same Actual bits, same estimates, same order.
+// shared alone cache must produce byte-for-byte the same samples as a
+// sweep whose every run has a private cache — same Actual bits, same
+// estimates, same order.
 func TestAccuracySweepSharedAloneBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two multi-mix sweeps")
@@ -49,7 +50,7 @@ func TestAccuracySweepSharedAloneBitIdentical(t *testing.T) {
 	run := func(cache *sim.AloneCurveCache) []Sample {
 		scRun := sc
 		scRun.AloneCache = cache
-		samples, m, err := accuracySweep(context.Background(), cfg, mixes, scRun)
+		samples, m, err := accuracySweep(context.Background(), cfg, mixes, estAll, scRun)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,14 +90,14 @@ func TestAccuracySweepSharedAloneBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFollowedRunsMatchPrivateReplicas: RunAccuracy and RunPolicy on a
-// shared alone cache follow their shared run — each curve is extended on
-// its own goroutine while the mix simulates — and must still return
-// exactly what the synchronous private replicas (no cache, nothing to
-// follow) return: a mix of low-, medium- and high-intensity apps, with
-// the prefetcher and on two channels, on one processor and on two. The
-// two quanta cross one progress hint in mid-quantum. Run under -race
-// (make race).
+// TestFollowedRunsMatchPrivateReplicas: RunAccuracy and RunPolicy follow
+// their shared run — each curve is extended on its own goroutine while
+// the mix simulates — and must return exactly the same on a sweep-wide
+// cache, on one processor and on two, as on a cache private to the run: a
+// mix of low-, medium- and high-intensity apps, with the prefetcher and
+// on two channels. The two quanta cross one progress hint in mid-quantum.
+// (sim's TestSlowdownTrackerSharedEquivalence holds the curves themselves
+// to the full-replica oracle.) Run under -race (make race).
 func TestFollowedRunsMatchPrivateReplicas(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs eighteen two-quantum mixes")
@@ -136,10 +137,10 @@ func TestFollowedRunsMatchPrivateReplicas(t *testing.T) {
 				cache := sim.NewAloneCurveCache()
 				samples, outcome := run(cache)
 				if !reflect.DeepEqual(samples, wantSamples) {
-					t.Errorf("GOMAXPROCS=%d: followed samples %+v, private replicas %+v", procs, samples, wantSamples)
+					t.Errorf("GOMAXPROCS=%d: followed samples %+v, private cache %+v", procs, samples, wantSamples)
 				}
 				if !reflect.DeepEqual(outcome, wantOutcome) {
-					t.Errorf("GOMAXPROCS=%d: followed outcome %+v, private replicas %+v", procs, outcome, wantOutcome)
+					t.Errorf("GOMAXPROCS=%d: followed outcome %+v, private cache %+v", procs, outcome, wantOutcome)
 				}
 				if cache.Len() != len(mix.Names) {
 					t.Errorf("GOMAXPROCS=%d: %d curves for %d apps", procs, cache.Len(), len(mix.Names))

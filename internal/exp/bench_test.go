@@ -22,40 +22,12 @@ func benchSweepScale() Scale {
 	}
 }
 
-func runSweepBench(b *testing.B, shared bool) {
-	sc := benchSweepScale()
-	mixes := workload.RandomMixes(sweepPool(b), 4, sc.Workloads, sc.Seed)
-	cfg := sc.BaseConfig()
-	cfg.ATSSampledSets = 64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		scRun := sc
-		if shared {
-			scRun.AloneCache = sim.NewAloneCurveCache()
-		} else {
-			scRun.AloneCache = nil
-		}
-		samples, m, err := accuracySweep(context.Background(), cfg, mixes, scRun)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !m.Ok() || len(samples) == 0 {
-			b.Fatalf("sweep lost items: %s", m.Summary())
-		}
-	}
-}
-
 // BenchmarkSweepAccuracySharedAlone measures the multi-mix accuracy
 // sweep with the shared alone-run curve cache (a fresh cache per
-// iteration, as one experiment invocation would see it). Compare against
-// BenchmarkSweepAccuracyPrivateAlone for the cache's speedup; the
-// acceptance target is ≥2× on this ≥8-mix benchmark-reusing sweep.
-func BenchmarkSweepAccuracySharedAlone(b *testing.B) { runSweepBench(b, true) }
-
-// BenchmarkSweepAccuracyPrivateAlone is the uncached baseline: every mix
-// re-simulates a private alone run per app.
-func BenchmarkSweepAccuracyPrivateAlone(b *testing.B) { runSweepBench(b, false) }
+// iteration, as one experiment invocation would see it).
+func BenchmarkSweepAccuracySharedAlone(b *testing.B) {
+	runSweepBench(b, sweepPool(b))
+}
 
 // memSweepPool is the memory-intensive pool: the paper's high-MPKI
 // benchmarks, whose cores sleep on outstanding misses for most of their
@@ -74,18 +46,19 @@ func memSweepPool(b *testing.B) []workload.Spec {
 	return pool
 }
 
-func runMemSweepBench(b *testing.B, disableSkip bool) {
+// runSweepBench runs the benchmark sweep over 4-app mixes drawn from
+// pool, on a fresh alone cache per iteration.
+func runSweepBench(b *testing.B, pool []workload.Spec) {
 	sc := benchSweepScale()
-	mixes := workload.RandomMixes(memSweepPool(b), 4, sc.Workloads, sc.Seed)
+	mixes := workload.RandomMixes(pool, 4, sc.Workloads, sc.Seed)
 	cfg := sc.BaseConfig()
 	cfg.ATSSampledSets = 64
-	cfg.DisableSkipAhead = disableSkip
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		scRun := sc
 		scRun.AloneCache = sim.NewAloneCurveCache()
-		samples, m, err := accuracySweep(context.Background(), cfg, mixes, scRun)
+		samples, m, err := accuracySweep(context.Background(), cfg, mixes, estAll, scRun)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -96,15 +69,9 @@ func runMemSweepBench(b *testing.B, disableSkip bool) {
 }
 
 // BenchmarkSweepAccuracyMemIntensive measures the accuracy sweep over
-// memory-intensive mixes with the event-driven skip-ahead fast path on
-// (the default); BenchmarkSweepAccuracyMemIntensiveSkipOff is the
-// cycle-by-cycle reference. The pair is the skip-ahead acceptance
-// measurement, recorded in BENCH_tick.json.
-func BenchmarkSweepAccuracyMemIntensive(b *testing.B) { runMemSweepBench(b, false) }
-
-// BenchmarkSweepAccuracyMemIntensiveSkipOff is the skip-ahead-disabled
-// baseline of BenchmarkSweepAccuracyMemIntensive.
-func BenchmarkSweepAccuracyMemIntensiveSkipOff(b *testing.B) { runMemSweepBench(b, true) }
+// memory-intensive mixes, the workload class whose cores sleep on
+// outstanding misses and the skip-ahead fast path jumps over.
+func BenchmarkSweepAccuracyMemIntensive(b *testing.B) { runSweepBench(b, memSweepPool(b)) }
 
 // BenchmarkRunAccuracyAllocs tracks the allocation profile of a single
 // accuracy run (the quantum-listener path): allocs/op guards the

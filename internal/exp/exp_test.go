@@ -3,6 +3,7 @@ package exp
 import (
 	"context"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"asmsim/internal/telemetry"
@@ -150,13 +151,13 @@ func TestMeanErrorAndGrouping(t *testing.T) {
 }
 
 func TestForEachCollectsErrors(t *testing.T) {
-	count := 0
+	var count atomic.Int64 // items run on several workers
 	fails, cancelled := forEach(context.Background(), 5, nil, telemetry.Options{}, func(i int) error {
-		count++
+		count.Add(1)
 		return nil
 	})
-	if len(fails) != 0 || cancelled || count != 5 {
-		t.Fatalf("fails %v cancelled %v count %d", fails, cancelled, count)
+	if len(fails) != 0 || cancelled || count.Load() != 5 {
+		t.Fatalf("fails %v cancelled %v count %d", fails, cancelled, count.Load())
 	}
 }
 

@@ -30,22 +30,18 @@ func runFig1(ctx context.Context, sc Scale) (*Table, error) {
 	measure := sc.MeasuredQuanta
 
 	for _, name := range apps {
-		spec, ok := workload.ByName(name)
-		if !ok {
-			return nil, fmt.Errorf("exp: unknown app %s", name)
-		}
 		cars := []float64{1}
 		perfs := []float64{1}
 
 		// Alone baseline.
-		aloneCAR, aloneIPC, err := measureCARPerf(ctx, sc, []workload.Spec{spec}, warm, measure)
+		aloneCAR, aloneIPC, err := measureCARPerf(ctx, sc, []string{name}, warm, measure)
 		if err != nil {
 			return nil, err
 		}
 		t.AddRow(name, "alone", f3(1), f3(1))
 
 		for level := 0; level < workload.HogLevels; level++ {
-			car, ipc, err := measureCARPerf(ctx, sc, []workload.Spec{spec, workload.Hog(level)}, warm, measure)
+			car, ipc, err := measureCARPerf(ctx, sc, []string{name, workload.Hog(level).Name}, warm, measure)
 			if err != nil {
 				return nil, err
 			}
@@ -60,26 +56,20 @@ func runFig1(ctx context.Context, sc Scale) (*Table, error) {
 	return t, nil
 }
 
-// measureCARPerf runs the given specs (app of interest first) and returns
+// measureCARPerf runs the named apps (app of interest first) and returns
 // app 0's shared-cache access rate and IPC over the measured window.
-func measureCARPerf(ctx context.Context, sc Scale, specs []workload.Spec, warm, measure int) (car, ipc float64, err error) {
+func measureCARPerf(ctx context.Context, sc Scale, names []string, warm, measure int) (car, ipc float64, err error) {
 	cfg := sc.BaseConfig()
-	cfg.Cores = len(specs)
 	cfg.EpochPriority = false
 	cfg.Epoch = 0
-	sys, err := sim.New(cfg, specs)
-	if err != nil {
-		return 0, 0, err
-	}
 	var accesses, retired uint64
-	sys.AddQuantumListener(func(_ *sim.System, st *sim.QuantumStats) {
-		if st.Quantum < warm {
-			return
-		}
-		accesses += st.Apps[0].L2Accesses
-		retired += st.Apps[0].Retired
-	})
-	if err := runQuanta(ctx, sys, warm+measure); err != nil {
+	_, err = MixRun{Config: cfg, Mix: workload.Mix{Names: names}, Warmup: warm, Measured: measure,
+		OnQuantum: func(st *sim.QuantumStats, _ []float64, _ map[string][]float64) {
+			accesses += st.Apps[0].L2Accesses
+			retired += st.Apps[0].Retired
+		},
+	}.Run(ctx)
+	if err != nil {
 		return 0, 0, err
 	}
 	cycles := float64(uint64(measure) * cfg.Quantum)

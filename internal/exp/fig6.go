@@ -41,7 +41,7 @@ func runFig6(ctx context.Context, sc Scale) (*Table, error) {
 				continue
 			}
 			seen[spec.Name] = true
-			if err := collectAloneLatencies(ctx, sc, spec, actual); err != nil {
+			if err := collectAloneLatencies(ctx, sc, spec.Name, actual); err != nil {
 				return nil, err
 			}
 		}
@@ -83,25 +83,23 @@ func runFig6(ctx context.Context, sc Scale) (*Table, error) {
 	return t, nil
 }
 
-// collectAloneLatencies runs spec alone and records its post-warmup miss
-// service times.
-func collectAloneLatencies(ctx context.Context, sc Scale, spec workload.Spec, h *stats.Histogram) error {
+// collectAloneLatencies runs the named app alone and records its
+// post-warmup miss service times.
+func collectAloneLatencies(ctx context.Context, sc Scale, name string, h *stats.Histogram) error {
 	cfg := sc.BaseConfig()
-	cfg.Cores = 1
 	cfg.EpochPriority = false
 	cfg.Epoch = 0
-	sys, err := sim.New(cfg, []workload.Spec{spec})
-	if err != nil {
-		return err
-	}
 	warmCycles := uint64(sc.WarmupQuanta) * cfg.Quantum
-	sys.SetMissListener(func(ev sim.MissEvent) {
-		if sys.Cycle() < warmCycles {
-			return
-		}
-		h.Add(float64(ev.Latency))
-	})
-	return runQuanta(ctx, sys, sc.TotalQuanta())
+	_, err := MixRun{Config: cfg, Mix: workload.Mix{Names: []string{name}}, Measured: sc.TotalQuanta(),
+		Attach: func(sys *sim.System) {
+			sys.SetMissListener(func(ev sim.MissEvent) {
+				if sys.Cycle() >= warmCycles {
+					h.Add(float64(ev.Latency))
+				}
+			})
+		},
+	}.Run(ctx)
+	return err
 }
 
 // collectEstimates runs a shared mix and records each model's estimated
@@ -109,14 +107,9 @@ func collectAloneLatencies(ctx context.Context, sc Scale, spec workload.Spec, h 
 // models only observe requests that map to sampled ATS sets (the hardware
 // only has per-request latch state there).
 func collectEstimates(ctx context.Context, sc Scale, cfg sim.Config, mix workload.Mix, fst, ptca, asm *stats.Histogram, sampledOnly bool) error {
-	specs := mix.Specs()
-	cfg.Cores = len(specs)
-	sys, err := sim.New(cfg, specs)
-	if err != nil {
-		return err
-	}
 	warmCycles := uint64(sc.WarmupQuanta) * cfg.Quantum
-	sys.SetMissListener(func(ev sim.MissEvent) {
+	var sys *sim.System
+	listen := func(ev sim.MissEvent) {
 		if sys.Cycle() < warmCycles {
 			return
 		}
@@ -146,8 +139,9 @@ func collectEstimates(ctx context.Context, sc Scale, cfg sim.Config, mix workloa
 		if sys.EpochOwner() == ev.App && !ev.ATSContention {
 			asm.Add(float64(ev.Latency))
 		}
-	})
-	if err := runQuanta(ctx, sys, sc.TotalQuanta()); err != nil {
+	}
+	attach := func(s *sim.System) { sys = s; s.SetMissListener(listen) }
+	if _, err := (MixRun{Config: cfg, Mix: mix, Measured: sc.TotalQuanta(), Attach: attach}).Run(ctx); err != nil {
 		return err
 	}
 	if fst.N() == 0 {

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"reflect"
@@ -139,4 +140,56 @@ func TestJobSpecRunHonorsCancellation(t *testing.T) {
 	if _, err := tinyJob().Run(ctx); err == nil {
 		t.Fatal("cancelled job returned no error")
 	}
+}
+
+// decodeSpec decodes a job spec the way POST /api/jobs does: one JSON
+// value, unknown fields rejected, anything after the value ignored.
+func decodeSpec(data []byte) (JobSpec, error) {
+	var j JobSpec
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&j)
+	return j, err
+}
+
+// FuzzJobSpecFingerprint: whatever a client sends, decoding it, validating
+// it and fingerprinting it never panic, and a valid spec keeps its
+// fingerprint through a marshal → decode round trip — the journal and the
+// result cache store specs as JSON and key them by fingerprint. The seed
+// corpus is the job service tests' specs; it runs under plain go test.
+func FuzzJobSpecFingerprint(f *testing.F) {
+	tiny := func(seed uint64) JobSpec { j := tinyJob(); j.Seed = seed; return j }
+	slow, medium, faulty := tiny(11), tiny(121), tiny(221)
+	slow.MeasuredQuanta, medium.MeasuredQuanta = 120, 20
+	faulty.Faults = faults.Config{Seed: 1, EvalFailProb: 1}
+	for _, j := range []JobSpec{tiny(7), tiny(81), slow, medium, faulty, {Experiment: "nonesuch"}} {
+		b, err := json.Marshal(j)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte(`{"experiment":"fig2","bogus":1}`))
+	f.Add([]byte(`{"experiment":"fig2","workloads":2,"measured_quanta":1,"seed":7}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		j, err := decodeSpec(data)
+		if err != nil {
+			return
+		}
+		fp := j.Fingerprint()
+		if j.Validate() != nil {
+			return
+		}
+		b, err := json.Marshal(j)
+		if err != nil {
+			t.Fatalf("valid spec %+v does not marshal: %v", j, err)
+		}
+		back, err := decodeSpec(b)
+		if err != nil {
+			t.Fatalf("valid spec %+v does not decode from its own JSON %s: %v", j, b, err)
+		}
+		if got := back.Fingerprint(); got != fp {
+			t.Fatalf("round trip changed the fingerprint of %+v: %s -> %s", j, fp, got)
+		}
+	})
 }

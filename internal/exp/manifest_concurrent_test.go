@@ -49,7 +49,7 @@ func TestManifestUnderConcurrentCancellation(t *testing.T) {
 	// stride). A 250-poll budget lets the first worker wave complete,
 	// kills the second wave mid-quantum, and leaves the rest unclaimed.
 	ctx := &pollBudgetCtx{Context: context.Background(), budget: 250}
-	samples, m, err := accuracySweep(ctx, sc.BaseConfig(), mixes, sc)
+	samples, m, err := accuracySweep(ctx, sc.BaseConfig(), mixes, estAll, sc)
 	if err != nil {
 		t.Fatalf("sweep with completed items must not error: %v", err)
 	}
@@ -107,7 +107,7 @@ func TestManifestUnderConcurrentPanic(t *testing.T) {
 		}
 		mixes = append(mixes, mx)
 	}
-	samples, m, err := accuracySweep(context.Background(), sc.BaseConfig(), mixes, sc)
+	samples, m, err := accuracySweep(context.Background(), sc.BaseConfig(), mixes, estAll, sc)
 	if err != nil {
 		t.Fatalf("sweep with survivors must not error: %v", err)
 	}

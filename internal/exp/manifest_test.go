@@ -33,7 +33,7 @@ func TestManifestNamesEveryLostMixOnce(t *testing.T) {
 		t.Fatalf("degenerate loss set %d/%d; pick another seed", len(wantLost), len(mixes))
 	}
 
-	samples, m, err := accuracySweep(context.Background(), sc.BaseConfig(), mixes, sc)
+	samples, m, err := accuracySweep(context.Background(), sc.BaseConfig(), mixes, estAll, sc)
 	if err != nil {
 		t.Fatal(err)
 	}

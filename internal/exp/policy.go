@@ -23,52 +23,29 @@ type policyResult struct {
 // reports the lost mixes in the manifest. It errors only when no mix
 // completed at all.
 func policySweep(ctx context.Context, cfg sim.Config, mixes []workload.Mix, schemes []Scheme, sc Scale) (map[string]policyResult, *Manifest, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	type cell struct{ ms, hs float64 }
-	cells := make([]map[string]cell, len(mixes))
-	fails, cancelled := forEach(ctx, len(mixes),
-		func(i int) string { return mixes[i].String() },
-		sc.Telemetry,
-		func(i int) error {
-			got := map[string]cell{}
-			for _, scheme := range schemes {
-				c := cfg
-				// See accuracySweep: per-mix Seed, sweep-wide StreamSeed so
-				// the alone-run curve cache shares curves across mixes.
-				c.Seed = sc.Seed + uint64(i)*1000
-				c.StreamSeed = sc.Seed
-				out, err := RunPolicy(ctx, c, mixes[i], scheme, sc)
-				if err != nil {
-					return fmt.Errorf("scheme %s: %w", scheme.Name, err)
-				}
-				got[scheme.Name] = cell{ms: out.MaxSlowdown, hs: out.HarmonicSpeedup}
+	cells, m, err := sweepMixes(ctx, cfg, mixes, sc, func(c sim.Config, mix workload.Mix) (map[string]cell, error) {
+		got := map[string]cell{}
+		for _, scheme := range schemes {
+			out, err := RunPolicy(ctx, c, mix, scheme, sc)
+			if err != nil {
+				return nil, fmt.Errorf("scheme %s: %w", scheme.Name, err)
 			}
-			cells[i] = got
-			return nil
-		})
+			got[scheme.Name] = cell{ms: out.MaxSlowdown, hs: out.HarmonicSpeedup}
+		}
+		return got, nil
+	})
+	if err != nil {
+		return nil, m, err
+	}
 	res := map[string]policyResult{}
-	completed := 0
-	for i := range mixes {
-		if cells[i] != nil {
-			completed++
-		}
-	}
-	m := &Manifest{Total: len(mixes), Completed: completed, Failures: fails, Cancelled: cancelled}
-	if completed == 0 && len(mixes) > 0 {
-		if len(fails) > 0 {
-			return nil, m, fmt.Errorf("exp: policy sweep produced no results: %w", fails[0])
-		}
-		return nil, m, fmt.Errorf("exp: policy sweep cancelled before any mix completed: %w", ctx.Err())
-	}
 	for _, scheme := range schemes {
 		var ms, hs []float64
-		for i := range mixes {
-			if cells[i] == nil {
+		for _, got := range cells {
+			if got == nil {
 				continue
 			}
-			c := cells[i][scheme.Name]
+			c := (*got)[scheme.Name]
 			ms = append(ms, c.ms)
 			hs = append(hs, c.hs)
 		}

@@ -102,7 +102,7 @@ func TestAccuracySweepPartialResults(t *testing.T) {
 		{Names: []string{"nonesuch", "namd"}},
 		{Names: []string{"povray", "calculix"}},
 	}
-	samples, m, err := accuracySweep(context.Background(), sc.BaseConfig(), mixes, sc)
+	samples, m, err := accuracySweep(context.Background(), sc.BaseConfig(), mixes, estAll, sc)
 	if err != nil {
 		t.Fatalf("sweep with survivors must not error: %v", err)
 	}
@@ -142,7 +142,7 @@ func TestAccuracySweepTotalLossErrors(t *testing.T) {
 		{Names: []string{"nonesuch", "namd"}},
 		{Names: []string{"alsofake", "namd"}},
 	}
-	samples, m, err := accuracySweep(context.Background(), sc.BaseConfig(), mixes, sc)
+	samples, m, err := accuracySweep(context.Background(), sc.BaseConfig(), mixes, estAll, sc)
 	if err == nil {
 		t.Fatal("total loss must fail the sweep")
 	}
@@ -158,7 +158,7 @@ func TestAccuracySweepCancelledMidway(t *testing.T) {
 	sc := tinyScale()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, m, err := accuracySweep(ctx, sc.BaseConfig(), []workload.Mix{lightMix()}, sc)
+	_, m, err := accuracySweep(ctx, sc.BaseConfig(), []workload.Mix{lightMix()}, estAll, sc)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err %v, want context.Canceled", err)
 	}
@@ -215,7 +215,7 @@ func TestFaultySweepDeterminism(t *testing.T) {
 		sc.Faults = faults.Config{Seed: 6, EvalFailProb: 0.5} // loses 2 of the 6 mixes
 		pool := workload.SPEC()
 		mixes := workload.RandomMixes(pool, 2, 6, sc.Seed)
-		samples, m, err := accuracySweep(context.Background(), sc.BaseConfig(), mixes, sc)
+		samples, m, err := accuracySweep(context.Background(), sc.BaseConfig(), mixes, estAll, sc)
 		if err != nil {
 			return len(samples), "total-loss"
 		}

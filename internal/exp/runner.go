@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"asmsim/internal/core"
+	"asmsim/internal/evtrace"
 	"asmsim/internal/faults"
 	"asmsim/internal/metrics"
 	"asmsim/internal/sim"
@@ -46,20 +47,114 @@ func (s Sample) Error(estimator string) (float64, bool) {
 // (estimators carry per-run state such as previous-quantum fallbacks).
 type EstimatorSet func() []core.Estimator
 
-// runQuanta advances sys under ctx. Cancellation propagates into the
-// simulator's cycle loop (sim.RunQuantaCtx), so a cancelled or expired
-// run stops within a few thousand cycles — mid-quantum — rather than
-// finishing its current quantum or its whole sweep item.
-func runQuanta(ctx context.Context, sys *sim.System, n int) error {
-	return sys.RunQuantaCtx(ctx, n)
+// MixRun is one run of a workload mix: the one code path behind
+// RunAccuracy, RunPolicy, asmsim.Run and the cluster's machine rounds.
+// Optional fields left zero observe, estimate and corrupt nothing.
+type MixRun struct {
+	Config sim.Config // Cores is set from Mix
+	Mix    workload.Mix
+	Scheme string // labels the quantum records (RunPolicy's scheme)
+	// Telemetry observes the shared run and receives one record per
+	// (app, quantum), warmup included.
+	Telemetry telemetry.Options
+	// Attach is called with the system after Observe, before the run:
+	// partitioners and bandwidth policies install here.
+	Attach func(*sim.System)
+	// Estimators see each quantum's snapshot as Faults may corrupt it at
+	// FaultSite; ground truth always reads the pristine counters.
+	Estimators []core.Estimator
+	Faults     *faults.Injector
+	FaultSite  string
+	// GroundTruth measures actual slowdowns on alone curves from
+	// AloneCache (nil: private to the run) that follow the shared run;
+	// AloneTrace traces the run's own alone replicas
+	// (sim.SlowdownTracker.AttachAloneTracer).
+	GroundTruth bool
+	AloneCache  *sim.AloneCurveCache
+	AloneTrace  *evtrace.Tracer
+	// Warmup quanta run before Measured ones. OnQuantum receives each
+	// measured quantum's stats, actual slowdowns (nil without GroundTruth)
+	// and estimates by estimator name, in a map reused across quanta.
+	Warmup, Measured int
+	OnQuantum        func(st *sim.QuantumStats, actual []float64, est map[string][]float64)
 }
 
-// withRunTimeout applies the scale's per-run timeout, when set.
-func withRunTimeout(ctx context.Context, sc Scale) (context.Context, context.CancelFunc) {
-	if sc.RunTimeout > 0 {
-		return context.WithTimeout(ctx, sc.RunTimeout)
+// Run simulates the mix under ctx. Cancellation reaches the simulator's
+// cycle loop (sim.RunQuantaCtx), so a cancelled or expired run stops
+// within a few thousand cycles — mid-quantum — rather than finishing its
+// current quantum. It returns the simulated system, or nil when the run
+// could not be set up; a system returned with an error was stopped by
+// ctx.
+func (r MixRun) Run(ctx context.Context) (*sim.System, error) {
+	specs := r.Mix.Specs()
+	cfg := r.Config
+	cfg.Cores = len(specs)
+	sys, err := sim.New(cfg, specs)
+	if err != nil {
+		return nil, err
 	}
-	return ctx, func() {}
+	sys.Observe(r.Telemetry)
+	if r.Attach != nil {
+		r.Attach(sys)
+	}
+	var tracker *sim.SlowdownTracker
+	if r.GroundTruth {
+		r.AloneCache.SetTelemetry(r.Telemetry.Metrics.Scope("sim"))
+		if tracker, err = sim.NewSlowdownTrackerShared(cfg, specs, r.AloneCache); err != nil {
+			return nil, err
+		}
+		tracker.AttachAloneTracer(r.AloneTrace)
+		tracker.Follow(sys)
+	}
+	labels := telemetry.QuantumRecord{TraceID: r.Telemetry.TraceID, Mix: r.Mix.String(), Scheme: r.Scheme}
+	benches := sys.Names()
+	est := make(map[string][]float64, len(r.Estimators))
+	sys.AddQuantumListener(func(_ *sim.System, st *sim.QuantumStats) {
+		var actual []float64
+		if tracker != nil {
+			actual = tracker.ActualSlowdowns(st)
+		}
+		stEst, _ := r.Faults.CorruptStats(r.FaultSite, st)
+		for _, e := range r.Estimators {
+			est[e.Name()] = e.Estimate(stEst)
+		}
+		sim.EmitRecords(r.Telemetry.Recorder, labels, benches, st, actual, est)
+		if st.Quantum >= r.Warmup && r.OnQuantum != nil {
+			r.OnQuantum(st, actual, est)
+		}
+	})
+	return sys, sys.RunQuantaCtx(ctx, r.Warmup+r.Measured)
+}
+
+// runItem runs one sweep item's mix at the scale: it adds the scale's
+// observers, alone cache, quanta and fault plan to r (which may fail the
+// run outright under key), applies the per-run timeout, and names the run
+// (label) in every error, a recovered panic included.
+func (sc Scale) runItem(ctx context.Context, key, label string, r MixRun) (err error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if sc.RunTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, sc.RunTimeout)
+		defer cancel()
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("exp: run %s panicked: %v", label, p)
+		}
+	}()
+	r.Faults = faults.New(sc.Faults)
+	if err := r.Faults.FailRun(key); err != nil {
+		return fmt.Errorf("exp: run %s: %w", label, err)
+	}
+	r.FaultSite = r.Mix.String()
+	r.Telemetry, r.AloneCache, r.GroundTruth = sc.Telemetry, sc.AloneCache, true
+	r.Warmup, r.Measured = sc.WarmupQuanta, sc.MeasuredQuanta
+	if _, err := r.Run(ctx); err != nil {
+		return fmt.Errorf("exp: run %s: %w", label, err)
+	}
+	return nil
 }
 
 // RunAccuracy runs one workload mix under cfg, evaluating the estimators
@@ -70,77 +165,33 @@ func withRunTimeout(ctx context.Context, sc Scale) (context.Context, context.Can
 // estimator input through the scale's fault injector when one is
 // configured.
 func RunAccuracy(ctx context.Context, cfg sim.Config, mix workload.Mix, newEst EstimatorSet, sc Scale) (samples []Sample, err error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	ctx, cancel := withRunTimeout(ctx, sc)
-	defer cancel()
-	defer func() {
-		if r := recover(); r != nil {
-			samples = nil
-			err = fmt.Errorf("exp: run %s panicked: %v", mix, r)
-		}
-	}()
-	inj := faults.New(sc.Faults)
-	if ferr := inj.FailRun(mix.String()); ferr != nil {
-		return nil, fmt.Errorf("exp: run %s: %w", mix, ferr)
-	}
-	specs := mix.Specs()
-	cfg.Cores = len(specs)
-	sys, err := sim.New(cfg, specs)
-	if err != nil {
-		return nil, err
-	}
-	sys.Observe(sc.Telemetry)
-	sc.AloneCache.SetTelemetry(sc.Telemetry.Metrics.Scope("sim"))
-	tracker, err := sim.NewSlowdownTrackerShared(cfg, specs, sc.AloneCache)
-	if err != nil {
-		return nil, err
-	}
-	tracker.Follow(sys)
 	ests := newEst()
-	labels := telemetry.QuantumRecord{TraceID: sc.Telemetry.TraceID, Mix: mix.String()}
-	benches := sys.Names()
-	// The estimates map and samples slice are reused/pre-sized across
-	// quanta: only the small per-sample Est maps are allocated per
-	// quantum (they escape into the returned samples).
-	estimates := make(map[string][]float64, len(ests))
-	if m := sc.MeasuredQuanta; m > 0 {
-		samples = make([]Sample, 0, m*len(specs))
-	}
-	sys.AddQuantumListener(func(_ *sim.System, st *sim.QuantumStats) {
-		// Ground truth reads the pristine counters; the estimators see the
-		// possibly-corrupted snapshot, as real models would on a machine
-		// with a flaky counter readout.
-		actual := tracker.ActualSlowdowns(st)
-		stEst, _ := inj.CorruptStats(mix.String(), st)
-		for _, e := range ests {
-			estimates[e.Name()] = e.Estimate(stEst)
-		}
-		// The recorder sees every quantum, warmup included: the
-		// per-quantum trajectory is exactly what it exists to expose.
-		sim.EmitRecords(sc.Telemetry.Recorder, labels, benches, st, actual, estimates)
-		if st.Quantum < sc.WarmupQuanta {
-			return
-		}
-		for a := range specs {
-			s := Sample{
-				Bench:   specs[a].Name,
-				App:     a,
-				Quantum: st.Quantum,
-				Actual:  actual[a],
-				Est:     make(map[string]float64, len(ests)),
+	err = sc.runItem(ctx, mix.String(), mix.String(), MixRun{
+		Config:     cfg,
+		Mix:        mix,
+		Estimators: ests,
+		OnQuantum: func(st *sim.QuantumStats, actual []float64, est map[string][]float64) {
+			// Only the small per-sample Est maps are allocated per quantum
+			// (they escape into the returned samples).
+			if samples == nil {
+				samples = make([]Sample, 0, sc.MeasuredQuanta*len(actual))
 			}
-			for name, v := range estimates {
-				s.Est[name] = v[a]
+			for a := range actual {
+				s := Sample{
+					Bench:   mix.Names[a],
+					App:     a,
+					Quantum: st.Quantum,
+					Actual:  actual[a],
+					Est:     make(map[string]float64, len(ests)),
+				}
+				for name, v := range est {
+					s.Est[name] = v[a]
+				}
+				samples = append(samples, s)
 			}
-			samples = append(samples, s)
-		}
+		},
 	})
-	if err := runQuanta(ctx, sys, sc.TotalQuanta()); err != nil {
-		return samples, fmt.Errorf("exp: run %s: %w", mix, err)
-	}
-	return samples, nil
+	return samples, err
 }
 
 // MeanError averages the error of one estimator over the valid samples;
@@ -200,71 +251,36 @@ type PolicyOutcome struct {
 // slowdowns against the alone-run ground truth. Like RunAccuracy it
 // honors ctx cancellation and the per-run timeout and recovers panics
 // into errors naming the mix.
-func RunPolicy(ctx context.Context, cfg sim.Config, mix workload.Mix, scheme Scheme, sc Scale) (out PolicyOutcome, err error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	ctx, cancel := withRunTimeout(ctx, sc)
-	defer cancel()
-	defer func() {
-		if r := recover(); r != nil {
-			out = PolicyOutcome{}
-			err = fmt.Errorf("exp: run %s (%s) panicked: %v", mix, scheme.Name, r)
-		}
-	}()
-	inj := faults.New(sc.Faults)
-	if ferr := inj.FailRun(mix.String() + "/" + scheme.Name); ferr != nil {
-		return PolicyOutcome{}, fmt.Errorf("exp: run %s (%s): %w", mix, scheme.Name, ferr)
-	}
-	specs := mix.Specs()
-	cfg.Cores = len(specs)
+func RunPolicy(ctx context.Context, cfg sim.Config, mix workload.Mix, scheme Scheme, sc Scale) (PolicyOutcome, error) {
 	if scheme.Configure != nil {
 		scheme.Configure(&cfg)
 	}
-	sys, err := sim.New(cfg, specs)
-	if err != nil {
-		return PolicyOutcome{}, err
-	}
-	sys.Observe(sc.Telemetry)
-	if scheme.Attach != nil {
-		scheme.Attach(sys)
-	}
 	defer sc.Telemetry.Metrics.Scope("exp").Scope("scheme").Timer(scheme.Name).Start()()
-	// Ground truth always uses the unmanaged baseline system: the alone
-	// run has the full cache and all bandwidth regardless of policy.
-	base := cfg
-	base.EpochPriority = false
-	base.Epoch = 0
-	base.Policy = sim.PolicyFRFCFS
-	sc.AloneCache.SetTelemetry(sc.Telemetry.Metrics.Scope("sim"))
-	tracker, err := sim.NewSlowdownTrackerShared(base, specs, sc.AloneCache)
-	if err != nil {
-		return PolicyOutcome{}, err
-	}
-	tracker.Follow(sys)
-	n := len(specs)
+	// Ground truth needs no baseline config of its own: an alone curve
+	// always runs the unmanaged system (one core, FR-FCFS, no epochs) with
+	// the full cache and all bandwidth, whatever the scheme configures.
+	n := len(mix.Names)
 	invSum := make([]float64, n) // sum of 1/slowdown per quantum
 	count := 0
-	labels := telemetry.QuantumRecord{TraceID: sc.Telemetry.TraceID, Mix: mix.String(), Scheme: scheme.Name}
-	benches := sys.Names()
-	sys.AddQuantumListener(func(_ *sim.System, st *sim.QuantumStats) {
-		actual := tracker.ActualSlowdowns(st)
-		sim.EmitRecords(sc.Telemetry.Recorder, labels, benches, st, actual, nil)
-		if st.Quantum < sc.WarmupQuanta {
-			return
-		}
-		count++
-		for a, sd := range actual {
-			invSum[a] += 1 / sd
-		}
+	err := sc.runItem(ctx, mix.String()+"/"+scheme.Name, fmt.Sprintf("%s (%s)", mix, scheme.Name), MixRun{
+		Config: cfg,
+		Mix:    mix,
+		Scheme: scheme.Name,
+		Attach: scheme.Attach,
+		OnQuantum: func(_ *sim.QuantumStats, actual []float64, _ map[string][]float64) {
+			count++
+			for a, sd := range actual {
+				invSum[a] += 1 / sd
+			}
+		},
 	})
-	if err := runQuanta(ctx, sys, sc.TotalQuanta()); err != nil {
-		return PolicyOutcome{}, fmt.Errorf("exp: run %s (%s): %w", mix, scheme.Name, err)
+	if err != nil {
+		return PolicyOutcome{}, err
 	}
 	if count == 0 {
 		return PolicyOutcome{}, fmt.Errorf("exp: no measured quanta")
 	}
-	out = PolicyOutcome{AppSlowdowns: make([]float64, n)}
+	out := PolicyOutcome{AppSlowdowns: make([]float64, n)}
 	for a := range out.AppSlowdowns {
 		out.AppSlowdowns[a] = float64(count) / invSum[a]
 	}
@@ -292,6 +308,46 @@ func harmonicSpeedup(slowdowns []float64) float64 {
 		return 0
 	}
 	return float64(len(slowdowns)) / sum
+}
+
+// sweepMixes runs one sweep item per mix on forEach's workers, under cfg
+// with a per-mix Seed (decorrelating the epoch lotteries) and the sweep's
+// StreamSeed (keeping each benchmark's instruction stream identical in
+// every mix, so the alone-run curve cache shares one curve per benchmark
+// across the sweep). It returns each mix's result, nil where the item
+// failed, and the sweep's manifest; it errors only when no mix completed.
+func sweepMixes[T any](ctx context.Context, cfg sim.Config, mixes []workload.Mix, sc Scale, run func(sim.Config, workload.Mix) (T, error)) ([]*T, *Manifest, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	results := make([]*T, len(mixes))
+	fails, cancelled := forEach(ctx, len(mixes),
+		func(i int) string { return mixes[i].String() },
+		sc.Telemetry,
+		func(i int) error {
+			c := cfg
+			c.Seed = sc.Seed + uint64(i)*1000
+			c.StreamSeed = sc.Seed
+			r, err := run(c, mixes[i])
+			if err == nil {
+				results[i] = &r
+			}
+			return err
+		})
+	completed := 0
+	for _, r := range results {
+		if r != nil {
+			completed++
+		}
+	}
+	m := &Manifest{Total: len(mixes), Completed: completed, Failures: fails, Cancelled: cancelled}
+	if completed == 0 && len(mixes) > 0 {
+		if len(fails) > 0 {
+			return nil, m, fmt.Errorf("exp: sweep produced no results: %w", fails[0])
+		}
+		return nil, m, fmt.Errorf("exp: sweep cancelled before any mix completed: %w", ctx.Err())
+	}
+	return results, m, nil
 }
 
 // forEach runs fn for every index in [0, n) on up to GOMAXPROCS workers.

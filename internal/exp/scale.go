@@ -37,14 +37,14 @@ type Scale struct {
 	// slowdowns; Metrics receives per-mix/per-scheme wall-time timers,
 	// worker-utilization gauges and simulator counters; Progress
 	// receives live item start/finish updates; Trace and Attribution
-	// observe every shared run's interference (alone replicas are never
+	// observe every shared run's interference (alone runs are never
 	// traced). The zero value disables all observation.
 	Telemetry telemetry.Options
 	// AloneCache shares alone-run ground-truth curves across every run
 	// of the sweep (and across sweeps, when the same cache is passed to
 	// several experiments): each benchmark's alone run is simulated once
-	// per distinct configuration instead of once per mix. nil disables
-	// sharing and re-simulates per run, the pre-cache behavior. Quick()
+	// per distinct configuration instead of once per mix. nil gives every
+	// run a private cache, re-simulating each alone run per mix. Quick()
 	// and Full() populate it.
 	AloneCache *sim.AloneCurveCache
 }

@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -70,9 +72,9 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
-// apiError is the JSON body of load-shed (429) and drain (503)
-// responses: the error plus current queue occupancy, so clients can
-// size their backoff instead of guessing.
+// apiError is the JSON body of load-shed (429), drain (503) and
+// oversized-request (413) responses: the error plus current queue
+// occupancy, so clients can size their backoff instead of guessing.
 type apiError struct {
 	Error      string `json:"error"`
 	Queued     int    `json:"queued"`
@@ -87,15 +89,28 @@ func (s *Server) writeShedError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, apiError{Error: err.Error(), Queued: queued, QueueDepth: s.opts.QueueDepth})
 }
 
+// maxJobSpecBytes bounds a POST /api/jobs body. A job spec is a few
+// hundred bytes; anything past this is refused with 413 before it is
+// decoded, so a client cannot make the service buffer an unbounded body.
+const maxJobSpecBytes = 64 << 10
+
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
 		writeJSON(w, http.StatusOK, s.Jobs())
 	case http.MethodPost:
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxJobSpecBytes))
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			s.writeShedError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("serve: job spec exceeds %d bytes", tooBig.Limit))
+			return
+		}
 		var spec exp.JobSpec
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(bytes.NewReader(body))
 		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
+		if err == nil {
+			err = dec.Decode(&spec)
+		}
+		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad job spec: %w", err))
 			return
 		}

@@ -398,6 +398,36 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitBodyBounded: a POST body past maxJobSpecBytes is refused with
+// 413 and the usual apiError body before it is decoded — even a valid
+// spec padded with whitespace, which an unbounded decoder accepts —
+// while a normal spec is still admitted.
+func TestSubmitBodyBounded(t *testing.T) {
+	s := newTestServer(t, Options{})
+	mux := http.NewServeMux()
+	s.Mount(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	spec, _ := json.Marshal(tinySpec(91))
+	post := func(body string) (int, apiError) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/api/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var ae apiError
+		json.NewDecoder(resp.Body).Decode(&ae)
+		return resp.StatusCode, ae
+	}
+	if code, ae := post(string(spec) + strings.Repeat(" ", maxJobSpecBytes)); code != http.StatusRequestEntityTooLarge || ae.Error == "" {
+		t.Fatalf("padded spec: %d %+v, want 413 with an error body", code, ae)
+	}
+	if code, _ := post(string(spec)); code != http.StatusAccepted {
+		t.Fatalf("normal spec: %d, want 202", code)
+	}
+}
+
 // TestHTTPStatusAndResult covers the read endpoints end to end.
 func TestHTTPStatusAndResult(t *testing.T) {
 	s := newTestServer(t, Options{})

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -17,34 +16,35 @@ import (
 //	retired at least that many instructions
 //
 // of one application running alone on one (canonicalized) configuration.
-// Instead of every SlowdownTracker ticking a private single-core replica
-// to each milestone — re-simulating the same benchmark once per workload
-// mix — the cache simulates each (config, stream) pair once on a lean
-// solo replica (newSystem's lean mode), records the retiring cycles as
-// run-length segments while extending lazily on demand under a per-entry
-// lock, and answers every CyclesAt query from any mix or worker by binary
-// search. A tracker that follows its shared run (SlowdownTracker.Follow)
-// additionally has each curve extended on a goroutine of its own while the
-// shared run is still simulating, so the quantum-boundary query finds its
-// prefix already covered (see aloneCurve.want).
+// It is the only ground-truth back end: instead of re-simulating the same
+// benchmark once per workload mix, the cache simulates each (config,
+// stream) pair once on a lean solo replica (newSystem's lean mode),
+// records the retiring cycles as run-length segments while extending
+// lazily on demand under a per-entry lock, and answers every CyclesAt
+// query from any mix or worker by binary search. A tracker that follows
+// its shared run (SlowdownTracker.Follow) additionally has each curve
+// extended on a goroutine of its own while the shared run is still
+// simulating, so the quantum-boundary query finds its prefix already
+// covered (see aloneCurve.want).
 //
 // Sharing is sound because curve identity is exact: instruction streams
 // are pure functions of their AppSource.Key (for generator-backed
 // sources, the (spec, seed) pair — see SourcesFromSpecs), and the
 // canonical alone configuration (Config.aloneCurveConfig) retains every
 // timing-relevant knob while normalizing away the ones a solo run cannot
-// observe. Cached answers are bit-identical to a private AloneProfile's.
+// observe. Cached answers are bit-identical to stepping a full solo
+// replica of the shared run's configuration to each milestone.
 //
 // The zero value is not ready; use NewAloneCurveCache. All methods are
-// safe for concurrent use. A nil *AloneCurveCache is accepted by the
-// tracker constructors and simply disables sharing.
+// safe for concurrent use. A nil *AloneCurveCache passed to
+// NewSlowdownTrackerShared gives the tracker a private cache.
 type AloneCurveCache struct {
 	mu      sync.Mutex
 	entries map[aloneKey]*aloneCurve
 
 	// Saved-cycle accounting: queried sums every cursor's alone-cycle
-	// advance (what private replicas would have simulated), extended the
-	// replica cycles actually simulated, whoever stepped them.
+	// advance (what a replica per tracker slot would have simulated),
+	// extended the replica cycles actually simulated, whoever stepped them.
 	queried  atomic.Uint64
 	extended atomic.Uint64
 	// Totals over the listed entries only. Written under mu (so a Reset
@@ -113,13 +113,18 @@ func (c *AloneCurveCache) SetTelemetry(r *telemetry.Registry) {
 // Cursor returns a per-tracker-slot view of app's alone curve under cfg,
 // creating the curve entry (and its lazily-ticked replica) on first use.
 // Each slot needs its own cursor because saved-cycle accounting tracks
-// the slot's previous milestone. Sources without a stream key cannot be
-// cached and return an error; callers fall back to a private replica.
+// the slot's previous milestone. A source without a stream key (a
+// recorded trace) has no identity to share: it gets an unlisted curve of
+// its own, which the cache accounts replica cycles for but never lists.
 func (c *AloneCurveCache) Cursor(cfg Config, app AppSource) (*AloneCursor, error) {
-	if app.Key == "" {
-		return nil, fmt.Errorf("sim: source %q has no stream key; alone curve not shareable", app.Name)
-	}
 	alone := cfg.aloneCurveConfig()
+	if app.Key == "" {
+		cv, err := c.newCurve(alone, app, true)
+		if err != nil {
+			return nil, err
+		}
+		return &AloneCursor{curve: cv}, nil
+	}
 	key := aloneKey{cfg: alone.Fingerprint(), app: app.Key}
 	c.mu.Lock()
 	cv := c.entries[key]
@@ -131,14 +136,14 @@ func (c *AloneCurveCache) Cursor(cfg Config, app AppSource) (*AloneCursor, error
 	// lock so concurrent tracker set-ups do not queue behind one
 	// allocation; if another goroutine listed the same key meanwhile, its
 	// curve wins and this replica is dropped.
-	sys, err := newSystem(alone, []AppSource{app}, true)
+	fresh, err := c.newCurve(alone, app, true)
 	if err != nil {
 		return nil, err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if cv = c.entries[key]; cv == nil {
-		cv = &aloneCurve{cache: c, key: key, sys: sys}
+		cv, fresh.key = fresh, key
 		c.entries[key] = cv
 		if t := c.tel.Load(); t != nil {
 			t.misses.Inc()
@@ -146,6 +151,16 @@ func (c *AloneCurveCache) Cursor(cfg Config, app AppSource) (*AloneCursor, error
 		}
 	}
 	return &AloneCursor{curve: cv}, nil
+}
+
+// newCurve returns an empty, unlisted curve of app alone under cfg, on a
+// lean replica or a full one.
+func (c *AloneCurveCache) newCurve(cfg Config, app AppSource, lean bool) (*aloneCurve, error) {
+	sys, err := newSystem(cfg, []AppSource{app}, lean)
+	if err != nil {
+		return nil, err
+	}
+	return &aloneCurve{cache: c, sys: sys}, nil
 }
 
 // Len returns the number of cached curves.
@@ -161,7 +176,7 @@ func (c *AloneCurveCache) Len() int {
 func (c *AloneCurveCache) Points() int64 { return c.points.Load() }
 
 // SavedCycles returns the cumulative replica cycles the cache avoided
-// simulating compared to per-tracker private replicas: the sum of every
+// simulating compared to a replica per tracker slot: the sum of every
 // cursor's alone-cycle advance minus the cycles its replicas were stepped.
 // It does not depend on who stepped them; while a followed run is between
 // boundaries its curves can be ahead of its queries, which reads as 0.
@@ -214,7 +229,7 @@ func (c *AloneCurveCache) grew(cv *aloneCurve, cycles uint64, points, segs int64
 }
 
 // observe records one query's accounting: delta is the alone-cycle
-// advance the query represents — the cycles a private replica would have
+// advance the query represents — the cycles a slot's own replica would have
 // simulated for it — and stepped whether the query itself had to advance
 // the curve's replica.
 func (c *AloneCurveCache) observe(delta uint64, stepped bool) {
@@ -250,7 +265,8 @@ func (s *curveSeg) lastInstr() uint64 { return s.instr0 + uint64(s.n-1)*uint64(s
 const extendSlice = 1 << 16
 
 // aloneCurve is one cached (instructions -> cycles) step curve plus the
-// lean replica that extends it.
+// solo replica that extends it: lean, or full when a tracker traces it
+// (SlowdownTracker.AttachAloneTracer). Unlisted curves have a zero key.
 type aloneCurve struct {
 	cache *AloneCurveCache
 	key   aloneKey
@@ -402,9 +418,9 @@ type AloneCursor struct {
 }
 
 // CyclesAt returns the cycle at which the alone run has retired at least
-// instr instructions — the same contract and bit-identical values as
-// AloneProfile.CyclesAt. Queries must be non-decreasing per cursor (they
-// are: cumulative milestones only grow).
+// instr instructions: the cycle of the replica step that first brought
+// its retired count to instr (0 for instr 0). Queries must be
+// non-decreasing per cursor (they are: cumulative milestones only grow).
 func (cu *AloneCursor) CyclesAt(instr uint64) uint64 {
 	cyc, stepped := cu.curve.cyclesAt(instr)
 	cu.curve.cache.observe(cyc-cu.last, stepped)

@@ -1,6 +1,10 @@
 package sim
 
 import (
+	"context"
+	"reflect"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"unsafe"
@@ -23,15 +27,17 @@ func mustSpecs(t testing.TB, names []string) []workload.Spec {
 	return specs
 }
 
-// TestSlowdownTrackerSharedEquivalence: the cached tracker must produce
-// bit-identical ActualSlowdowns to the private-replica tracker across a
-// sweep of mixes that reuse benchmarks — including across configs that
-// differ only in knobs the curve key normalizes away (per-mix Seed,
-// Quantum, ATS sampling). The private tracker runs full AloneProfile
-// systems, so this also holds the cache's lean replica (no ATS, no
-// pollution filter) to the full one at every milestone, for low-, medium-
-// and high-intensity apps, with the prefetcher's ATS mirror skipped and
-// on a two-channel memory system.
+// TestSlowdownTrackerSharedEquivalence: a tracker on a shared curve cache
+// must produce bit-identical ActualSlowdowns and milestone cycles to the
+// reference oracle (aloneOracle: a full solo replica stepped to each
+// milestone) across a sweep of mixes that reuse benchmarks — including
+// across configs that differ only in knobs the curve key normalizes away
+// (per-mix Seed, Quantum, ATS sampling). This holds the cache's lean
+// replica (no ATS, no pollution filter) to the full one at every
+// milestone, for low-, medium- and high-intensity apps, with the
+// prefetcher's ATS mirror skipped and on a two-channel memory system;
+// unfollowed and followed (curves extended on chase goroutines), on one
+// processor and on two. Run under -race (make race).
 func TestSlowdownTrackerSharedEquivalence(t *testing.T) {
 	mixes := [][]string{
 		{"mcf", "libquantum", "bzip2", "h264ref"},
@@ -46,67 +52,88 @@ func TestSlowdownTrackerSharedEquivalence(t *testing.T) {
 		{"prefetch", func(c *Config) { c.Prefetch = true }},
 		{"2ch", func(c *Config) { c.Channels = 2 }},
 	}
+	type answer struct {
+		Slowdowns []float64
+		Cycles    []uint64 // alone cycles at each app's milestone
+	}
+	// sweep runs the mixes one after the other under tweak; track builds
+	// the ground truth under test for one mix and answers its quanta.
+	sweep := func(t *testing.T, tweak func(*Config), track func(Config, []workload.Spec, *System) func(*QuantumStats) answer) []answer {
+		var out []answer
+		for mi, names := range mixes {
+			cfg := DefaultConfig()
+			cfg.Quantum = 120_000
+			cfg.ATSSampledSets = 64
+			cfg.Seed = 7 + uint64(mi)*1000 // per-mix seed, as the sweeps set it
+			cfg.StreamSeed = 7
+			if mi == 1 {
+				cfg.Quantum = 60_000 // normalized out of the curve key
+			}
+			tweak(&cfg)
+			specs := mustSpecs(t, names)
+			sys, err := New(cfg, specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			answerOf := track(cfg, specs, sys)
+			sys.AddQuantumListener(func(_ *System, st *QuantumStats) { out = append(out, answerOf(st)) })
+			if err := sys.RunQuantaCtx(context.Background(), 3); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			cache := NewAloneCurveCache()
-			reg := telemetry.NewRegistry()
-			cache.SetTelemetry(reg.Scope("sim"))
-			for mi, names := range mixes {
-				cfg := DefaultConfig()
-				cfg.Quantum = 120_000
-				cfg.ATSSampledSets = 64
-				cfg.Seed = 7 + uint64(mi)*1000 // per-mix seed, as the sweeps set it
-				cfg.StreamSeed = 7
-				if mi == 1 {
-					cfg.Quantum = 60_000 // normalized out of the curve key
+			want := sweep(t, v.tweak, func(cfg Config, specs []workload.Spec, _ *System) func(*QuantumStats) answer {
+				o := newOracleTracker(t, cfg, SourcesFromSpecs(specs, cfg.streamSeed()))
+				return func(st *QuantumStats) answer {
+					return answer{o.ActualSlowdowns(st), slices.Clone(o.lastCycle)}
 				}
-				v.tweak(&cfg)
-				specs := mustSpecs(t, names)
-				sys, err := New(cfg, specs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cached, err := NewSlowdownTrackerShared(cfg, specs, cache)
-				if err != nil {
-					t.Fatal(err)
-				}
-				plain, err := NewSlowdownTracker(cfg, specs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sys.AddQuantumListener(func(_ *System, st *QuantumStats) {
-					want := plain.ActualSlowdowns(st)
-					got := cached.ActualSlowdowns(st)
-					for a := range want {
-						if got[a] != want[a] {
-							t.Fatalf("mix %d app %d (%s) quantum %d: cached %v != uncached %v",
-								mi, a, names[a], st.Quantum, got[a], want[a])
+			})
+			for _, follow := range []bool{false, true} {
+				for _, procs := range []int{1, 2} {
+					runtime.GOMAXPROCS(procs)
+					cache := NewAloneCurveCache()
+					reg := telemetry.NewRegistry()
+					cache.SetTelemetry(reg.Scope("sim"))
+					got := sweep(t, v.tweak, func(cfg Config, specs []workload.Spec, sys *System) func(*QuantumStats) answer {
+						tr, err := NewSlowdownTrackerShared(cfg, specs, cache)
+						if err != nil {
+							t.Fatal(err)
 						}
-						if c, p := cached.lastCycle[a], plain.lastCycle[a]; c != p {
-							t.Fatalf("mix %d app %d (%s) quantum %d: cached milestone cycle %d != replica's %d",
-								mi, a, names[a], st.Quantum, c, p)
+						if follow {
+							tr.Follow(sys)
 						}
+						return func(st *QuantumStats) answer {
+							return answer{tr.ActualSlowdowns(st), slices.Clone(tr.lastCycle)}
+						}
+					})
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("follow=%v GOMAXPROCS=%d: per-quantum answers differ from the oracle's\n got %+v\nwant %+v",
+							follow, procs, got, want)
 					}
-				})
-				sys.RunQuanta(3)
-			}
-			// 8 distinct benchmarks across the mixes; the repeats (and the
-			// second mix's different Quantum/Seed) must all hit shared entries.
-			if cache.Len() != 8 {
-				t.Fatalf("cache holds %d curves, want 8 (one per distinct benchmark)", cache.Len())
-			}
-			if cache.SavedCycles() == 0 {
-				t.Fatal("repeated benchmarks saved no cycles")
-			}
-			sc := reg.Scope("sim").Scope("alone_cache")
-			if sc.Counter("hits").Value() == 0 || sc.Counter("extensions").Value() == 0 {
-				t.Fatal("telemetry recorded no alone_cache activity")
-			}
-			if got := sc.Gauge("points").Value(); got != cache.Points() || got == 0 {
-				t.Fatalf("points gauge %d, cache.Points() %d", got, cache.Points())
-			}
-			if segs := sc.Gauge("segments").Value(); segs <= 0 || segs >= cache.Points() {
-				t.Fatalf("segments gauge %d not in (0, points=%d)", segs, cache.Points())
+					// 8 distinct benchmarks across the mixes; the repeats (and
+					// the second mix's different Quantum/Seed) must all hit
+					// shared entries.
+					if cache.Len() != 8 {
+						t.Fatalf("cache holds %d curves, want 8 (one per distinct benchmark)", cache.Len())
+					}
+					if cache.SavedCycles() == 0 {
+						t.Fatal("repeated benchmarks saved no cycles")
+					}
+					sc := reg.Scope("sim").Scope("alone_cache")
+					if sc.Counter("hits").Value() == 0 || sc.Counter("extensions").Value() == 0 {
+						t.Fatal("telemetry recorded no alone_cache activity")
+					}
+					if got := sc.Gauge("points").Value(); got != cache.Points() || got == 0 {
+						t.Fatalf("points gauge %d, cache.Points() %d", got, cache.Points())
+					}
+					if segs := sc.Gauge("segments").Value(); segs <= 0 || segs >= cache.Points() {
+						t.Fatalf("segments gauge %d not in (0, points=%d)", segs, cache.Points())
+					}
+				}
 			}
 		})
 	}
@@ -116,20 +143,17 @@ func TestSlowdownTrackerSharedEquivalence(t *testing.T) {
 // one key at once (replicas are built outside the cache lock, so losers
 // of the insert race must discard theirs) and then extend and query the
 // same curve concurrently (run under -race); every answer must equal the
-// private replica's, regardless of interleaving, and the curve must be
+// reference oracle's, regardless of interleaving, and the curve must be
 // counted exactly once.
 func TestAloneCurveConcurrentExtension(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Quantum = 100_000
 	apps := SourcesFromSpecs(mustSpecs(t, []string{"gcc"}), cfg.streamSeed())
-	prof, err := NewAloneProfileFromSource(cfg, apps[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	oracle := newAloneOracle(t, cfg, apps[0])
 	const step, nq = 3_000, 40
 	want := make([]uint64, nq)
 	for i := range want {
-		want[i] = prof.CyclesAt(uint64(i+1) * step)
+		want[i] = oracle.CyclesAt(uint64(i+1) * step)
 	}
 
 	cache := NewAloneCurveCache()
@@ -360,7 +384,7 @@ func curveBytes(cv *aloneCurve) int {
 }
 
 // TestAloneCursorZeroMilestone: milestone 0 answers cycle 0 without
-// simulating, matching the uncached replica.
+// simulating, matching the reference oracle.
 func TestAloneCursorZeroMilestone(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Quantum = 100_000
@@ -379,8 +403,9 @@ func TestAloneCursorZeroMilestone(t *testing.T) {
 }
 
 // TestAloneCacheKeylessSource: a source without a stream key cannot be
-// cached; the shared tracker constructor must fall back to a private
-// replica rather than fail.
+// shared; the tracker must give it an unlisted curve of its own, which
+// the cache never lists, rather than fail — and it must still answer the
+// reference oracle's cycles.
 func TestAloneCacheKeylessSource(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Cores = 1
@@ -388,18 +413,18 @@ func TestAloneCacheKeylessSource(t *testing.T) {
 	apps := SourcesFromSpecs(mustSpecs(t, []string{"gcc"}), cfg.streamSeed())
 	apps[0].Key = ""
 	cache := NewAloneCurveCache()
-	if _, err := cache.Cursor(cfg, apps[0]); err == nil {
-		t.Fatal("keyless source must not be cacheable")
-	}
-	tr, err := NewSlowdownTrackerFromSourcesShared(cfg, apps, cache)
+	tr, err := newSlowdownTracker(cfg, apps, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.cursors[0] != nil || tr.profiles[0] == nil {
-		t.Fatal("keyless source must fall back to a private replica")
+	oracle := newAloneOracle(t, cfg, apps[0])
+	for _, m := range []uint64{5_000, 20_000} {
+		if got, want := tr.cursors[0].CyclesAt(m), oracle.CyclesAt(m); got != want {
+			t.Fatalf("keyless curve answers %d cycles at %d instructions, oracle %d", got, m, want)
+		}
 	}
-	if cache.Len() != 0 {
-		t.Fatal("fallback must not populate the cache")
+	if cache.Len() != 0 || cache.Points() != 0 {
+		t.Fatalf("keyless curve listed: %d curves, %d points", cache.Len(), cache.Points())
 	}
 }
 

@@ -31,7 +31,7 @@ func aloneTraceSetup(t *testing.T) (evtrace.Summary, map[string]evtrace.Summary)
 	}
 	sharedTr := evtrace.NewSink()
 	sys.SetTracer(sharedTr)
-	tracker, err := NewSlowdownTracker(cfg, specs)
+	tracker, err := NewSlowdownTrackerShared(cfg, specs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func aloneTraceSetup(t *testing.T) (evtrace.Summary, map[string]evtrace.Summary)
 }
 
 // TestAttachAloneTracerExportsReplicaSeries checks the span-export
-// plumbing: every private replica is traced, the interleaved series
+// plumbing: every slot of a tracker with a private cache is traced, the interleaved series
 // splits back into one single-app series per benchmark, and each carries
 // real retired/stall accounting.
 func TestAttachAloneTracerExportsReplicaSeries(t *testing.T) {
@@ -78,7 +78,7 @@ func TestAttachAloneTracerExportsReplicaSeries(t *testing.T) {
 }
 
 // TestAttachAloneTracerSkipsCachedSlots: a tracker served entirely from
-// the shared curve cache has no replicas to trace.
+// a caller's shared curve cache has no replicas of its own to trace.
 func TestAttachAloneTracerSkipsCachedSlots(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Quantum = 200_000

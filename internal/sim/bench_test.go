@@ -16,17 +16,10 @@ import (
 
 // benchSystem builds a 4-core contended system.
 func benchSystem(b testing.TB, prefetch bool) *System {
-	return benchSystemCfg(b, prefetch, false)
-}
-
-// benchSystemCfg builds the 4-core contended system, optionally pinning
-// the cycle-by-cycle reference path (skip-ahead disabled).
-func benchSystemCfg(b testing.TB, prefetch, disableSkip bool) *System {
 	b.Helper()
 	cfg := DefaultConfig()
 	cfg.Quantum = 100_000
 	cfg.Prefetch = prefetch
-	cfg.DisableSkipAhead = disableSkip
 	var specs []workload.Spec
 	for _, n := range []string{"mcf", "libquantum", "bzip2", "h264ref"} {
 		s, ok := workload.ByName(n)
@@ -154,19 +147,6 @@ func BenchmarkRunQuanta8Core(b *testing.B) {
 	}
 }
 
-// BenchmarkRunQuantaSkipOff is BenchmarkRunQuanta pinned to the
-// cycle-by-cycle reference path; the ratio against BenchmarkRunQuanta
-// (skip-ahead on by default) is the fast path's speedup on the contended
-// 4-core mix.
-func BenchmarkRunQuantaSkipOff(b *testing.B) {
-	sys := benchSystemCfg(b, false, true)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sys.RunQuanta(1)
-	}
-	b.ReportMetric(float64(sys.Config().Quantum), "cycles/op")
-}
-
 // BenchmarkRunQuantaObserved is the per-sink overhead table at the one
 // observer attach point (System.Observe plus EmitRecords at every quantum
 // boundary): the contended 4-core quantum bare, then with each sink alone
@@ -242,37 +222,6 @@ func BenchmarkRunQuantaObserved(b *testing.B) {
 			b.ReportMetric(float64(sys.Config().Quantum), "cycles/op")
 		})
 	}
-}
-
-// BenchmarkAloneProfile measures the ground-truth replay cost per
-// retired instruction.
-func BenchmarkAloneProfile(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.Quantum = 100_000
-	spec, _ := workload.ByName("bzip2")
-	p, err := NewAloneProfile(cfg, spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	p.CyclesAt(uint64(b.N))
-}
-
-// BenchmarkAloneProfileSkipOff is BenchmarkAloneProfile on the reference
-// path. Alone replicas are where skip-ahead bites hardest: a single
-// memory-bound app sleeps through most of its cycles, and with one app
-// the controller can prove long quiescent windows.
-func BenchmarkAloneProfileSkipOff(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.Quantum = 100_000
-	cfg.DisableSkipAhead = true
-	spec, _ := workload.ByName("bzip2")
-	p, err := NewAloneProfile(cfg, spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	p.CyclesAt(uint64(b.N))
 }
 
 // BenchmarkAloneCurveExtend measures building a cached ground-truth curve:

@@ -3,7 +3,7 @@
 // per-application auxiliary tag stores and pollution filters, and a DDR3
 // main memory behind a scheduling memory controller. It owns the global
 // cycle loop, the quantum/epoch clock of Section 4, the ground-truth
-// alone-run profiler, and the per-quantum counter aggregation that the
+// alone-run curves, and the per-quantum counter aggregation that the
 // slowdown models (internal/core, internal/model) and resource-management
 // policies (internal/partition) consume.
 package sim
@@ -86,16 +86,6 @@ type Config struct {
 	// memory path backpressures new L1 misses. 0 selects the default of
 	// 32, which preserves the historical behavior; negative is invalid.
 	WritebackBackpressure int
-
-	// DisableSkipAhead forces the cycle-by-cycle reference Tick path,
-	// turning off the event-driven skip-ahead fast path (on by default).
-	// Skip-ahead is bit-identical to the reference path — the equivalence
-	// is enforced by TestSkipAheadBitIdentical — so this knob exists only
-	// for differential testing, debugging, and benchmarking the two
-	// paths against each other. It is deliberately NOT part of
-	// Fingerprint(): results cannot depend on it, and including it would
-	// needlessly fracture the alone-curve and job result caches.
-	DisableSkipAhead bool
 
 	// Seed drives all pseudo-random streams.
 	Seed uint64
@@ -233,11 +223,23 @@ func FingerprintHash(parts ...string) string {
 	return hex.EncodeToString(h[:16])
 }
 
+// soloConfig is the single-core normalization every alone replica needs:
+// one core, no epoch prioritization, FR-FCFS — a lone app on FR-FCFS
+// hardware is the paper's alone-run definition. Every other knob is the
+// shared run's; traced replicas (SlowdownTracker.AttachAloneTracer) run
+// under exactly this.
+func (c Config) soloConfig() Config {
+	a := c
+	a.Cores = 1
+	a.EpochPriority = false
+	a.Epoch = 0
+	a.Policy = PolicyFRFCFS
+	return a
+}
+
 // aloneCurveConfig canonicalizes a shared-run config to the single-core
 // configuration an alone-run ground-truth curve is keyed and simulated
-// under. Beyond the single-core normalization every alone replica needs
-// (one core, no epoch prioritization, FR-FCFS — a lone app on FR-FCFS
-// hardware is the paper's alone-run definition), it also zeroes the
+// under. Beyond soloConfig's normalization, it also zeroes the
 // knobs proven timing-invisible for a solo run, so sweeps over them
 // share one curve:
 //
@@ -251,12 +253,8 @@ func FingerprintHash(parts ...string) string {
 //     disabled here; stream identity lives in the AppSource key, not
 //     the config.
 func (c Config) aloneCurveConfig() Config {
-	a := c
-	a.Cores = 1
-	a.EpochPriority = false
-	a.Epoch = 0
+	a := c.soloConfig()
 	a.EpochRoundRobin = false
-	a.Policy = PolicyFRFCFS
 	a.ATSSampledSets = 0
 	a.Quantum = 1_000_000
 	a.Seed = 1

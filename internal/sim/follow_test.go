@@ -242,12 +242,8 @@ func TestFollowLeavesNoGoroutines(t *testing.T) {
 		if cache.Len() != 0 || cache.Points() != 0 {
 			t.Fatalf("after Reset the cache lists %d curves with %d points", cache.Len(), cache.Points())
 		}
-		prof, err := NewAloneProfileFromSource(cfg, apps[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := cu.CyclesAt(hint/2), prof.CyclesAt(hint/2); got != want {
-			t.Fatalf("chased, unlisted curve answers %d cycles at %d instructions, private replica %d", got, uint64(hint/2), want)
+		if got, want := cu.CyclesAt(hint/2), newAloneOracle(t, cfg, apps[0]).CyclesAt(hint/2); got != want {
+			t.Fatalf("chased, unlisted curve answers %d cycles at %d instructions, oracle %d", got, uint64(hint/2), want)
 		}
 	})
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // TestIntegralsMatchPerCycleOracle holds the settled Table-1 integrals to
-// their per-cycle definition. With skip-ahead off the system advances one
-// Tick at a time; after every cycle the test charges that cycle itself,
+// their per-cycle definition. The system advances one Tick at a time, no
+// skip-ahead; after every cycle the test charges that cycle itself,
 // from the end-of-Tick outstanding counts and epoch owner — the loop
 // System.Tick used to run — and at every quantum boundary the snapshot
 // must equal the sums. Unlike TestSkipAheadBitIdentical, whose two runs
@@ -36,7 +36,6 @@ func TestIntegralsMatchPerCycleOracle(t *testing.T) {
 		cfg.Cores = len(tc.apps)
 		cfg.Quantum = 70_000 // quanta 1 and 2 each hold a forced-wake boundary
 		cfg.Epoch = 3_500
-		cfg.DisableSkipAhead = true
 		tc.tweak(&cfg)
 		specs := make([]workload.Spec, len(tc.apps))
 		for i, n := range tc.apps {

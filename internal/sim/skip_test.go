@@ -26,7 +26,9 @@ type skipRunResult struct {
 	skipCycles uint64
 }
 
-func runForSkipDiff(t *testing.T, cfg Config, specs []workload.Spec, quanta int) skipRunResult {
+// runForSkipDiff runs quanta quanta through Run, or with ticked through
+// the tickN reference.
+func runForSkipDiff(t *testing.T, cfg Config, specs []workload.Spec, quanta int, ticked bool) skipRunResult {
 	t.Helper()
 	sys, err := New(cfg, specs)
 	if err != nil {
@@ -38,7 +40,11 @@ func runForSkipDiff(t *testing.T, cfg Config, specs []workload.Spec, quanta int)
 		cp.Apps = append([]AppQuantum(nil), st.Apps...)
 		res.snapshots = append(res.snapshots, cp)
 	})
-	sys.RunQuanta(quanta)
+	if ticked {
+		tickN(sys, uint64(quanta)*cfg.Quantum)
+	} else {
+		sys.RunQuanta(quanta)
+	}
 	for a := 0; a < cfg.Cores; a++ {
 		res.retired = append(res.retired, sys.Retired(a))
 	}
@@ -111,10 +117,8 @@ func TestSkipAheadBitIdentical(t *testing.T) {
 			specs[j] = sp
 		}
 
-		ref := cfg
-		ref.DisableSkipAhead = true
-		got := runForSkipDiff(t, cfg, specs, 2)
-		want := runForSkipDiff(t, ref, specs, 2)
+		got := runForSkipDiff(t, cfg, specs, 2, false)
+		want := runForSkipDiff(t, cfg, specs, 2, true)
 		// The reference path must never skip; the fast path must actually
 		// engage under every policy (non-vacuous equivalence).
 		if want.skipCycles != 0 {
@@ -220,20 +224,23 @@ func TestSkipAheadForcedWakesZero(t *testing.T) {
 		specs = append(specs, sp)
 	}
 	for _, policy := range []Policy{PolicyFRFCFS, PolicyPARBS, PolicyTCM} {
-		for _, disable := range []bool{false, true} {
+		for _, ticked := range []bool{false, true} {
 			cfg := DefaultConfig()
 			cfg.Quantum = 100_000
 			cfg.Policy = policy
-			cfg.DisableSkipAhead = disable
 			sys, err := New(cfg, specs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sys.RunQuanta(2)
-			if fw := sys.ForcedWakes(); fw != 0 {
-				t.Fatalf("%s disableSkip=%v: %d forced wakes — a wake-up path is missing", policy, disable, fw)
+			if ticked {
+				tickN(sys, 2*cfg.Quantum)
+			} else {
+				sys.RunQuanta(2)
 			}
-			if !disable && sys.SkipCycles() == 0 {
+			if fw := sys.ForcedWakes(); fw != 0 {
+				t.Fatalf("%s ticked=%v: %d forced wakes — a wake-up path is missing", policy, ticked, fw)
+			}
+			if !ticked && sys.SkipCycles() == 0 {
 				t.Fatalf("%s: skip-ahead never engaged", policy)
 			}
 		}

@@ -152,11 +152,10 @@ type System struct {
 	writeDone  func(*dram.Request, uint64) // recycles a completed write
 	mpki       []float64                   // endQuantum's TCM clustering input
 
-	// Event-driven skip-ahead fast path (see skipAhead). skipOn caches
-	// !cfg.DisableSkipAhead; allAsleep is Tick's note that it left every
-	// core blocked, the only state a skip window can start from; the
-	// counters tally taken windows and the cycles they crossed.
-	skipOn      bool
+	// Event-driven skip-ahead fast path (see skipAhead). allAsleep is
+	// Tick's note that it left every core blocked, the only state a skip
+	// window can start from; the counters tally taken windows and the
+	// cycles they crossed.
 	allAsleep   bool
 	skipWindows uint64
 	skipCycles  uint64
@@ -251,7 +250,6 @@ func newSystem(cfg Config, apps []AppSource, lean bool) (*System, error) {
 		apps:         append([]AppSource(nil), apps...),
 		ncores:       n,
 		epochOn:      cfg.EpochPriority,
-		skipOn:       !cfg.DisableSkipAhead,
 		cpuPerDRAM:   uint64(cfg.timing().CPUPerDRAM),
 		quantumEnd:   cfg.Quantum - 1,
 		wbLimit:      cfg.wbBackpressure(),
@@ -459,15 +457,14 @@ func (s *System) SetL2Partition(alloc []int) { s.l2.SetPartition(alloc) }
 // L2Partition returns the current shared-cache way partition, or nil.
 func (s *System) L2Partition() []int { return s.l2.Partition() }
 
-// Run advances the system by the given number of cycles. With skip-ahead
-// enabled (the default) it jumps over provably dead windows — never past
-// end, so callers that chunk their advancement (RunQuantaCtx) keep their
-// cancellation latency bound — and is bit-identical to ticking every
-// cycle.
+// Run advances the system by the given number of cycles. It jumps over
+// provably dead windows (skip-ahead) — never past end, so callers that
+// chunk their advancement (RunQuantaCtx) keep their cancellation latency
+// bound — and is bit-identical to calling Tick once per cycle.
 func (s *System) Run(cycles uint64) {
 	end := s.cycle + cycles
 	for s.cycle < end {
-		if s.allAsleep && s.skipOn {
+		if s.allAsleep {
 			s.skipAhead(end)
 			if s.cycle >= end {
 				return
@@ -479,12 +476,12 @@ func (s *System) Run(cycles uint64) {
 
 // Step advances the system to and through the next cycle where work can
 // happen: one skip-ahead window (when the fast path applies) followed by
-// exactly one Tick. Milestone-driven loops (the alone-run profiler and
-// curve cache) use it in place of bare Tick calls; a skip window never
-// retires an instruction (every core is asleep), so stepping cannot
-// overshoot a retirement milestone.
+// exactly one Tick. Milestone-driven loops (the alone-run curves) use it
+// in place of bare Tick calls; a skip window never retires an instruction
+// (every core is asleep), so stepping cannot overshoot a retirement
+// milestone.
 func (s *System) Step() {
-	if s.allAsleep && s.skipOn {
+	if s.allAsleep {
 		s.skipAhead(^uint64(0))
 	}
 	s.Tick()

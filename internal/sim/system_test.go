@@ -248,15 +248,15 @@ func TestInterferenceSlowsSharedRun(t *testing.T) {
 	}
 }
 
-func TestAloneProfileMonotonic(t *testing.T) {
+func TestAloneCursorMonotonic(t *testing.T) {
 	cfg := testConfig()
-	p, err := NewAloneProfile(cfg, testSpecs(t, "mcf")[0])
+	tracker, err := NewSlowdownTrackerShared(cfg, testSpecs(t, "mcf"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var prev uint64
 	for _, target := range []uint64{100, 1000, 5000, 20000} {
-		c := p.CyclesAt(target)
+		c := tracker.cursors[0].CyclesAt(target)
 		if c < prev {
 			t.Fatalf("alone cycles decreased: %d after %d", c, prev)
 		}
@@ -271,7 +271,7 @@ func TestSlowdownTrackerAtLeastOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tracker, err := NewSlowdownTracker(cfg, specs)
+	tracker, err := NewSlowdownTrackerShared(cfg, specs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

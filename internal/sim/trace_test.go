@@ -69,7 +69,7 @@ func TestTraceDrivenGroundTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tracker, err := NewSlowdownTrackerFromSources(cfg, apps)
+	tracker, err := newSlowdownTracker(cfg, apps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
