@@ -47,12 +47,12 @@ bench:
 # measurement.
 bench-smoke:
 	$(GO) test -run='^$$' -bench='SweepAccuracy|RunAccuracyAllocs' -benchtime=1x -count=1 ./internal/exp/
-	$(GO) test -run='^$$' -bench='RunQuanta|SystemTick$$|AloneCurve' -benchtime=1x -count=1 ./internal/sim/
+	$(GO) test -run='^$$' -bench='RunQuanta|AloneCurve' -benchtime=1x -count=1 ./internal/sim/
 
 # bench-json records the perf-guard benchmarks as JSON artifacts for
 # cross-run comparison: BENCH_sweep.json holds the multi-mix accuracy
 # sweeps (shared alone cache; memory-intensive mixes), BENCH_tick.json the
-# tick-loop benchmarks, the alone-curve build/lookup benchmarks (whose
+# whole-quantum runs, the alone-curve build/lookup benchmarks (whose
 # B/op and segs/op are the curve store's footprint), the 8-core run under
 # each memory scheduler (RunQuanta8Core) and the per-sink observer
 # overhead table (RunQuantaObserved) — both matched by the RunQuanta
@@ -61,7 +61,7 @@ bench-smoke:
 # pick for noisy wall-clock measurements.
 bench-json:
 	$(GO) test -run='^$$' -bench='SweepAccuracy' -benchmem -count=3 ./internal/exp/ | $(GO) run ./cmd/benchjson -o BENCH_sweep.json
-	$(GO) test -run='^$$' -bench='RunQuanta|SystemTick$$|AloneCurve' -benchmem -count=3 ./internal/sim/ | $(GO) run ./cmd/benchjson -o BENCH_tick.json
+	$(GO) test -run='^$$' -bench='RunQuanta|AloneCurve' -benchmem -count=3 ./internal/sim/ | $(GO) run ./cmd/benchjson -o BENCH_tick.json
 
 # trace-smoke runs a small contended mix with event tracing enabled and
 # validates that the emitted file is well-formed Perfetto-loadable
@@ -137,7 +137,7 @@ slo-smoke:
 BENCH_DIFF_TOL ?= 0.15
 bench-diff:
 	$(GO) test -run='^$$' -bench='SweepAccuracy' -benchmem -count=3 ./internal/exp/ | $(GO) run ./cmd/benchjson -o .bench-fresh-sweep.json
-	$(GO) test -run='^$$' -bench='RunQuanta|SystemTick$$|AloneCurve' -benchmem -count=3 ./internal/sim/ | $(GO) run ./cmd/benchjson -o .bench-fresh-tick.json
+	$(GO) test -run='^$$' -bench='RunQuanta|AloneCurve' -benchmem -count=3 ./internal/sim/ | $(GO) run ./cmd/benchjson -o .bench-fresh-tick.json
 	$(GO) run ./cmd/benchdiff -tol $(BENCH_DIFF_TOL) BENCH_sweep.json .bench-fresh-sweep.json && \
 	  $(GO) run ./cmd/benchdiff -tol $(BENCH_DIFF_TOL) BENCH_tick.json .bench-fresh-tick.json ; \
 	  st=$$? ; rm -f .bench-fresh-sweep.json .bench-fresh-tick.json ; exit $$st

@@ -10,9 +10,10 @@
 //  2. dependent loads serialize (pointer chasing);
 //  3. retirement is in-order, so a miss at the window head stalls commit.
 //
-// Core implements exactly that: a ring-buffer instruction window filled at
-// the fetch width and drained in order at the retire width, with loads
-// completing asynchronously through a MemPort.
+// Core implements exactly that: an instruction window filled at the fetch
+// width and drained in order at the retire width, with loads completing
+// asynchronously through a MemPort. A core whose port exposes its private
+// L1 (PrivateL1) runs ahead of its owner's clock between contacts.
 package cpu
 
 import "asmsim/internal/workload"
@@ -39,42 +40,81 @@ type MemPort interface {
 	Write(app int, addr uint64, now uint64) bool
 }
 
-// winEntry is one instruction-window slot.
-type winEntry struct {
+// PrivateL1 is a MemPort whose first-level cache is private to the core,
+// detected by New: the core probes its L1 itself and runs ahead of its
+// owner until a contact — an access that misses the L1 and so touches
+// state the cores share. Its Read and Write are the contacts: the miss
+// path, called only after ProbeL1 missed.
+type PrivateL1 interface {
+	MemPort
+	// ProbeL1 performs an access in the core's L1 if it hits there and
+	// returns the hit latency; a miss changes nothing any core reads.
+	ProbeL1(app int, addr uint64, write bool) (lat uint64, hit bool)
+	// Bounds returns, for app's core, a lower bound on the first cycle a
+	// fill for its misses so far can reach it, and the first cycle from
+	// which its contacts must wait for the owner: before it nothing else
+	// happens in the memory system, so a contact runs as the core meets it.
+	Bounds(app int) (fill, contact uint64)
+}
+
+// plainPort gives a plain MemPort the PrivateL1 shape: every memory
+// operation is a contact, made in the owner's cycle only.
+type plainPort struct{ MemPort }
+
+func (plainPort) ProbeL1(int, uint64, bool) (uint64, bool) { return 0, false }
+func (plainPort) Bounds(int) (uint64, uint64)              { return 0, 0 }
+
+// slowEntry is a load that may not be ready the cycle after it issues: one
+// waiting for a fill, or a hit slower than a cycle.
+type slowEntry struct {
 	token   uint64
 	doneAt  uint64
 	pending bool
-	isMem   bool
 }
 
 // Core is one processor core executing a synthetic instruction stream.
 type Core struct {
 	id   int
 	gen  InstrSource
-	port MemPort
+	port PrivateL1
 
-	win   []winEntry
-	head  int
-	size  int
-	next  uint64 // monotonically increasing instruction token
-	width int
+	// The window holds size instructions, tokens next-size to next-1. All
+	// but slow loads are ready the cycle after they issue, before
+	// retirement can reach them. A slow load keeps its entry in
+	// slots[token&mask] (at least window long, so a token match is its).
+	slots   []slowEntry
+	mask    uint64
+	size    int
+	window  int
+	next    uint64 // monotonically increasing instruction token
+	slowEnd uint64 // one past the latest slow load's token
+	width   int
 
 	cur     workload.Instr
-	haveCur bool
+	haveCur bool   // cur was drawn and not issued yet
+	missed  bool   // cur missed the L1; its contact comes next
+	lastMem uint64 // token of the latest memory instruction, for dependent loads
 
-	lastMemSlot int // window slot of the most recent memory instruction
-	haveLastMem bool
+	// at is NextCycle: the first cycle not run or, asleep, the next
+	// forced-wake boundary. Paused before a contact (mid), issued
+	// instructions of cycle at are out. An Advance runs before bound and
+	// makes contacts before cbound (see PrivateL1.Bounds).
+	at                   uint64
+	mid, stop            bool
+	issued               int
+	limit, bound, cbound uint64
+
+	onRetire func(cycle, retired uint64) bool
 
 	retired  uint64
 	loads    uint64
 	stores   uint64
 	memStall uint64 // cycles retirement was blocked by a pending memory op
 
-	// blocked short-circuits Tick while the head is waiting on an
-	// asynchronous memory completion and fetch cannot proceed: nothing
-	// can happen until a fill wakes the core. A blocked core is asleep:
-	// it needs no Tick, and every cycle from sleepFrom on is a memory-stall
-	// cycle that wake charges to memStall in one step.
+	// blocked: the head is waiting on an asynchronous memory completion and
+	// fetch cannot proceed, so nothing can happen until a fill wakes the
+	// core. A blocked core is asleep: every cycle from sleepFrom on is a
+	// memory-stall cycle that Wake charges to memStall in one step.
 	blocked     bool
 	sleepFrom   uint64 // first cycle not yet charged while blocked
 	forcedWakes uint64
@@ -85,13 +125,18 @@ func New(id int, gen InstrSource, port MemPort, windowSize, width int) *Core {
 	if windowSize <= 0 || width <= 0 {
 		panic("cpu: window size and width must be positive")
 	}
+	l1, ok := port.(PrivateL1)
+	if !ok {
+		l1 = plainPort{port}
+	}
+	n := 1
+	for n < windowSize {
+		n *= 2
+	}
 	return &Core{
-		id:          id,
-		gen:         gen,
-		port:        port,
-		win:         make([]winEntry, windowSize),
-		width:       width,
-		lastMemSlot: -1,
+		id: id, gen: gen, port: l1,
+		slots: make([]slowEntry, n), mask: uint64(n - 1),
+		window: windowSize, width: width,
 	}
 }
 
@@ -110,7 +155,7 @@ func (c *Core) Stores() uint64 { return c.stores }
 // MemStallCycles returns the cycles before upTo during which retirement
 // was completely blocked by an outstanding memory instruction at the window
 // head (the memory stall time used for MISE's alpha). upTo is the first
-// cycle not yet ticked; a sleeping core's stall cycles since it blocked are
+// cycle not yet run; a sleeping core's stall cycles since it blocked are
 // included without waking it.
 func (c *Core) MemStallCycles(upTo uint64) uint64 {
 	if c.blocked && upTo > c.sleepFrom {
@@ -122,71 +167,111 @@ func (c *Core) MemStallCycles(upTo uint64) uint64 {
 // ForcedWakeInterval is the period of the sleep failsafe: a blocked core
 // forces one retire/fetch attempt whenever the cycle counter crosses a
 // multiple of this interval, bounding the damage of a missed wake-up.
-// The owner of a sleeping core (sim.System) must still Tick it on these
-// boundaries, and its skip-ahead fast path must never jump across one, so
-// the failsafe observes the identical cycle sequence with skipping on or
-// off.
 const ForcedWakeInterval = 1 << 16
 
 // forcedWakeMask selects the low bits that are zero on a failsafe cycle.
 const forcedWakeMask = ForcedWakeInterval - 1
 
+// OnRetire installs fn, called for each cycle that retires instructions
+// with the retired count after it; true ends the Advance after the cycle.
+func (c *Core) OnRetire(fn func(cycle, retired uint64) bool) { c.onRetire = fn }
+
+// NextCycle returns the cycle at which the core next needs its owner: its
+// paused contact or bound or, asleep, its next forced-wake boundary.
+func (c *Core) NextCycle() uint64 { return c.at }
+
 // Tick advances the core by one cycle: retire completed instructions in
 // order, then fetch/issue new ones. On a blocked core it is a no-op except
 // on a forced-wake boundary, so a caller may tick a sleeping core every
 // cycle or only on those boundaries.
-func (c *Core) Tick(now uint64) {
-	if c.blocked {
-		if now&forcedWakeMask != 0 {
-			return
-		}
+func (c *Core) Tick(now uint64) { c.Advance(now, now+1) }
+
+// Advance runs cycle now, the owner's, making its contacts at once; then,
+// on its own, every later cycle before limit and the fill bound, until a
+// contact it may not make yet (the owner resumes it there), it blocks, or
+// the OnRetire hook asks. Fills for cycle now must arrive first. It does
+// nothing unless the core is due at now (NextCycle).
+func (c *Core) Advance(now, limit uint64) {
+	if c.at > now {
+		return
+	}
+	forced := c.blocked
+	if forced {
 		// Failsafe against a missed wake-up: charge the slept cycles, then
 		// force one retire/fetch attempt. Only a productive wake — one
 		// that retires or issues something — indicates a genuinely missed
-		// wake-up, and only those count toward ForcedWakes; an attempt
-		// that finds nothing to do re-blocks with no other state change.
+		// wake-up, and only those count toward ForcedWakes.
 		c.Wake(now)
-		r0, n0 := c.retired, c.next
+	}
+	r0, n0 := c.retired, c.next
+	issued := 0
+	if c.mid {
+		c.mid, issued = false, c.issued
+	} else {
 		c.retire(now)
-		stall := c.fetch(now)
-		if c.retired != r0 || c.next != n0 {
-			c.forcedWakes++
-		}
-		c.reblock(stall, now)
+	}
+	stall := c.fetch(now, now, issued)
+	if forced && (c.retired != r0 || c.next != n0) {
+		c.forcedWakes++
+	}
+	if c.endCycle(stall, now) {
 		return
 	}
-	c.retire(now)
-	c.reblock(c.fetch(now), now)
-}
-
-// reblock puts the core back to sleep when nothing can change without a
-// memory completion: the head is an outstanding miss and fetch cannot
-// proceed (window full, MSHRs exhausted, or a dependent load). Write-queue
-// rejections are excluded — they clear on DRAM ticks, not fills.
-func (c *Core) reblock(stall stallKind, now uint64) {
-	if c.size > 0 && c.win[c.head].pending {
-		if c.size == len(c.win) || stall == stallMem {
-			c.blocked = true
-			c.sleepFrom = now + 1
+	c.limit = limit
+	c.bounds()
+	for t := now + 1; t < c.bound; t++ {
+		c.retire(t)
+		if stall := c.fetch(t, now, 0); stall == stallPause || c.endCycle(stall, t) {
+			return
 		}
 	}
+	c.at = max(c.bound, now+1)
+}
+
+// bounds refreshes the Advance's bounds from the port; a contact moves them.
+func (c *Core) bounds() {
+	fill, contact := c.port.Bounds(c.id)
+	c.bound, c.cbound = min(c.limit, fill), contact
+}
+
+// endCycle reports whether the run ends with cycle now, and moves the
+// clock past now if so: the core blocks — the head is an outstanding miss
+// and fetch cannot proceed (window full, MSHRs exhausted, or a dependent
+// load; write-queue rejections clear on DRAM ticks, not fills) — or the
+// OnRetire hook asked.
+func (c *Core) endCycle(stall stallKind, now uint64) bool {
+	if (stall == stallMem || c.size == c.window) && c.size > 0 && c.pendingAt(c.next-uint64(c.size)) {
+		c.blocked, c.sleepFrom = true, now+1
+		c.at = (now + 1 + forcedWakeMask) &^ forcedWakeMask
+	} else if c.stop {
+		c.at = now + 1
+	} else {
+		return false
+	}
+	c.stop = false
+	return true
+}
+
+// pendingAt reports whether instruction tok is a load waiting for a fill.
+func (c *Core) pendingAt(tok uint64) bool {
+	e := &c.slots[tok&c.mask]
+	return e.token == tok && e.pending
 }
 
 // Wake ends the core's sleep after any memory-system progress for it
 // (fills, MSHR releases) and charges the cycles it slept — sleepFrom up to
 // but excluding now — as memory-stall cycles, one per cycle a per-cycle
 // Tick of a blocked core would have counted. Wake-ups for cycle now must
-// arrive before Tick(now): the core runs that cycle awake. Waking an awake
-// core does nothing, so several wake-ups may land in one cycle.
+// arrive before Advance(now): the core runs that cycle awake. Waking an
+// awake core does nothing; one before sleepFrom charges nothing.
 func (c *Core) Wake(now uint64) {
 	if !c.blocked {
 		return
 	}
-	// A wake-up in the very cycle the core blocked (after its Tick) finds
-	// sleepFrom ahead of now: nothing was slept.
 	if now > c.sleepFrom {
 		c.memStall += now - c.sleepFrom
 	}
+	c.at = max(now, c.sleepFrom)
 	c.blocked = false
 }
 
@@ -207,115 +292,115 @@ const (
 	stallNone  stallKind = iota
 	stallMem             // MSHR full or dependent load outstanding
 	stallWrite           // write path rejected the store
+	stallPause           // a contact the core may not make yet
 )
 
+// retire retires up to width ready instructions in order at cycle now. A
+// cycle that retires nothing from a non-empty window is a memory-stall
+// cycle: only a slow load can be unready at the head.
 func (c *Core) retire(now uint64) {
-	n := 0
-	for n < c.width && c.size > 0 {
-		e := &c.win[c.head]
-		if e.pending || e.doneAt > now {
+	head, n := c.next-uint64(c.size), min(c.width, c.size)
+	for tok := head; tok < head+uint64(n) && tok < c.slowEnd; tok++ {
+		if e := &c.slots[tok&c.mask]; e.token == tok && (e.pending || e.doneAt > now) {
+			n = int(tok - head)
 			break
 		}
-		// head and size stay below len(win), so a conditional wrap
-		// replaces the integer modulo on this per-retire hot path.
-		if c.head++; c.head == len(c.win) {
-			c.head = 0
-		}
-		c.size--
-		c.retired++
-		n++
 	}
-	if n == 0 && c.size > 0 {
-		e := &c.win[c.head]
-		if e.isMem && (e.pending || e.doneAt > now) {
+	if n == 0 {
+		if c.size > 0 {
 			c.memStall++
 		}
+		return
+	}
+	c.size -= n
+	c.retired += uint64(n)
+	if c.onRetire != nil {
+		c.stop = c.onRetire(now, c.retired)
 	}
 }
 
-func (c *Core) fetch(now uint64) stallKind {
-	issued := 0
-	for issued < c.width {
-		if c.size == len(c.win) {
+// fetch issues instructions at cycle t, issued of them already, up to the
+// width while the window has room. now is the owner's cycle.
+func (c *Core) fetch(t, now uint64, issued int) stallKind {
+	room := min(c.width-issued, c.window-c.size)
+	k := 0
+	stall := stallNone
+	for ; k < room; k++ {
+		if c.haveCur {
+			c.haveCur = false
+		} else {
+			c.gen.Next(&c.cur)
+		}
+		if c.cur.IsMem {
+			if stall = c.issueMem(t, now, c.next+uint64(k)); stall != stallNone {
+				c.haveCur = true
+				if stall == stallPause {
+					c.at, c.mid, c.issued = t, true, issued+k
+				}
+				break
+			}
+		}
+	}
+	c.next += uint64(k)
+	c.size += k
+	return stall
+}
+
+// issueMem performs cur's access, instruction tok, at cycle t: in the L1
+// when it hits there, else as a contact — at once in the owner's cycle now
+// or before the contact bound (then refreshing the bounds), else by
+// pausing the core.
+func (c *Core) issueMem(t, now, tok uint64) stallKind {
+	in := &c.cur
+	if in.DependsOnPrev && c.pendingAt(c.lastMem) {
+		return stallMem
+	}
+	if !c.missed {
+		if lat, hit := c.port.ProbeL1(c.id, in.Addr, in.Write); hit {
+			c.issued1(tok, t, true, lat, in.Write)
 			return stallNone
 		}
-		if !c.haveCur {
-			c.gen.Next(&c.cur)
-			c.haveCur = true
-		}
-		in := &c.cur
-		if in.IsMem && in.DependsOnPrev && c.lastMemPending() {
-			return stallMem
-		}
-		slot := c.head + c.size // < 2*len(win); wrap without modulo
-		if slot >= len(c.win) {
-			slot -= len(c.win)
-		}
-		token := c.next
-		e := &c.win[slot]
-		switch {
-		case !in.IsMem:
-			*e = winEntry{token: token, doneAt: now + 1}
-		case in.Write:
-			if !c.port.Write(c.id, in.Addr, now) {
-				return stallWrite
-			}
-			c.stores++
-			*e = winEntry{token: token, doneAt: now + 1, isMem: true}
-			c.lastMemSlot, c.haveLastMem = slot, true
-		default:
-			done, lat, ok := c.port.Read(c.id, in.Addr, token, now)
-			if !ok {
-				return stallMem
-			}
-			c.loads++
-			if done {
-				*e = winEntry{token: token, doneAt: now + lat, isMem: true}
-			} else {
-				*e = winEntry{token: token, pending: true, isMem: true}
-			}
-			c.lastMemSlot, c.haveLastMem = slot, true
-		}
-		c.next++
-		c.size++
-		c.haveCur = false
-		issued++
+		c.missed = true
 	}
-	return stallNone
+	if t != now && t >= c.cbound {
+		return stallPause
+	}
+	c.missed = false
+	stall := stallNone
+	switch {
+	case in.Write && c.port.Write(c.id, in.Addr, t):
+		c.issued1(tok, t, true, 1, true)
+	case in.Write:
+		stall = stallWrite
+	default:
+		if done, lat, ok := c.port.Read(c.id, in.Addr, tok, t); ok {
+			c.issued1(tok, t, done, lat, false)
+		} else {
+			stall = stallMem
+		}
+	}
+	if t != now {
+		c.bounds()
+	}
+	return stall
 }
 
-// lastMemPending reports whether the most recent memory instruction is
-// still outstanding (used to serialize dependent loads).
-func (c *Core) lastMemPending() bool {
-	if !c.haveLastMem {
-		return false
+// issued1 accounts an issued memory instruction: a store, or a load done
+// at t+lat or (done=false) waiting for Complete.
+func (c *Core) issued1(tok, t uint64, done bool, lat uint64, write bool) {
+	if write {
+		c.stores++
+	} else if c.loads++; !done || lat > 1 {
+		c.slots[tok&c.mask] = slowEntry{token: tok, doneAt: t + lat, pending: !done}
+		c.slowEnd = tok + 1
 	}
-	e := &c.win[c.lastMemSlot]
-	// The slot may have been retired and reused by a younger instruction;
-	// in that case the original access completed long ago.
-	if !c.slotLive(c.lastMemSlot) {
-		return false
-	}
-	return e.pending
-}
-
-// slotLive reports whether slot currently holds an un-retired instruction.
-func (c *Core) slotLive(slot int) bool {
-	if c.size == 0 {
-		return false
-	}
-	end := (c.head + c.size) % len(c.win)
-	if c.head < end {
-		return slot >= c.head && slot < end
-	}
-	return slot >= c.head || slot < end
+	c.lastMem = tok
 }
 
 // Complete finishes the asynchronous load identified by token at cycle
-// now. Stale tokens (already-retired slots) are ignored.
+// now. Stale tokens (already-retired instructions) are ignored.
 func (c *Core) Complete(token uint64, now uint64) {
-	slot := int(token % uint64(len(c.win)))
-	e := &c.win[slot]
+	e := &c.slots[token&c.mask]
 	if e.token != token || !e.pending {
 		return
 	}

@@ -276,11 +276,10 @@ func TestPanicsOnBadGeometry(t *testing.T) {
 // memory instruction still waiting for its data. It is what retire counts
 // on an awake core and what every cycle of a sleeping core is.
 func headStalled(c *Core, now uint64) bool {
-	if c.size == 0 {
-		return false
-	}
-	e := &c.win[c.head]
-	return e.isMem && (e.pending || e.doneAt > now)
+	// Only a slow load can be unready.
+	head := c.next - uint64(c.size)
+	e := &c.slots[head&c.mask]
+	return c.size > 0 && e.token == head && (e.pending || e.doneAt > now)
 }
 
 // TestSleptCyclesMatchPerCycleCount holds the interval accounting of a

@@ -31,7 +31,8 @@ func BenchmarkSweepAccuracySharedAlone(b *testing.B) {
 
 // memSweepPool is the memory-intensive pool: the paper's high-MPKI
 // benchmarks, whose cores sleep on outstanding misses for most of their
-// cycles — the workload class the skip-ahead fast path targets.
+// cycles — the workload class whose long idle stretches the advance loop
+// jumps.
 func memSweepPool(b *testing.B) []workload.Spec {
 	b.Helper()
 	names := []string{"mcf", "libquantum", "soplex", "milc"}
@@ -70,7 +71,7 @@ func runSweepBench(b *testing.B, pool []workload.Spec) {
 
 // BenchmarkSweepAccuracyMemIntensive measures the accuracy sweep over
 // memory-intensive mixes, the workload class whose cores sleep on
-// outstanding misses and the skip-ahead fast path jumps over.
+// outstanding misses and the advance loop jumps over.
 func BenchmarkSweepAccuracyMemIntensive(b *testing.B) { runSweepBench(b, memSweepPool(b)) }
 
 // BenchmarkRunAccuracyAllocs tracks the allocation profile of a single

@@ -10,8 +10,8 @@ import (
 )
 
 // TestAccuracyRunSkipTelemetry asserts the experiment runner surfaces the
-// skip-ahead counters: a memory-intensive accuracy run must report skipped
-// windows and cycles under sim.skip.*, and sim.core.forced_wakes must be
+// advance loop's jump counters: a memory-intensive accuracy run must report
+// skipped windows and cycles under sim.skip.*, and sim.core.forced_wakes must be
 // exactly zero — the failsafe counting only productive rescues means any
 // nonzero value is a broken wake-up path, not a busy system.
 func TestAccuracyRunSkipTelemetry(t *testing.T) {
@@ -46,7 +46,7 @@ func TestAccuracyRunSkipTelemetry(t *testing.T) {
 		}
 	}
 	if vals["sim.skip.cycles"] == 0 || vals["sim.skip.windows"] == 0 {
-		t.Errorf("skip-ahead never engaged on a memory-intensive mix: %v", vals)
+		t.Errorf("the advance loop never jumped on a memory-intensive mix: %v", vals)
 	}
 	if vals["sim.skip.cycles"] < vals["sim.skip.windows"] {
 		t.Errorf("skip cycles %d < windows %d", vals["sim.skip.cycles"], vals["sim.skip.windows"])

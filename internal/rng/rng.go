@@ -89,26 +89,6 @@ func (s *Stream) BoolFast(threshold uint64) bool {
 	return s.Uint64()>>11 < threshold
 }
 
-// Geometric returns a sample from a geometric distribution with mean m
-// (number of failures before the first success, clamped to at least 0).
-// It returns 0 when m <= 0.
-func (s *Stream) Geometric(m float64) int {
-	if m <= 0 {
-		return 0
-	}
-	p := 1.0 / (m + 1)
-	// Inverse transform sampling would need math.Log; a simple Bernoulli
-	// loop is bounded in expectation by m and keeps the package math-free.
-	n := 0
-	for !s.Bool(p) {
-		n++
-		if n > 1<<20 { // safety bound; practically unreachable
-			break
-		}
-	}
-	return n
-}
-
 // Perm fills dst with a random permutation of [0, len(dst)).
 func (s *Stream) Perm(dst []int) {
 	for i := range dst {

@@ -97,25 +97,6 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
-func TestGeometricMean(t *testing.T) {
-	s := New(13)
-	sum := 0
-	const n = 20000
-	for i := 0; i < n; i++ {
-		sum += s.Geometric(4)
-	}
-	mean := float64(sum) / n
-	if mean < 3.5 || mean > 4.5 {
-		t.Fatalf("Geometric(4) mean %v", mean)
-	}
-}
-
-func TestGeometricNonPositive(t *testing.T) {
-	if New(1).Geometric(0) != 0 || New(1).Geometric(-3) != 0 {
-		t.Fatal("Geometric of non-positive mean must be 0")
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	s := New(17)
 	for _, n := range []int{1, 2, 5, 64} {

@@ -160,7 +160,9 @@ func (c *AloneCurveCache) newCurve(cfg Config, app AppSource, lean bool) (*alone
 	if err != nil {
 		return nil, err
 	}
-	return &aloneCurve{cache: c, sys: sys}, nil
+	cv := &aloneCurve{cache: c, sys: sys}
+	sys.cores[0].OnRetire(cv.retired)
+	return cv, nil
 }
 
 // Len returns the number of cached curves.
@@ -280,6 +282,9 @@ type aloneCurve struct {
 	// behind an extension slice.
 	last atomic.Uint64
 
+	// target is the instruction count the running extension stops at.
+	target uint64
+
 	// Following (see want): the highest milestone a shared run has
 	// announced, and whether a chase goroutine is extending towards it.
 	wanted  atomic.Uint64
@@ -321,18 +326,11 @@ func (c *aloneCurve) extendTo(n uint64) (stepped bool) {
 		}
 		sys := c.sys
 		start, segs0, points0 := sys.Cycle(), len(c.segs), c.points
-		for prev < target {
-			// Step, not Tick: memory-bound stretches take the skip-ahead fast
-			// path. A skip window retires nothing, so every retirement still
-			// lands on its exact cycle (skipped cycles count as simulated —
-			// they are covered work).
-			sys.Step()
-			if r := sys.Retired(0); r > prev {
-				c.append(r, sys.Cycle())
-				prev = r
-			}
-		}
-		c.last.Store(prev)
+		// c.retired records each retiring cycle and stops the replica
+		// after the one reaching target (jumped cycles are covered work).
+		c.target = target
+		sys.advance(math.MaxUint64)
+		c.last.Store(sys.Retired(0))
 		// Lock order: a curve's mu, then the cache's (never the reverse).
 		c.cache.grew(c, sys.Cycle()-start, c.points-points0, int64(len(c.segs)-segs0))
 		c.mu.Unlock()
@@ -370,6 +368,18 @@ func (c *aloneCurve) chase() {
 			return
 		}
 	}
+}
+
+// retired is the replica core's OnRetire hook: it records each retiring
+// cycle's point and ends the advance after the cycle reaching the running
+// extension's target. Callers hold c.mu for writing.
+func (c *aloneCurve) retired(cycle, n uint64) bool {
+	c.append(n, cycle+1)
+	if n < c.target {
+		return false
+	}
+	c.sys.end = cycle + 1
+	return true
 }
 
 // lookup returns the cycle of the first point with instr >= n: binary

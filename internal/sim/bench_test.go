@@ -61,25 +61,6 @@ func benchSystem8(b testing.TB, policy Policy) *System {
 	return sys
 }
 
-// BenchmarkSystemTick measures per-cycle simulation cost for the default
-// 4-core contended system.
-func BenchmarkSystemTick(b *testing.B) {
-	sys := benchSystem(b, false)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sys.Tick()
-	}
-}
-
-// BenchmarkSystemTickPrefetch includes the stride prefetcher.
-func BenchmarkSystemTickPrefetch(b *testing.B) {
-	sys := benchSystem(b, true)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sys.Tick()
-	}
-}
-
 // BenchmarkRunQuanta measures whole-quantum simulation cost for the
 // default 4-core contended system — the guard benchmark for telemetry's
 // disabled-path overhead (<2% regression allowed). It also holds the miss
@@ -127,9 +108,9 @@ func TestRunQuantaSteadyStateAllocs(t *testing.T) {
 // BenchmarkRunQuanta8Core is BenchmarkRunQuanta on the 8-core policy-sweep
 // shape under each memory scheduler, timed after three warm-up quanta so
 // allocs/op is the steady-state budget rather than free-list growth
-// averaged over b.N. skipped-cycles/op is simulated, not measured: at a
-// fixed -benchtime=Nx it repeats exactly and moves only when the set of
-// windows skip-ahead can prove dead does.
+// averaged over b.N. skipped-cycles/op is simulated, not measured: the
+// cycles the advance loop jumps (no event, no contact; cores run their own
+// cycles ahead), which at a fixed -benchtime=Nx repeats exactly.
 func BenchmarkRunQuanta8Core(b *testing.B) {
 	for _, policy := range []Policy{PolicyFRFCFS, PolicyPARBS, PolicyTCM} {
 		b.Run(strings.ToUpper(string(policy)), func(b *testing.B) {
@@ -227,14 +208,14 @@ func BenchmarkRunQuantaObserved(b *testing.B) {
 // BenchmarkAloneCurveExtend measures building a cached ground-truth curve:
 // one op extends a fresh curve to 1 M instructions on its lean replica
 // (replica construction is untimed). povray is the compute-bound extreme
-// (long runs, almost nothing stored), mcf the memory-bound one (short
-// runs, skip-ahead between them). The work is single-threaded and
-// seed-fixed, so B/op, allocs/op and segs/op repeat exactly and
-// benchdiff gates on them hard; ns/instr is the host cost per replica
-// instruction.
+// (long runs, almost nothing stored), gcc the medium intensity most mixes
+// are made of (L1 MPKI ≈ 33), mcf the memory-bound one (short runs, long
+// jumps between them). The work is single-threaded and seed-fixed, so
+// B/op, allocs/op and segs/op repeat exactly and benchdiff gates on them
+// hard; ns/instr is the host cost per replica instruction.
 func BenchmarkAloneCurveExtend(b *testing.B) {
 	const instrs = 1_000_000
-	for _, name := range []string{"povray", "mcf"} {
+	for _, name := range []string{"povray", "gcc", "mcf"} {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			var segs int

@@ -62,7 +62,7 @@ func (h *eventHeap) siftDown(i int) {
 // peek returns the cycle of the earliest pending event without removing
 // it, and false when the heap is empty. The returned cycle is exactly the
 // first cycle at which popDue can yield an event — the property the
-// skip-ahead horizon depends on.
+// advance loop's horizon depends on.
 func (h *eventHeap) peek() (uint64, bool) {
 	if len(h.items) == 0 {
 		return 0, false

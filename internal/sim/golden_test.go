@@ -10,20 +10,25 @@ import (
 	"path/filepath"
 	"testing"
 
+	"asmsim/internal/cpu"
 	"asmsim/internal/dram"
 	"asmsim/internal/partition"
 	"asmsim/internal/sim"
+	"asmsim/internal/trace"
 	"asmsim/internal/workload"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/quantum_golden.json from this build")
 
 // goldenCase is one configuration of the quantum-statistics golden.
+// recorded runs the apps as keyless recorded traces (NewWithSources over
+// trace.Replayer: a plain InstrSource) instead of through sim.New.
 type goldenCase struct {
-	name   string
-	apps   []string
-	tweak  func(*sim.Config)
-	attach func(*sim.System)
+	name     string
+	apps     []string
+	tweak    func(*sim.Config)
+	attach   func(*sim.System)
+	recorded bool
 }
 
 var (
@@ -66,7 +71,30 @@ func goldenCases() []goldenCase {
 		{name: "asm-cache-mem8", apps: goldenMix8, tweak: func(c *sim.Config) { c.ATSSampledSets = 64 }, attach: func(s *sim.System) {
 			s.AddQuantumListener(partition.NewASMCacheMem().Listener())
 		}},
+		// L1 hits that do not retire on the next cycle. In this core model
+		// the extra cycle shows only until a window first fills behind a
+		// miss (fetch never outruns retirement after that), so its digest
+		// equals frfcfs4-random-epochs'.
+		{name: "frfcfs4-l1lat2", apps: goldenMix4, tweak: func(c *sim.Config) { c.L1Latency = 2 }},
+		// A narrow core behind a small window: window-full dynamics.
+		{name: "frfcfs4-iw2-win32", apps: goldenMix4, tweak: func(c *sim.Config) {
+			c.IssueWidth = 2
+			c.WindowSize = 32
+		}},
+		{name: "frfcfs4-recorded", apps: goldenMix4, recorded: true},
 	}
+}
+
+// recordedSources records 5,000 instructions of each app's generator
+// stream and replays them, wrapping many times, as keyless sources.
+func recordedSources(t *testing.T, specs []workload.Spec, seed uint64) []sim.AppSource {
+	t.Helper()
+	apps := make([]sim.AppSource, len(specs))
+	for i, sp := range specs {
+		instrs := trace.Record(workload.NewGenerator(sp, i, seed), 5_000)
+		apps[i] = sim.AppSource{Name: sp.Name, New: func(int) cpu.InstrSource { return trace.NewReplayer(instrs) }}
+	}
+	return apps
 }
 
 // quantumDigest runs gc for three quanta and hashes the %+v rendering of
@@ -88,7 +116,13 @@ func quantumDigest(t *testing.T, gc goldenCase) string {
 		}
 		specs[i] = sp
 	}
-	sys, err := sim.New(cfg, specs)
+	var sys *sim.System
+	var err error
+	if gc.recorded {
+		sys, err = sim.NewWithSources(cfg, recordedSources(t, specs, cfg.Seed))
+	} else {
+		sys, err = sim.New(cfg, specs)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

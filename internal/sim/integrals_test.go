@@ -8,7 +8,7 @@ import (
 
 // TestIntegralsMatchPerCycleOracle holds the settled Table-1 integrals to
 // their per-cycle definition. The system advances one Tick at a time, no
-// skip-ahead; after every cycle the test charges that cycle itself,
+// run-ahead; after every cycle the test charges that cycle itself,
 // from the end-of-Tick outstanding counts and epoch owner — the loop
 // System.Tick used to run — and at every quantum boundary the snapshot
 // must equal the sums. Unlike TestSkipAheadBitIdentical, whose two runs

@@ -3,12 +3,13 @@ package sim
 import "testing"
 
 // Reference oracles for the simulator's fast paths. They share no code
-// with what they check: tickN advances one Tick per cycle, with no
-// skip-ahead, and aloneOracle answers the alone run's milestones by
-// stepping a full solo replica, with no curve, cache or follower.
+// with what they check: tickN advances one Tick per cycle, in which no
+// core runs ahead and the loop jumps nothing, and aloneOracle answers the
+// alone run's milestones by ticking a full solo replica, with no curve,
+// cache, follower or retire hook.
 
 // tickN advances sys by n cycles one Tick at a time: the cycle-by-cycle
-// reference that Run's skip-ahead windows must be bit-identical to.
+// reference that Run's jumps and run-ahead cores must be bit-identical to.
 func tickN(sys *System, n uint64) {
 	for end := sys.Cycle() + n; sys.Cycle() < end; {
 		sys.Tick()
@@ -33,11 +34,10 @@ func newAloneOracle(tb testing.TB, cfg Config, app AppSource) *aloneOracle {
 
 // CyclesAt returns the cycle at which the alone run has retired at least
 // instr instructions, stepping the replica as needed. Queries must be
-// non-decreasing. Step takes skip windows, which retire nothing, so a
-// milestone cannot be overshot.
+// non-decreasing.
 func (o *aloneOracle) CyclesAt(instr uint64) uint64 {
 	for o.sys.Retired(0) < instr {
-		o.sys.Step()
+		o.sys.Tick()
 	}
 	return o.sys.Cycle()
 }

@@ -10,10 +10,10 @@ import (
 	"asmsim/internal/workload"
 )
 
-// skipRunResult captures everything a run exposes that the skip-ahead
-// fast path could plausibly corrupt: every per-quantum snapshot, final
-// retirement and cycle counts, the forced-wake tally, and the per-channel
-// DRAM aggregates.
+// skipRunResult captures everything a run exposes that the advance loop's
+// jumps and run-ahead cores could plausibly corrupt: every per-quantum
+// snapshot, final retirement and cycle counts, the forced-wake tally, and
+// the per-channel DRAM aggregates.
 type skipRunResult struct {
 	snapshots  []QuantumStats
 	retired    []uint64
@@ -66,14 +66,14 @@ func runForSkipDiff(t *testing.T, cfg Config, specs []workload.Spec, quanta int,
 	return res
 }
 
-// TestSkipAheadBitIdentical is the differential gate for the event-driven
-// skip-ahead fast path: across a spread of configurations — all three
-// scheduling policies, refresh-enabled timing, prefetching, multiple
-// channels, ATS sampling, epoch priority on and off, write-backpressure —
-// a run with skip-ahead enabled must produce bit-identical QuantumStats
-// snapshots, retirement counts, forced-wake tallies, and per-channel DRAM
-// accounting (including the float interference accumulators) to the
-// cycle-by-cycle reference.
+// TestSkipAheadBitIdentical is the differential gate for the advance loop:
+// across a spread of configurations — all three scheduling policies,
+// refresh-enabled timing, prefetching, multiple channels, ATS sampling,
+// epoch priority on and off, write-backpressure — Run, whose cores run
+// ahead between contacts and whose loop jumps idle cycles, must produce
+// bit-identical QuantumStats snapshots, retirement counts, forced-wake
+// tallies, and per-channel DRAM accounting (including the float
+// interference accumulators) to the cycle-by-cycle reference (tickN).
 func TestSkipAheadBitIdentical(t *testing.T) {
 	memPool := []string{"mcf", "libquantum", "soplex", "milc", "lbm", "GemsFDTD"}
 	mixPool := []string{"mcf", "bzip2", "libquantum", "h264ref", "gcc", "milc"}
@@ -119,24 +119,24 @@ func TestSkipAheadBitIdentical(t *testing.T) {
 
 		got := runForSkipDiff(t, cfg, specs, 2, false)
 		want := runForSkipDiff(t, cfg, specs, 2, true)
-		// The reference path must never skip; the fast path must actually
-		// engage under every policy (non-vacuous equivalence).
+		// The reference path must never jump; Run must, under every
+		// policy (non-vacuous equivalence).
 		if want.skipCycles != 0 {
 			t.Fatalf("config %d: reference path skipped %d cycles", i, want.skipCycles)
 		}
 		if got.skipCycles == 0 {
-			t.Errorf("config %d (%v %v): skip-ahead never engaged", i, cfg.Policy, names)
+			t.Errorf("config %d (%v %v): the advance loop never jumped", i, cfg.Policy, names)
 		}
 		got.skipCycles, want.skipCycles = 0, 0
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("config %d (%v %v): skip-ahead diverged from cycle-by-cycle reference:\n got %+v\nwant %+v",
+			t.Errorf("config %d (%v %v): Run diverged from cycle-by-cycle reference:\n got %+v\nwant %+v",
 				i, cfg.Policy, names, got, want)
 		}
 	}
 }
 
-// TestEventsHeapPeekAgreesWithPop is the property the skip-ahead horizon
-// depends on: peek always reports exactly the cycle of the next event
+// TestEventsHeapPeekAgreesWithPop is the property the advance loop's
+// horizon depends on: peek always reports exactly the cycle of the next event
 // popDue can yield, and popDue yields events in nondecreasing cycle order.
 func TestEventsHeapPeekAgreesWithPop(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -171,10 +171,10 @@ func TestEventsHeapPeekAgreesWithPop(t *testing.T) {
 	}
 }
 
-// TestRunChunksNoOvershoot proves skip windows respect Run's cycle bound:
-// advancing a memory-intensive system in small chunks must land exactly
-// on every chunk boundary (the cancellation-latency contract of
-// RunQuantaCtx's strided loop), while still skipping inside chunks.
+// TestRunChunksNoOvershoot proves the advance loop respects Run's cycle
+// bound: advancing a memory-intensive system in small chunks must land
+// exactly on every chunk boundary (the cancellation-latency contract of
+// RunQuantaCtx's strided loop), while still jumping inside chunks.
 func TestRunChunksNoOvershoot(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Quantum = 50_000
@@ -209,11 +209,11 @@ func TestRunChunksNoOvershoot(t *testing.T) {
 }
 
 // TestSkipAheadForcedWakesZero asserts the failsafe never has to rescue a
-// core on the skip-ahead path: forced wakes count only productive rescues
-// (a retirement or fetch the normal wake-up paths missed), so any nonzero
+// core, ticked or run: forced wakes count only productive rescues (a
+// retirement or fetch the normal wake-up paths missed), so any nonzero
 // value means a wake-up path is broken, not that the system was busy.
 // The stateful schedulers are held to it as well: their decision ticks end
-// skip windows, and a window that ran past one would strand a core.
+// the loop's jumps, and one that ran past a decision would strand a core.
 func TestSkipAheadForcedWakesZero(t *testing.T) {
 	specs := make([]workload.Spec, 0, 4)
 	for _, n := range []string{"mcf", "libquantum", "soplex", "milc"} {
@@ -241,8 +241,36 @@ func TestSkipAheadForcedWakesZero(t *testing.T) {
 				t.Fatalf("%s ticked=%v: %d forced wakes — a wake-up path is missing", policy, ticked, fw)
 			}
 			if !ticked && sys.SkipCycles() == 0 {
-				t.Fatalf("%s: skip-ahead never engaged", policy)
+				t.Fatalf("%s: the advance loop never jumped", policy)
 			}
 		}
+	}
+}
+
+// TestDrainFlipIsNotSkipped pins the one hidden state a frozen DRAM window
+// can miss: a write posted after its controller last updated its drain
+// mode (here a writeback at cycle 1395167 fills the write queue to its
+// high watermark) makes the next tick start draining — a tick
+// NextEventCycle, which reads the current mode, reports as frozen. Skipped
+// anyway, the run drifts from the cycle-by-cycle reference in its queueing
+// and interference counters.
+func TestDrainFlipIsNotSkipped(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Quantum = 1_400_000
+	cfg.ATSSampledSets = 64
+	cfg.Seed = 15
+	specs := make([]workload.Spec, 0, 4)
+	for _, n := range []string{"bwaves", "cg", "mg", "ft"} {
+		sp, ok := workload.ByName(n)
+		if !ok {
+			t.Fatalf("unknown benchmark %s", n)
+		}
+		specs = append(specs, sp)
+	}
+	got := runForSkipDiff(t, cfg, specs, 1, false)
+	want := runForSkipDiff(t, cfg, specs, 1, true)
+	got.skipCycles, want.skipCycles = 0, 0
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("run diverged from the cycle-by-cycle reference:\n got %+v\nwant %+v", got, want)
 	}
 }

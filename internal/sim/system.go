@@ -98,16 +98,25 @@ type System struct {
 	apps  []AppSource
 	cycle uint64
 
-	// Per-cycle invariants hoisted out of Tick's hot loop: resolving them
-	// through cfg costs a defaulting call (timing()) or a modulo per
-	// cycle, which profiles as a measurable slice of simulator time.
-	ncores        int
-	epochOn       bool
-	cpuPerDRAM    uint64 // CPU cycles per DRAM tick
-	dramCountdown uint64 // cycles until the next DRAM tick
-	nextEpoch     uint64 // cycle of the next epoch boundary
-	quantumEnd    uint64 // last cycle of the current quantum
-	wbLimit       int    // writeback backpressure threshold
+	// Invariants and boundary counters of the advance loop.
+	ncores     int
+	epochOn    bool
+	cpuPerDRAM uint64 // CPU cycles per DRAM tick
+	nextTick   uint64 // cycle of the next DRAM tick not yet applied
+	nextEpoch  uint64 // cycle of the next epoch boundary
+	quantumEnd uint64 // last cycle of the current quantum
+	wbLimit    int    // writeback backpressure threshold
+	end        uint64 // the advance loop's bound: it stops before this cycle
+	peers      uint64 // peerBound of the core the loop is advancing
+	coreNext   uint64 // the earliest core NextCycle after the last step
+
+	// dramNext caches the memory system's NextEventCycle(nextTick), stale
+	// after a tick, an enqueue or a policy update (memDirty). drainStale: a
+	// write posted since the last tick may start draining, which
+	// NextEventCycle cannot see, so the next tick runs.
+	dramNext   uint64
+	memDirty   bool
+	drainStale bool
 
 	cores []*cpu.Core
 
@@ -131,6 +140,10 @@ type System struct {
 	outHits []int
 	outMiss []int
 	settled []uint64
+	// hitDue[app] rings the completion cycles of app's outHits[app] L2 hits
+	// from hitHead[app], in due order; each holds one of its MSHRs.
+	hitDue  [][]uint64
+	hitHead []int
 
 	// Quantum accumulators.
 	qs           QuantumStats
@@ -152,11 +165,8 @@ type System struct {
 	writeDone  func(*dram.Request, uint64) // recycles a completed write
 	mpki       []float64                   // endQuantum's TCM clustering input
 
-	// Event-driven skip-ahead fast path (see skipAhead). allAsleep is
-	// Tick's note that it left every core blocked, the only state a skip
-	// window can start from; the counters tally taken windows and the
-	// cycles they crossed.
-	allAsleep   bool
+	// Jumps of the advance loop over cycles it did not visit (see advance):
+	// how many, and the cycles they crossed.
 	skipWindows uint64
 	skipCycles  uint64
 
@@ -252,12 +262,15 @@ func newSystem(cfg Config, apps []AppSource, lean bool) (*System, error) {
 		epochOn:      cfg.EpochPriority,
 		cpuPerDRAM:   uint64(cfg.timing().CPUPerDRAM),
 		quantumEnd:   cfg.Quantum - 1,
+		memDirty:     true,
 		wbLimit:      cfg.wbBackpressure(),
 		epochOwner:   -1,
 		epochRnd:     rng.NewNamed(cfg.Seed, "epochs"),
 		outHits:      make([]int, n),
 		outMiss:      make([]int, n),
 		settled:      make([]uint64, n),
+		hitDue:       make([][]uint64, n),
+		hitHead:      make([]int, n),
 		mpki:         make([]float64, n),
 		prevRetired:  make([]uint64, n),
 		prevMemStall: make([]uint64, n),
@@ -276,6 +289,7 @@ func newSystem(cfg Config, apps []AppSource, lean bool) (*System, error) {
 		src := apps[i].New(i)
 		s.l1 = append(s.l1, cache.New(cfg.L1Sets(), cfg.L1Ways, n))
 		s.l1mshr = append(s.l1mshr, cache.NewMSHR(cfg.MSHRs))
+		s.hitDue[i] = make([]uint64, cfg.MSHRs)
 		if !lean {
 			s.ats = append(s.ats, cache.NewAuxTagStore(cfg.L2Sets(), cfg.L2Ways, sampled))
 			s.pf = append(s.pf, cache.NewPollutionFilter(filterBits, 4))
@@ -457,35 +471,9 @@ func (s *System) SetL2Partition(alloc []int) { s.l2.SetPartition(alloc) }
 // L2Partition returns the current shared-cache way partition, or nil.
 func (s *System) L2Partition() []int { return s.l2.Partition() }
 
-// Run advances the system by the given number of cycles. It jumps over
-// provably dead windows (skip-ahead) — never past end, so callers that
-// chunk their advancement (RunQuantaCtx) keep their cancellation latency
-// bound — and is bit-identical to calling Tick once per cycle.
-func (s *System) Run(cycles uint64) {
-	end := s.cycle + cycles
-	for s.cycle < end {
-		if s.allAsleep {
-			s.skipAhead(end)
-			if s.cycle >= end {
-				return
-			}
-		}
-		s.Tick()
-	}
-}
-
-// Step advances the system to and through the next cycle where work can
-// happen: one skip-ahead window (when the fast path applies) followed by
-// exactly one Tick. Milestone-driven loops (the alone-run curves) use it
-// in place of bare Tick calls; a skip window never retires an instruction
-// (every core is asleep), so stepping cannot overshoot a retirement
-// milestone.
-func (s *System) Step() {
-	if s.allAsleep {
-		s.skipAhead(^uint64(0))
-	}
-	s.Tick()
-}
+// Run advances the system by the given number of cycles, bit-identical to
+// calling Tick once per cycle and never past the bound (see advance).
+func (s *System) Run(cycles uint64) { s.advance(s.cycle + cycles) }
 
 // RunQuanta advances the system by n quanta.
 func (s *System) RunQuanta(n int) {
@@ -537,15 +525,84 @@ func (s *System) RunQuantaCtx(ctx context.Context, n int) error {
 	return ctx.Err()
 }
 
-// Tick advances the system by one CPU cycle.
-//
-// The boundary checks (epoch, DRAM tick, quantum end) compare against
-// maintained next-boundary counters instead of computing `now % period`
-// three times per cycle; the periods and core count are hoisted into
-// fields at construction. Behavior is cycle-for-cycle identical to the
-// modulo form.
+// Tick advances the system by one CPU cycle: one step of the advance loop
+// in which no core runs past the cycle.
 func (s *System) Tick() {
-	now := s.cycle
+	s.end = s.cycle + 1
+	s.step(s.cycle)
+}
+
+// advance runs the system up to cycle end — or an earlier s.end set on the
+// way (aloneCurve.retired) — jumping from one cycle with work to the next.
+// The loop visits no cycle in between: no event is due, its DRAM ticks are
+// frozen (skipTicks applies them), and the cores run their own cycles
+// ahead of the loop up to their bounds (cpu.Core.Advance). Every core
+// stands at end when it returns. Each jump counts as a skip window.
+func (s *System) advance(end uint64) {
+	s.end = end
+	for s.cycle < s.end {
+		now := s.horizon()
+		if now > s.cycle {
+			s.skipWindows++
+			s.skipCycles += now - s.cycle
+			s.cycle = now
+			if now == s.end {
+				break
+			}
+		}
+		s.step(now)
+	}
+	s.skipTicks(s.cycle)
+}
+
+// horizon returns the first cycle from s.cycle on, up to s.end, with work:
+// an epoch or quantum boundary, a due L2 hit, a DRAM event, or a core's
+// NextCycle.
+func (s *System) horizon() uint64 {
+	h := min(s.end, s.quantumEnd)
+	if s.epochOn && s.nextEpoch < h {
+		h = s.nextEpoch
+	}
+	if due, ok := s.events.peek(); ok && due < h {
+		h = due
+	}
+	h = min(h, s.coreNext)
+	if h > s.nextTick { // no DRAM event precedes the next tick
+		h = min(h, s.dramEvent(true))
+	}
+	return max(h, s.cycle)
+}
+
+// dramEvent returns the first DRAM tick that may not be frozen: the next
+// one while misses or writebacks are parked or a drain mode is stale
+// (they need every tick), else the memory system's NextEventCycle — asked
+// again, when ask is set, if a tick, an enqueue or a policy update made
+// its last answer stale.
+func (s *System) dramEvent(ask bool) uint64 {
+	switch {
+	case s.drainStale || len(s.retryQ) > 0 || len(s.pendingWB) > 0, s.memDirty && !ask:
+		return s.nextTick
+	case s.memDirty:
+		s.dramNext, s.memDirty = s.mem.NextEventCycle(s.nextTick), false
+	}
+	return s.dramNext
+}
+
+// skipTicks applies the frozen DRAM ticks before cycle upTo not yet run.
+func (s *System) skipTicks(upTo uint64) {
+	if s.nextTick >= upTo {
+		return
+	}
+	k := (upTo - s.nextTick + s.cpuPerDRAM - 1) / s.cpuPerDRAM
+	s.mem.SkipTicks(s.nextTick, k)
+	s.nextTick += k * s.cpuPerDRAM
+}
+
+// step processes cycle now in phase order: epoch boundary, due L2 hits,
+// the DRAM tick with writeback and miss retries, the cores due at now in
+// id order, the quantum boundary.
+func (s *System) step(now uint64) {
+	s.skipTicks(now)
 
 	// Epoch boundary: pick the next owner and prioritize it at memory.
 	if s.epochOn && now == s.nextEpoch {
@@ -568,7 +625,6 @@ func (s *System) Tick() {
 		s.totalEpochs++
 	}
 
-	// Due L2-hit completions.
 	for {
 		e, ok := s.events.popDue(now)
 		if !ok {
@@ -577,35 +633,44 @@ func (s *System) Tick() {
 		s.completeL2Hit(e.app, e.line, now)
 	}
 
-	// DRAM tick (completions fire miss fills), then retry work that was
-	// blocked on queue space.
-	if s.dramCountdown == 0 {
-		s.mem.Tick(now)
-		s.flushWritebacks(now)
-		s.retryMisses(now)
-		s.dramCountdown = s.cpuPerDRAM
-	}
-	s.dramCountdown--
-
-	// A blocked core sleeps: it needs no Tick until a completion above
-	// wakes it, except on the forced-wake failsafe boundary.
-	forced := now&(cpu.ForcedWakeInterval-1) == 0
-	asleep := true
-	for _, c := range s.cores {
-		if forced || !c.Blocked() {
-			c.Tick(now)
-			if !c.Blocked() {
-				asleep = false
-			}
+	if now == s.nextTick {
+		// A tick already known to be frozen is applied as such; any other
+		// runs (a frozen one that runs is bit-identical to a skipped one).
+		if now < s.dramEvent(false) {
+			s.mem.SkipTicks(now, 1)
+		} else {
+			// The tick updates every drain mode; writes posted from here
+			// on, by its own completions included, mark them stale again.
+			s.drainStale = false
+			s.mem.Tick(now)
+			s.flushWritebacks(now)
+			s.retryMisses(now)
+			s.memDirty = true
 		}
+		s.nextTick += s.cpuPerDRAM
 	}
-	s.allAsleep = asleep
+
+	// The quantum's snapshot sees every core at its end. A core's NextCycle
+	// moves only when it advances (here) or a fill wakes it (above), so the
+	// earliest one is known here until the next step.
+	limit := min(s.end, s.quantumEnd+1)
+	s.coreNext = ^uint64(0)
+	for i, c := range s.cores {
+		n := c.NextCycle()
+		if n == now {
+			s.peers = s.peerBound(i)
+			c.Advance(now, limit)
+			n = c.NextCycle()
+		}
+		s.coreNext = min(s.coreNext, n)
+	}
 
 	if now == s.quantumEnd {
 		s.endQuantum(now)
 		s.quantumEnd += s.cfg.Quantum
+		s.memDirty = true // TCM re-clusters
 	}
-	s.cycle++
+	s.cycle = now + 1
 }
 
 // settle charges app's outstanding-transaction integrals (Table 1 and the
@@ -641,124 +706,85 @@ func (s *System) settle(app int, upTo uint64) {
 	}
 }
 
-// skipAhead advances the cycle counter across a provably dead window in
-// one closed-form step, bit-identical to ticking through it. The caller
-// has checked that every core is asleep (allAsleep), so no instruction can
-// retire or issue and no new memory request can appear; the window [now, h)
-// is then dead when nothing is due before h on any clock Tick consults:
-//
-//   - the quantum and epoch boundaries (Tick must execute AT them);
-//   - the events heap's earliest L2-hit completion;
-//   - the core forced-wake failsafe boundary (cpu.ForcedWakeInterval);
-//   - the memory system: the next DRAM tick when parked retries or
-//     writebacks exist (they are re-attempted on every tick), else
-//     dram.System.NextEventCycle — the first tick that can complete,
-//     refresh, issue, account anything new, or take a scheduler decision;
-//   - the caller's end bound (Run's chunk end).
-//
-// The window costs only the DRAM side work: its ticks are frozen ticks,
-// applied in bulk by SkipTicks. The cores' stall cycles and the apps'
-// Table-1 integrals are interval-accounted (cpu.Core.Wake, settle), so
-// they charge the window whenever their next change arrives, skipped or
-// ticked. Everything else (queues, caches, schedulers, drain hysteresis)
-// is frozen by construction.
-func (s *System) skipAhead(end uint64) {
-	now := s.cycle
-	// A forced-wake boundary must execute as a real Tick while cores are
-	// blocked; Tick handles it, and the horizon below stops before the
-	// next one.
-	if now&(cpu.ForcedWakeInterval-1) == 0 {
-		return
-	}
-	h := end
-	if s.quantumEnd < h {
-		h = s.quantumEnd
-	}
-	if s.epochOn && s.nextEpoch < h {
-		h = s.nextEpoch
-	}
-	if due, ok := s.events.peek(); ok && due < h {
-		h = due
-	}
-	if a := (now | (cpu.ForcedWakeInterval - 1)) + 1; a < h {
-		h = a
-	}
-	nextTick := now + s.dramCountdown
-	dramNext := nextTick
-	if len(s.retryQ) == 0 && len(s.pendingWB) == 0 {
-		dramNext = s.mem.NextEventCycle(nextTick)
-	}
-	if dramNext < h {
-		h = dramNext
-	}
-	if h <= now {
-		return
-	}
-	w := h - now
-
-	// DRAM ticks inside [now, h) are pure countdown ticks: apply them in
-	// bulk, then rebase the countdown as if the last one had just run.
-	if s.dramCountdown < w {
-		k := 1 + (w-s.dramCountdown-1)/s.cpuPerDRAM
-		s.mem.SkipTicks(nextTick, k)
-		last := nextTick + (k-1)*s.cpuPerDRAM
-		s.dramCountdown = s.cpuPerDRAM - (h - last)
-	} else {
-		s.dramCountdown -= w
-	}
-
-	s.skipWindows++
-	s.skipCycles += w
-	s.cycle = h
-}
-
-// SkipWindows returns how many skip-ahead windows have been taken.
+// SkipWindows returns how many jumps the advance loop has taken over
+// cycles it did not visit.
 func (s *System) SkipWindows() uint64 { return s.skipWindows }
 
-// SkipCycles returns how many cycles skip-ahead windows have crossed.
+// SkipCycles returns how many cycles the advance loop's jumps have crossed.
 func (s *System) SkipCycles() uint64 { return s.skipCycles }
 
-// Read implements cpu.MemPort for loads.
-func (s *System) Read(app int, addr uint64, token uint64, now uint64) (bool, uint64, bool) {
-	line := addr / workload.LineSize
-	if s.l1[app].Lookup(app, line, false) {
-		return true, uint64(s.cfg.L1Latency), true
-	}
-	if len(s.pendingWB) > s.wbLimit {
-		return false, 0, false // backpressure: memory system saturated
-	}
-	m := s.l1mshr[app]
-	if m.Lookup(line) != nil {
-		m.Merge(line, token, false)
-		return false, 0, true
-	}
-	if m.Full() {
-		return false, 0, false
-	}
-	m.Allocate(line, token, false)
-	s.accessL2(app, line, false, now)
-	return false, 0, true
+// ProbeL1 implements cpu.PrivateL1: a hit touches only app's own L1.
+func (s *System) ProbeL1(app int, addr uint64, write bool) (uint64, bool) {
+	return uint64(s.cfg.L1Latency), s.l1[app].Lookup(app, addr/workload.LineSize, write)
 }
 
-// Write implements cpu.MemPort for stores (posted, write-allocate).
+// Read and Write implement cpu.PrivateL1's contacts for an access that
+// missed app's L1: a load, and a store (posted, write-allocate).
+func (s *System) Read(app int, addr uint64, token uint64, now uint64) (bool, uint64, bool) {
+	return false, 0, s.miss(app, addr, token, false, now)
+}
+
 func (s *System) Write(app int, addr uint64, now uint64) bool {
+	return s.miss(app, addr, noWaiter, true, now)
+}
+
+// miss sends an L1 miss to the L1 MSHRs and the shared cache, merging it
+// into an outstanding miss of its line if there is one, and reports
+// whether they took it. A core may make it ahead of the loop's cycle
+// (Bounds): the frozen DRAM ticks up to it are applied first.
+func (s *System) miss(app int, addr, waiter uint64, write bool, now uint64) bool {
+	s.skipTicks(now + 1)
 	line := addr / workload.LineSize
-	if s.l1[app].Lookup(app, line, true) {
-		return true
-	}
-	if len(s.pendingWB) > s.wbLimit {
-		return false
-	}
 	m := s.l1mshr[app]
-	if m.Lookup(line) != nil {
-		return m.Merge(line, noWaiter, true)
-	}
-	if m.Full() {
+	switch {
+	case len(s.pendingWB) > s.wbLimit:
+		return false // backpressure: memory system saturated
+	case m.Lookup(line) != nil:
+		return m.Merge(line, waiter, write)
+	case m.Full():
 		return false
 	}
-	m.Allocate(line, noWaiter, true)
-	s.accessL2(app, line, true, now)
+	m.Allocate(line, waiter, write)
+	s.accessL2(app, line, write, now)
 	return true
+}
+
+// Bounds implements cpu.PrivateL1; asked after every contact, it does not
+// ask the memory system again. Only app's own misses fill its L1: its
+// earliest L2 hit, or a DRAM read at a tick that is not frozen. Its
+// contacts wait for the next epoch, L2 hit and DRAM event, and for the
+// next cycle another core needs the loop — a lower-numbered core's
+// contacts of a cycle come first.
+func (s *System) Bounds(app int) (fill, contact uint64) {
+	fill, contact = ^uint64(0), s.dramEvent(false)
+	if s.outMiss[app] > 0 {
+		fill = contact
+	}
+	if s.outHits[app] > 0 {
+		fill = min(fill, s.hitDue[app][s.hitHead[app]])
+	}
+	if due, ok := s.events.peek(); ok {
+		contact = min(contact, due)
+	}
+	return fill, min(contact, s.peers)
+}
+
+// peerBound returns what no contact of app's may pass while it runs: the
+// next epoch boundary and the next cycle another core needs the loop.
+func (s *System) peerBound(app int) uint64 {
+	h := ^uint64(0)
+	if s.epochOn {
+		h = s.nextEpoch
+	}
+	for i, c := range s.cores {
+		switch n := c.NextCycle(); {
+		case i < app:
+			h = min(h, n)
+		case i > app:
+			h = min(h, n+1)
+		}
+	}
+	return h
 }
 
 // accessL2 performs a demand shared-cache access for an L1 miss.
@@ -806,8 +832,11 @@ func (s *System) accessL2(app int, line uint64, storeMiss bool, now uint64) {
 			aq.PrefetchUseful++
 		}
 		s.settle(app, now)
+		due := now + uint64(s.cfg.L2Latency)
+		q := s.hitDue[app]
+		q[(s.hitHead[app]+s.outHits[app])%len(q)] = due
 		s.outHits[app]++
-		s.events.push(event{cycle: now + uint64(s.cfg.L2Latency), app: int32(app), line: line})
+		s.events.push(event{cycle: due, app: int32(app), line: line})
 		return
 	}
 
@@ -865,9 +894,16 @@ func (s *System) sendMiss(txn *missTxn, now uint64) {
 		// common path stays allocation-free.
 		txn.req.Causes = make([]uint64, s.ncores+1)
 	}
-	if !s.mem.Enqueue(&txn.req, now) {
+	if !s.enqueue(&txn.req, now) {
 		s.retryQ = append(s.retryQ, txn)
 	}
+}
+
+// enqueue offers r to the memory system; what it takes can end a frozen
+// window, so the cached next DRAM event goes stale.
+func (s *System) enqueue(r *dram.Request, now uint64) bool {
+	s.memDirty = true
+	return s.mem.Enqueue(r, now)
 }
 
 // retryMisses re-attempts parked misses in arrival order.
@@ -877,7 +913,7 @@ func (s *System) retryMisses(now uint64) {
 	}
 	kept := s.retryQ[:0]
 	for _, txn := range s.retryQ {
-		if !s.mem.Enqueue(&txn.req, now) {
+		if !s.enqueue(&txn.req, now) {
 			kept = append(kept, txn)
 		}
 	}
@@ -1042,6 +1078,9 @@ func (s *System) emitQuantumTrace(now uint64) {
 func (s *System) completeL2Hit(app int32, line uint64, now uint64) {
 	s.settle(int(app), now)
 	s.outHits[app]--
+	if s.hitHead[app]++; s.hitHead[app] == len(s.hitDue[app]) {
+		s.hitHead[app] = 0
+	}
 	s.fillL1(int(app), line, now)
 }
 
@@ -1118,7 +1157,8 @@ func (s *System) postWrite(app int, line uint64, now uint64) bool {
 		r = new(dram.Request)
 	}
 	*r = dram.Request{App: app, LineAddr: line, Write: true, Done: s.writeDone}
-	if s.mem.Enqueue(r, now) {
+	if s.enqueue(r, now) {
+		s.drainStale = true
 		return true
 	}
 	s.freeWrites = append(s.freeWrites, r)

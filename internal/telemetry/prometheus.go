@@ -65,6 +65,9 @@ func DefaultPromRules() []PromRule {
 // promSanitize rewrites a dotted registry name into a legal Prometheus
 // metric name: [a-zA-Z_:][a-zA-Z0-9_:]*.
 func promSanitize(name string) string {
+	if name == "" {
+		return "_"
+	}
 	var b strings.Builder
 	b.Grow(len(name))
 	for i := 0; i < len(name); i++ {
@@ -149,7 +152,7 @@ func WritePrometheus(w *bytes.Buffer, snap []Metric, rules []PromRule) {
 		label := ""
 		if r, val, ok := promMatch(m.Name, rules); ok {
 			family = r.Family
-			label = fmt.Sprintf(`%s=%q`, r.Label, promEscape(val))
+			label = r.Label + `="` + promEscape(val) + `"`
 		}
 		switch m.Kind {
 		case "counter":

@@ -25,7 +25,8 @@ func parseExposition(t *testing.T, body string) map[string]int64 {
 	return samples
 }
 
-func TestWritePrometheus(t *testing.T) {
+// promFixture is a registry with one of each kind, rule-mapped and not.
+func promFixture() *Registry {
 	r := NewRegistry()
 	sv := r.Scope("serve")
 	sv.Counter("submitted").Add(7)
@@ -41,9 +42,12 @@ func TestWritePrometheus(t *testing.T) {
 	r.Scope("exp").Scope("scheme").Timer("ASM").Observe(2 * time.Millisecond)
 	r.Scope("sim").Timer("quantum_wall").Observe(time.Millisecond)
 	r.Scope("cluster").Scope("events").Counter("drain").Inc()
+	return r
+}
 
+func TestWritePrometheus(t *testing.T) {
 	var buf bytes.Buffer
-	WritePrometheus(&buf, r.Snapshot(), DefaultPromRules())
+	WritePrometheus(&buf, promFixture().Snapshot(), DefaultPromRules())
 	body := buf.String()
 	samples := parseExposition(t, body)
 
@@ -95,14 +99,8 @@ func TestWritePrometheus(t *testing.T) {
 // shipped once (sim.quantum_wall + sim.quantum_wall_ns) and made every
 // asmserve node unscrapeable by the fleet poller.
 func TestWritePrometheusFamilyCollision(t *testing.T) {
-	r := NewRegistry()
-	r.Scope("sim").Timer("quantum_wall").Observe(time.Millisecond)
-	h := r.Scope("sim").Histogram("quantum_wall_ns")
-	h.Record(2_000_000)
-	h.Record(4_000_000)
-
 	var buf bytes.Buffer
-	WritePrometheus(&buf, r.Snapshot(), DefaultPromRules())
+	WritePrometheus(&buf, collisionFixture().Snapshot(), DefaultPromRules())
 	body := buf.String()
 	samples := parseExposition(t, body) // strict: fails on any duplicate sample
 
@@ -121,6 +119,17 @@ func TestWritePrometheusFamilyCollision(t *testing.T) {
 	if n := strings.Count(body, "sim_quantum_wall_ns_sum "); n != 1 {
 		t.Errorf("%d sim_quantum_wall_ns_sum samples, want exactly 1", n)
 	}
+}
+
+// collisionFixture holds a timer and a histogram that export into one
+// family.
+func collisionFixture() *Registry {
+	r := NewRegistry()
+	r.Scope("sim").Timer("quantum_wall").Observe(time.Millisecond)
+	h := r.Scope("sim").Histogram("quantum_wall_ns")
+	h.Record(2_000_000)
+	h.Record(4_000_000)
+	return r
 }
 
 func TestPromHandler(t *testing.T) {
@@ -157,4 +166,34 @@ func TestPromSanitizeAndEscape(t *testing.T) {
 	if got := promEscape("a\"b\\c\nd"); got != `a\"b\\c\nd` {
 		t.Fatalf("escape: %q", got)
 	}
+}
+
+// FuzzParseExposition: the strict parser never panics, whatever the bytes,
+// and accepts whatever WritePrometheus renders for a registry of fuzzed
+// counter and gauge names (NUL-separated, alternating) and values. Seeded
+// with the expositions the tests above render and a broken one.
+func FuzzParseExposition(f *testing.F) {
+	for _, r := range []*Registry{promFixture(), collisionFixture(), nil} {
+		var buf bytes.Buffer
+		WritePrometheus(&buf, r.Snapshot(), DefaultPromRules())
+		f.Add(buf.String(), "serve.done\x00serve.faults.journal\x00x", int64(7))
+	}
+	f.Add("# TYPE broken counter\nbroken 1\n", "", int64(-1))
+	f.Add("", "serve.faults.a}b\x00exp.scheme.\"q\\\n", int64(1))
+	f.Fuzz(func(t *testing.T, body, names string, v int64) {
+		ParseExposition(body)
+		r := NewRegistry()
+		for i, name := range strings.Split(names, "\x00") {
+			if i%2 == 0 {
+				r.Counter(name).Add(uint64(v) + uint64(i))
+			} else {
+				r.Gauge(name).Set(v - int64(i))
+			}
+		}
+		var buf bytes.Buffer
+		WritePrometheus(&buf, r.Snapshot(), DefaultPromRules())
+		if _, err := ParseExposition(buf.String()); err != nil {
+			t.Fatalf("names %q: %v\n%s", names, err, buf.String())
+		}
+	})
 }

@@ -17,7 +17,9 @@ import (
 
 var (
 	promNameRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
-	promLineRe = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? (-?[0-9.e+-]+|NaN|\+Inf|-Inf)$`)
+	// A label set is {...} whose quoted values may hold any character,
+	// '}' included, with \ escapes.
+	promLineRe = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{(?:[^}"]|"(?:[^"\\]|\\.)*")*\})? (-?[0-9.e+-]+|NaN|\+Inf|-Inf)$`)
 )
 
 // ParseExposition parses a Prometheus text exposition body strictly,
