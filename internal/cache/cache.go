@@ -75,12 +75,6 @@ func New(numSets, ways, numApps int) *Cache {
 	return c
 }
 
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return int(c.numSets) }
-
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }
-
 // index splits a line address into set index and tag.
 func (c *Cache) index(lineAddr uint64) (uint64, uint64) {
 	return lineAddr & (c.numSets - 1), lineAddr / c.numSets

@@ -625,15 +625,6 @@ func (c *Cluster) CanAdmit(machine int, slaBound float64) (bool, error) {
 	return true, nil
 }
 
-// Unfairness returns the mean of per-machine max slowdowns.
-func (c *Cluster) Unfairness() float64 {
-	sum := 0.0
-	for _, m := range c.machines {
-		sum += m.MaxSlowdown()
-	}
-	return sum / float64(len(c.machines))
-}
-
 // WorstSlowdown returns the highest slowdown anywhere in the cluster —
 // the SLA-violation metric migration tries to reduce.
 func (c *Cluster) WorstSlowdown() float64 {

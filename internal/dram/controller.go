@@ -150,9 +150,6 @@ func (c *Controller) Attribution() *Attribution { return c.attrib }
 // none). While set, that app's requests are serviced before all others.
 func (c *Controller) SetPriorityApp(app int) { c.priorityApp = app }
 
-// PriorityApp returns the current highest-priority app, or -1.
-func (c *Controller) PriorityApp() int { return c.priorityApp }
-
 // CanEnqueue reports whether a request of the given kind would be accepted
 // this cycle.
 func (c *Controller) CanEnqueue(write bool) bool {
@@ -362,22 +359,42 @@ func (c *Controller) SkipTicks(nextTick uint64, n uint64) {
 		if b.occupant == r.App {
 			continue // held up by its own bank: not interference
 		}
-		cause := b.occupant
-		r.addInterference(ratio * n)
+		c.charge(r, b.occupant, ratio*n)
 		if r.App < len(blocked) {
 			blocked[r.App]++
 		}
-		if c.attrib != nil {
-			c.attrib.add(r.App, cause, ratio*n)
-		}
-		if r.Causes != nil {
-			ci := cause
-			if ci < 0 || ci >= len(r.Causes)-1 {
-				ci = len(r.Causes) - 1
-			}
-			r.Causes[ci] += ratio * n
-		}
 	}
+	c.chargeBlocked(blocked, ratio, n)
+}
+
+// charge books cycles of interference against request r from cause —
+// another app whose occupancy held it up, or -1 for the system (a refresh
+// window) — on the request and in the attribution ledger. An app cannot
+// interfere with itself: issue folds that cause into -1 before calling,
+// and the per-tick callers never produce it.
+func (c *Controller) charge(r *Request, cause int, cycles uint64) {
+	r.InterfCycles += cycles
+	if c.attrib != nil {
+		c.attrib.add(r.App, cause, cycles)
+	}
+	if r.Causes != nil {
+		if cause < 0 || cause >= len(r.Causes)-1 {
+			cause = len(r.Causes) - 1
+		}
+		r.Causes[cause] += cycles
+	}
+}
+
+// chargeBlocked is the per-app tail of n identical ticks in which
+// blocked[app] of app's queued reads were interfered: each app's
+// parallelism-scaled (STFM-style) interference, and the ASM Section 4.3
+// queueing cycles — the highest-priority app has an outstanding request,
+// the previous command issued belonged to another app, and the request is
+// genuinely held up by other-app occupancy (a cycle the app would also
+// have spent waiting on its own bank alone is not removable queueing;
+// counting it would over-correct CAR_alone, badly so at high core counts
+// where the last command almost always belongs to someone else).
+func (c *Controller) chargeBlocked(blocked []int, ratio, n uint64) {
 	for app := 0; app < c.numApps && app < len(blocked); app++ {
 		if bn := blocked[app]; bn > 0 {
 			par := c.outstanding[app]
@@ -386,7 +403,7 @@ func (c *Controller) SkipTicks(nextTick uint64, n uint64) {
 			}
 			contrib := float64(ratio) * float64(bn) / float64(par)
 			// n repeated adds, not contrib*n: each accumulator must see
-			// the exact float operation sequence the ticked path applies.
+			// the exact float operation sequence n ticks apply.
 			for j := uint64(0); j < n; j++ {
 				c.interfCycles[app] += contrib
 			}
@@ -590,24 +607,16 @@ func (c *Controller) issue(r *Request, now uint64) {
 	// window, occupant -1) displaced the row.
 	if !r.Write && !r.RowHit && b.lastRow[r.App] == int64(r.row) {
 		penalty := uint64(cmdLat-c.timing.TCL) * ratio
-		r.addInterference(penalty)
+		cause := b.occupant
+		if cause == r.App {
+			cause = -1
+		}
+		c.charge(r, cause, penalty)
 		par := c.outstanding[r.App] + 1 // +1: this request
 		contrib := float64(penalty) / float64(par)
 		c.interfCycles[r.App] += contrib
 		if c.attrib != nil {
-			cause := b.occupant
-			if cause == r.App {
-				cause = -1 // self cannot interfere; fold into system
-			}
-			c.attrib.add(r.App, cause, penalty)
 			c.attrib.addScaled(r.App, contrib)
-		}
-		if r.Causes != nil {
-			ci := b.occupant
-			if ci < 0 || ci >= len(r.Causes)-1 || ci == r.App {
-				ci = len(r.Causes) - 1
-			}
-			r.Causes[ci] += penalty
 		}
 	}
 	b.lastRow[r.App] = int64(r.row)
@@ -692,46 +701,13 @@ func (c *Controller) account(now uint64) {
 			cause = c.lastCmdApp
 		}
 		if cause != -2 {
-			r.addInterference(ratio)
+			c.charge(r, cause, ratio)
 			if r.App < len(blocked) {
 				blocked[r.App]++
 			}
-			if c.attrib != nil {
-				c.attrib.add(r.App, cause, ratio)
-			}
-			if r.Causes != nil {
-				ci := cause
-				if ci < 0 || ci >= len(r.Causes)-1 {
-					ci = len(r.Causes) - 1
-				}
-				r.Causes[ci] += ratio
-			}
 		}
 	}
-	for app := 0; app < c.numApps && app < len(blocked); app++ {
-		if n := blocked[app]; n > 0 {
-			par := c.outstanding[app]
-			if par < n {
-				par = n
-			}
-			contrib := float64(ratio) * float64(n) / float64(par)
-			c.interfCycles[app] += contrib
-			if c.attrib != nil {
-				c.attrib.addScaled(app, contrib)
-			}
-		}
-	}
-
-	// ASM Section 4.3 queueing cycles: the highest-priority app has an
-	// outstanding request, the previous command issued belonged to
-	// another app, and the request is genuinely held up by other-app
-	// occupancy (a cycle the app would also have spent waiting on its own
-	// bank alone is not removable queueing; counting it would over-
-	// correct CAR_alone, badly so at high core counts where the last
-	// command almost always belongs to someone else).
-	if p := c.priorityApp; p >= 0 && p < len(blocked) && blocked[p] > 0 && c.lastCmdApp != p {
-		c.queueingCycles[p] += ratio
-	}
+	c.chargeBlocked(blocked, ratio, 1)
 }
 
 // QueueingCycles returns the accumulated Section 4.3 queueing cycles for

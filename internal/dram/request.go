@@ -42,13 +42,6 @@ type Request struct {
 // Bank returns the bank index this request maps to within its channel.
 func (r *Request) Bank() int { return r.bank }
 
-// Row returns the DRAM row this request maps to.
-func (r *Request) Row() uint64 { return r.row }
-
-// addInterference charges cycles of other-application occupancy to this
-// request.
-func (r *Request) addInterference(cycles uint64) { r.InterfCycles += cycles }
-
 // QueueLatency returns the CPU cycles the request waited before service.
 // Start < Enqueue is an accounting bug, not a valid state: debug builds
 // (-tags asmdebug) panic on it; release builds clamp to zero.

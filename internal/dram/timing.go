@@ -59,16 +59,6 @@ func DDR31333WithRefresh() Timing {
 	return t
 }
 
-// RowHitLatency returns the bus cycles from issue to last data beat for a
-// row-buffer hit.
-func (t Timing) RowHitLatency() int { return t.TCL + t.TBurst }
-
-// RowClosedLatency returns the bus cycles for an access to a closed row.
-func (t Timing) RowClosedLatency() int { return t.TRCD + t.TCL + t.TBurst }
-
-// RowConflictLatency returns the bus cycles for a row-buffer conflict.
-func (t Timing) RowConflictLatency() int { return t.TRP + t.TRCD + t.TCL + t.TBurst }
-
 // Geometry describes the DRAM organization (Table 2: 1-4 channels, 1 rank
 // per channel, 8 banks per rank, 8 KB rows, 64 B lines).
 type Geometry struct {

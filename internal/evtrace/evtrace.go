@@ -197,14 +197,6 @@ func (t *Tracer) SetClockOffset(cycles uint64) {
 	t.clockOffset.Store(cycles)
 }
 
-// ClockOffset returns the current timestamp shift in cycles (0 on nil).
-func (t *Tracer) ClockOffset() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.clockOffset.Load()
-}
-
 // Instant emits one global instant event ("ph":"i") at the given cycle
 // (clock offset applied), carrying args verbatim. The cluster balancer
 // uses it for round boundaries and migration decisions, so trace

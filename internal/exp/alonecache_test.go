@@ -14,8 +14,12 @@ import (
 // benchmarks heavily — the redundancy the alone-run curve cache exists
 // to eliminate.
 func sweepPool(t testing.TB) []workload.Spec {
+	return specPool(t, "bzip2", "h264ref", "gcc", "hmmer")
+}
+
+// specPool resolves benchmark names to their specs.
+func specPool(t testing.TB, names ...string) []workload.Spec {
 	t.Helper()
-	names := []string{"bzip2", "h264ref", "gcc", "hmmer"}
 	pool := make([]workload.Spec, len(names))
 	for i, n := range names {
 		sp, ok := workload.ByName(n)

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"asmsim/internal/sim"
@@ -26,53 +27,77 @@ func benchSweepScale() Scale {
 // sweep with the shared alone-run curve cache (a fresh cache per
 // iteration, as one experiment invocation would see it).
 func BenchmarkSweepAccuracySharedAlone(b *testing.B) {
-	runSweepBench(b, sweepPool(b))
+	pool := sweepPool(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		runSweep(b, pool)
+	}
 }
 
 // memSweepPool is the memory-intensive pool: the paper's high-MPKI
 // benchmarks, whose cores sleep on outstanding misses for most of their
 // cycles — the workload class whose long idle stretches the advance loop
 // jumps.
-func memSweepPool(b *testing.B) []workload.Spec {
-	b.Helper()
-	names := []string{"mcf", "libquantum", "soplex", "milc"}
-	pool := make([]workload.Spec, len(names))
-	for i, n := range names {
-		sp, ok := workload.ByName(n)
-		if !ok {
-			b.Fatalf("unknown benchmark %q", n)
-		}
-		pool[i] = sp
-	}
-	return pool
+func memSweepPool(tb testing.TB) []workload.Spec {
+	return specPool(tb, "mcf", "libquantum", "soplex", "milc")
 }
 
-// runSweepBench runs the benchmark sweep over 4-app mixes drawn from
-// pool, on a fresh alone cache per iteration.
-func runSweepBench(b *testing.B, pool []workload.Spec) {
+// runSweep runs one benchmark sweep over 4-app mixes drawn from pool, on
+// a fresh alone cache.
+func runSweep(tb testing.TB, pool []workload.Spec) {
 	sc := benchSweepScale()
 	mixes := workload.RandomMixes(pool, 4, sc.Workloads, sc.Seed)
 	cfg := sc.BaseConfig()
 	cfg.ATSSampledSets = 64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		scRun := sc
-		scRun.AloneCache = sim.NewAloneCurveCache()
-		samples, m, err := accuracySweep(context.Background(), cfg, mixes, estAll, scRun)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !m.Ok() || len(samples) == 0 {
-			b.Fatalf("sweep lost items: %s", m.Summary())
-		}
+	sc.AloneCache = sim.NewAloneCurveCache()
+	samples, m, err := accuracySweep(context.Background(), cfg, mixes, estAll, sc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if !m.Ok() || len(samples) == 0 {
+		tb.Fatalf("sweep lost items: %s", m.Summary())
 	}
 }
 
 // BenchmarkSweepAccuracyMemIntensive measures the accuracy sweep over
 // memory-intensive mixes, the workload class whose cores sleep on
 // outstanding misses and the advance loop jumps over.
-func BenchmarkSweepAccuracyMemIntensive(b *testing.B) { runSweepBench(b, memSweepPool(b)) }
+func BenchmarkSweepAccuracyMemIntensive(b *testing.B) {
+	pool := memSweepPool(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		runSweep(b, pool)
+	}
+}
+
+// TestSweepAccuracyAllocs holds one sweep of each sweep benchmark to an
+// object and a byte budget: the highest cost measured over several sweeps
+// × 1.15, rounded up. The counters are process-wide and the sweep's
+// workers race for the alone curves, so the cost varies by a few percent
+// from sweep to sweep.
+func TestSweepAccuracyAllocs(t *testing.T) {
+	for _, c := range []struct {
+		name          string
+		pool          func(testing.TB) []workload.Spec
+		allocs, bytes uint64
+	}{
+		{"SharedAlone", sweepPool, 7171, 12195741},
+		{"MemIntensive", memSweepPool, 7094, 11728298},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			pool := c.pool(t)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			runSweep(t, pool)
+			runtime.ReadMemStats(&after)
+			allocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+			if allocs > c.allocs || bytes > c.bytes {
+				t.Errorf("one sweep allocates %d objects, %d B; budget %d objects, %d B",
+					allocs, bytes, c.allocs, c.bytes)
+			}
+		})
+	}
+}
 
 // BenchmarkRunAccuracyAllocs tracks the allocation profile of a single
 // accuracy run (the quantum-listener path): allocs/op guards the

@@ -117,8 +117,7 @@ func (t *Table) JSON() (string, error) {
 	return string(out), nil
 }
 
-// f1, f2 and pct are terse cell formatters.
-func f1(x float64) string  { return fmt.Sprintf("%.1f", x) }
+// f2, f3 and pct are terse cell formatters.
 func f2(x float64) string  { return fmt.Sprintf("%.2f", x) }
 func f3(x float64) string  { return fmt.Sprintf("%.3f", x) }
 func pct(x float64) string { return fmt.Sprintf("%.1f%%", x) }

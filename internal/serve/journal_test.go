@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"os"
 	"reflect"
 	"testing"
@@ -101,6 +104,75 @@ func TestJournalTruncatedTail(t *testing.T) {
 	if len(entries) != 2 {
 		t.Fatalf("reopen read %d entries", len(entries))
 	}
+}
+
+// journalLines renders entries as Append writes them: one JSON object
+// per line.
+func journalLines(t testing.TB, entries []Entry) []byte {
+	var buf bytes.Buffer
+	for _, e := range entries {
+		b, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf.Write(append(b, '\n'))
+	}
+	return buf.Bytes()
+}
+
+// FuzzJournalReplay: whatever bytes journal.jsonl holds, ReadJournal and
+// OpenJournal never panic and agree; and n whole entries followed by a
+// torn or garbled tail replay as exactly those n entries. Seeded with the
+// round-trip and torn-tail tests' journals.
+func FuzzJournalReplay(f *testing.F) {
+	spec := tinySpec(1)
+	whole := journalLines(f, []Entry{
+		{Seq: 1, Event: evSubmitted, ID: "job-1", Fingerprint: "fp1", Spec: &spec},
+		{Seq: 2, Event: evStarted, ID: "job-1", Fingerprint: "fp1", Attempt: 1},
+		{Seq: 3, Event: evDone, ID: "job-1", Fingerprint: "fp1", Partial: true},
+	})
+	torn := []byte(`{"seq":3,"event":"done","id":"jo`)
+	f.Add(whole, uint8(3), []byte(nil))
+	f.Add(append(whole[:len(whole):len(whole)], torn...), uint8(2), torn)
+	f.Add([]byte("\n{}\n"), uint8(0), []byte("not json\n{\"seq\":9}\n"))
+	f.Fuzz(func(t *testing.T, raw []byte, n uint8, tail []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(journalPath(dir), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		read, rerr := ReadJournal(dir)
+		j, opened, oerr := OpenJournal(dir, nil)
+		if (rerr == nil) != (oerr == nil) || (oerr == nil && !reflect.DeepEqual(read, opened)) {
+			t.Fatalf("ReadJournal (%d entries, %v) and OpenJournal (%d entries, %v) disagree",
+				len(read), rerr, len(opened), oerr)
+		}
+		j.Close()
+
+		line, _, _ := bytes.Cut(tail, []byte("\n"))
+		if json.Unmarshal(bytes.TrimSuffix(line, []byte("\r")), new(Entry)) == nil {
+			return // the tail starts with a whole entry, not a torn one
+		}
+		spec := tinySpec(uint64(n))
+		events := []string{evSubmitted, evStarted, evDone, evFailed, evCancelled}
+		var prefix []Entry
+		for i := 0; i < int(n%16); i++ {
+			e := Entry{Seq: uint64(i + 1), Event: events[i%len(events)], ID: fmt.Sprintf("job-%d", i/len(events)+1), Attempt: i}
+			if e.Event == evSubmitted {
+				e.Spec = &spec
+			}
+			prefix = append(prefix, e)
+		}
+		if err := os.WriteFile(journalPath(dir), append(journalLines(t, prefix), tail...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadJournal(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, prefix) {
+			t.Fatalf("tail %q: replayed %d entries, want the %d before it", tail, len(got), len(prefix))
+		}
+	})
 }
 
 // TestJournalInjectedFailureConsumesSeq: an injected journal fault

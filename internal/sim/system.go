@@ -193,7 +193,7 @@ type System struct {
 
 	totalEpochs uint64
 
-	// Telemetry handles, resolved once by SetTelemetry. All nil (no-op)
+	// Telemetry handles, resolved once by setTelemetry. All nil (no-op)
 	// by default; every touch happens at quantum boundaries only, so the
 	// disabled path costs a handful of nil checks per quantum.
 	telQuanta      *telemetry.Counter
@@ -368,14 +368,14 @@ func (s *System) L2() *cache.Cache { return s.l2 }
 // ATS returns app's auxiliary tag store.
 func (s *System) ATS(app int) *cache.AuxTagStore { return s.ats[app] }
 
-// SetTelemetry wires the system's quantum-boundary instrumentation into
+// setTelemetry wires the system's quantum-boundary instrumentation into
 // the registry under the "sim" scope: quanta/cycles/instruction/L2
 // traffic counters, event-heap and retry-queue depth gauges, and a
 // per-quantum wall-time timer. Handles are resolved here once, so the
 // per-quantum cost is a few atomic updates and the simulator's per-cycle
 // hot path is untouched. A nil registry (the default) disables
 // everything.
-func (s *System) SetTelemetry(r *telemetry.Registry) {
+func (s *System) setTelemetry(r *telemetry.Registry) {
 	sc := r.Scope("sim")
 	s.telQuanta = sc.Counter("quanta")
 	s.telCycles = sc.Counter("cycles")
@@ -430,7 +430,7 @@ func (s *System) SetTracer(t *evtrace.Tracer) {
 // tracer's per-quantum attribution; with no o.Trace the run gets its own
 // matrix-only sink, so no attribution outlives it. Call before Run.
 func (s *System) Observe(o telemetry.Options) {
-	s.SetTelemetry(o.Metrics)
+	s.setTelemetry(o.Metrics)
 	t := o.Trace
 	if o.Attribution != nil {
 		if t == nil {
@@ -1238,7 +1238,7 @@ func (s *System) endQuantum(now uint64) {
 	}
 
 	// Telemetry: quantum-boundary counters and structure-depth gauges
-	// (no-ops until SetTelemetry wires a registry).
+	// (no-ops until setTelemetry wires a registry).
 	s.telQuanta.Inc()
 	s.telCycles.Add(s.cfg.Quantum)
 	s.telEpochs.Add(s.totalEpochs - s.prevEpochs)

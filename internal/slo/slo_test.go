@@ -1,6 +1,7 @@
 package slo
 
 import (
+	"encoding/json"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -16,12 +17,16 @@ func mustParse(t *testing.T, doc string) Spec {
 	return s
 }
 
+// defaultsDoc declares one SLO of each signal with every optional field
+// left to its default.
+const defaultsDoc = `{"slos":[
+	{"name":"qos-mcf","signal":"qos","app":"mcf","bound":3.0},
+	{"name":"asm-acc","signal":"accuracy"},
+	{"name":"lat","signal":"latency","target_ms":250}
+]}`
+
 func TestParseDefaults(t *testing.T) {
-	s := mustParse(t, `{"slos":[
-		{"name":"qos-mcf","signal":"qos","app":"mcf","bound":3.0},
-		{"name":"asm-acc","signal":"accuracy"},
-		{"name":"lat","signal":"latency","target_ms":250}
-	]}`)
+	s := mustParse(t, defaultsDoc)
 	q := s.SLOs[0]
 	if q.Objective != 0.95 || q.PendingTicks != 2 || q.ResolveTicks != 4 {
 		t.Errorf("qos defaults: %+v", q)
@@ -42,25 +47,54 @@ func TestParseDefaults(t *testing.T) {
 	}
 }
 
+// rejectCases are invalid specs and the error each must produce.
+var rejectCases = []struct{ doc, want string }{
+	{`{}`, "no slos"},
+	{`{"slos":[{"signal":"qos","bound":2}]}`, "name is required"},
+	{`{"slos":[{"name":"a","signal":"qos","bound":2},{"name":"a","signal":"qos","bound":2}]}`, "duplicate"},
+	{`{"slos":[{"name":"a","signal":"qos","bound":0.5}]}`, "bound must be > 1"},
+	{`{"slos":[{"name":"a","signal":"nope"}]}`, "unknown signal"},
+	{`{"slos":[{"name":"a","signal":"latency"}]}`, "target_ms"},
+	{`{"slos":[{"name":"a","signal":"latency","target_ms":10,"quantile":"p50"}]}`, "quantile"},
+	{`{"slos":[{"name":"a","signal":"qos","bound":2,"objective":1.5}]}`, "objective"},
+	{`{"slos":[{"name":"a","signal":"qos","bound":2,"windows":[{"long":3,"short":9,"burn":2}]}]}`, "short <= long"},
+	{`{"slos":[{"name":"a","signal":"qos","bound":2,"windows":[{"long":9,"short":3}]}]}`, "burn must be"},
+	{`{"slos":[{"name":"a","signal":"accuracy","envelope":1.5}]}`, "envelope"},
+}
+
 func TestParseRejects(t *testing.T) {
-	cases := []struct{ doc, want string }{
-		{`{}`, "no slos"},
-		{`{"slos":[{"signal":"qos","bound":2}]}`, "name is required"},
-		{`{"slos":[{"name":"a","signal":"qos","bound":2},{"name":"a","signal":"qos","bound":2}]}`, "duplicate"},
-		{`{"slos":[{"name":"a","signal":"qos","bound":0.5}]}`, "bound must be > 1"},
-		{`{"slos":[{"name":"a","signal":"nope"}]}`, "unknown signal"},
-		{`{"slos":[{"name":"a","signal":"latency"}]}`, "target_ms"},
-		{`{"slos":[{"name":"a","signal":"latency","target_ms":10,"quantile":"p50"}]}`, "quantile"},
-		{`{"slos":[{"name":"a","signal":"qos","bound":2,"objective":1.5}]}`, "objective"},
-		{`{"slos":[{"name":"a","signal":"qos","bound":2,"windows":[{"long":3,"short":9,"burn":2}]}]}`, "short <= long"},
-		{`{"slos":[{"name":"a","signal":"qos","bound":2,"windows":[{"long":9,"short":3}]}]}`, "burn must be"},
-		{`{"slos":[{"name":"a","signal":"accuracy","envelope":1.5}]}`, "envelope"},
-	}
-	for _, c := range cases {
+	for _, c := range rejectCases {
 		if _, err := Parse([]byte(c.doc)); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("Parse(%s): err %v, want containing %q", c.doc, err, c.want)
 		}
 	}
+}
+
+// FuzzSLOParse: Parse never panics, and a spec it accepts re-marshals to
+// a document it accepts again, unchanged — normalization is idempotent.
+// Seeded with the defaults and rejection tests' documents.
+func FuzzSLOParse(f *testing.F) {
+	f.Add([]byte(defaultsDoc))
+	for _, c := range rejectCases {
+		f.Add([]byte(c.doc))
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		s, err := Parse(doc)
+		if err != nil {
+			return
+		}
+		b, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := Parse(b)
+		if err != nil {
+			t.Fatalf("re-marshalled spec rejected: %v\n%s", err, b)
+		}
+		if !reflect.DeepEqual(again, s) {
+			t.Fatalf("re-parse changed the spec:\n%+v\n%+v", s, again)
+		}
+	})
 }
 
 // TestMachineNeverSkipsPending drives the state machine with every
