@@ -5,7 +5,8 @@ GO ?= go
 # check is the CI gate: build + vet + tests, then the race detector over
 # the concurrency-heavy packages (alone-curve chasers behind asmsim.Run,
 # sweep workers, cluster rounds, faults, shared telemetry/trace sinks, the
-# job service), the simulator core again
+# job service, the SLO engine and the observer harness), the simulator
+# core again
 # with its debug invariants compiled in, then the observability smoke tests
 # and the attribution regression gate.
 check: build vet test test-debug race test-1p trace-smoke trace-diff trace-merge-smoke dash-smoke serve-smoke slo-smoke
@@ -27,7 +28,7 @@ test-debug:
 	$(GO) test -tags asmdebug ./internal/dram/... ./internal/cpu/... ./internal/sim/...
 
 race:
-	$(GO) test -race . ./internal/sim/... ./internal/exp/... ./internal/dram/... ./internal/cluster/... ./internal/faults/... ./internal/telemetry/... ./internal/evtrace/... ./internal/dash/... ./internal/serve/...
+	$(GO) test -race . ./internal/sim/... ./internal/exp/... ./internal/dram/... ./internal/cluster/... ./internal/faults/... ./internal/telemetry/... ./internal/evtrace/... ./internal/dash/... ./internal/serve/... ./internal/slo/... ./internal/observe/...
 
 # test-1p re-runs the packages whose runs are followed by alone-curve
 # chase goroutines (DESIGN.md decision 10; asmsim.Run with ground truth

@@ -434,88 +434,20 @@ type ClusterMachine = cluster.Machine
 // ClusterMigration records one balancer decision.
 type ClusterMigration = cluster.Migration
 
-// Cluster wraps the slowdown-aware cluster balancer (Section 7.5).
-type Cluster struct {
-	inner *cluster.Cluster
-}
+// Cluster is the slowdown-aware cluster balancer (Section 7.5):
+// EvaluateRound simulates every machine and refreshes its ASM estimates,
+// Rebalance swaps jobs between the worst and best machines, CanAdmit is
+// SLA admission control, and the Migrations, Events (the degradation
+// log), Drains and Unplaced fields record what the balancer did.
+// SetTelemetry attaches a cluster-wide observer and one observer value
+// per machine.
+type Cluster = cluster.Cluster
 
 // NewCluster builds a cluster with the given job placement (one job list
 // per machine).
 func NewCluster(cfg ClusterConfig, placement [][]string) (*Cluster, error) {
-	inner, err := cluster.New(cfg, placement)
-	if err != nil {
-		return nil, err
-	}
-	return &Cluster{inner: inner}, nil
+	return cluster.New(cfg, placement)
 }
-
-// EvaluateRound simulates every machine and refreshes ASM estimates.
-func (c *Cluster) EvaluateRound() error { return c.inner.EvaluateRound() }
-
-// Machines returns every machine's current state.
-func (c *Cluster) Machines() []ClusterMachine { return c.inner.Machines() }
-
-// Rebalance performs one slowdown-aware job swap if the cluster is
-// imbalanced beyond tolerance.
-func (c *Cluster) Rebalance(tolerance float64) (bool, error) {
-	return c.inner.Rebalance(tolerance)
-}
-
-// CanAdmit reports whether a machine can take new work under an SLA
-// slowdown bound.
-func (c *Cluster) CanAdmit(machine int, slaBound float64) (bool, error) {
-	return c.inner.CanAdmit(machine, slaBound)
-}
-
-// WorstSlowdown returns the highest estimated slowdown in the cluster.
-func (c *Cluster) WorstSlowdown() float64 { return c.inner.WorstSlowdown() }
-
-// Migrations returns the balancer's decisions so far.
-func (c *Cluster) Migrations() []ClusterMigration { return c.inner.Migrations }
-
-// Events returns the degradation log: retries, health transitions,
-// drains, parks and recoveries, in order.
-func (c *Cluster) Events() []ClusterEvent { return c.inner.Events }
-
-// Drains returns the jobs moved or parked when machines failed.
-func (c *Cluster) Drains() []ClusterDrain { return c.inner.Drains }
-
-// Unplaced returns jobs parked because no surviving machine could admit
-// them; they are retried every round.
-func (c *Cluster) Unplaced() []string { return c.inner.Unplaced }
-
-// SetTelemetry attaches the cluster's observers: Metrics receives the
-// audit-log event counters, round counts and serving/unplaced gauges
-// under the "cluster" scope; Recorder (an SLOEngine, say) receives one
-// synthesized record per job after each successful machine evaluation,
-// on the round clock. Observational only.
-func (c *Cluster) SetTelemetry(o TelemetryOptions) { c.inner.SetTelemetry(o) }
-
-// EnableTracing begins per-node trace capture: one Perfetto-loadable
-// trace file per machine (node<k>.trace.json under dir) recording that
-// machine's evaluation rounds, round-boundary instants, and migration
-// instants on a node-local clock. Fold the files into one cluster
-// trace with `tracesum merge`.
-func (c *Cluster) EnableTracing(dir string, cfg TracerConfig) error {
-	return c.inner.EnableTracing(dir, cfg)
-}
-
-// TracePaths returns the per-node trace file paths (nil when tracing is
-// off). Files are complete only after CloseTracing.
-func (c *Cluster) TracePaths() []string { return c.inner.TracePaths() }
-
-// CloseTracing finalizes the per-node trace files and writes the
-// migration ledger (migrations.jsonl) next to them.
-func (c *Cluster) CloseTracing() error { return c.inner.CloseTracing() }
-
-// WriteEventsJSONL streams the degradation log as one JSON object per line.
-func (c *Cluster) WriteEventsJSONL(w io.Writer) error { return c.inner.WriteEventsJSONL(w) }
-
-// WriteDrainsJSONL streams the drain log as one JSON object per line.
-func (c *Cluster) WriteDrainsJSONL(w io.Writer) error { return c.inner.WriteDrainsJSONL(w) }
-
-// WriteMigrationsJSONL streams the migration log as one JSON object per line.
-func (c *Cluster) WriteMigrationsJSONL(w io.Writer) error { return c.inner.WriteMigrationsJSONL(w) }
 
 // FairBill implements the Section 7.4 cloud-billing use case: given a
 // job's wall-clock time on a shared machine and its estimated slowdown,

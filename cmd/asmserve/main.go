@@ -36,6 +36,7 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
@@ -90,8 +91,13 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// The dashboard is always on, on the job service's listener.
+	// The dashboard is always on, on the job service's listener. The
+	// flight ring, shared by the job service and the SLO engine, dumps
+	// under the state directory.
 	obs.Dash = *addr
+	if *state != "" {
+		obs.SLOFlight = filepath.Join(*state, "flightrec")
+	}
 	o, err := observe.Start(obs, logger)
 	if err != nil {
 		fatal(err)
@@ -109,15 +115,13 @@ func main() {
 		Metrics:      tel.Metrics,
 		Recorder:     tel.Recorder,
 		Attribution:  tel.Attribution,
+		Flight:       o.Flight,
 		Log:          logger,
 	})
 	if err != nil {
 		fatal(err)
 	}
 	if o.SLO != nil {
-		// The service's flight recorder exists only now; a firing alert
-		// dumps its ring (recent job lifecycle + quantum records).
-		o.SLO.SetFlight(srv.Flight())
 		defer o.SLO.StartLatencyLoop(o.Registry, *sloInterval)()
 	}
 	// The job service owns /metrics on this listener. Close (LIFO) closes

@@ -18,10 +18,10 @@
 // diff a fresh trace against a committed golden summary directly.
 //
 // The merge subcommand folds per-node cluster traces (one file per
-// machine, from Cluster.EnableTracing) into one Perfetto-loadable file
-// with per-node process groups, round-aligned clocks, and a cluster
-// attribution matrix whose per-node blocks are bit-identical to the
-// inputs; it prints a clock-skew report to stderr.
+// machine, each that machine's Trace in Cluster.SetTelemetry) into one
+// Perfetto-loadable file with per-node process groups, round-aligned
+// clocks, and a cluster attribution matrix whose per-node blocks are
+// bit-identical to the inputs; it prints a clock-skew report to stderr.
 //
 // Exit codes: 0 success, 1 operational failure (unreadable file, failed
 // validation, diff past tolerance), 2 usage error (unknown subcommand,

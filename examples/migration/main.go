@@ -8,9 +8,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
+	"os"
+	"path/filepath"
 
 	"asmsim"
 	"asmsim/internal/observe"
@@ -42,25 +45,6 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// With -trace-dir, every machine's evaluation rounds stream to a
-	// node-tagged trace file on a node-local clock, with round and
-	// migration instants; tracesum merge folds them into one
-	// cluster-wide Perfetto view.
-	if *traceDir != "" {
-		if err := cl.EnableTracing(*traceDir, asmsim.TracerConfig{SampleEvery: obs.TraceSample}); err != nil {
-			log.Fatal(err)
-		}
-		defer func() {
-			paths := cl.TracePaths()
-			if err := cl.CloseTracing(); err != nil {
-				log.Fatal(err)
-			}
-			for _, p := range paths {
-				fmt.Printf("node trace: %s\n", p)
-			}
-		}()
-	}
-
 	// With -dash, the balancer's audit-log counters and health gauges
 	// stream live on /debug/asm/metrics while the rounds run.
 	o, err := observe.Start(obs, nil)
@@ -70,9 +54,44 @@ func main() {
 	if err := o.Listen(o.Dash.MountMetrics); err != nil {
 		log.Fatal(err)
 	}
-	defer o.Close()
 	tel, _ := o.Run("") // a single-run Run opens nothing, so it cannot fail
-	cl.SetTelemetry(tel)
+
+	// With -trace-dir, every machine's evaluation rounds stream to its own
+	// trace file on a node-local clock, with round and migration instants;
+	// tracesum merge folds them into one cluster-wide Perfetto view.
+	var nodes []asmsim.TelemetryOptions
+	var paths []string
+	if *traceDir != "" {
+		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
+			log.Fatal(err)
+		}
+		for k := range cl.Machines() {
+			path := filepath.Join(*traceDir, fmt.Sprintf("node%d.trace.json", k))
+			tr, err := asmsim.OpenTracer(path, asmsim.TracerConfig{SampleEvery: obs.TraceSample})
+			if err != nil {
+				log.Fatal(err)
+			}
+			o.Track(path, tr.Close)
+			nodes = append(nodes, asmsim.TelemetryOptions{Trace: tr})
+			paths = append(paths, path)
+		}
+		o.Track("migrations.jsonl", func() error {
+			f, err := os.Create(filepath.Join(*traceDir, "migrations.jsonl"))
+			if err != nil {
+				return err
+			}
+			return errors.Join(cl.WriteMigrationsJSONL(f), f.Close())
+		})
+	}
+	cl.SetTelemetry(tel, nodes...)
+	defer func() {
+		if err := o.Close(); err != nil {
+			log.Fatal(err)
+		}
+		for _, p := range paths {
+			fmt.Printf("node trace: %s\n", p)
+		}
+	}()
 
 	show := func(tag string) {
 		fmt.Printf("%s: worst slowdown %.2fx\n", tag, cl.WorstSlowdown())
@@ -107,7 +126,7 @@ func main() {
 		fmt.Println("cluster already balanced")
 		return
 	}
-	mv := cl.Migrations()[0]
+	mv := cl.Migrations[0]
 	fmt.Printf("\nmigrating %s (machine %d) <-> %s (machine %d)\n\n", mv.Job, mv.From, mv.Swapped, mv.To)
 
 	if err := cl.EvaluateRound(); err != nil {

@@ -200,12 +200,11 @@ type Cluster struct {
 	round  int
 	tel    *telemetry.Registry
 	rec    telemetry.Recorder
-
-	// traces holds per-node tracers while tracing is enabled (see
-	// trace.go); traceDir is where CloseTracing writes the migration
-	// ledger.
-	traces   []*nodeTrace
-	traceDir string
+	// nodes[i] observes machine i's simulations (see SetTelemetry).
+	nodes []telemetry.Options
+	// clock[i] is machine i's node-local clock: the cycles covered by
+	// every simulation the machine has run so far.
+	clock []uint64
 }
 
 // Migration is one balancer decision.
@@ -248,7 +247,8 @@ func New(cfg Config, placement Placement) (*Cluster, error) {
 	if len(placement) != cfg.Machines {
 		return nil, fmt.Errorf("cluster: placement covers %d of %d machines", len(placement), cfg.Machines)
 	}
-	c := &Cluster{cfg: cfg, machines: make([]Machine, cfg.Machines), inj: faults.New(cfg.Faults)}
+	c := &Cluster{cfg: cfg, machines: make([]Machine, cfg.Machines), inj: faults.New(cfg.Faults),
+		clock: make([]uint64, cfg.Machines)}
 	for i, jobs := range placement {
 		if len(jobs) != cfg.System.Cores {
 			return nil, fmt.Errorf("cluster: machine %d has %d jobs for %d cores", i, len(jobs), cfg.System.Cores)
@@ -437,26 +437,23 @@ func (c *Cluster) evaluate(machine int, jobs []string) ([]float64, error) {
 		FaultSite:  fmt.Sprintf("machine %d round %d", machine, c.round),
 		Warmup:     warm,
 		Measured:   c.cfg.RoundQuanta - warm,
+		Telemetry:  c.node(machine),
 		OnQuantum: func(_ *sim.QuantumStats, _ []float64, est map[string][]float64) {
 			for i, v := range est[asm.Name()] {
 				sums[i] += v
 			}
 		},
 	}
-	// With per-node tracing enabled, this round's simulation streams into
-	// the machine's own trace file at the node-local clock: the offset
-	// lays rounds out sequentially (each sim starts at cycle zero), and
-	// the clock advances by however many cycles the run covered — also on
-	// a later-failed attempt, whose traced quanta are still in the file.
-	nt := c.nodeTracer(machine)
-	if nt != nil {
-		nt.tracer.SetClockOffset(nt.cycles)
-		run.Telemetry.Trace = nt.tracer
-	}
+	// The machine's tracer sees this round at the node-local clock: the
+	// offset lays rounds out sequentially (each sim starts at cycle zero),
+	// and the clock advances by however many cycles the run covered — also
+	// on a later-failed attempt, whose traced quanta are still in the file.
+	tr := run.Telemetry.Trace
+	tr.SetClockOffset(c.clock[machine])
 	sys, err := run.Run(context.TODO())
-	if nt != nil && sys != nil {
-		nt.cycles += sys.Cycle()
-		nt.tracer.SetClockOffset(nt.cycles)
+	if sys != nil {
+		c.clock[machine] += sys.Cycle()
+		tr.SetClockOffset(c.clock[machine])
 	}
 	if err != nil {
 		return nil, err

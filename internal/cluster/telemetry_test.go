@@ -4,9 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 
+	"asmsim/internal/evtrace"
 	"asmsim/internal/faults"
 	"asmsim/internal/telemetry"
 )
@@ -59,6 +62,91 @@ func TestTelemetryCountsEvents(t *testing.T) {
 	}
 	if got := reg.Scope("cluster").Counter("rounds").Value(); got != uint64(c.Round()) {
 		t.Fatalf("rounds counter %d, want %d", got, c.Round())
+	}
+}
+
+// benchRecorder collects the benchmark names of the records it sees.
+type benchRecorder map[string]bool
+
+func (r benchRecorder) Record(rec *telemetry.QuantumRecord) { r[rec.Bench] = true }
+func (r benchRecorder) Close() error                        { return nil }
+
+// TestNodeObserversDoNotPerturbResults gives every machine the full set
+// of per-node observers — tracer, recorder, metrics and attribution — and
+// checks the balancer's results are reflect.DeepEqual to a bare run's,
+// and that each node's observers saw only their own machine's work.
+func TestNodeObserversDoNotPerturbResults(t *testing.T) {
+	cfg, placement := traceTestConfig(t)
+	schedule := func(c *Cluster, before func()) {
+		t.Helper()
+		for r := 0; r < 2; r++ {
+			before()
+			if err := c.EvaluateRound(); err != nil {
+				t.Fatal(err)
+			}
+			if r == 0 {
+				if _, err := c.Rebalance(0.1); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	bare, err := New(cfg, placement)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schedule(bare, func() {})
+
+	observed, err := New(cfg, placement)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := make([]telemetry.Options, cfg.Machines)
+	recs := make([]benchRecorder, cfg.Machines)
+	attributed := make([]int, cfg.Machines)
+	for k := range nodes {
+		recs[k] = benchRecorder{}
+		nodes[k] = telemetry.Options{
+			Trace:       evtrace.New(io.Discard, evtrace.Config{SampleEvery: 16}),
+			Recorder:    recs[k],
+			Metrics:     telemetry.NewRegistry(),
+			Attribution: func(evtrace.QuantumAttribution) { attributed[k]++ },
+		}
+	}
+	observed.SetTelemetry(telemetry.Options{Metrics: telemetry.NewRegistry()}, nodes...)
+	ran := make([]benchRecorder, cfg.Machines) // jobs each machine was given
+	schedule(observed, func() {
+		for k, m := range observed.Machines() {
+			if ran[k] == nil {
+				ran[k] = benchRecorder{}
+			}
+			for _, job := range m.Jobs {
+				ran[k][job] = true
+			}
+		}
+	})
+
+	if !reflect.DeepEqual(bare.Machines(), observed.Machines()) {
+		t.Fatalf("node observers perturbed machine results:\nbare:     %+v\nobserved: %+v",
+			bare.Machines(), observed.Machines())
+	}
+	if len(bare.Migrations) == 0 || !reflect.DeepEqual(bare.Migrations, observed.Migrations) {
+		t.Fatalf("node observers perturbed migrations:\nbare:     %+v\nobserved: %+v",
+			bare.Migrations, observed.Migrations)
+	}
+	for k, n := range nodes {
+		if !reflect.DeepEqual(recs[k], ran[k]) {
+			t.Errorf("node %d recorder saw jobs %v, want its machine's %v", k, recs[k], ran[k])
+		}
+		if want := 2 * cfg.RoundQuanta; attributed[k] != want {
+			t.Errorf("node %d attribution saw %d quanta, want %d", k, attributed[k], want)
+		}
+		if len(n.Metrics.Snapshot()) == 0 {
+			t.Errorf("node %d metrics registry is empty", k)
+		}
+		if err := n.Trace.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -3,12 +3,14 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"asmsim/internal/evtrace"
 	"asmsim/internal/sim"
+	"asmsim/internal/telemetry"
 )
 
 // traceTestConfig is the migration-demo setup scaled down for tests:
@@ -24,6 +26,34 @@ func traceTestConfig(t *testing.T) (Config, Placement) {
 		Placement{{"mcf", "libquantum"}, {"h264ref", "namd"}}
 }
 
+// openNodeTraces opens one tracer per machine under dir
+// (node<k>.trace.json) and returns them as per-machine observers with
+// their paths; closeNodeTraces finalizes the files.
+func openNodeTraces(t *testing.T, dir string, machines int) ([]telemetry.Options, []string) {
+	t.Helper()
+	var nodes []telemetry.Options
+	var paths []string
+	for k := 0; k < machines; k++ {
+		p := filepath.Join(dir, fmt.Sprintf("node%d.trace.json", k))
+		tr, err := evtrace.Open(p, evtrace.Config{SampleEvery: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, telemetry.Options{Trace: tr})
+		paths = append(paths, p)
+	}
+	return nodes, paths
+}
+
+func closeNodeTraces(t *testing.T, nodes []telemetry.Options) {
+	t.Helper()
+	for _, n := range nodes {
+		if err := n.Trace.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestClusterTracingMigrationInstants runs the migration demo with
 // per-node tracing and checks the satellite acceptance property: each
 // node's trace carries exactly the migration instants of the ledger
@@ -36,13 +66,8 @@ func TestClusterTracingMigrationInstants(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if err := c.EnableTracing(dir, evtrace.Config{SampleEvery: 64}); err != nil {
-		t.Fatal(err)
-	}
-	paths := c.TracePaths()
-	if len(paths) != 2 {
-		t.Fatalf("TracePaths = %v, want 2 entries", paths)
-	}
+	nodes, paths := openNodeTraces(t, dir, cfg.Machines)
+	c.SetTelemetry(telemetry.Options{}, nodes...)
 
 	rounds := 0
 	if err := c.EvaluateRound(); err != nil {
@@ -60,11 +85,17 @@ func TestClusterTracingMigrationInstants(t *testing.T) {
 		t.Fatal(err)
 	}
 	rounds++
-	if err := c.CloseTracing(); err != nil {
+	closeNodeTraces(t, nodes)
+	ledgerPath := filepath.Join(dir, "migrations.jsonl")
+	f, err := os.Create(ledgerPath)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.TracePaths(); got != nil {
-		t.Errorf("TracePaths after CloseTracing = %v, want nil", got)
+	if err := c.WriteMigrationsJSONL(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
 
 	if len(c.Migrations) == 0 {
@@ -113,7 +144,7 @@ func TestClusterTracingMigrationInstants(t *testing.T) {
 	}
 
 	// The migration ledger file mirrors Cluster.Migrations.
-	data, err := os.ReadFile(filepath.Join(dir, "migrations.jsonl"))
+	data, err := os.ReadFile(ledgerPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,11 +178,8 @@ func TestClusterTracingMergeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	if err := c.EnableTracing(dir, evtrace.Config{SampleEvery: 64}); err != nil {
-		t.Fatal(err)
-	}
-	paths := c.TracePaths()
+	nodes, paths := openNodeTraces(t, t.TempDir(), cfg.Machines)
+	c.SetTelemetry(telemetry.Options{}, nodes...)
 	if err := c.EvaluateRound(); err != nil {
 		t.Fatal(err)
 	}
@@ -161,22 +189,20 @@ func TestClusterTracingMergeRoundTrip(t *testing.T) {
 	if err := c.EvaluateRound(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CloseTracing(); err != nil {
-		t.Fatal(err)
-	}
-	nodes := make([]*evtrace.NodeTrace, 0, 2)
+	closeNodeTraces(t, nodes)
+	traces := make([]*evtrace.NodeTrace, 0, 2)
 	for k, p := range paths {
 		nt, err := evtrace.LoadNodeTrace(p, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes = append(nodes, nt)
+		traces = append(traces, nt)
 	}
-	m, err := evtrace.Merge(nodes)
+	m, err := evtrace.Merge(traces)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k, nt := range nodes {
+	for k, nt := range traces {
 		want := evtrace.Summarize(nt.Quanta)
 		off := m.Offsets[k]
 		nk := len(nt.Names)

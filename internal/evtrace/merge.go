@@ -9,8 +9,8 @@ import (
 )
 
 // Cluster trace merge: fold N per-node trace files (one per cluster
-// machine, produced by cluster.EnableTracing) into a single
-// Perfetto-loadable chrome-trace file.
+// machine, each that machine's Trace in cluster.SetTelemetry) into a
+// single Perfetto-loadable chrome-trace file.
 //
 // Three concerns meet here:
 //

@@ -14,7 +14,7 @@ import (
 // API: `rounds` evaluation rounds, each of `quanta` quanta of `qlen`
 // cycles, with a "round" instant at each round start and irrational
 // matrix values so bit-identity is a real test, not an integer accident.
-func writeNodeFixture(t *testing.T, path string, node int, names []string, rounds, quanta int, qlen uint64) {
+func writeNodeFixture(t testing.TB, path string, node int, names []string, rounds, quanta int, qlen uint64) {
 	t.Helper()
 	tr, err := Open(path, Config{})
 	if err != nil {
@@ -361,4 +361,33 @@ func TestMergeErrors(t *testing.T) {
 	if _, err := LoadNodeTrace(bad, 0); err == nil {
 		t.Error("LoadNodeTrace on garbage did not error")
 	}
+}
+
+// FuzzLoadNodeTrace feeds arbitrary bytes to the node-trace loader and,
+// when they load, merges that one node: neither may panic, whatever the
+// file holds.
+func FuzzLoadNodeTrace(f *testing.F) {
+	dir := f.TempDir()
+	for k, names := range [][]string{{"mcf", "libquantum"}, {"astar", "lbm", "milc"}} {
+		p := filepath.Join(dir, "seed.json")
+		writeNodeFixture(f, p, k, names, 2, 2, 100000)
+		data, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte("not json"))
+	f.Add([]byte(`{"traceEvents":[]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p := filepath.Join(t.TempDir(), "node.trace.json")
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		nt, err := LoadNodeTrace(p, 0)
+		if err != nil {
+			return
+		}
+		Merge([]*NodeTrace{nt})
+	})
 }

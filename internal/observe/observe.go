@@ -1,9 +1,9 @@
 // Package observe is the command-line binaries' one observer harness:
 // it declares the observer flags (each binary offers its own subset,
-// defaults and usage text), builds the process-wide observers they ask
-// for — metrics registry, profiler and dashboard listener, SLO engine,
-// flight ring — hands each run its telemetry.Options, and flushes every
-// sink in LIFO order on Close.
+// defaults and usage text), builds the process-wide observers — the
+// flight ring, and those the flags ask for: metrics registry, profiler
+// and dashboard listener, SLO engine — hands each run its
+// telemetry.Options, and flushes every sink in LIFO order on Close.
 package observe
 
 import (
@@ -30,7 +30,7 @@ type Flags struct {
 	Trace                      string // trace file (a directory with PerRun)
 	TraceSample                int
 	Dash, Pprof                string // listen addresses
-	SLO, SLOFlight             string // spec file; flight-dump directory
+	SLO, SLOFlight             string // spec file; flight-dump directory (see Observers.Flight)
 	CPUProfile, MemProfile     string
 	// PerRun makes Telemetry and Trace directories holding one file set
 	// per Run id (<id>.quanta.jsonl, <id>.trace.json). Otherwise the
@@ -74,6 +74,12 @@ type Observers struct {
 	Registry *telemetry.Registry // nil unless telemetry, dashboard or SLOs are on
 	Dash     *dash.Server        // nil without -dash
 	SLO      *slo.Engine         // nil without -slo
+	// Flight is the process's one flight ring, always built. It dumps
+	// into SLOFlight, which a binary offering -slo-flight defaults to the
+	// -telemetry directory, else "."; such a binary also fans each run's
+	// quantum stream into it under -slo. The SLO engine dumps it when an
+	// alert fires; asmserve hands it to its job service, which feeds it.
+	Flight *telemetry.FlightRecorder
 
 	f      Flags
 	live   telemetry.Recorder // flight ring, dashboard, SLO engine
@@ -85,12 +91,16 @@ type Observers struct {
 	failed bool
 }
 
-// Start builds the observers f asks for — registry, dashboard, the
-// single run's recorder and tracer, flight ring (when the binary offers
-// -slo-flight) and SLO engine, logging transitions to log — and installs
-// the registry and alert source on the dashboard, once.
+// Start builds the flight ring and the observers f asks for — registry,
+// dashboard, the single run's recorder and tracer, and SLO engine,
+// logging transitions to log — and installs the registry and alert
+// source on the dashboard, once.
 func Start(f Flags, log *slog.Logger) (*Observers, error) {
-	o := &Observers{f: f}
+	dumpDir := f.SLOFlight
+	if f.declared["slo-flight"] {
+		dumpDir = cmp.Or(f.SLOFlight, f.Telemetry, ".")
+	}
+	o := &Observers{f: f, Flight: telemetry.NewFlightRecorder(512, dumpDir)}
 	if f.Telemetry != "" || f.Dash != "" || f.SLO != "" {
 		o.Registry = telemetry.NewRegistry()
 	}
@@ -121,15 +131,13 @@ func Start(f Flags, log *slog.Logger) (*Observers, error) {
 		if err != nil {
 			return nil, err
 		}
-		sinks := slo.Sinks{Metrics: o.Registry, Log: log, Trace: o.tracer, OnTransition: o.Dash.PublishAlert}
 		if f.declared["slo-flight"] {
 			// The flight ring rides the quantum stream so a firing alert
 			// dumps the recent records that led up to it.
-			sinks.Flight = telemetry.NewFlightRecorder(256)
-			sinks.Flight.SetDumpDir(cmp.Or(f.SLOFlight, f.Telemetry, "."))
-			live = append(live, sinks.Flight)
+			live = append(live, o.Flight)
 		}
-		o.SLO = slo.New(spec, sinks)
+		o.SLO = slo.New(spec, slo.Sinks{Metrics: o.Registry, Log: log, Flight: o.Flight,
+			Trace: o.tracer, OnTransition: o.Dash.PublishAlert})
 	}
 	if o.Dash != nil {
 		live = append(live, o.Dash)

@@ -76,3 +76,55 @@ func TestPerRunFilesAndLIFOClose(t *testing.T) {
 		}
 	}
 }
+
+// TestFlightRing: every process gets one ring. A binary offering
+// -slo-flight feeds it the quantum stream under -slo and dumps into the
+// -telemetry directory by default; a binary that does not (asmserve,
+// whose job service feeds the ring itself) keeps it off the run's
+// recorder, so each record enters the ring once, and dumps only where
+// SLOFlight says.
+func TestFlightRing(t *testing.T) {
+	dir := t.TempDir()
+	spec := filepath.Join(dir, "slo.json")
+	if err := os.WriteFile(spec, []byte(`{"slos":[{"name":"b","signal":"qos","bound":2.0}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name      string
+		declared  bool
+		flags     Flags
+		wantRing  int    // ring events after one record
+		wantDumps string // the dump directory; "" for no dumps
+	}{
+		{"offers -slo-flight", true, Flags{SLO: spec, Telemetry: filepath.Join(dir, "tel"), TelemetryFormat: "jsonl"}, 1, filepath.Join(dir, "tel")},
+		{"service", false, Flags{SLO: spec, SLOFlight: filepath.Join(dir, "svc")}, 0, filepath.Join(dir, "svc")},
+		{"service without state", false, Flags{SLO: spec}, 0, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := tc.flags
+			if tc.declared {
+				f.Register(flag.NewFlagSet("x", flag.ContinueOnError), map[string]string{"slo-flight": ""})
+			}
+			o, err := Start(f, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer o.Close()
+			tel, _ := o.Run("")
+			tel.Recorder.Record(&telemetry.QuantumRecord{Bench: "mcf", Actual: 1.5})
+			if got := len(o.Flight.Events()); got != tc.wantRing {
+				t.Fatalf("ring holds %d events after one record, want %d", got, tc.wantRing)
+			}
+			path, err := o.Flight.Dump("probe")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if path != "" {
+				path = filepath.Dir(path)
+			}
+			if path != tc.wantDumps {
+				t.Fatalf("dump landed in %q, want %q", path, tc.wantDumps)
+			}
+		})
+	}
+}

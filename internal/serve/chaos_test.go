@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -23,13 +24,15 @@ import (
 // may hang in queued/running forever.
 func TestChaos(t *testing.T) {
 	reg := telemetry.NewRegistry()
+	stateDir := t.TempDir()
 	s := newTestServer(t, Options{
 		Workers:    2,
 		QueueDepth: 3,
 		Retries:    1,
 		RetryBase:  time.Millisecond,
-		StateDir:   t.TempDir(),
+		StateDir:   stateDir,
 		Metrics:    reg,
+		Flight:     telemetry.NewFlightRecorder(0, filepath.Join(stateDir, "flightrec")),
 		Faults: faults.Config{
 			Seed:               1234,
 			HandlerLatencyProb: 0.5,

@@ -160,7 +160,9 @@ func TestMetricsDoNotPerturbResults(t *testing.T) {
 	}
 
 	reg := telemetry.NewRegistry()
-	obs := newTestServer(t, Options{Metrics: reg, StateDir: t.TempDir()})
+	stateDir := t.TempDir()
+	obs := newTestServer(t, Options{Metrics: reg, StateDir: stateDir,
+		Flight: telemetry.NewFlightRecorder(0, filepath.Join(stateDir, "flightrec"))})
 	mux := http.NewServeMux()
 	obs.Mount(mux)
 	srv := httptest.NewServer(mux)
@@ -320,15 +322,18 @@ func TestShedResponseBody(t *testing.T) {
 	}
 }
 
-// TestFlightRecorder covers the recorder end to end: the debug endpoint
-// serves the lifecycle ring with trace IDs, ?save=1 persists a dump on
-// demand, and an injected job-drop fault dumps automatically.
+// TestFlightRecorder covers the recorder end to end: the ring holds the
+// job's whole lifecycle as soon as Wait returns, the debug endpoint
+// serves it with trace IDs, ?save=1 persists a dump on demand, and an
+// injected job-drop fault dumps automatically.
 func TestFlightRecorder(t *testing.T) {
 	stateDir := t.TempDir()
+	flight := telemetry.NewFlightRecorder(0, filepath.Join(stateDir, "flightrec"))
 	s := newTestServer(t, Options{
 		Retries:  -1, // no retries: the drop fault fails the job on attempt 1
 		StateDir: stateDir,
 		Faults:   faults.Config{Seed: 1, JobDropProb: 1},
+		Flight:   flight,
 	})
 	mux := http.NewServeMux()
 	s.Mount(mux)
@@ -340,8 +345,18 @@ func TestFlightRecorder(t *testing.T) {
 		t.Fatal(err)
 	}
 	fin := waitTerminal(t, s, st.ID)
+	// Read the ring at once: the terminal note lands before Wait returns.
+	kinds := map[string]bool{}
+	for _, ev := range flight.Events() {
+		kinds[ev.Kind] = true
+	}
 	if fin.State != StateFailed {
 		t.Fatalf("dropped job finished %+v", fin)
+	}
+	for _, want := range []string{"submitted", "attempt", "fault", "finished"} {
+		if !kinds[want] {
+			t.Fatalf("flight ring missing %q events after Wait; saw %v", want, kinds)
+		}
 	}
 
 	// The injected fault must have dumped the flight record on its own.
@@ -369,16 +384,12 @@ func TestFlightRecorder(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &rec); err != nil {
 		t.Fatal(err)
 	}
-	kinds := map[string]bool{}
+	if len(rec.Events) != len(flight.Events()) {
+		t.Fatalf("endpoint served %d events, the ring holds %d", len(rec.Events), len(flight.Events()))
+	}
 	for _, ev := range rec.Events {
-		kinds[ev.Kind] = true
 		if ev.Kind != "drain" && ev.TraceID == "" {
 			t.Fatalf("flight event without trace ID: %+v", ev)
-		}
-	}
-	for _, want := range []string{"submitted", "attempt", "fault", "finished"} {
-		if !kinds[want] {
-			t.Fatalf("flight ring missing %q events; saw %v", want, kinds)
 		}
 	}
 

@@ -7,7 +7,6 @@ import (
 	"hash/fnv"
 	"io"
 	"log/slog"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -119,13 +118,18 @@ type Options struct {
 	Metrics *telemetry.Registry
 	// Recorder and Attribution are composed into every job's
 	// telemetry.Options next to the service's own SSE broadcaster and
-	// flight ring: the live dashboard and the SLO engine ride here, so
-	// they observe every job without perturbing it (see the
-	// non-perturbation test at the repo root). Latency SLOs need their
-	// own loop over the Metrics registry — see
-	// slo.Engine.StartLatencyLoop.
+	// Flight: the live dashboard and the SLO engine ride here, so they
+	// observe every job without perturbing it (see the non-perturbation
+	// test at the repo root). Latency SLOs need their own loop over the
+	// Metrics registry — see slo.Engine.StartLatencyLoop.
 	Recorder    telemetry.Recorder
 	Attribution func(evtrace.QuantumAttribution)
+	// Flight is the process's flight ring, built by the caller (which may
+	// hand the same ring to its SLO engine). Every job's quantum records
+	// and lifecycle notes enter it, panics, injected faults and deadline
+	// expiries dump it, and /api/debug/flightrecord serves it. Nil means
+	// no ring.
+	Flight *telemetry.FlightRecorder
 	// Log receives structured job lifecycle events; every record about a
 	// job carries its trace_id. Nil discards everything.
 	Log *slog.Logger
@@ -237,7 +241,7 @@ func New(opts Options) (*Server, error) {
 		store:    store,
 		bc:       dash.NewBroadcaster(),
 		log:      opts.Log,
-		flight:   telemetry.NewFlightRecorder(512),
+		flight:   opts.Flight,
 		stopPick: make(chan struct{}),
 		jobs:     map[string]*job{},
 		inflight: map[string]*job{},
@@ -264,9 +268,6 @@ func New(opts Options) (*Server, error) {
 	}
 	s.bc.SetDropCounter(reg.Scope("sse").Counter("dropped_frames"))
 	journal.SetFsyncHistogram(reg.Histogram("journal_fsync_ns"))
-	if opts.StateDir != "" {
-		s.flight.SetDumpDir(filepath.Join(opts.StateDir, "flightrec"))
-	}
 	s.runCtx, s.runStop = context.WithCancel(context.Background())
 	recovered := s.replay(entries)
 	s.queue = make(chan *job, opts.QueueDepth+len(recovered))
@@ -587,10 +588,6 @@ func (s *Server) Wait(ctx context.Context, id string) (JobStatus, error) {
 	}
 }
 
-// Flight exposes the service's flight recorder so alert sinks (the SLO
-// engine dumps the ring when an alert fires) can share it.
-func (s *Server) Flight() *telemetry.FlightRecorder { return s.flight }
-
 func (s *Server) publish(st JobStatus) { s.bc.Publish("job", st) }
 
 func (s *Server) journalAppend(e Entry) error {
@@ -640,10 +637,6 @@ func (s *Server) worker() {
 			s.log.Info("job claimed", "trace_id", st.TraceID, "job", st.ID)
 			s.publish(st)
 			s.runJob(j)
-			s.mu.Lock()
-			s.runningN--
-			s.met.running.Set(int64(s.runningN))
-			s.mu.Unlock()
 		}
 	}
 }
@@ -778,7 +771,8 @@ func (s *Server) attempt(ctx context.Context, j *job, attempt int) (t *exp.Table
 
 // finish classifies the outcome, journals the terminal event (except
 // for drain interruptions, which must stay resumable), stores clean
-// results in the full-run cache, and wakes waiters.
+// results in the full-run cache, releases the job's running slot, and
+// wakes waiters.
 func (s *Server) finish(j *job, ctx context.Context, table *exp.Table, err error) {
 	// Only a run the clock never touched is the job's canonical result:
 	// a table cut short by cancellation or deadline is timing-dependent
@@ -835,18 +829,24 @@ func (s *Server) finish(j *job, ctx context.Context, table *exp.Table, err error
 	if entry != nil {
 		s.journalAppend(*entry)
 	}
+	// The running gauge settles, and the ring gets the terminal note and
+	// any deadline dump, before done closes: a waiter must find them.
+	s.runningN--
+	s.met.running.Set(int64(s.runningN))
+	s.flight.Note("finished", tid, id, string(st.State))
+	var dump string
+	if errors.Is(ctx.Err(), context.DeadlineExceeded) && !s.stopping() {
+		// The job's own deadline expired (not a drain): capture the
+		// run-up for post-mortem. A failed dump costs only that.
+		dump, _ = s.flight.Dump("deadline")
+	}
 	close(j.done)
 	s.mu.Unlock()
 	s.met.jobLatency.Observe(latency)
 	s.log.Info("job finished", "trace_id", tid, "job", id, "state", string(st.State),
 		"attempts", st.Attempts, "partial", st.Partial, "latency", latency, "err", st.Error)
-	s.flight.Note("finished", tid, id, string(st.State))
-	if errors.Is(ctx.Err(), context.DeadlineExceeded) && !s.stopping() {
-		// The job's own deadline expired (not a drain): capture the
-		// run-up for post-mortem.
-		if path, derr := s.flight.Dump("deadline"); path != "" && derr == nil {
-			s.log.Warn("flight record dumped", "trace_id", tid, "job", id, "reason", "deadline expiry", "path", path)
-		}
+	if dump != "" {
+		s.log.Warn("flight record dumped", "trace_id", tid, "job", id, "reason", "deadline expiry", "path", dump)
 	}
 	s.publish(st)
 }

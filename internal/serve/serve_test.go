@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -283,9 +284,11 @@ func TestCancelQueuedJob(t *testing.T) {
 
 // TestJobDeadline: a job that cannot finish inside JobTimeout fails
 // with the deadline error and is not retried (the clock ended it, not
-// a transient fault).
+// a transient fault), and its flight dump is on disk once Wait returns.
 func TestJobDeadline(t *testing.T) {
-	s := newTestServer(t, Options{JobTimeout: 20 * time.Millisecond})
+	dumps := t.TempDir()
+	s := newTestServer(t, Options{JobTimeout: 20 * time.Millisecond,
+		Flight: telemetry.NewFlightRecorder(0, dumps)})
 	st, err := s.Submit(slowSpec(51))
 	if err != nil {
 		t.Fatal(err)
@@ -299,6 +302,9 @@ func TestJobDeadline(t *testing.T) {
 	}
 	if !strings.Contains(fin.Error, "deadline") && !strings.Contains(fin.Error, "cancel") {
 		t.Fatalf("error does not name the deadline: %q", fin.Error)
+	}
+	if got, _ := filepath.Glob(filepath.Join(dumps, "flight-*-deadline.json")); len(got) != 1 {
+		t.Fatalf("deadline dumps after Wait: %v, want one", got)
 	}
 }
 

@@ -179,18 +179,6 @@ func New(spec Spec, sinks Sinks) *Engine {
 	return e
 }
 
-// SetFlight (re)wires the flight-recorder sink after construction, for
-// callers whose recorder exists only once a server owning it is built
-// (the job service's, for example). Nil-safe on the engine.
-func (e *Engine) SetFlight(f *telemetry.FlightRecorder) {
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	e.sinks.Flight = f
-	e.mu.Unlock()
-}
-
 // HasSignal reports whether any configured SLO evaluates the given
 // signal class (callers skip wiring a latency loop when no latency SLO
 // exists).

@@ -38,30 +38,21 @@ type FlightRecorder struct {
 	mu    sync.Mutex
 	seq   uint64
 	ring  []FlightEvent
-	next  int // ring slot the next event lands in
-	n     int // valid entries (== len(ring) once wrapped)
-	dir   string
+	next  int    // ring slot the next event lands in
+	n     int    // valid entries (== len(ring) once wrapped)
+	dir   string // immutable after construction
 	dumps int
 }
 
 // NewFlightRecorder returns a recorder holding the most recent
-// `capacity` events (default 512 when capacity <= 0).
-func NewFlightRecorder(capacity int) *FlightRecorder {
+// `capacity` events (default 512 when capacity <= 0) whose automatic and
+// on-demand dumps land in dir (created on first dump). With dir empty,
+// Dump returns "" and writes nothing.
+func NewFlightRecorder(capacity int, dir string) *FlightRecorder {
 	if capacity <= 0 {
 		capacity = 512
 	}
-	return &FlightRecorder{ring: make([]FlightEvent, capacity)}
-}
-
-// SetDumpDir points automatic and on-demand dumps at dir (created on
-// first dump). With no dir set, Dump returns "" and writes nothing.
-func (f *FlightRecorder) SetDumpDir(dir string) {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	f.dir = dir
-	f.mu.Unlock()
+	return &FlightRecorder{ring: make([]FlightEvent, capacity), dir: dir}
 }
 
 // Note appends a lifecycle event to the ring.
@@ -133,8 +124,7 @@ func (f *FlightRecorder) Dump(reason string) (string, error) {
 		return "", nil
 	}
 	f.mu.Lock()
-	dir := f.dir
-	if dir == "" || f.dumps >= flightDumpCap {
+	if f.dir == "" || f.dumps >= flightDumpCap {
 		f.mu.Unlock()
 		return "", nil
 	}
@@ -142,10 +132,10 @@ func (f *FlightRecorder) Dump(reason string) (string, error) {
 	ordinal := f.dumps
 	f.mu.Unlock()
 	events := f.Events()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(f.dir, 0o755); err != nil {
 		return "", fmt.Errorf("telemetry: flight dump dir: %w", err)
 	}
-	path := filepath.Join(dir, fmt.Sprintf("flight-%03d-%s.json", ordinal, sanitizeReason(reason)))
+	path := filepath.Join(f.dir, fmt.Sprintf("flight-%03d-%s.json", ordinal, sanitizeReason(reason)))
 	b, err := json.MarshalIndent(FlightDump{Reason: reason, Time: time.Now(), Events: events}, "", " ")
 	if err != nil {
 		return "", fmt.Errorf("telemetry: flight dump marshal: %w", err)

@@ -180,8 +180,7 @@ func checkObserversDoNotPerturb(t *testing.T, bare *asmsim.RunResult, set int) {
 		})
 	}
 	if set&withSLO != 0 {
-		flight := telemetry.NewFlightRecorder(64)
-		flight.SetDumpDir(t.TempDir())
+		flight := telemetry.NewFlightRecorder(64, t.TempDir())
 		eng := asmsim.NewSLOEngine(spec, asmsim.SLOSinks{
 			Metrics:      tel.Metrics,
 			Log:          slog.New(slog.NewTextHandler(io.Discard, nil)),

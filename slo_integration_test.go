@@ -170,8 +170,7 @@ func TestClusterSLOAlerts(t *testing.T) {
 		 "pending_ticks":1,"resolve_ticks":2}
 	]}`)
 	dir := t.TempDir()
-	flight := telemetry.NewFlightRecorder(64)
-	flight.SetDumpDir(dir)
+	flight := telemetry.NewFlightRecorder(64, dir)
 	eng := asmsim.NewSLOEngine(spec, asmsim.SLOSinks{Flight: flight})
 	cl.SetTelemetry(asmsim.TelemetryOptions{Recorder: eng})
 	for i := 0; i < 4; i++ {
