@@ -1,15 +1,15 @@
 GO ?= go
 
-.PHONY: check build vet test test-debug race test-1p bench bench-smoke trace-smoke trace-diff trace-merge-smoke dash-smoke serve-smoke slo-smoke cover
+.PHONY: check build vet test test-debug race test-1p bench bench-smoke repro-diff trace-smoke trace-diff trace-merge-smoke dash-smoke serve-smoke slo-smoke cover
 
 # check is the CI gate: build + vet + tests, then the race detector over
 # the concurrency-heavy packages (alone-curve chasers behind asmsim.Run,
 # sweep workers, cluster rounds, faults, shared telemetry/trace sinks, the
 # job service, the SLO engine and the observer harness), the simulator
 # core again
-# with its debug invariants compiled in, then the observability smoke tests
-# and the attribution regression gate.
-check: build vet test test-debug race test-1p trace-smoke trace-diff trace-merge-smoke dash-smoke serve-smoke slo-smoke
+# with its debug invariants compiled in, the reproduction golden, then the
+# observability smoke tests and the attribution regression gate.
+check: build vet test test-debug race test-1p repro-diff trace-smoke trace-diff trace-merge-smoke dash-smoke serve-smoke slo-smoke
 
 build:
 	$(GO) build ./...
@@ -51,6 +51,18 @@ bench:
 bench-smoke:
 	$(GO) test -run='^$$' -bench='SweepAccuracy|RunAccuracyAllocs' -benchtime=1x -count=1 ./internal/exp/
 	$(GO) test -run='^$$' -bench='RunQuanta|AloneCurve' -benchtime=1x -count=1 ./internal/sim/
+
+# repro-diff pins every reproduced number: it re-runs the quick-scale
+# sweep of all 20 experiments and compares the output byte for byte with
+# the committed golden. It takes one to two minutes on 2 vCPUs, so it is
+# not part of `make test`. A change that moves a number regenerates the
+# golden and lists the moved rows in CHANGES.md:
+#   go run ./cmd/experiments -run all -workloads 5 -quanta 3 -format json > internal/exp/testdata/quick_all.json
+# REPRO_OUT overrides where the fresh output lands (kept for diffing).
+REPRO_OUT ?= repro-diff.json
+repro-diff:
+	$(GO) run ./cmd/experiments -run all -workloads 5 -quanta 3 -format json > $(REPRO_OUT)
+	cmp $(REPRO_OUT) internal/exp/testdata/quick_all.json
 
 # trace-smoke runs a small contended mix with event tracing enabled and
 # validates that the emitted file is well-formed Perfetto-loadable

@@ -183,19 +183,6 @@ func main() {
 	}
 }
 
-// renderTable renders one table in the given format.
-func renderTable(t *exp.Table, format string) (string, error) {
-	switch format {
-	case "csv":
-		return t.CSV(), nil
-	case "json":
-		return t.JSON()
-	case "text":
-		return t.String(), nil
-	}
-	return "", fmt.Errorf("unknown format %q (want text, csv or json)", format)
-}
-
 // renderAll renders a run's tables for stdout. Text and CSV concatenate
 // with blank-line separators; JSON emits a single object for one table
 // and an array for several, so piped output always parses as one JSON
@@ -210,7 +197,7 @@ func renderAll(tables []*exp.Table, format string) (string, error) {
 	}
 	s := ""
 	for i, t := range tables {
-		out, err := renderTable(t, format)
+		out, err := t.Render(format)
 		if err != nil {
 			return "", err
 		}
@@ -237,7 +224,7 @@ func emit(w io.Writer, tables []*exp.Table, format string) error {
 
 // writeTable stores one table under dir as <id>.<ext>.
 func writeTable(dir string, t *exp.Table, format string) error {
-	out, err := renderTable(t, format)
+	out, err := t.Render(format)
 	if err != nil {
 		return err
 	}

@@ -81,13 +81,11 @@ func loadTables(path string) ([]*exp.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	var tf traceFile
-	if err := json.Unmarshal(data, &tf); err == nil && len(tf.TraceEvents) > 0 {
-		quanta := attributionSeries(tf.TraceEvents)
-		if len(quanta) == 0 {
+	if nt, err := evtrace.ParseTrace(data); err == nil && len(nt.Events) > 0 {
+		if len(nt.Quanta) == 0 {
 			return nil, fmt.Errorf("%s: trace has no attribution events", path)
 		}
-		return summaryTables(evtrace.Summarize(quanta)), nil
+		return summaryTables(evtrace.Summarize(nt.Quanta)), nil
 	}
 	var tables []*exp.Table
 	if err := json.Unmarshal(data, &tables); err == nil && len(tables) > 0 && tables[0].ID != "" {

@@ -105,29 +105,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	path := fs.Arg(0)
 
-	tf, events, err := loadTrace(path)
+	nt, err := evtrace.LoadNodeTrace(path, 0)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	if *check {
-		if err := validate(tf, events); err != nil {
+		if err := nt.Check(); err != nil {
 			fmt.Fprintf(stderr, "%s: %v\n", path, err)
 			return 1
 		}
 		fmt.Fprintf(stdout, "%s: OK — %d events, %d attribution quanta\n",
-			path, len(events), countAttribution(events))
+			path, len(nt.Events), len(nt.Quanta))
 		return 0
 	}
 
-	quanta := attributionSeries(events)
-	if len(quanta) == 0 {
+	if len(nt.Quanta) == 0 {
 		fmt.Fprintf(stderr, "%s: no attribution events (was the run traced?)\n", path)
 		return 1
 	}
-	tables := summaryTables(evtrace.Summarize(quanta))
+	tables := summaryTables(evtrace.Summarize(nt.Quanta))
 	if *perQuant {
-		tables = append(tables, quantaTable(quanta))
+		tables = append(tables, quantaTable(nt.Quanta))
 	}
 	// JSON emits the whole run as ONE document (an array of tables) so the
 	// output round-trips through -diff and jq without multi-document hacks.
@@ -141,7 +140,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	for i, t := range tables {
-		out, err := render(t, *format)
+		out, err := t.Render(*format)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
@@ -169,102 +168,6 @@ func summaryTables(sum evtrace.Summary) []*exp.Table {
 		matrixTable("trace-cache", "Shared-cache interference attribution (Mcycles, cause × victim)", sum.Apps, sum.Cache, nil),
 		cpiTable(sum),
 	}
-}
-
-// traceFile is the chrome-trace JSON object format envelope.
-type traceFile struct {
-	DisplayTimeUnit string       `json:"displayTimeUnit"`
-	TraceEvents     []traceEvent `json:"traceEvents"`
-}
-
-// traceEvent is the subset of chrome-trace event fields tracesum reads.
-type traceEvent struct {
-	Name string          `json:"name"`
-	Ph   string          `json:"ph"`
-	Ts   *float64        `json:"ts"`
-	Dur  *float64        `json:"dur"`
-	Pid  *int            `json:"pid"`
-	Tid  *int            `json:"tid"`
-	Args json.RawMessage `json:"args"`
-}
-
-func loadTrace(path string) (*traceFile, []traceEvent, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	var tf traceFile
-	if err := json.Unmarshal(data, &tf); err != nil {
-		return nil, nil, fmt.Errorf("%s: not valid chrome-trace JSON: %w", path, err)
-	}
-	return &tf, tf.TraceEvents, nil
-}
-
-// validate checks the invariants Perfetto's JSON importer relies on:
-// every event names itself, uses a known phase, and carries coherent
-// non-negative timestamps and durations.
-func validate(tf *traceFile, events []traceEvent) error {
-	if tf.DisplayTimeUnit != "" && tf.DisplayTimeUnit != "ms" && tf.DisplayTimeUnit != "ns" {
-		return fmt.Errorf("displayTimeUnit %q (want ms or ns)", tf.DisplayTimeUnit)
-	}
-	if len(events) == 0 {
-		return fmt.Errorf("empty traceEvents array")
-	}
-	phases := map[string]bool{"X": true, "M": true, "i": true, "I": true, "C": true, "B": true, "E": true}
-	for i, e := range events {
-		if e.Name == "" {
-			return fmt.Errorf("event %d: missing name", i)
-		}
-		if !phases[e.Ph] {
-			return fmt.Errorf("event %d (%s): unknown phase %q", i, e.Name, e.Ph)
-		}
-		if e.Ph != "M" {
-			if e.Ts == nil {
-				return fmt.Errorf("event %d (%s): missing ts", i, e.Name)
-			}
-			if *e.Ts < 0 {
-				return fmt.Errorf("event %d (%s): negative ts %v", i, e.Name, *e.Ts)
-			}
-		}
-		if e.Ph == "X" && e.Dur != nil && *e.Dur < 0 {
-			return fmt.Errorf("event %d (%s): negative dur %v", i, e.Name, *e.Dur)
-		}
-		if e.Pid == nil && e.Ph != "M" {
-			return fmt.Errorf("event %d (%s): missing pid", i, e.Name)
-		}
-	}
-	if countAttribution(events) == 0 {
-		return fmt.Errorf("no attribution events")
-	}
-	return nil
-}
-
-func countAttribution(events []traceEvent) int {
-	n := 0
-	for _, e := range events {
-		if e.Name == "attribution" && e.Ph == "i" {
-			n++
-		}
-	}
-	return n
-}
-
-// attributionSeries extracts the per-quantum attribution snapshots.
-func attributionSeries(events []traceEvent) []evtrace.QuantumAttribution {
-	var out []evtrace.QuantumAttribution
-	for _, e := range events {
-		if e.Name != "attribution" || e.Ph != "i" || e.Args == nil {
-			continue
-		}
-		var args struct {
-			Attribution evtrace.QuantumAttribution `json:"attribution"`
-		}
-		if err := json.Unmarshal(e.Args, &args); err != nil {
-			continue
-		}
-		out = append(out, args.Attribution)
-	}
-	return out
 }
 
 // matrixTable renders a victim-major attribution matrix: one row per
@@ -346,16 +249,4 @@ func quantaTable(quanta []evtrace.QuantumAttribution) *exp.Table {
 		}
 	}
 	return t
-}
-
-func render(t *exp.Table, format string) (string, error) {
-	switch format {
-	case "text":
-		return t.String(), nil
-	case "csv":
-		return t.CSV(), nil
-	case "json":
-		return t.JSON()
-	}
-	return "", fmt.Errorf("unknown format %q (want text, csv or json)", format)
 }

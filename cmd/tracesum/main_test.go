@@ -26,6 +26,19 @@ func TestExitCodes(t *testing.T) {
 	if err := os.WriteFile(garbage, []byte("not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A well-formed trace plus one attribution event whose payload does
+	// not decode: the summary must not quietly drop it.
+	badAttr := filepath.Join(dir, "bad-attribution.trace.json")
+	writeFixtureTrace(t, badAttr)
+	data, err := os.ReadFile(badAttr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = bytes.Replace(data, []byte(`"traceEvents":[`),
+		[]byte(`"traceEvents":[{"name":"attribution","ph":"i","ts":0,"pid":1,"args":{"attribution":"oops"}},`), 1)
+	if err := os.WriteFile(badAttr, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	cases := []struct {
 		name       string
@@ -50,6 +63,8 @@ func TestExitCodes(t *testing.T) {
 		{name: "summarize ok", args: []string{tracePath}, code: 0},
 		{name: "check ok", args: []string{"-check", tracePath}, code: 0},
 		{name: "check garbage", args: []string{"-check", garbage}, code: 1},
+		{name: "summarize bad attribution", args: []string{badAttr}, code: 1, wantStderr: "bad attribution event"},
+		{name: "check bad attribution", args: []string{"-check", badAttr}, code: 1, wantStderr: "bad attribution event"},
 		{name: "bad format", args: []string{"-format", "yaml", tracePath}, code: 1},
 	}
 	for _, tc := range cases {

@@ -31,7 +31,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"asmsim/internal/core"
 	"asmsim/internal/exp"
@@ -68,10 +67,6 @@ type Config struct {
 	// within one round (0 selects DefaultMaxRetries; negative disables
 	// retries).
 	MaxRetries int
-	// RetryBackoff is the base deterministic backoff between attempts:
-	// attempt k waits RetryBackoff << k. Zero (the default) retries
-	// immediately, which is what simulations and tests want.
-	RetryBackoff time.Duration
 	// StaleTTL is how many consecutive rounds a machine may serve stale
 	// estimates while Degraded before it is marked Failed and drained
 	// (0 selects DefaultStaleTTL; negative fails immediately).
@@ -408,9 +403,6 @@ func (c *Cluster) evaluateWithRetry(i int) ([]float64, error) {
 		}
 		if attempt >= retries {
 			return nil, err
-		}
-		if d := c.cfg.RetryBackoff; d > 0 {
-			time.Sleep(d << attempt)
 		}
 		c.event(i, "retry", fmt.Sprintf("attempt %d failed: %v", attempt, err))
 	}

@@ -79,34 +79,21 @@ func (c *Cluster) traceMigration(mv Migration) {
 
 // WriteEventsJSONL streams the robustness audit log (c.Events) as one
 // JSON object per line.
-func (c *Cluster) WriteEventsJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, e := range c.Events {
-		if err := enc.Encode(e); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (c *Cluster) WriteEventsJSONL(w io.Writer) error { return writeJSONL(w, c.Events) }
 
 // WriteDrainsJSONL streams the drain log (c.Drains) as one JSON object
 // per line.
-func (c *Cluster) WriteDrainsJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, d := range c.Drains {
-		if err := enc.Encode(d); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (c *Cluster) WriteDrainsJSONL(w io.Writer) error { return writeJSONL(w, c.Drains) }
 
 // WriteMigrationsJSONL streams the balancer's migration log as one JSON
 // object per line.
-func (c *Cluster) WriteMigrationsJSONL(w io.Writer) error {
+func (c *Cluster) WriteMigrationsJSONL(w io.Writer) error { return writeJSONL(w, c.Migrations) }
+
+// writeJSONL encodes each record as one JSON object per line.
+func writeJSONL[T any](w io.Writer, records []T) error {
 	enc := json.NewEncoder(w)
-	for _, m := range c.Migrations {
-		if err := enc.Encode(m); err != nil {
+	for _, r := range records {
+		if err := enc.Encode(r); err != nil {
 			return err
 		}
 	}

@@ -78,9 +78,10 @@ type MigrationMark struct {
 
 // NodeTrace is one node's parsed trace file.
 type NodeTrace struct {
-	Node   int
-	Path   string
-	Events []RawEvent
+	Node            int
+	Path            string
+	DisplayTimeUnit string
+	Events          []RawEvent
 	// Quanta is the node's per-quantum attribution series, in emission
 	// order (round after round on the node-local clock).
 	Quanta []QuantumAttribution
@@ -94,19 +95,30 @@ type NodeTrace struct {
 	Names []string
 }
 
-// LoadNodeTrace parses one node's trace file, extracting the raw event
-// stream plus the attribution series, round marks and migration marks
-// the merge consumes.
+// LoadNodeTrace reads one node's trace file and parses it (ParseTrace).
 func LoadNodeTrace(path string, node int) (*NodeTrace, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("evtrace: %w", err)
 	}
+	nt, err := ParseTrace(data)
+	if err != nil {
+		return nil, fmt.Errorf("evtrace: %s: %w", path, err)
+	}
+	nt.Node, nt.Path = node, path
+	return nt, nil
+}
+
+// ParseTrace parses a chrome-trace document, extracting the raw event
+// stream plus the attribution series, round marks and migration marks
+// that summaries and the merge consume. A malformed attribution, round
+// or migration event is an error, not a silently shorter series.
+func ParseTrace(data []byte) (*NodeTrace, error) {
 	var doc rawTraceDoc
 	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, fmt.Errorf("evtrace: %s: not valid chrome-trace JSON: %w", path, err)
+		return nil, fmt.Errorf("not valid chrome-trace JSON: %w", err)
 	}
-	nt := &NodeTrace{Node: node, Path: path, Events: doc.TraceEvents}
+	nt := &NodeTrace{DisplayTimeUnit: doc.DisplayTimeUnit, Events: doc.TraceEvents}
 	for _, e := range doc.TraceEvents {
 		switch {
 		case e.Name == "attribution" && e.Ph == "i" && e.Args != nil:
@@ -114,7 +126,7 @@ func LoadNodeTrace(path string, node int) (*NodeTrace, error) {
 				Attribution QuantumAttribution `json:"attribution"`
 			}
 			if err := json.Unmarshal(e.Args, &args); err != nil {
-				return nil, fmt.Errorf("evtrace: %s: bad attribution event: %w", path, err)
+				return nil, fmt.Errorf("bad attribution event: %w", err)
 			}
 			nt.Quanta = append(nt.Quanta, args.Attribution)
 		case e.Name == "round" && e.Ph == "i" && e.Args != nil:
@@ -123,13 +135,13 @@ func LoadNodeTrace(path string, node int) (*NodeTrace, error) {
 				Cycle uint64 `json:"cycle"`
 			}
 			if err := json.Unmarshal(e.Args, &args); err != nil {
-				return nil, fmt.Errorf("evtrace: %s: bad round event: %w", path, err)
+				return nil, fmt.Errorf("bad round event: %w", err)
 			}
 			nt.Rounds = append(nt.Rounds, RoundMark{Round: args.Round, Cycle: args.Cycle})
 		case e.Name == "migration" && e.Ph == "i" && e.Args != nil:
 			var mm MigrationMark
 			if err := json.Unmarshal(e.Args, &mm); err != nil {
-				return nil, fmt.Errorf("evtrace: %s: bad migration event: %w", path, err)
+				return nil, fmt.Errorf("bad migration event: %w", err)
 			}
 			nt.Migrations = append(nt.Migrations, mm)
 		}
@@ -139,6 +151,46 @@ func LoadNodeTrace(path string, node int) (*NodeTrace, error) {
 	}
 	sort.SliceStable(nt.Rounds, func(i, j int) bool { return nt.Rounds[i].Round < nt.Rounds[j].Round })
 	return nt, nil
+}
+
+// Check validates the invariants Perfetto's JSON importer relies on:
+// every event names itself, uses a known phase, and carries coherent
+// non-negative timestamps and durations. The trace must also hold at
+// least one attribution snapshot.
+func (nt *NodeTrace) Check() error {
+	if u := nt.DisplayTimeUnit; u != "" && u != "ms" && u != "ns" {
+		return fmt.Errorf("displayTimeUnit %q (want ms or ns)", u)
+	}
+	if len(nt.Events) == 0 {
+		return fmt.Errorf("empty traceEvents array")
+	}
+	phases := map[string]bool{"X": true, "M": true, "i": true, "I": true, "C": true, "B": true, "E": true}
+	for i, e := range nt.Events {
+		if e.Name == "" {
+			return fmt.Errorf("event %d: missing name", i)
+		}
+		if !phases[e.Ph] {
+			return fmt.Errorf("event %d (%s): unknown phase %q", i, e.Name, e.Ph)
+		}
+		if e.Ph != "M" {
+			if e.Ts == nil {
+				return fmt.Errorf("event %d (%s): missing ts", i, e.Name)
+			}
+			if *e.Ts < 0 {
+				return fmt.Errorf("event %d (%s): negative ts %v", i, e.Name, *e.Ts)
+			}
+		}
+		if e.Ph == "X" && e.Dur != nil && *e.Dur < 0 {
+			return fmt.Errorf("event %d (%s): negative dur %v", i, e.Name, *e.Dur)
+		}
+		if e.Pid == nil && e.Ph != "M" {
+			return fmt.Errorf("event %d (%s): missing pid", i, e.Name)
+		}
+	}
+	if len(nt.Quanta) == 0 {
+		return fmt.Errorf("no attribution events")
+	}
+	return nil
 }
 
 // ClusterRound is one reconciled round boundary: Cycle is the cluster

@@ -363,9 +363,10 @@ func TestMergeErrors(t *testing.T) {
 	}
 }
 
-// FuzzLoadNodeTrace feeds arbitrary bytes to the node-trace loader and,
-// when they load, merges that one node: neither may panic, whatever the
-// file holds.
+// FuzzLoadNodeTrace feeds arbitrary bytes to the node-trace parser and,
+// when they parse, checks and merges that one node: none may panic,
+// whatever the file holds. It parses in memory (ParseTrace, the body of
+// LoadNodeTrace), so the fuzzer writes no files.
 func FuzzLoadNodeTrace(f *testing.F) {
 	dir := f.TempDir()
 	for k, names := range [][]string{{"mcf", "libquantum"}, {"astar", "lbm", "milc"}} {
@@ -380,14 +381,11 @@ func FuzzLoadNodeTrace(f *testing.F) {
 	f.Add([]byte("not json"))
 	f.Add([]byte(`{"traceEvents":[]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p := filepath.Join(t.TempDir(), "node.trace.json")
-		if err := os.WriteFile(p, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		nt, err := LoadNodeTrace(p, 0)
+		nt, err := ParseTrace(data)
 		if err != nil {
 			return
 		}
+		nt.Check()
 		Merge([]*NodeTrace{nt})
 	})
 }

@@ -15,64 +15,55 @@ import (
 // policy is kept because ASM-Mem builds on it).
 func runAblEpoch(ctx context.Context, sc Scale) (*Table, error) {
 	mixes := workload.RandomMixes(suitePool(), 4, sc.Workloads, sc.Seed)
+	cfgs := withATS(sc.BaseConfig(), 64, 64)
+	cfgs[1].EpochRoundRobin = true
+	got, m, err := accuracySweeps(ctx, mixes, estAll, sc, cfgs...)
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		ID:     "abl-epoch",
 		Title:  "Ablation: epoch assignment policy (Section 4.2)",
 		Header: []string{"assignment", "ASM avg error"},
 	}
-	manifest := &Manifest{}
-	for _, rr := range []bool{false, true} {
-		cfg := sc.BaseConfig()
-		cfg.ATSSampledSets = 64
-		cfg.EpochRoundRobin = rr
-		samples, m, err := accuracySweep(ctx, cfg, mixes, estAll, sc)
-		if err != nil {
-			return nil, err
-		}
-		manifest.Merge(m)
-		name := "probabilistic"
-		if rr {
-			name = "round-robin"
-		}
-		t.AddRow(name, pct(MeanError(samples, "ASM")))
-	}
+	t.AddRow("probabilistic", pct(MeanError(got[0], "ASM")))
+	t.AddRow("round-robin", pct(MeanError(got[1], "ASM")))
 	t.AddNote("paper: the two policies achieve similar effects; probabilistic assignment is what ASM-Mem generalizes")
-	attach(t, manifest)
+	attach(t, m)
 	return t, nil
 }
 
+// renamed gives an estimator another name, so two variants of one model
+// can score the same run.
+type renamed struct {
+	core.Estimator
+	name string
+}
+
+func (r renamed) Name() string { return r.name }
+
 // runAblQueueing measures the value of ASM's Section 4.3 memory queueing
-// correction.
+// correction: ASM with and without it score the same runs.
 func runAblQueueing(ctx context.Context, sc Scale) (*Table, error) {
 	mixes := workload.RandomMixes(suitePool(), 4, sc.Workloads, sc.Seed)
-	cfg := sc.BaseConfig()
-	cfg.ATSSampledSets = 64
+	newEst := func() []core.Estimator {
+		off := core.NewASM()
+		off.NoQueueingCorrection = true
+		return core.SanitizeAll([]core.Estimator{core.NewASM(), renamed{off, "ASM-noQ"}})
+	}
+	got, m, err := accuracySweeps(ctx, mixes, newEst, sc, withATS(sc.BaseConfig(), 64)...)
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		ID:     "abl-queueing",
 		Title:  "Ablation: Section 4.3 queueing-delay correction",
 		Header: []string{"variant", "ASM avg error"},
 	}
-	manifest := &Manifest{}
-	for _, disable := range []bool{false, true} {
-		dis := disable
-		newEst := func() []core.Estimator {
-			a := core.NewASM()
-			a.NoQueueingCorrection = dis
-			return core.SanitizeAll([]core.Estimator{a})
-		}
-		all, m, err := accuracySweep(ctx, cfg, mixes, newEst, sc)
-		if err != nil {
-			return nil, err
-		}
-		manifest.Merge(m)
-		name := "with correction"
-		if dis {
-			name = "without correction"
-		}
-		t.AddRow(name, pct(MeanError(all, "ASM")))
-	}
+	t.AddRow("with correction", pct(MeanError(got[0], "ASM")))
+	t.AddRow("without correction", pct(MeanError(got[0], "ASM-noQ")))
 	t.AddNote("the correction matters most at higher core counts (Section 6.5); even at 4 cores it should not hurt")
-	attach(t, manifest)
+	attach(t, m)
 	return t, nil
 }
 
@@ -80,28 +71,25 @@ func runAblQueueing(ctx context.Context, sc Scale) (*Table, error) {
 // claims 64 sampled sets lose almost nothing vs a full ATS).
 func runAblATS(ctx context.Context, sc Scale) (*Table, error) {
 	mixes := workload.RandomMixes(suitePool(), 4, sc.Workloads, sc.Seed)
+	budgets := []int{8, 32, 64, 256, 0}
+	got, m, err := accuracySweeps(ctx, mixes, estAll, sc, withATS(sc.BaseConfig(), budgets...)...)
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		ID:     "abl-ats",
 		Title:  "Ablation: ATS sampled-set budget (Section 4.4)",
 		Header: []string{"sampled sets", "ASM avg error", "PTCA avg error"},
 	}
-	manifest := &Manifest{}
-	for _, sets := range []int{8, 32, 64, 256, 0} {
-		cfg := sc.BaseConfig()
-		cfg.ATSSampledSets = sets
-		samples, m, err := accuracySweep(ctx, cfg, mixes, estAll, sc)
-		if err != nil {
-			return nil, err
-		}
-		manifest.Merge(m)
+	for i, sets := range budgets {
 		label := fmt.Sprint(sets)
 		if sets == 0 {
 			label = "full"
 		}
-		t.AddRow(label, pct(MeanError(samples, "ASM")), pct(MeanError(samples, "PTCA")))
+		t.AddRow(label, pct(MeanError(got[i], "ASM")), pct(MeanError(got[i], "PTCA")))
 	}
 	t.AddNote("paper: sampling barely moves ASM (9.0%% -> 9.9%%) but destroys PTCA (14.7%% -> 40.4%%)")
-	attach(t, manifest)
+	attach(t, m)
 	return t, nil
 }
 
@@ -182,17 +170,16 @@ func spreadAllocation(n, apps, ways int) []int {
 // buys (per-request vs aggregate x memory-only vs memory+cache).
 func runAblSTFM(ctx context.Context, sc Scale) (*Table, error) {
 	mixes := workload.RandomMixes(suitePool(), 4, sc.Workloads, sc.Seed)
-	cfg := sc.BaseConfig()
-	cfg.ATSSampledSets = 0
-	all, m, err := accuracySweep(ctx, cfg, mixes, func() []core.Estimator {
+	got, m, err := accuracySweeps(ctx, mixes, func() []core.Estimator {
 		return core.SanitizeAll([]core.Estimator{
 			core.NewASM(), model.NewFST(), model.NewPTCA(),
 			model.NewMISE(), model.NewSTFM(), model.NewRegression(),
 		})
-	}, sc)
+	}, sc, withATS(sc.BaseConfig(), 0)...)
 	if err != nil {
 		return nil, err
 	}
+	all := got[0]
 	t := &Table{
 		ID:     "abl-models",
 		Title:  "Ablation: modeling ingredients (per-request vs aggregate, memory vs memory+cache)",

@@ -45,6 +45,33 @@ func accuracySweep(ctx context.Context, cfg sim.Config, mixes []workload.Mix, ne
 	return all, m, err
 }
 
+// accuracySweeps runs accuracySweep once per config, in order, and
+// returns each sweep's samples with the sweeps' merged manifest. It stops
+// at the first sweep that completes no mix.
+func accuracySweeps(ctx context.Context, mixes []workload.Mix, newEst EstimatorSet, sc Scale, cfgs ...sim.Config) ([][]Sample, *Manifest, error) {
+	got := make([][]Sample, len(cfgs))
+	manifest := &Manifest{}
+	for i, cfg := range cfgs {
+		samples, m, err := accuracySweep(ctx, cfg, mixes, newEst, sc)
+		if err != nil {
+			return nil, nil, err
+		}
+		manifest.Merge(m)
+		got[i] = samples
+	}
+	return got, manifest, nil
+}
+
+// withATS returns one copy of cfg per ATS sampling budget (0: unsampled).
+func withATS(cfg sim.Config, sets ...int) []sim.Config {
+	cfgs := make([]sim.Config, len(sets))
+	for i, n := range sets {
+		cfgs[i] = cfg
+		cfgs[i].ATSSampledSets = n
+	}
+	return cfgs
+}
+
 // perBenchTable renders a Figure 2/3-style table: per-benchmark error for
 // each estimator, sorted suite-then-intensity like the paper's x-axis,
 // with suite and overall averages.
@@ -64,10 +91,9 @@ func perBenchTable(id, title string, samples []Sample, estimators []string) *Tab
 	}
 	sort.Slice(names, func(i, j int) bool { return order[names[i]] < order[names[j]] })
 
-	errsFor := func(est string) map[string][]float64 { return ErrorsByBench(samples, est) }
 	perEst := map[string]map[string][]float64{}
 	for _, e := range estimators {
-		perEst[e] = errsFor(e)
+		perEst[e] = ErrorsByBench(samples, e)
 	}
 	for _, n := range names {
 		row := []string{n}
@@ -84,76 +110,43 @@ func perBenchTable(id, title string, samples []Sample, estimators []string) *Tab
 	return t
 }
 
-// runFig2 reproduces Figure 2: slowdown estimation accuracy with no ATS
-// sampling (and an equal-overhead pollution filter for FST).
-func runFig2(ctx context.Context, sc Scale) (*Table, error) {
-	cfg := sc.BaseConfig()
-	cfg.ATSSampledSets = 0
-	mixes := workload.RandomMixes(suitePool(), 4, sc.Workloads, sc.Seed)
-	samples, m, err := accuracySweep(ctx, cfg, mixes, estAll, sc)
-	if err != nil {
-		return nil, err
+// perBenchFigure builds a Figure 2/3-style experiment: the per-benchmark
+// table of FST, PTCA and ASM error over random 4-core mixes, with the ATS
+// sampling the given number of sets (0: unsampled) and the paper's
+// averages as the note.
+func perBenchFigure(id, title, note string, sets int) func(context.Context, Scale) (*Table, error) {
+	return func(ctx context.Context, sc Scale) (*Table, error) {
+		mixes := workload.RandomMixes(suitePool(), 4, sc.Workloads, sc.Seed)
+		got, m, err := accuracySweeps(ctx, mixes, estAll, sc, withATS(sc.BaseConfig(), sets)...)
+		if err != nil {
+			return nil, err
+		}
+		t := perBenchTable(id, title, got[0], []string{"FST", "PTCA", "ASM"})
+		t.Notes = append(t.Notes, note)
+		attach(t, m)
+		return t, nil
 	}
-	t := perBenchTable("fig2", "Slowdown estimation error, unsampled ATS (Figure 2)",
-		samples, []string{"FST", "PTCA", "ASM"})
-	t.AddNote("paper averages: FST 18.5%%, PTCA 14.7%%, ASM 9.0%%")
-	attach(t, m)
-	return t, nil
-}
-
-// runFig3 reproduces Figure 3: accuracy with a 64-set sampled ATS and an
-// equal-size pollution filter.
-func runFig3(ctx context.Context, sc Scale) (*Table, error) {
-	cfg := sc.BaseConfig()
-	cfg.ATSSampledSets = 64
-	mixes := workload.RandomMixes(suitePool(), 4, sc.Workloads, sc.Seed)
-	samples, m, err := accuracySweep(ctx, cfg, mixes, estAll, sc)
-	if err != nil {
-		return nil, err
-	}
-	t := perBenchTable("fig3", "Slowdown estimation error, sampled ATS 64 sets (Figure 3)",
-		samples, []string{"FST", "PTCA", "ASM"})
-	t.AddNote("paper averages: FST 29.4%%, PTCA 40.4%%, ASM 9.9%%")
-	attach(t, m)
-	return t, nil
 }
 
 // runFig4 reproduces Figure 4: the distribution of estimation error, with
 // FST/PTCA unsampled and ASM sampled, as in the paper.
 func runFig4(ctx context.Context, sc Scale) (*Table, error) {
 	mixes := workload.RandomMixes(suitePool(), 4, sc.Workloads, sc.Seed)
-
-	unsampled := sc.BaseConfig()
-	unsampled.ATSSampledSets = 0
-	su, mu, err := accuracySweep(ctx, unsampled, mixes, estAll, sc)
+	got, m, err := accuracySweeps(ctx, mixes, estAll, sc, withATS(sc.BaseConfig(), 0, 64)...)
 	if err != nil {
 		return nil, err
 	}
-	sampled := sc.BaseConfig()
-	sampled.ATSSampledSets = 64
-	ss, ms, err := accuracySweep(ctx, sampled, mixes, estAll, sc)
-	if err != nil {
-		return nil, err
-	}
-
 	hist := func(samples []Sample, est string) (*stats.Histogram, float64) {
 		h := stats.NewHistogram(0, 10, 10) // 0-100% in 10% buckets
-		maxErr := 0.0
-		for _, s := range samples {
-			e, ok := s.Error(est)
-			if !ok {
-				continue
-			}
+		errs := Errors(samples, est)
+		for _, e := range errs {
 			h.Add(e)
-			if e > maxErr {
-				maxErr = e
-			}
 		}
-		return h, maxErr
+		return h, stats.Max(errs)
 	}
-	hFST, mFST := hist(su, "FST")
-	hPTCA, mPTCA := hist(su, "PTCA")
-	hASM, mASM := hist(ss, "ASM")
+	hFST, mFST := hist(got[0], "FST")
+	hPTCA, mPTCA := hist(got[0], "PTCA")
+	hASM, mASM := hist(got[1], "ASM")
 
 	t := &Table{
 		ID:     "fig4",
@@ -171,7 +164,7 @@ func runFig4(ctx context.Context, sc Scale) (*Table, error) {
 	t.AddRow("<=20%", pct(within20(hFST)), pct(within20(hPTCA)), pct(within20(hASM)))
 	t.AddRow("max error", pct(mFST), pct(mPTCA), pct(mASM))
 	t.AddNote("paper: 76.25%%/79.25%%/95.25%% of FST/PTCA/ASM estimates within 20%%; max errors 133%%/87%%/36%%")
-	attach(t, mu, ms)
+	attach(t, m)
 	return t, nil
 }
 
@@ -182,7 +175,7 @@ func runFig5(ctx context.Context, sc Scale) (*Table, error) {
 	cfg.ATSSampledSets = 0
 	cfg.Prefetch = true
 	mixes := workload.RandomMixes(suitePool(), 4, sc.Workloads, sc.Seed)
-	samples, m, err := accuracySweep(ctx, cfg, mixes, estAll, sc)
+	got, m, err := accuracySweeps(ctx, mixes, estAll, sc, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -192,12 +185,7 @@ func runFig5(ctx context.Context, sc Scale) (*Table, error) {
 		Header: []string{"model", "avg error", "std dev"},
 	}
 	for _, e := range []string{"FST", "PTCA", "ASM"} {
-		var errs []float64
-		for _, s := range samples {
-			if v, ok := s.Error(e); ok {
-				errs = append(errs, v)
-			}
-		}
+		errs := Errors(got[0], e)
 		t.AddRow(e, pct(stats.Mean(errs)), pct(stats.Std(errs)))
 	}
 	t.AddNote("paper: FST 20%%, PTCA 15%%, ASM 7.5%%")
@@ -209,16 +197,7 @@ func runFig5(ctx context.Context, sc Scale) (*Table, error) {
 // workloads (TPC-C, YCSB): FST/PTCA unsampled, ASM sampled.
 func runDBAcc(ctx context.Context, sc Scale) (*Table, error) {
 	mixes := workload.RandomMixes(workload.DB(), 4, sc.Workloads, sc.Seed)
-
-	unsampled := sc.BaseConfig()
-	unsampled.ATSSampledSets = 0
-	su, mu, err := accuracySweep(ctx, unsampled, mixes, estAll, sc)
-	if err != nil {
-		return nil, err
-	}
-	sampled := sc.BaseConfig()
-	sampled.ATSSampledSets = 64
-	ss, ms, err := accuracySweep(ctx, sampled, mixes, estAll, sc)
+	got, m, err := accuracySweeps(ctx, mixes, estAll, sc, withATS(sc.BaseConfig(), 0, 64)...)
 	if err != nil {
 		return nil, err
 	}
@@ -227,11 +206,11 @@ func runDBAcc(ctx context.Context, sc Scale) (*Table, error) {
 		Title:  "Accuracy on database workloads (Section 6 text)",
 		Header: []string{"model", "avg error"},
 	}
-	t.AddRow("FST (unsampled)", pct(MeanError(su, "FST")))
-	t.AddRow("PTCA (unsampled)", pct(MeanError(su, "PTCA")))
-	t.AddRow("ASM (sampled)", pct(MeanError(ss, "ASM")))
+	t.AddRow("FST (unsampled)", pct(MeanError(got[0], "FST")))
+	t.AddRow("PTCA (unsampled)", pct(MeanError(got[0], "PTCA")))
+	t.AddRow("ASM (sampled)", pct(MeanError(got[1], "ASM")))
 	t.AddNote("paper: FST 27%%, PTCA 12%%, ASM 4%%")
-	attach(t, mu, ms)
+	attach(t, m)
 	return t, nil
 }
 
@@ -248,32 +227,13 @@ func runFig7(ctx context.Context, sc Scale) (*Table, error) {
 		n := scaledWorkloads(sc, cores)
 		mixes := workload.RandomMixes(suitePool(), cores, n, sc.Seed+uint64(cores))
 		sc := scaleQuantumForCores(sc, cores)
-
-		unsampled := sc.BaseConfig()
-		unsampled.ATSSampledSets = 0
-		su, mu, err := accuracySweep(ctx, unsampled, mixes, estAll, sc)
+		got, m, err := accuracySweeps(ctx, mixes, estAll, sc, withATS(sc.BaseConfig(), 0, 64)...)
 		if err != nil {
 			return nil, err
 		}
-		sampled := sc.BaseConfig()
-		sampled.ATSSampledSets = 64
-		ss, ms, err := accuracySweep(ctx, sampled, mixes, estAll, sc)
-		if err != nil {
-			return nil, err
-		}
-		manifest.Merge(mu)
-		manifest.Merge(ms)
+		manifest.Merge(m)
 		row := []string{fmt.Sprint(cores)}
-		for _, pair := range []struct {
-			est     string
-			samples []Sample
-		}{{"FST", su}, {"PTCA", su}, {"ASM", ss}} {
-			var errs []float64
-			for _, s := range pair.samples {
-				if v, ok := s.Error(pair.est); ok {
-					errs = append(errs, v)
-				}
-			}
+		for _, errs := range [][]float64{Errors(got[0], "FST"), Errors(got[0], "PTCA"), Errors(got[1], "ASM")} {
 			row = append(row, pct(stats.Mean(errs)), pct(stats.Std(errs)))
 		}
 		t.AddRow(row...)
@@ -290,29 +250,25 @@ func runFig8(ctx context.Context, sc Scale) (*Table, error) {
 		Title:  "Estimation error vs cache size (Figure 8)",
 		Header: []string{"cache", "FST", "PTCA", "ASM"},
 	}
-	manifest := &Manifest{}
+	sizes := []int{1, 2, 4}
+	var cfgs []sim.Config
+	for _, mbytes := range sizes {
+		cfg := sc.BaseConfig()
+		cfg.L2Bytes = mbytes << 20
+		cfgs = append(cfgs, withATS(cfg, 0, 64)...)
+	}
 	mixes := workload.RandomMixes(suitePool(), 4, sc.Workloads, sc.Seed)
-	for _, mbytes := range []int{1, 2, 4} {
-		unsampled := sc.BaseConfig()
-		unsampled.L2Bytes = mbytes << 20
-		unsampled.ATSSampledSets = 0
-		su, mu, err := accuracySweep(ctx, unsampled, mixes, estAll, sc)
-		if err != nil {
-			return nil, err
-		}
-		sampled := unsampled
-		sampled.ATSSampledSets = 64
-		ss, ms, err := accuracySweep(ctx, sampled, mixes, estAll, sc)
-		if err != nil {
-			return nil, err
-		}
-		manifest.Merge(mu)
-		manifest.Merge(ms)
+	got, m, err := accuracySweeps(ctx, mixes, estAll, sc, cfgs...)
+	if err != nil {
+		return nil, err
+	}
+	for i, mbytes := range sizes {
+		su, ss := got[2*i], got[2*i+1]
 		t.AddRow(fmt.Sprintf("%dMB", mbytes),
 			pct(MeanError(su, "FST")), pct(MeanError(su, "PTCA")), pct(MeanError(ss, "ASM")))
 	}
 	t.AddNote("paper: ASM significantly more accurate across all cache capacities")
-	attach(t, manifest)
+	attach(t, m)
 	return t, nil
 }
 
@@ -338,28 +294,31 @@ func runTab3(ctx context.Context, sc Scale) (*Table, error) {
 	manifest := &Manifest{}
 	mixes := workload.RandomMixes(suitePool(), 4, nmix, sc.Seed)
 	for _, q := range quanta {
-		row := []string{fmt.Sprint(q)}
+		// Keep total simulated cycles per workload roughly constant
+		// across rows despite the varying quantum length.
+		rowSc := sc
+		rowSc.Quantum = q
+		total := int(uint64(sc.TotalQuanta()) * sc.Quantum / q)
+		if total < 2 {
+			total = 2
+		}
+		rowSc.WarmupQuanta = 1
+		rowSc.MeasuredQuanta = total - 1
+		var cfgs []sim.Config
 		for _, e := range epochs {
 			cfg := sc.BaseConfig()
 			cfg.ATSSampledSets = 64
 			cfg.Quantum = q
 			cfg.Epoch = e
-			// Keep total simulated cycles per workload roughly constant
-			// across cells despite the varying quantum length.
-			cellSc := sc
-			cellSc.Quantum = q
-			cellSc.Epoch = e
-			total := int(uint64(sc.TotalQuanta()) * sc.Quantum / q)
-			if total < 2 {
-				total = 2
-			}
-			cellSc.WarmupQuanta = 1
-			cellSc.MeasuredQuanta = total - 1
-			samples, m, err := accuracySweep(ctx, cfg, mixes, estAll, cellSc)
-			if err != nil {
-				return nil, err
-			}
-			manifest.Merge(m)
+			cfgs = append(cfgs, cfg)
+		}
+		got, m, err := accuracySweeps(ctx, mixes, estAll, rowSc, cfgs...)
+		if err != nil {
+			return nil, err
+		}
+		manifest.Merge(m)
+		row := []string{fmt.Sprint(q)}
+		for _, samples := range got {
 			row = append(row, pct(MeanError(samples, "ASM")))
 		}
 		t.AddRow(row...)
@@ -372,10 +331,8 @@ func runTab3(ctx context.Context, sc Scale) (*Table, error) {
 // runMISE reproduces the Section 6.4 comparison: epoch-based aggregation
 // alone (MISE, memory-only) vs ASM (memory + cache).
 func runMISE(ctx context.Context, sc Scale) (*Table, error) {
-	cfg := sc.BaseConfig()
-	cfg.ATSSampledSets = 64
 	mixes := workload.RandomMixes(suitePool(), 4, sc.Workloads, sc.Seed)
-	samples, m, err := accuracySweep(ctx, cfg, mixes, estAll, sc)
+	got, m, err := accuracySweeps(ctx, mixes, estAll, sc, withATS(sc.BaseConfig(), 64)...)
 	if err != nil {
 		return nil, err
 	}
@@ -384,8 +341,8 @@ func runMISE(ctx context.Context, sc Scale) (*Table, error) {
 		Title:  "Benefit of modeling shared-cache interference (Section 6.4)",
 		Header: []string{"model", "avg error"},
 	}
-	t.AddRow("MISE (memory only)", pct(MeanError(samples, "MISE")))
-	t.AddRow("ASM (memory + cache)", pct(MeanError(samples, "ASM")))
+	t.AddRow("MISE (memory only)", pct(MeanError(got[0], "MISE")))
+	t.AddRow("ASM (memory + cache)", pct(MeanError(got[0], "ASM")))
 	t.AddNote("paper: MISE 22%%, ASM 9.9%%")
 	attach(t, m)
 	return t, nil

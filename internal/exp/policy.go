@@ -162,67 +162,35 @@ func schemePARBSUCP() Scheme {
 	}
 }
 
-// runFig9 reproduces Figure 9: ASM-Cache vs NoPart, UCP and MCFQ across
-// core counts, on unfairness (max slowdown) and performance (harmonic
-// speedup).
-func runFig9(ctx context.Context, sc Scale) (*Table, error) {
-	schemes := []Scheme{schemeNoPart(), schemeUCP(), schemeMCFQ(), schemeASMCache()}
-	t := &Table{
-		ID:     "fig9",
-		Title:  "Slowdown-aware cache partitioning (Figure 9)",
-		Header: []string{"cores", "scheme", "max slowdown", "(std)", "harmonic speedup"},
-	}
-	manifest := &Manifest{}
-	for _, cores := range []int{4, 8, 16} {
-		n := scaledWorkloads(sc, cores)
-		mixes := workload.RandomMixes(suitePool(), cores, n, sc.Seed+uint64(cores))
-		sc := scaleQuantumForCores(sc, cores)
-		res, m, err := policySweep(ctx, sc.BaseConfig(), mixes, schemes, sc)
-		if err != nil {
-			return nil, err
+// policyByCores builds a Figure 9/10-style experiment: every scheme over
+// random mixes at 4, 8 and 16 cores, on unfairness (max slowdown) and
+// performance (harmonic speedup), with the paper's claim as the note.
+func policyByCores(id, title, note string, schemes ...Scheme) func(context.Context, Scale) (*Table, error) {
+	return func(ctx context.Context, sc Scale) (*Table, error) {
+		t := &Table{
+			ID:     id,
+			Title:  title,
+			Header: []string{"cores", "scheme", "max slowdown", "(std)", "harmonic speedup"},
 		}
-		manifest.Merge(m)
-		for _, s := range schemes {
-			r := res[s.Name]
-			t.AddRow(fmt.Sprint(cores), s.Name, f2(r.MaxSlowdown), f2(r.MaxSlowdownStd), f3(r.HarmonicSpeedup))
+		manifest := &Manifest{}
+		for _, cores := range []int{4, 8, 16} {
+			n := scaledWorkloads(sc, cores)
+			mixes := workload.RandomMixes(suitePool(), cores, n, sc.Seed+uint64(cores))
+			sc := scaleQuantumForCores(sc, cores)
+			res, m, err := policySweep(ctx, sc.BaseConfig(), mixes, schemes, sc)
+			if err != nil {
+				return nil, err
+			}
+			manifest.Merge(m)
+			for _, s := range schemes {
+				r := res[s.Name]
+				t.AddRow(fmt.Sprint(cores), s.Name, f2(r.MaxSlowdown), f2(r.MaxSlowdownStd), f3(r.HarmonicSpeedup))
+			}
 		}
+		t.Notes = append(t.Notes, note)
+		attach(t, manifest)
+		return t, nil
 	}
-	t.AddNote("paper: ASM-Cache reduces unfairness vs UCP (by 12.5%% at 8 cores, 15.8%% at 16) with comparable/better performance; MCFQ degrades on memory-intensive workloads")
-	attach(t, manifest)
-	return t, nil
-}
-
-// runFig10 reproduces Figure 10: ASM-Mem vs FRFCFS, PARBS and TCM.
-func runFig10(ctx context.Context, sc Scale) (*Table, error) {
-	schemes := []Scheme{
-		schemeSched("FRFCFS", sim.PolicyFRFCFS),
-		schemeSched("PARBS", sim.PolicyPARBS),
-		schemeSched("TCM", sim.PolicyTCM),
-		schemeASMMem(),
-	}
-	t := &Table{
-		ID:     "fig10",
-		Title:  "Slowdown-aware memory bandwidth partitioning (Figure 10)",
-		Header: []string{"cores", "scheme", "max slowdown", "(std)", "harmonic speedup"},
-	}
-	manifest := &Manifest{}
-	for _, cores := range []int{4, 8, 16} {
-		n := scaledWorkloads(sc, cores)
-		mixes := workload.RandomMixes(suitePool(), cores, n, sc.Seed+uint64(cores))
-		sc := scaleQuantumForCores(sc, cores)
-		res, m, err := policySweep(ctx, sc.BaseConfig(), mixes, schemes, sc)
-		if err != nil {
-			return nil, err
-		}
-		manifest.Merge(m)
-		for _, s := range schemes {
-			r := res[s.Name]
-			t.AddRow(fmt.Sprint(cores), s.Name, f2(r.MaxSlowdown), f2(r.MaxSlowdownStd), f3(r.HarmonicSpeedup))
-		}
-	}
-	t.AddNote("paper: ASM-Mem is fairer than all three (5.5%%/12%% over PARBS at 8/16 cores) at comparable/better performance")
-	attach(t, manifest)
-	return t, nil
 }
 
 // runCacheMem reproduces the Section 7.2.2 text result: the coordinated

@@ -14,6 +14,7 @@ import (
 	"asmsim/internal/faults"
 	"asmsim/internal/metrics"
 	"asmsim/internal/sim"
+	"asmsim/internal/stats"
 	"asmsim/internal/telemetry"
 	"asmsim/internal/workload"
 )
@@ -194,22 +195,22 @@ func RunAccuracy(ctx context.Context, cfg sim.Config, mix workload.Mix, newEst E
 	return samples, err
 }
 
-// MeanError averages the error of one estimator over the valid samples;
-// samples that cannot be scored are excluded rather than counted as zero.
-func MeanError(samples []Sample, estimator string) float64 {
-	sum, n := 0.0, 0
+// Errors returns one estimator's error on every sample that can be
+// scored, in sample order; samples that cannot be scored are excluded
+// rather than counted as zero.
+func Errors(samples []Sample, estimator string) []float64 {
+	var out []float64
 	for _, s := range samples {
-		e, ok := s.Error(estimator)
-		if !ok {
-			continue
+		if e, ok := s.Error(estimator); ok {
+			out = append(out, e)
 		}
-		sum += e
-		n++
 	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
+	return out
+}
+
+// MeanError averages the error of one estimator over the valid samples.
+func MeanError(samples []Sample, estimator string) float64 {
+	return stats.Mean(Errors(samples, estimator))
 }
 
 // ErrorsByBench groups per-sample errors by benchmark name, excluding
@@ -284,30 +285,9 @@ func RunPolicy(ctx context.Context, cfg sim.Config, mix workload.Mix, scheme Sch
 	for a := range out.AppSlowdowns {
 		out.AppSlowdowns[a] = float64(count) / invSum[a]
 	}
-	out.MaxSlowdown = maxOf(out.AppSlowdowns)
-	out.HarmonicSpeedup = harmonicSpeedup(out.AppSlowdowns)
+	out.MaxSlowdown = metrics.MaxSlowdown(out.AppSlowdowns)
+	out.HarmonicSpeedup = metrics.HarmonicSpeedup(out.AppSlowdowns)
 	return out, nil
-}
-
-func maxOf(xs []float64) float64 {
-	m := 0.0
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-func harmonicSpeedup(slowdowns []float64) float64 {
-	sum := 0.0
-	for _, s := range slowdowns {
-		sum += s
-	}
-	if sum == 0 {
-		return 0
-	}
-	return float64(len(slowdowns)) / sum
 }
 
 // sweepMixes runs one sweep item per mix on forEach's workers, under cfg

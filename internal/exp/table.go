@@ -117,6 +117,19 @@ func (t *Table) JSON() (string, error) {
 	return string(out), nil
 }
 
+// Render renders the table in one of the formats text, csv or json.
+func (t *Table) Render(format string) (string, error) {
+	switch format {
+	case "text":
+		return t.String(), nil
+	case "csv":
+		return t.CSV(), nil
+	case "json":
+		return t.JSON()
+	}
+	return "", fmt.Errorf("unknown format %q (want text, csv or json)", format)
+}
+
 // f2, f3 and pct are terse cell formatters.
 func f2(x float64) string  { return fmt.Sprintf("%.2f", x) }
 func f3(x float64) string  { return fmt.Sprintf("%.3f", x) }
