@@ -6,10 +6,10 @@ GO ?= go
 # the concurrency-heavy packages (alone-curve chasers behind asmsim.Run,
 # sweep workers, cluster rounds, faults, shared telemetry/trace sinks, the
 # job service, the SLO engine and the observer harness), the simulator
-# core again
-# with its debug invariants compiled in, the reproduction golden, then the
-# observability smoke tests and the attribution regression gate.
-check: build vet test test-debug race test-1p repro-diff trace-smoke trace-diff trace-merge-smoke dash-smoke serve-smoke slo-smoke
+# core again with its debug invariants compiled in, the reproduction
+# golden, the attribution regression gate (trace-diff, which runs
+# trace-smoke first), then the observability smoke tests.
+check: build vet test test-debug race test-1p repro-diff trace-diff trace-merge-smoke dash-smoke serve-smoke slo-smoke
 
 build:
 	$(GO) build ./...

@@ -255,8 +255,8 @@ func NewTracer(w io.Writer, cfg TracerConfig) *Tracer { return evtrace.New(w, cf
 // the JSON document and reports the first write error.
 func OpenTracer(path string, cfg TracerConfig) (*Tracer, error) { return evtrace.Open(path, cfg) }
 
-// SummarizeTrace folds a per-quantum attribution series (Tracer.Quanta)
-// into one aggregate summary.
+// SummarizeTrace folds a per-quantum attribution series, collected
+// through TelemetryOptions.Attribution, into one aggregate summary.
 func SummarizeTrace(quanta []QuantumAttribution) TraceSummary { return evtrace.Summarize(quanta) }
 
 // NewDashServer returns a live dashboard ready to Mount on the

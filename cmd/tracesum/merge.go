@@ -51,7 +51,7 @@ func runMerge(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	fmt.Fprintf(stderr, "merged %d node traces: %d apps, %d rounds, max clock skew %d cycles\n",
-		len(m.Nodes), m.NApps, len(m.Rounds), m.MaxSkewCycles)
+		len(m.Nodes), len(m.Attribution.Apps), len(m.Rounds), m.MaxSkewCycles)
 	for _, nt := range m.Nodes {
 		fmt.Fprintf(stderr, "  node %d: %s — %d apps, %d quanta, %d migrations\n",
 			nt.Node, nt.Path, len(nt.Names), len(nt.Quanta), len(nt.Migrations))

@@ -142,20 +142,21 @@ func TestFleetAggregationDoesNotPerturbResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if merged.NApps != 4 {
-		t.Fatalf("merged cluster has %d apps, want 4", merged.NApps)
+	if n := len(merged.Attribution.Apps); n != 4 {
+		t.Fatalf("merged cluster has %d apps, want 4", n)
 	}
+	off := 0 // node k's first row/column in the cluster matrix
 	for k, nt := range merged.Nodes {
-		sum := merged.NodeSummaries[k]
-		off := merged.Offsets[k]
+		sum := evtrace.Summarize(nt.Quanta)
 		nk := len(nt.Names)
 		for j := 0; j < nk; j++ {
 			for i := 0; i < nk; i++ {
-				if merged.Mem[off+j][off+i] != sum.Mem[j][i] {
+				if merged.Attribution.Mem[off+j][off+i] != sum.Mem[j][i] {
 					t.Fatalf("node %d mem block not bit-identical at (%d,%d)", k, j, i)
 				}
 			}
 		}
+		off += nk
 	}
 }
 

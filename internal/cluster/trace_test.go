@@ -202,20 +202,21 @@ func TestClusterTracingMergeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	off := 0 // node k's first row/column in the cluster matrix
 	for k, nt := range traces {
 		want := evtrace.Summarize(nt.Quanta)
-		off := m.Offsets[k]
 		nk := len(nt.Names)
 		for j := 0; j < nk; j++ {
 			for i := 0; i < nk; i++ {
-				if m.Mem[off+j][off+i] != want.Mem[j][i] {
+				if m.Attribution.Mem[off+j][off+i] != want.Mem[j][i] {
 					t.Errorf("node %d Mem[%d][%d] not bit-identical", k, j, i)
 				}
 			}
-			if m.MemRowTotals[off+j] != want.MemRowTotals[j] {
+			if m.Attribution.MemRowTotals[off+j] != want.MemRowTotals[j] {
 				t.Errorf("node %d row total %d not bit-identical", k, j)
 			}
 		}
+		off += nk
 	}
 	if m.MaxSkewCycles != 0 {
 		// Both machines simulated every round; their clocks advanced by

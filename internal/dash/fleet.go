@@ -2,7 +2,6 @@ package dash
 
 import (
 	_ "embed"
-	"fmt"
 	"net/http"
 	"sort"
 
@@ -180,83 +179,24 @@ func AggregateFleet(polls uint64, nodes []FleetNode) FleetState {
 	return st
 }
 
-// attributionWellFormed checks a scraped matrix's shape: N apps, N
-// rows of N+1 columns (the trailing system column) in both splits, and
-// N row totals. Scraped JSON is attacker-adjacent input; a ragged
-// matrix must be skipped, not crash the aggregator.
-func attributionWellFormed(a *evtrace.QuantumAttribution) bool {
-	n := len(a.Apps)
-	if n == 0 || len(a.Mem) != n || len(a.Cache) != n || len(a.MemRowTotals) != n {
-		return false
-	}
-	for j := 0; j < n; j++ {
-		if len(a.Mem[j]) != n+1 || len(a.Cache[j]) != n+1 {
-			return false
-		}
-	}
-	return true
-}
-
 // fleetAttribution embeds each node's attribution block on the diagonal
-// of one cluster matrix, the same layout evtrace's trace merge produces:
-// node k's apps occupy a contiguous run of rows/columns, its system
-// column lands in the cluster system column, and everything off the
-// diagonal blocks stays zero. Values are copied verbatim — per-node
-// submatrices survive bit-identical.
+// of one cluster matrix (evtrace.BlockDiagonal, the layout the trace merge
+// produces), nil until some node reports one. Scraped JSON is outside
+// input: a malformed node matrix is skipped, not embedded.
 func fleetAttribution(nodes []FleetNode) *evtrace.QuantumAttribution {
-	total := 0
+	var ids []int
+	var blocks []evtrace.QuantumAttribution
 	for _, n := range nodes {
-		if n.Attribution != nil && attributionWellFormed(n.Attribution) {
-			total += len(n.Attribution.Apps)
+		if n.Attribution != nil && n.Attribution.WellFormed() {
+			ids = append(ids, n.Node)
+			blocks = append(blocks, *n.Attribution)
 		}
 	}
-	if total == 0 {
+	if len(blocks) == 0 {
 		return nil
 	}
-	out := &evtrace.QuantumAttribution{
-		Apps:         make([]string, 0, total),
-		Mem:          make([][]float64, total),
-		Cache:        make([][]float64, total),
-		MemRowTotals: make([]float64, total),
-	}
-	for j := range out.Mem {
-		out.Mem[j] = make([]float64, total+1)
-		out.Cache[j] = make([]float64, total+1)
-	}
-	off := 0
-	for _, n := range nodes {
-		a := n.Attribution
-		if a == nil || !attributionWellFormed(a) {
-			continue
-		}
-		nk := len(a.Apps)
-		for j := 0; j < nk; j++ {
-			out.Apps = append(out.Apps, fmt.Sprintf("n%d/%s", n.Node, a.Apps[j]))
-			for i := 0; i < nk; i++ {
-				out.Mem[off+j][off+i] = a.Mem[j][i]
-				out.Cache[off+j][off+i] = a.Cache[j][i]
-			}
-			out.Mem[off+j][total] = a.Mem[j][nk]
-			out.Cache[off+j][total] = a.Cache[j][nk]
-			out.MemRowTotals[off+j] = a.MemRowTotals[j]
-		}
-		for _, as := range a.AppStats {
-			as.Name = fmt.Sprintf("n%d/%s", n.Node, as.Name)
-			out.AppStats = append(out.AppStats, as)
-		}
-		// The cluster quantum clock is the furthest node's.
-		if a.Quantum > out.Quantum {
-			out.Quantum = a.Quantum
-		}
-		if a.EndCycle > out.EndCycle {
-			out.EndCycle = a.EndCycle
-		}
-		if a.Cycles > out.Cycles {
-			out.Cycles = a.Cycles
-		}
-		off += nk
-	}
-	return out
+	a := evtrace.BlockDiagonal(ids, blocks)
+	return &a
 }
 
 // fleetResponse is the /debug/asm/fleet.json payload.

@@ -112,9 +112,10 @@ type QuantumAttribution struct {
 	AppStats []AppQuantumStats `json:"app_stats"`
 }
 
-// Tracer streams trace events to one JSON file and retains the
-// per-quantum attribution series. It is safe for concurrent use (sweep
-// workers may share one tracer); a nil Tracer is a no-op.
+// Tracer streams trace events to one JSON file. It keeps no attribution
+// series: the simulator hands each quantum's snapshot to the tracer and
+// to a run's attribution observer itself. It is safe for concurrent use
+// (sweep workers may share one tracer); a nil Tracer is a no-op.
 type Tracer struct {
 	sampleEvery uint64
 	missCount   atomic.Uint64 // demand misses seen (sampling clock)
@@ -124,22 +125,19 @@ type Tracer struct {
 	// cluster node re-runs its mix from simulated cycle zero each
 	// evaluation round; the balancer advances this offset between rounds
 	// so one node's rounds lay out sequentially on a single node-local
-	// clock instead of stacking at the origin. Retained attribution
-	// snapshots (Quanta) keep their run-local EndCycle — the offset is a
-	// presentation-clock concern only and never touches accounting.
+	// clock instead of stacking at the origin. Attribution snapshots keep
+	// their run-local EndCycle — the offset is a presentation-clock
+	// concern only and never touches accounting.
 	clockOffset atomic.Uint64
 
 	mu     sync.Mutex
-	bw     *bufio.Writer // nil for a matrix-only sink tracer (NewSink)
+	bw     *bufio.Writer
 	c      io.Closer
 	wrote  bool // any event written yet (comma management)
 	closed bool
 	err    error
 
-	onQuantum func(QuantumAttribution) // optional live subscriber
-
-	apps   []string
-	quanta []QuantumAttribution
+	apps []string
 }
 
 // New returns a tracer streaming chrome-trace JSON to w.
@@ -151,27 +149,6 @@ func New(w io.Writer, cfg Config) *Tracer {
 	t := &Tracer{sampleEvery: uint64(se), bw: bufio.NewWriter(w)}
 	t.bw.WriteString(`{"displayTimeUnit":"ns","otherData":{"tool":"asmsim","cycles_per_us":1000},"traceEvents":[`)
 	return t
-}
-
-// NewSink returns a matrix-only tracer: it accumulates the per-quantum
-// attribution series (Quanta, SetOnQuantum) but writes no trace file and
-// never samples spans. The live dashboard uses it to obtain exact
-// attribution without paying for JSON span emission when no -trace file
-// was requested.
-func NewSink() *Tracer {
-	return &Tracer{sampleEvery: 1}
-}
-
-// SetOnQuantum registers fn to receive every per-quantum attribution
-// snapshot as it is emitted (the dashboard's live feed). Safe on a nil
-// tracer; a nil fn unsubscribes.
-func (t *Tracer) SetOnQuantum(fn func(QuantumAttribution)) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.onQuantum = fn
-	t.mu.Unlock()
 }
 
 // Open creates (or truncates) path and streams the trace to it.
@@ -201,7 +178,7 @@ func (t *Tracer) SetClockOffset(cycles uint64) {
 // (clock offset applied), carrying args verbatim. The cluster balancer
 // uses it for round boundaries and migration decisions, so trace
 // consumers can reconcile per-node clocks and cross-check the
-// migration ledger. No-op on a nil or matrix-only (NewSink) tracer.
+// migration ledger. No-op on a nil tracer.
 func (t *Tracer) Instant(name, cat string, cycle uint64, args map[string]any) {
 	if t == nil {
 		return
@@ -243,7 +220,7 @@ func (t *Tracer) emit(evs ...event) {
 }
 
 func (t *Tracer) emitLocked(evs ...event) {
-	if t.err != nil || t.closed || t.bw == nil {
+	if t.err != nil || t.closed {
 		return
 	}
 	for _, e := range evs {
@@ -289,7 +266,7 @@ func (t *Tracer) BeginRun(names []string) {
 // its span recorded (the 1-in-N sampling clock). Safe from concurrent
 // simulators; a nil tracer never samples.
 func (t *Tracer) SampleMiss() bool {
-	if t == nil || t.bw == nil {
+	if t == nil {
 		return false
 	}
 	return t.missCount.Add(1)%t.sampleEvery == 0
@@ -359,29 +336,16 @@ func (t *Tracer) MissSpan(sp MissSpan) {
 	t.emit(evs...)
 }
 
-// Quantum records one quantum's attribution snapshot: an instant event
+// Quantum writes one quantum's attribution snapshot: an instant event
 // carrying the full matrices plus one counter event per victim app
-// (memory- and cache-side interference), and retains the snapshot for
-// Quanta and Summary.
+// (memory- and cache-side interference). ParseTrace reads the series
+// back.
 func (t *Tracer) Quantum(q QuantumAttribution) {
 	if t == nil {
 		return
 	}
-	var evs []event
-	if t.bw == nil {
-		// Matrix-only sink: retain and forward the snapshot, skip the
-		// trace-event construction entirely.
-		t.mu.Lock()
-		t.quanta = append(t.quanta, q)
-		fn := t.onQuantum
-		t.mu.Unlock()
-		if fn != nil {
-			fn(q)
-		}
-		return
-	}
 	off := t.clockOffset.Load()
-	evs = make([]event, 0, len(q.Apps)+1)
+	evs := make([]event, 0, len(q.Apps)+1)
 	evs = append(evs, event{
 		Name: "attribution", Ph: "i", S: "g", Cat: "attribution",
 		Ts: float64(q.EndCycle+off) / cyclesPerMicro, Pid: 0, Tid: 0,
@@ -404,27 +368,7 @@ func (t *Tracer) Quantum(q QuantumAttribution) {
 			Args: map[string]any{"mem": mem, "cache": cache},
 		})
 	}
-	t.mu.Lock()
-	t.quanta = append(t.quanta, q)
-	t.emitLocked(evs...)
-	fn := t.onQuantum
-	t.mu.Unlock()
-	// The live subscriber runs outside the lock so a slow consumer can
-	// never serialize against concurrent span emission.
-	if fn != nil {
-		fn(q)
-	}
-}
-
-// Quanta returns the retained per-quantum attribution series (nil for a
-// nil tracer). The returned slice is shared; callers must not mutate it.
-func (t *Tracer) Quanta() []QuantumAttribution {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.quanta
+	t.emit(evs...)
 }
 
 // Err returns the first write error, if any, without closing.
@@ -447,9 +391,6 @@ func (t *Tracer) Close() error {
 	defer t.mu.Unlock()
 	if !t.closed {
 		t.closed = true
-		if t.bw == nil {
-			return t.err
-		}
 		if _, werr := t.bw.WriteString("\n]}\n"); t.err == nil && werr != nil {
 			t.err = fmt.Errorf("evtrace: %w", werr)
 		}

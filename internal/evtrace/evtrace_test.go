@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -119,9 +120,6 @@ func TestNilTracerIsNoOpAndAllocFree(t *testing.T) {
 		}
 		tr.MissSpan(sp)
 		tr.Quantum(q)
-		if tr.Quanta() != nil {
-			t.Fatal("nil tracer retained quanta")
-		}
 		if tr.Err() != nil || tr.Close() != nil {
 			t.Fatal("nil tracer reported an error")
 		}
@@ -251,5 +249,101 @@ func TestAddMatrixGrows(t *testing.T) {
 				t.Fatalf("dst[%d][%d] = %v, want %v", j, i, dst[j][i], want[j][i])
 			}
 		}
+	}
+}
+
+func seriesQuantum(q int, apps []string) QuantumAttribution {
+	return QuantumAttribution{
+		Quantum: q, EndCycle: uint64(q+1) * 1000, Cycles: 1000,
+		Apps: apps,
+		AppStats: []AppQuantumStats{
+			{Name: apps[0], Retired: uint64(100 * (q + 1)), MemStallCycles: 50},
+		},
+	}
+}
+
+func TestSplitByApp(t *testing.T) {
+	series := []QuantumAttribution{
+		seriesQuantum(0, []string{"mcf"}),
+		seriesQuantum(0, []string{"lbm"}),
+		seriesQuantum(1, []string{"mcf"}),
+		seriesQuantum(0, []string{"mcf", "lbm"}),
+		seriesQuantum(1, []string{"lbm"}),
+	}
+	got := SplitByApp(series)
+	if len(got) != 3 {
+		t.Fatalf("split into %d groups, want 3", len(got))
+	}
+	if len(got["mcf"]) != 2 || got["mcf"][0].Quantum != 0 || got["mcf"][1].Quantum != 1 {
+		t.Fatalf("mcf series = %+v", got["mcf"])
+	}
+	if len(got["lbm"]) != 2 {
+		t.Fatalf("lbm series = %+v", got["lbm"])
+	}
+	if len(got["mcf+lbm"]) != 1 {
+		t.Fatalf("mixed series = %+v", got["mcf+lbm"])
+	}
+	if SplitByApp(nil) == nil {
+		t.Fatal("SplitByApp(nil) must return an empty map, not nil")
+	}
+}
+
+// TestSinkTracerRetainsAndForwards: a tracer keeps no snapshots itself;
+// the file it writes retains every quantum it was handed, and ParseTrace
+// forwards that series back unchanged and in order.
+func TestSinkTracerRetainsAndForwards(t *testing.T) {
+	var buf bytes.Buffer
+	tr := New(&buf, Config{SampleEvery: 1})
+	tr.BeginRun([]string{"a", "b"})
+	var want []QuantumAttribution
+	for q := 0; q < 3; q++ {
+		want = append(want, sampleQuantum(q))
+		tr.Quantum(sampleQuantum(q))
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	nt, err := ParseTrace(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(nt.Quanta, want) {
+		t.Fatalf("file carries %+v, want %+v", nt.Quanta, want)
+	}
+}
+
+// TestOnQuantumWithFileTracer: a file tracer writes each quantum's
+// attribution after the events emitted before it.
+func TestOnQuantumWithFileTracer(t *testing.T) {
+	var buf bytes.Buffer
+	tr := New(&buf, Config{SampleEvery: 1})
+	tr.BeginRun([]string{"a", "b"})
+	tr.MissSpan(MissSpan{App: 0, Detect: 10, Enqueue: 20, Start: 30, Complete: 40, Done: 50, CacheCause: -1})
+	tr.Quantum(sampleQuantum(0))
+	tr.Quantum(sampleQuantum(1))
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	nt, err := ParseTrace(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(nt.Quanta) != 2 || nt.Quanta[1].Quantum != 1 {
+		t.Fatalf("file carries quanta %+v", nt.Quanta)
+	}
+	miss, attr := -1, -1
+	for i, e := range nt.Events {
+		if e.Name == "miss" && miss < 0 {
+			miss = i
+		}
+		if e.Name == "attribution" && attr < 0 {
+			attr = i
+		}
+	}
+	if miss < 0 || attr < 0 || attr < miss {
+		t.Fatalf("miss event at %d, first attribution at %d: want the miss first", miss, attr)
 	}
 }

@@ -206,23 +206,11 @@ type ClusterRound struct {
 // Merged is the folded cluster view of N node traces.
 type Merged struct {
 	Nodes []*NodeTrace
-	// Offsets[k] is node k's first row/column in the cluster matrix;
-	// NApps is the cluster-wide app (row) count.
-	Offsets []int
-	NApps   int
-	// Apps are cluster-qualified app names ("n0/mcf"), concatenated in
-	// node order.
-	Apps []string
-	// NodeSummaries[k] is node k's standalone attribution summary — the
-	// oracle the cluster matrix blocks are copied from.
-	NodeSummaries []Summary
-	// Mem and Cache are the cluster matrices, victim-major with the
-	// system pseudo-cause in the last column; node k's diagonal block is
-	// bit-identical to NodeSummaries[k]'s matrix.
-	Mem          [][]float64
-	MemRowTotals []float64
-	Cache        [][]float64
-	AppStats     []AppQuantumStats
+	// Attribution is the cluster block matrix (BlockDiagonal): apps
+	// "n<k>/<app>" in node order; node k's diagonal block is
+	// bit-identical to its summarized series (Summarize), clipped to the
+	// node's app count.
+	Attribution QuantumAttribution
 	// Rounds is the reconciled cluster round timeline; MaxSkewCycles is
 	// the largest per-round skew absorbed anywhere.
 	Rounds        []ClusterRound
@@ -278,60 +266,42 @@ func Merge(nodes []*NodeTrace) (*Merged, error) {
 	}
 
 	// Assemble the cluster matrix from per-node summaries.
-	m.Offsets = make([]int, len(nodes))
+	ids := make([]int, len(nodes))
+	blocks := make([]QuantumAttribution, len(nodes))
 	for k, nt := range nodes {
-		m.Offsets[k] = m.NApps
-		m.NodeSummaries = append(m.NodeSummaries, Summarize(nt.Quanta))
-		m.NApps += len(nt.Names)
-		for _, name := range nt.Names {
-			m.Apps = append(m.Apps, fmt.Sprintf("n%d/%s", k, name))
-		}
+		ids[k], blocks[k] = k, clipBlock(Summarize(nt.Quanta), nt.Names)
 	}
-	m.Mem = make([][]float64, m.NApps)
-	m.Cache = make([][]float64, m.NApps)
-	m.MemRowTotals = make([]float64, m.NApps)
-	for j := range m.Mem {
-		m.Mem[j] = make([]float64, m.NApps+1)
-		m.Cache[j] = make([]float64, m.NApps+1)
-	}
-	for k := range nodes {
-		off, sum := m.Offsets[k], m.NodeSummaries[k]
-		nk := len(nodes[k].Names)
-		for j := 0; j < nk; j++ {
-			row := off + j
-			if j < len(sum.MemRowTotals) {
-				m.MemRowTotals[row] = sum.MemRowTotals[j]
-			}
-			copyBlockRow(m.Mem[row], sum.Mem, j, off, nk, m.NApps)
-			copyBlockRow(m.Cache[row], sum.Cache, j, off, nk, m.NApps)
-			if j < len(sum.AppStats) {
-				st := sum.AppStats[j]
-				st.Name = m.Apps[row]
-				m.AppStats = append(m.AppStats, st)
-			} else {
-				m.AppStats = append(m.AppStats, AppQuantumStats{Name: m.Apps[row]})
-			}
-		}
-	}
+	m.Attribution = BlockDiagonal(ids, blocks)
 	return m, nil
 }
 
-// copyBlockRow copies one node-summary matrix row into a cluster row:
-// cause columns land at the node's offset, the system pseudo-cause
-// (node column nk) lands in the cluster's last column. Values are
-// copied, not recomputed, so the block is bit-identical to the source.
-func copyBlockRow(dst []float64, src [][]float64, j, off, nk, total int) {
-	if j >= len(src) {
-		return
+// clipBlock shapes a node's summary into the well-formed block
+// BlockDiagonal embeds: one row per app slot the node named, cause
+// columns beyond the slot count dropped, the system column (the node's
+// column len(names)) kept, and missing entries zero.
+func clipBlock(sum Summary, names []string) QuantumAttribution {
+	nk := len(names)
+	b := QuantumAttribution{
+		Cycles:       sum.Cycles,
+		Apps:         names,
+		MemRowTotals: make([]float64, nk),
+		AppStats:     make([]AppQuantumStats, nk),
 	}
-	for i, v := range src[j] {
-		switch {
-		case i < nk:
-			dst[off+i] = v
-		case i == nk:
-			dst[total] = v
+	copy(b.MemRowTotals, sum.MemRowTotals)
+	copy(b.AppStats, sum.AppStats)
+	row := func(m [][]float64, j int) []float64 {
+		r := make([]float64, nk+1)
+		if j < len(m) {
+			copy(r, m[j])
 		}
+		return r
 	}
+	for j, name := range names {
+		b.Mem = append(b.Mem, row(sum.Mem, j))
+		b.Cache = append(b.Cache, row(sum.Cache, j))
+		b.AppStats[j].Name = name
+	}
+	return b
 }
 
 // shiftUs returns node k's timestamp shift (in trace µs) for an event
@@ -349,36 +319,20 @@ func (m *Merged) shiftUs(k int, ts float64) float64 {
 	return float64(shift) / 1000.0
 }
 
-// ClusterAttribution builds the cluster-level attribution snapshot the
-// merged file carries as its single "attribution" instant: the block
-// matrix plus concatenated row totals and app stats. Cycles is the
-// longest per-node traced window (each node's apps ran for that node's
-// cycles, not the sum over nodes).
+// ClusterAttribution is the cluster-level attribution snapshot the merged
+// file carries as its single "attribution" instant: Attribution, stamped
+// quantum 0 and ending at the later of the reconciled last round and the
+// longest per-node traced window (Cycles: each node's apps ran for that
+// node's cycles, not the sum over nodes).
 func (m *Merged) ClusterAttribution() QuantumAttribution {
-	var cycles, end uint64
-	for k, sum := range m.NodeSummaries {
-		if sum.Cycles > cycles {
-			cycles = sum.Cycles
-		}
-		for i, rm := range m.Nodes[k].Rounds {
-			if c := rm.Cycle + m.shifts[k][i]; c > end {
-				end = c
-			}
+	qa := m.Attribution
+	qa.Quantum, qa.EndCycle = 0, qa.Cycles
+	for k, nt := range m.Nodes {
+		for i, rm := range nt.Rounds {
+			qa.EndCycle = max(qa.EndCycle, rm.Cycle+m.shifts[k][i])
 		}
 	}
-	if end < cycles {
-		end = cycles
-	}
-	return QuantumAttribution{
-		Quantum:      0,
-		EndCycle:     end,
-		Cycles:       cycles,
-		Apps:         m.Apps,
-		Mem:          m.Mem,
-		MemRowTotals: m.MemRowTotals,
-		Cache:        m.Cache,
-		AppStats:     m.AppStats,
-	}
+	return qa
 }
 
 // WriteTo streams the merged chrome-trace file: header metadata, one

@@ -95,51 +95,54 @@ func TestMergePreservesNodeMatrices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.NApps != 5 {
-		t.Fatalf("NApps = %d, want 5", m.NApps)
+	ca := m.Attribution
+	n := len(ca.Apps)
+	if n != 5 {
+		t.Fatalf("cluster apps = %d, want 5", n)
 	}
+	off := 0 // node k's first row/column in the cluster matrix
 	for k, nt := range nodes {
 		want := Summarize(nt.Quanta)
-		off := m.Offsets[k]
 		nk := len(nt.Names)
 		for j := 0; j < nk; j++ {
 			row := off + j
-			if m.MemRowTotals[row] != want.MemRowTotals[j] {
+			if ca.MemRowTotals[row] != want.MemRowTotals[j] {
 				t.Errorf("node %d victim %d: MemRowTotals %v != %v",
-					k, j, m.MemRowTotals[row], want.MemRowTotals[j])
+					k, j, ca.MemRowTotals[row], want.MemRowTotals[j])
 			}
 			for i := 0; i < nk; i++ {
-				if got, w := m.Mem[row][off+i], want.Mem[j][i]; got != w {
+				if got, w := ca.Mem[row][off+i], want.Mem[j][i]; got != w {
 					t.Errorf("node %d Mem[%d][%d]: %v != %v (bit mismatch)", k, j, i, got, w)
 				}
-				if got, w := m.Cache[row][off+i], want.Cache[j][i]; got != w {
+				if got, w := ca.Cache[row][off+i], want.Cache[j][i]; got != w {
 					t.Errorf("node %d Cache[%d][%d]: %v != %v", k, j, i, got, w)
 				}
 			}
-			// System pseudo-cause: node column nk lands in cluster column NApps.
-			if got, w := m.Mem[row][m.NApps], want.Mem[j][nk]; got != w {
+			// System pseudo-cause: node column nk lands in the cluster's last column.
+			if got, w := ca.Mem[row][n], want.Mem[j][nk]; got != w {
 				t.Errorf("node %d victim %d system col: %v != %v", k, j, got, w)
 			}
-			if got, w := m.Cache[row][m.NApps], want.Cache[j][nk]; got != w {
+			if got, w := ca.Cache[row][n], want.Cache[j][nk]; got != w {
 				t.Errorf("node %d victim %d cache system col: %v != %v", k, j, got, w)
 			}
 			// Off-diagonal blocks are zero: nodes share no hardware.
-			for i := 0; i < m.NApps; i++ {
+			for i := 0; i < n; i++ {
 				if i >= off && i < off+nk {
 					continue
 				}
-				if m.Mem[row][i] != 0 || m.Cache[row][i] != 0 {
+				if ca.Mem[row][i] != 0 || ca.Cache[row][i] != 0 {
 					t.Errorf("node %d victim %d: nonzero cross-node cell at col %d", k, j, i)
 				}
 			}
 			// AppStats integers ride along unchanged.
 			ws := want.AppStats[j]
-			gs := m.AppStats[row]
+			gs := ca.AppStats[row]
 			if gs.Retired != ws.Retired || gs.MemStallCycles != ws.MemStallCycles ||
 				gs.MemInterf != ws.MemInterf || gs.CacheInterf != ws.CacheInterf {
 				t.Errorf("node %d app %d stats diverged: got %+v want %+v", k, j, gs, ws)
 			}
 		}
+		off += nk
 	}
 	// And the same identity must survive the merged-file round trip: write
 	// the merged trace, re-load its cluster attribution instant, compare.
@@ -178,10 +181,10 @@ func TestMergePreservesNodeMatrices(t *testing.T) {
 	if wantN := 2 * 3 * 2; nodeAttr != wantN { // 2 nodes × 3 rounds × 2 quanta
 		t.Errorf("merged file has %d node-attribution events, want %d", nodeAttr, wantN)
 	}
-	if !reflect.DeepEqual(cluster.Mem, m.Mem) || !reflect.DeepEqual(cluster.Cache, m.Cache) {
+	if !reflect.DeepEqual(cluster.Mem, ca.Mem) || !reflect.DeepEqual(cluster.Cache, ca.Cache) {
 		t.Error("cluster attribution did not survive the JSON round trip bit-exactly")
 	}
-	if !reflect.DeepEqual(cluster.MemRowTotals, m.MemRowTotals) {
+	if !reflect.DeepEqual(cluster.MemRowTotals, ca.MemRowTotals) {
 		t.Error("MemRowTotals did not survive the JSON round trip")
 	}
 }
@@ -306,8 +309,8 @@ func TestMergeFilesEndToEnd(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Nodes) != 2 || m.NApps != 2 {
-		t.Fatalf("merged %d nodes / %d apps, want 2/2", len(m.Nodes), m.NApps)
+	if len(m.Nodes) != 2 || len(m.Attribution.Apps) != 2 {
+		t.Fatalf("merged %d nodes / %d apps, want 2/2", len(m.Nodes), len(m.Attribution.Apps))
 	}
 	data, err := os.ReadFile(out)
 	if err != nil {
@@ -388,4 +391,42 @@ func FuzzLoadNodeTrace(f *testing.F) {
 		nt.Check()
 		Merge([]*NodeTrace{nt})
 	})
+}
+
+// TestBlockDiagonal: blocks land on the diagonal under their given node
+// ids, each system column in the cluster's last column, values verbatim,
+// and the cluster clock is the furthest node's.
+func TestBlockDiagonal(t *testing.T) {
+	a := sampleQuantum(4) // apps a, b
+	b := QuantumAttribution{
+		Quantum: 2, EndCycle: 9000, Cycles: 3000, Apps: []string{"c"},
+		Mem: [][]float64{{0, 7}}, MemRowTotals: []float64{7}, Cache: [][]float64{{0, 1}},
+		AppStats: []AppQuantumStats{{Name: "c", Retired: 9}},
+	}
+	for _, q := range []QuantumAttribution{a, b} {
+		if !q.WellFormed() {
+			t.Fatalf("%v is not well formed", q.Apps)
+		}
+	}
+	got := BlockDiagonal([]int{3, 5}, []QuantumAttribution{a, b})
+	want := QuantumAttribution{
+		Quantum: 4, EndCycle: 9000, Cycles: 3000,
+		Apps:         []string{"n3/a", "n3/b", "n5/c"},
+		Mem:          [][]float64{{0, 80, 0, 20}, {40, 0, 0, 0}, {0, 0, 0, 7}},
+		MemRowTotals: []float64{100, 40, 7},
+		Cache:        [][]float64{{0, 10, 0, 0}, {5, 0, 0, 0}, {0, 0, 0, 1}},
+		AppStats: []AppQuantumStats{
+			{Name: "n3/a", Retired: 500, MemStallCycles: 400, MemInterf: 100, CacheInterf: 10},
+			{Name: "n3/b", Retired: 800, MemStallCycles: 200, MemInterf: 40, CacheInterf: 5},
+			{Name: "n5/c", Retired: 9},
+		},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("BlockDiagonal:\ngot  %+v\nwant %+v", got, want)
+	}
+	torn := sampleQuantum(0)
+	torn.Cache[1] = torn.Cache[1][:2]
+	if torn.WellFormed() || (&QuantumAttribution{}).WellFormed() {
+		t.Fatal("a torn or empty snapshot reads as well formed")
+	}
 }

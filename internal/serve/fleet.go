@@ -212,60 +212,53 @@ var errNotMounted = fmt.Errorf("not mounted")
 // endpoint and then breaks it should be seen, not quietly stale.
 func (p *FleetPoller) scrape(ctx context.Context, i int, target string, prev dash.FleetNode) dash.FleetNode {
 	node := dash.FleetNode{Node: i, URL: target, Endpoints: map[string]dash.EndpointHealth{}}
-	// degrade records one endpoint's failure and its data's staleness;
-	// the caller retains the previous data alongside.
-	degrade := func(ep string, err error) {
+	// mark records one endpoint's health. An endpoint the node does not
+	// mount (no dashboard) is fresh: nothing to merge, not an error. A
+	// failure counts the data's staleness; the previous poll's data
+	// stays.
+	mark := func(ep string, err error) {
+		if err == nil || err == errNotMounted {
+			node.Endpoints[ep] = dash.EndpointHealth{OK: true}
+			return
+		}
 		stale := prev.Endpoints[ep].StalePolls + 1
 		node.Endpoints[ep] = dash.EndpointHealth{Err: err.Error(), StalePolls: stale}
 		p.scrapeErrs[ep].Inc()
 		p.log.Warn("fleet scrape degraded", "node", i, "target", target,
 			"endpoint", ep, "err", err, "stale_polls", stale)
 	}
-	fresh := func(ep string) { node.Endpoints[ep] = dash.EndpointHealth{OK: true} }
 
-	if samples, err := p.scrapeMetrics(ctx, target); err != nil {
-		degrade("metrics", err)
+	samples, err := p.scrapeMetrics(ctx, target)
+	mark("metrics", err)
+	if err != nil {
 		node.Err = err.Error()
 		node.Samples = prev.Samples
 		node.Queued, node.Running = prev.Queued, prev.Running
 	} else {
-		fresh("metrics")
 		node.Healthy = true
 		node.Samples = samples
 		node.Queued = int64(samples["serve_queued"])
 		node.Running = int64(samples["serve_running"])
 	}
 
-	if hist, err := p.scrapeHist(ctx, target); err == errNotMounted {
-		fresh("hist") // node has no dashboard: nothing to merge, not an error
-	} else if err != nil {
-		degrade("hist", err)
-		node.Hist = prev.Hist
-	} else {
-		fresh("hist")
-		node.Hist = hist
-	}
-
-	if attr, err := p.scrapeAttribution(ctx, target); err == errNotMounted {
-		fresh("attribution")
-	} else if err != nil {
-		degrade("attribution", err)
-		node.Attribution = prev.Attribution
-	} else {
-		fresh("attribution")
-		node.Attribution = attr
-	}
-
-	if alerts, err := p.scrapeAlerts(ctx, target); err == errNotMounted {
-		fresh("alerts")
-	} else if err != nil {
-		degrade("alerts", err)
-		node.Alerts = prev.Alerts
-	} else {
-		fresh("alerts")
-		node.Alerts = alerts
-	}
-
+	node.Hist, err = scrapeOptional(ctx, p, target+"/debug/asm/hist", prev.Hist,
+		func(body []byte) (h map[string]telemetry.HistogramSnapshot, err error) {
+			err = json.Unmarshal(body, &h)
+			return h, err
+		})
+	mark("hist", err)
+	node.Attribution, err = scrapeOptional(ctx, p, target+"/debug/asm/attribution", prev.Attribution,
+		func(body []byte) (*evtrace.QuantumAttribution, error) {
+			e, err := decodeDashBody(body)
+			return e.Attribution, err
+		})
+	mark("attribution", err)
+	node.Alerts, err = scrapeOptional(ctx, p, target+"/debug/asm/alerts.json", prev.Alerts,
+		func(body []byte) ([]slo.AlertStatus, error) {
+			e, err := decodeDashBody(body)
+			return e.Alerts, err
+		})
+	mark("alerts", err)
 	return node
 }
 
@@ -285,72 +278,45 @@ func (p *FleetPoller) scrapeMetrics(ctx context.Context, target string) (map[str
 	return samples, nil
 }
 
-// getOptional fetches one optional endpoint: errNotMounted on 404, the
-// body on 200, an error otherwise.
-func (p *FleetPoller) getOptional(ctx context.Context, url string) ([]byte, error) {
+// scrapeOptional fetches one optional endpoint and decodes its body. A
+// node that answers 404 does not mount it and has nothing to merge: the
+// zero T and errNotMounted. Any other failure keeps prev, the previous
+// poll's value.
+func scrapeOptional[T any](ctx context.Context, p *FleetPoller, url string, prev T, decode func([]byte) (T, error)) (T, error) {
+	var v T
 	body, status, err := p.get(ctx, url)
 	switch {
 	case err != nil:
-		return nil, err
 	case status == http.StatusNotFound:
-		return nil, errNotMounted
+		return v, errNotMounted
 	case status != http.StatusOK:
-		return nil, fmt.Errorf("fleet: %s: status %d", url, status)
+		err = fmt.Errorf("fleet: %s: status %d", url, status)
+	default:
+		if v, err = decode(body); err != nil {
+			err = fmt.Errorf("fleet: %s: %w", url, err)
+		}
 	}
-	return body, nil
+	if err != nil {
+		return prev, err
+	}
+	return v, nil
 }
 
-// scrapeHist fetches the node's mergeable histogram snapshots.
-func (p *FleetPoller) scrapeHist(ctx context.Context, target string) (map[string]telemetry.HistogramSnapshot, error) {
-	body, err := p.getOptional(ctx, target+"/debug/asm/hist")
-	if err != nil {
-		return nil, err
-	}
-	var hist map[string]telemetry.HistogramSnapshot
-	if err := json.Unmarshal(body, &hist); err != nil {
-		return nil, fmt.Errorf("fleet: %s/debug/asm/hist: %w", target, err)
-	}
-	return hist, nil
+// dashBody is the body of the dashboard's attribution and alerts
+// endpoints: each carries one payload field, meaningful only when
+// Present.
+type dashBody struct {
+	Present     bool                        `json:"present"`
+	Attribution *evtrace.QuantumAttribution `json:"attribution"`
+	Alerts      []slo.AlertStatus           `json:"alerts"`
 }
 
-// scrapeAttribution fetches the node's latest attribution matrix (nil
-// when the node has not produced one yet).
-func (p *FleetPoller) scrapeAttribution(ctx context.Context, target string) (*evtrace.QuantumAttribution, error) {
-	body, err := p.getOptional(ctx, target+"/debug/asm/attribution")
-	if err != nil {
-		return nil, err
+// decodeDashBody decodes a dashBody, zero unless Present.
+func decodeDashBody(body []byte) (e dashBody, err error) {
+	if err = json.Unmarshal(body, &e); !e.Present {
+		e = dashBody{}
 	}
-	var ar struct {
-		Present     bool                        `json:"present"`
-		Attribution *evtrace.QuantumAttribution `json:"attribution"`
-	}
-	if err := json.Unmarshal(body, &ar); err != nil {
-		return nil, fmt.Errorf("fleet: %s/debug/asm/attribution: %w", target, err)
-	}
-	if !ar.Present {
-		return nil, nil
-	}
-	return ar.Attribution, nil
-}
-
-// scrapeAlerts fetches the node's SLO alert statuses (nil when the node
-// evaluates none).
-func (p *FleetPoller) scrapeAlerts(ctx context.Context, target string) ([]slo.AlertStatus, error) {
-	body, err := p.getOptional(ctx, target+"/debug/asm/alerts.json")
-	if err != nil {
-		return nil, err
-	}
-	var ar struct {
-		Present bool              `json:"present"`
-		Alerts  []slo.AlertStatus `json:"alerts"`
-	}
-	if err := json.Unmarshal(body, &ar); err != nil {
-		return nil, fmt.Errorf("fleet: %s/debug/asm/alerts.json: %w", target, err)
-	}
-	if !ar.Present {
-		return nil, nil
-	}
-	return ar.Alerts, nil
+	return e, err
 }
 
 // get fetches one URL, returning the body and status. Transport errors

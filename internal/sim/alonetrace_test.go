@@ -1,10 +1,13 @@
 package sim
 
 import (
+	"bytes"
+	"io"
 	"math"
 	"testing"
 
 	"asmsim/internal/evtrace"
+	"asmsim/internal/telemetry"
 	"asmsim/internal/workload"
 )
 
@@ -29,13 +32,16 @@ func aloneTraceSetup(t *testing.T) (evtrace.Summary, map[string]evtrace.Summary)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharedTr := evtrace.NewSink()
-	sys.SetTracer(sharedTr)
+	var sharedSeries []evtrace.QuantumAttribution
+	sys.Observe(telemetry.Options{Attribution: func(q evtrace.QuantumAttribution) {
+		sharedSeries = append(sharedSeries, q)
+	}})
 	tracker, err := NewSlowdownTrackerShared(cfg, specs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aloneTr := evtrace.NewSink()
+	var aloneFile bytes.Buffer
+	aloneTr := evtrace.New(&aloneFile, evtrace.Config{})
 	if n := tracker.AttachAloneTracer(aloneTr); n != len(specs) {
 		t.Fatalf("AttachAloneTracer traced %d replicas, want %d", n, len(specs))
 	}
@@ -43,9 +49,16 @@ func aloneTraceSetup(t *testing.T) (evtrace.Summary, map[string]evtrace.Summary)
 		tracker.ActualSlowdowns(st) // advances the replicas
 	})
 	sys.RunQuanta(3)
+	if err := aloneTr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	aloneTrace, err := evtrace.ParseTrace(aloneFile.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	shared := evtrace.Summarize(sharedTr.Quanta())
-	byApp := evtrace.SplitByApp(aloneTr.Quanta())
+	shared := evtrace.Summarize(sharedSeries)
+	byApp := evtrace.SplitByApp(aloneTrace.Quanta)
 	alone := make(map[string]evtrace.Summary, len(byApp))
 	for key, series := range byApp {
 		alone[key] = evtrace.Summarize(series)
@@ -88,11 +101,11 @@ func TestAttachAloneTracerSkipsCachedSlots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := tracker.AttachAloneTracer(evtrace.NewSink()); n != 0 {
+	if n := tracker.AttachAloneTracer(evtrace.New(io.Discard, evtrace.Config{})); n != 0 {
 		t.Fatalf("cached tracker traced %d replicas, want 0", n)
 	}
 	var nilTracker *SlowdownTracker
-	if n := nilTracker.AttachAloneTracer(evtrace.NewSink()); n != 0 {
+	if n := nilTracker.AttachAloneTracer(evtrace.New(io.Discard, evtrace.Config{})); n != 0 {
 		t.Fatalf("nil tracker traced %d replicas", n)
 	}
 }

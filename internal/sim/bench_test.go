@@ -117,11 +117,11 @@ func TestRunQuantaSteadyStateAllocs(t *testing.T) {
 		{"8-core PARBS", func(tb testing.TB) *System { return benchSystem8(tb, PolicyPARBS) }, 14, 1417},
 		{"8-core TCM", func(tb testing.TB) *System { return benchSystem8(tb, PolicyTCM) }, 13, 1313},
 		{"observed/bare", observed("bare"), 13, 2705},
-		{"observed/trace", observed("trace"), 981, 81055},
-		{"observed/dash", observed("dash"), 71, 13543},
+		{"observed/trace", observed("trace"), 976, 78856},
+		{"observed/dash", observed("dash"), 69, 13015},
 		{"observed/slo", observed("slo"), 27, 5355},
 		{"observed/recorder", observed("recorder"), 41, 5686},
-		{"observed/all", observed("all"), 1033, 90310},
+		{"observed/all", observed("all"), 1033, 90047},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			sys := c.sys(t)

@@ -3,15 +3,17 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"asmsim/internal/evtrace"
 	"asmsim/internal/telemetry"
 )
 
-// traceSystem builds a contended multi-core system with a tracer attached,
-// writing the trace into the returned buffer.
-func traceSystem(t *testing.T, sampleEvery int) (*System, *evtrace.Tracer, *bytes.Buffer) {
+// traceSystem builds a contended multi-core system observed by a tracer
+// writing into the returned buffer (nil when sampleEvery is 0: no
+// tracer) and by an attribution collector filling the returned series.
+func traceSystem(t *testing.T, sampleEvery int) (*System, *evtrace.Tracer, *bytes.Buffer, *[]evtrace.QuantumAttribution) {
 	t.Helper()
 	cfg := testConfig()
 	cfg.Channels = 2
@@ -19,10 +21,15 @@ func traceSystem(t *testing.T, sampleEvery int) (*System, *evtrace.Tracer, *byte
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	tr := evtrace.New(&buf, evtrace.Config{SampleEvery: sampleEvery})
-	sys.SetTracer(tr)
-	return sys, tr, &buf
+	var buf *bytes.Buffer
+	var series []evtrace.QuantumAttribution
+	o := telemetry.Options{Attribution: func(q evtrace.QuantumAttribution) { series = append(series, q) }}
+	if sampleEvery > 0 {
+		buf = &bytes.Buffer{}
+		o.Trace = evtrace.New(buf, evtrace.Config{SampleEvery: sampleEvery})
+	}
+	sys.Observe(o)
+	return sys, o.Trace, buf, &series
 }
 
 // TestAttributionConsistency is the tentpole cross-check: at every quantum
@@ -31,11 +38,11 @@ func traceSystem(t *testing.T, sampleEvery int) (*System, *evtrace.Tracer, *byte
 // equal dram InterferenceCycles, the scaled matrix rows sum back to those
 // totals, and the quantum stats snapshot agrees.
 func TestAttributionConsistency(t *testing.T) {
-	sys, tr, _ := traceSystem(t, 4)
+	sys, _, _, series := traceSystem(t, 4)
 	quanta := 0
 	sys.AddQuantumListener(func(s *System, st *QuantumStats) {
 		quanta++
-		qs := tr.Quanta()
+		qs := *series
 		if len(qs) == 0 {
 			t.Fatal("no attribution emitted before listener ran")
 		}
@@ -79,9 +86,8 @@ func TestAttributionConsistency(t *testing.T) {
 		t.Fatalf("listener ran %d times", quanta)
 	}
 	// Contended 4-core run: someone must have been interfered with.
-	qs := tr.Quanta()
 	var tot float64
-	for _, q := range qs {
+	for _, q := range *series {
 		for _, v := range q.MemRowTotals {
 			tot += v
 		}
@@ -94,7 +100,7 @@ func TestAttributionConsistency(t *testing.T) {
 // TestTracedRunEmitsValidTrace runs a real simulation with tracing and
 // checks the output parses as chrome-trace JSON with the expected events.
 func TestTracedRunEmitsValidTrace(t *testing.T) {
-	sys, tr, buf := traceSystem(t, 8)
+	sys, tr, buf, _ := traceSystem(t, 8)
 	sys.RunQuanta(2)
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
@@ -151,9 +157,35 @@ func TestTracingDoesNotPerturbSimulation(t *testing.T) {
 	}
 }
 
-// TestObserveCreatesAttributionSink: an Attribution subscriber with no
-// Trace gets a per-run matrix-only sink, so it sees every quantum; with a
-// Trace it subscribes to that tracer instead.
+// TestAttributionDeliveryPaths: the simulator hands every quantum's
+// snapshot to the attribution observer with or without a trace file, and
+// the series the file carries is the one both observers collected.
+func TestAttributionDeliveryPaths(t *testing.T) {
+	sys, tr, buf, traced := traceSystem(t, 8)
+	sys.RunQuanta(2)
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	bare, _, _, collected := traceSystem(t, 0)
+	bare.RunQuanta(2)
+	nt, err := evtrace.ParseTrace(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(nt.Quanta) != 2 || nt.Quanta[0].Quantum != 0 || nt.Quanta[1].Quantum != 1 {
+		t.Fatalf("trace file carries %d quanta, want quanta 0 and 1", len(nt.Quanta))
+	}
+	if !reflect.DeepEqual(nt.Quanta, *traced) {
+		t.Errorf("trace file and the traced run's collector disagree:\nfile:      %+v\ncollected: %+v", nt.Quanta, *traced)
+	}
+	if !reflect.DeepEqual(nt.Quanta, *collected) {
+		t.Errorf("trace file and the untraced run's collector disagree:\nfile:      %+v\ncollected: %+v", nt.Quanta, *collected)
+	}
+}
+
+// TestObserveCreatesAttributionSink: Observe turns attribution on for an
+// Attribution observer alone or beside a trace file, and the file carries
+// the same quanta the observer saw.
 func TestObserveCreatesAttributionSink(t *testing.T) {
 	for _, traced := range []bool{false, true} {
 		sys, err := New(testConfig(), testSpecs(t, "mcf", "libquantum", "bzip2", "h264ref"))
@@ -164,16 +196,27 @@ func TestObserveCreatesAttributionSink(t *testing.T) {
 		o := telemetry.Options{Attribution: func(q evtrace.QuantumAttribution) {
 			seen = append(seen, q.Quantum)
 		}}
+		var buf bytes.Buffer
 		if traced {
-			o.Trace = evtrace.NewSink()
+			o.Trace = evtrace.New(&buf, evtrace.Config{SampleEvery: 8})
 		}
 		sys.Observe(o)
 		sys.RunQuanta(2)
 		if len(seen) != 2 || seen[0] != 0 || seen[1] != 1 {
 			t.Fatalf("traced=%v: attribution saw quanta %v, want [0 1]", traced, seen)
 		}
-		if traced && len(o.Trace.Quanta()) != 2 {
-			t.Fatalf("the given tracer kept %d quanta, want 2", len(o.Trace.Quanta()))
+		if !traced {
+			continue
+		}
+		if err := o.Trace.Close(); err != nil {
+			t.Fatal(err)
+		}
+		nt, err := evtrace.ParseTrace(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(nt.Quanta) != 2 {
+			t.Fatalf("the given tracer wrote %d quanta, want 2", len(nt.Quanta))
 		}
 	}
 }

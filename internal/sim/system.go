@@ -181,10 +181,13 @@ type System struct {
 	progress     func()
 	nextProgress uint64
 
-	// Event tracing (all nil/zero when disabled). The hot per-cycle loop
-	// is untouched: tracing costs one nil check per demand miss, two per
-	// L2 insert, and the attribution merge at quantum boundaries.
+	// Event tracing and attribution (all nil/zero when disabled). The hot
+	// per-cycle loop is untouched: they cost one nil check per demand
+	// miss, two per L2 insert, and the attribution merge at quantum
+	// boundaries. Each quantum's snapshot goes to the tracer and to
+	// attribution, whichever are set.
 	tracer      *evtrace.Tracer
+	attribution func(evtrace.QuantumAttribution)
 	tracerNames []string
 	memAttribs  []*dram.Attribution // per-channel ledgers, channel order
 	memRaw      [][]uint64          // reused quantum merge buffer (victim-major)
@@ -400,17 +403,24 @@ func (s *System) setTelemetry(r *telemetry.Registry) {
 	}
 }
 
-// SetTracer wires the event-tracing subsystem in: per-channel
-// interference attribution ledgers at the memory controllers, the
-// cache-side evictor ledger, sampled miss-lifecycle spans, and the
-// per-quantum attribution matrix emission. A nil tracer (the default)
-// leaves every path untouched and allocation-free. Call before Run.
+// SetTracer wires the event-tracing subsystem in: the attribution
+// ledgers (enableAttribution), sampled miss-lifecycle spans, and the
+// per-quantum attribution matrix written to t. A nil tracer (the
+// default) leaves every path untouched and allocation-free. Call before
+// Run.
 func (s *System) SetTracer(t *evtrace.Tracer) {
 	s.tracer = t
 	if t == nil {
 		return
 	}
 	t.BeginRun(s.Names())
+	s.enableAttribution()
+}
+
+// enableAttribution turns on the per-channel interference attribution
+// ledgers at the memory controllers and the cache-side evictor ledger,
+// from which emitQuantumTrace builds every quantum's snapshot.
+func (s *System) enableAttribution() {
 	s.tracerNames = s.Names()
 	if s.memAttribs == nil {
 		s.memAttribs = s.mem.EnableAttribution()
@@ -426,20 +436,17 @@ func (s *System) SetTracer(t *evtrace.Tracer) {
 }
 
 // Observe attaches a run's observers: o.Metrics to the system's
-// counters, then o.Trace. When o.Attribution is set it subscribes to the
-// tracer's per-quantum attribution; with no o.Trace the run gets its own
-// matrix-only sink, so no attribution outlives it. Call before Run.
+// counters, then o.Trace and o.Attribution. Either turns the attribution
+// ledgers on; the system hands every quantum's snapshot to both, the
+// tracer first. Call before Run.
 func (s *System) Observe(o telemetry.Options) {
 	s.setTelemetry(o.Metrics)
-	t := o.Trace
-	if o.Attribution != nil {
-		if t == nil {
-			t = evtrace.NewSink()
-		}
-		t.SetOnQuantum(o.Attribution)
+	if o.Trace != nil {
+		s.SetTracer(o.Trace)
 	}
-	if t != nil {
-		s.SetTracer(t)
+	if o.Attribution != nil {
+		s.attribution = o.Attribution
+		s.enableAttribution()
 	}
 }
 
@@ -963,7 +970,7 @@ func (s *System) missDone(txn *missTxn, now uint64) {
 			cacheExtra = extra
 		}
 	}
-	if s.tracer != nil {
+	if s.evictors != nil {
 		s.traceMiss(txn, now, cacheExtra)
 	}
 	if s.missListener != nil {
@@ -983,9 +990,10 @@ func (s *System) missDone(txn *missTxn, now uint64) {
 	s.fillL1(app, txn.line, now)
 }
 
-// traceMiss feeds one completed demand miss to the tracer: charges its
-// shared-cache interference (if any) to the app that evicted the line,
-// and emits the lifecycle span when the miss was sampled.
+// traceMiss feeds one completed demand miss to the attribution ledgers:
+// charges its shared-cache interference (if any) to the app that evicted
+// the line, and emits the lifecycle span when the tracer sampled the
+// miss.
 func (s *System) traceMiss(txn *missTxn, now uint64, cacheExtra float64) {
 	cause := -1
 	if c, ok := s.evictors[txn.line]; ok {
@@ -1020,7 +1028,8 @@ func (s *System) traceMiss(txn *missTxn, now uint64, cacheExtra float64) {
 }
 
 // emitQuantumTrace merges the per-channel attribution ledgers into the
-// quantum's interference matrices and hands the snapshot to the tracer.
+// quantum's interference matrices and hands the snapshot to the tracer
+// and to the attribution observer.
 // The integer ledgers merge exactly; the float row totals are summed in
 // channel order — the same order dram.System.InterferenceCycles uses —
 // so MemRowTotals[j] is bit-equal to the controller-side accounting.
@@ -1062,7 +1071,7 @@ func (s *System) emitQuantumTrace(now uint64) {
 		}
 		clear(s.cacheAttrib[j])
 	}
-	s.tracer.Quantum(evtrace.QuantumAttribution{
+	q := evtrace.QuantumAttribution{
 		Quantum:      s.quantum,
 		EndCycle:     now + 1,
 		Cycles:       s.cfg.Quantum,
@@ -1071,7 +1080,11 @@ func (s *System) emitQuantumTrace(now uint64) {
 		MemRowTotals: rowTotals,
 		Cache:        cache,
 		AppStats:     stats,
-	})
+	}
+	s.tracer.Quantum(q)
+	if s.attribution != nil {
+		s.attribution(q)
+	}
 }
 
 // completeL2Hit finishes an L2 hit transaction.
@@ -1230,10 +1243,10 @@ func (s *System) endQuantum(now uint64) {
 	}
 	s.qs.Quantum = s.quantum
 
-	// Event tracing: merge the attribution ledgers before anything resets
-	// them (listeners run after, so tests can compare the emitted matrix
+	// Attribution: merge the ledgers before anything resets them
+	// (listeners run after, so tests can compare the emitted matrix
 	// against the live controller counters).
-	if s.tracer != nil {
+	if s.memAttribs != nil {
 		s.emitQuantumTrace(now)
 	}
 

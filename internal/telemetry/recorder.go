@@ -321,7 +321,7 @@ type Options struct {
 	// may share one tracer; the caller owns it and must Close it.
 	Trace *evtrace.Tracer
 	// Attribution, when non-nil, receives every quantum's interference
-	// attribution snapshot (the dashboard's live feed). Without Trace the
-	// run gets a private matrix-only sink, so nothing outlives the run.
+	// attribution snapshot (the dashboard's live feed), with or without
+	// Trace: the simulator delivers each snapshot to both.
 	Attribution func(evtrace.QuantumAttribution)
 }
