@@ -220,14 +220,14 @@ func TestCacheDeterministic(t *testing.T) {
 	}
 }
 
-// TestNewInitialState pins what construction promises every set: invalid,
-// unowned lines under the identity LRU stack.
+// TestNewInitialState pins what construction promises every set: invalid
+// lines (zero words) under the identity LRU stack.
 func TestNewInitialState(t *testing.T) {
 	const sets, ways = 8, 6
 	c := New(sets, ways, 2)
-	for i, ln := range c.lines {
-		if ln.Valid || ln.Dirty || ln.App != NoApp || ln.Tag != 0 {
-			t.Fatalf("line %d starts as %+v", i, ln)
+	for i, word := range c.lines {
+		if word != 0 {
+			t.Fatalf("line %d starts as %#x", i, word)
 		}
 		if got, want := c.lru[i], uint8(i%ways); got != want {
 			t.Fatalf("set %d stack position %d holds way %d, want %d", i/ways, i%ways, got, want)

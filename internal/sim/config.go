@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"strings"
 
+	"asmsim/internal/cache"
 	"asmsim/internal/dram"
 	"asmsim/internal/workload"
 )
@@ -146,10 +147,12 @@ func (c Config) Validate() error {
 	case c.WritebackBackpressure < 0:
 		return fmt.Errorf("sim: writeback backpressure must be non-negative (0 selects the default of %d)", defaultWritebackBackpressure)
 	}
-	l1Sets := c.L1Bytes / (workload.LineSize * c.L1Ways)
-	l2Sets := c.L2Bytes / (workload.LineSize * c.L2Ways)
-	if l1Sets&(l1Sets-1) != 0 || l2Sets&(l2Sets-1) != 0 {
-		return fmt.Errorf("sim: cache set counts must be powers of two (l1=%d l2=%d)", l1Sets, l2Sets)
+	if err := cache.CheckGeometry(c.L1Sets(), c.L1Ways, c.Cores); err != nil {
+		return fmt.Errorf("sim: L1: %w", err)
+	}
+	l2Sets := c.L2Sets()
+	if err := cache.CheckGeometry(l2Sets, c.L2Ways, c.Cores); err != nil {
+		return fmt.Errorf("sim: L2: %w", err)
 	}
 	if c.ATSSampledSets > 0 && l2Sets%c.ATSSampledSets != 0 {
 		return fmt.Errorf("sim: ATS sampled sets %d must divide %d", c.ATSSampledSets, l2Sets)
