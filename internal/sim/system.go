@@ -1208,9 +1208,11 @@ func (s *System) flushWritebacks(now uint64) {
 	}
 }
 
-// issuePrefetch sends a prefetch for a line into the shared cache.
+// issuePrefetch sends a prefetch for a line into the shared cache. A
+// target the stride ran past the last line address names no memory and is
+// dropped.
 func (s *System) issuePrefetch(app int, line uint64, now uint64) {
-	if s.l2.Peek(line) || s.inFlightPf[line] {
+	if line >= cache.LineAddrLimit || s.l2.Peek(line) || s.inFlightPf[line] {
 		return
 	}
 	if !s.mem.CanEnqueue(line, false) {
