@@ -35,7 +35,6 @@ type Controller struct {
 
 	banks        []bankState
 	busBusyUntil uint64
-	busApp       int
 
 	readQ     []*Request
 	writeQ    []*Request
@@ -49,6 +48,20 @@ type Controller struct {
 	// — pure bookkeeping that changes no scheduling decision.
 	bankReads  []int32
 	bankWrites []int32
+
+	// Per-bank interference ledger (DESIGN.md decision 19). On a given
+	// tick every queued read of app a in bank b is charged alike: the
+	// cause is the bank's occupant, else the bus owner, else the command
+	// slot's app — a property of the bank, never of the request. So the
+	// controller charges banks, not reads: bankTotal[b] is the cycles
+	// charged to bank b's queued reads, bankCause[b*(numApps+1)+c] splits
+	// them by cause c (the last column is the system/refresh cause), and
+	// bankApp[b*numApps+a] counts app a's queued reads in bank b. A read
+	// settles its own share when it leaves the queue (removeRead): the
+	// bank's charges since it was enqueued, less those it caused itself.
+	bankTotal []uint64
+	bankCause []uint64
+	bankApp   []int32
 
 	inService []*Request
 	// minComplete is the earliest Complete cycle among inService requests
@@ -65,7 +78,7 @@ type Controller struct {
 	lastCmdCycle uint64
 	anyIssued    bool
 
-	outstanding []int // queued+in-service reads per app
+	outstanding []int // queued reads per app (issue takes a read off)
 
 	// Per-app accounting (all in CPU cycles).
 	queueingCycles []uint64
@@ -75,9 +88,8 @@ type Controller struct {
 	rowHits        []uint64
 	servedReads    []uint64 // reads served per app, reset per policy window (TCM)
 
-	// blockedScratch is account's per-app interfered-tick tally, allocated
-	// once (zeroed per call over numApps entries instead of a 64-slot
-	// stack array's 512 bytes).
+	// blockedScratch is account's per-app tally of interfered queued
+	// reads, allocated once.
 	blockedScratch []int
 
 	busyTicks  uint64 // DRAM ticks with a data transfer in flight
@@ -104,12 +116,14 @@ func NewController(t Timing, g Geometry, channel, numApps int, policy Scheduler)
 		banks:          make([]bankState, g.BanksPerChan),
 		bankReads:      make([]int32, g.BanksPerChan),
 		bankWrites:     make([]int32, g.BanksPerChan),
+		bankTotal:      make([]uint64, g.BanksPerChan),
+		bankCause:      make([]uint64, g.BanksPerChan*(numApps+1)),
+		bankApp:        make([]int32, g.BanksPerChan*numApps),
 		readQCap:       128,
 		writeQCap:      64,
 		policy:         policy,
 		priorityApp:    -1,
 		lastCmdApp:     -1,
-		busApp:         -1,
 		outstanding:    make([]int, numApps),
 		queueingCycles: make([]uint64, numApps),
 		interfCycles:   make([]float64, numApps),
@@ -179,8 +193,43 @@ func (c *Controller) Enqueue(r *Request, now uint64) bool {
 	r.marked = false // a recycled request joins no batch it was not marked into
 	c.readQ = append(c.readQ, r)
 	c.bankReads[r.bank]++
+	c.bankApp[r.bank*c.numApps+r.App]++
 	c.outstanding[r.App]++
+	// Mark the bank ledger; removeRead settles against the mark.
+	row := c.causeRow(r.bank)
+	r.interfMark = c.bankTotal[r.bank] - row[r.App]
+	if r.Causes != nil {
+		c.moveCauses(r, row, false)
+	}
 	return true
+}
+
+// causeRow returns bank's per-cause charge columns (numApps+1 wide).
+func (c *Controller) causeRow(bank int) []uint64 {
+	stride := c.numApps + 1
+	return c.bankCause[bank*stride : (bank+1)*stride]
+}
+
+// moveCauses adds row — a bank's per-cause charges, less r's own app's
+// column — into r.Causes (settle), or subtracts it (mark, at Enqueue).
+// Slots fold as charge folds a cause. The arithmetic is modulo 2^64, so
+// mark then settle leaves exactly the charges made in between.
+func (c *Controller) moveCauses(r *Request, row []uint64, settle bool) {
+	last := len(r.Causes) - 1
+	for cause, v := range row {
+		if cause == r.App {
+			continue
+		}
+		slot := cause
+		if cause >= last || cause == c.numApps {
+			slot = last
+		}
+		if settle {
+			r.Causes[slot] += v
+		} else {
+			r.Causes[slot] -= v
+		}
+	}
 }
 
 // QueuedReads returns the number of queued (not yet issued) reads.
@@ -217,7 +266,7 @@ func (c *Controller) Tick(now uint64) {
 		}
 	}
 	c.completeFinished(now)
-	c.account(now)
+	c.account(now, 1)
 	c.updateDrainMode()
 
 	if c.draining {
@@ -265,16 +314,24 @@ const NoEventCycle = ^uint64(0)
 //     window ends where the earliest request-holding bank frees.
 //   - account: early-returns for a single app or an empty read queue;
 //     otherwise, with every queued read's bank busy all window, each
-//     read's interference cause is its bank occupant, fixed for the
-//     whole window — SkipTicks replays those constant charges.
-//   - updateDrainMode: a function of the queue lengths only, which are
-//     frozen while the caller skips (no enqueues happen), so it is
-//     idempotent across the window.
+//     bank's interference cause is its occupant, fixed for the whole
+//     window — SkipTicks charges those constant amounts.
+//   - updateDrainMode: a function of the write-queue length and the mode
+//     itself. Inside a window the length is fixed (an enqueue ends any
+//     window the caller holds, and nothing issues), so the mode can flip
+//     only at the window's first tick: on, when posted writes reached the
+//     high watermark, or off, when the drain's last issue left the queue
+//     at the low one. Either flip changes which queue issues, so
+//     drainFlips ends the window at nextTick.
 func (c *Controller) NextEventCycle(nextTick uint64) uint64 {
+	if c.drainFlips() {
+		return nextTick
+	}
 	ratio := uint64(c.timing.CPUPerDRAM)
 	next := uint64(NoEventCycle)
 	// alignUp maps an arbitrary CPU cycle to the first tick-grid cycle at
-	// or after it: the tick at which the controller observes it.
+	// or after it: the tick at which the controller observes it. It is
+	// monotone, so the earliest of several cycles aligns once.
 	alignUp := func(x uint64) uint64 {
 		if x <= nextTick {
 			return nextTick
@@ -299,21 +356,16 @@ func (c *Controller) NextEventCycle(nextTick uint64) uint64 {
 			next = t
 		}
 	}
+	// The earliest release of a bank holding issuable work.
+	writes := len(c.writeQ) > 0 && (c.draining || len(c.readQ) == 0)
+	free := uint64(NoEventCycle)
 	for i := range c.banks {
-		if c.bankReads[i] > 0 {
-			if t := alignUp(c.banks[i].busyUntil); t < next {
-				next = t
-			}
+		if c.bankReads[i] > 0 || writes && c.bankWrites[i] > 0 {
+			free = min(free, c.banks[i].busyUntil)
 		}
 	}
-	if len(c.writeQ) > 0 && (c.draining || len(c.readQ) == 0) {
-		for i := range c.banks {
-			if c.bankWrites[i] > 0 {
-				if t := alignUp(c.banks[i].busyUntil); t < next {
-					next = t
-				}
-			}
-		}
+	if free != NoEventCycle {
+		next = min(next, alignUp(free))
 	}
 	return next
 }
@@ -323,10 +375,10 @@ func (c *Controller) NextEventCycle(nextTick uint64) uint64 {
 // NextEventCycle(nextTick) — bit-identical to calling Tick n times. The
 // tick counter, the bus-busy tally, and the refresh countdown apply in
 // closed form; with multiple apps and queued reads, the per-tick
-// interference accounting is replayed for the window: integer charges
-// (per-request interference, per-cause ledger, queueing cycles) multiply
-// out exactly, and each float accumulator receives the same n identical
-// adds it would see ticking through, preserving bit-equality.
+// interference accounting is applied for the window: integer charges
+// (per-bank interference, per-cause ledger, queueing cycles) multiply out
+// exactly, and each float accumulator receives the same n identical adds
+// it would see ticking through, preserving bit-equality.
 func (c *Controller) SkipTicks(nextTick uint64, n uint64) {
 	c.totalTicks += n
 	ratio := uint64(c.timing.CPUPerDRAM)
@@ -342,36 +394,24 @@ func (c *Controller) SkipTicks(nextTick uint64, n uint64) {
 		// so the countdown can never fire (or wrap) inside the window.
 		c.refreshCountdown -= n
 	}
-	if c.numApps == 1 || len(c.readQ) == 0 {
-		return
-	}
-	// Frozen-window accounting: every queued read's bank is busy for the
-	// whole window (NextEventCycle ends it where the first one frees), so
-	// a read is interfered each tick iff its bank's occupant is another
-	// app (or -1, a refresh window) — account's bank-busy branch with a
-	// constant cause; the bus/command-slot branches are unreachable.
-	blocked := c.blockedScratch
-	for i := range blocked {
-		blocked[i] = 0
-	}
-	for _, r := range c.readQ {
-		b := &c.banks[r.bank]
-		if b.occupant == r.App {
-			continue // held up by its own bank: not interference
-		}
-		c.charge(r, b.occupant, ratio*n)
-		if r.App < len(blocked) {
-			blocked[r.App]++
+	// Every queued read's bank is busy for the whole window (NextEventCycle
+	// ends it where the first one frees), so each bank's cause is its
+	// occupant at every tick: account at nextTick holds for all n.
+	if debugChecks {
+		for i, queued := range c.bankReads {
+			if queued > 0 && c.banks[i].busyUntil <= nextTick {
+				panic(fmt.Sprintf("dram: bank %d holds reads but is free at %d, inside a frozen window", i, nextTick))
+			}
 		}
 	}
-	c.chargeBlocked(blocked, ratio, n)
+	c.account(nextTick, n)
 }
 
-// charge books cycles of interference against request r from cause —
-// another app whose occupancy held it up, or -1 for the system (a refresh
-// window) — on the request and in the attribution ledger. An app cannot
-// interfere with itself: issue folds that cause into -1 before calling,
-// and the per-tick callers never produce it.
+// charge books a row-buffer disturbance penalty of cycles against request
+// r from cause — the app whose access displaced the row, or -1 for the
+// system (a refresh window) — on the request and in the attribution
+// ledger. An app cannot interfere with itself: issue folds that cause
+// into -1 before calling.
 func (c *Controller) charge(r *Request, cause int, cycles uint64) {
 	r.InterfCycles += cycles
 	if c.attrib != nil {
@@ -401,7 +441,12 @@ func (c *Controller) chargeBlocked(blocked []int, ratio, n uint64) {
 			if par < bn {
 				par = bn
 			}
-			contrib := float64(ratio) * float64(bn) / float64(par)
+			// With every queued read blocked the quotient is exactly
+			// ratio: ratio*bn is exact, and so is its division by bn.
+			contrib := float64(ratio)
+			if bn != par {
+				contrib = float64(ratio) * float64(bn) / float64(par)
+			}
 			// n repeated adds, not contrib*n: each accumulator must see
 			// the exact float operation sequence n ticks apply.
 			for j := uint64(0); j < n; j++ {
@@ -454,13 +499,18 @@ func (c *Controller) completeFinished(now uint64) {
 
 // updateDrainMode applies write-queue watermarks.
 func (c *Controller) updateDrainMode() {
-	hi := c.writeQCap * 3 / 4
-	lo := c.writeQCap / 4
-	if len(c.writeQ) >= hi {
-		c.draining = true
-	} else if len(c.writeQ) <= lo {
-		c.draining = false
+	if c.drainFlips() {
+		c.draining = !c.draining
 	}
+}
+
+// drainFlips reports whether the write-queue watermarks switch the drain
+// mode: on at three quarters full, off at one quarter.
+func (c *Controller) drainFlips() bool {
+	if c.draining {
+		return len(c.writeQ) <= c.writeQCap/4
+	}
+	return len(c.writeQ) >= c.writeQCap*3/4
 }
 
 // bankFree reports whether r's bank can accept a new request.
@@ -477,6 +527,17 @@ func (c *Controller) bankFree(r *Request, now uint64) bool {
 func (c *Controller) anyBankFree(counts []int32, now uint64) bool {
 	for i, n := range counts {
 		if n > 0 && c.banks[i].busyUntil <= now {
+			return true
+		}
+	}
+	return false
+}
+
+// appBankFree reports whether a bank that can accept a command at now
+// holds a queued read of app.
+func (c *Controller) appBankFree(app int, now uint64) bool {
+	for i := range c.banks {
+		if c.bankApp[i*c.numApps+app] > 0 && c.banks[i].busyUntil <= now {
 			return true
 		}
 	}
@@ -507,8 +568,9 @@ func (c *Controller) pickRead(now uint64) *Request {
 	}
 	// Priority overlay: if the highest-priority app has any serviceable
 	// request, the policy chooses only among those. Serviceable requires
-	// a free bank, so the overlay scan is skipped along with the rest.
-	if free && c.priorityApp >= 0 {
+	// a free bank holding one of its reads, which the per-bank counts
+	// show without the scan.
+	if p := c.priorityApp; free && p >= 0 && p < c.numApps && c.appBankFree(p, now) {
 		var best *Request
 		bestIdx := -1
 		for i, r := range c.readQ {
@@ -547,10 +609,18 @@ func (c *Controller) checkMarkedReads() {
 }
 
 // removeRead deletes index i from the read queue, preserving order (age
-// order matters to every policy).
+// order matters to every policy), and settles the read's interference:
+// its bank's charges since Enqueue marked it, less those its own app
+// caused (DESIGN.md decision 19).
 func (c *Controller) removeRead(i int) {
 	r := c.readQ[i]
 	c.bankReads[r.bank]--
+	c.bankApp[r.bank*c.numApps+r.App]--
+	row := c.causeRow(r.bank)
+	r.InterfCycles += c.bankTotal[r.bank] - row[r.App] - r.interfMark
+	if r.Causes != nil {
+		c.moveCauses(r, row, true)
+	}
 	if r.marked {
 		c.markedReads--
 	}
@@ -637,8 +707,9 @@ func (c *Controller) issue(r *Request, now uint64) {
 	if r.Write {
 		b.busyUntil += uint64(c.timing.TWR) * ratio
 	}
+	// The bus owner is always the last command's app: account relies on
+	// the two being one.
 	c.busBusyUntil = complete
-	c.busApp = r.App
 	c.lastCmdApp = r.App
 	c.lastCmdCycle = now
 	c.anyIssued = true
@@ -652,62 +723,71 @@ func (c *Controller) issue(r *Request, now uint64) {
 	c.inService = append(c.inService, r)
 }
 
-// account performs the per-tick bookkeeping the slowdown models consume.
-func (c *Controller) account(now uint64) {
+// account performs the bookkeeping the slowdown models consume for n
+// identical ticks from now: n is 1 from Tick, and SkipTicks passes a
+// frozen window, every tick of which charges what the first one does.
+//
+// A queued read is interfered on a tick when its bank is occupied by
+// another app's request, or — its bank free, so it was otherwise
+// schedulable — the data bus is transferring another app's data or the
+// last command slot (previous tick) went to another app. A read stuck
+// behind its own app's bank work is not being interfered with. The bus
+// owner and the command slot's app are both lastCmdApp, so each bank has
+// one cause per tick — its occupant if busy (-1 for a refresh window),
+// else lastCmdApp if the bus or slot is taken, else none — which charges
+// every read in the bank except those of the cause app itself. The charge
+// goes on the bank (bankTotal, bankCause); reads settle it in removeRead.
+func (c *Controller) account(now, n uint64) {
 	// A single-app controller has no inter-application interference to
 	// account: every occupant, bus transfer and command slot belongs to
 	// the one app. (Refresh windows set occupant to -1, but refresh
 	// stalls happen identically in an alone run, so they are not
-	// interference either.) Alone-run replicas take this path every
-	// DRAM tick, so skipping the queue walk is a real win there.
-	if c.numApps == 1 {
-		return
-	}
-	// No queued reads: nothing can be blocked, every counter update below
-	// is a no-op. Skip the stack-array zeroing and loop setup.
-	if len(c.readQ) == 0 {
+	// interference either.) With no queued reads nothing is blocked.
+	if c.numApps == 1 || len(c.readQ) == 0 {
 		return
 	}
 	ratio := uint64(c.timing.CPUPerDRAM)
-
-	// Per-request and per-app (parallelism-scaled, STFM-style)
-	// interference cycles for the queued reads. A queued read is
-	// interfered this tick when its bank is occupied by another app's
-	// request, the data bus is transferring another app's data, or the
-	// controller's last command slot (previous tick) went to another app.
+	cycles := ratio * n
+	slotCause := -2 // -2: neither bus nor command slot is taken
+	if c.busBusyUntil > now || c.anyIssued && now-c.lastCmdCycle <= ratio {
+		slotCause = c.lastCmdApp
+	}
+	// blocked[a] counts app a's interfered queued reads: all of them, less
+	// those in banks with no cause or whose cause is a itself.
 	blocked := c.blockedScratch
-	for i := range blocked {
-		blocked[i] = 0
-	}
-	busBusyOther := c.busBusyUntil > now
-	cmdSlotTaken := c.anyIssued && now-c.lastCmdCycle <= ratio
-	for _, r := range c.readQ {
-		b := &c.banks[r.bank]
-		bankBusy := b.busyUntil > now
-		// Bus and command-slot contention only apply when the request was
-		// otherwise schedulable (its bank free); a request stuck behind
-		// its own bank's work is not being interfered with this tick.
-		// Every interfered tick has one deterministic cause, resolved in
-		// fixed priority (bank occupant, then bus owner, then command
-		// slot); -2 means not interfered, -1 the system (refresh).
-		cause := -2
-		if bankBusy {
-			if b.occupant != r.App {
-				cause = b.occupant
-			}
-		} else if busBusyOther && c.busApp != r.App {
-			cause = c.busApp
-		} else if cmdSlotTaken && c.lastCmdApp != r.App {
-			cause = c.lastCmdApp
+	copy(blocked, c.outstanding)
+	stride := c.numApps + 1
+	for bank, queued := range c.bankReads {
+		if queued == 0 {
+			continue
 		}
-		if cause != -2 {
-			c.charge(r, cause, ratio)
-			if r.App < len(blocked) {
-				blocked[r.App]++
+		base := bank * c.numApps // bank's row of bankApp
+		cause := slotCause
+		if b := &c.banks[bank]; b.busyUntil > now {
+			cause = b.occupant
+		}
+		if cause == -2 {
+			for a, k := range c.bankApp[base : base+c.numApps] {
+				blocked[a] -= int(k)
+			}
+			continue
+		}
+		col := c.numApps
+		if cause >= 0 {
+			col = cause
+			blocked[cause] -= int(c.bankApp[base+cause])
+		}
+		c.bankTotal[bank] += cycles
+		c.bankCause[bank*stride+col] += cycles
+		if c.attrib != nil {
+			for a, k := range c.bankApp[base : base+c.numApps] {
+				if k > 0 && a != cause {
+					c.attrib.add(a, cause, cycles*uint64(k))
+				}
 			}
 		}
 	}
-	c.chargeBlocked(blocked, ratio, 1)
+	c.chargeBlocked(blocked, ratio, n)
 }
 
 // QueueingCycles returns the accumulated Section 4.3 queueing cycles for

@@ -20,14 +20,18 @@ type Request struct {
 	// InterfCycles accumulates the CPU cycles this request spent queued
 	// while its bank or the data bus was occupied by another application.
 	// This is the per-request interference signal the FST/PTCA baselines
-	// (and Figure 6) consume.
+	// (and Figure 6) consume. The queueing share is settled when the read
+	// leaves the queue, so the value is final only once the read has
+	// issued (DESIGN.md decision 19).
 	InterfCycles uint64
 
 	// Causes, when non-nil, splits InterfCycles by cause application:
 	// Causes[i] is the cycles app i's occupancy cost this request, and the
 	// final slot (index len-1) is the system/refresh pseudo-cause. The
 	// tracer allocates it (numApps+1 long) only for sampled requests, so
-	// the common path stays allocation-free.
+	// the common path stays allocation-free. While the read is queued it
+	// holds a mark against its bank's ledger, not cycles: like
+	// InterfCycles it is final only once the read has issued.
 	Causes []uint64
 
 	// Done is invoked at completion with the request and the CPU cycle.
@@ -37,6 +41,11 @@ type Request struct {
 	bank   int
 	row    uint64
 	marked bool // PARBS batch membership
+
+	// interfMark is the bank's charge to this read's app at Enqueue
+	// (bankTotal less the app's own cause column); removeRead settles
+	// InterfCycles against it.
+	interfMark uint64
 }
 
 // Bank returns the bank index this request maps to within its channel.

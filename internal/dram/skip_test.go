@@ -400,3 +400,55 @@ func TestSkipWindowEndsAtShuffleBoundary(t *testing.T) {
 		}
 	}
 }
+
+// TestNextEventCycleDrainWatermarks pins the drain-mode ends of a frozen
+// window. Posting writes leaves the window open up to one write below the
+// high watermark, and the write that reaches it closes the window: the
+// next tick starts the drain. And once a drain has issued its queue down
+// to the low watermark, the next tick ends the drain, so it closes the
+// window too — though no request's bank frees there.
+func TestNextEventCycleDrainWatermarks(t *testing.T) {
+	g := DefaultGeometry(1)
+	c := NewController(DDR31333(), g, 0, 2, NewFRFCFS())
+	ratio := uint64(c.timing.CPUPerDRAM)
+	reads := sameBankReads(g, 0, 2, 0)
+	c.Enqueue(reads[0], 0)
+	c.Tick(0) // issues reads[0]: bank 0 is busy
+	c.Enqueue(reads[1], 0)
+	now := ratio
+	open := c.NextEventCycle(now)
+	if open <= now {
+		t.Fatalf("read behind a busy bank: NextEventCycle(%d) = %d, want a window", now, open)
+	}
+	writes := sameBankReads(g, 1, c.writeQCap, 0)
+	hi := c.writeQCap * 3 / 4
+	for i, w := range writes[:hi] {
+		w.Write = true
+		if !c.Enqueue(w, now) {
+			t.Fatalf("write %d refused", i)
+		}
+		want := open
+		if i == hi-1 {
+			want = now
+		}
+		if got := c.NextEventCycle(now); got != want {
+			t.Fatalf("%d writes queued (high watermark %d): NextEventCycle = %d, want %d", i+1, hi, got, want)
+		}
+	}
+	// Tick the drain down to the low watermark: every write targets bank
+	// 0 of app 1's rows, so each leaves the bank busy behind it.
+	lo := c.writeQCap / 4
+	for ; len(c.writeQ) > lo; now += ratio {
+		c.Tick(now)
+		if !c.draining {
+			t.Fatalf("cycle %d: drain ended with %d writes queued", now, len(c.writeQ))
+		}
+	}
+	if got, ref := c.NextEventCycle(now), (refController{c}).nextEventCycle(now); got != now || ref == now {
+		t.Fatalf("drain at the low watermark: NextEventCycle = %d, want %d (without the drain rule %d)", got, now, ref)
+	}
+	c.Tick(now)
+	if c.draining {
+		t.Fatal("tick at the low watermark kept draining")
+	}
+}

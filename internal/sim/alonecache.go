@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"context"
 	"math"
+	"runtime/pprof"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -52,6 +54,11 @@ type AloneCurveCache struct {
 	points   atomic.Int64 // logical curve points
 	segments atomic.Int64 // stored run-length segments
 	tel      atomic.Pointer[aloneCacheTel]
+
+	// labels carries the pprof label sim=alone that chase goroutines run
+	// under, built once so labelling a chase allocates nothing: a CPU
+	// profile taken with -tagignore=sim=alone shows the shared run alone.
+	labels context.Context
 }
 
 // aloneKey identifies one curve: the canonical alone-config fingerprint
@@ -75,7 +82,10 @@ type aloneCacheTel struct {
 
 // NewAloneCurveCache returns an empty cache.
 func NewAloneCurveCache() *AloneCurveCache {
-	return &AloneCurveCache{entries: map[aloneKey]*aloneCurve{}}
+	return &AloneCurveCache{
+		entries: map[aloneKey]*aloneCurve{},
+		labels:  pprof.WithLabels(context.Background(), pprof.Labels("sim", "alone")),
+	}
 }
 
 // SetTelemetry publishes the cache's counters under the "alone_cache"
@@ -359,8 +369,10 @@ func (c *aloneCurve) want(n uint64) {
 // chase extends the curve to the wanted milestone and exits once it has
 // caught up; the goroutine owns the chasing flag while it runs. After
 // clearing the flag it looks once more: a hint that arrived in between saw
-// the flag set and started nothing.
+// the flag set and started nothing. It runs under the cache's sim=alone
+// profiler label.
 func (c *aloneCurve) chase() {
+	pprof.SetGoroutineLabels(c.cache.labels)
 	for {
 		c.extendTo(c.wanted.Load())
 		c.chasing.Store(false)

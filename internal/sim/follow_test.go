@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"runtime"
+	"runtime/pprof"
+	"strings"
 	"testing"
 	"time"
 
@@ -246,4 +249,48 @@ func TestFollowLeavesNoGoroutines(t *testing.T) {
 			t.Fatalf("chased, unlisted curve answers %d cycles at %d instructions, oracle %d", got, uint64(hint/2), want)
 		}
 	})
+}
+
+// TestChaseRunsUnderAloneLabel: a chase goroutine carries the pprof label
+// sim=alone, so a CPU profile can leave the alone curves out
+// (-tagignore=sim=alone), and setting that label allocates nothing.
+func TestChaseRunsUnderAloneLabel(t *testing.T) {
+	cfg := DefaultConfig()
+	cache := NewAloneCurveCache()
+	apps := SourcesFromSpecs(mustSpecs(t, []string{"mcf"}), cfg.streamSeed())
+	cu, err := cache.Cursor(cfg, apps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := goroutineBaseline()
+	// Holding the curve's lock parks the chase inside extendTo, alive
+	// and labelled, until the profile has been read.
+	cu.curve.mu.Lock()
+	cu.curve.want(extendSlice)
+	labelled := false
+	for deadline := time.Now().Add(30 * time.Second); !labelled && time.Now().Before(deadline); {
+		var buf bytes.Buffer
+		if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range strings.Split(buf.String(), "\n\n") {
+			if strings.Contains(rec, "(*aloneCurve).chase") {
+				if !strings.Contains(rec, `# labels: {"sim":"alone"}`) {
+					t.Fatalf("chase goroutine without the sim=alone label:\n%s", rec)
+				}
+				labelled = true
+			}
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cu.curve.mu.Unlock()
+	if !labelled {
+		t.Fatal("no chase goroutine appeared")
+	}
+	waitForGoroutines(t, baseline)
+
+	defer pprof.SetGoroutineLabels(context.Background())
+	if n := testing.AllocsPerRun(100, func() { pprof.SetGoroutineLabels(cache.labels) }); n != 0 {
+		t.Fatalf("labelling a chase allocates %v objects", n)
+	}
 }

@@ -111,12 +111,9 @@ type System struct {
 	coreNext   uint64 // the earliest core NextCycle after the last step
 
 	// dramNext caches the memory system's NextEventCycle(nextTick), stale
-	// after a tick, an enqueue or a policy update (memDirty). drainStale: a
-	// write posted since the last tick may start draining, which
-	// NextEventCycle cannot see, so the next tick runs.
-	dramNext   uint64
-	memDirty   bool
-	drainStale bool
+	// after a tick, an enqueue or a policy update (memDirty).
+	dramNext uint64
+	memDirty bool
 
 	cores []*cpu.Core
 
@@ -581,13 +578,12 @@ func (s *System) horizon() uint64 {
 }
 
 // dramEvent returns the first DRAM tick that may not be frozen: the next
-// one while misses or writebacks are parked or a drain mode is stale
-// (they need every tick), else the memory system's NextEventCycle — asked
-// again, when ask is set, if a tick, an enqueue or a policy update made
-// its last answer stale.
+// one while misses or writebacks are parked (they need every tick), else
+// the memory system's NextEventCycle — asked again, when ask is set, if a
+// tick, an enqueue or a policy update made its last answer stale.
 func (s *System) dramEvent(ask bool) uint64 {
 	switch {
-	case s.drainStale || len(s.retryQ) > 0 || len(s.pendingWB) > 0, s.memDirty && !ask:
+	case len(s.retryQ) > 0 || len(s.pendingWB) > 0, s.memDirty && !ask:
 		return s.nextTick
 	case s.memDirty:
 		s.dramNext, s.memDirty = s.mem.NextEventCycle(s.nextTick), false
@@ -646,9 +642,6 @@ func (s *System) step(now uint64) {
 		if now < s.dramEvent(false) {
 			s.mem.SkipTicks(now, 1)
 		} else {
-			// The tick updates every drain mode; writes posted from here
-			// on, by its own completions included, mark them stale again.
-			s.drainStale = false
 			s.mem.Tick(now)
 			s.flushWritebacks(now)
 			s.retryMisses(now)
@@ -1171,7 +1164,6 @@ func (s *System) postWrite(app int, line uint64, now uint64) bool {
 	}
 	*r = dram.Request{App: app, LineAddr: line, Write: true, Done: s.writeDone}
 	if s.enqueue(r, now) {
-		s.drainStale = true
 		return true
 	}
 	s.freeWrites = append(s.freeWrites, r)
