@@ -7,8 +7,10 @@ GO ?= go
 # sweep workers, cluster rounds, faults, shared telemetry/trace sinks, the
 # job service, the SLO engine and the observer harness), the simulator
 # core again with its debug invariants compiled in, the reproduction
-# golden, the attribution regression gate (trace-diff, which runs
-# trace-smoke first), then the observability smoke tests.
+# golden, the attribution golden (trace-diff, which runs trace-smoke
+# first), then the observability smoke tests; trace-diff, repro-diff and
+# trace-merge-smoke each regenerate a summary and `cmp` it with its
+# committed golden.
 check: build vet test test-debug race test-1p repro-diff trace-diff trace-merge-smoke dash-smoke serve-smoke slo-smoke
 
 build:
@@ -76,18 +78,24 @@ trace-smoke:
 	$(GO) run ./cmd/tracesum $(TRACE_OUT)
 
 # trace-diff is the attribution regression gate: re-run the trace-smoke
-# recipe and diff its attribution matrices + CPI stacks against the
-# committed golden summary. Regenerate the golden (after an intentional
-# model change) with:
+# recipe, summarize its attribution matrices + CPI stacks as JSON and
+# compare the summary byte for byte with the committed golden, as
+# repro-diff does. A change that moves a cell on purpose regenerates the
+# golden (after `make trace-smoke`) and says so in CHANGES.md:
 #   go run ./cmd/tracesum -format json $(TRACE_OUT) > cmd/tracesum/testdata/trace-smoke.golden.json
 trace-diff: trace-smoke
-	$(GO) run ./cmd/tracesum -diff -tol 0.02 cmd/tracesum/testdata/trace-smoke.golden.json $(TRACE_OUT)
+	$(GO) run ./cmd/tracesum -format json $(TRACE_OUT) > trace-smoke.summary.json
+	cmp trace-smoke.summary.json cmd/tracesum/testdata/trace-smoke.golden.json
 
 # trace-merge-smoke drives the cluster tracing pipeline end to end: the
 # migration example with per-node tracing enabled, tracesum merge over
 # the node traces (per-node pid namespacing + clock reconciliation),
-# then tracesum -check on the merged file to prove it is a well-formed
-# Perfetto-loadable trace with a cluster-level attribution matrix.
+# tracesum -check on the merged file to prove it is a well-formed
+# Perfetto-loadable trace with a cluster-level attribution matrix, then
+# the merged file's JSON summary compared byte for byte with the
+# committed golden. Regenerate the golden (after an intentional change)
+# with:
+#   go run ./cmd/tracesum -format json $(TRACE_MERGE_DIR)/cluster.trace.json > cmd/tracesum/testdata/trace-merge.golden.json
 # TRACE_MERGE_DIR overrides where the traces land (CI uploads them).
 TRACE_MERGE_DIR ?= trace-merge-smoke
 trace-merge-smoke:
@@ -95,6 +103,8 @@ trace-merge-smoke:
 	$(GO) run ./cmd/tracesum merge -o $(TRACE_MERGE_DIR)/cluster.trace.json $(TRACE_MERGE_DIR)/node0.trace.json $(TRACE_MERGE_DIR)/node1.trace.json
 	$(GO) run ./cmd/tracesum -check $(TRACE_MERGE_DIR)/cluster.trace.json
 	$(GO) run ./cmd/tracesum $(TRACE_MERGE_DIR)/cluster.trace.json
+	$(GO) run ./cmd/tracesum -format json $(TRACE_MERGE_DIR)/cluster.trace.json > $(TRACE_MERGE_DIR)/cluster.summary.json
+	cmp $(TRACE_MERGE_DIR)/cluster.summary.json cmd/tracesum/testdata/trace-merge.golden.json
 
 # dash-smoke launches a real run with the live dashboard enabled, curls
 # every /debug/asm/* endpoint (JSON shapes + one SSE quantum frame), and

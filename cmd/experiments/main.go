@@ -78,21 +78,16 @@ func main() {
 		return
 	}
 
-	sc := exp.Quick()
-	if *full {
-		sc = exp.Full()
-	}
-	if *workloads > 0 {
-		sc.Workloads = *workloads
-	}
-	if *quanta > 0 {
-		sc.MeasuredQuanta = *quanta
-	}
-	if *seed > 0 {
-		sc.Seed = *seed
-	}
-	if *runTimeout > 0 {
-		sc.RunTimeout = *runTimeout
+	// Every experiment resolves its scale the way asmserve resolves a job:
+	// through exp.JobSpec, which also gives each experiment a fresh
+	// alone-curve cache (curves are shared within one experiment only,
+	// which bounds resident memory over a -run all sweep).
+	spec := exp.JobSpec{
+		Full:           *full,
+		Workloads:      *workloads,
+		MeasuredQuanta: *quanta,
+		Seed:           *seed,
+		RunTimeoutMS:   runTimeoutMS(*runTimeout),
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -127,23 +122,21 @@ func main() {
 	var tables []*exp.Table
 	partial := 0
 	for _, e := range exps {
-		scRun := sc
-		// Curves are shared within one experiment; dropping them between
-		// experiments bounds resident memory over a -run all sweep.
-		scRun.AloneCache.Reset()
-		if scRun.Telemetry, err = o.Run(e.ID); err != nil {
+		tel, err := o.Run(e.ID)
+		if err != nil {
 			fatal(err)
 		}
 		var prg *telemetry.Progress
 		if *progress {
 			prg = telemetry.NewProgress(os.Stderr, e.ID, 0)
-			scRun.Telemetry.Progress = prg
+			tel.Progress = prg
 		}
 		// Each experiment's progress replaces the previous one on the
 		// dashboard (the /progress endpoint tracks the live sweep).
 		o.Dash.SetProgress(prg)
 		start := time.Now()
-		table, err := e.Run(ctx, scRun)
+		spec.Experiment = e.ID
+		table, err := spec.Run(ctx, func(sc *exp.Scale) { sc.Telemetry = tel })
 		prg.Finish()
 		o.EndRun()
 		if err != nil {
@@ -181,6 +174,16 @@ func main() {
 	if obsErr != nil || sloFailed {
 		os.Exit(1)
 	}
+}
+
+// runTimeoutMS converts -run-timeout to JobSpec.RunTimeoutMS, rounding
+// up to a whole millisecond so a sub-millisecond deadline never becomes
+// 0, which means no deadline. A non-positive duration is no deadline.
+func runTimeoutMS(d time.Duration) int64 {
+	if d <= 0 {
+		return 0
+	}
+	return int64((d + time.Millisecond - 1) / time.Millisecond)
 }
 
 // renderAll renders a run's tables for stdout. Text and CSV concatenate

@@ -1,7 +1,7 @@
 // Command tracegen records synthetic benchmark instruction streams into
-// trace files (internal/trace format). Recorded traces replay exactly, and
-// externally produced traces in the same format can drive the simulator
-// with real workloads (see sim.NewWithSources).
+// trace files (internal/trace format) and dumps them. Recorded traces
+// replay exactly in-module through the internal sim.NewWithSources, which
+// the tests use; no CLI or service reads a trace file.
 //
 // Usage:
 //

@@ -10,12 +10,13 @@
 //	tracesum /tmp/run.trace.json
 //	tracesum -check /tmp/run.trace.json       # schema validation only
 //	tracesum -format csv /tmp/run.trace.json
-//	tracesum -diff old.json new.json -tol 0.02   # regression gate
+//	tracesum -format json /tmp/run.trace.json > summary.json  # golden-ready
 //	tracesum merge -o cluster.json node0.json node1.json  # fold node traces
 //
-// In -diff mode each argument may be a raw asmsim trace (summarized on
-// the fly) or a summary previously saved with -format json, so CI can
-// diff a fresh trace against a committed golden summary directly.
+// A trace whose attribution snapshots carry more than one app set — the
+// replicas of an `asmsim -trace-alone` file, or a node whose slots changed
+// app in a migration — is summarized one set at a time, in sorted set
+// order, each table titled with its set.
 //
 // The merge subcommand folds per-node cluster traces (one file per
 // machine, each that machine's Trace in Cluster.SetTelemetry) into one
@@ -24,8 +25,8 @@
 // bit-identical to the inputs; it prints a clock-skew report to stderr.
 //
 // Exit codes: 0 success, 1 operational failure (unreadable file, failed
-// validation, diff past tolerance), 2 usage error (unknown subcommand,
-// missing file arguments, bad flags).
+// validation), 2 usage error (unknown subcommand, missing file arguments,
+// bad flags).
 package main
 
 import (
@@ -34,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strings"
 
 	"asmsim/internal/evtrace"
@@ -46,7 +48,6 @@ func main() {
 
 const usageText = `usage:
   tracesum [-check] [-quanta] [-format text|csv|json] <trace.json>
-  tracesum -diff <old.json> <new.json> [-tol 0.02]
   tracesum merge [-o <merged.json>] <node0.json> <node1.json> ...`
 
 func usage(stderr io.Writer) int {
@@ -76,29 +77,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		check    = fs.Bool("check", false, "validate the chrome-trace schema and exit (no tables)")
 		format   = fs.String("format", "text", "output format: text, csv, json")
 		perQuant = fs.Bool("quanta", false, "also print one interference row per quantum")
-		diffMode = fs.Bool("diff", false, "compare two traces/summaries cell by cell; non-zero exit past -tol")
-		tol      = fs.Float64("tol", 0.02, "relative tolerance for -diff numeric cells")
 	)
 	if err := fs.Parse(args); err != nil {
 		return usage(stderr)
-	}
-	if *diffMode {
-		if fs.NArg() < 2 {
-			return usage(stderr)
-		}
-		oldPath, newPath := fs.Arg(0), fs.Arg(1)
-		// Accept `-diff old new -tol 0.02` too: stdlib flag stops at the
-		// first positional, so re-parse anything after the two paths.
-		if rest := fs.Args()[2:]; len(rest) > 0 {
-			if err := fs.Parse(rest); err != nil || fs.NArg() != 0 {
-				return usage(stderr)
-			}
-		}
-		if err := runDiff(oldPath, newPath, *tol); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		return 0
 	}
 	if fs.NArg() != 1 {
 		return usage(stderr)
@@ -124,12 +105,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "%s: no attribution events (was the run traced?)\n", path)
 		return 1
 	}
-	tables := summaryTables(evtrace.Summarize(nt.Quanta))
+	tables := summarizeTrace(nt.Quanta)
 	if *perQuant {
 		tables = append(tables, quantaTable(nt.Quanta))
 	}
-	// JSON emits the whole run as ONE document (an array of tables) so the
-	// output round-trips through -diff and jq without multi-document hacks.
+	// JSON emits the whole run as ONE document (an array of tables), the
+	// form the committed goldens hold and jq reads without multi-document
+	// hacks.
 	if *format == "json" {
 		out, err := json.MarshalIndent(tables, "", "  ")
 		if err != nil {
@@ -160,8 +142,31 @@ func looksLikePath(s string) bool {
 	return strings.ContainsAny(s, "/\\.")
 }
 
-// summaryTables builds the canonical table set for a run summary — the
-// unit -diff compares and -format json emits.
+// summarizeTrace builds the summary tables of a trace, one table set per
+// app set in sorted set order: Summarize folds quanta by slot, so quanta
+// of different apps must never share one fold. Only a trace with several
+// sets titles its tables with the set.
+func summarizeTrace(quanta []evtrace.QuantumAttribution) []*exp.Table {
+	sets := evtrace.SplitByApp(quanta)
+	keys := make([]string, 0, len(sets))
+	for k := range sets {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var tables []*exp.Table
+	for _, k := range keys {
+		for _, t := range summaryTables(evtrace.Summarize(sets[k])) {
+			if len(keys) > 1 {
+				t.Title += " — " + k
+			}
+			tables = append(tables, t)
+		}
+	}
+	return tables
+}
+
+// summaryTables builds the canonical table set for one app set's
+// summary.
 func summaryTables(sum evtrace.Summary) []*exp.Table {
 	return []*exp.Table{
 		matrixTable("trace-mem", "Memory interference attribution (Mcycles, cause × victim)", sum.Apps, sum.Mem, sum.MemRowTotals),
