@@ -2,117 +2,88 @@ package dram
 
 import "testing"
 
-func TestAttributionLedgerBasics(t *testing.T) {
-	a := NewAttribution(2)
-	if a.NumApps() != 2 {
-		t.Fatalf("NumApps = %d", a.NumApps())
+// attribution returns c's attribution matrix as AddAttributionInto
+// reports it: victim-major, numApps+1 columns.
+func attribution(c *Controller) [][]uint64 {
+	m := make([][]uint64, c.numApps)
+	for j := range m {
+		m[j] = make([]uint64, c.numApps+1)
 	}
-	a.add(0, 1, 10)
-	a.add(0, 1, 5)
-	a.add(1, 0, 7)
-	a.add(0, -1, 3) // refresh window folds into the system column
-	a.add(1, 9, 2)  // out-of-range cause folds too
-	a.addScaled(0, 1.5)
-	a.addScaled(0, 2.25)
-
-	raw := a.Raw()
-	want := [][]uint64{{0, 15, 3}, {7, 0, 2}}
-	for j := range want {
-		for i := range want[j] {
-			if raw[j][i] != want[j][i] {
-				t.Fatalf("raw[%d][%d] = %d, want %d (full %v)", j, i, raw[j][i], want[j][i], raw)
-			}
-		}
-	}
-	if a.RowCycles(0) != 3.75 || a.RowCycles(1) != 0 {
-		t.Fatalf("rowCycles = %v, %v", a.RowCycles(0), a.RowCycles(1))
-	}
-
-	// Raw rows are copies: mutating them must not touch the ledger.
-	raw[0][1] = 999
-	if a.Raw()[0][1] != 15 {
-		t.Fatal("Raw aliased internal storage")
-	}
-
-	dst := [][]uint64{{1, 0, 0}, {0, 0, 0}}
-	a.AddRawInto(dst)
-	if dst[0][0] != 1 || dst[0][1] != 15 || dst[1][0] != 7 || dst[1][2] != 2 {
-		t.Fatalf("AddRawInto = %v", dst)
-	}
-
-	a.Reset()
-	if a.RowCycles(0) != 0 || a.Raw()[0][1] != 0 {
-		t.Fatal("Reset did not clear the ledger")
-	}
+	c.AddAttributionInto(m)
+	return m
 }
 
-// contend hammers one bank with alternating-row requests from two apps so
-// both accumulate interference, with attribution enabled.
-func contend(s *System) []*Attribution {
-	attribs := s.EnableAttribution()
+// systemAttribution is attribution summed over s's channels.
+func systemAttribution(s *System) [][]uint64 {
+	m := make([][]uint64, s.numApps)
+	for j := range m {
+		m[j] = make([]uint64, s.numApps+1)
+	}
+	s.AddAttributionInto(m)
+	return m
+}
+
+// rowSum returns the cycles in one attribution row.
+func rowSum(row []uint64) uint64 {
+	var n uint64
+	for _, v := range row {
+		n += v
+	}
+	return n
+}
+
+// contend hammers one bank per channel with alternating-row requests
+// from two apps so both accumulate interference, with attribution
+// enabled, and returns the reads once all have completed.
+func contend(t *testing.T, s *System) []*Request {
+	t.Helper()
+	s.EnableAttribution()
 	g := s.Geometry()
 	stride := uint64(g.LinesPerRow * g.Channels * g.BanksPerChan)
+	var reqs []*Request
 	for i := 0; i < 20; i++ {
-		s.Enqueue(&Request{App: 0, LineAddr: uint64(2*i) * stride}, 0)
-		s.Enqueue(&Request{App: 1, LineAddr: uint64(2*i+1) * stride}, 0)
+		for app := 0; app < 2; app++ {
+			r := &Request{App: app, LineAddr: uint64(2*i+app) * stride}
+			s.Enqueue(r, 0)
+			reqs = append(reqs, r)
+		}
 	}
 	runTicks(s, 0, 40000)
-	return attribs
+	for _, r := range reqs {
+		if r.Complete == 0 || r.Complete > 40000 {
+			t.Fatalf("app %d line %#x did not complete", r.App, r.LineAddr)
+		}
+	}
+	return reqs
 }
 
+// TestAttributionMatchesInterferenceCycles: on one and two channels,
+// each victim's attribution row sums to the InterfCycles of its
+// completed reads — the ledger and the per-read view settle from the
+// same bank charges.
 func TestAttributionMatchesInterferenceCycles(t *testing.T) {
-	s := testSystem(2)
-	attribs := contend(s)
-
-	for app := 0; app < 2; app++ {
-		if s.InterferenceCycles(app) == 0 {
-			t.Fatalf("app %d saw no interference; contention setup broken", app)
+	for _, channels := range []int{1, 2} {
+		s := NewSystem(DDR31333(), DefaultGeometry(channels), 2, func(int) Scheduler { return NewFRFCFS() })
+		reqs := contend(t, s)
+		var want [2]uint64
+		for _, r := range reqs {
+			want[r.App] += r.InterfCycles
 		}
-		// Summed in channel order, the ledger's scaled row totals must be
-		// bit-equal to the controller's own accounting — same values added
-		// in the same order.
-		var got float64
-		for _, a := range attribs {
-			got += a.RowCycles(app)
-		}
-		if got != s.InterferenceCycles(app) {
-			t.Errorf("app %d: attributed %v, controller accounted %v (diff %g)",
-				app, got, s.InterferenceCycles(app), got-s.InterferenceCycles(app))
-		}
-	}
-
-	// With exactly two apps contending, every interference cycle must be
-	// charged to the other app — no self-attribution, nothing on the
-	// system column (refresh is disabled in DDR31333).
-	for _, a := range attribs {
-		raw := a.Raw()
-		for j := range raw {
-			if raw[j][j] != 0 {
-				t.Errorf("victim %d charged itself %d cycles", j, raw[j][j])
+		m := systemAttribution(s)
+		for app, row := range m {
+			got := rowSum(row)
+			if want[app] == 0 {
+				t.Fatalf("%d channels: app %d saw no interference; contention setup broken", channels, app)
 			}
-			if raw[j][a.NumApps()] != 0 {
-				t.Errorf("victim %d charged system column %d cycles without refresh", j, raw[j][a.NumApps()])
+			if got != want[app] {
+				t.Errorf("%d channels: app %d: attributed %d, reads charged %d (%v)", channels, app, got, want[app], row)
 			}
 		}
-	}
-	if attribs[0].Raw()[0][1] == 0 || attribs[0].Raw()[1][0] == 0 {
-		t.Fatalf("cross-app charges missing: %v", attribs[0].Raw())
-	}
-}
-
-func TestAttributionMultiChannelSumOrder(t *testing.T) {
-	s := NewSystem(DDR31333(), DefaultGeometry(2), 2, func(int) Scheduler { return NewFRFCFS() })
-	attribs := contend(s)
-	if len(attribs) != 2 {
-		t.Fatalf("%d ledgers for 2 channels", len(attribs))
-	}
-	for app := 0; app < 2; app++ {
-		var got float64
-		for _, a := range attribs {
-			got += a.RowCycles(app)
-		}
-		if got != s.InterferenceCycles(app) {
-			t.Errorf("app %d: attributed %v != accounted %v", app, got, s.InterferenceCycles(app))
+		// With exactly two apps contending, every interference cycle is
+		// charged to the other app: no self-attribution, nothing on the
+		// system column (refresh is disabled in DDR31333).
+		if m[0][0] != 0 || m[1][1] != 0 || m[0][2] != 0 || m[1][2] != 0 || m[0][1] == 0 || m[1][0] == 0 {
+			t.Errorf("%d channels: attribution %v, want only cross-app charges", channels, m)
 		}
 	}
 }
@@ -130,11 +101,7 @@ func TestRequestCausesSumToInterfCycles(t *testing.T) {
 	runTicks(s, 0, 40000)
 	interfered := 0
 	for _, r := range reqs {
-		var sum uint64
-		for _, v := range r.Causes {
-			sum += v
-		}
-		if sum != r.InterfCycles {
+		if sum := rowSum(r.Causes); sum != r.InterfCycles {
 			t.Errorf("app %d line %#x: causes sum %d != InterfCycles %d (%v)",
 				r.App, r.LineAddr, sum, r.InterfCycles, r.Causes)
 		}
@@ -150,25 +117,45 @@ func TestRequestCausesSumToInterfCycles(t *testing.T) {
 	}
 }
 
+// TestAttributionResetWithQuantumStats: a read queued across
+// ResetQuantumStats contributes to the new quantum's attribution only
+// the charges made after the reset. App 0's read occupies the bank while
+// app 1's read to another row of it waits behind it; the reset lands
+// mid-wait.
 func TestAttributionResetWithQuantumStats(t *testing.T) {
-	s := testSystem(2)
-	attribs := contend(s)
-	if attribs[0].RowCycles(0) == 0 {
-		t.Fatal("no attribution recorded before reset")
+	c := NewController(DDR31333(), DefaultGeometry(1), 0, 2, NewFRFCFS())
+	c.EnableAttribution()
+	g := c.geom
+	rowStride := uint64(g.LinesPerRow * g.BanksPerChan)
+	first := &Request{App: 0, LineAddr: 0}
+	victim := &Request{App: 1, LineAddr: rowStride}
+	ratio := uint64(c.timing.CPUPerDRAM)
+	c.Enqueue(first, 0)
+	c.Enqueue(victim, 0)
+	now := uint64(0)
+	for ; now < 4*ratio; now += ratio {
+		c.Tick(now)
 	}
-	s.ResetQuantumStats()
-	for _, a := range attribs {
-		for app := 0; app < 2; app++ {
-			if a.RowCycles(app) != 0 {
-				t.Fatalf("scaled row %d not cleared", app)
-			}
+	if first.Complete == 0 || victim.Start != 0 {
+		t.Fatalf("setup: first read started at %d, victim at %d; want first issued, victim queued", first.Start, victim.Start)
+	}
+	before := attribution(c)[1][0]
+	if before == 0 {
+		t.Fatal("victim charged nothing before the reset; contention setup broken")
+	}
+
+	c.ResetQuantumStats()
+	if m := attribution(c); rowSum(m[0])+rowSum(m[1]) != 0 {
+		t.Fatalf("attribution right after the reset: %v, want all zero", m)
+	}
+	for ; victim.Start == 0; now += ratio {
+		if now > 100_000 {
+			t.Fatal("victim never issued")
 		}
-		for j, row := range a.Raw() {
-			for i, v := range row {
-				if v != 0 {
-					t.Fatalf("raw[%d][%d] = %d after reset", j, i, v)
-				}
-			}
-		}
+		c.Tick(now)
+	}
+	if row := attribution(c)[1]; row[0] == 0 || rowSum(row) != victim.InterfCycles-before {
+		t.Fatalf("victim's row %v after the reset, want %d cycles: %d charged in all, %d before the reset",
+			row, victim.InterfCycles-before, victim.InterfCycles, before)
 	}
 }

@@ -96,10 +96,14 @@ type Controller struct {
 	totalTicks uint64
 	refreshes  uint64
 
-	// attrib, when non-nil, additionally records every interference
-	// charge's cause app (the event-tracing attribution ledger). The
-	// disabled path costs one nil check per charge.
-	attrib *Attribution
+	// ledger, when non-nil, is the event-tracing attribution matrix:
+	// ledger[j*(numApps+1)+i] is the interference cycles cause i inflicted
+	// on victim j this quantum, the last column the system/refresh cause.
+	// It settles from the bank ledger like Request.Causes: Enqueue marks a
+	// read's bank cause row against its app's row, removeRead settles it,
+	// and charge adds row-buffer disturbance directly. While reads are
+	// queued it therefore holds their marks; AddAttributionInto folds them.
+	ledger []uint64
 
 	// refreshCountdown counts DRAM ticks down to the next refresh; zero
 	// means refresh is disabled. Replaces a per-tick modulo on TREFI.
@@ -151,14 +155,43 @@ func NewController(t Timing, g Geometry, channel, numApps int, policy Scheduler)
 // Policy returns the controller's scheduling policy.
 func (c *Controller) Policy() Scheduler { return c.policy }
 
-// SetAttribution installs (or, with nil, removes) the per-cause
-// interference ledger. Its parallelism-scaled row totals accumulate with
-// the identical operations as InterferenceCycles, so enabling
-// attribution never changes any reported accounting.
-func (c *Controller) SetAttribution(a *Attribution) { c.attrib = a }
+// EnableAttribution turns on the per-cause attribution ledger, counting
+// from now. It changes no other accounting.
+func (c *Controller) EnableAttribution() {
+	if c.ledger == nil {
+		c.ledger = make([]uint64, c.numApps*(c.numApps+1))
+		c.rebaseLedger()
+	}
+}
 
-// Attribution returns the installed ledger, or nil.
-func (c *Controller) Attribution() *Attribution { return c.attrib }
+// ledgerRow returns victim app's row of the attribution ledger.
+func (c *Controller) ledgerRow(app int) []uint64 {
+	stride := c.numApps + 1
+	return c.ledger[app*stride : (app+1)*stride]
+}
+
+// rebaseLedger clears the attribution ledger and re-marks the queued
+// reads, so it counts only charges made from now on.
+func (c *Controller) rebaseLedger() {
+	clear(c.ledger)
+	for _, r := range c.readQ {
+		c.moveCauses(c.ledgerRow(r.App), r.App, c.causeRow(r.bank), false)
+	}
+}
+
+// AddAttributionInto adds the attribution ledger into dst (victim-major,
+// rows numApps+1 wide), with every queued read's charges so far settled
+// as removeRead would settle them. It changes nothing in the controller.
+func (c *Controller) AddAttributionInto(dst [][]uint64) {
+	for j := range c.numApps {
+		for i, v := range c.ledgerRow(j) {
+			dst[j][i] += v
+		}
+	}
+	for _, r := range c.readQ {
+		c.moveCauses(dst[r.App], r.App, c.causeRow(r.bank), true)
+	}
+}
 
 // SetPriorityApp installs the epoch highest-priority application (-1 for
 // none). While set, that app's requests are serviced before all others.
@@ -199,7 +232,10 @@ func (c *Controller) Enqueue(r *Request, now uint64) bool {
 	row := c.causeRow(r.bank)
 	r.interfMark = c.bankTotal[r.bank] - row[r.App]
 	if r.Causes != nil {
-		c.moveCauses(r, row, false)
+		c.moveCauses(r.Causes, r.App, row, false)
+	}
+	if c.ledger != nil {
+		c.moveCauses(c.ledgerRow(r.App), r.App, row, false)
 	}
 	return true
 }
@@ -210,14 +246,15 @@ func (c *Controller) causeRow(bank int) []uint64 {
 	return c.bankCause[bank*stride : (bank+1)*stride]
 }
 
-// moveCauses adds row — a bank's per-cause charges, less r's own app's
-// column — into r.Causes (settle), or subtracts it (mark, at Enqueue).
-// Slots fold as charge folds a cause. The arithmetic is modulo 2^64, so
-// mark then settle leaves exactly the charges made in between.
-func (c *Controller) moveCauses(r *Request, row []uint64, settle bool) {
-	last := len(r.Causes) - 1
+// moveCauses adds row — a bank's per-cause charges, less app's own
+// column — into dst, a cause vector (Request.Causes or a ledger row) of
+// app's read (settle), or subtracts it (mark, at Enqueue). Slots fold as
+// addCause folds a cause. The arithmetic is modulo 2^64, so mark then
+// settle leaves exactly the charges made in between.
+func (c *Controller) moveCauses(dst []uint64, app int, row []uint64, settle bool) {
+	last := len(dst) - 1
 	for cause, v := range row {
-		if cause == r.App {
+		if cause == app {
 			continue
 		}
 		slot := cause
@@ -225,11 +262,21 @@ func (c *Controller) moveCauses(r *Request, row []uint64, settle bool) {
 			slot = last
 		}
 		if settle {
-			r.Causes[slot] += v
+			dst[slot] += v
 		} else {
-			r.Causes[slot] -= v
+			dst[slot] -= v
 		}
 	}
+}
+
+// addCause books cycles of cause against dst, a cause vector whose last
+// slot is the system/refresh pseudo-cause; a negative (refresh) or
+// out-of-range cause folds into it.
+func addCause(dst []uint64, cause int, cycles uint64) {
+	if cause < 0 || cause >= len(dst)-1 {
+		cause = len(dst) - 1
+	}
+	dst[cause] += cycles
 }
 
 // QueuedReads returns the number of queued (not yet issued) reads.
@@ -376,9 +423,9 @@ func (c *Controller) NextEventCycle(nextTick uint64) uint64 {
 // tick counter, the bus-busy tally, and the refresh countdown apply in
 // closed form; with multiple apps and queued reads, the per-tick
 // interference accounting is applied for the window: integer charges
-// (per-bank interference, per-cause ledger, queueing cycles) multiply out
-// exactly, and each float accumulator receives the same n identical adds
-// it would see ticking through, preserving bit-equality.
+// (per-bank interference and its cause columns, queueing cycles)
+// multiply out exactly, and each float accumulator receives the same n
+// identical adds it would see ticking through, preserving bit-equality.
 func (c *Controller) SkipTicks(nextTick uint64, n uint64) {
 	c.totalTicks += n
 	ratio := uint64(c.timing.CPUPerDRAM)
@@ -414,14 +461,11 @@ func (c *Controller) SkipTicks(nextTick uint64, n uint64) {
 // into -1 before calling.
 func (c *Controller) charge(r *Request, cause int, cycles uint64) {
 	r.InterfCycles += cycles
-	if c.attrib != nil {
-		c.attrib.add(r.App, cause, cycles)
+	if c.ledger != nil {
+		addCause(c.ledgerRow(r.App), cause, cycles)
 	}
 	if r.Causes != nil {
-		if cause < 0 || cause >= len(r.Causes)-1 {
-			cause = len(r.Causes) - 1
-		}
-		r.Causes[cause] += cycles
+		addCause(r.Causes, cause, cycles)
 	}
 }
 
@@ -451,11 +495,6 @@ func (c *Controller) chargeBlocked(blocked []int, ratio, n uint64) {
 			// the exact float operation sequence n ticks apply.
 			for j := uint64(0); j < n; j++ {
 				c.interfCycles[app] += contrib
-			}
-			if c.attrib != nil {
-				for j := uint64(0); j < n; j++ {
-					c.attrib.addScaled(app, contrib)
-				}
 			}
 		}
 	}
@@ -619,7 +658,10 @@ func (c *Controller) removeRead(i int) {
 	row := c.causeRow(r.bank)
 	r.InterfCycles += c.bankTotal[r.bank] - row[r.App] - r.interfMark
 	if r.Causes != nil {
-		c.moveCauses(r, row, true)
+		c.moveCauses(r.Causes, r.App, row, true)
+	}
+	if c.ledger != nil {
+		c.moveCauses(c.ledgerRow(r.App), r.App, row, true)
 	}
 	if r.marked {
 		c.markedReads--
@@ -685,9 +727,6 @@ func (c *Controller) issue(r *Request, now uint64) {
 		par := c.outstanding[r.App] + 1 // +1: this request
 		contrib := float64(penalty) / float64(par)
 		c.interfCycles[r.App] += contrib
-		if c.attrib != nil {
-			c.attrib.addScaled(r.App, contrib)
-		}
 	}
 	b.lastRow[r.App] = int64(r.row)
 
@@ -779,13 +818,6 @@ func (c *Controller) account(now, n uint64) {
 		}
 		c.bankTotal[bank] += cycles
 		c.bankCause[bank*stride+col] += cycles
-		if c.attrib != nil {
-			for a, k := range c.bankApp[base : base+c.numApps] {
-				if k > 0 && a != cause {
-					c.attrib.add(a, cause, cycles*uint64(k))
-				}
-			}
-		}
 	}
 	c.chargeBlocked(blocked, ratio, n)
 }
@@ -840,8 +872,8 @@ func (c *Controller) ResetWindowStats() {
 	}
 }
 
-// ResetQuantumStats clears the per-quantum accounting counters (and the
-// attribution ledger, which shares their lifecycle).
+// ResetQuantumStats clears the per-quantum accounting counters and
+// rebases the attribution ledger, which shares their lifecycle.
 func (c *Controller) ResetQuantumStats() {
 	for i := 0; i < c.numApps; i++ {
 		c.queueingCycles[i] = 0
@@ -850,7 +882,7 @@ func (c *Controller) ResetQuantumStats() {
 		c.latencySum[i] = 0
 		c.rowHits[i] = 0
 	}
-	if c.attrib != nil {
-		c.attrib.Reset()
+	if c.ledger != nil {
+		c.rebaseLedger()
 	}
 }

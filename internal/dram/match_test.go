@@ -58,7 +58,7 @@ func checkControllerAgainstReference(t *testing.T, src opSource, steps int, cov 
 	geom := DefaultGeometry(1)
 	build := func() *Controller {
 		c := NewController(timing, geom, 0, numApps, pol.mk(numApps))
-		c.SetAttribution(NewAttribution(numApps))
+		c.EnableAttribution()
 		return c
 	}
 	c, ref := build(), refController{build()}

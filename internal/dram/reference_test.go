@@ -5,16 +5,19 @@ package dram
 // 19): account, the SkipTicks replay, charge and chargeBlocked walk every
 // queued read and charge it directly, NextEventCycle aligns each bank's
 // release on its own, and pickRead scans the queue for the priority app's
-// reads whenever any bank is free. They are kept verbatim, bar their names
-// and receiver, as the reference TestControllerMatchesReference and
+// reads whenever any bank is free. They are kept verbatim, bar their
+// names, receiver and the ledger charge writes, as the reference TestControllerMatchesReference and
 // FuzzControllerMatchesReference hold Controller to.
 //
 // refController runs an ordinary Controller through tick, a copy of Tick
 // that calls the reference accounting and pick. Everything else a tick
 // does — completion, refresh, drain mode, the policy's Pick and issue — is
-// shared code, so the two controllers differ only in what changed. The reference never charges a bank, so the bank
-// ledger the shared Enqueue and removeRead keep stays zero and settles
-// nothing. The one substitution: the reference reads the bus owner as
+// shared code, so the two controllers differ only in what changed. The
+// reference never charges a bank, so the bank ledger the shared Enqueue
+// and removeRead keep stays zero: the marks they and ResetQuantumStats
+// move into Causes and the attribution ledger add zero, and the
+// reference's ledger is the eager one its charge writes straight into
+// c.ledger. The one substitution: the reference reads the bus owner as
 // lastCmdApp, the field busApp was folded into (issue set both to the
 // same app).
 
@@ -166,8 +169,12 @@ func (c refController) skipTicks(nextTick uint64, n uint64) {
 // and the per-tick callers never produce it.
 func (c refController) charge(r *Request, cause int, cycles uint64) {
 	r.InterfCycles += cycles
-	if c.attrib != nil {
-		c.attrib.add(r.App, cause, cycles)
+	if c.ledger != nil {
+		col := cause
+		if col < 0 || col >= c.numApps {
+			col = c.numApps
+		}
+		c.ledger[r.App*(c.numApps+1)+col] += cycles
 	}
 	if r.Causes != nil {
 		if cause < 0 || cause >= len(r.Causes)-1 {
@@ -198,11 +205,6 @@ func (c refController) chargeBlocked(blocked []int, ratio, n uint64) {
 			// the exact float operation sequence n ticks apply.
 			for j := uint64(0); j < n; j++ {
 				c.interfCycles[app] += contrib
-			}
-			if c.attrib != nil {
-				for j := uint64(0); j < n; j++ {
-					c.attrib.addScaled(app, contrib)
-				}
 			}
 		}
 	}

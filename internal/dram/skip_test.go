@@ -93,17 +93,9 @@ func compareControllers(t *testing.T, trial int, a, b *Controller, numApps int) 
 		if x, y := a.OutstandingReads(app), b.OutstandingReads(app); x != y {
 			t.Errorf("trial %d app %d: outstanding %d vs %d", trial, app, x, y)
 		}
-		if x, y := a.attrib.RowCycles(app), b.attrib.RowCycles(app); math.Float64bits(x) != math.Float64bits(y) {
-			t.Errorf("trial %d app %d: attrib scaled %v vs %v", trial, app, x, y)
-		}
 	}
-	rawA, rawB := a.attrib.Raw(), b.attrib.Raw()
-	for v := range rawA {
-		for c := range rawA[v] {
-			if rawA[v][c] != rawB[v][c] {
-				t.Errorf("trial %d: attrib[%d][%d] %d vs %d", trial, v, c, rawA[v][c], rawB[v][c])
-			}
-		}
+	if x, y := attribution(a), attribution(b); !reflect.DeepEqual(x, y) {
+		t.Errorf("trial %d: attribution %v vs %v", trial, x, y)
 	}
 	if x, y := a.QueuedReads(), b.QueuedReads(); x != y {
 		t.Errorf("trial %d: queued reads %d vs %d", trial, x, y)
@@ -184,7 +176,7 @@ func testSkipTicksMatchesTicked(t *testing.T, mkPolicy func(numApps int) Schedul
 		geom := DefaultGeometry(1)
 		mk := func() (*Controller, []*Request) {
 			c := NewController(timing, geom, 0, numApps, mkPolicy(numApps))
-			c.SetAttribution(NewAttribution(numApps))
+			c.EnableAttribution()
 			c.SetPriorityApp(trial % numApps)
 			n := 8 + rng.Intn(40)
 			reqs := make([]*Request, 0, n)
@@ -270,7 +262,7 @@ func sameBankReads(g Geometry, app, n, firstRow int) []*Request {
 func twinControllers(numApps int, mk func(int) Scheduler, reqs func() []*Request) (ticked, skippy *Controller, rt, rs []*Request) {
 	build := func() (*Controller, []*Request) {
 		c := NewController(DDR31333(), DefaultGeometry(1), 0, numApps, mk(numApps))
-		c.SetAttribution(NewAttribution(numApps))
+		c.EnableAttribution()
 		return c, reqs()
 	}
 	ticked, rt = build()

@@ -124,18 +124,20 @@ func (s *System) OutstandingReads(app int) int {
 	return n
 }
 
-// EnableAttribution installs a fresh per-cause interference ledger on
-// every channel and returns the ledgers in channel order — the same
-// order InterferenceCycles sums the per-channel floats, so a consumer
-// that merges row totals in this order stays bit-equal to it.
-func (s *System) EnableAttribution() []*Attribution {
-	out := make([]*Attribution, len(s.channels))
-	for i, c := range s.channels {
-		a := NewAttribution(s.numApps)
-		c.SetAttribution(a)
-		out[i] = a
+// EnableAttribution turns on the per-cause interference ledger on every
+// channel (Controller.EnableAttribution).
+func (s *System) EnableAttribution() {
+	for _, c := range s.channels {
+		c.EnableAttribution()
 	}
-	return out
+}
+
+// AddAttributionInto adds every channel's attribution ledger into dst
+// (victim-major, rows numApps+1 wide; see Controller.AddAttributionInto).
+func (s *System) AddAttributionInto(dst [][]uint64) {
+	for _, c := range s.channels {
+		c.AddAttributionInto(dst)
+	}
 }
 
 // ResetQuantumStats clears per-quantum accounting on every channel.

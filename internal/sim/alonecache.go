@@ -49,8 +49,8 @@ type AloneCurveCache struct {
 	// extended the replica cycles actually simulated, whoever stepped them.
 	queried  atomic.Uint64
 	extended atomic.Uint64
-	// Totals over the listed entries only. Written under mu (so a Reset
-	// orders against every extension's accounting), read lock-free.
+	// Totals over the listed entries only. Written under mu, read
+	// lock-free.
 	points   atomic.Int64 // logical curve points
 	segments atomic.Int64 // stored run-length segments
 	tel      atomic.Pointer[aloneCacheTel]
@@ -200,26 +200,10 @@ func (c *AloneCurveCache) SavedCycles() uint64 {
 	return q - e
 }
 
-// Reset drops all cached curves, bounding memory between independent
-// sweeps. Outstanding cursors keep their (now unlisted) curves working;
-// those curves no longer count towards Points or the gauges.
-func (c *AloneCurveCache) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = map[aloneKey]*aloneCurve{}
-	c.points.Store(0)
-	c.segments.Store(0)
-	if t := c.tel.Load(); t != nil {
-		t.entries.Set(0)
-		t.points.Set(0)
-		t.segments.Set(0)
-	}
-}
-
 // grew accounts one extension slice of cv: the replica cycles it
-// simulated, and — provided cv is still listed: a curve dropped by Reset
-// lives on for its cursors but is no longer the cache's memory — the
-// points and segments it added towards the cache totals.
+// simulated, and — provided cv is listed: an unlisted curve (a keyless
+// source's) serves its cursor but is not the cache's memory — the points
+// and segments it added towards the cache totals.
 func (c *AloneCurveCache) grew(cv *aloneCurve, cycles uint64, points, segs int64) {
 	c.extended.Add(cycles)
 	t := c.tel.Load()

@@ -196,13 +196,14 @@ func TestAloneCurveConcurrentExtension(t *testing.T) {
 	}
 }
 
-// TestAloneCacheResetAccounting: a curve dropped by Reset keeps serving
-// its outstanding cursors, but what it records from then on is no longer
+// TestAloneCacheUnlistedAccounting: an unlisted curve — a keyless
+// source's — extends and serves its cursor like any other, but it is not
 // the cache's: Points and the points/segments gauges describe the listed
 // entries only.
-func TestAloneCacheResetAccounting(t *testing.T) {
+func TestAloneCacheUnlistedAccounting(t *testing.T) {
 	cfg := DefaultConfig()
 	apps := SourcesFromSpecs(mustSpecs(t, []string{"gcc", "mcf"}), cfg.streamSeed())
+	apps[0].Key = ""
 	cache := NewAloneCurveCache()
 	reg := telemetry.NewRegistry()
 	cache.SetTelemetry(reg)
@@ -211,17 +212,11 @@ func TestAloneCacheResetAccounting(t *testing.T) {
 		return sc.Gauge("points").Value(), sc.Gauge("segments").Value(), sc.Gauge("entries").Value()
 	}
 
-	live, err := cache.Cursor(cfg, apps[0])
+	unlisted, err := cache.Cursor(cfg, apps[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := live.CyclesAt(20_000)
-	if p, s, e := gauges(); p == 0 || s == 0 || e != 1 || p != cache.Points() {
-		t.Fatalf("before reset: points=%d segments=%d entries=%d Points()=%d", p, s, e, cache.Points())
-	}
-
-	cache.Reset()
-	if after := live.CyclesAt(40_000); after <= before {
+	if before, after := unlisted.CyclesAt(20_000), unlisted.CyclesAt(40_000); after <= before {
 		t.Fatalf("unlisted curve stopped extending: %d then %d", before, after)
 	}
 	if p, s, e := gauges(); p != 0 || s != 0 || e != 0 || cache.Points() != 0 {
@@ -229,16 +224,16 @@ func TestAloneCacheResetAccounting(t *testing.T) {
 			p, s, e, cache.Points())
 	}
 
-	// A curve listed after the reset is accounted on its own.
-	fresh, err := cache.Cursor(cfg, apps[1])
+	// A listed curve beside it is accounted on its own.
+	listed, err := cache.Cursor(cfg, apps[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh.CyclesAt(5_000)
-	live.CyclesAt(60_000)
-	if p, s, _ := gauges(); p != fresh.curve.points || s != int64(len(fresh.curve.segs)) || p != cache.Points() {
-		t.Fatalf("totals points=%d segments=%d, listed curve has %d/%d",
-			p, s, fresh.curve.points, len(fresh.curve.segs))
+	listed.CyclesAt(5_000)
+	unlisted.CyclesAt(60_000)
+	if p, s, e := gauges(); p != listed.curve.points || s != int64(len(listed.curve.segs)) || e != 1 || p != cache.Points() {
+		t.Fatalf("totals points=%d segments=%d entries=%d, listed curve has %d/%d",
+			p, s, e, listed.curve.points, len(listed.curve.segs))
 	}
 }
 

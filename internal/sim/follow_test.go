@@ -169,10 +169,8 @@ func TestFollowedSweepMatchesUnfollowed(t *testing.T) {
 
 // TestFollowLeavesNoGoroutines: a chase goroutine exists only while its
 // curve is behind a hint. None may remain shortly after a completed run,
-// after a run cancelled mid-quantum (the boundary query never comes; the
-// chase still stops at the last hint), or after the cache is Reset while
-// a chase is running (the unlisted curve finishes its hint and stays
-// usable by its cursors).
+// or after a run cancelled mid-quantum (the boundary query never comes;
+// the chase still stops at the last hint).
 func TestFollowLeavesNoGoroutines(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Quantum = 600_000
@@ -221,32 +219,6 @@ func TestFollowLeavesNoGoroutines(t *testing.T) {
 				t.Errorf("%s: curve covers %d instructions, hinted %d, shared run retired %d",
 					names[a], cv.last.Load(), w, sys.Retired(a))
 			}
-		}
-	})
-
-	t.Run("reset", func(t *testing.T) {
-		baseline := goroutineBaseline()
-		cache := NewAloneCurveCache()
-		apps := SourcesFromSpecs(specs, cfg.streamSeed())
-		cu, err := cache.Cursor(cfg, apps[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		const hint = 20 * extendSlice // many slices: the Reset lands mid-chase
-		cu.curve.want(hint)
-		cache.Reset()
-		if !cu.curve.chasing.Load() {
-			t.Log("chase finished before Reset; the mid-chase path was not exercised")
-		}
-		waitForGoroutines(t, baseline)
-		if cu.curve.last.Load() < hint {
-			t.Fatalf("unlisted curve stopped at %d instructions, hinted %d", cu.curve.last.Load(), uint64(hint))
-		}
-		if cache.Len() != 0 || cache.Points() != 0 {
-			t.Fatalf("after Reset the cache lists %d curves with %d points", cache.Len(), cache.Points())
-		}
-		if got, want := cu.CyclesAt(hint/2), newAloneOracle(t, cfg, apps[0]).CyclesAt(hint/2); got != want {
-			t.Fatalf("chased, unlisted curve answers %d cycles at %d instructions, oracle %d", got, uint64(hint/2), want)
 		}
 	})
 }

@@ -149,7 +149,7 @@ type System struct {
 	quantum      int
 
 	retryQ     []*missTxn
-	pendingWB  []uint64 // line addresses of writebacks awaiting queue space
+	pendingWB  []*dram.Request // writebacks awaiting queue space
 	events     eventHeap
 	inFlightPf map[uint64]bool
 	pfLines    map[uint64]bool // prefetched, not yet referenced lines
@@ -186,10 +186,9 @@ type System struct {
 	tracer      *evtrace.Tracer
 	attribution func(evtrace.QuantumAttribution)
 	tracerNames []string
-	memAttribs  []*dram.Attribution // per-channel ledgers, channel order
-	memRaw      [][]uint64          // reused quantum merge buffer (victim-major)
-	cacheAttrib [][]float64         // cache interference matrix this quantum
-	evictors    map[uint64]int      // line -> app whose L2 insert evicted it
+	memRaw      [][]uint64     // reused quantum merge buffer (victim-major); nil until enabled
+	cacheAttrib [][]float64    // cache interference matrix this quantum
+	evictors    map[uint64]int // line -> app whose L2 insert evicted it
 
 	totalEpochs uint64
 
@@ -419,8 +418,8 @@ func (s *System) SetTracer(t *evtrace.Tracer) {
 // from which emitQuantumTrace builds every quantum's snapshot.
 func (s *System) enableAttribution() {
 	s.tracerNames = s.Names()
-	if s.memAttribs == nil {
-		s.memAttribs = s.mem.EnableAttribution()
+	if s.memRaw == nil {
+		s.mem.EnableAttribution()
 		n := s.ncores
 		s.memRaw = make([][]uint64, n)
 		s.cacheAttrib = make([][]float64, n)
@@ -1023,24 +1022,18 @@ func (s *System) traceMiss(txn *missTxn, now uint64, cacheExtra float64) {
 // emitQuantumTrace merges the per-channel attribution ledgers into the
 // quantum's interference matrices and hands the snapshot to the tracer
 // and to the attribution observer.
-// The integer ledgers merge exactly; the float row totals are summed in
-// channel order — the same order dram.System.InterferenceCycles uses —
-// so MemRowTotals[j] is bit-equal to the controller-side accounting.
+// The integer ledgers merge exactly; each victim's row total is its
+// quantum's MemInterfCycles, the controller-side accounting the models
+// consume, and ScaleRows apportions the row to it.
 func (s *System) emitQuantumTrace(now uint64) {
 	n := s.ncores
 	for j := range s.memRaw {
 		clear(s.memRaw[j])
 	}
-	for _, a := range s.memAttribs {
-		a.AddRawInto(s.memRaw)
-	}
+	s.mem.AddAttributionInto(s.memRaw)
 	rowTotals := make([]float64, n)
-	for j := 0; j < n; j++ {
-		var tot float64
-		for _, a := range s.memAttribs {
-			tot += a.RowCycles(j)
-		}
-		rowTotals[j] = tot
+	for j := range rowTotals {
+		rowTotals[j] = s.qs.Apps[j].MemInterfCycles
 	}
 	mem := evtrace.ScaleRows(s.memRaw, rowTotals)
 	cache := make([][]float64, n)
@@ -1151,10 +1144,10 @@ func (s *System) writebackToL2(app int, line uint64, now uint64) {
 	s.enqueueWriteback(app, line, now)
 }
 
-// postWrite offers a posted write to memory and reports whether the write
-// queue took it. The request comes from the free list and returns to it
-// when the controller completes it (writeDone) or refuses it.
-func (s *System) postWrite(app int, line uint64, now uint64) bool {
+// enqueueWriteback posts a write to memory, parking the request when the
+// write queue is full. The request comes from the free list and returns to
+// it when the controller completes it (writeDone).
+func (s *System) enqueueWriteback(app int, line uint64, now uint64) {
 	var r *dram.Request
 	if n := len(s.freeWrites); n > 0 {
 		r = s.freeWrites[n-1]
@@ -1163,18 +1156,8 @@ func (s *System) postWrite(app int, line uint64, now uint64) bool {
 		r = new(dram.Request)
 	}
 	*r = dram.Request{App: app, LineAddr: line, Write: true, Done: s.writeDone}
-	if s.enqueue(r, now) {
-		return true
-	}
-	s.freeWrites = append(s.freeWrites, r)
-	return false
-}
-
-// enqueueWriteback posts a write to memory, parking it when the write
-// queue is full.
-func (s *System) enqueueWriteback(app int, line uint64, now uint64) {
-	if !s.postWrite(app, line, now) {
-		s.pendingWB = append(s.pendingWB, line|uint64(app)<<56)
+	if !s.enqueue(r, now) {
+		s.pendingWB = append(s.pendingWB, r)
 	}
 }
 
@@ -1187,9 +1170,9 @@ func (s *System) flushWritebacks(now uint64) {
 	}
 	wasBackpressured := len(s.pendingWB) > s.wbLimit
 	kept := s.pendingWB[:0]
-	for _, packed := range s.pendingWB {
-		if !s.postWrite(int(packed>>56), packed&((1<<56)-1), now) {
-			kept = append(kept, packed)
+	for _, r := range s.pendingWB {
+		if !s.enqueue(r, now) {
+			kept = append(kept, r)
 		}
 	}
 	s.pendingWB = kept
@@ -1240,7 +1223,7 @@ func (s *System) endQuantum(now uint64) {
 	// Attribution: merge the ledgers before anything resets them
 	// (listeners run after, so tests can compare the emitted matrix
 	// against the live controller counters).
-	if s.memAttribs != nil {
+	if s.memRaw != nil {
 		s.emitQuantumTrace(now)
 	}
 

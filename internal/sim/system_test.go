@@ -481,3 +481,52 @@ func TestRefreshTimingIntegrates(t *testing.T) {
 		t.Fatal("no progress under refresh")
 	}
 }
+
+// TestParkedWritebackKeepsLineAndApp: a writeback the full write queue
+// refuses is parked and retried as posted. Lines up to cache.LineAddrLimit
+// reach the write path, so a parked line with bits at or above 2^56 must
+// come back with its own line and app.
+func TestParkedWritebackKeepsLineAndApp(t *testing.T) {
+	cfg := testConfig()
+	cfg.Cores = 2
+	s, err := New(cfg, testSpecs(t, "povray", "h264ref"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const high = uint64(0x200000000000005)
+	if high >= cache.LineAddrLimit {
+		t.Fatalf("line %#x is not addressable", high)
+	}
+	type write struct {
+		app  int
+		line uint64
+	}
+	var done []write
+	recycle := s.writeDone
+	s.writeDone = func(r *dram.Request, now uint64) {
+		done = append(done, write{r.App, r.LineAddr})
+		recycle(r, now)
+	}
+	// Fill the write queue, then park app 1's write of the high line.
+	for line := uint64(0); s.mem.CanEnqueue(line, true); line++ {
+		s.enqueueWriteback(0, line, s.Cycle())
+	}
+	s.enqueueWriteback(1, high, s.Cycle())
+	if len(s.pendingWB) != 1 {
+		t.Fatalf("%d writebacks parked, want 1", len(s.pendingWB))
+	}
+	// The parked write joins the queue once a drain makes room; the two
+	// light apps leave the read queue empty often, so queued writes issue.
+	for end := s.Cycle() + 2_000_000; s.Cycle() < end; {
+		s.Run(10_000)
+		for _, w := range done {
+			if w.line == high {
+				if w.app != 1 {
+					t.Fatalf("line %#x written back for app %d, want 1", high, w.app)
+				}
+				return
+			}
+		}
+	}
+	t.Fatalf("line %#x never written back (%d writes completed)", high, len(done))
+}
