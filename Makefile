@@ -1,17 +1,17 @@
 GO ?= go
 
-.PHONY: check build vet test test-debug race test-1p bench bench-smoke fuzz repro-diff trace-smoke trace-diff trace-merge-smoke dash-smoke serve-smoke slo-smoke cover
+.PHONY: check build vet test test-debug race test-1p bench bench-smoke bench-module fuzz repro-diff trace-smoke trace-diff trace-merge-smoke dash-smoke serve-smoke slo-smoke cover
 
 # check is the CI gate: build + vet + tests, then the race detector over
 # the concurrency-heavy packages (alone-curve chasers behind asmsim.Run,
 # sweep workers, cluster rounds, faults, shared telemetry/trace sinks, the
 # job service, the SLO engine and the observer harness), the simulator
 # core again with its debug invariants compiled in, the benchmark smoke
-# run, the reproduction golden, the fuzz targets, the attribution golden
-# (trace-diff, which runs trace-smoke first), then the observability smoke
-# tests; trace-diff, repro-diff and trace-merge-smoke each regenerate a
+# run, the benchmark module's vet and tests, the reproduction golden, the
+# fuzz targets, the attribution golden (trace-diff, which runs trace-smoke
+# first), then the observability smoke tests; trace-diff, repro-diff and trace-merge-smoke each regenerate a
 # summary and `cmp` it with its committed golden.
-check: build vet test test-debug race test-1p bench-smoke repro-diff fuzz trace-diff trace-merge-smoke dash-smoke serve-smoke slo-smoke
+check: build vet test test-debug race test-1p bench-smoke bench-module repro-diff fuzz trace-diff trace-merge-smoke dash-smoke serve-smoke slo-smoke
 
 build:
 	$(GO) build ./...
@@ -53,6 +53,12 @@ bench:
 bench-smoke:
 	$(GO) test -run='^$$' -bench='SweepAccuracy|RunAccuracyAllocs' -benchtime=1x -count=1 ./internal/exp/
 	$(GO) test -run='^$$' -bench='RunQuanta|AloneCurve' -benchtime=1x -count=1 ./internal/sim/
+
+# bench-module vets and tests the benchmark/ module, a module of its own
+# (so ./... from the root skips it) that imports the simulator's internal
+# packages: an internal change that breaks its adapter fails here.
+bench-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # fuzz runs every fuzz target for 10 s, one at a time: go test -fuzz
 # takes one target per package run.

@@ -19,8 +19,8 @@ package cpu
 import "asmsim/internal/workload"
 
 // InstrSource produces the instruction stream a core executes. The
-// synthetic workload generators implement it, as do recorded-trace
-// replayers (internal/trace).
+// synthetic workload generators implement it; tests substitute
+// hand-built streams.
 type InstrSource interface {
 	// Next fills in the next instruction of the stream.
 	Next(out *workload.Instr)

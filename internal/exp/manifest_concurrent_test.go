@@ -184,3 +184,29 @@ func TestForEachConcurrentPanicCancelStorm(t *testing.T) {
 		}
 	}
 }
+
+// TestForEachCompleteWhenLastItemCancels: ctx ends inside the last item,
+// after every other item has been claimed. Every item ran, so the sweep
+// is complete, not cancelled, whatever the worker count. Item 0 returns
+// only once item 1 has cancelled, so its worker reaches its next claim
+// with ctx already done.
+func TestForEachCompleteWhenLastItemCancels(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	lastDone := make(chan struct{})
+	var ran atomic.Int64
+	fails, cancelled := forEach(ctx, 2, nil, telemetry.Options{}, func(i int) error {
+		ran.Add(1)
+		if i == 1 {
+			cancel()
+			close(lastDone)
+		} else {
+			<-lastDone
+		}
+		return nil
+	})
+	if cancelled || len(fails) != 0 || ran.Load() != 2 {
+		t.Fatalf("cancelled=%v fails=%v ran=%d, want a complete sweep of 2", cancelled, fails, ran.Load())
+	}
+}

@@ -403,17 +403,6 @@ func forEach(ctx context.Context, n int, label func(int) string, obs telemetry.O
 			m.Gauge("worker_utilization_pct").Set(100 * busyNs.Load() / capacity)
 		}
 	}()
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return failures, true
-			}
-			if err := call(i); err != nil {
-				failures = append(failures, record(i, err))
-			}
-		}
-		return failures, false
-	}
 	var (
 		wg   sync.WaitGroup
 		mu   sync.Mutex
@@ -424,17 +413,19 @@ func forEach(ctx context.Context, n int, label func(int) string, obs telemetry.O
 		go func() {
 			defer wg.Done()
 			for {
-				if ctx.Err() != nil {
-					mu.Lock()
-					cancelled = true
-					mu.Unlock()
-					return
-				}
+				// Claim before checking ctx: a sweep whose every item ran
+				// is complete even if ctx ended as the last one finished.
 				mu.Lock()
 				i := next
 				next++
 				mu.Unlock()
 				if i >= n {
+					return
+				}
+				if ctx.Err() != nil {
+					mu.Lock()
+					cancelled = true
+					mu.Unlock()
 					return
 				}
 				if err := call(i); err != nil {

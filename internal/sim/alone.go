@@ -18,7 +18,7 @@ type SlowdownTracker struct {
 	cfg  Config
 	apps []AppSource
 	// shared is the caller's curve cache, nil when the tracker made its
-	// own; AttachAloneTracer leaves the slots served from it alone.
+	// own; AttachAloneTracer leaves a tracker served from it alone.
 	shared    *AloneCurveCache
 	cursors   []*AloneCursor
 	lastCycle []uint64 // alone cycles at the previous quantum's milestone
@@ -34,9 +34,8 @@ func NewSlowdownTrackerShared(cfg Config, specs []workload.Spec, cache *AloneCur
 	return newSlowdownTracker(cfg, SourcesFromSpecs(specs, cfg.streamSeed()), cache)
 }
 
-// newSlowdownTracker is NewSlowdownTrackerShared for custom instruction
-// sources. A source without a stream key (a recorded trace) gets an
-// unlisted curve of its own (see AloneCurveCache.Cursor).
+// newSlowdownTracker is NewSlowdownTrackerShared over AppSources; every
+// source needs a stream key (see AloneCurveCache.Cursor).
 func newSlowdownTracker(cfg Config, apps []AppSource, cache *AloneCurveCache) (*SlowdownTracker, error) {
 	t := &SlowdownTracker{
 		cfg:       cfg,
@@ -59,25 +58,22 @@ func newSlowdownTracker(cfg Config, apps []AppSource, cache *AloneCurveCache) (*
 	return t, nil
 }
 
-// AttachAloneTracer has the tracker's own slots — all of them with a
-// private cache, keyless sources with a shared one — replay their alone
-// runs traced into tr, so the CPI stack's "mem-alone" segment can be
-// measured instead of derived (evtrace.Summary.CPIStacksMeasured). Each
-// is a full replica under soloConfig, a single-app trace series
-// (evtrace.SplitByApp), stepped only by the tracker's own queries, never
-// by a follower, so the interleaved trace is the same on every run. It
-// returns the number of slots traced. Call before Follow and the first
-// ActualSlowdowns.
+// AttachAloneTracer has every slot of a tracker with a private cache
+// replay its alone run traced into tr, so the CPI stack's "mem-alone"
+// segment can be measured instead of derived
+// (evtrace.Summary.CPIStacksMeasured); a tracker served from a caller's
+// shared cache traces nothing. Each slot is a full replica under
+// soloConfig, a single-app trace series (evtrace.SplitByApp), stepped
+// only by the tracker's own queries, never by a follower, so the
+// interleaved trace is the same on every run. It returns the number of
+// slots traced. Call before Follow and the first ActualSlowdowns.
 func (t *SlowdownTracker) AttachAloneTracer(tr *evtrace.Tracer) int {
-	if t == nil || tr == nil {
+	if t == nil || tr == nil || t.shared != nil {
 		return 0
 	}
 	own := NewAloneCurveCache() // the replaced curves go with their cursors
 	n := 0
 	for a, app := range t.apps {
-		if t.shared != nil && app.Key != "" {
-			continue
-		}
 		cv, err := own.newCurve(t.cfg.soloConfig(), app, false)
 		if err != nil {
 			continue // the shared run's config validated; a solo copy of it cannot fail

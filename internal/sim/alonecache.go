@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"runtime/pprof"
 	"sort"
@@ -30,11 +31,10 @@ import (
 // covered (see aloneCurve.want).
 //
 // Sharing is sound because curve identity is exact: instruction streams
-// are pure functions of their AppSource.Key (for generator-backed
-// sources, the (spec, seed) pair — see SourcesFromSpecs), and the
-// canonical alone configuration (Config.aloneCurveConfig) retains every
-// timing-relevant knob while normalizing away the ones a solo run cannot
-// observe. Cached answers are bit-identical to stepping a full solo
+// are pure functions of their AppSource.Key (the (spec, seed) pair — see
+// SourcesFromSpecs), and the canonical alone configuration
+// (Config.aloneCurveConfig) retains every timing-relevant knob while
+// normalizing away the ones a solo run cannot observe. Cached answers are bit-identical to stepping a full solo
 // replica of the shared run's configuration to each milestone.
 //
 // The zero value is not ready; use NewAloneCurveCache. All methods are
@@ -49,8 +49,7 @@ type AloneCurveCache struct {
 	// extended the replica cycles actually simulated, whoever stepped them.
 	queried  atomic.Uint64
 	extended atomic.Uint64
-	// Totals over the listed entries only. Written under mu, read
-	// lock-free.
+	// Totals over the entries' curves. Written under mu, read lock-free.
 	points   atomic.Int64 // logical curve points
 	segments atomic.Int64 // stored run-length segments
 	tel      atomic.Pointer[aloneCacheTel]
@@ -123,18 +122,13 @@ func (c *AloneCurveCache) SetTelemetry(r *telemetry.Registry) {
 // Cursor returns a per-tracker-slot view of app's alone curve under cfg,
 // creating the curve entry (and its lazily-ticked replica) on first use.
 // Each slot needs its own cursor because saved-cycle accounting tracks
-// the slot's previous milestone. A source without a stream key (a
-// recorded trace) has no identity to share: it gets an unlisted curve of
-// its own, which the cache accounts replica cycles for but never lists.
+// the slot's previous milestone. A source without a stream key has no
+// identity to share a curve under and is an error.
 func (c *AloneCurveCache) Cursor(cfg Config, app AppSource) (*AloneCursor, error) {
-	alone := cfg.aloneCurveConfig()
 	if app.Key == "" {
-		cv, err := c.newCurve(alone, app, true)
-		if err != nil {
-			return nil, err
-		}
-		return &AloneCursor{curve: cv}, nil
+		return nil, fmt.Errorf("sim: alone curve for %q: source has no stream key", app.Name)
 	}
+	alone := cfg.aloneCurveConfig()
 	key := aloneKey{cfg: alone.Fingerprint(), app: app.Key}
 	c.mu.Lock()
 	cv := c.entries[key]
@@ -153,7 +147,7 @@ func (c *AloneCurveCache) Cursor(cfg Config, app AppSource) (*AloneCursor, error
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if cv = c.entries[key]; cv == nil {
-		cv, fresh.key = fresh, key
+		cv = fresh
 		c.entries[key] = cv
 		if t := c.tel.Load(); t != nil {
 			t.misses.Inc()
@@ -163,8 +157,8 @@ func (c *AloneCurveCache) Cursor(cfg Config, app AppSource) (*AloneCursor, error
 	return &AloneCursor{curve: cv}, nil
 }
 
-// newCurve returns an empty, unlisted curve of app alone under cfg, on a
-// lean replica or a full one.
+// newCurve returns an empty curve of app alone under cfg, on a lean
+// replica or a full one, without listing it.
 func (c *AloneCurveCache) newCurve(cfg Config, app AppSource, lean bool) (*aloneCurve, error) {
 	sys, err := newSystem(cfg, []AppSource{app}, lean)
 	if err != nil {
@@ -183,7 +177,7 @@ func (c *AloneCurveCache) Len() int {
 }
 
 // Points returns the total number of logical curve points (one per
-// retiring replica cycle) across the listed entries. Memory tracks the
+// retiring replica cycle) across the entries. Memory tracks the
 // far smaller number of stored segments (24 bytes each, see curveSeg).
 func (c *AloneCurveCache) Points() int64 { return c.points.Load() }
 
@@ -200,11 +194,12 @@ func (c *AloneCurveCache) SavedCycles() uint64 {
 	return q - e
 }
 
-// grew accounts one extension slice of cv: the replica cycles it
-// simulated, and — provided cv is listed: an unlisted curve (a keyless
-// source's) serves its cursor but is not the cache's memory — the points
-// and segments it added towards the cache totals.
-func (c *AloneCurveCache) grew(cv *aloneCurve, cycles uint64, points, segs int64) {
+// grew accounts one extension slice of a curve: the replica cycles it
+// simulated and the points and segments it added towards the cache
+// totals. A curve that extends is listed, or lives in a cache nobody
+// reads (AttachAloneTracer's replicas); a Cursor race loser is dropped
+// before it extends.
+func (c *AloneCurveCache) grew(cycles uint64, points, segs int64) {
 	c.extended.Add(cycles)
 	t := c.tel.Load()
 	if t != nil {
@@ -214,9 +209,6 @@ func (c *AloneCurveCache) grew(cv *aloneCurve, cycles uint64, points, segs int64
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.entries[cv.key] != cv {
-		return
-	}
 	p, s := c.points.Add(points), c.segments.Add(segs)
 	if t != nil {
 		t.points.Set(p)
@@ -262,10 +254,9 @@ const extendSlice = 1 << 16
 
 // aloneCurve is one cached (instructions -> cycles) step curve plus the
 // solo replica that extends it: lean, or full when a tracker traces it
-// (SlowdownTracker.AttachAloneTracer). Unlisted curves have a zero key.
+// (SlowdownTracker.AttachAloneTracer).
 type aloneCurve struct {
 	cache *AloneCurveCache
-	key   aloneKey
 
 	mu     sync.RWMutex
 	sys    *System
@@ -326,7 +317,7 @@ func (c *aloneCurve) extendTo(n uint64) (stepped bool) {
 		sys.advance(math.MaxUint64)
 		c.last.Store(sys.Retired(0))
 		// Lock order: a curve's mu, then the cache's (never the reverse).
-		c.cache.grew(c, sys.Cycle()-start, c.points-points0, int64(len(c.segs)-segs0))
+		c.cache.grew(sys.Cycle()-start, c.points-points0, int64(len(c.segs)-segs0))
 		c.mu.Unlock()
 		stepped = true
 	}

@@ -196,47 +196,6 @@ func TestAloneCurveConcurrentExtension(t *testing.T) {
 	}
 }
 
-// TestAloneCacheUnlistedAccounting: an unlisted curve — a keyless
-// source's — extends and serves its cursor like any other, but it is not
-// the cache's: Points and the points/segments gauges describe the listed
-// entries only.
-func TestAloneCacheUnlistedAccounting(t *testing.T) {
-	cfg := DefaultConfig()
-	apps := SourcesFromSpecs(mustSpecs(t, []string{"gcc", "mcf"}), cfg.streamSeed())
-	apps[0].Key = ""
-	cache := NewAloneCurveCache()
-	reg := telemetry.NewRegistry()
-	cache.SetTelemetry(reg)
-	sc := reg.Scope("alone_cache")
-	gauges := func() (points, segs, entries int64) {
-		return sc.Gauge("points").Value(), sc.Gauge("segments").Value(), sc.Gauge("entries").Value()
-	}
-
-	unlisted, err := cache.Cursor(cfg, apps[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if before, after := unlisted.CyclesAt(20_000), unlisted.CyclesAt(40_000); after <= before {
-		t.Fatalf("unlisted curve stopped extending: %d then %d", before, after)
-	}
-	if p, s, e := gauges(); p != 0 || s != 0 || e != 0 || cache.Points() != 0 {
-		t.Fatalf("unlisted curve leaked into the totals: points=%d segments=%d entries=%d Points()=%d",
-			p, s, e, cache.Points())
-	}
-
-	// A listed curve beside it is accounted on its own.
-	listed, err := cache.Cursor(cfg, apps[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	listed.CyclesAt(5_000)
-	unlisted.CyclesAt(60_000)
-	if p, s, e := gauges(); p != listed.curve.points || s != int64(len(listed.curve.segs)) || e != 1 || p != cache.Points() {
-		t.Fatalf("totals points=%d segments=%d entries=%d, listed curve has %d/%d",
-			p, s, e, listed.curve.points, len(listed.curve.segs))
-	}
-}
-
 // TestCurveSegmentsMatchPointOracle: the run-length store against a naive
 // point slice. Random monotone (instr, cycle) sequences — retire widths
 // 1-3 that change mid-run, stall gaps, single-point segments, and both
@@ -397,29 +356,23 @@ func TestAloneCursorZeroMilestone(t *testing.T) {
 	}
 }
 
-// TestAloneCacheKeylessSource: a source without a stream key cannot be
-// shared; the tracker must give it an unlisted curve of its own, which
-// the cache never lists, rather than fail — and it must still answer the
-// reference oracle's cycles.
-func TestAloneCacheKeylessSource(t *testing.T) {
+// TestAloneCursorRequiresKey: a curve is shared under its source's
+// stream key, so a source without one is refused rather than given a
+// curve that any other such source would read.
+func TestAloneCursorRequiresKey(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Cores = 1
-	cfg.Quantum = 50_000
 	apps := SourcesFromSpecs(mustSpecs(t, []string{"gcc"}), cfg.streamSeed())
 	apps[0].Key = ""
 	cache := NewAloneCurveCache()
-	tr, err := newSlowdownTracker(cfg, apps, cache)
-	if err != nil {
-		t.Fatal(err)
+	if cu, err := cache.Cursor(cfg, apps[0]); err == nil || cu != nil {
+		t.Fatalf("Cursor on a source without a key = %v, %v; want an error", cu, err)
 	}
-	oracle := newAloneOracle(t, cfg, apps[0])
-	for _, m := range []uint64{5_000, 20_000} {
-		if got, want := tr.cursors[0].CyclesAt(m), oracle.CyclesAt(m); got != want {
-			t.Fatalf("keyless curve answers %d cycles at %d instructions, oracle %d", got, m, want)
-		}
+	if _, err := newSlowdownTracker(cfg, apps, cache); err == nil {
+		t.Fatal("tracker built over a source without a key")
 	}
-	if cache.Len() != 0 || cache.Points() != 0 {
-		t.Fatalf("keyless curve listed: %d curves, %d points", cache.Len(), cache.Points())
+	if cache.Len() != 0 {
+		t.Fatalf("refused source listed %d curves", cache.Len())
 	}
 }
 

@@ -1,12 +1,16 @@
 package sim
 
 import (
+	"bufio"
+	"bytes"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"asmsim/internal/dash"
 	"asmsim/internal/evtrace"
@@ -99,23 +103,28 @@ func heapCost(runs int, f func()) (allocs, bytes uint64) {
 // (the ATS position-hit snapshots), not per miss, per PARBS batch or per
 // TCM clustering — a 100 k-cycle quantum of the 4-core mix used to
 // allocate ~9,000 objects. The observed rows are the per-sink overhead
-// table of BenchmarkRunQuantaObserved.
+// table of BenchmarkRunQuantaObserved. A dashboard's SSE client reads
+// every frame published before the window and within it before the
+// window closes, so the window holds exactly its own quanta's frames.
 func TestRunQuantaSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime drops sync.Pool puts at random, so pooled sinks allocate more")
 	}
-	observed := func(set string) func(testing.TB) *System {
-		return func(tb testing.TB) *System { return observedSystem(tb, set) }
+	observed := func(set string) func(testing.TB) (*System, func()) {
+		return func(tb testing.TB) (*System, func()) { return observedSystem(tb, set) }
+	}
+	unobserved := func(build func(testing.TB) *System) func(testing.TB) (*System, func()) {
+		return func(tb testing.TB) (*System, func()) { return build(tb), func() {} }
 	}
 	for _, c := range []struct {
 		name          string
-		sys           func(testing.TB) *System
+		sys           func(testing.TB) (*System, func())
 		allocs, bytes uint64
 	}{
-		{"4-core FRFCFS", func(tb testing.TB) *System { return benchSystem(tb, false) }, 6, 700},
-		{"8-core FRFCFS", func(tb testing.TB) *System { return benchSystem8(tb, PolicyFRFCFS) }, 14, 1331},
-		{"8-core PARBS", func(tb testing.TB) *System { return benchSystem8(tb, PolicyPARBS) }, 14, 1417},
-		{"8-core TCM", func(tb testing.TB) *System { return benchSystem8(tb, PolicyTCM) }, 13, 1313},
+		{"4-core FRFCFS", unobserved(func(tb testing.TB) *System { return benchSystem(tb, false) }), 6, 700},
+		{"8-core FRFCFS", unobserved(func(tb testing.TB) *System { return benchSystem8(tb, PolicyFRFCFS) }), 14, 1331},
+		{"8-core PARBS", unobserved(func(tb testing.TB) *System { return benchSystem8(tb, PolicyPARBS) }), 14, 1417},
+		{"8-core TCM", unobserved(func(tb testing.TB) *System { return benchSystem8(tb, PolicyTCM) }), 13, 1313},
 		{"observed/bare", observed("bare"), 13, 2705},
 		{"observed/trace", observed("trace"), 976, 78856},
 		{"observed/dash", observed("dash"), 69, 13015},
@@ -124,9 +133,13 @@ func TestRunQuantaSteadyStateAllocs(t *testing.T) {
 		{"observed/all", observed("all"), 1033, 90047},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			sys := c.sys(t)
+			sys, settle := c.sys(t)
 			sys.RunQuanta(4)
-			allocs, bytes := heapCost(3, func() { sys.RunQuanta(1) })
+			settle()
+			allocs, bytes := heapCost(3, func() {
+				sys.RunQuanta(1)
+				settle()
+			})
 			if allocs > c.allocs || bytes > c.bytes {
 				t.Errorf("a steady-state quantum allocates %d objects, %d B; budget %d objects, %d B",
 					allocs, bytes, c.allocs, c.bytes)
@@ -165,14 +178,15 @@ var observedSets = []string{"bare", "trace", "dash", "slo", "recorder", "all"}
 // sinks attaches each observer the overhead table measures to o, returning
 // the recorder it adds (nil for none): an event tracer (1-in-64 spans +
 // exact attribution), the dashboard with one SSE client draining the
-// stream, an SLO engine with a qos and an accuracy objective, and a JSONL
-// recorder plus metrics registry.
-var sinks = map[string]func(tb testing.TB, o *telemetry.Options) telemetry.Recorder{
-	"trace": func(_ testing.TB, o *telemetry.Options) telemetry.Recorder {
+// stream and counting the frames it has read into read, an SLO engine
+// with a qos and an accuracy objective, and a JSONL recorder plus
+// metrics registry.
+var sinks = map[string]func(tb testing.TB, o *telemetry.Options, read *atomic.Int64) telemetry.Recorder{
+	"trace": func(_ testing.TB, o *telemetry.Options, _ *atomic.Int64) telemetry.Recorder {
 		o.Trace = evtrace.New(io.Discard, evtrace.Config{SampleEvery: 64})
 		return nil
 	},
-	"dash": func(tb testing.TB, o *telemetry.Options) telemetry.Recorder {
+	"dash": func(tb testing.TB, o *telemetry.Options, read *atomic.Int64) telemetry.Recorder {
 		srv := dash.NewServer()
 		mux := http.NewServeMux()
 		srv.Mount(mux)
@@ -181,7 +195,19 @@ var sinks = map[string]func(tb testing.TB, o *telemetry.Options) telemetry.Recor
 		if err != nil {
 			tb.Fatal(err)
 		}
-		go io.Copy(io.Discard, resp.Body)
+		go func() {
+			r := bufio.NewReader(resp.Body)
+			for lineStart := true; ; {
+				line, err := r.ReadSlice('\n')
+				if lineStart && bytes.HasPrefix(line, []byte("event: ")) {
+					read.Add(1)
+				}
+				if err != nil && err != bufio.ErrBufferFull {
+					return
+				}
+				lineStart = err == nil
+			}
+		}()
 		tb.Cleanup(func() {
 			srv.Close()
 			resp.Body.Close()
@@ -190,7 +216,7 @@ var sinks = map[string]func(tb testing.TB, o *telemetry.Options) telemetry.Recor
 		o.Attribution = srv.ObserveAttribution
 		return srv
 	},
-	"slo": func(tb testing.TB, o *telemetry.Options) telemetry.Recorder {
+	"slo": func(tb testing.TB, o *telemetry.Options, _ *atomic.Int64) telemetry.Recorder {
 		spec, err := slo.Parse([]byte(`{"slos":[
 			{"name":"qos","signal":"qos","bound":3},
 			{"name":"drift","signal":"accuracy"}]}`))
@@ -199,7 +225,7 @@ var sinks = map[string]func(tb testing.TB, o *telemetry.Options) telemetry.Recor
 		}
 		return slo.New(spec, slo.Sinks{})
 	},
-	"recorder": func(_ testing.TB, o *telemetry.Options) telemetry.Recorder {
+	"recorder": func(_ testing.TB, o *telemetry.Options, _ *atomic.Int64) telemetry.Recorder {
 		o.Metrics = telemetry.NewRegistry()
 		return telemetry.NewJSONLRecorder(io.Discard)
 	},
@@ -209,25 +235,40 @@ var sinks = map[string]func(tb testing.TB, o *telemetry.Options) telemetry.Recor
 // subset set (one of observedSets) attached at the one attach point —
 // System.Observe plus EmitRecords at every quantum boundary. The
 // slowdowns handed to the records are a fixed stand-in ground truth, so
-// the SLO engine evaluates every record.
-func observedSystem(tb testing.TB, set string) *System {
+// the SLO engine evaluates every record. settle waits until the
+// dashboard's SSE client, if set has one, has read every frame published
+// so far: one per app and quantum run.
+func observedSystem(tb testing.TB, set string) (sys *System, settle func()) {
 	var o telemetry.Options
 	var recs []telemetry.Recorder
+	var read atomic.Int64
 	for sink, attach := range sinks {
 		if set == sink || set == "all" {
-			recs = append(recs, attach(tb, &o))
+			recs = append(recs, attach(tb, &o, &read))
 		}
 	}
 	o.Recorder = telemetry.Fanout(recs...)
-	sys := benchSystem(tb, false)
+	sys = benchSystem(tb, false)
 	sys.Observe(o)
 	actual := []float64{1.2, 1.4, 1.6, 1.8}
 	est := map[string][]float64{"ASM": actual}
 	benches := sys.Names()
+	var published int64
 	sys.AddQuantumListener(func(_ *System, st *QuantumStats) {
 		EmitRecords(o.Recorder, telemetry.QuantumRecord{Mix: "bench"}, benches, st, actual, est)
+		published += int64(len(benches))
 	})
-	return sys
+	if set != "dash" && set != "all" {
+		return sys, func() {}
+	}
+	return sys, func() {
+		for deadline := time.Now().Add(10 * time.Second); read.Load() < published; {
+			if time.Now().After(deadline) {
+				tb.Fatalf("the SSE client read %d of %d frames", read.Load(), published)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
 }
 
 // BenchmarkRunQuantaObserved is the per-sink overhead table: the
@@ -237,7 +278,7 @@ func observedSystem(tb testing.TB, set string) *System {
 func BenchmarkRunQuantaObserved(b *testing.B) {
 	for _, name := range observedSets {
 		b.Run(name, func(b *testing.B) {
-			sys := observedSystem(b, name)
+			sys, _ := observedSystem(b, name)
 			sys.RunQuanta(3)
 			b.ReportAllocs()
 			b.ResetTimer()

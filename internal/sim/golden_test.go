@@ -10,25 +10,20 @@ import (
 	"path/filepath"
 	"testing"
 
-	"asmsim/internal/cpu"
 	"asmsim/internal/dram"
 	"asmsim/internal/partition"
 	"asmsim/internal/sim"
-	"asmsim/internal/trace"
 	"asmsim/internal/workload"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/quantum_golden.json from this build")
 
 // goldenCase is one configuration of the quantum-statistics golden.
-// recorded runs the apps as keyless recorded traces (NewWithSources over
-// trace.Replayer: a plain InstrSource) instead of through sim.New.
 type goldenCase struct {
-	name     string
-	apps     []string
-	tweak    func(*sim.Config)
-	attach   func(*sim.System)
-	recorded bool
+	name   string
+	apps   []string
+	tweak  func(*sim.Config)
+	attach func(*sim.System)
 }
 
 var (
@@ -81,20 +76,7 @@ func goldenCases() []goldenCase {
 			c.IssueWidth = 2
 			c.WindowSize = 32
 		}},
-		{name: "frfcfs4-recorded", apps: goldenMix4, recorded: true},
 	}
-}
-
-// recordedSources records 5,000 instructions of each app's generator
-// stream and replays them, wrapping many times, as keyless sources.
-func recordedSources(t *testing.T, specs []workload.Spec, seed uint64) []sim.AppSource {
-	t.Helper()
-	apps := make([]sim.AppSource, len(specs))
-	for i, sp := range specs {
-		instrs := trace.Record(workload.NewGenerator(sp, i, seed), 5_000)
-		apps[i] = sim.AppSource{Name: sp.Name, New: func(int) cpu.InstrSource { return trace.NewReplayer(instrs) }}
-	}
-	return apps
 }
 
 // quantumDigest runs gc for three quanta and hashes the %+v rendering of
@@ -116,13 +98,7 @@ func quantumDigest(t *testing.T, gc goldenCase) string {
 		}
 		specs[i] = sp
 	}
-	var sys *sim.System
-	var err error
-	if gc.recorded {
-		sys, err = sim.NewWithSources(cfg, recordedSources(t, specs, cfg.Seed))
-	} else {
-		sys, err = sim.New(cfg, specs)
-	}
+	sys, err := sim.New(cfg, specs)
 	if err != nil {
 		t.Fatal(err)
 	}

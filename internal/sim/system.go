@@ -41,20 +41,19 @@ type missTxn struct {
 // AppSource names one application and builds its instruction stream.
 // New must return a fresh source that replays the identical stream on
 // every call (the alone-run ground truth depends on exact replay); slot is
-// the core the stream will run on and selects its address-space base for
-// generator-backed sources.
+// the core the stream will run on and selects its address-space base.
+// SourcesFromSpecs builds every production source from a workload
+// generator; tests substitute hand-built streams through newSystem.
 type AppSource struct {
 	Name string
 	New  func(slot int) cpu.InstrSource
 
 	// Key identifies the instruction stream's content: two sources with
-	// equal keys must replay identical streams (for generator-backed
-	// sources that is the (spec, seed) pair — the slot only offsets the
-	// address-space base, which a single-core replica never shares with
-	// anyone). A non-empty Key lets the alone-run curve cache share one
-	// ground-truth curve across every mix the stream appears in; an
-	// empty Key (custom/trace sources) opts out and falls back to a
-	// private alone replica.
+	// equal keys must replay identical streams (the (spec, seed) pair —
+	// the slot only offsets the address-space base, which a single-core
+	// replica never shares with anyone). The alone-run curve cache shares
+	// one ground-truth curve per Key across every mix the stream appears
+	// in, and rejects a source without one.
 	Key string
 }
 
@@ -227,20 +226,13 @@ func New(cfg Config, specs []workload.Spec) (*System, error) {
 			return nil, err
 		}
 	}
-	return NewWithSources(cfg, SourcesFromSpecs(specs, cfg.streamSeed()))
+	return newSystem(cfg, SourcesFromSpecs(specs, cfg.streamSeed()), false)
 }
 
-// NewWithSources builds a system from custom instruction sources (e.g.,
-// recorded traces via internal/trace). Sources must replay identically on
-// every New call for the alone-run ground truth to be exact.
-func NewWithSources(cfg Config, apps []AppSource) (*System, error) {
-	return newSystem(cfg, apps, false)
-}
-
-// newSystem is NewWithSources with the lean switch the alone-curve cache
-// uses for its solo replicas: a lean system carries no estimator state —
-// no auxiliary tag stores and no pollution filters (s.ats and s.pf stay
-// nil). Both structures only ever feed estimation counters (ATS*/PF*
+// newSystem builds a system running apps, one per core. lean is the
+// switch the alone-curve cache uses for its solo replicas: a lean system
+// carries no estimator state — no auxiliary tag stores and no pollution
+// filters (s.ats and s.pf stay nil). Both structures only ever feed estimation counters (ATS*/PF*
 // fields of AppQuantum, MissEvent flags), never a hit/miss outcome, a
 // latency or a scheduling decision, so a lean system retires every
 // instruction on the same cycle as a full one; nobody reads a curve

@@ -6,7 +6,6 @@ import (
 	"asmsim/internal/cache"
 	"asmsim/internal/cpu"
 	"asmsim/internal/dram"
-	"asmsim/internal/trace"
 	"asmsim/internal/workload"
 )
 
@@ -351,10 +350,10 @@ func TestPrefetchPastTopOfAddressSpace(t *testing.T) {
 		instrs = append(instrs, workload.Instr{IsMem: true, Addr: l * workload.LineSize},
 			workload.Instr{}, workload.Instr{}, workload.Instr{})
 	}
-	sys, err := NewWithSources(cfg, []AppSource{{
+	sys, err := newSystem(cfg, []AppSource{{
 		Name: "top",
-		New:  func(int) cpu.InstrSource { return trace.NewReplayer(instrs) },
-	}})
+		New:  func(int) cpu.InstrSource { return &loopSource{instrs: instrs} },
+	}}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,6 +367,19 @@ func TestPrefetchPastTopOfAddressSpace(t *testing.T) {
 		if in := sys.L2().Peek(l); in != (l < cache.LineAddrLimit) {
 			t.Fatalf("line %#x in the L2 = %v after streaming up to the limit %#x", l, in, cache.LineAddrLimit)
 		}
+	}
+}
+
+// loopSource replays a fixed instruction slice, wrapping at its end.
+type loopSource struct {
+	instrs []workload.Instr
+	pos    int
+}
+
+func (l *loopSource) Next(out *workload.Instr) {
+	*out = l.instrs[l.pos]
+	if l.pos++; l.pos == len(l.instrs) {
+		l.pos = 0
 	}
 }
 
