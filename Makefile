@@ -34,13 +34,14 @@ race:
 
 # test-1p re-runs the packages whose runs are followed by alone-curve
 # chase goroutines (DESIGN.md decision 10; asmsim.Run with ground truth
-# among them) on a single processor: with one P the chaser and the shared
-# run it follows interleave on one thread — lock hand-offs and preemption
-# points the two-P race run never takes.
+# among them, and every asmserve job, which runs a followed sweep) on a
+# single processor: with one P the chaser and the shared run it follows
+# interleave on one thread — lock hand-offs and preemption points the
+# two-P race run never takes.
 # -count=1: the test cache does not key on GOMAXPROCS, so without it this
 # target would replay `make test`'s results.
 test-1p:
-	GOMAXPROCS=1 $(GO) test -count=1 . ./internal/sim/... ./internal/exp/...
+	GOMAXPROCS=1 $(GO) test -count=1 . ./internal/sim/... ./internal/exp/... ./internal/serve/...
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .

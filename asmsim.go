@@ -74,9 +74,10 @@ type (
 	// ASM is the paper's Application Slowdown Model.
 	ASM = core.ASM
 	// FaultConfig configures deterministic fault injection (evaluation
-	// failures, timeouts, counter corruption, machine outages) for the
-	// cluster balancer and the experiment runner. The zero value injects
-	// nothing.
+	// failures, timeouts, counter corruption, machine outages) for one
+	// cluster (ClusterConfig.Faults); an asmserve process takes the same
+	// config for its service-layer drill. Jobs and experiment scales carry
+	// none. The zero value injects nothing.
 	FaultConfig = faults.Config
 	// MachineHealth is a cluster machine's health state.
 	MachineHealth = cluster.Health

@@ -418,15 +418,13 @@ func (c *Cluster) evaluate(machine int, jobs []string) ([]float64, error) {
 			return nil, fmt.Errorf("unknown job %q", name)
 		}
 	}
-	asm := core.Sanitize(core.NewASM())
+	asm := corrupted{core.Sanitize(core.NewASM()), c.inj, fmt.Sprintf("machine %d round %d", machine, c.round)}
 	warm := min(1, c.cfg.RoundQuanta-1) // the first quantum warms structures when we can afford it
 	sums := make([]float64, len(jobs))
 	run := exp.MixRun{
 		Config:     c.cfg.System,
 		Mix:        workload.Mix{Names: jobs},
 		Estimators: []core.Estimator{asm},
-		Faults:     c.inj,
-		FaultSite:  fmt.Sprintf("machine %d round %d", machine, c.round),
 		Warmup:     warm,
 		Measured:   c.cfg.RoundQuanta - warm,
 		Telemetry:  c.node(machine),
@@ -457,6 +455,21 @@ func (c *Cluster) evaluate(machine int, jobs []string) ([]float64, error) {
 		}
 	}
 	return sums, nil
+}
+
+// corrupted is an estimator fed each quantum's snapshot as the fault
+// injector may corrupt it at site. The run's ground truth and quantum
+// records keep reading the pristine counters.
+type corrupted struct {
+	core.Estimator
+	inj  *faults.Injector
+	site string
+}
+
+// Estimate implements core.Estimator.
+func (e corrupted) Estimate(st *sim.QuantumStats) []float64 {
+	st, _ = e.inj.CorruptStats(e.site, st)
+	return e.Estimator.Estimate(st)
 }
 
 // drainMachine reschedules a failed machine's jobs onto surviving

@@ -335,3 +335,39 @@ func TestChaosDeterminism(t *testing.T) {
 		t.Fatal("chaos config produced no events — injection looks inert")
 	}
 }
+
+// TestCorruptedCountersReachTheEstimator: with every quantum's counters
+// corrupted on their way to ASM, each machine's sanitized estimator takes
+// its no-signal fallback (exactly 1 for every job) instead of the clean
+// round's estimates, and the round itself still succeeds.
+func TestCorruptedCountersReachTheEstimator(t *testing.T) {
+	round := func(fc faults.Config) []Machine {
+		cfg := testConfig()
+		cfg.Faults = fc
+		c, err := New(cfg, lightPlacement())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.EvaluateRound(); err != nil {
+			t.Fatal(err)
+		}
+		return c.Machines()
+	}
+	clean := round(faults.Config{})
+	corrupt := round(faults.Config{Seed: 1, CorruptProb: 1})
+	slowed := false
+	for i := range clean {
+		if corrupt[i].Health != Healthy {
+			t.Fatalf("machine %d: corrupted counters failed the evaluation: %+v", i, corrupt[i])
+		}
+		for j, sd := range corrupt[i].Slowdowns {
+			if sd != 1 {
+				t.Fatalf("machine %d job %d: estimate %v from corrupted counters, want the fallback 1", i, j, sd)
+			}
+			slowed = slowed || clean[i].Slowdowns[j] > 1
+		}
+	}
+	if !slowed {
+		t.Fatal("clean estimates are all 1; the test cannot tell corruption from a clean run")
+	}
+}

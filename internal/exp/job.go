@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"time"
 
-	"asmsim/internal/faults"
 	"asmsim/internal/sim"
 )
 
@@ -33,9 +32,6 @@ type JobSpec struct {
 	// A duration-in-ms integer rather than a time.Duration so job
 	// documents stay unit-explicit and hand-writable.
 	RunTimeoutMS int64 `json:"run_timeout_ms,omitempty"`
-	// Faults optionally injects deterministic run-level chaos into the
-	// sweep (see internal/faults); the zero value injects nothing.
-	Faults faults.Config `json:"faults"`
 }
 
 // Validate reports whether the spec names a known experiment and
@@ -46,9 +42,6 @@ func (j JobSpec) Validate() error {
 	}
 	if j.Workloads < 0 || j.WarmupQuanta < 0 || j.MeasuredQuanta < 0 || j.RunTimeoutMS < 0 {
 		return fmt.Errorf("exp: job scale overrides must be non-negative: %+v", j)
-	}
-	if err := j.Faults.Validate(); err != nil {
-		return err
 	}
 	sc := j.Scale()
 	if sc.MeasuredQuanta <= 0 {
@@ -90,7 +83,6 @@ func (j JobSpec) Scale() Scale {
 	if j.RunTimeoutMS > 0 {
 		sc.RunTimeout = time.Duration(j.RunTimeoutMS) * time.Millisecond
 	}
-	sc.Faults = j.Faults
 	sc.AloneCache = sim.NewAloneCurveCache()
 	return sc
 }
@@ -115,7 +107,6 @@ func (j JobSpec) Fingerprint() string {
 		strconv.Itoa(sc.WarmupQuanta),
 		strconv.Itoa(sc.MeasuredQuanta),
 		sc.RunTimeout.String(),
-		fmt.Sprintf("faults=%+v", sc.Faults),
 		sc.BaseConfig().Fingerprint(),
 	)
 }

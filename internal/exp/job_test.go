@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
-
-	"asmsim/internal/faults"
 )
 
 // tinyJob is a fast end-to-end job spec used across the job and serve
@@ -32,7 +30,6 @@ func TestJobSpecValidate(t *testing.T) {
 		"negative workloads": func() JobSpec { j := tinyJob(); j.Workloads = -1; return j }(),
 		"negative timeout":   func() JobSpec { j := tinyJob(); j.RunTimeoutMS = -5; return j }(),
 		"bad quantum/epoch":  func() JobSpec { j := tinyJob(); j.Quantum = 999; j.Epoch = 1000; return j }(),
-		"bad faults":         func() JobSpec { j := tinyJob(); j.Faults = faults.Config{EvalFailProb: 2}; return j }(),
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Fatalf("%s: spec %+v accepted", name, bad)
@@ -63,7 +60,6 @@ func TestJobSpecFingerprint(t *testing.T) {
 		"epoch":      func(j *JobSpec) { j.Epoch = 20_000 },
 		"seed":       func(j *JobSpec) { j.Seed = 8 },
 		"timeout":    func(j *JobSpec) { j.RunTimeoutMS = 60_000 },
-		"faults":     func(j *JobSpec) { j.Faults = faults.Config{Seed: 1, EvalFailProb: 0.5} },
 	}
 	for name, mutate := range mutations {
 		m := base
@@ -93,7 +89,6 @@ func TestJobSpecFingerprint(t *testing.T) {
 func TestJobSpecJSONRoundTrip(t *testing.T) {
 	j := tinyJob()
 	j.RunTimeoutMS = 30_000
-	j.Faults = faults.Config{Seed: 3, EvalFailProb: 0.25}
 	b, err := json.Marshal(j)
 	if err != nil {
 		t.Fatal(err)
@@ -159,10 +154,16 @@ func decodeSpec(data []byte) (JobSpec, error) {
 // corpus is the job service tests' specs; it runs under plain go test.
 func FuzzJobSpecFingerprint(f *testing.F) {
 	tiny := func(seed uint64) JobSpec { j := tinyJob(); j.Seed = seed; return j }
-	slow, medium, faulty := tiny(11), tiny(121), tiny(221)
+	slow, medium := tiny(11), tiny(121)
 	slow.MeasuredQuanta, medium.MeasuredQuanta = 120, 20
-	faulty.Faults = faults.Config{Seed: 1, EvalFailProb: 1}
-	for _, j := range []JobSpec{tiny(7), tiny(81), slow, medium, faulty, {Experiment: "nonesuch"}} {
+	// Fault injection is configured per cluster and per service process,
+	// not per job: a spec carrying "faults" is an unknown field.
+	faulty := []byte(`{"experiment":"fig2","workloads":2,"warmup_quanta":1,"measured_quanta":1,"quantum":200000,"seed":221,"faults":{"Seed":1,"EvalFailProb":1}}`)
+	if _, err := decodeSpec(faulty); err == nil {
+		f.Fatal("a spec with a faults field decoded")
+	}
+	f.Add(faulty)
+	for _, j := range []JobSpec{tiny(7), tiny(81), slow, medium, {Experiment: "nonesuch"}} {
 		b, err := json.Marshal(j)
 		if err != nil {
 			f.Fatal(err)

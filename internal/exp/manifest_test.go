@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"asmsim/internal/faults"
 	"asmsim/internal/workload"
 )
 
@@ -13,19 +12,19 @@ import (
 // failures must produce a partial table whose failure list names every
 // lost mix exactly once — no duplicates, no silently dropped losses, no
 // phantom entries for mixes that completed. The expected loss set is
-// computed independently from the injector, which is deterministic in
-// (seed, mix name).
+// computed independently from the loss function, which is deterministic
+// in (seed, mix name).
 func TestManifestNamesEveryLostMixOnce(t *testing.T) {
 	sc := tinyScale()
-	sc.Faults = faults.Config{Seed: 11, EvalFailProb: 0.5}
+	sc.failItem = lossy(11, 0.5)
 	mixes := workload.RandomMixes(workload.SPEC(), 2, 8, sc.Seed)
 
-	// The injector rolls a deterministic hash of "runfail/<mix>"; replay
-	// it to know exactly which mixes the sweep must lose.
-	oracle := faults.New(sc.Faults)
+	// Replay the loss function to know exactly which mixes the sweep
+	// must lose.
+	oracle := lossy(11, 0.5)
 	wantLost := map[string]bool{}
 	for _, mix := range mixes {
-		if err := oracle.FailRun(mix.String()); err != nil {
+		if err := oracle(mix.String()); err != nil {
 			wantLost[mix.String()] = true
 		}
 	}
@@ -53,7 +52,7 @@ func TestManifestNamesEveryLostMixOnce(t *testing.T) {
 	}
 	for name, n := range gotLost {
 		if !wantLost[name] {
-			t.Fatalf("manifest names %q (%d times) but the injector does not fail it", name, n)
+			t.Fatalf("manifest names %q (%d times) but the loss function does not fail it", name, n)
 		}
 	}
 	if len(samples) == 0 {

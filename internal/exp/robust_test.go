@@ -9,12 +9,39 @@ import (
 	"testing"
 	"time"
 
+	"asmsim/internal/core"
 	"asmsim/internal/faults"
+	"asmsim/internal/rng"
+	"asmsim/internal/sim"
 	"asmsim/internal/telemetry"
 	"asmsim/internal/workload"
 )
 
 func lightMix() workload.Mix { return workload.Mix{Names: []string{"h264ref", "namd"}} }
+
+// lossy fails each sweep item with probability p on a coin keyed by
+// (seed, item label), so a lossy sweep loses the same items every time.
+func lossy(seed uint64, p float64) func(string) error {
+	return func(label string) error {
+		if rng.NewNamed(seed, "faults/runfail/"+label).Float64() < p {
+			return &faults.Fault{Kind: faults.EvalFailure, Site: label}
+		}
+		return nil
+	}
+}
+
+// corruptingEstimator feeds an estimator each quantum's snapshot as inj
+// may corrupt it at site.
+type corruptingEstimator struct {
+	core.Estimator
+	inj  *faults.Injector
+	site string
+}
+
+func (e corruptingEstimator) Estimate(st *sim.QuantumStats) []float64 {
+	st, _ = e.inj.CorruptStats(e.site, st)
+	return e.Estimator.Estimate(st)
+}
 
 func TestRunAccuracyHonorsCancellation(t *testing.T) {
 	sc := tinyScale()
@@ -60,20 +87,28 @@ func TestRunAccuracyRecoversPanics(t *testing.T) {
 
 func TestRunAccuracyInjectedFailure(t *testing.T) {
 	sc := tinyScale()
-	sc.Faults = faults.Config{Seed: 1, EvalFailProb: 1}
+	sc.failItem = lossy(1, 1)
 	_, err := RunAccuracy(context.Background(), sc.BaseConfig(), lightMix(), estAll, sc)
 	if !errors.Is(err, faults.ErrInjected) {
 		t.Fatalf("err %v, want an injected fault", err)
 	}
 }
 
-// TestRunAccuracyCorruptionStaysFinite: with every snapshot corrupted, the
-// sanitizing decorators must keep all estimates finite and in range while
-// ground truth (which reads the pristine counters) stays untouched.
+// TestRunAccuracyCorruptionStaysFinite: with every snapshot corrupted on
+// its way to the estimators, the sanitizing decorators must keep all
+// estimates finite and in range while ground truth (which reads the
+// pristine counters) stays untouched.
 func TestRunAccuracyCorruptionStaysFinite(t *testing.T) {
 	sc := tinyScale()
-	sc.Faults = faults.Config{Seed: 1, CorruptProb: 1}
-	samples, err := RunAccuracy(context.Background(), sc.BaseConfig(), lightMix(), estAll, sc)
+	inj := faults.New(faults.Config{Seed: 1, CorruptProb: 1})
+	corrupting := func() []core.Estimator {
+		es := estAll()
+		for i, e := range es {
+			es[i] = corruptingEstimator{e, inj, lightMix().String()}
+		}
+		return es
+	}
+	samples, err := RunAccuracy(context.Background(), sc.BaseConfig(), lightMix(), corrupting, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,12 +242,12 @@ func TestRunPolicyHonorsCancellation(t *testing.T) {
 	}
 }
 
-// TestFaultySweepDeterminism: the same seed loses the same mixes — fault
-// injection must not break experiment reproducibility.
+// TestFaultySweepDeterminism: the same seed loses the same mixes — a
+// lossy sweep must not break experiment reproducibility.
 func TestFaultySweepDeterminism(t *testing.T) {
 	run := func() (int, string) {
 		sc := tinyScale()
-		sc.Faults = faults.Config{Seed: 6, EvalFailProb: 0.5} // loses 2 of the 6 mixes
+		sc.failItem = lossy(6, 0.5) // loses 2 of the 6 mixes
 		pool := workload.SPEC()
 		mixes := workload.RandomMixes(pool, 2, 6, sc.Seed)
 		samples, m, err := accuracySweep(context.Background(), sc.BaseConfig(), mixes, estAll, sc)
@@ -231,6 +266,6 @@ func TestFaultySweepDeterminism(t *testing.T) {
 		t.Fatalf("faulty sweep not deterministic: (%d, %q) vs (%d, %q)", n1, lost1, n2, lost2)
 	}
 	if lost1 == "" {
-		t.Fatal("EvalFailProb 0.5 over 6 mixes lost nothing — injection looks inert")
+		t.Fatal("a 0.5 loss rate over 6 mixes lost nothing — the loss looks inert")
 	}
 }

@@ -11,7 +11,6 @@ import (
 
 	"asmsim/internal/core"
 	"asmsim/internal/evtrace"
-	"asmsim/internal/faults"
 	"asmsim/internal/metrics"
 	"asmsim/internal/sim"
 	"asmsim/internal/stats"
@@ -50,7 +49,7 @@ type EstimatorSet func() []core.Estimator
 
 // MixRun is one run of a workload mix: the one code path behind
 // RunAccuracy, RunPolicy, asmsim.Run and the cluster's machine rounds.
-// Optional fields left zero observe, estimate and corrupt nothing.
+// Optional fields left zero observe and estimate nothing.
 type MixRun struct {
 	Config sim.Config // Cores is set from Mix
 	Mix    workload.Mix
@@ -61,11 +60,8 @@ type MixRun struct {
 	// Attach is called with the system after Observe, before the run:
 	// partitioners and bandwidth policies install here.
 	Attach func(*sim.System)
-	// Estimators see each quantum's snapshot as Faults may corrupt it at
-	// FaultSite; ground truth always reads the pristine counters.
+	// Estimators are evaluated on each quantum's snapshot.
 	Estimators []core.Estimator
-	Faults     *faults.Injector
-	FaultSite  string
 	// GroundTruth measures actual slowdowns on alone curves from
 	// AloneCache (nil: private to the run) that follow the shared run;
 	// AloneTrace traces the run's own alone replicas
@@ -115,9 +111,8 @@ func (r MixRun) Run(ctx context.Context) (*sim.System, error) {
 		if tracker != nil {
 			actual = tracker.ActualSlowdowns(st)
 		}
-		stEst, _ := r.Faults.CorruptStats(r.FaultSite, st)
 		for _, e := range r.Estimators {
-			est[e.Name()] = e.Estimate(stEst)
+			est[e.Name()] = e.Estimate(st)
 		}
 		sim.EmitRecords(r.Telemetry.Recorder, labels, benches, st, actual, est)
 		if st.Quantum >= r.Warmup && r.OnQuantum != nil {
@@ -128,10 +123,9 @@ func (r MixRun) Run(ctx context.Context) (*sim.System, error) {
 }
 
 // runItem runs one sweep item's mix at the scale: it adds the scale's
-// observers, alone cache, quanta and fault plan to r (which may fail the
-// run outright under key), applies the per-run timeout, and names the run
-// (label) in every error, a recovered panic included.
-func (sc Scale) runItem(ctx context.Context, key, label string, r MixRun) (err error) {
+// observers, alone cache and quanta to r, applies the per-run timeout,
+// and names the run (label) in every error, a recovered panic included.
+func (sc Scale) runItem(ctx context.Context, label string, r MixRun) (err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -145,11 +139,11 @@ func (sc Scale) runItem(ctx context.Context, key, label string, r MixRun) (err e
 			err = fmt.Errorf("exp: run %s panicked: %v", label, p)
 		}
 	}()
-	r.Faults = faults.New(sc.Faults)
-	if err := r.Faults.FailRun(key); err != nil {
-		return fmt.Errorf("exp: run %s: %w", label, err)
+	if sc.failItem != nil {
+		if err := sc.failItem(label); err != nil {
+			return fmt.Errorf("exp: run %s: %w", label, err)
+		}
 	}
-	r.FaultSite = r.Mix.String()
 	r.Telemetry, r.AloneCache, r.GroundTruth = sc.Telemetry, sc.AloneCache, true
 	r.Warmup, r.Measured = sc.WarmupQuanta, sc.MeasuredQuanta
 	if _, err := r.Run(ctx); err != nil {
@@ -162,12 +156,10 @@ func (sc Scale) runItem(ctx context.Context, key, label string, r MixRun) (err e
 // against alone-run ground truth, and returns one sample per app per
 // measured quantum. It honors ctx cancellation and the scale's per-run
 // timeout (returning the samples gathered so far alongside the context
-// error), recovers panics into errors naming the mix, and routes
-// estimator input through the scale's fault injector when one is
-// configured.
+// error) and recovers panics into errors naming the mix.
 func RunAccuracy(ctx context.Context, cfg sim.Config, mix workload.Mix, newEst EstimatorSet, sc Scale) (samples []Sample, err error) {
 	ests := newEst()
-	err = sc.runItem(ctx, mix.String(), mix.String(), MixRun{
+	err = sc.runItem(ctx, mix.String(), MixRun{
 		Config:     cfg,
 		Mix:        mix,
 		Estimators: ests,
@@ -263,7 +255,7 @@ func RunPolicy(ctx context.Context, cfg sim.Config, mix workload.Mix, scheme Sch
 	n := len(mix.Names)
 	invSum := make([]float64, n) // sum of 1/slowdown per quantum
 	count := 0
-	err := sc.runItem(ctx, mix.String()+"/"+scheme.Name, fmt.Sprintf("%s (%s)", mix, scheme.Name), MixRun{
+	err := sc.runItem(ctx, fmt.Sprintf("%s (%s)", mix, scheme.Name), MixRun{
 		Config: cfg,
 		Mix:    mix,
 		Scheme: scheme.Name,

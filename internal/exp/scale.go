@@ -3,7 +3,6 @@ package exp
 import (
 	"time"
 
-	"asmsim/internal/faults"
 	"asmsim/internal/sim"
 	"asmsim/internal/telemetry"
 )
@@ -29,9 +28,6 @@ type Scale struct {
 	// A run that exceeds it fails like any other item — the sweep keeps
 	// its remaining mixes and reports the loss in the failure manifest.
 	RunTimeout time.Duration
-	// Faults configures deterministic fault injection into runs (see
-	// internal/faults). The zero value injects nothing.
-	Faults faults.Config
 	// Telemetry optionally observes the sweep: a Recorder receives one
 	// record per (app, quantum) with counters, actual and estimated
 	// slowdowns; Metrics receives per-mix/per-scheme wall-time timers,
@@ -47,6 +43,9 @@ type Scale struct {
 	// run a private cache, re-simulating each alone run per mix. Quick()
 	// and Full() populate it.
 	AloneCache *sim.AloneCurveCache
+	// failItem, set only by tests, fails the sweep item it returns an
+	// error for (keyed by the item's label) before its run starts.
+	failItem func(label string) error
 }
 
 // Quick returns the scaled-down configuration used by `go test -bench`
@@ -65,7 +64,8 @@ func Quick() Scale {
 }
 
 // Full returns a configuration close to the paper's (100 workloads,
-// Q = 5M cycles, 100M-cycle runs). Expect hours of runtime.
+// Q = 5M cycles, 100M-cycle runs). An accuracy figure at 8 workloads
+// takes about 90 s on 2 vCPU, so about 20 min at 100 (an estimate).
 func Full() Scale {
 	return Scale{
 		Workloads:      100,

@@ -1,5 +1,5 @@
 // Package faults is a deterministic, seeded fault injector for the
-// cluster balancer and the experiment runner.
+// cluster balancer and the job service.
 //
 // The ROADMAP's production framing (always-on slowdown-aware migration
 // and admission control, Section 7.5 of the paper) only matters on a
@@ -32,7 +32,7 @@ import (
 type Kind int
 
 const (
-	// EvalFailure is an evaluation or workload run returning an error.
+	// EvalFailure is a machine evaluation returning an error.
 	EvalFailure Kind = iota
 	// Timeout is an evaluation exceeding its deadline.
 	Timeout
@@ -73,7 +73,8 @@ var ErrInjected = errors.New("injected fault")
 type Fault struct {
 	Kind Kind
 	// Site identifies where the fault was injected (machine/round/attempt
-	// for cluster evaluations, the workload name for experiment runs).
+	// for cluster evaluations, job/attempt or journal sequence number for
+	// the job service).
 	Site string
 }
 
@@ -90,8 +91,8 @@ type Config struct {
 	Seed uint64
 
 	// Probabilistic chaos knobs, each a per-site probability in [0, 1].
-	EvalFailProb float64 // an evaluation/run fails outright
-	TimeoutProb  float64 // an evaluation/run exceeds its deadline
+	EvalFailProb float64 // an evaluation fails outright
+	TimeoutProb  float64 // an evaluation exceeds its deadline
 	CorruptProb  float64 // a quantum's counter snapshot gains NaN/Inf
 	OutageProb   float64 // a machine starts a transient outage this round
 
@@ -221,22 +222,6 @@ func (in *Injector) FailEval(machine, round, attempt int) error {
 	}
 	if in.roll("timeout/"+site, in.cfg.TimeoutProb) {
 		return &Fault{Kind: Timeout, Site: site}
-	}
-	return nil
-}
-
-// FailRun decides whether a whole experiment run (keyed by workload name)
-// fails, returning the injected fault or nil. The Machines/Rounds
-// restrictions do not apply to name-keyed runs.
-func (in *Injector) FailRun(name string) error {
-	if in == nil {
-		return nil
-	}
-	if in.roll("runfail/"+name, in.cfg.EvalFailProb) {
-		return &Fault{Kind: EvalFailure, Site: name}
-	}
-	if in.roll("runtimeout/"+name, in.cfg.TimeoutProb) {
-		return &Fault{Kind: Timeout, Site: name}
 	}
 	return nil
 }

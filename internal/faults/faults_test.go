@@ -15,9 +15,6 @@ func TestNilInjectorIsSafe(t *testing.T) {
 	if err := in.FailEval(0, 0, 0); err != nil {
 		t.Fatal("nil injector injected an eval failure")
 	}
-	if err := in.FailRun("x"); err != nil {
-		t.Fatal("nil injector injected a run failure")
-	}
 	if in.OutageStarts(0, 0) {
 		t.Fatal("nil injector started an outage")
 	}
@@ -125,10 +122,6 @@ func TestMachineAndRoundRestrictions(t *testing.T) {
 	}
 	if err := in.FailEval(1, 3, 0); err == nil {
 		t.Fatal("second listed round did not fail")
-	}
-	// Name-keyed runs ignore the machine/round script.
-	if err := New(Config{Seed: 1, EvalFailProb: 1, Machines: []int{1}}).FailRun("mix"); err == nil {
-		t.Fatal("FailRun must ignore Machines/Rounds restrictions")
 	}
 }
 

@@ -135,6 +135,7 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add(whole, uint8(3), []byte(nil))
 	f.Add(append(whole[:len(whole):len(whole)], torn...), uint8(2), torn)
 	f.Add([]byte("\n{}\n"), uint8(0), []byte("not json\n{\"seq\":9}\n"))
+	f.Add([]byte(v0SubmittedWithFaults+"\n"), uint8(1), []byte(nil))
 	f.Fuzz(func(t *testing.T, raw []byte, n uint8, tail []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(journalPath(dir), raw, 0o644); err != nil {
@@ -297,14 +298,49 @@ func TestRecoveryRerunsIncompleteJob(t *testing.T) {
 	}
 }
 
+// v0SubmittedWithFaults is a submitted entry as the journal wrote it
+// while job specs still carried a "faults" object (the fingerprint then
+// hashed it in). This one fails every mix of tinySpec(231).
+const v0SubmittedWithFaults = `{"seq":1,"event":"submitted","id":"job-1","trace_id":"afd3414febc9fc27","fp":"6f0c7e27f53d241a71d11f08179f629a","spec":{"experiment":"fig2","workloads":2,"warmup_quanta":1,"measured_quanta":1,"quantum":200000,"seed":231,"faults":{"Seed":1,"EvalFailProb":1,"TimeoutProb":0,"CorruptProb":0,"OutageProb":0,"OutageRounds":0,"HandlerLatencyProb":0,"HandlerLatency":0,"JobDropProb":0,"JournalFailProb":0,"FailAttempts":0,"Machines":null,"Rounds":null}}}`
+
+// TestRecoveryIgnoresJournaledFaults: replay decodes journal lines
+// leniently, so an incomplete job journaled with a "faults" object
+// recovers as the same spec without faults: it is re-enqueued under its
+// journaled fingerprint and reruns clean, bit-identical to a direct run.
+func TestRecoveryIgnoresJournaledFaults(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(journalPath(dir), []byte(v0SubmittedWithFaults+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	spec := tinySpec(231)
+	s := newTestServer(t, Options{StateDir: dir})
+	got, err := s.Status("job-1")
+	if err != nil {
+		t.Fatalf("restarted server forgot the job: %v", err)
+	}
+	if !got.Resumed || got.Spec != spec || got.Fingerprint != "6f0c7e27f53d241a71d11f08179f629a" {
+		t.Fatalf("recovered job %+v, want %+v resumed under its journaled fingerprint", got, spec)
+	}
+	fin := waitTerminal(t, s, "job-1")
+	if fin.State != StateDone || fin.Partial {
+		t.Fatalf("recovered job finished %+v", fin)
+	}
+	table, err := s.Result("job-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(jsonNormalize(t, table), jsonNormalize(t, directRun(t, spec))) {
+		t.Fatal("recovered result differs from direct run")
+	}
+}
+
 // TestRecoveryKeepsTerminalHistory: failed and cancelled jobs survive a
 // restart as history, without being re-run.
 func TestRecoveryKeepsTerminalHistory(t *testing.T) {
 	dir := t.TempDir()
 	s1 := newTestServer(t, Options{StateDir: dir, Workers: 1, Retries: -1})
-	bad := tinySpec(221)
-	bad.Faults = faults.Config{Seed: 1, EvalFailProb: 1}
-	fst, err := s1.Submit(bad)
+	failJobs(s1)
+	fst, err := s1.Submit(tinySpec(221))
 	if err != nil {
 		t.Fatal(err)
 	}

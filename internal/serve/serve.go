@@ -188,6 +188,9 @@ type Server struct {
 	met     serveMetrics
 	log     *slog.Logger
 	flight  *telemetry.FlightRecorder
+	// run executes one attempt's spec: exp.JobSpec.Run, replaced only by
+	// tests that need every attempt to fail.
+	run func(exp.JobSpec, context.Context, ...func(*exp.Scale)) (*exp.Table, error)
 
 	// workersAlive counts worker goroutines currently in their pick
 	// loop; /readyz reports unready until the full pool is live.
@@ -242,6 +245,7 @@ func New(opts Options) (*Server, error) {
 		bc:       dash.NewBroadcaster(),
 		log:      opts.Log,
 		flight:   opts.Flight,
+		run:      exp.JobSpec.Run,
 		stopPick: make(chan struct{}),
 		jobs:     map[string]*job{},
 		inflight: map[string]*job{},
@@ -759,7 +763,7 @@ func (s *Server) attempt(ctx context.Context, j *job, attempt int) (t *exp.Table
 		}
 		return nil, fmt.Errorf("serve: job %s: %w", id, err)
 	}
-	return spec.Run(ctx, func(sc *exp.Scale) {
+	return s.run(spec, ctx, func(sc *exp.Scale) {
 		sc.Telemetry = telemetry.Options{
 			Recorder:    telemetry.Fanout(s.bc, s.flight, s.opts.Recorder),
 			Metrics:     s.opts.Metrics,

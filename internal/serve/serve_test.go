@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -356,13 +357,21 @@ func TestRetryOnInjectedDrop(t *testing.T) {
 	}
 }
 
-// TestPanicIsolation: a spec whose run panics (unknown benchmark slips
-// past per-item recovery only via crafted specs, so here every mix
-// fails instead) terminates as failed without taking the server down.
+// failJobs makes every attempt of every job s runs from now on fail the
+// way a sweep that lost every mix does: with a retryable error.
+func failJobs(s *Server) {
+	s.run = func(exp.JobSpec, context.Context, ...func(*exp.Scale)) (*exp.Table, error) {
+		return nil, errors.New("exp: sweep produced no results")
+	}
+}
+
+// TestFailedJobTerminates: a job whose every attempt is a total loss
+// burns its retry budget and terminates as failed without taking the
+// server down.
 func TestFailedJobTerminates(t *testing.T) {
 	spec := tinySpec(71)
-	spec.Faults = faults.Config{Seed: 1, EvalFailProb: 1} // every mix fails -> total loss
 	s := newTestServer(t, Options{Retries: 1, RetryBase: time.Millisecond})
+	failJobs(s)
 	st, err := s.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -375,6 +384,7 @@ func TestFailedJobTerminates(t *testing.T) {
 		t.Fatalf("injected total loss should burn the retry budget: %+v", fin)
 	}
 	// The server still works.
+	s.run = exp.JobSpec.Run
 	ok, err := s.Submit(tinySpec(72))
 	if err != nil {
 		t.Fatal(err)
@@ -401,6 +411,34 @@ func TestSubmitValidation(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown field accepted: %d", resp.StatusCode)
+	}
+}
+
+// TestSubmitRejectsJobFaults: fault injection is configured per service
+// process (Options.Faults), not per job, so a job document carrying a
+// "faults" object is refused with 400 and an error body naming the
+// field, and nothing is admitted.
+func TestSubmitRejectsJobFaults(t *testing.T) {
+	s := newTestServer(t, Options{})
+	mux := http.NewServeMux()
+	s.Mount(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	body := `{"experiment":"fig2","workloads":2,"measured_quanta":1,"seed":7,"faults":{"Seed":1,"EvalFailProb":1}}`
+	resp, err := http.Post(srv.URL+"/api/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var ae apiError
+	if err := json.NewDecoder(resp.Body).Decode(&ae); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(ae.Error, `"faults"`) {
+		t.Fatalf("spec with faults: %d %+v, want 400 naming the field", resp.StatusCode, ae)
+	}
+	if jobs := s.Jobs(); len(jobs) != 0 {
+		t.Fatalf("rejected spec admitted: %+v", jobs)
 	}
 }
 

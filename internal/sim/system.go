@@ -488,7 +488,13 @@ const cancelCheckStride = 8192
 // its time looking for work: hinting every cancelCheckStride cycles cost
 // the acc_mem benchmark 4–9 % more CPU than every 2^18 for the same wall
 // time. The stretch after a quantum's last hint is extended synchronously
-// by the boundary query — 5 % of the paper's 5 M-cycle quantum at most.
+// by the boundary query. At the paper's 5 M-cycle quantum that stretch is
+// 5 % of the quantum at most; a quantum shorter than 2^18 cycles gets no
+// hint of its own, so its alone curves are extended entirely at the
+// boundary. The benchmark's serve_jobs fig3 jobs (Q = 100 000, two quanta)
+// are that case: back-to-back runs of such a job spent 34 % of their CPU
+// in AloneCursor.CyclesAt under endQuantum in a 10 s CPU profile (2 vCPU
+// Xeon).
 const progressStride = 1 << 18
 
 // RunQuantaCtx advances the system by n quanta, polling ctx every
