@@ -7,7 +7,7 @@
 //	experiments -run fig2 -full      # paper scale (hours)
 //	experiments -run all -quick
 //	experiments -run tab3 -workloads 10 -quanta 5
-//	experiments -run all -timeout 30m -run-timeout 2m
+//	experiments -run all -timeout 30m
 //	experiments -run fig2 -format json | jq .
 //	experiments -run fig2 -telemetry /tmp/tel -pprof localhost:6060
 //
@@ -42,17 +42,16 @@ import (
 func main() {
 	obs := observe.Flags{TraceSample: 256, PerRun: true}
 	var (
-		list       = flag.Bool("list", false, "list available experiments")
-		run        = flag.String("run", "", "experiment id to run, or 'all'")
-		full       = flag.Bool("full", false, "paper-scale sweep (hours)")
-		workloads  = flag.Int("workloads", 0, "override workload count")
-		quanta     = flag.Int("quanta", 0, "override measured quanta")
-		seed       = flag.Uint64("seed", 0, "override random seed")
-		format     = flag.String("format", "text", "output format: text, csv, json")
-		outDir     = flag.String("o", "", "also write each table to <dir>/<id>.<format>")
-		timeout    = flag.Duration("timeout", 0, "overall deadline for the whole invocation (0 = none)")
-		runTimeout = flag.Duration("run-timeout", 0, "per-workload-run deadline; a run exceeding it fails like any other item (0 = none)")
-		progress   = flag.Bool("progress", true, "report live sweep progress (done/total, ETA, losses) on stderr")
+		list      = flag.Bool("list", false, "list available experiments")
+		run       = flag.String("run", "", "experiment id to run, or 'all'")
+		full      = flag.Bool("full", false, "paper-scale sweep (hours)")
+		workloads = flag.Int("workloads", 0, "override workload count")
+		quanta    = flag.Int("quanta", 0, "override measured quanta")
+		seed      = flag.Uint64("seed", 0, "override random seed")
+		format    = flag.String("format", "text", "output format: text, csv, json")
+		outDir    = flag.String("o", "", "also write each table to <dir>/<id>.<format>")
+		timeout   = flag.Duration("timeout", 0, "overall deadline for the whole invocation (0 = none)")
+		progress  = flag.Bool("progress", true, "report live sweep progress (done/total, ETA, losses) on stderr")
 	)
 	obs.Register(flag.CommandLine, map[string]string{
 		"telemetry":    "write quantum telemetry (<id>.quanta.jsonl per experiment + metrics.jsonl) to this directory",
@@ -87,7 +86,6 @@ func main() {
 		Workloads:      *workloads,
 		MeasuredQuanta: *quanta,
 		Seed:           *seed,
-		RunTimeoutMS:   runTimeoutMS(*runTimeout),
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -174,16 +172,6 @@ func main() {
 	if obsErr != nil || sloFailed {
 		os.Exit(1)
 	}
-}
-
-// runTimeoutMS converts -run-timeout to JobSpec.RunTimeoutMS, rounding
-// up to a whole millisecond so a sub-millisecond deadline never becomes
-// 0, which means no deadline. A non-positive duration is no deadline.
-func runTimeoutMS(d time.Duration) int64 {
-	if d <= 0 {
-		return 0
-	}
-	return int64((d + time.Millisecond - 1) / time.Millisecond)
 }
 
 // renderAll renders a run's tables for stdout. Text and CSV concatenate

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-	"time"
 
 	"asmsim/internal/exp"
 )
@@ -78,25 +77,5 @@ func TestEmitEmptyRunWritesNothing(t *testing.T) {
 	}
 	if buf.Len() != 0 {
 		t.Fatalf("empty run wrote %q", buf.String())
-	}
-}
-
-// TestRunTimeoutMSRoundsUp: a positive -run-timeout must never resolve
-// to RunTimeoutMS 0, which JobSpec reads as no deadline.
-func TestRunTimeoutMSRoundsUp(t *testing.T) {
-	for _, tc := range []struct {
-		d    time.Duration
-		want int64
-	}{
-		{0, 0},
-		{-time.Second, 0},
-		{time.Nanosecond, 1},
-		{time.Millisecond, 1},
-		{1500 * time.Microsecond, 2},
-		{2 * time.Minute, 120_000},
-	} {
-		if got := runTimeoutMS(tc.d); got != tc.want {
-			t.Errorf("runTimeoutMS(%v) = %d, want %d", tc.d, got, tc.want)
-		}
 	}
 }

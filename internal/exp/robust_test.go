@@ -7,7 +7,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"asmsim/internal/core"
 	"asmsim/internal/faults"
@@ -56,15 +55,6 @@ func TestRunAccuracyHonorsCancellation(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), lightMix().String()) {
 		t.Fatalf("error %v does not name the mix", err)
-	}
-}
-
-func TestRunAccuracyHonorsRunTimeout(t *testing.T) {
-	sc := tinyScale()
-	sc.RunTimeout = time.Nanosecond
-	_, err := RunAccuracy(context.Background(), sc.BaseConfig(), lightMix(), estAll, sc)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err %v, want context.DeadlineExceeded", err)
 	}
 }
 

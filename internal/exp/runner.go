@@ -123,16 +123,12 @@ func (r MixRun) Run(ctx context.Context) (*sim.System, error) {
 }
 
 // runItem runs one sweep item's mix at the scale: it adds the scale's
-// observers, alone cache and quanta to r, applies the per-run timeout,
-// and names the run (label) in every error, a recovered panic included.
+// observers, alone cache and quanta to r and names the run (label) in
+// every error, a recovered panic included. ctx is the only bound on the
+// run's wall time.
 func (sc Scale) runItem(ctx context.Context, label string, r MixRun) (err error) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if sc.RunTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, sc.RunTimeout)
-		defer cancel()
 	}
 	defer func() {
 		if p := recover(); p != nil {
@@ -154,9 +150,9 @@ func (sc Scale) runItem(ctx context.Context, label string, r MixRun) (err error)
 
 // RunAccuracy runs one workload mix under cfg, evaluating the estimators
 // against alone-run ground truth, and returns one sample per app per
-// measured quantum. It honors ctx cancellation and the scale's per-run
-// timeout (returning the samples gathered so far alongside the context
-// error) and recovers panics into errors naming the mix.
+// measured quantum. It honors ctx cancellation (returning the samples
+// gathered so far alongside the context error) and recovers panics into
+// errors naming the mix.
 func RunAccuracy(ctx context.Context, cfg sim.Config, mix workload.Mix, newEst EstimatorSet, sc Scale) (samples []Sample, err error) {
 	ests := newEst()
 	err = sc.runItem(ctx, mix.String(), MixRun{
@@ -242,8 +238,8 @@ type PolicyOutcome struct {
 
 // RunPolicy runs one workload mix under a scheme and measures actual
 // slowdowns against the alone-run ground truth. Like RunAccuracy it
-// honors ctx cancellation and the per-run timeout and recovers panics
-// into errors naming the mix.
+// honors ctx cancellation and recovers panics into errors naming the
+// mix.
 func RunPolicy(ctx context.Context, cfg sim.Config, mix workload.Mix, scheme Scheme, sc Scale) (PolicyOutcome, error) {
 	if scheme.Configure != nil {
 		scheme.Configure(&cfg)

@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"time"
-
 	"asmsim/internal/sim"
 	"asmsim/internal/telemetry"
 )
@@ -24,10 +22,6 @@ type Scale struct {
 	Epoch   uint64
 	// Seed drives workload-mix construction and all simulations.
 	Seed uint64
-	// RunTimeout bounds each individual workload run; 0 means no bound.
-	// A run that exceeds it fails like any other item — the sweep keeps
-	// its remaining mixes and reports the loss in the failure manifest.
-	RunTimeout time.Duration
 	// Telemetry optionally observes the sweep: a Recorder receives one
 	// record per (app, quantum) with counters, actual and estimated
 	// slowdowns; Metrics receives per-mix/per-scheme wall-time timers,

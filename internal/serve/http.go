@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -105,10 +104,8 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		var spec exp.JobSpec
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
 		if err == nil {
-			err = dec.Decode(&spec)
+			spec, err = exp.DecodeJobSpec(body)
 		}
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad job spec: %w", err))

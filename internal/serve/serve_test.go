@@ -394,7 +394,10 @@ func TestFailedJobTerminates(t *testing.T) {
 	}
 }
 
-// TestSubmitValidation: bad specs are rejected before admission.
+// TestSubmitValidation: bad specs are rejected before admission. A body
+// is one spec: an unknown field, including the retired per-run deadline,
+// and anything after the spec, which could otherwise smuggle an unknown
+// field past the decoder, get 400.
 func TestSubmitValidation(t *testing.T) {
 	s := newTestServer(t, Options{})
 	if _, err := s.Submit(exp.JobSpec{Experiment: "nonesuch"}); err == nil {
@@ -404,13 +407,23 @@ func TestSubmitValidation(t *testing.T) {
 	s.Mount(mux)
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
-	resp, err := http.Post(srv.URL+"/api/jobs", "application/json", strings.NewReader(`{"experiment":"fig2","bogus":1}`))
-	if err != nil {
-		t.Fatal(err)
+	for _, body := range []string{
+		`{"experiment":"fig2","bogus":1}`,
+		`{"experiment":"fig2","workloads":2,"measured_quanta":1,"seed":7,"run_timeout_ms":100}`,
+		`{"experiment":"fig2"}{"faults":{}}`,
+		`{"experiment":"fig2"} junk`,
+	} {
+		resp, err := http.Post(srv.URL+"/api/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s accepted: %d", body, resp.StatusCode)
+		}
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown field accepted: %d", resp.StatusCode)
+	if jobs := s.Jobs(); len(jobs) != 0 {
+		t.Fatalf("rejected specs admitted: %+v", jobs)
 	}
 }
 
