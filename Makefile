@@ -70,6 +70,7 @@ FUZZ_TARGETS = \
 	FuzzSLOParse:./internal/slo \
 	FuzzLoadNodeTrace:./internal/evtrace \
 	FuzzCacheMatchesReference:./internal/cache \
+	FuzzCurveMatchesPointOracle:./internal/sim \
 	FuzzControllerMatchesReference:./internal/dram
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \

@@ -66,15 +66,13 @@ func (j JobSpec) Validate() error {
 	return nil
 }
 
-// Scale resolves the spec to a runnable Scale: the base scale with the
-// spec's overrides applied and a fresh alone-curve cache (each job
-// shares alone curves within itself; cross-job sharing is the result
+// Scale resolves the spec's knobs: the base scale with the spec's
+// overrides applied. It attaches no alone-curve cache, so validating or
+// fingerprinting a spec builds none; Run gives each run a fresh one (a
+// job shares alone curves within itself; cross-job sharing is the result
 // cache's job, at whole-run granularity).
 func (j JobSpec) Scale() Scale {
-	sc := Quick()
-	if j.Full {
-		sc = Full()
-	}
+	sc := baseScale(j.Full)
 	if j.Workloads > 0 {
 		sc.Workloads = j.Workloads
 	}
@@ -93,7 +91,6 @@ func (j JobSpec) Scale() Scale {
 	if j.Seed > 0 {
 		sc.Seed = j.Seed
 	}
-	sc.AloneCache = sim.NewAloneCurveCache()
 	return sc
 }
 
@@ -120,16 +117,17 @@ func (j JobSpec) Fingerprint() string {
 	)
 }
 
-// Run executes the job: resolve the experiment, build the scale, apply
-// the caller's tuning hooks (the job service attaches telemetry, the
-// dashboard and its tracer this way — none of those affect results),
-// and run. Cancelling ctx stops the sweep mid-quantum.
+// Run executes the job: resolve the experiment, build the scale with a
+// fresh alone-curve cache, apply the caller's tuning hooks (the job
+// service attaches telemetry, the dashboard and its tracer this way —
+// none of those affect results), and run. Cancelling ctx stops the sweep
+// mid-quantum.
 func (j JobSpec) Run(ctx context.Context, tune ...func(*Scale)) (*Table, error) {
 	e, err := ByID(j.Experiment)
 	if err != nil {
 		return nil, err
 	}
-	sc := j.Scale()
+	sc := j.Scale().withAloneCache()
 	for _, fn := range tune {
 		if fn != nil {
 			fn(&sc)

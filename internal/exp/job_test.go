@@ -101,6 +101,24 @@ func TestJobSpecJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJobSpecFingerprintAllocs: validating and fingerprinting a spec —
+// what every submission to the job service does, cache hits included —
+// resolve its knobs without building an alone-curve cache. Budgets are
+// the measured objects × 1.15, rounded up; a cache built per resolution
+// doubles them.
+func TestJobSpecFingerprintAllocs(t *testing.T) {
+	j := tinyJob()
+	if n := testing.AllocsPerRun(100, func() { _ = j.Fingerprint() }); n > 13 {
+		t.Errorf("Fingerprint allocates %.0f objects, budget 13", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = j.Validate() }); n > 12 {
+		t.Errorf("Validate allocates %.0f objects, budget 12", n)
+	}
+	if j.Scale().AloneCache != nil {
+		t.Error("Scale attached an alone-curve cache")
+	}
+}
+
 // TestJobSpecRunMatchesDirect: JobSpec.Run is exactly the in-process
 // experiment run of the resolved scale — the identity the service's
 // result cache extends across processes.

@@ -45,7 +45,26 @@ type Scale struct {
 // Quick returns the scaled-down configuration used by `go test -bench`
 // and `cmd/experiments -quick`: same code paths, minutes instead of
 // hours.
-func Quick() Scale {
+func Quick() Scale { return baseScale(false).withAloneCache() }
+
+// Full returns a configuration close to the paper's (100 workloads,
+// Q = 5M cycles, 100M-cycle runs). An accuracy figure at 8 workloads
+// takes about 90 s on 2 vCPU, so about 20 min at 100 (an estimate).
+func Full() Scale { return baseScale(true).withAloneCache() }
+
+// baseScale returns the knobs of Full, or of Quick, without an
+// alone-curve cache.
+func baseScale(full bool) Scale {
+	if full {
+		return Scale{
+			Workloads:      100,
+			WarmupQuanta:   2,
+			MeasuredQuanta: 18,
+			Quantum:        5_000_000,
+			Epoch:          10_000,
+			Seed:           42,
+		}
+	}
 	return Scale{
 		Workloads:      6,
 		WarmupQuanta:   1,
@@ -53,23 +72,13 @@ func Quick() Scale {
 		Quantum:        1_000_000,
 		Epoch:          10_000,
 		Seed:           42,
-		AloneCache:     sim.NewAloneCurveCache(),
 	}
 }
 
-// Full returns a configuration close to the paper's (100 workloads,
-// Q = 5M cycles, 100M-cycle runs). An accuracy figure at 8 workloads
-// takes about 90 s on 2 vCPU, so about 20 min at 100 (an estimate).
-func Full() Scale {
-	return Scale{
-		Workloads:      100,
-		WarmupQuanta:   2,
-		MeasuredQuanta: 18,
-		Quantum:        5_000_000,
-		Epoch:          10_000,
-		Seed:           42,
-		AloneCache:     sim.NewAloneCurveCache(),
-	}
+// withAloneCache returns sc with a fresh alone-curve cache.
+func (sc Scale) withAloneCache() Scale {
+	sc.AloneCache = sim.NewAloneCurveCache()
+	return sc
 }
 
 // BaseConfig returns the paper's Table 2 system at this scale's quantum

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"runtime/pprof"
@@ -178,7 +179,8 @@ func (c *AloneCurveCache) Len() int {
 
 // Points returns the total number of logical curve points (one per
 // retiring replica cycle) across the entries. Memory tracks the
-// far smaller number of stored segments (24 bytes each, see curveSeg).
+// far smaller number of stored segments (about 4 bytes each, see
+// aloneCurve.enc).
 func (c *AloneCurveCache) Points() int64 { return c.points.Load() }
 
 // SavedCycles returns the cumulative replica cycles the cache avoided
@@ -232,17 +234,63 @@ func (c *AloneCurveCache) observe(delta uint64, stepped bool) {
 
 // curveSeg is one run of a curve: the n points (instr0+k*w, cycle0+k)
 // for k in [0,n) — a core retiring w instructions on each of n
-// consecutive cycles. A core at steady state retires its full width every
-// cycle, so runs are long: a compute-bound app stores about one segment
-// per thousand points, a memory-bound one (which retires on few cycles to
-// begin with) one per handful.
+// consecutive cycles (w is 0 while n is 1). A core at steady state
+// retires its full width every cycle, so runs are long: a compute-bound
+// app has about one segment per thousand points, a memory-bound one
+// (which retires on few cycles to begin with) one per handful.
 type curveSeg struct {
 	instr0, cycle0 uint64
-	w, n           uint32
+	w, n           uint64
 }
 
 // lastInstr returns the instruction count of the segment's last point.
-func (s *curveSeg) lastInstr() uint64 { return s.instr0 + uint64(s.n-1)*uint64(s.w) }
+func (s *curveSeg) lastInstr() uint64 { return s.instr0 + (s.n-1)*s.w }
+
+// lastCycle returns the cycle of the segment's last point.
+func (s *curveSeg) lastCycle() uint64 { return s.cycle0 + s.n - 1 }
+
+// cycleAt returns the cycle of the segment's first point with instr >= n,
+// for n up to lastInstr.
+func (s *curveSeg) cycleAt(n uint64) uint64 {
+	if n <= s.instr0 {
+		return s.cycle0
+	}
+	return s.cycle0 + (n-s.instr0+s.w-1)/s.w
+}
+
+// markEvery is the number of closed segments between two checkpoints of
+// a curve's coded segments: a lookup decodes at most this many.
+const markEvery = 64
+
+// curveMark is a position in a curve's coded segments: a byte offset and
+// the last point of the segment before it (0, 0 at the start), which the
+// next segment's deltas are taken from.
+type curveMark struct {
+	off          int
+	instr, cycle uint64
+}
+
+// curveReader decodes closed segments forward from a mark.
+type curveReader struct {
+	enc []byte
+	curveMark
+}
+
+func (r *curveReader) uvarint() uint64 {
+	x, k := binary.Uvarint(r.enc[r.off:])
+	r.off += k
+	return x
+}
+
+// next decodes the segment at the reader's mark and moves past it.
+func (r *curveReader) next() curveSeg {
+	s := curveSeg{instr0: r.instr + r.uvarint(), cycle0: r.cycle + r.uvarint(), n: r.uvarint()}
+	if s.n > 1 {
+		s.w = r.uvarint()
+	}
+	r.instr, r.cycle = s.lastInstr(), s.lastCycle()
+	return s
+}
 
 // extendSlice is the most instructions one hold of a curve's write lock
 // extends it by. A follower extending towards a far milestone must not
@@ -258,10 +306,21 @@ const extendSlice = 1 << 16
 type aloneCurve struct {
 	cache *AloneCurveCache
 
-	mu     sync.RWMutex
-	sys    *System
-	segs   []curveSeg
-	points int64 // logical points recorded (sum of segs[i].n)
+	mu  sync.RWMutex
+	sys *System
+	// The recorded points. Closed segments are coded back to back in enc
+	// as uvarints: the instruction and cycle gaps from the previous
+	// segment's last point, n, and w when n > 1 — 3 to 5 bytes where a
+	// curveSeg takes 32. The open segment stays decoded in tail (n = 0
+	// before the first point) so append can lengthen its run in place.
+	// marks holds the position before every markEvery-th closed segment,
+	// end the position after the last one.
+	enc    []byte
+	marks  []curveMark
+	end    curveMark
+	closed int // closed segments coded in enc
+	tail   curveSeg
+	points int64 // logical points recorded (sum of the segments' n)
 	// last is the instruction count of the last recorded point. Written
 	// under mu; atomic so that want can test coverage without queueing
 	// behind an extension slice.
@@ -310,14 +369,14 @@ func (c *aloneCurve) extendTo(n uint64) (stepped bool) {
 			target = prev + extendSlice
 		}
 		sys := c.sys
-		start, segs0, points0 := sys.Cycle(), len(c.segs), c.points
+		start, segs0, points0 := sys.Cycle(), c.segments(), c.points
 		// c.retired records each retiring cycle and stops the replica
 		// after the one reaching target (jumped cycles are covered work).
 		c.target = target
 		sys.advance(math.MaxUint64)
 		c.last.Store(sys.Retired(0))
 		// Lock order: a curve's mu, then the cache's (never the reverse).
-		c.cache.grew(sys.Cycle()-start, c.points-points0, int64(len(c.segs)-segs0))
+		c.cache.grew(sys.Cycle()-start, c.points-points0, int64(c.segments()-segs0))
 		c.mu.Unlock()
 		stepped = true
 	}
@@ -369,41 +428,73 @@ func (c *aloneCurve) retired(cycle, n uint64) bool {
 	return true
 }
 
-// lookup returns the cycle of the first point with instr >= n: binary
-// search for the first segment ending at or past n, then the position
-// inside its run. Callers hold c.mu and have checked c.last >= n.
+// lookup returns the cycle of the first point with instr >= n: the open
+// segment's if n is past the closed ones, else a binary search for the
+// last checkpoint before n and a decode forward from it (at most
+// markEvery segments) to the first segment ending at or past n. Callers
+// hold c.mu and have checked c.last >= n.
 func (c *aloneCurve) lookup(n uint64) uint64 {
-	i := sort.Search(len(c.segs), func(i int) bool { return c.segs[i].lastInstr() >= n })
-	s := &c.segs[i]
-	if n <= s.instr0 {
-		return s.cycle0
+	if n > c.end.instr {
+		return c.tail.cycleAt(n)
 	}
-	w := uint64(s.w)
-	return s.cycle0 + (n-s.instr0+w-1)/w
+	i := sort.Search(len(c.marks), func(i int) bool { return c.marks[i].instr >= n }) - 1
+	r := curveReader{c.enc, c.marks[i]}
+	for {
+		if s := r.next(); s.lastInstr() >= n {
+			return s.cycleAt(n)
+		}
+	}
 }
 
-// append records the point (instr, cycle), extending the last segment's
+// append records the point (instr, cycle), extending the open segment's
 // run when the point continues it. Callers hold c.mu for writing and
 // append strictly increasing instr and cycle.
 func (c *aloneCurve) append(instr, cycle uint64) {
 	c.points++
-	if m := len(c.segs); m > 0 {
-		s := &c.segs[m-1]
-		// Only the very next cycle can continue a run; a stall gap (or a
-		// full counter) starts a new segment.
-		if cycle == s.cycle0+uint64(s.n) && s.n < math.MaxUint32 {
-			d := instr - s.instr0
-			if s.n == 1 && d <= math.MaxUint32 {
-				s.w, s.n = uint32(d), 2 // the second point fixes the run's width
+	t := &c.tail
+	if t.n > 0 {
+		// Only the very next cycle can continue a run; a stall gap starts
+		// a new segment. n*w cannot wrap onto d: instr is past lastInstr.
+		if cycle == t.cycle0+t.n {
+			d := instr - t.instr0
+			if t.n == 1 {
+				t.w, t.n = d, 2 // the second point fixes the run's width
 				return
 			}
-			if s.n > 1 && d == uint64(s.n)*uint64(s.w) {
-				s.n++
+			if d == t.n*t.w {
+				t.n++
 				return
 			}
 		}
+		c.closeTail()
 	}
-	c.segs = append(c.segs, curveSeg{instr0: instr, cycle0: cycle, n: 1})
+	*t = curveSeg{instr0: instr, cycle0: cycle, n: 1}
+}
+
+// closeTail codes the open segment onto enc, after a checkpoint if it is
+// the first of a block of markEvery. Callers hold c.mu for writing.
+func (c *aloneCurve) closeTail() {
+	if c.closed%markEvery == 0 {
+		c.marks = append(c.marks, c.end)
+	}
+	t := &c.tail
+	c.enc = binary.AppendUvarint(c.enc, t.instr0-c.end.instr)
+	c.enc = binary.AppendUvarint(c.enc, t.cycle0-c.end.cycle)
+	c.enc = binary.AppendUvarint(c.enc, t.n)
+	if t.n > 1 {
+		c.enc = binary.AppendUvarint(c.enc, t.w)
+	}
+	c.end = curveMark{off: len(c.enc), instr: t.lastInstr(), cycle: t.lastCycle()}
+	c.closed++
+}
+
+// segments returns the number of segments recorded, the open one
+// included.
+func (c *aloneCurve) segments() int {
+	if c.tail.n == 0 {
+		return c.closed
+	}
+	return c.closed + 1
 }
 
 // AloneCursor is one tracker slot's handle on a shared alone curve. It

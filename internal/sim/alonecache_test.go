@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
@@ -244,15 +245,17 @@ func TestCurveSegmentsMatchPointOracle(t *testing.T) {
 		if cv.points != int64(len(pts)) {
 			t.Fatalf("trial %d: %d points recorded, %d appended", trial, cv.points, len(pts))
 		}
+		segs := curveSegs(&cv)
 		var sum int64
-		for _, s := range cv.segs {
+		for _, s := range segs {
 			sum += int64(s.n)
 		}
 		if sum != cv.points {
 			t.Fatalf("trial %d: segments hold %d points, counter says %d", trial, sum, cv.points)
 		}
-		if len(cv.segs) >= len(pts)/2 {
-			t.Fatalf("trial %d: %d segments for %d points — runs are not merging", trial, len(cv.segs), len(pts))
+		if len(segs) != cv.segments() || len(segs) >= len(pts)/2 {
+			t.Fatalf("trial %d: %d segments (counter %d) for %d points — runs are not merging",
+				trial, len(segs), cv.segments(), len(pts))
 		}
 
 		// Every milestone from just below the first point to the last one.
@@ -271,8 +274,7 @@ func TestCurveSegmentsMatchPointOracle(t *testing.T) {
 		}
 	}
 
-	// A retire jump too wide for a segment's 32-bit width starts a new
-	// segment instead of truncating.
+	// A retire jump wider than 2^32 is a run's width like any other.
 	var cv aloneCurve
 	const far = 10 + 1<<33
 	cv.append(10, 5)
@@ -285,6 +287,100 @@ func TestCurveSegmentsMatchPointOracle(t *testing.T) {
 	}
 }
 
+// FuzzCurveMatchesPointOracle holds the coded curve store to a naive
+// point list over byte-driven append sequences: runs at the current
+// width, stall gaps, width changes, retire jumps wider than 2^32, and
+// runs of single-point segments that end on and around the checkpoint
+// boundaries (multiples of markEvery closed segments). The decoded
+// segments must expand to exactly the appended points, and lookup must
+// answer every point's first and last milestone and one between with the
+// oracle's cycle.
+func FuzzCurveMatchesPointOracle(f *testing.F) {
+	f.Add([]byte{0, 0xf8, 0x0d, 0x07, 0x00, 0x8b, 0x04, 0x09, 0x06, 0x01, 0x03})
+	f.Add([]byte{1, 0x07, 0x3f, 0x06, 0xff, 0x02, 0x07, 0x01, 0x00, 0x05, 0x00, 0xa8})
+	f.Add([]byte{2, 0xe0, 0x04, 0xff, 0x05, 0x03, 0x07, 0x7f, 0x06, 0x10, 0x07, 0x80, 0x59})
+	for seed := int64(1); seed <= 3; seed++ {
+		b := make([]byte, 256)
+		rand.New(rand.NewSource(seed)).Read(b)
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 || len(data) > 256 {
+			return
+		}
+		// Start at 0, just below 2^32 or far up, leaving room for
+		// every jump the input can make.
+		starts := [...]uint64{0, 1<<32 - 40, 1 << 60}
+		instr, cycle := starts[int(data[0])%len(starts)], starts[int(data[0])%len(starts)]/3
+		var cv aloneCurve
+		type point struct{ instr, cycle uint64 }
+		var pts []point
+		add := func(di, dc uint64) {
+			instr, cycle = instr+di, cycle+dc
+			pts = append(pts, point{instr, cycle})
+			cv.append(instr, cycle)
+		}
+		w := uint64(1)
+		for i := 1; i < len(data); i++ {
+			op, arg := data[i]&7, uint64(data[i]>>3)
+			switch op {
+			case 0, 1, 2, 3: // a run at the current width
+				for k := uint64(0); k <= arg; k++ {
+					add(w, 1)
+				}
+			case 4: // a stall gap, then one point
+				add(w, 2+arg*arg*40)
+			case 5: // a width change
+				w = 1 + arg%4
+			case 6: // a jump wider than 2^32: a point, or the width of a run
+				if arg%2 == 0 {
+					add(1<<32+arg, 1)
+				} else {
+					w = 1<<32 + arg
+				}
+			case 7: // single points up to a checkpoint boundary, give or take
+				end := (cv.closed/markEvery+1)*markEvery + int(arg%3) - 1
+				for cv.closed < end {
+					add(1+arg%2, 2)
+				}
+			}
+		}
+		if len(pts) == 0 {
+			return
+		}
+
+		segs := curveSegs(&cv)
+		if len(segs) != cv.segments() || cv.points != int64(len(pts)) {
+			t.Fatalf("%d segments decoded, %d counted; %d points counted, %d appended",
+				len(segs), cv.segments(), cv.points, len(pts))
+		}
+		if want := (cv.closed + markEvery - 1) / markEvery; len(cv.marks) != want {
+			t.Fatalf("%d checkpoints over %d closed segments, want %d", len(cv.marks), cv.closed, want)
+		}
+		j := 0
+		for _, s := range segs {
+			for k := uint64(0); k < s.n; k++ {
+				if p := (point{s.instr0 + k*s.w, s.cycle0 + k}); j >= len(pts) || p != pts[j] {
+					t.Fatalf("decoded point %d is %+v, appended %+v", j, p, pts[min(j, len(pts)-1)])
+				}
+				j++
+			}
+		}
+		if j != len(pts) {
+			t.Fatalf("segments expand to %d points, %d appended", j, len(pts))
+		}
+		prev := pts[0].instr - 1
+		for _, p := range pts {
+			for _, n := range []uint64{prev + 1, prev + 1 + (p.instr-prev-1)/2, p.instr} {
+				if got := cv.lookup(n); got != p.cycle {
+					t.Fatalf("lookup(%d) = %d, oracle %d", n, got, p.cycle)
+				}
+			}
+			prev = p.instr
+		}
+	})
+}
+
 // TestAloneCurveFootprint pins the curve store's size, which is an exact
 // repeat for a fixed (app, instruction count, config): a storage
 // regression fails here, not only in the benchmark ledger. 3 M
@@ -295,14 +391,17 @@ func TestAloneCurveFootprint(t *testing.T) {
 		t.Skip("simulates ~20 M replica cycles")
 	}
 	for _, tc := range []struct {
-		app     string
-		maxSegs int
-	}{{"povray", 2_000}, {"libquantum", 300_000}} {
+		app               string
+		maxSegs, maxBytes int
+	}{{"povray", 2_000, 16 << 10}, {"libquantum", 300_000, 1280 << 10}} {
 		cv := freshCurve(t, tc.app)
 		cv.cyclesAt(3_000_000)
-		t.Logf("%s: %d points in %d segments (%d KiB)", tc.app, cv.points, len(cv.segs), curveBytes(cv)>>10)
-		if len(cv.segs) > tc.maxSegs {
-			t.Errorf("%s: 3 M instructions stored as %d segments, budget %d", tc.app, len(cv.segs), tc.maxSegs)
+		t.Logf("%s: %d points in %d segments (%d KiB)", tc.app, cv.points, cv.segments(), curveBytes(cv)>>10)
+		if cv.segments() > tc.maxSegs {
+			t.Errorf("%s: 3 M instructions stored as %d segments, budget %d", tc.app, cv.segments(), tc.maxSegs)
+		}
+		if b := curveBytes(cv); b > tc.maxBytes {
+			t.Errorf("%s: 3 M instructions stored in %d bytes, budget %d", tc.app, b, tc.maxBytes)
 		}
 	}
 
@@ -312,9 +411,9 @@ func TestAloneCurveFootprint(t *testing.T) {
 		cv.cyclesAt(n)
 	}
 	t.Logf("povray: %d alone cycles, %d points in %d segments (%d KiB)",
-		cv.sys.Cycle(), cv.points, len(cv.segs), curveBytes(cv)>>10)
-	if b := curveBytes(cv); b > 256<<10 {
-		t.Errorf("a compute-bound curve over one 5 M-cycle quantum holds %d bytes, budget 256 KiB", b)
+		cv.sys.Cycle(), cv.points, cv.segments(), curveBytes(cv)>>10)
+	if b := curveBytes(cv); b > 16<<10 {
+		t.Errorf("a compute-bound curve over one 5 M-cycle quantum holds %d bytes, budget 16 KiB", b)
 	}
 }
 
@@ -331,10 +430,23 @@ func freshCurve(tb testing.TB, name string) *aloneCurve {
 	return cu.curve
 }
 
-// curveBytes is the memory a curve's segment slice pins (capacity, not
-// length: growslice's slack is resident too).
+// curveBytes is the memory a curve's store pins: the coded segments and
+// the checkpoints (capacity, not length: growslice's slack is resident
+// too).
 func curveBytes(cv *aloneCurve) int {
-	return cap(cv.segs) * int(unsafe.Sizeof(curveSeg{}))
+	return cap(cv.enc) + cap(cv.marks)*int(unsafe.Sizeof(curveMark{}))
+}
+
+// curveSegs decodes every segment of cv, the open one last.
+func curveSegs(cv *aloneCurve) []curveSeg {
+	var segs []curveSeg
+	for r := (curveReader{enc: cv.enc}); r.off < len(cv.enc); {
+		segs = append(segs, r.next())
+	}
+	if cv.tail.n > 0 {
+		segs = append(segs, cv.tail)
+	}
+	return segs
 }
 
 // TestAloneCursorZeroMilestone: milestone 0 answers cycle 0 without

@@ -33,7 +33,7 @@ func TestAloneCurveGolden(t *testing.T) {
 		cv.cyclesAt(instrs)
 		h := sha256.New()
 		fmt.Fprintf(h, "stopped at cycle %d\n", cv.sys.Cycle())
-		for _, s := range cv.segs {
+		for _, s := range curveSegs(cv) {
 			fmt.Fprintf(h, "%+v\n", s)
 		}
 		got[name] = hex.EncodeToString(h.Sum(nil))

@@ -308,7 +308,7 @@ func BenchmarkAloneCurveExtend(b *testing.B) {
 				cv := freshCurve(b, name)
 				b.StartTimer()
 				cv.cyclesAt(instrs)
-				segs = len(cv.segs)
+				segs = cv.segments()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/instrs, "ns/instr")
 			b.ReportMetric(float64(segs), "segs/op")
@@ -318,8 +318,8 @@ func BenchmarkAloneCurveExtend(b *testing.B) {
 
 // TestAloneCurveExtendAllocs holds one BenchmarkAloneCurveExtend op —
 // extending a fresh curve to 1 M instructions, single-threaded and
-// seed-fixed — to an object and a byte budget (the measured cost × 1.15,
-// rounded up), and a lookup on the built curve to none. The segments the
+// seed-fixed — to an object and a byte budget (at most the measured cost
+// × 1.15, rounded up), and a lookup on the built curve to none. The segments the
 // extension stores are pinned exactly by TestAloneCurveGolden.
 func TestAloneCurveExtendAllocs(t *testing.T) {
 	const instrs = 1_000_000
@@ -327,9 +327,9 @@ func TestAloneCurveExtendAllocs(t *testing.T) {
 		name          string
 		allocs, bytes uint64
 	}{
-		{"povray", 110, 94245},
-		{"gcc", 138, 952817},
-		{"mcf", 209, 7950116},
+		{"povray", 110, 21216},
+		{"gcc", 138, 190836},
+		{"mcf", 209, 1467244},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cv := freshCurve(t, c.name)
@@ -352,7 +352,8 @@ func TestAloneCurveExtendAllocs(t *testing.T) {
 var benchSink uint64
 
 // BenchmarkAloneCurveLookup measures the cache-hit path — read lock,
-// binary search over the segments, position inside the run — on a
+// binary search over the checkpoints, a decode of at most markEvery
+// segments, position inside the run — on a
 // 1 M-instruction gcc curve (a few thousand segments), striding through
 // the milestones so successive searches take different branches.
 func BenchmarkAloneCurveLookup(b *testing.B) {

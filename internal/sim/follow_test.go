@@ -3,6 +3,9 @@ package sim
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"fmt"
+	"maps"
 	"reflect"
 	"runtime"
 	"runtime/pprof"
@@ -21,6 +24,7 @@ type followOutcome struct {
 	Curves    int
 	Points    int64
 	Segments  int64
+	Digests   map[aloneKey]string // sha256 of each curve's decoded segments
 	Saved     uint64
 	Extended  uint64
 }
@@ -89,6 +93,16 @@ func followSweep(t *testing.T, tweak func(*Config), quantum uint64, quanta int, 
 	sc := reg.Scope("alone_cache")
 	out.Segments = sc.Gauge("segments").Value()
 	out.Extended = sc.Counter("extended_cycles").Value()
+	// A curve's lock comes before the cache's: copy the entries out first.
+	cache.mu.Lock()
+	curves := maps.Clone(cache.entries)
+	cache.mu.Unlock()
+	out.Digests = map[aloneKey]string{}
+	for k, cv := range curves {
+		cv.mu.RLock()
+		out.Digests[k] = fmt.Sprintf("%x", sha256.Sum256(fmt.Appendf(nil, "%v", curveSegs(cv))))
+		cv.mu.RUnlock()
+	}
 	return out
 }
 
@@ -130,8 +144,8 @@ func waitForGoroutines(t *testing.T, want int) {
 // channels, on one processor and on two, a followed sweep must return the
 // unfollowed sweep's slowdowns and milestone cycles, and — because a hint
 // is never past the next boundary's milestone — leave the cache with the
-// same curves, points, segments, simulated replica cycles and saved
-// cycles: no speculative work. Run under -race (make race).
+// same curves (decoded segment for segment), points, segments, simulated
+// replica cycles and saved cycles: no speculative work. Run under -race (make race).
 func TestFollowedSweepMatchesUnfollowed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs nine three-mix sweeps")
