@@ -27,6 +27,10 @@
 // -faults injects deterministic service-layer chaos for drills, e.g.:
 //
 //	asmserve -state /tmp/st -faults seed=7,job-drop-prob=0.2,journal-fail-prob=0.1
+//
+// Each job runs once. A run is a pure function of its spec, so nothing
+// retries a failed one. A dropped job ends failed; with -state it also
+// leaves a flight dump under the state directory.
 package main
 
 import (
@@ -54,8 +58,6 @@ func main() {
 		state        = flag.String("state", "", "state directory for the job journal and result cache (empty = in-memory only)")
 		workers      = flag.Int("workers", 0, "concurrent job runners (0 = default)")
 		queue        = flag.Int("queue", 0, "admission queue depth; beyond it submissions are shed with 429 (0 = default)")
-		retries      = flag.Int("retries", 0, "retry budget per job for transient failures (0 = default, negative = none)")
-		retryBase    = flag.Duration("retry-base", 0, "exponential-backoff base between retries (0 = default)")
 		jobTimeout   = flag.Duration("job-timeout", 0, "per-job wall-clock deadline (0 = none)")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful-drain bound on SIGINT/SIGTERM")
 		faultSpec    = flag.String("faults", "", "inject deterministic service faults: comma-separated key=value (seed, handler-latency-prob, handler-latency, job-drop-prob, journal-fail-prob)")
@@ -106,8 +108,6 @@ func main() {
 	srv, err := serve.New(serve.Options{
 		Workers:      *workers,
 		QueueDepth:   *queue,
-		Retries:      *retries,
-		RetryBase:    *retryBase,
 		JobTimeout:   *jobTimeout,
 		DrainTimeout: *drainTimeout,
 		StateDir:     *state,

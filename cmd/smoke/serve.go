@@ -167,7 +167,7 @@ func runServe(bin, _ string, deadline time.Time) error {
 		return err
 	}
 	defer os.RemoveAll(faultDir)
-	c3, err := startServe(bin, faultDir, "-faults", "seed=1,job-drop-prob=1", "-retries", "-1")
+	c3, err := startServe(bin, faultDir, "-faults", "seed=1,job-drop-prob=1")
 	if err != nil {
 		return fmt.Errorf("fault-drill start: %w", err)
 	}

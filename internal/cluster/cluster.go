@@ -13,7 +13,7 @@
 // slowdown bound.
 //
 // The balancer is built to keep serving when machines misbehave. A failed
-// evaluation is retried with deterministic backoff; a machine whose round
+// evaluation is retried at once, with no backoff; a machine whose round
 // still fails keeps serving its last estimates, marked Degraded, for a
 // bounded number of rounds (the stale TTL); when the TTL or the retries
 // are exhausted the machine is marked Failed and its jobs are drained
@@ -270,8 +270,7 @@ func (c *Cluster) event(machine int, kind, detail string) {
 // and refreshes its ASM slowdown estimates, degrading rather than
 // aborting on per-machine failures:
 //
-//   - a failed evaluation is retried up to MaxRetries times with
-//     deterministic backoff;
+//   - a failed evaluation is retried at once, up to MaxRetries times;
 //   - a machine whose round still fails keeps serving its previous
 //     estimates, marked Degraded, for up to StaleTTL rounds;
 //   - when retries and TTL are exhausted (or the machine has no prior

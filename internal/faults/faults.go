@@ -73,8 +73,8 @@ var ErrInjected = errors.New("injected fault")
 type Fault struct {
 	Kind Kind
 	// Site identifies where the fault was injected (machine/round/attempt
-	// for cluster evaluations, job/attempt or journal sequence number for
-	// the job service).
+	// for cluster evaluations, job fingerprint or journal sequence number
+	// for the job service).
 	Site string
 }
 
@@ -109,7 +109,7 @@ type Config struct {
 	HandlerLatency     time.Duration
 	// JobDropProb makes an admitted job vanish before it runs, the
 	// service-layer analogue of a worker crash between dequeue and
-	// execution. Dropped jobs exercise the retry path.
+	// execution. A dropped job ends failed.
 	JobDropProb float64
 	// JournalFailProb makes one append to the job journal fail, so
 	// recovery and degraded-durability paths can be drilled.
@@ -149,7 +149,7 @@ func (c Config) Validate() error {
 		{"JobDropProb", c.JobDropProb},
 		{"JournalFailProb", c.JournalFailProb},
 	} {
-		if p.v < 0 || p.v > 1 {
+		if !(p.v >= 0 && p.v <= 1) { // NaN included
 			return fmt.Errorf("faults: %s %v outside [0, 1]", p.name, p.v)
 		}
 	}
@@ -263,16 +263,16 @@ func (in *Injector) HandlerDelay(site string) time.Duration {
 	return defaultHandlerLatency
 }
 
-// DropJob decides whether an admitted job (keyed by its fingerprint and
-// attempt, so a retried job re-rolls) is dropped before running,
-// returning the injected fault or nil.
-func (in *Injector) DropJob(key string, attempt int) error {
+// DropJob decides whether an admitted job, keyed by its fingerprint, is
+// dropped before it runs, returning the injected fault or nil. The roll
+// site keeps its old " attempt 0" suffix, so a seed drops the same jobs
+// it always has.
+func (in *Injector) DropJob(key string) error {
 	if in == nil {
 		return nil
 	}
-	site := fmt.Sprintf("%s attempt %d", key, attempt)
-	if in.roll("jobdrop/"+site, in.cfg.JobDropProb) {
-		return &Fault{Kind: JobDrop, Site: site}
+	if in.roll("jobdrop/"+key+" attempt 0", in.cfg.JobDropProb) {
+		return &Fault{Kind: JobDrop, Site: key}
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -43,6 +44,13 @@ func TestValidate(t *testing.T) {
 		{TimeoutProb: 1.5},
 		{CorruptProb: 2},
 		{OutageProb: -1},
+		{EvalFailProb: math.NaN()},
+		{TimeoutProb: math.NaN()},
+		{CorruptProb: math.NaN()},
+		{OutageProb: math.NaN()},
+		{HandlerLatencyProb: math.NaN()},
+		{JobDropProb: math.NaN()},
+		{JournalFailProb: math.NaN()},
 		{OutageRounds: -1},
 		{FailAttempts: -1},
 	} {
@@ -211,7 +219,7 @@ func TestServiceFaultSites(t *testing.T) {
 	if d := nilIn.HandlerDelay("GET /api/jobs"); d != 0 {
 		t.Fatal("nil injector injected handler latency")
 	}
-	if err := nilIn.DropJob("fp", 0); err != nil {
+	if err := nilIn.DropJob("fp"); err != nil {
 		t.Fatal("nil injector dropped a job")
 	}
 	if err := nilIn.FailJournalWrite(1); err != nil {
@@ -226,7 +234,7 @@ func TestServiceFaultSites(t *testing.T) {
 	if d := custom.HandlerDelay("x"); d != 42*time.Millisecond {
 		t.Fatalf("custom handler delay = %v", d)
 	}
-	err := always.DropJob("fp", 0)
+	err := always.DropJob("fp")
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("DropJob error %v does not wrap ErrInjected", err)
 	}
@@ -240,13 +248,12 @@ func TestServiceFaultSites(t *testing.T) {
 	}
 
 	// Determinism: same config, independent injectors, identical
-	// decisions per site; distinct attempts re-roll independently.
+	// decisions per site.
 	a := New(Config{Seed: 9, JobDropProb: 0.5, JournalFailProb: 0.5, HandlerLatencyProb: 0.5})
 	b := New(Config{Seed: 9, JobDropProb: 0.5, JournalFailProb: 0.5, HandlerLatencyProb: 0.5})
-	differed := false
 	for i := 0; i < 64; i++ {
 		key := fmt.Sprintf("job-%d", i)
-		if (a.DropJob(key, 0) == nil) != (b.DropJob(key, 0) == nil) {
+		if (a.DropJob(key) == nil) != (b.DropJob(key) == nil) {
 			t.Fatalf("DropJob(%q) decisions disagree", key)
 		}
 		if (a.FailJournalWrite(uint64(i)) == nil) != (b.FailJournalWrite(uint64(i)) == nil) {
@@ -255,12 +262,19 @@ func TestServiceFaultSites(t *testing.T) {
 		if (a.HandlerDelay(key) == 0) != (b.HandlerDelay(key) == 0) {
 			t.Fatalf("HandlerDelay(%q) decisions disagree", key)
 		}
-		if (a.DropJob(key, 0) == nil) != (a.DropJob(key, 1) == nil) {
-			differed = true
+	}
+	// A drill seed drops the same jobs it dropped when the service still
+	// retried and DropJob rolled per attempt: these are seed 9's
+	// attempt-0 drops.
+	want := []int{0, 2, 3, 5, 6, 9, 10, 11, 12, 15, 17, 19, 21, 22, 23, 24, 25, 26, 28, 30, 31, 32, 33, 35, 36, 38, 42, 43, 46, 49, 50, 58, 60, 61, 63}
+	var dropped []int
+	for i := 0; i < 64; i++ {
+		if a.DropJob(fmt.Sprintf("job-%d", i)) != nil {
+			dropped = append(dropped, i)
 		}
 	}
-	if !differed {
-		t.Fatal("attempt number never changed a drop decision over 64 jobs")
+	if !reflect.DeepEqual(dropped, want) {
+		t.Fatalf("seed 9 drops jobs %v, want %v", dropped, want)
 	}
 
 	// The new knobs alone enable the injector, and Validate bounds them.

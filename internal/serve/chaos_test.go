@@ -28,8 +28,6 @@ func TestChaos(t *testing.T) {
 	s := newTestServer(t, Options{
 		Workers:    2,
 		QueueDepth: 3,
-		Retries:    1,
-		RetryBase:  time.Millisecond,
 		StateDir:   stateDir,
 		Metrics:    reg,
 		Flight:     telemetry.NewFlightRecorder(0, filepath.Join(stateDir, "flightrec")),

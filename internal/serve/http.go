@@ -73,7 +73,7 @@ func writeError(w http.ResponseWriter, code int, err error) {
 
 // apiError is the JSON body of load-shed (429), drain (503) and
 // oversized-request (413) responses: the error plus current queue
-// occupancy, so clients can size their backoff instead of guessing.
+// occupancy, so clients can pace their resubmissions instead of guessing.
 type apiError struct {
 	Error      string `json:"error"`
 	Queued     int    `json:"queued"`

@@ -6,12 +6,13 @@
 //
 // Robustness is the design center rather than an afterthought: per-job
 // deadlines propagate context cancellation into the simulator's cycle
-// loop (jobs stop mid-quantum), transient failures retry with
-// deterministic exponential backoff, panics are isolated per job,
-// partially-completed sweeps terminate with partial-results manifests,
-// SIGTERM drains gracefully, and an append-only JSONL journal makes the
-// service crash-safe — a restarted server re-runs incomplete jobs and
-// answers completed ones from the on-disk result cache. Results are
+// loop (jobs stop mid-quantum), each job runs once (a run is a pure
+// function of its spec, so a failure would only repeat), panics are
+// isolated per job, partially-completed sweeps terminate with
+// partial-results manifests, SIGTERM drains gracefully, and an
+// append-only JSONL journal makes the service crash-safe — a restarted
+// server re-runs incomplete jobs and answers completed ones from the
+// on-disk result cache. Results are
 // memoized at whole-job granularity under exp.JobSpec.Fingerprint, with
 // single-flight deduplication of identical concurrent submissions; a
 // cached answer is bit-identical to a direct in-process run.
@@ -19,6 +20,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -31,10 +33,9 @@ import (
 	"asmsim/internal/telemetry"
 )
 
-// Journal event names. A job's life is submitted -> started (once per
-// attempt) -> exactly one of done/failed/cancelled. A job with no
-// terminal event did not finish — after a crash or drain the next
-// server start re-runs it.
+// Journal event names. A job's life is submitted -> started -> exactly
+// one of done/failed/cancelled. A job with no terminal event did not
+// finish — after a crash or drain the next server start re-runs it.
 const (
 	evSubmitted = "submitted"
 	evStarted   = "started"
@@ -45,8 +46,9 @@ const (
 
 // Entry is one journal line. Only the fields relevant to its event are
 // set: submitted carries the full spec (the journal is the durable copy
-// of the job), started carries the attempt number, done/failed carry
-// the outcome. Replay reads Fingerprint only from terminal entries.
+// of the job), done/failed carry the outcome. Replay reads Fingerprint
+// only from terminal entries. Older journals also carry an "attempt"
+// count on started lines; decoding ignores it.
 type Entry struct {
 	Seq         uint64       `json:"seq"`
 	Event       string       `json:"event"`
@@ -54,7 +56,6 @@ type Entry struct {
 	TraceID     string       `json:"trace_id,omitempty"`
 	Fingerprint string       `json:"fp,omitempty"`
 	Spec        *exp.JobSpec `json:"spec,omitempty"`
-	Attempt     int          `json:"attempt,omitempty"`
 	Partial     bool         `json:"partial,omitempty"`
 	Error       string       `json:"error,omitempty"`
 }
@@ -92,18 +93,24 @@ func journalPath(dir string) string { return filepath.Join(dir, "journal.jsonl")
 
 // OpenJournal opens (creating if needed) the journal under dir and
 // returns it along with every entry already on disk, in order — the
-// recovery input. A trailing line truncated by a crash is ignored.
+// recovery input. A trailing line truncated by a crash is cut off before
+// the first append: left in place, it would run into the next entry and
+// hide that entry and every later one from the next replay.
 func OpenJournal(dir string, inj *faults.Injector) (*Journal, []Entry, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("serve: journal dir: %w", err)
 	}
-	entries, err := ReadJournal(dir)
+	entries, valid, err := readJournal(dir)
 	if err != nil {
 		return nil, nil, err
 	}
 	f, err := os.OpenFile(journalPath(dir), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("serve: open journal: %w", err)
+	}
+	if err := f.Truncate(valid); err != nil {
+		f.Close()
+		return nil, nil, fmt.Errorf("serve: cut torn journal tail: %w", err)
 	}
 	j := &Journal{f: f, inj: inj}
 	for _, e := range entries {
@@ -189,29 +196,46 @@ func (j *Journal) Close() error {
 
 // ReadJournal returns every entry in dir's journal, in file order. A
 // missing journal reads as empty. The first undecodable line ends the
-// valid log (a crash can truncate only the final line; everything
-// before it was fsynced whole).
+// valid log, and so does a final line without its newline, which only a
+// torn write leaves (a crash can truncate only the final line;
+// everything before it was fsynced whole).
 func ReadJournal(dir string) ([]Entry, error) {
+	entries, _, err := readJournal(dir)
+	return entries, err
+}
+
+// readJournal is ReadJournal that also returns the byte offset where the
+// valid log ends: just past the last entry's newline.
+func readJournal(dir string) (entries []Entry, valid int64, err error) {
 	f, err := os.Open(journalPath(dir))
 	if os.IsNotExist(err) {
-		return nil, nil
+		return nil, 0, nil
 	}
 	if err != nil {
-		return nil, fmt.Errorf("serve: read journal: %w", err)
+		return nil, 0, fmt.Errorf("serve: read journal: %w", err)
 	}
 	defer f.Close()
-	var entries []Entry
+	var off int64
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 64*1024), 4*1024*1024)
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		i := bytes.IndexByte(data, '\n')
+		if i < 0 {
+			return 0, nil, nil // need more, or at EOF a torn line: stop
+		}
+		off += int64(i + 1)
+		return i + 1, data[:i], nil
+	})
 	for sc.Scan() {
 		var e Entry
 		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
 			break
 		}
 		entries = append(entries, e)
+		valid = off
 	}
 	if err := sc.Err(); err != nil {
-		return entries, fmt.Errorf("serve: scan journal: %w", err)
+		return entries, valid, fmt.Errorf("serve: scan journal: %w", err)
 	}
-	return entries, nil
+	return entries, valid, nil
 }

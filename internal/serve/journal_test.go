@@ -26,7 +26,7 @@ func TestJournalAppendReadRoundTrip(t *testing.T) {
 	spec := tinySpec(1)
 	for _, e := range []Entry{
 		{Event: evSubmitted, ID: "job-1", Fingerprint: "fp1", Spec: &spec},
-		{Event: evStarted, ID: "job-1", Fingerprint: "fp1", Attempt: 1},
+		{Event: evStarted, ID: "job-1", Fingerprint: "fp1"},
 		{Event: evDone, ID: "job-1", Fingerprint: "fp1", Partial: true},
 	} {
 		if err := j.Append(e); err != nil {
@@ -80,7 +80,7 @@ func TestJournalTruncatedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.Append(Entry{Event: evSubmitted, ID: "job-1"})
-	j.Append(Entry{Event: evStarted, ID: "job-1", Attempt: 1})
+	j.Append(Entry{Event: evStarted, ID: "job-1"})
 	j.Close()
 	f, err := os.OpenFile(journalPath(dir), os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -95,8 +95,6 @@ func TestJournalTruncatedTail(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("read %d entries past torn tail, want 2", len(got))
 	}
-	// A journal reopened over the torn tail keeps appending readable
-	// entries (the torn line stays, the reader just stops there).
 	j2, entries, err := OpenJournal(dir, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -104,6 +102,51 @@ func TestJournalTruncatedTail(t *testing.T) {
 	defer j2.Close()
 	if len(entries) != 2 {
 		t.Fatalf("reopen read %d entries", len(entries))
+	}
+}
+
+// TestJournalReopenCutsTornTail: a journal reopened over a torn tail
+// cuts it off, so entries appended after every restart stay readable.
+// A whole entry whose newline was lost is torn too: left in place, the
+// next append would run on from it.
+func TestJournalReopenCutsTornTail(t *testing.T) {
+	for _, torn := range []string{`{"seq":2,"event":"sta`, `{"seq":2,"event":"submitted","id":"job-x"}`} {
+		dir := t.TempDir()
+		j, _, err := OpenJournal(dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Append(Entry{Event: evSubmitted, ID: "job-1"}); err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+		f, err := os.OpenFile(journalPath(dir), os.O_APPEND|os.O_WRONLY, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.WriteString(torn)
+		f.Close()
+		for _, id := range []string{"job-2", "job-3"} {
+			j, _, err := OpenJournal(dir, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Append(Entry{Event: evSubmitted, ID: id}); err != nil {
+				t.Fatal(err)
+			}
+			j.Close()
+		}
+		got, err := ReadJournal(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ids []string
+		for _, e := range got {
+			ids = append(ids, e.ID)
+		}
+		if want := []string{"job-1", "job-2", "job-3"}; !reflect.DeepEqual(ids, want) {
+			t.Fatalf("torn tail %q, then two restarts: journal holds %v, want %v", torn, ids, want)
+		}
 	}
 }
 
@@ -122,14 +165,16 @@ func journalLines(t testing.TB, entries []Entry) []byte {
 }
 
 // FuzzJournalReplay: whatever bytes journal.jsonl holds, ReadJournal and
-// OpenJournal never panic and agree; and n whole entries followed by a
-// torn or garbled tail replay as exactly those n entries. Seeded with the
-// round-trip and torn-tail tests' journals.
+// OpenJournal never panic and agree; n whole entries followed by a torn
+// or garbled tail replay as exactly those n entries; and a journal
+// reopened over that tail appends an entry the next replay reads right
+// after them. Seeded with the round-trip and torn-tail tests' journals
+// and an older journal's started line.
 func FuzzJournalReplay(f *testing.F) {
 	spec := tinySpec(1)
 	whole := journalLines(f, []Entry{
 		{Seq: 1, Event: evSubmitted, ID: "job-1", Fingerprint: "fp1", Spec: &spec},
-		{Seq: 2, Event: evStarted, ID: "job-1", Fingerprint: "fp1", Attempt: 1},
+		{Seq: 2, Event: evStarted, ID: "job-1", Fingerprint: "fp1"},
 		{Seq: 3, Event: evDone, ID: "job-1", Fingerprint: "fp1", Partial: true},
 	})
 	torn := []byte(`{"seq":3,"event":"done","id":"jo`)
@@ -138,6 +183,7 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add([]byte("\n{}\n"), uint8(0), []byte("not json\n{\"seq\":9}\n"))
 	f.Add([]byte(v0SubmittedWithFaults+"\n"), uint8(1), []byte(nil))
 	f.Add([]byte(v1SubmittedWithRunTimeout+"\n"), uint8(1), []byte(nil))
+	f.Add([]byte(v1SubmittedWithRunTimeout+"\n"+v2StartedWithAttempt+"\n"), uint8(2), []byte(nil))
 	f.Fuzz(func(t *testing.T, raw []byte, n uint8, tail []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(journalPath(dir), raw, 0o644); err != nil {
@@ -159,7 +205,7 @@ func FuzzJournalReplay(f *testing.F) {
 		events := []string{evSubmitted, evStarted, evDone, evFailed, evCancelled}
 		var prefix []Entry
 		for i := 0; i < int(n%16); i++ {
-			e := Entry{Seq: uint64(i + 1), Event: events[i%len(events)], ID: fmt.Sprintf("job-%d", i/len(events)+1), Attempt: i}
+			e := Entry{Seq: uint64(i + 1), Event: events[i%len(events)], ID: fmt.Sprintf("job-%d", i/len(events)+1)}
 			if e.Event == evSubmitted {
 				e.Spec = &spec
 			}
@@ -174,6 +220,22 @@ func FuzzJournalReplay(f *testing.F) {
 		}
 		if !reflect.DeepEqual(got, prefix) {
 			t.Fatalf("tail %q: replayed %d entries, want the %d before it", tail, len(got), len(prefix))
+		}
+
+		j, _, err = OpenJournal(dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := Entry{Event: evCancelled, ID: "job-next"}
+		err = j.Append(next)
+		j.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		next.Seq = uint64(len(prefix) + 1)
+		if got, err = ReadJournal(dir); err != nil || !reflect.DeepEqual(got, append(prefix, next)) {
+			t.Fatalf("tail %q: after reopen and one append, replayed %d entries (%v), want the %d before it plus the append",
+				tail, len(got), err, len(prefix))
 		}
 	})
 }
@@ -310,10 +372,15 @@ const v0SubmittedWithFaults = `{"seq":1,"event":"submitted","id":"job-1","trace_
 // hashed it in).
 const v1SubmittedWithRunTimeout = `{"seq":1,"event":"submitted","id":"job-1","trace_id":"082e82a3e0505e44","fp":"975d0794db55336c365144be5a8dca59","spec":{"experiment":"fig2","workloads":2,"warmup_quanta":1,"measured_quanta":1,"quantum":200000,"seed":241,"run_timeout_ms":60000}}`
 
-// recoverLegacyLine starts a server over a journal holding only line,
-// an incomplete job-1 whose spec carried a field that has since left the
-// job document. Replay decodes journal lines leniently, so the job must
-// recover as spec without that field: re-enqueued under spec's current
+// v2StartedWithAttempt is a started entry as the journal wrote it while
+// the service still retried failed runs and numbered each one: this is
+// the second run of v1SubmittedWithRunTimeout's job.
+const v2StartedWithAttempt = `{"seq":2,"event":"started","id":"job-1","trace_id":"082e82a3e0505e44","fp":"975d0794db55336c365144be5a8dca59","attempt":2}`
+
+// recoverLegacyLine starts a server over a journal holding only line
+// (one or more journal lines): an incomplete job-1 whose lines carried a
+// field that has since left the journal. Replay decodes journal lines
+// leniently, so the job must recover as spec without that field: re-enqueued under spec's current
 // fingerprint, keeping its journaled trace ID, and rerun clean,
 // bit-identical to a direct run.
 func recoverLegacyLine(t *testing.T, line, traceID string, spec exp.JobSpec) {
@@ -353,6 +420,12 @@ func TestRecoveryIgnoresJournaledFaults(t *testing.T) {
 // deadline reruns without one.
 func TestRecoveryIgnoresJournaledRunTimeout(t *testing.T) {
 	recoverLegacyLine(t, v1SubmittedWithRunTimeout, "082e82a3e0505e44", tinySpec(241))
+}
+
+// TestRecoveryIgnoresJournaledAttempt: a job whose started line carries
+// an attempt number recovers like any other incomplete job.
+func TestRecoveryIgnoresJournaledAttempt(t *testing.T) {
+	recoverLegacyLine(t, v1SubmittedWithRunTimeout+"\n"+v2StartedWithAttempt, "082e82a3e0505e44", tinySpec(241))
 }
 
 // TestRecoveryRekeysStaleFingerprint: a resumed job is keyed by its
@@ -462,7 +535,7 @@ func TestRecoveryRunsSharedKeyOnce(t *testing.T) {
 	if jobs := s.Jobs(); len(jobs) != 1 {
 		t.Fatalf("jobs sharing one run listed %d times: %+v", len(jobs), jobs)
 	}
-	if fin := waitTerminal(t, s, "job-2"); fin.ID != "job-1" || fin.State != StateDone || fin.Partial || fin.Attempts != 1 {
+	if fin := waitTerminal(t, s, "job-2"); fin.ID != "job-1" || fin.State != StateDone || fin.Partial {
 		t.Fatalf("job-2 finished %+v, want job-1's single clean run", fin)
 	}
 	got, err := s.Result("job-2")
@@ -475,6 +548,19 @@ func TestRecoveryRunsSharedKeyOnce(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	s.Shutdown(ctx)
+	entries, err := ReadJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var started []string
+	for _, e := range entries {
+		if e.Event == evStarted {
+			started = append(started, e.ID)
+		}
+	}
+	if !reflect.DeepEqual(started, []string{"job-1"}) {
+		t.Fatalf("started lines for %v, want job-1's single run", started)
+	}
 	s2 := newTestServer(t, Options{StateDir: dir})
 	for _, id := range []string{"job-1", "job-2"} {
 		if st, _ := s2.Status(id); st.State != StateDone || st.Resumed {
@@ -490,7 +576,7 @@ func TestRecoveryRunsSharedKeyOnce(t *testing.T) {
 // restart as history, without being re-run.
 func TestRecoveryKeepsTerminalHistory(t *testing.T) {
 	dir := t.TempDir()
-	s1 := newTestServer(t, Options{StateDir: dir, Workers: 1, Retries: -1})
+	s1 := newTestServer(t, Options{StateDir: dir, Workers: 1})
 	failJobs(s1)
 	fst, err := s1.Submit(tinySpec(221))
 	if err != nil {

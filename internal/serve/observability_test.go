@@ -330,7 +330,6 @@ func TestFlightRecorder(t *testing.T) {
 	stateDir := t.TempDir()
 	flight := telemetry.NewFlightRecorder(0, filepath.Join(stateDir, "flightrec"))
 	s := newTestServer(t, Options{
-		Retries:  -1, // no retries: the drop fault fails the job on attempt 1
 		StateDir: stateDir,
 		Faults:   faults.Config{Seed: 1, JobDropProb: 1},
 		Flight:   flight,
@@ -353,7 +352,7 @@ func TestFlightRecorder(t *testing.T) {
 	if fin.State != StateFailed {
 		t.Fatalf("dropped job finished %+v", fin)
 	}
-	for _, want := range []string{"submitted", "attempt", "fault", "finished"} {
+	for _, want := range []string{"submitted", "started", "fault", "finished"} {
 		if !kinds[want] {
 			t.Fatalf("flight ring missing %q events after Wait; saw %v", want, kinds)
 		}

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"log/slog"
 	"strconv"
@@ -18,7 +17,6 @@ import (
 	"asmsim/internal/evtrace"
 	"asmsim/internal/exp"
 	"asmsim/internal/faults"
-	"asmsim/internal/rng"
 	"asmsim/internal/telemetry"
 )
 
@@ -68,8 +66,6 @@ type JobStatus struct {
 	Dedup bool `json:"dedup,omitempty"`
 	// Resumed marks a job re-enqueued from the journal after a restart.
 	Resumed bool `json:"resumed,omitempty"`
-	// Attempts counts run attempts, retries included.
-	Attempts int `json:"attempts,omitempty"`
 	// Partial marks a done job whose table carries a partial-results
 	// manifest (some sweep items failed or the run was cut short).
 	Partial bool   `json:"partial,omitempty"`
@@ -97,11 +93,6 @@ type Options struct {
 	// QueueDepth bounds the admission queue; submits beyond it are shed
 	// with 429 (default 8).
 	QueueDepth int
-	// Retries is the per-job retry budget for transient failures
-	// (default 2; negative disables retries).
-	Retries int
-	// RetryBase is the exponential-backoff base (default 50ms).
-	RetryBase time.Duration
 	// JobTimeout bounds each job's wall time; 0 means no deadline.
 	JobTimeout time.Duration
 	// DrainTimeout bounds graceful shutdown: in-flight jobs get this
@@ -143,15 +134,6 @@ func (o Options) withDefaults() Options {
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 8
 	}
-	if o.Retries == 0 {
-		o.Retries = 2
-	}
-	if o.Retries < 0 {
-		o.Retries = 0
-	}
-	if o.RetryBase <= 0 {
-		o.RetryBase = 50 * time.Millisecond
-	}
 	if o.DrainTimeout <= 0 {
 		o.DrainTimeout = 10 * time.Second
 	}
@@ -163,10 +145,10 @@ func (o Options) withDefaults() Options {
 
 type serveMetrics struct {
 	submitted, shed, rejected, dedup, cacheHits *telemetry.Counter
-	done, failed, cancelled, retries, resumed   *telemetry.Counter
+	done, failed, cancelled, resumed            *telemetry.Counter
 	journalErrs, drainRejected                  *telemetry.Counter
 	queued, running                             *telemetry.Gauge
-	jobLatency, queueWait, attemptDur           *telemetry.Histogram
+	jobLatency, queueWait, runDur               *telemetry.Histogram
 	faults                                      *telemetry.Registry // "serve.faults" scope
 }
 
@@ -189,8 +171,8 @@ type Server struct {
 	met     serveMetrics
 	log     *slog.Logger
 	flight  *telemetry.FlightRecorder
-	// run executes one attempt's spec: exp.JobSpec.Run, replaced only by
-	// tests that need every attempt to fail.
+	// run executes a job's spec: exp.JobSpec.Run, replaced only by tests
+	// that fail or count runs.
 	run func(exp.JobSpec, context.Context, ...func(*exp.Scale)) (*exp.Table, error)
 
 	// workersAlive counts worker goroutines currently in their pick
@@ -259,7 +241,6 @@ func New(opts Options) (*Server, error) {
 			done:          reg.Counter("done"),
 			failed:        reg.Counter("failed"),
 			cancelled:     reg.Counter("cancelled"),
-			retries:       reg.Counter("retries"),
 			resumed:       reg.Counter("resumed"),
 			journalErrs:   reg.Counter("journal_errors"),
 			drainRejected: reg.Counter("drain_rejected"),
@@ -267,7 +248,7 @@ func New(opts Options) (*Server, error) {
 			running:       reg.Gauge("running"),
 			jobLatency:    reg.Histogram("job_latency_ns"),
 			queueWait:     reg.Histogram("queue_wait_ns"),
-			attemptDur:    reg.Histogram("attempt_ns"),
+			runDur:        reg.Histogram("attempt_ns"),
 			faults:        reg.Scope("faults"),
 		},
 	}
@@ -295,7 +276,6 @@ func New(opts Options) (*Server, error) {
 func (s *Server) replay(entries []Entry) []*job {
 	type rec struct {
 		e        Entry
-		attempts int
 		term     Entry
 		terminal bool
 	}
@@ -309,10 +289,6 @@ func (s *Server) replay(entries []Entry) []*job {
 			}
 			byID[e.ID] = &rec{e: e}
 			ids = append(ids, e.ID)
-		case evStarted:
-			if r := byID[e.ID]; r != nil && e.Attempt > r.attempts {
-				r.attempts = e.Attempt
-			}
 		default:
 			if r := byID[e.ID]; r != nil && e.terminal() && !r.terminal {
 				r.term, r.terminal = e, true
@@ -335,7 +311,6 @@ func (s *Server) replay(entries []Entry) []*job {
 				TraceID:     tid,
 				Fingerprint: fp,
 				Spec:        *r.e.Spec,
-				Attempts:    r.attempts,
 			},
 			submittedAt: time.Now(),
 			done:        make(chan struct{}),
@@ -469,16 +444,17 @@ var (
 	ErrNotFound   = errors.New("serve: no such job")
 )
 
-// traceID derives a job's correlation ID from its identity: FNV-64a of
-// id and fingerprint, in hex. Admission journals it with the spec and
-// replay keeps the journaled value, so one grep follows a job across
-// restarts even when its fingerprint is recomputed differently.
+// traceID derives a job's correlation ID from its identity: FNV-64a
+// (its offset basis and prime below) of id, NUL and fingerprint, in hex.
+// Admission journals it with the spec and replay keeps the journaled
+// value, so one grep follows a job across restarts even when its
+// fingerprint is recomputed differently.
 func traceID(id, fp string) string {
-	h := fnv.New64a()
-	h.Write([]byte(id))
-	h.Write([]byte{0})
-	h.Write([]byte(fp))
-	return fmt.Sprintf("%016x", h.Sum64())
+	h := uint64(14695981039346656037)
+	for _, b := range []byte(id + "\x00" + fp) {
+		h = (h ^ uint64(b)) * 1099511628211
+	}
+	return fmt.Sprintf("%016x", h)
 }
 
 func (s *Server) newJobLocked(spec exp.JobSpec, fp string) *job {
@@ -658,42 +634,6 @@ func (s *Server) worker() {
 	}
 }
 
-// transient reports whether an attempt failure is worth retrying:
-// injected chaos and panics are; context cancellation and deadline
-// expiry are not (the job's clock, not the job, ended it).
-func transient(err error) bool {
-	return !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
-}
-
-// backoff returns the delay before the given retry: exponential in the
-// attempt with a deterministic jitter in [0.5, 1.5) keyed by the job
-// fingerprint, so reproductions of a failure schedule reproduce its
-// timing too.
-func (s *Server) backoff(fp string, attempt int) time.Duration {
-	d := s.opts.RetryBase << uint(attempt)
-	if max := 2 * time.Second; d > max {
-		d = max
-	}
-	h := fnv.New64a()
-	h.Write([]byte(fp))
-	r := rng.NewNamed(h.Sum64(), "serve/backoff/"+strconv.Itoa(attempt))
-	return d/2 + time.Duration(r.Float64()*float64(d))
-}
-
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
 func (s *Server) stopping() bool {
 	select {
 	case <-s.stopPick:
@@ -703,8 +643,10 @@ func (s *Server) stopping() bool {
 	}
 }
 
-// runJob executes one claimed job: deadline, retry loop with backoff,
-// panic isolation, then terminal classification.
+// runJob runs one claimed job once: it journals the start, runs the
+// spec under the job's deadline with panic isolation, and finishes the
+// job with whatever the run returned. A run is a pure function of its
+// spec, so a failed one would fail the same way again: nothing retries.
 func (s *Server) runJob(j *job) {
 	base := s.runCtx
 	var cancelT context.CancelFunc = func() {}
@@ -716,7 +658,7 @@ func (s *Server) runJob(j *job) {
 	defer cancel()
 	s.mu.Lock()
 	j.cancel = cancel
-	fp := j.status.Fingerprint
+	spec, id, tid, fp := j.status.Spec, j.status.ID, j.status.TraceID, j.status.Fingerprint
 	// A Cancel that raced the claim (before the cancel func existed)
 	// takes effect now.
 	if j.userCancel {
@@ -724,51 +666,29 @@ func (s *Server) runJob(j *job) {
 	}
 	s.mu.Unlock()
 
-	var table *exp.Table
-	var err error
-	for attempt := 0; ; attempt++ {
-		s.mu.Lock()
-		j.status.Attempts = attempt + 1
-		id, tid := j.status.ID, j.status.TraceID
-		s.mu.Unlock()
-		s.journalAppend(Entry{Event: evStarted, ID: id, TraceID: tid, Fingerprint: fp, Attempt: attempt + 1})
-		s.log.Info("attempt started", "trace_id", tid, "job", id, "attempt", attempt+1)
-		s.flight.Note("attempt", tid, id, fmt.Sprintf("attempt %d", attempt+1))
-		stop := s.met.attemptDur.Start()
-		table, err = s.attempt(ctx, j, attempt)
-		stop()
-		if err != nil {
-			s.log.Warn("attempt failed", "trace_id", tid, "job", id, "attempt", attempt+1, "err", err)
-		}
-		if err == nil || ctx.Err() != nil || !transient(err) || attempt >= s.opts.Retries {
-			break
-		}
-		s.met.retries.Inc()
-		if !sleepCtx(ctx, s.backoff(fp, attempt)) {
-			break
-		}
-	}
+	s.journalAppend(Entry{Event: evStarted, ID: id, TraceID: tid, Fingerprint: fp})
+	s.flight.Note("started", tid, id, "run started")
+	stop := s.met.runDur.Start()
+	table, err := s.execute(ctx, spec, id, tid, fp)
+	stop()
 	s.finish(j, ctx, table, err)
 }
 
-// attempt is one isolated try: the service-layer job-drop fault site,
-// then the experiment run with the service's observability attached.
-// A panic anywhere inside (including table assembly above the sweep's
-// own per-item recovery) becomes this attempt's error.
-func (s *Server) attempt(ctx context.Context, j *job, attempt int) (t *exp.Table, err error) {
-	s.mu.Lock()
-	spec, id, fp, tid := j.status.Spec, j.status.ID, j.status.Fingerprint, j.status.TraceID
-	s.mu.Unlock()
+// execute is the job's one isolated run: the service-layer job-drop
+// fault site, then the experiment run with the service's observability
+// attached. A panic anywhere inside (including table assembly above the
+// sweep's own per-item recovery) becomes the run's error.
+func (s *Server) execute(ctx context.Context, spec exp.JobSpec, id, tid, fp string) (t *exp.Table, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			t, err = nil, fmt.Errorf("serve: job %s attempt %d panicked: %v", id, attempt+1, r)
+			t, err = nil, fmt.Errorf("serve: job %s panicked: %v", id, r)
 			s.flight.Note("panic", tid, id, fmt.Sprint(r))
 			if path, derr := s.flight.Dump("panic"); path != "" && derr == nil {
 				s.log.Error("flight record dumped", "trace_id", tid, "job", id, "reason", "panic", "path", path)
 			}
 		}
 	}()
-	if err := s.inj.DropJob(fp, attempt); err != nil {
+	if err := s.inj.DropJob(fp); err != nil {
 		s.met.fault("job_drop").Inc()
 		s.flight.Note("fault", tid, id, "injected job drop")
 		if path, derr := s.flight.Dump("injected-fault"); path != "" && derr == nil {
@@ -861,7 +781,7 @@ func (s *Server) finish(j *job, ctx context.Context, table *exp.Table, err error
 	s.mu.Unlock()
 	s.met.jobLatency.Observe(latency)
 	s.log.Info("job finished", "trace_id", tid, "job", id, "state", string(st.State),
-		"attempts", st.Attempts, "partial", st.Partial, "latency", latency, "err", st.Error)
+		"partial", st.Partial, "latency", latency, "err", st.Error)
 	if dump != "" {
 		s.log.Warn("flight record dumped", "trace_id", tid, "job", id, "reason", "deadline expiry", "path", dump)
 	}

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -263,6 +264,7 @@ func TestCancelRunningJob(t *testing.T) {
 // TestCancelQueuedJob: a queued job cancels without ever running.
 func TestCancelQueuedJob(t *testing.T) {
 	s := newTestServer(t, Options{Workers: 1, QueueDepth: 2})
+	runs := countRuns(s, exp.JobSpec.Run)
 	first, err := s.Submit(slowSpec(41))
 	if err != nil {
 		t.Fatal(err)
@@ -277,19 +279,27 @@ func TestCancelQueuedJob(t *testing.T) {
 		t.Fatalf("cancel queued: %+v, %v", cst, err)
 	}
 	fin := waitTerminal(t, s, queued.ID)
-	if fin.State != StateCancelled || fin.Attempts != 0 {
+	if fin.State != StateCancelled {
 		t.Fatalf("queued job ran anyway: %+v", fin)
 	}
 	s.Cancel(first.ID)
+	waitTerminal(t, s, first.ID)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	s.Shutdown(ctx)
+	if n := runs.Load(); n != 1 {
+		t.Fatalf("%d runs, want only the first job's", n)
+	}
 }
 
 // TestJobDeadline: a job that cannot finish inside JobTimeout fails
-// with the deadline error and is not retried (the clock ended it, not
-// a transient fault), and its flight dump is on disk once Wait returns.
+// with the deadline error after one run, and its flight dump is on disk
+// once Wait returns.
 func TestJobDeadline(t *testing.T) {
 	dumps := t.TempDir()
 	s := newTestServer(t, Options{JobTimeout: 20 * time.Millisecond,
 		Flight: telemetry.NewFlightRecorder(0, dumps)})
+	runs := countRuns(s, exp.JobSpec.Run)
 	st, err := s.Submit(slowSpec(51))
 	if err != nil {
 		t.Fatal(err)
@@ -298,8 +308,8 @@ func TestJobDeadline(t *testing.T) {
 	if fin.State != StateFailed {
 		t.Fatalf("deadline job finished %+v", fin)
 	}
-	if fin.Attempts != 1 {
-		t.Fatalf("deadline failure was retried: %d attempts", fin.Attempts)
+	if n := runs.Load(); n != 1 {
+		t.Fatalf("deadline job ran %d times, want once", n)
 	}
 	if !strings.Contains(fin.Error, "deadline") && !strings.Contains(fin.Error, "cancel") {
 		t.Fatalf("error does not name the deadline: %q", fin.Error)
@@ -309,68 +319,33 @@ func TestJobDeadline(t *testing.T) {
 	}
 }
 
-// TestRetryOnInjectedDrop: a service-layer job-drop fault retries with
-// backoff and succeeds on a later attempt; the retried result is still
-// bit-identical to a direct run.
-func TestRetryOnInjectedDrop(t *testing.T) {
-	spec := tinySpec(61)
-	fp := spec.Fingerprint()
-	// Find a seed whose deterministic rolls drop attempt 0 but admit a
-	// later attempt within the retry budget.
-	var seed uint64
-	for seed = 1; seed < 10_000; seed++ {
-		inj := faults.New(faults.Config{Seed: seed, JobDropProb: 0.5})
-		if inj.DropJob(fp, 0) != nil && (inj.DropJob(fp, 1) == nil || inj.DropJob(fp, 2) == nil) {
-			break
-		}
+// runFunc is the signature of Server.run.
+type runFunc func(exp.JobSpec, context.Context, ...func(*exp.Scale)) (*exp.Table, error)
+
+// countRuns routes every run s starts from now on through run and
+// returns the number of runs started. Call it before the first Submit.
+func countRuns(s *Server, run runFunc) *atomic.Int64 {
+	var n atomic.Int64
+	s.run = func(spec exp.JobSpec, ctx context.Context, tune ...func(*exp.Scale)) (*exp.Table, error) {
+		n.Add(1)
+		return run(spec, ctx, tune...)
 	}
-	if seed == 10_000 {
-		t.Fatal("no suitable fault seed found")
-	}
-	reg := telemetry.NewRegistry()
-	s := newTestServer(t, Options{
-		Retries:   2,
-		RetryBase: time.Millisecond,
-		Faults:    faults.Config{Seed: seed, JobDropProb: 0.5},
-		Metrics:   reg,
-	})
-	st, err := s.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fin := waitTerminal(t, s, st.ID)
-	if fin.State != StateDone {
-		t.Fatalf("job did not recover from injected drop: %+v", fin)
-	}
-	if fin.Attempts < 2 {
-		t.Fatalf("no retry happened: %+v", fin)
-	}
-	if n := reg.Scope("serve").Counter("retries").Value(); n == 0 {
-		t.Fatal("retries counter not incremented")
-	}
-	got, err := s.Result(st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := directRun(t, spec); !reflect.DeepEqual(got, want) {
-		t.Fatal("retried result differs from direct run")
-	}
+	return &n
 }
 
-// failJobs makes every attempt of every job s runs from now on fail the
-// way a sweep that lost every mix does: with a retryable error.
-func failJobs(s *Server) {
-	s.run = func(exp.JobSpec, context.Context, ...func(*exp.Scale)) (*exp.Table, error) {
+// failJobs makes every job s runs from now on fail the way a sweep that
+// lost every mix does, and returns the number of runs started.
+func failJobs(s *Server) *atomic.Int64 {
+	return countRuns(s, func(exp.JobSpec, context.Context, ...func(*exp.Scale)) (*exp.Table, error) {
 		return nil, errors.New("exp: sweep produced no results")
-	}
+	})
 }
 
-// TestFailedJobTerminates: a job whose every attempt is a total loss
-// burns its retry budget and terminates as failed without taking the
-// server down.
+// TestFailedJobTerminates: a job whose run is a total loss terminates as
+// failed without taking the server down.
 func TestFailedJobTerminates(t *testing.T) {
 	spec := tinySpec(71)
-	s := newTestServer(t, Options{Retries: 1, RetryBase: time.Millisecond})
+	s := newTestServer(t, Options{})
 	failJobs(s)
 	st, err := s.Submit(spec)
 	if err != nil {
@@ -380,9 +355,6 @@ func TestFailedJobTerminates(t *testing.T) {
 	if fin.State != StateFailed || fin.Error == "" {
 		t.Fatalf("total-loss job: %+v", fin)
 	}
-	if fin.Attempts != 2 {
-		t.Fatalf("injected total loss should burn the retry budget: %+v", fin)
-	}
 	// The server still works.
 	s.run = exp.JobSpec.Run
 	ok, err := s.Submit(tinySpec(72))
@@ -391,6 +363,55 @@ func TestFailedJobTerminates(t *testing.T) {
 	}
 	if got := waitTerminal(t, s, ok.ID); got.State != StateDone {
 		t.Fatalf("server wedged after failed job: %+v", got)
+	}
+}
+
+// TestJobRunsOnce: under default Options a job runs once, whatever its
+// run returns. A failed run is not run again, and neither is a job the
+// injector drops: each journals one started line and ends failed.
+func TestJobRunsOnce(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestServer(t, Options{StateDir: dir})
+	runs := failJobs(s)
+	failed, err := s.Submit(tinySpec(73))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin := waitTerminal(t, s, failed.ID); fin.State != StateFailed {
+		t.Fatalf("failing job finished %+v", fin)
+	}
+	if n := runs.Load(); n != 1 {
+		t.Fatalf("failing job ran %d times, want once", n)
+	}
+
+	dropDir := t.TempDir()
+	d := newTestServer(t, Options{StateDir: dropDir, Faults: faults.Config{Seed: 1, JobDropProb: 1}})
+	dropRuns := countRuns(d, exp.JobSpec.Run)
+	dropped, err := d.Submit(tinySpec(74))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin := waitTerminal(t, d, dropped.ID); fin.State != StateFailed || !strings.Contains(fin.Error, "injected") {
+		t.Fatalf("dropped job finished %+v", fin)
+	}
+	if n := dropRuns.Load(); n != 0 {
+		t.Fatalf("dropped job ran %d times, want never", n)
+	}
+
+	for _, c := range []struct{ dir, id string }{{dir, failed.ID}, {dropDir, dropped.ID}} {
+		entries, err := ReadJournal(c.dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		started := 0
+		for _, e := range entries {
+			if e.ID == c.id && e.Event == evStarted {
+				started++
+			}
+		}
+		if started != 1 {
+			t.Fatalf("job %s journaled %d started lines, want 1", c.id, started)
+		}
 	}
 }
 
