@@ -74,7 +74,7 @@ type (
 	// ASM is the paper's Application Slowdown Model.
 	ASM = core.ASM
 	// FaultConfig configures deterministic fault injection (evaluation
-	// failures, timeouts, counter corruption, machine outages) for one
+	// failures, counter corruption, machine outages) for one
 	// cluster (ClusterConfig.Faults); an asmserve process takes the same
 	// config for its service-layer drill. Jobs and experiment scales carry
 	// none. The zero value injects nothing.

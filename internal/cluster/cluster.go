@@ -12,12 +12,13 @@
 // control refuses jobs on machines whose tenants already exceed an SLA
 // slowdown bound.
 //
-// The balancer is built to keep serving when machines misbehave. A failed
-// evaluation is retried at once, with no backoff; a machine whose round
-// still fails keeps serving its last estimates, marked Degraded, for a
-// bounded number of rounds (the stale TTL); when the TTL or the retries
-// are exhausted the machine is marked Failed and its jobs are drained
-// onto the survivors, subject to the SLA admission bound. Failed machines
+// The balancer is built to keep serving when machines misbehave. Each
+// machine is evaluated once per round: the evaluation is a pure function
+// of its jobs and config, so running it again could only repeat the
+// failure. A machine whose round fails keeps serving its last estimates,
+// marked Degraded, for a bounded number of rounds (the stale TTL); when
+// the TTL is exhausted the machine is marked Failed and its jobs are
+// drained onto the survivors, subject to the SLA admission bound. Failed machines
 // are probed each round and re-enter service when they recover. Faults
 // can be injected deterministically via internal/faults for tests and
 // chaos drills.
@@ -43,9 +44,6 @@ import (
 
 // Defaults for the robustness knobs (selected by zero values in Config).
 const (
-	// DefaultMaxRetries is how many times a failed evaluation is retried
-	// within one round before the machine degrades.
-	DefaultMaxRetries = 1
 	// DefaultStaleTTL is how many consecutive rounds a machine may serve
 	// stale estimates before it is marked Failed and drained.
 	DefaultStaleTTL = 2
@@ -63,10 +61,6 @@ type Config struct {
 	// RoundQuanta is how many quanta each evaluation round simulates.
 	RoundQuanta int
 
-	// MaxRetries bounds re-evaluation attempts after a failed evaluation
-	// within one round (0 selects DefaultMaxRetries; negative disables
-	// retries).
-	MaxRetries int
 	// StaleTTL is how many consecutive rounds a machine may serve stale
 	// estimates while Degraded before it is marked Failed and drained
 	// (0 selects DefaultStaleTTL; negative fails immediately).
@@ -95,17 +89,6 @@ func (c Config) Validate() error {
 		return err
 	}
 	return c.System.Validate()
-}
-
-// maxRetries resolves the retry knob's zero value.
-func (c Config) maxRetries() int {
-	if c.MaxRetries == 0 {
-		return DefaultMaxRetries
-	}
-	if c.MaxRetries < 0 {
-		return 0
-	}
-	return c.MaxRetries
 }
 
 // staleTTL resolves the stale-estimate TTL's zero value.
@@ -140,7 +123,7 @@ const (
 	// Degraded machines failed their latest evaluation and serve stale,
 	// TTL-bounded estimates from an earlier round.
 	Degraded
-	// Failed machines exhausted their retries and stale TTL; their jobs
+	// Failed machines exhausted their stale TTL; their jobs
 	// have been drained and they take no work until they recover.
 	Failed
 )
@@ -189,7 +172,7 @@ type Cluster struct {
 	// Unplaced holds drained jobs no surviving machine could admit; they
 	// are retried every round.
 	Unplaced []string
-	// Events is the robustness audit log: retries, degradations, drains,
+	// Events is the robustness audit log: degradations, drains,
 	// recoveries.
 	Events []Event
 	round  int
@@ -228,8 +211,8 @@ type Drain struct {
 type Event struct {
 	Round   int `json:"round"`
 	Machine int `json:"machine"`
-	// Kind is one of "retry", "degraded", "failed", "drain", "park",
-	// "replace", "recovered", "outage".
+	// Kind is one of "degraded", "failed", "drain", "park", "replace",
+	// "recovered", "outage".
 	Kind   string `json:"kind"`
 	Detail string `json:"detail"`
 }
@@ -260,7 +243,7 @@ func (c *Cluster) Machines() []Machine { return c.machines }
 func (c *Cluster) Round() int { return c.round }
 
 // event appends one audit-log entry for the current round and bumps the
-// matching telemetry counter (events.retry, events.failed, ...).
+// matching telemetry counter (events.degraded, events.failed, ...).
 func (c *Cluster) event(machine int, kind, detail string) {
 	c.Events = append(c.Events, Event{Round: c.round, Machine: machine, Kind: kind, Detail: detail})
 	c.tel.Counter("events." + kind).Inc()
@@ -270,10 +253,10 @@ func (c *Cluster) event(machine int, kind, detail string) {
 // and refreshes its ASM slowdown estimates, degrading rather than
 // aborting on per-machine failures:
 //
-//   - a failed evaluation is retried at once, up to MaxRetries times;
-//   - a machine whose round still fails keeps serving its previous
-//     estimates, marked Degraded, for up to StaleTTL rounds;
-//   - when retries and TTL are exhausted (or the machine has no prior
+//   - each serving machine is evaluated once;
+//   - a machine whose round fails keeps serving its previous estimates,
+//     marked Degraded, for up to StaleTTL rounds;
+//   - when the TTL is exhausted (or the machine has no prior
 //     estimates to serve) it is marked Failed and its jobs are drained
 //     onto the survivors under the DrainSLABound admission bound;
 //   - Failed machines are probed once per round and return to service
@@ -297,7 +280,7 @@ func (c *Cluster) EvaluateRound() error {
 			m.LastErr = nil
 			continue
 		}
-		sd, err := c.evaluateWithRetry(i)
+		sd, err := c.evaluateOnce(i)
 		if err == nil {
 			m.Slowdowns = sd
 			m.Health = Healthy
@@ -366,7 +349,7 @@ func (c *Cluster) probeRecovery(i int) {
 		m.outageLeft--
 		return
 	}
-	if err := c.inj.FailEval(i, c.round, 0); err != nil {
+	if err := c.inj.FailEval(i, c.round); err != nil {
 		m.LastErr = err
 		return
 	}
@@ -377,9 +360,10 @@ func (c *Cluster) probeRecovery(i int) {
 	c.event(i, "recovered", "probe succeeded; machine idle and admitting")
 }
 
-// evaluateWithRetry runs one machine's evaluation with injected-outage
-// handling and bounded, deterministically backed-off retries.
-func (c *Cluster) evaluateWithRetry(i int) ([]float64, error) {
+// evaluateOnce runs one machine's round: an injected outage or
+// evaluation failure stands in for the run, otherwise the machine's mix
+// is evaluated.
+func (c *Cluster) evaluateOnce(i int) ([]float64, error) {
 	m := &c.machines[i]
 	if m.outageLeft > 0 {
 		m.outageLeft--
@@ -390,21 +374,10 @@ func (c *Cluster) evaluateWithRetry(i int) ([]float64, error) {
 		c.event(i, "outage", fmt.Sprintf("transient outage for %d round(s)", c.inj.OutageLen()))
 		return nil, &faults.Fault{Kind: faults.Outage, Site: fmt.Sprintf("machine %d round %d", i, c.round)}
 	}
-	retries := c.cfg.maxRetries()
-	for attempt := 0; ; attempt++ {
-		err := c.inj.FailEval(i, c.round, attempt)
-		var sd []float64
-		if err == nil {
-			sd, err = c.evaluate(i, c.machines[i].Jobs)
-		}
-		if err == nil {
-			return sd, nil
-		}
-		if attempt >= retries {
-			return nil, err
-		}
-		c.event(i, "retry", fmt.Sprintf("attempt %d failed: %v", attempt, err))
+	if err := c.inj.FailEval(i, c.round); err != nil {
+		return nil, err
 	}
+	return c.evaluate(i, m.Jobs)
 }
 
 // evaluate runs one machine's mix and returns the mean ASM estimates over
@@ -436,7 +409,7 @@ func (c *Cluster) evaluate(machine int, jobs []string) ([]float64, error) {
 	// The machine's tracer sees this round at the node-local clock: the
 	// offset lays rounds out sequentially (each sim starts at cycle zero),
 	// and the clock advances by however many cycles the run covered — also
-	// on a later-failed attempt, whose traced quanta are still in the file.
+	// on a failed run, whose traced quanta are still in the file.
 	tr := run.Telemetry.Trace
 	tr.SetClockOffset(c.clock[machine])
 	sys, err := run.Run(context.TODO())

@@ -40,7 +40,7 @@ func hasEvent(events []Event, kind string, machine int) bool {
 // returns to Healthy when the next round evaluates cleanly.
 func TestDegradedServesStaleThenRecovers(t *testing.T) {
 	cfg := testConfig()
-	cfg.Faults = faults.Config{Seed: 1, FailAttempts: 99, Machines: []int{0}, Rounds: []int{1}}
+	cfg.Faults = faults.Config{Seed: 1, EvalFailProb: 1, Machines: []int{0}, Rounds: []int{1}}
 	c, err := New(cfg, lightPlacement())
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestDegradedServesStaleThenRecovers(t *testing.T) {
 func TestStaleTTLExhaustionDrains(t *testing.T) {
 	cfg := testConfig()
 	cfg.StaleTTL = 2
-	cfg.Faults = faults.Config{Seed: 1, FailAttempts: 99, Machines: []int{0}, Rounds: []int{1, 2, 3, 4, 5}}
+	cfg.Faults = faults.Config{Seed: 1, EvalFailProb: 1, Machines: []int{0}, Rounds: []int{1, 2, 3, 4, 5}}
 	c, err := New(cfg, lightPlacement())
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +145,7 @@ func TestStaleTTLExhaustionDrains(t *testing.T) {
 func TestTightBoundParksJobs(t *testing.T) {
 	cfg := testConfig()
 	cfg.DrainSLABound = 1.0000001 // nothing real fits under this
-	cfg.Faults = faults.Config{Seed: 1, FailAttempts: 99, Machines: []int{0}, Rounds: []int{0, 1}}
+	cfg.Faults = faults.Config{Seed: 1, EvalFailProb: 1, Machines: []int{0}, Rounds: []int{0, 1}}
 	c, err := New(cfg, lightPlacement())
 	if err != nil {
 		t.Fatal(err)
@@ -192,13 +192,14 @@ func TestTightBoundParksJobs(t *testing.T) {
 	}
 }
 
-// TestRetrySurvivesTransientFailure: a failure that clears within the
-// retry budget never degrades the machine.
-func TestRetrySurvivesTransientFailure(t *testing.T) {
-	cfg := testConfig()
-	cfg.MaxRetries = 2
-	cfg.Faults = faults.Config{Seed: 1, FailAttempts: 1, Machines: []int{0}}
-	c, err := New(cfg, lightPlacement())
+// TestDeterministicFailureEvaluatedOnce: an evaluation that fails on its
+// own (an unknown job) is run once per round — the machine fails and
+// drains in round 0 with no second attempt logged.
+func TestDeterministicFailureEvaluatedOnce(t *testing.T) {
+	c, err := New(testConfig(), Placement{
+		{"h264ref", "no-such-job"},
+		{"povray", "calculix"},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,11 +207,14 @@ func TestRetrySurvivesTransientFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := c.Machines()[0]
-	if m.Health != Healthy || len(m.Slowdowns) != 2 {
-		t.Fatalf("health %v slowdowns %v", m.Health, m.Slowdowns)
+	if m.Health != Failed {
+		t.Fatalf("health %v, want Failed (events: %v)", m.Health, kinds(c.Events))
 	}
-	if !hasEvent(c.Events, "retry", 0) {
-		t.Fatalf("no retry event: %v", kinds(c.Events))
+	if m.LastErr == nil || !strings.Contains(m.LastErr.Error(), "no-such-job") {
+		t.Fatalf("LastErr %v does not name the unknown job", m.LastErr)
+	}
+	if hasEvent(c.Events, "retry", 0) {
+		t.Fatalf("a deterministic failure was retried: %v", kinds(c.Events))
 	}
 }
 
@@ -257,7 +261,7 @@ func TestOutageDegradesForItsDuration(t *testing.T) {
 // fails the round.
 func TestAllMachinesFailedErrors(t *testing.T) {
 	cfg := testConfig()
-	cfg.Faults = faults.Config{Seed: 1, FailAttempts: 99}
+	cfg.Faults = faults.Config{Seed: 1, EvalFailProb: 1}
 	c, err := New(cfg, lightPlacement())
 	if err != nil {
 		t.Fatal(err)
@@ -276,7 +280,7 @@ func TestAllMachinesFailedErrors(t *testing.T) {
 func TestRebalanceSkipsFailedMachines(t *testing.T) {
 	cfg := testConfig()
 	cfg.Machines = 3
-	cfg.Faults = faults.Config{Seed: 1, FailAttempts: 99, Machines: []int{2}}
+	cfg.Faults = faults.Config{Seed: 1, EvalFailProb: 1, Machines: []int{2}}
 	c, err := New(cfg, Placement{
 		{"mcf", "libquantum"},
 		{"h264ref", "namd"},

@@ -20,7 +20,6 @@ import (
 func TestTelemetryCountsEvents(t *testing.T) {
 	cfg := testConfig()
 	cfg.StaleTTL = -1 // fail immediately so drains happen fast
-	cfg.MaxRetries = -1
 	cfg.Faults = faults.Config{Seed: 3, EvalFailProb: 0.5}
 	c, err := New(cfg, Placement{
 		{"mcf", "libquantum"},
@@ -170,7 +169,6 @@ func TestTelemetryNilRegistryIsNoop(t *testing.T) {
 func TestWriteLogsJSONL(t *testing.T) {
 	cfg := testConfig()
 	cfg.StaleTTL = -1
-	cfg.MaxRetries = -1
 	cfg.Faults = faults.Config{Seed: 3, EvalFailProb: 0.5}
 	c, err := New(cfg, Placement{
 		{"mcf", "libquantum"},

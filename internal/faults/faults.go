@@ -3,7 +3,7 @@
 //
 // The ROADMAP's production framing (always-on slowdown-aware migration
 // and admission control, Section 7.5 of the paper) only matters on a
-// system where machines fail, evaluations time out and counters go bad.
+// system where machines fail and counters go bad.
 // This package is the test substrate for those paths: every injection
 // decision is a pure function of (seed, site), so a faulty run is exactly
 // as reproducible as a clean one — same seed, same outages, same
@@ -11,11 +11,11 @@
 //
 // Two styles of injection compose freely:
 //
-//   - probabilistic chaos (EvalFailProb, TimeoutProb, CorruptProb,
-//     OutageProb) for soak-style robustness sweeps;
-//   - deterministic scripting (FailAttempts, Machines, Rounds) for tests
-//     and drills that need one specific machine to fail in one specific
-//     round.
+//   - probabilistic chaos (EvalFailProb, CorruptProb, OutageProb) for
+//     soak-style robustness sweeps;
+//   - deterministic scripting (a probability of 1 restricted by Machines
+//     and Rounds) for tests and drills that need one specific machine to
+//     fail in one specific round.
 package faults
 
 import (
@@ -34,8 +34,6 @@ type Kind int
 const (
 	// EvalFailure is a machine evaluation returning an error.
 	EvalFailure Kind = iota
-	// Timeout is an evaluation exceeding its deadline.
-	Timeout
 	// Corruption is a NaN/Inf-corrupted counter snapshot.
 	Corruption
 	// Outage is a transient whole-machine outage.
@@ -51,8 +49,6 @@ func (k Kind) String() string {
 	switch k {
 	case EvalFailure:
 		return "evaluation failure"
-	case Timeout:
-		return "timeout"
 	case Corruption:
 		return "counter corruption"
 	case Outage:
@@ -72,7 +68,7 @@ var ErrInjected = errors.New("injected fault")
 // Fault is one injected failure.
 type Fault struct {
 	Kind Kind
-	// Site identifies where the fault was injected (machine/round/attempt
+	// Site identifies where the fault was injected (machine and round
 	// for cluster evaluations, job fingerprint or journal sequence number
 	// for the job service).
 	Site string
@@ -92,7 +88,6 @@ type Config struct {
 
 	// Probabilistic chaos knobs, each a per-site probability in [0, 1].
 	EvalFailProb float64 // an evaluation fails outright
-	TimeoutProb  float64 // an evaluation exceeds its deadline
 	CorruptProb  float64 // a quantum's counter snapshot gains NaN/Inf
 	OutageProb   float64 // a machine starts a transient outage this round
 
@@ -115,23 +110,18 @@ type Config struct {
 	// recovery and degraded-durability paths can be drilled.
 	JournalFailProb float64
 
-	// FailAttempts scripts deterministic failures: the first FailAttempts
-	// attempts of every matching evaluation fail regardless of
-	// EvalFailProb. Combined with Machines and Rounds it pins a failure
-	// to one machine in one round, with or without surviving the retry.
-	FailAttempts int
 	// Machines restricts machine-keyed faults (evaluation failures,
 	// outages) to the listed machines; nil means every machine.
 	Machines []int
 	// Rounds restricts machine-keyed faults to the listed rounds; nil
-	// means every round.
+	// means every round. With EvalFailProb 1 the two pin a failure to
+	// chosen machines in chosen rounds.
 	Rounds []int
 }
 
 // Enabled reports whether the configuration can inject anything.
 func (c Config) Enabled() bool {
-	return c.EvalFailProb > 0 || c.TimeoutProb > 0 || c.CorruptProb > 0 ||
-		c.OutageProb > 0 || c.FailAttempts > 0 ||
+	return c.EvalFailProb > 0 || c.CorruptProb > 0 || c.OutageProb > 0 ||
 		c.HandlerLatencyProb > 0 || c.JobDropProb > 0 || c.JournalFailProb > 0
 }
 
@@ -142,7 +132,6 @@ func (c Config) Validate() error {
 		v    float64
 	}{
 		{"EvalFailProb", c.EvalFailProb},
-		{"TimeoutProb", c.TimeoutProb},
 		{"CorruptProb", c.CorruptProb},
 		{"OutageProb", c.OutageProb},
 		{"HandlerLatencyProb", c.HandlerLatencyProb},
@@ -158,9 +147,6 @@ func (c Config) Validate() error {
 	}
 	if c.HandlerLatency < 0 {
 		return fmt.Errorf("faults: negative HandlerLatency %v", c.HandlerLatency)
-	}
-	if c.FailAttempts < 0 {
-		return fmt.Errorf("faults: negative FailAttempts %d", c.FailAttempts)
 	}
 	return nil
 }
@@ -207,21 +193,17 @@ func (in *Injector) matches(machine, round int) bool {
 	return inList(in.cfg.Machines, machine) && inList(in.cfg.Rounds, round)
 }
 
-// FailEval decides whether the given attempt (0-based) of a machine's
-// evaluation in a round fails, returning the injected fault or nil.
-func (in *Injector) FailEval(machine, round, attempt int) error {
+// FailEval decides whether a machine's evaluation in a round fails,
+// returning the injected fault or nil. The roll site keeps its old
+// " attempt 0" suffix, so a seed fails the same (machine, round) sites
+// it always has.
+func (in *Injector) FailEval(machine, round int) error {
 	if in == nil || !in.matches(machine, round) {
 		return nil
 	}
-	site := fmt.Sprintf("machine %d round %d attempt %d", machine, round, attempt)
-	if attempt < in.cfg.FailAttempts {
+	site := fmt.Sprintf("machine %d round %d", machine, round)
+	if in.roll("evalfail/"+site+" attempt 0", in.cfg.EvalFailProb) {
 		return &Fault{Kind: EvalFailure, Site: site}
-	}
-	if in.roll("evalfail/"+site, in.cfg.EvalFailProb) {
-		return &Fault{Kind: EvalFailure, Site: site}
-	}
-	if in.roll("timeout/"+site, in.cfg.TimeoutProb) {
-		return &Fault{Kind: Timeout, Site: site}
 	}
 	return nil
 }

@@ -13,7 +13,7 @@ import (
 
 func TestNilInjectorIsSafe(t *testing.T) {
 	var in *Injector
-	if err := in.FailEval(0, 0, 0); err != nil {
+	if err := in.FailEval(0, 0); err != nil {
 		t.Fatal("nil injector injected an eval failure")
 	}
 	if in.OutageStarts(0, 0) {
@@ -41,24 +41,21 @@ func TestDisabledConfigYieldsNilInjector(t *testing.T) {
 func TestValidate(t *testing.T) {
 	for _, bad := range []Config{
 		{EvalFailProb: -0.1},
-		{TimeoutProb: 1.5},
 		{CorruptProb: 2},
 		{OutageProb: -1},
 		{EvalFailProb: math.NaN()},
-		{TimeoutProb: math.NaN()},
 		{CorruptProb: math.NaN()},
 		{OutageProb: math.NaN()},
 		{HandlerLatencyProb: math.NaN()},
 		{JobDropProb: math.NaN()},
 		{JournalFailProb: math.NaN()},
 		{OutageRounds: -1},
-		{FailAttempts: -1},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Fatalf("config %+v accepted", bad)
 		}
 	}
-	ok := Config{Seed: 1, EvalFailProb: 0.3, TimeoutProb: 0.1, CorruptProb: 1, OutageProb: 0.05, OutageRounds: 2, FailAttempts: 3}
+	ok := Config{Seed: 1, EvalFailProb: 0.3, CorruptProb: 1, OutageProb: 0.05, OutageRounds: 2}
 	if err := ok.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -68,19 +65,19 @@ func TestValidate(t *testing.T) {
 // two injectors with the same config agree at every site, regardless of
 // query order.
 func TestDeterminism(t *testing.T) {
-	cfg := Config{Seed: 7, EvalFailProb: 0.3, TimeoutProb: 0.2, CorruptProb: 0.5}
+	cfg := Config{Seed: 7, EvalFailProb: 0.3, CorruptProb: 0.5}
 	a, b := New(cfg), New(cfg)
 	// Query b in reverse order: order independence is the point.
-	type key struct{ m, r, at int }
+	type key struct{ m, r int }
 	got := map[key]bool{}
 	for m := 0; m < 4; m++ {
 		for r := 0; r < 10; r++ {
-			got[key{m, r, 0}] = a.FailEval(m, r, 0) != nil
+			got[key{m, r}] = a.FailEval(m, r) != nil
 		}
 	}
 	for m := 3; m >= 0; m-- {
 		for r := 9; r >= 0; r-- {
-			if (b.FailEval(m, r, 0) != nil) != got[key{m, r, 0}] {
+			if (b.FailEval(m, r) != nil) != got[key{m, r}] {
 				t.Fatalf("machine %d round %d: injectors disagree", m, r)
 			}
 		}
@@ -97,12 +94,34 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestFailAttemptsScripting(t *testing.T) {
-	in := New(Config{Seed: 1, FailAttempts: 2})
-	for attempt := 0; attempt < 2; attempt++ {
-		err := in.FailEval(0, 0, attempt)
+// TestSeededEvalFailSites pins the (machine, round) sites seed 7 fails
+// at EvalFailProb 0.3: the same sites it failed when evaluations were
+// still retried and FailEval rolled per attempt (these are its attempt-0
+// failures).
+func TestSeededEvalFailSites(t *testing.T) {
+	in := New(Config{Seed: 7, EvalFailProb: 0.3})
+	want := [][2]int{{0, 1}, {0, 2}, {0, 5}, {1, 1}, {1, 2}, {2, 0}, {3, 1}, {3, 2}, {3, 4}}
+	var got [][2]int
+	for m := 0; m < 4; m++ {
+		for r := 0; r < 6; r++ {
+			if in.FailEval(m, r) != nil {
+				got = append(got, [2]int{m, r})
+			}
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("seed 7 fails sites %v, want %v", got, want)
+	}
+}
+
+// TestScriptedEvalFailure: EvalFailProb 1 fails every matching
+// evaluation with an EvalFailure that unwraps to ErrInjected.
+func TestScriptedEvalFailure(t *testing.T) {
+	in := New(Config{Seed: 1, EvalFailProb: 1})
+	for round := 0; round < 3; round++ {
+		err := in.FailEval(0, round)
 		if err == nil {
-			t.Fatalf("attempt %d did not fail", attempt)
+			t.Fatalf("round %d did not fail", round)
 		}
 		if !errors.Is(err, ErrInjected) {
 			t.Fatalf("injected fault does not unwrap to ErrInjected: %v", err)
@@ -112,23 +131,20 @@ func TestFailAttemptsScripting(t *testing.T) {
 			t.Fatalf("wrong fault: %v", err)
 		}
 	}
-	if err := in.FailEval(0, 0, 2); err != nil {
-		t.Fatalf("attempt beyond FailAttempts failed: %v", err)
-	}
 }
 
 func TestMachineAndRoundRestrictions(t *testing.T) {
-	in := New(Config{Seed: 1, FailAttempts: 99, Machines: []int{1}, Rounds: []int{2, 3}})
-	if err := in.FailEval(0, 2, 0); err != nil {
+	in := New(Config{Seed: 1, EvalFailProb: 1, Machines: []int{1}, Rounds: []int{2, 3}})
+	if err := in.FailEval(0, 2); err != nil {
 		t.Fatal("unlisted machine failed")
 	}
-	if err := in.FailEval(1, 0, 0); err != nil {
+	if err := in.FailEval(1, 0); err != nil {
 		t.Fatal("unlisted round failed")
 	}
-	if err := in.FailEval(1, 2, 0); err == nil {
+	if err := in.FailEval(1, 2); err == nil {
 		t.Fatal("listed machine+round did not fail")
 	}
-	if err := in.FailEval(1, 3, 0); err == nil {
+	if err := in.FailEval(1, 3); err == nil {
 		t.Fatal("second listed round did not fail")
 	}
 }
@@ -201,7 +217,6 @@ func TestCorruptStatsClonesAndPlantsNonFinite(t *testing.T) {
 func TestFaultKindStrings(t *testing.T) {
 	for k, want := range map[Kind]string{
 		EvalFailure: "evaluation failure",
-		Timeout:     "timeout",
 		Corruption:  "counter corruption",
 		Outage:      "machine outage",
 	} {
