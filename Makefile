@@ -143,8 +143,8 @@ dash-smoke:
 # scrape /metrics with a strict exposition parse, SIGTERM it mid-job
 # (checking /readyz flips to 503 during the drain), then restart and
 # verify the journal resumed the interrupted job and the server drains
-# cleanly again. A final phase injects job drops and requires a
-# flight-recorder dump on disk.
+# cleanly again. A final phase runs a job past a short -job-timeout and
+# requires it to fail with a deadline flight-recorder dump on disk.
 serve-smoke:
 	$(GO) build -o $(CURDIR)/.serve-smoke-asmserve ./cmd/asmserve
 	$(GO) run ./cmd/smoke serve -bin $(CURDIR)/.serve-smoke-asmserve

@@ -75,9 +75,8 @@ type (
 	ASM = core.ASM
 	// FaultConfig configures deterministic fault injection (evaluation
 	// failures, counter corruption, machine outages) for one
-	// cluster (ClusterConfig.Faults); an asmserve process takes the same
-	// config for its service-layer drill. Jobs and experiment scales carry
-	// none. The zero value injects nothing.
+	// cluster (ClusterConfig.Faults). The job service, jobs and
+	// experiment scales carry none. The zero value injects nothing.
 	FaultConfig = faults.Config
 	// MachineHealth is a cluster machine's health state.
 	MachineHealth = cluster.Health

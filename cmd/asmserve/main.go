@@ -24,13 +24,10 @@
 // cancelled mid-quantum and left resumable in the journal, and the
 // process exits 0.
 //
-// -faults injects deterministic service-layer chaos for drills, e.g.:
-//
-//	asmserve -state /tmp/st -faults seed=7,job-drop-prob=0.2,journal-fail-prob=0.1
-//
 // Each job runs once. A run is a pure function of its spec, so nothing
-// retries a failed one. A dropped job ends failed; with -state it also
-// leaves a flight dump under the state directory.
+// retries a failed one. A job that panics or outlives -job-timeout ends
+// failed; with -state it also leaves a flight dump under the state
+// directory.
 package main
 
 import (
@@ -41,12 +38,9 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
-	"asmsim/internal/faults"
 	"asmsim/internal/observe"
 	"asmsim/internal/serve"
 )
@@ -60,7 +54,6 @@ func main() {
 		queue        = flag.Int("queue", 0, "admission queue depth; beyond it submissions are shed with 429 (0 = default)")
 		jobTimeout   = flag.Duration("job-timeout", 0, "per-job wall-clock deadline (0 = none)")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful-drain bound on SIGINT/SIGTERM")
-		faultSpec    = flag.String("faults", "", "inject deterministic service faults: comma-separated key=value (seed, handler-latency-prob, handler-latency, job-drop-prob, journal-fail-prob)")
 		logSpec      = flag.String("log", "", "structured job logs: off (default), text, or json; written to stderr with per-job trace_id")
 		sloInterval  = flag.Duration("slo-interval", 0, "latency-SLO histogram polling interval (0 = default 5s)")
 	)
@@ -72,10 +65,6 @@ func main() {
 	flag.Parse()
 	if *addr == "" {
 		fatal(fmt.Errorf("asmserve: -addr is required"))
-	}
-	fc, err := parseFaults(*faultSpec)
-	if err != nil {
-		fatal(err)
 	}
 	var logger *slog.Logger
 	switch *logSpec {
@@ -111,7 +100,6 @@ func main() {
 		JobTimeout:   *jobTimeout,
 		DrainTimeout: *drainTimeout,
 		StateDir:     *state,
-		Faults:       fc,
 		Metrics:      tel.Metrics,
 		Recorder:     tel.Recorder,
 		Attribution:  tel.Attribution,
@@ -160,39 +148,6 @@ func countResumed(srv *serve.Server) int {
 		}
 	}
 	return n
-}
-
-// parseFaults turns "seed=7,job-drop-prob=0.2" into a faults.Config.
-func parseFaults(s string) (faults.Config, error) {
-	var c faults.Config
-	if s == "" {
-		return c, nil
-	}
-	for _, kv := range strings.Split(s, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok {
-			return c, fmt.Errorf("asmserve: -faults entry %q is not key=value", kv)
-		}
-		var err error
-		switch k {
-		case "seed":
-			c.Seed, err = strconv.ParseUint(v, 10, 64)
-		case "handler-latency-prob":
-			c.HandlerLatencyProb, err = strconv.ParseFloat(v, 64)
-		case "handler-latency":
-			c.HandlerLatency, err = time.ParseDuration(v)
-		case "job-drop-prob":
-			c.JobDropProb, err = strconv.ParseFloat(v, 64)
-		case "journal-fail-prob":
-			c.JournalFailProb, err = strconv.ParseFloat(v, 64)
-		default:
-			return c, fmt.Errorf("asmserve: unknown -faults key %q", k)
-		}
-		if err != nil {
-			return c, fmt.Errorf("asmserve: -faults %s: %w", k, err)
-		}
-	}
-	return c, c.Validate()
 }
 
 func fatal(err error) {

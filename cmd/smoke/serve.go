@@ -56,8 +56,9 @@ func startServe(bin, stateDir string, extra ...string) (*child, error) {
 // drain runs, that the process exits 0 within the drain window, that the
 // journal left the interrupted job resumable, and that a restarted
 // server picks it up and still answers health checks. A final phase
-// runs a server with job-drop faults injected at probability 1 and
-// requires the failed job to leave a flight-recorder dump on disk.
+// runs a server whose -job-timeout is too short for slowJob to finish
+// and requires the failed job to leave a deadline flight-recorder dump
+// on disk.
 func runServe(bin, _ string, deadline time.Time) error {
 	stateDir, err := os.MkdirTemp("", "serve-smoke-*")
 	if err != nil {
@@ -160,28 +161,28 @@ func runServe(bin, _ string, deadline time.Time) error {
 		return err
 	}
 
-	// Fault drill: a server dropping every job must fail the submission
-	// and leave a flight-recorder dump under the state directory.
-	faultDir, err := os.MkdirTemp("", "serve-smoke-faults-*")
+	// Deadline drill: a job that outlives -job-timeout must fail and
+	// leave a flight-recorder dump under the state directory.
+	timeoutDir, err := os.MkdirTemp("", "serve-smoke-timeout-*")
 	if err != nil {
 		return err
 	}
-	defer os.RemoveAll(faultDir)
-	c3, err := startServe(bin, faultDir, "-faults", "seed=1,job-drop-prob=1")
+	defer os.RemoveAll(timeoutDir)
+	c3, err := startServe(bin, timeoutDir, "-job-timeout", "50ms")
 	if err != nil {
-		return fmt.Errorf("fault-drill start: %w", err)
+		return fmt.Errorf("deadline-drill start: %w", err)
 	}
 	defer c3.kill()
-	dropped, err := submit(c3.base, tinyJob, http.StatusAccepted)
+	expired, err := submit(c3.base, slowJob, http.StatusAccepted)
 	if err != nil {
-		return fmt.Errorf("fault-drill submit: %w", err)
+		return fmt.Errorf("deadline-drill submit: %w", err)
 	}
-	if err := waitJob(c3.base, dropped.ID, "failed", deadline); err != nil {
-		return fmt.Errorf("fault-drill: %w", err)
+	if err := waitJob(c3.base, expired.ID, "failed", deadline); err != nil {
+		return fmt.Errorf("deadline-drill: %w", err)
 	}
-	dumps, err := filepath.Glob(filepath.Join(faultDir, "flightrec", "flight-*.json"))
+	dumps, err := filepath.Glob(filepath.Join(timeoutDir, "flightrec", "flight-*.json"))
 	if err != nil || len(dumps) == 0 {
-		return fmt.Errorf("no flight-recorder dump after injected fault (err=%v)", err)
+		return fmt.Errorf("no flight-recorder dump after a job deadline (err=%v)", err)
 	}
 	b, err := os.ReadFile(dumps[0])
 	if err != nil {
@@ -194,7 +195,7 @@ func runServe(bin, _ string, deadline time.Time) error {
 	if err := json.Unmarshal(b, &dump); err != nil {
 		return fmt.Errorf("flight dump %s is not JSON: %w", dumps[0], err)
 	}
-	if dump.Reason != "injected-fault" || len(dump.Events) == 0 {
+	if dump.Reason != "deadline" || len(dump.Events) == 0 {
 		return fmt.Errorf("flight dump %s: reason %q, %d events", dumps[0], dump.Reason, len(dump.Events))
 	}
 	return step("flight dump", c3.stop(syscall.SIGTERM, true))

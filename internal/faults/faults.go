@@ -1,5 +1,5 @@
 // Package faults is a deterministic, seeded fault injector for the
-// cluster balancer and the job service.
+// cluster balancer.
 //
 // The ROADMAP's production framing (always-on slowdown-aware migration
 // and admission control, Section 7.5 of the paper) only matters on a
@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"asmsim/internal/rng"
 	"asmsim/internal/sim"
@@ -38,10 +37,6 @@ const (
 	Corruption
 	// Outage is a transient whole-machine outage.
 	Outage
-	// JobDrop is an admitted service job vanishing before it runs.
-	JobDrop
-	// JournalWrite is a failed append to the service's job journal.
-	JournalWrite
 )
 
 // String names the fault kind.
@@ -53,10 +48,6 @@ func (k Kind) String() string {
 		return "counter corruption"
 	case Outage:
 		return "machine outage"
-	case JobDrop:
-		return "job drop"
-	case JournalWrite:
-		return "journal write failure"
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
 }
@@ -68,9 +59,8 @@ var ErrInjected = errors.New("injected fault")
 // Fault is one injected failure.
 type Fault struct {
 	Kind Kind
-	// Site identifies where the fault was injected (machine and round
-	// for cluster evaluations, job fingerprint or journal sequence number
-	// for the job service).
+	// Site identifies where the fault was injected: the machine and
+	// round of a cluster evaluation.
 	Site string
 }
 
@@ -94,22 +84,6 @@ type Config struct {
 	// OutageRounds is how many rounds an outage lasts (0 selects 1).
 	OutageRounds int
 
-	// Service-layer chaos knobs (the simulation-as-a-service paths).
-	// Each is a per-site probability in [0, 1], like the knobs above.
-
-	// HandlerLatencyProb injects artificial latency into an HTTP
-	// handler invocation; HandlerLatency is the injected delay
-	// (0 selects 5ms).
-	HandlerLatencyProb float64
-	HandlerLatency     time.Duration
-	// JobDropProb makes an admitted job vanish before it runs, the
-	// service-layer analogue of a worker crash between dequeue and
-	// execution. A dropped job ends failed.
-	JobDropProb float64
-	// JournalFailProb makes one append to the job journal fail, so
-	// recovery and degraded-durability paths can be drilled.
-	JournalFailProb float64
-
 	// Machines restricts machine-keyed faults (evaluation failures,
 	// outages) to the listed machines; nil means every machine.
 	Machines []int
@@ -121,8 +95,7 @@ type Config struct {
 
 // Enabled reports whether the configuration can inject anything.
 func (c Config) Enabled() bool {
-	return c.EvalFailProb > 0 || c.CorruptProb > 0 || c.OutageProb > 0 ||
-		c.HandlerLatencyProb > 0 || c.JobDropProb > 0 || c.JournalFailProb > 0
+	return c.EvalFailProb > 0 || c.CorruptProb > 0 || c.OutageProb > 0
 }
 
 // Validate reports a configuration error, or nil.
@@ -134,9 +107,6 @@ func (c Config) Validate() error {
 		{"EvalFailProb", c.EvalFailProb},
 		{"CorruptProb", c.CorruptProb},
 		{"OutageProb", c.OutageProb},
-		{"HandlerLatencyProb", c.HandlerLatencyProb},
-		{"JobDropProb", c.JobDropProb},
-		{"JournalFailProb", c.JournalFailProb},
 	} {
 		if !(p.v >= 0 && p.v <= 1) { // NaN included
 			return fmt.Errorf("faults: %s %v outside [0, 1]", p.name, p.v)
@@ -144,9 +114,6 @@ func (c Config) Validate() error {
 	}
 	if c.OutageRounds < 0 {
 		return fmt.Errorf("faults: negative OutageRounds %d", c.OutageRounds)
-	}
-	if c.HandlerLatency < 0 {
-		return fmt.Errorf("faults: negative HandlerLatency %v", c.HandlerLatency)
 	}
 	return nil
 }
@@ -225,51 +192,6 @@ func (in *Injector) OutageLen() int {
 		return 1
 	}
 	return in.cfg.OutageRounds
-}
-
-// defaultHandlerLatency is the injected handler delay when
-// HandlerLatencyProb fires and no explicit HandlerLatency is set.
-const defaultHandlerLatency = 5 * time.Millisecond
-
-// HandlerDelay decides whether an HTTP handler invocation at the given
-// site (method + path + a per-request discriminator) gains injected
-// latency, returning the delay or 0. The caller sleeps; the injector
-// only decides, so decisions stay pure functions of (seed, site).
-func (in *Injector) HandlerDelay(site string) time.Duration {
-	if in == nil || !in.roll("handlerlat/"+site, in.cfg.HandlerLatencyProb) {
-		return 0
-	}
-	if in.cfg.HandlerLatency > 0 {
-		return in.cfg.HandlerLatency
-	}
-	return defaultHandlerLatency
-}
-
-// DropJob decides whether an admitted job, keyed by its fingerprint, is
-// dropped before it runs, returning the injected fault or nil. The roll
-// site keeps its old " attempt 0" suffix, so a seed drops the same jobs
-// it always has.
-func (in *Injector) DropJob(key string) error {
-	if in == nil {
-		return nil
-	}
-	if in.roll("jobdrop/"+key+" attempt 0", in.cfg.JobDropProb) {
-		return &Fault{Kind: JobDrop, Site: key}
-	}
-	return nil
-}
-
-// FailJournalWrite decides whether the seq-th append to the job journal
-// fails, returning the injected fault or nil.
-func (in *Injector) FailJournalWrite(seq uint64) error {
-	if in == nil {
-		return nil
-	}
-	site := fmt.Sprintf("journal seq %d", seq)
-	if in.roll("journal/"+site, in.cfg.JournalFailProb) {
-		return &Fault{Kind: JournalWrite, Site: site}
-	}
-	return nil
 }
 
 // CorruptStats decides whether the counter snapshot for the given site and

@@ -2,11 +2,9 @@ package faults
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"reflect"
 	"testing"
-	"time"
 
 	"asmsim/internal/sim"
 )
@@ -46,9 +44,6 @@ func TestValidate(t *testing.T) {
 		{EvalFailProb: math.NaN()},
 		{CorruptProb: math.NaN()},
 		{OutageProb: math.NaN()},
-		{HandlerLatencyProb: math.NaN()},
-		{JobDropProb: math.NaN()},
-		{JournalFailProb: math.NaN()},
 		{OutageRounds: -1},
 	} {
 		if err := bad.Validate(); err == nil {
@@ -222,88 +217,6 @@ func TestFaultKindStrings(t *testing.T) {
 	} {
 		if k.String() != want {
 			t.Fatalf("%d: %q", int(k), k.String())
-		}
-	}
-}
-
-// TestServiceFaultSites covers the service-layer sites: handler latency
-// injection, job drops and journal-write failures, all deterministic in
-// (seed, site) and nil-safe.
-func TestServiceFaultSites(t *testing.T) {
-	var nilIn *Injector
-	if d := nilIn.HandlerDelay("GET /api/jobs"); d != 0 {
-		t.Fatal("nil injector injected handler latency")
-	}
-	if err := nilIn.DropJob("fp"); err != nil {
-		t.Fatal("nil injector dropped a job")
-	}
-	if err := nilIn.FailJournalWrite(1); err != nil {
-		t.Fatal("nil injector failed a journal write")
-	}
-
-	always := New(Config{Seed: 7, HandlerLatencyProb: 1, JobDropProb: 1, JournalFailProb: 1})
-	if d := always.HandlerDelay("GET /api/jobs"); d != defaultHandlerLatency {
-		t.Fatalf("default handler delay = %v, want %v", d, defaultHandlerLatency)
-	}
-	custom := New(Config{Seed: 7, HandlerLatencyProb: 1, HandlerLatency: 42 * time.Millisecond})
-	if d := custom.HandlerDelay("x"); d != 42*time.Millisecond {
-		t.Fatalf("custom handler delay = %v", d)
-	}
-	err := always.DropJob("fp")
-	if !errors.Is(err, ErrInjected) {
-		t.Fatalf("DropJob error %v does not wrap ErrInjected", err)
-	}
-	var f *Fault
-	if !errors.As(err, &f) || f.Kind != JobDrop {
-		t.Fatalf("DropJob fault = %+v, want JobDrop", f)
-	}
-	err = always.FailJournalWrite(3)
-	if !errors.As(err, &f) || f.Kind != JournalWrite {
-		t.Fatalf("FailJournalWrite fault = %+v, want JournalWrite", f)
-	}
-
-	// Determinism: same config, independent injectors, identical
-	// decisions per site.
-	a := New(Config{Seed: 9, JobDropProb: 0.5, JournalFailProb: 0.5, HandlerLatencyProb: 0.5})
-	b := New(Config{Seed: 9, JobDropProb: 0.5, JournalFailProb: 0.5, HandlerLatencyProb: 0.5})
-	for i := 0; i < 64; i++ {
-		key := fmt.Sprintf("job-%d", i)
-		if (a.DropJob(key) == nil) != (b.DropJob(key) == nil) {
-			t.Fatalf("DropJob(%q) decisions disagree", key)
-		}
-		if (a.FailJournalWrite(uint64(i)) == nil) != (b.FailJournalWrite(uint64(i)) == nil) {
-			t.Fatalf("FailJournalWrite(%d) decisions disagree", i)
-		}
-		if (a.HandlerDelay(key) == 0) != (b.HandlerDelay(key) == 0) {
-			t.Fatalf("HandlerDelay(%q) decisions disagree", key)
-		}
-	}
-	// A drill seed drops the same jobs it dropped when the service still
-	// retried and DropJob rolled per attempt: these are seed 9's
-	// attempt-0 drops.
-	want := []int{0, 2, 3, 5, 6, 9, 10, 11, 12, 15, 17, 19, 21, 22, 23, 24, 25, 26, 28, 30, 31, 32, 33, 35, 36, 38, 42, 43, 46, 49, 50, 58, 60, 61, 63}
-	var dropped []int
-	for i := 0; i < 64; i++ {
-		if a.DropJob(fmt.Sprintf("job-%d", i)) != nil {
-			dropped = append(dropped, i)
-		}
-	}
-	if !reflect.DeepEqual(dropped, want) {
-		t.Fatalf("seed 9 drops jobs %v, want %v", dropped, want)
-	}
-
-	// The new knobs alone enable the injector, and Validate bounds them.
-	if New(Config{Seed: 1, JobDropProb: 0.1}) == nil {
-		t.Fatal("JobDropProb alone did not enable the injector")
-	}
-	for _, bad := range []Config{
-		{HandlerLatencyProb: -1},
-		{JobDropProb: 2},
-		{JournalFailProb: -0.5},
-		{HandlerLatency: -time.Second},
-	} {
-		if err := bad.Validate(); err == nil {
-			t.Fatalf("config %+v accepted", bad)
 		}
 	}
 }

@@ -4,20 +4,24 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
-	"asmsim/internal/faults"
+	"asmsim/internal/exp"
+	"asmsim/internal/rng"
 	"asmsim/internal/telemetry"
 )
 
 // TestChaos is the acceptance scenario: concurrent clients hammer a
-// small server configured with handler latency, job drops and journal
-// write failures all injected at once. The server may shed (429) or
+// small server while a seeded subset of its runs fail and its journal
+// rejects writes for part of the storm. The server may shed (429) or
 // reject (503) individual submissions, but it must never deadlock, and
 // every job it admits must terminate with either a result table
 // (possibly carrying a partial-results manifest) or an error — no job
@@ -31,23 +35,48 @@ func TestChaos(t *testing.T) {
 		StateDir:   stateDir,
 		Metrics:    reg,
 		Flight:     telemetry.NewFlightRecorder(0, filepath.Join(stateDir, "flightrec")),
-		Faults: faults.Config{
-			Seed:               1234,
-			HandlerLatencyProb: 0.5,
-			HandlerLatency:     time.Millisecond,
-			JobDropProb:        0.4,
-			JournalFailProb:    0.25,
-		},
 	})
+	countRuns(s, func(spec exp.JobSpec, ctx context.Context, tune ...func(*exp.Scale)) (*exp.Table, error) {
+		if rng.NewNamed(1234, fmt.Sprint("chaos/run ", spec.Seed)).Float64() < 0.4 {
+			return nil, errors.New("exp: sweep produced no results")
+		}
+		return exp.JobSpec.Run(spec, ctx, tune...)
+	})
+	// The journal fails every write while a read-only handle on its own
+	// path stands in for its file. Each broken window lasts until a write
+	// has failed (or 200ms), then the writable handle serves a healthy
+	// window; the first window opens before any client submits.
+	ro, err := os.Open(journalPath(stateDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	w := swapJournalFile(s.journal, ro)
+	breakStop, breakDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(breakDone)
+		for errs := uint64(0); ; errs = s.journal.Errors() {
+			for end := time.Now().Add(200 * time.Millisecond); s.journal.Errors() == errs && time.Now().Before(end); {
+				time.Sleep(time.Millisecond)
+			}
+			swapJournalFile(s.journal, w)
+			select {
+			case <-breakStop:
+				return
+			case <-time.After(10 * time.Millisecond):
+			}
+			swapJournalFile(s.journal, ro)
+		}
+	}()
+
 	mux := http.NewServeMux()
 	s.Mount(mux)
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
 	// Observers run for the whole storm: /metrics must stay a parseable
-	// exposition and the flight-recorder endpoint must answer, both
-	// through the same fault-injecting middleware, without ever
-	// deadlocking against the job machinery.
+	// exposition and the flight-recorder endpoint must answer, without
+	// ever deadlocking against the job machinery.
 	scrapeStop := make(chan struct{})
 	var scrapeWG sync.WaitGroup
 	for i := 0; i < 2; i++ {
@@ -133,12 +162,15 @@ func TestChaos(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
+	close(breakStop)
+	<-breakDone
 	if t.Failed() {
 		return
 	}
 	t.Logf("chaos: %d admitted after %d sheds + %d journal rejections", len(admitted), sheds, rejects)
 
 	// Every admitted job terminates; done jobs have retrievable tables.
+	failed := 0
 	for _, id := range admitted {
 		st := waitTerminal(t, s, id)
 		switch st.State {
@@ -150,10 +182,12 @@ func TestChaos(t *testing.T) {
 			if st.Error == "" {
 				t.Fatalf("failed job %s carries no error", id)
 			}
+			failed++
 		default:
 			t.Fatalf("admitted job %s ended %s", id, st.State)
 		}
 	}
+	t.Logf("chaos: %d of %d admitted jobs failed", failed, len(admitted))
 	// The server is still healthy and responsive after the storm.
 	resp, err := http.Get(srv.URL + "/healthz")
 	if err != nil {
@@ -166,7 +200,10 @@ func TestChaos(t *testing.T) {
 		t.Fatalf("post-chaos health: code %d, %+v", resp.StatusCode, h)
 	}
 	if h.JournalErrors == 0 {
-		t.Fatal("chaos config injected no journal faults — the test lost its teeth")
+		t.Fatal("no journal write failed — the test lost its teeth")
+	}
+	if failed == 0 {
+		t.Fatal("no admitted job failed — the test lost its teeth")
 	}
 	// Drain cleanly with nothing in flight.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

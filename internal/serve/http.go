@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"asmsim/internal/dash"
@@ -33,30 +32,13 @@ import (
 //	GET    /readyz                 readiness with real dependency checks
 //	GET    /metrics                Prometheus text exposition of the registry
 func (s *Server) Mount(mux *http.ServeMux) {
-	mux.Handle("/api/jobs", s.withFaults("jobs", s.handleJobs))
-	mux.Handle("/api/jobs/", s.withFaults("job", s.handleJob))
+	mux.HandleFunc("/api/jobs", s.handleJobs)
+	mux.HandleFunc("/api/jobs/", s.handleJob)
 	mux.Handle("/api/events", s.bc)
-	mux.Handle("/api/debug/flightrecord", s.withFaults("flightrecord", s.handleFlightRecord))
-	mux.Handle("/healthz", s.withFaults("healthz", s.handleHealthz))
-	mux.Handle("/readyz", s.withFaults("readyz", s.handleReadyz))
+	mux.HandleFunc("/api/debug/flightrecord", s.handleFlightRecord)
+	mux.HandleFunc("/healthz", s.handleHealthz)
+	mux.HandleFunc("/readyz", s.handleReadyz)
 	mux.Handle("/metrics", telemetry.PromHandler(s.opts.Metrics, telemetry.DefaultPromRules()))
-}
-
-// withFaults is the service's fault middleware: it injects the
-// configured handler latency (deterministically, per request ordinal)
-// before delegating. With no injector it is the handler itself.
-func (s *Server) withFaults(site string, h http.HandlerFunc) http.Handler {
-	if s.inj == nil {
-		return h
-	}
-	var seq atomic.Uint64
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if d := s.inj.HandlerDelay(fmt.Sprintf("%s/%d", site, seq.Add(1))); d > 0 {
-			s.met.fault("handler_delay").Inc()
-			time.Sleep(d)
-		}
-		h(w, r)
-	})
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"asmsim/internal/exp"
-	"asmsim/internal/faults"
 	"asmsim/internal/telemetry"
 )
 
@@ -73,20 +72,8 @@ type Journal struct {
 	mu     sync.Mutex
 	f      *os.File
 	seq    uint64
-	inj    *faults.Injector
 	errs   uint64
 	fsyncH *telemetry.Histogram
-}
-
-// SetFsyncHistogram records every append's fsync latency into h.
-// Nil-safe on both sides.
-func (j *Journal) SetFsyncHistogram(h *telemetry.Histogram) {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	j.fsyncH = h
-	j.mu.Unlock()
 }
 
 func journalPath(dir string) string { return filepath.Join(dir, "journal.jsonl") }
@@ -95,8 +82,9 @@ func journalPath(dir string) string { return filepath.Join(dir, "journal.jsonl")
 // returns it along with every entry already on disk, in order — the
 // recovery input. A trailing line truncated by a crash is cut off before
 // the first append: left in place, it would run into the next entry and
-// hide that entry and every later one from the next replay.
-func OpenJournal(dir string, inj *faults.Injector) (*Journal, []Entry, error) {
+// hide that entry and every later one from the next replay. Every
+// append's fsync latency is recorded into fsync, which may be nil.
+func OpenJournal(dir string, fsync *telemetry.Histogram) (*Journal, []Entry, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("serve: journal dir: %w", err)
 	}
@@ -112,7 +100,7 @@ func OpenJournal(dir string, inj *faults.Injector) (*Journal, []Entry, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("serve: cut torn journal tail: %w", err)
 	}
-	j := &Journal{f: f, inj: inj}
+	j := &Journal{f: f, fsyncH: fsync}
 	for _, e := range entries {
 		if e.Seq > j.seq {
 			j.seq = e.Seq
@@ -122,9 +110,9 @@ func OpenJournal(dir string, inj *faults.Injector) (*Journal, []Entry, error) {
 }
 
 // Append assigns the entry the next sequence number and writes it
-// durably. The sequence number is consumed even when the write fails
-// (injected or real), so one poisoned sequence cannot wedge every
-// subsequent append. Nil-safe: a nil journal drops the entry.
+// durably. The sequence number is consumed even when the write fails,
+// so one poisoned sequence cannot wedge every subsequent append.
+// Nil-safe: a nil journal drops the entry.
 func (j *Journal) Append(e Entry) error {
 	if j == nil {
 		return nil
@@ -133,10 +121,6 @@ func (j *Journal) Append(e Entry) error {
 	defer j.mu.Unlock()
 	j.seq++
 	e.Seq = j.seq
-	if err := j.inj.FailJournalWrite(e.Seq); err != nil {
-		j.errs++
-		return err
-	}
 	b, err := json.Marshal(e)
 	if err != nil {
 		j.errs++
@@ -166,7 +150,7 @@ func (j *Journal) Seq() uint64 {
 	return j.seq
 }
 
-// Errors returns how many appends failed (injected faults included).
+// Errors returns how many appends failed.
 func (j *Journal) Errors() uint64 {
 	if j == nil {
 		return 0

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"asmsim/internal/exp"
-	"asmsim/internal/faults"
 )
 
 func TestJournalAppendReadRoundTrip(t *testing.T) {
@@ -240,26 +239,50 @@ func FuzzJournalReplay(f *testing.F) {
 	})
 }
 
-// TestJournalInjectedFailureConsumesSeq: an injected journal fault
-// fails that append only; the next append gets a fresh sequence number
-// and a fresh fault roll, so one poisoned seq cannot wedge the log.
-func TestJournalInjectedFailureConsumesSeq(t *testing.T) {
+// swapJournalFile puts f in place of j's file under j's lock and
+// returns the file it replaced. Swapping in a read-only handle on the
+// journal's own path makes every append fail with a real write error
+// until the writable handle is swapped back.
+func swapJournalFile(j *Journal, f *os.File) *os.File {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	old := j.f
+	j.f = f
+	return old
+}
+
+// TestJournalWriteFailureConsumesSeq: a failed journal write fails that
+// append only; the next append gets a fresh sequence number, so one
+// poisoned seq cannot wedge the log.
+func TestJournalWriteFailureConsumesSeq(t *testing.T) {
 	dir := t.TempDir()
-	inj := faults.New(faults.Config{Seed: 1, JournalFailProb: 1})
-	j, _, err := OpenJournal(dir, inj)
+	j, _, err := OpenJournal(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
+	ro, err := os.Open(journalPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	w := swapJournalFile(j, ro)
 	if err := j.Append(Entry{Event: evSubmitted, ID: "job-1"}); err == nil {
-		t.Fatal("append with JournalFailProb=1 succeeded")
+		t.Fatal("append through a read-only handle succeeded")
 	}
 	if j.Seq() != 1 || j.Errors() != 1 {
-		t.Fatalf("seq %d errors %d after injected failure", j.Seq(), j.Errors())
+		t.Fatalf("seq %d errors %d after failed write", j.Seq(), j.Errors())
 	}
 	got, _ := ReadJournal(dir)
 	if len(got) != 0 {
 		t.Fatal("failed append reached the disk")
+	}
+	swapJournalFile(j, w)
+	if err := j.Append(Entry{Event: evSubmitted, ID: "job-2"}); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ = ReadJournal(dir); len(got) != 1 || got[0].Seq != 2 || j.Errors() != 1 {
+		t.Fatalf("append after the failure: %+v, errors %d; want one entry at seq 2", got, j.Errors())
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 	"testing"
 	"time"
 
-	"asmsim/internal/faults"
+	"asmsim/internal/exp"
 	"asmsim/internal/telemetry"
 )
 
@@ -323,16 +323,22 @@ func TestShedResponseBody(t *testing.T) {
 }
 
 // TestFlightRecorder covers the recorder end to end: the ring holds the
-// job's whole lifecycle as soon as Wait returns, the debug endpoint
-// serves it with trace IDs, ?save=1 persists a dump on demand, and an
-// injected job-drop fault dumps automatically.
+// job's whole lifecycle as soon as Wait returns, a run that panics
+// fails its job and dumps automatically without wedging the server, the
+// debug endpoint serves the ring with trace IDs, and ?save=1 persists a
+// dump on demand.
 func TestFlightRecorder(t *testing.T) {
 	stateDir := t.TempDir()
 	flight := telemetry.NewFlightRecorder(0, filepath.Join(stateDir, "flightrec"))
 	s := newTestServer(t, Options{
 		StateDir: stateDir,
-		Faults:   faults.Config{Seed: 1, JobDropProb: 1},
 		Flight:   flight,
+	})
+	countRuns(s, func(spec exp.JobSpec, ctx context.Context, tune ...func(*exp.Scale)) (*exp.Table, error) {
+		if spec.Seed == 151 {
+			panic("table assembly blew up")
+		}
+		return exp.JobSpec.Run(spec, ctx, tune...)
 	})
 	mux := http.NewServeMux()
 	s.Mount(mux)
@@ -349,19 +355,19 @@ func TestFlightRecorder(t *testing.T) {
 	for _, ev := range flight.Events() {
 		kinds[ev.Kind] = true
 	}
-	if fin.State != StateFailed {
-		t.Fatalf("dropped job finished %+v", fin)
+	if fin.State != StateFailed || !strings.Contains(fin.Error, "panicked") {
+		t.Fatalf("panicking job finished %+v", fin)
 	}
-	for _, want := range []string{"submitted", "started", "fault", "finished"} {
+	for _, want := range []string{"submitted", "started", "panic", "finished"} {
 		if !kinds[want] {
 			t.Fatalf("flight ring missing %q events after Wait; saw %v", want, kinds)
 		}
 	}
 
-	// The injected fault must have dumped the flight record on its own.
-	dumps, err := filepath.Glob(filepath.Join(stateDir, "flightrec", "flight-*.json"))
-	if err != nil || len(dumps) == 0 {
-		t.Fatalf("no automatic flight dump after injected fault (err=%v)", err)
+	// The panic must have dumped the flight record on its own, once.
+	dumps, err := filepath.Glob(filepath.Join(stateDir, "flightrec", "flight-*-panic.json"))
+	if err != nil || len(dumps) != 1 {
+		t.Fatalf("automatic flight dumps after a panic: %v (err=%v), want one", dumps, err)
 	}
 	b, err := os.ReadFile(dumps[0])
 	if err != nil {
@@ -371,8 +377,17 @@ func TestFlightRecorder(t *testing.T) {
 	if err := json.Unmarshal(b, &dump); err != nil {
 		t.Fatalf("dump %s is not valid JSON: %v", dumps[0], err)
 	}
-	if dump.Reason != "injected-fault" || len(dump.Events) == 0 {
+	if dump.Reason != "panic" || len(dump.Events) == 0 {
 		t.Fatalf("dump %+v", dump)
+	}
+
+	// The panic is isolated to its job: the next one finishes.
+	next, err := s.Submit(tinySpec(152))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := waitTerminal(t, s, next.ID); got.State != StateDone {
+		t.Fatalf("server wedged after a panicking job: %+v", got)
 	}
 
 	body, err := scrape(srv.URL + "/api/debug/flightrecord")

@@ -16,7 +16,6 @@ import (
 	"asmsim/internal/dash"
 	"asmsim/internal/evtrace"
 	"asmsim/internal/exp"
-	"asmsim/internal/faults"
 	"asmsim/internal/telemetry"
 )
 
@@ -86,7 +85,7 @@ type job struct {
 }
 
 // Options configures a Server. The zero value is serviceable: two
-// workers, a small queue, in-memory-only state, no faults.
+// workers, a small queue, in-memory-only state.
 type Options struct {
 	// Workers is the number of concurrent job runners (default 2).
 	Workers int
@@ -101,10 +100,6 @@ type Options struct {
 	// StateDir roots the journal and on-disk result cache; "" keeps
 	// everything in memory (no crash safety, no cross-restart cache).
 	StateDir string
-	// Faults injects deterministic service-layer chaos (handler
-	// latency, job drops, journal-write failures); the zero value
-	// injects nothing.
-	Faults faults.Config
 	// Metrics optionally receives service counters/gauges under the
 	// "serve" scope plus the usual sweep metrics from jobs.
 	Metrics *telemetry.Registry
@@ -118,9 +113,8 @@ type Options struct {
 	Attribution func(evtrace.QuantumAttribution)
 	// Flight is the process's flight ring, built by the caller (which may
 	// hand the same ring to its SLO engine). Every job's quantum records
-	// and lifecycle notes enter it, panics, injected faults and deadline
-	// expiries dump it, and /api/debug/flightrecord serves it. Nil means
-	// no ring.
+	// and lifecycle notes enter it, panics and deadline expiries dump
+	// it, and /api/debug/flightrecord serves it. Nil means no ring.
 	Flight *telemetry.FlightRecorder
 	// Log receives structured job lifecycle events; every record about a
 	// job carries its trace_id. Nil discards everything.
@@ -149,14 +143,6 @@ type serveMetrics struct {
 	journalErrs, drainRejected                  *telemetry.Counter
 	queued, running                             *telemetry.Gauge
 	jobLatency, queueWait, runDur               *telemetry.Histogram
-	faults                                      *telemetry.Registry // "serve.faults" scope
-}
-
-// fault returns the injected-fault counter for one site
-// ("serve.faults.<site>", exported as serve_faults_injected_total with
-// a site label). Nil-safe through the registry.
-func (m *serveMetrics) fault(site string) *telemetry.Counter {
-	return m.faults.Counter(site)
 }
 
 // Server is the job service. Create with New, mount its handlers with
@@ -164,7 +150,6 @@ func (m *serveMetrics) fault(site string) *telemetry.Counter {
 // and stop it with Shutdown.
 type Server struct {
 	opts    Options
-	inj     *faults.Injector
 	journal *Journal
 	store   *resultStore
 	bc      *dash.Broadcaster
@@ -203,26 +188,22 @@ type Server struct {
 // worker pool.
 func New(opts Options) (*Server, error) {
 	opts = opts.withDefaults()
-	if err := opts.Faults.Validate(); err != nil {
-		return nil, err
-	}
 	store, err := newResultStore(opts.StateDir)
 	if err != nil {
 		return nil, err
 	}
-	inj := faults.New(opts.Faults)
+	reg := opts.Metrics.Scope("serve")
+	fsyncH := reg.Histogram("journal_fsync_ns")
 	var journal *Journal
 	var entries []Entry
 	if opts.StateDir != "" {
-		journal, entries, err = OpenJournal(opts.StateDir, inj)
+		journal, entries, err = OpenJournal(opts.StateDir, fsyncH)
 		if err != nil {
 			return nil, err
 		}
 	}
-	reg := opts.Metrics.Scope("serve")
 	s := &Server{
 		opts:     opts,
-		inj:      inj,
 		journal:  journal,
 		store:    store,
 		bc:       dash.NewBroadcaster(),
@@ -249,11 +230,9 @@ func New(opts Options) (*Server, error) {
 			jobLatency:    reg.Histogram("job_latency_ns"),
 			queueWait:     reg.Histogram("queue_wait_ns"),
 			runDur:        reg.Histogram("attempt_ns"),
-			faults:        reg.Scope("faults"),
 		},
 	}
 	s.bc.SetDropCounter(reg.Scope("sse").Counter("dropped_frames"))
-	journal.SetFsyncHistogram(reg.Histogram("journal_fsync_ns"))
 	s.runCtx, s.runStop = context.WithCancel(context.Background())
 	recovered := s.replay(entries)
 	s.queue = make(chan *job, opts.QueueDepth+len(recovered))
@@ -587,9 +566,6 @@ func (s *Server) journalAppend(e Entry) error {
 	err := s.journal.Append(e)
 	if err != nil {
 		s.met.journalErrs.Inc()
-		if errors.Is(err, faults.ErrInjected) {
-			s.met.fault("journal_write").Inc()
-		}
 		s.log.Warn("journal append failed", "trace_id", e.TraceID, "job", e.ID, "event", e.Event, "err", err)
 	}
 	return err
@@ -669,16 +645,16 @@ func (s *Server) runJob(j *job) {
 	s.journalAppend(Entry{Event: evStarted, ID: id, TraceID: tid, Fingerprint: fp})
 	s.flight.Note("started", tid, id, "run started")
 	stop := s.met.runDur.Start()
-	table, err := s.execute(ctx, spec, id, tid, fp)
+	table, err := s.execute(ctx, spec, id, tid)
 	stop()
 	s.finish(j, ctx, table, err)
 }
 
-// execute is the job's one isolated run: the service-layer job-drop
-// fault site, then the experiment run with the service's observability
-// attached. A panic anywhere inside (including table assembly above the
-// sweep's own per-item recovery) becomes the run's error.
-func (s *Server) execute(ctx context.Context, spec exp.JobSpec, id, tid, fp string) (t *exp.Table, err error) {
+// execute is the job's one isolated run: the experiment run with the
+// service's observability attached. A panic anywhere inside (including
+// table assembly above the sweep's own per-item recovery) becomes the
+// run's error.
+func (s *Server) execute(ctx context.Context, spec exp.JobSpec, id, tid string) (t *exp.Table, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			t, err = nil, fmt.Errorf("serve: job %s panicked: %v", id, r)
@@ -688,14 +664,6 @@ func (s *Server) execute(ctx context.Context, spec exp.JobSpec, id, tid, fp stri
 			}
 		}
 	}()
-	if err := s.inj.DropJob(fp); err != nil {
-		s.met.fault("job_drop").Inc()
-		s.flight.Note("fault", tid, id, "injected job drop")
-		if path, derr := s.flight.Dump("injected-fault"); path != "" && derr == nil {
-			s.log.Warn("flight record dumped", "trace_id", tid, "job", id, "reason", "injected fault", "path", path)
-		}
-		return nil, fmt.Errorf("serve: job %s: %w", id, err)
-	}
 	return s.run(spec, ctx, func(sc *exp.Scale) {
 		sc.Telemetry = telemetry.Options{
 			Recorder:    telemetry.Fanout(s.bc, s.flight, s.opts.Recorder),

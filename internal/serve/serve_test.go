@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"asmsim/internal/exp"
-	"asmsim/internal/faults"
 	"asmsim/internal/telemetry"
 )
 
@@ -367,8 +366,8 @@ func TestFailedJobTerminates(t *testing.T) {
 }
 
 // TestJobRunsOnce: under default Options a job runs once, whatever its
-// run returns. A failed run is not run again, and neither is a job the
-// injector drops: each journals one started line and ends failed.
+// run returns. A failed run is not run again: it journals one started
+// line and ends failed.
 func TestJobRunsOnce(t *testing.T) {
 	dir := t.TempDir()
 	s := newTestServer(t, Options{StateDir: dir})
@@ -383,35 +382,18 @@ func TestJobRunsOnce(t *testing.T) {
 	if n := runs.Load(); n != 1 {
 		t.Fatalf("failing job ran %d times, want once", n)
 	}
-
-	dropDir := t.TempDir()
-	d := newTestServer(t, Options{StateDir: dropDir, Faults: faults.Config{Seed: 1, JobDropProb: 1}})
-	dropRuns := countRuns(d, exp.JobSpec.Run)
-	dropped, err := d.Submit(tinySpec(74))
+	entries, err := ReadJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fin := waitTerminal(t, d, dropped.ID); fin.State != StateFailed || !strings.Contains(fin.Error, "injected") {
-		t.Fatalf("dropped job finished %+v", fin)
+	started := 0
+	for _, e := range entries {
+		if e.ID == failed.ID && e.Event == evStarted {
+			started++
+		}
 	}
-	if n := dropRuns.Load(); n != 0 {
-		t.Fatalf("dropped job ran %d times, want never", n)
-	}
-
-	for _, c := range []struct{ dir, id string }{{dir, failed.ID}, {dropDir, dropped.ID}} {
-		entries, err := ReadJournal(c.dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		started := 0
-		for _, e := range entries {
-			if e.ID == c.id && e.Event == evStarted {
-				started++
-			}
-		}
-		if started != 1 {
-			t.Fatalf("job %s journaled %d started lines, want 1", c.id, started)
-		}
+	if started != 1 {
+		t.Fatalf("job %s journaled %d started lines, want 1", failed.ID, started)
 	}
 }
 
@@ -448,10 +430,9 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestSubmitRejectsJobFaults: fault injection is configured per service
-// process (Options.Faults), not per job, so a job document carrying a
-// "faults" object is refused with 400 and an error body naming the
-// field, and nothing is admitted.
+// TestSubmitRejectsJobFaults: a job has no fault plan, so a job
+// document carrying a "faults" object is refused with 400 and an error
+// body naming the field, and nothing is admitted.
 func TestSubmitRejectsJobFaults(t *testing.T) {
 	s := newTestServer(t, Options{})
 	mux := http.NewServeMux()

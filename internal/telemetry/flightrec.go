@@ -23,13 +23,13 @@ type FlightEvent struct {
 }
 
 // flightDumpCap bounds how many dump files one process writes; past it
-// Dump becomes a no-op so a fault storm (chaos tests inject thousands)
-// cannot fill the state directory.
+// Dump becomes a no-op so a failure storm cannot fill the state
+// directory.
 const flightDumpCap = 32
 
 // FlightRecorder keeps the last N observability events in a bounded
-// ring so that when something goes wrong — a panic, an injected fault,
-// a deadline expiry — the moments leading up to it can be dumped as one
+// ring so that when something goes wrong — a panic, a deadline expiry,
+// an SLO alert — the moments leading up to it can be dumped as one
 // JSON file and read after the process is gone. It implements Recorder,
 // so it can ride the same fan-out as the SSE broadcaster and capture
 // per-quantum records without touching the sim layer. A nil

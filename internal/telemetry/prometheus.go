@@ -42,7 +42,7 @@ type PromRule struct {
 
 // DefaultPromRules is the label mapping for this repo's metric
 // namespace: terminal job states, per-scheme and per-item experiment
-// timers, injected-fault sites, cluster event kinds, SLO alerting
+// timers, cluster event kinds, SLO alerting
 // series, and fleet per-endpoint scrape errors. Callers
 // mounting /metrics should pass these so every exporter in the process
 // agrees on series names.
@@ -51,7 +51,6 @@ func DefaultPromRules() []PromRule {
 		{Name: "serve.done", Family: "serve_jobs_finished", Label: "state", Value: "done"},
 		{Name: "serve.failed", Family: "serve_jobs_finished", Label: "state", Value: "failed"},
 		{Name: "serve.cancelled", Family: "serve_jobs_finished", Label: "state", Value: "cancelled"},
-		{Prefix: "serve.faults.", Family: "serve_faults_injected", Label: "site"},
 		{Prefix: "exp.scheme.", Family: "exp_scheme", Label: "scheme"},
 		{Prefix: "exp.item.", Family: "exp_item", Label: "item"},
 		{Prefix: "cluster.events.", Family: "cluster_events", Label: "kind"},

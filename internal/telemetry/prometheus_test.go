@@ -33,7 +33,6 @@ func promFixture() *Registry {
 	sv.Counter("done").Add(5)
 	sv.Counter("failed").Add(2)
 	sv.Counter("cancelled").Add(1)
-	sv.Scope("faults").Counter("journal").Add(3)
 	sv.Gauge("queued").Set(4)
 	h := sv.Histogram("job_latency_ns")
 	for i := uint64(1); i <= 100; i++ {
@@ -42,6 +41,7 @@ func promFixture() *Registry {
 	r.Scope("exp").Scope("scheme").Timer("ASM").Observe(2 * time.Millisecond)
 	r.Scope("sim").Timer("quantum_wall").Observe(time.Millisecond)
 	r.Scope("cluster").Scope("events").Counter("drain").Inc()
+	r.Scope("slo").Scope("alerts").Counter("firing").Add(3)
 	return r
 }
 
@@ -56,7 +56,6 @@ func TestWritePrometheus(t *testing.T) {
 		`serve_jobs_finished_total{state="done"}`:      5,
 		`serve_jobs_finished_total{state="failed"}`:    2,
 		`serve_jobs_finished_total{state="cancelled"}`: 1,
-		`serve_faults_injected_total{site="journal"}`:  3,
 		`serve_queued`:                       4,
 		`serve_job_latency_ns_count`:         100,
 		`serve_job_latency_ns_sum`:           5050000,
@@ -65,6 +64,7 @@ func TestWritePrometheus(t *testing.T) {
 		`exp_scheme_ns_sum{scheme="ASM"}`:    int64(2 * time.Millisecond),
 		`sim_quantum_wall_ns_count`:          1,
 		`cluster_events_total{kind="drain"}`: 1,
+		`slo_alerts_total{state="firing"}`:   3,
 	}
 	for k, want := range checks {
 		got, ok := samples[k]
