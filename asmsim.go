@@ -312,15 +312,6 @@ type RunOptions struct {
 	// alone run once. nil (the default) gives the Run a private cache.
 	// Reported slowdowns are bit-identical either way.
 	SharedAloneCache *AloneCurveCache
-	// AloneTrace, when non-nil alongside GroundTruth, additionally traces
-	// the alone runs into the given tracer (span export for ground truth):
-	// each app replays alone on a full replica stepped on the Run's own
-	// goroutine, a single-app trace series separable with
-	// evtrace.SplitByApp, whose measured memory-stall time feeds
-	// TraceSummary.CPIStacksMeasured. Ignored when the ground truth is
-	// served from SharedAloneCache (its curves belong to every Run using
-	// it).
-	AloneTrace *Tracer
 }
 
 // RunResult reports per-app outcomes of a Run.
@@ -384,7 +375,6 @@ func RunContext(ctx context.Context, cfg Config, names []string, opt RunOptions)
 		Estimators:  ests,
 		GroundTruth: opt.GroundTruth,
 		AloneCache:  opt.SharedAloneCache,
-		AloneTrace:  opt.AloneTrace,
 		Warmup:      opt.WarmupQuanta,
 		Measured:    opt.Quanta,
 		OnQuantum: func(st *sim.QuantumStats, actual []float64, est map[string][]float64) {

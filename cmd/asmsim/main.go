@@ -24,7 +24,7 @@ import (
 )
 
 func main() {
-	obs := observe.Flags{TelemetryFormat: "jsonl", TraceSample: 64}
+	obs := observe.Flags{TraceSample: 64}
 	var (
 		apps        = flag.String("apps", "mcf,libquantum,bzip2,h264ref", "comma-separated benchmark names, one per core")
 		quanta      = flag.Int("quanta", 4, "measured quanta")
@@ -41,19 +41,17 @@ func main() {
 		list        = flag.Bool("list", false, "list available benchmarks")
 		charact     = flag.Bool("characterize", false, "run every benchmark alone and print its memory characterization")
 		timeout     = flag.Duration("timeout", 0, "abort the run after this long (0 = no deadline)")
-		traceAlone  = flag.String("trace-alone", "", "with -groundtruth, also trace the alone-run replica replays to this chrome-trace JSON file")
 	)
 	obs.Register(flag.CommandLine, map[string]string{
-		"telemetry":        "write quantum-level telemetry (quanta.jsonl + metrics.jsonl) to this directory",
-		"telemetry-format": "quantum time-series format: jsonl or csv",
-		"trace":            "write a Perfetto-loadable chrome-trace JSON (request spans + attribution matrices) to this file",
-		"trace-sample":     "record every Nth demand-miss span in the trace (1 = all; attribution is always exact)",
-		"cpuprofile":       "write a CPU profile to this file",
-		"memprofile":       "write a heap profile to this file on exit",
-		"pprof":            "serve net/http/pprof on this address (e.g. localhost:6060)",
-		"dash":             "serve the live dashboard (and pprof) on this address (e.g. localhost:6060); visit /debug/asm/",
-		"slo":              "evaluate SLOs from this JSON spec file (see EXPERIMENTS.md): burn-rate alerts over slowdown bounds and estimator drift, surfaced on the dashboard, /metrics, stderr logs and flight-recorder dumps",
-		"slo-flight":       "directory for flight-recorder dumps written when an alert fires (default: the -telemetry dir, else the working directory)",
+		"telemetry":    "write quantum-level telemetry (quanta.jsonl + metrics.jsonl) to this directory",
+		"trace":        "write a Perfetto-loadable chrome-trace JSON (request spans + attribution matrices) to this file",
+		"trace-sample": "record every Nth demand-miss span in the trace (1 = all; attribution is always exact)",
+		"cpuprofile":   "write a CPU profile to this file",
+		"memprofile":   "write a heap profile to this file on exit",
+		"pprof":        "serve net/http/pprof on this address (e.g. localhost:6060)",
+		"dash":         "serve the live dashboard (and pprof) on this address (e.g. localhost:6060); visit /debug/asm/",
+		"slo":          "evaluate SLOs from this JSON spec file (see EXPERIMENTS.md): burn-rate alerts over slowdown bounds and estimator drift, surfaced on the dashboard, /metrics, stderr logs and flight-recorder dumps",
+		"slo-flight":   "directory for flight-recorder dumps written when an alert fires (default: the -telemetry dir, else the working directory)",
 	})
 	flag.Parse()
 
@@ -85,9 +83,6 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown policy %q", *policy))
 	}
-	if *traceAlone != "" && !*groundTruth {
-		fatal(fmt.Errorf("-trace-alone requires -groundtruth (it traces the alone-run replays)"))
-	}
 
 	o, err := observe.Start(obs, slog.New(slog.NewTextHandler(os.Stderr, nil)))
 	if err != nil {
@@ -114,14 +109,6 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	var aloneTracer *asmsim.Tracer
-	if *traceAlone != "" {
-		aloneTracer, err = asmsim.OpenTracer(*traceAlone, asmsim.TracerConfig{SampleEvery: obs.TraceSample})
-		if err != nil {
-			fatal(err)
-		}
-		o.Track("trace-alone", aloneTracer.Close)
-	}
 	tel, _ := o.Run("") // a single-run Run opens nothing, so it cannot fail
 
 	res, err := asmsim.RunContext(ctx, cfg, names, asmsim.RunOptions{
@@ -130,7 +117,6 @@ func main() {
 		GroundTruth:  *groundTruth,
 		Estimators:   []asmsim.Estimator{asmsim.NewASM(), asmsim.NewFST(), asmsim.NewPTCA(), asmsim.NewMISE()},
 		Telemetry:    tel,
-		AloneTrace:   aloneTracer,
 	})
 	if err != nil {
 		fatal(err)

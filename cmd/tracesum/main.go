@@ -13,10 +13,9 @@
 //	tracesum -format json /tmp/run.trace.json > summary.json  # golden-ready
 //	tracesum merge -o cluster.json node0.json node1.json  # fold node traces
 //
-// A trace whose attribution snapshots carry more than one app set — the
-// replicas of an `asmsim -trace-alone` file, or a node whose slots changed
-// app in a migration — is summarized one set at a time, in sorted set
-// order, each table titled with its set.
+// A trace whose attribution snapshots carry more than one app set — a
+// node whose slots changed app in a migration — is summarized one set at
+// a time, in sorted set order, each table titled with its set.
 //
 // The merge subcommand folds per-node cluster traces (one file per
 // machine, each that machine's Trace in Cluster.SetTelemetry) into one

@@ -192,11 +192,12 @@ func TestMergeToStdout(t *testing.T) {
 	}
 }
 
-// TestSummarizeSplitsAppSets: the replicas of a -trace-alone file each
-// carry a single-app snapshot per quantum. Each app must get its own CPI
+// TestSummarizeSplitsAppSets: a trace holding runs over different app
+// sets (a migrated node's rounds) interleaves their snapshots; here two
+// single-app runs each carry one snapshot. Each app must get its own CPI
 // row with its own CPI, not be folded into the first app's row.
 func TestSummarizeSplitsAppSets(t *testing.T) {
-	alone := func(q int, app string, retired uint64) evtrace.QuantumAttribution {
+	oneApp := func(q int, app string, retired uint64) evtrace.QuantumAttribution {
 		return evtrace.QuantumAttribution{
 			Quantum: q, EndCycle: uint64(q+1) * 200_000, Cycles: 200_000,
 			Apps:         []string{app},
@@ -206,8 +207,8 @@ func TestSummarizeSplitsAppSets(t *testing.T) {
 			AppStats:     []evtrace.AppQuantumStats{{Name: app, Retired: retired, MemStallCycles: 150_000}},
 		}
 	}
-	path := filepath.Join(t.TempDir(), "alone.trace.json")
-	writeTrace(t, path, alone(0, "mcf", 25_000), alone(0, "lbm", 40_000))
+	path := filepath.Join(t.TempDir(), "sets.trace.json")
+	writeTrace(t, path, oneApp(0, "mcf", 25_000), oneApp(0, "lbm", 40_000))
 
 	code, stdout, stderr := runCapture(t, "-format", "json", path)
 	if code != 0 {

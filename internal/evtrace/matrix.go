@@ -220,11 +220,12 @@ func Summarize(quanta []QuantumAttribution) Summary {
 }
 
 // SplitByApp groups a mixed attribution series by its app-name set.
-// When several single-app alone-run replicas share one tracer (span
-// export for ground-truth replays), their per-quantum snapshots
-// interleave in emission order; grouping by the Apps fingerprint
-// recovers one coherent series per replica, each summarizable on its
-// own. The fingerprint joins app names with "+", matching workload.Mix.
+// When runs over different app sets share one tracer (a cluster node
+// whose slots changed between rounds, after migration), their
+// per-quantum snapshots interleave in emission order; grouping by the
+// Apps fingerprint recovers one coherent series per app set, each
+// summarizable on its own. The fingerprint joins app names with "+",
+// matching workload.Mix.
 func SplitByApp(quanta []QuantumAttribution) map[string][]QuantumAttribution {
 	out := map[string][]QuantumAttribution{}
 	for _, q := range quanta {
@@ -255,23 +256,6 @@ type CPIStack struct {
 // requests can exceed, so each component is capped by what remains of
 // the stall budget.
 func (s Summary) CPIStacks() []CPIStack {
-	return s.cpiStacks(nil)
-}
-
-// CPIStacksMeasured derives per-app CPI stacks with the mem-alone
-// segment *measured* from traced alone-run replays instead of derived by
-// subtraction: alone maps each app name (the SplitByApp fingerprint of a
-// single-app replica) to its summarized alone-run series, and the
-// replica's memory-stall cycles per retired instruction — replayed over
-// the same instruction stream — are scaled to the shared run's retired
-// count. Apps with no alone summary (or one that retired nothing) fall
-// back to the derived segment. Model premise made testable: the measured
-// and derived segments should agree up to attribution clamping error.
-func (s Summary) CPIStacksMeasured(alone map[string]Summary) []CPIStack {
-	return s.cpiStacks(alone)
-}
-
-func (s Summary) cpiStacks(aloneSums map[string]Summary) []CPIStack {
 	out := make([]CPIStack, len(s.AppStats))
 	for j, st := range s.AppStats {
 		cs := CPIStack{Name: st.Name}
@@ -289,22 +273,8 @@ func (s Summary) cpiStacks(aloneSums map[string]Summary) []CPIStack {
 			if cache > stall-mem {
 				cache = stall - mem
 			}
-			alone := stall - mem - cache
-			if as, ok := aloneSums[st.Name]; ok && len(as.AppStats) > 0 {
-				ast := as.AppStats[0]
-				if ast.Retired > 0 && st.Retired > 0 {
-					// Alone memory time for the shared run's work: the
-					// replica's stall cycles per instruction times the shared
-					// retired count, clamped into the remaining stall budget.
-					measured := float64(ast.MemStallCycles) / float64(ast.Retired) * float64(st.Retired)
-					if measured > stall-mem-cache {
-						measured = stall - mem - cache
-					}
-					alone = measured
-				}
-			}
 			cs.Compute = (total - stall) / total
-			cs.MemAlone = alone / total
+			cs.MemAlone = (stall - mem - cache) / total
 			cs.CacheInterf = cache / total
 			cs.MemInterf = mem / total
 			if st.Retired > 0 {

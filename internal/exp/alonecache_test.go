@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"asmsim/internal/sim"
+	"asmsim/internal/telemetry"
 	"asmsim/internal/workload"
 )
 
@@ -151,5 +152,24 @@ func TestFollowedRunsMatchPrivateReplicas(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMixRunPrivateAloneCacheReportsMetrics: a ground-truth run with no
+// shared cache builds a private one, and that cache reports into the
+// run's registry like a shared one: one miss per app.
+func TestMixRunPrivateAloneCacheReportsMetrics(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	cfg := sim.DefaultConfig()
+	cfg.Quantum = 100_000
+	mix := workload.Mix{Names: []string{"mcf", "libquantum"}}
+	if _, err := (MixRun{
+		Config: cfg, Mix: mix, GroundTruth: true, Measured: 1,
+		Telemetry: telemetry.Options{Metrics: reg},
+	}).Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Scope("sim").Scope("alone_cache").Counter("misses").Value(); got != uint64(len(mix.Names)) {
+		t.Fatalf("sim.alone_cache.misses = %d, want %d (one curve per app)", got, len(mix.Names))
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"asmsim/internal/core"
-	"asmsim/internal/evtrace"
 	"asmsim/internal/metrics"
 	"asmsim/internal/sim"
 	"asmsim/internal/stats"
@@ -63,12 +62,9 @@ type MixRun struct {
 	// Estimators are evaluated on each quantum's snapshot.
 	Estimators []core.Estimator
 	// GroundTruth measures actual slowdowns on alone curves from
-	// AloneCache (nil: private to the run) that follow the shared run;
-	// AloneTrace traces the run's own alone replicas
-	// (sim.SlowdownTracker.AttachAloneTracer).
+	// AloneCache (nil: private to the run) that follow the shared run.
 	GroundTruth bool
 	AloneCache  *sim.AloneCurveCache
-	AloneTrace  *evtrace.Tracer
 	// Warmup quanta run before Measured ones. OnQuantum receives each
 	// measured quantum's stats, actual slowdowns (nil without GroundTruth)
 	// and estimates by estimator name, in a map reused across quanta.
@@ -96,11 +92,14 @@ func (r MixRun) Run(ctx context.Context) (*sim.System, error) {
 	}
 	var tracker *sim.SlowdownTracker
 	if r.GroundTruth {
-		r.AloneCache.SetTelemetry(r.Telemetry.Metrics.Scope("sim"))
-		if tracker, err = sim.NewSlowdownTrackerShared(cfg, specs, r.AloneCache); err != nil {
+		cache := r.AloneCache
+		if cache == nil {
+			cache = sim.NewAloneCurveCache()
+		}
+		cache.SetTelemetry(r.Telemetry.Metrics.Scope("sim"))
+		if tracker, err = sim.NewSlowdownTrackerShared(cfg, specs, cache); err != nil {
 			return nil, err
 		}
-		tracker.AttachAloneTracer(r.AloneTrace)
 		tracker.Follow(sys)
 	}
 	labels := telemetry.QuantumRecord{TraceID: r.Telemetry.TraceID, Mix: r.Mix.String(), Scheme: r.Scheme}

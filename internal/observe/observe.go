@@ -26,16 +26,16 @@ import (
 // Flags are the observer flag values; an empty string disables that
 // observer. Set defaults in the fields before Register.
 type Flags struct {
-	Telemetry, TelemetryFormat string // record directory; jsonl or csv
-	Trace                      string // trace file (a directory with PerRun)
-	TraceSample                int
-	Dash, Pprof                string // listen addresses
-	SLO, SLOFlight             string // spec file; flight-dump directory (see Observers.Flight)
-	CPUProfile, MemProfile     string
+	Telemetry              string // record directory
+	Trace                  string // trace file (a directory with PerRun)
+	TraceSample            int
+	Dash, Pprof            string // listen addresses
+	SLO, SLOFlight         string // spec file; flight-dump directory (see Observers.Flight)
+	CPUProfile, MemProfile string
 	// PerRun makes Telemetry and Trace directories holding one file set
 	// per Run id (<id>.quanta.jsonl, <id>.trace.json). Otherwise the
-	// process is one run: Telemetry holds quanta.<format>, Trace names
-	// the trace file, and the SLO engine's alert instants go into it.
+	// process is one run: Telemetry holds quanta.jsonl, Trace names the
+	// trace file, and the SLO engine's alert instants go into it.
 	PerRun bool
 
 	declared map[string]bool
@@ -45,8 +45,7 @@ type Flags struct {
 // usage text and the field's current value as its default.
 func (f *Flags) Register(fs *flag.FlagSet, usage map[string]string) {
 	strs := map[string]*string{
-		"telemetry": &f.Telemetry, "telemetry-format": &f.TelemetryFormat,
-		"trace": &f.Trace, "dash": &f.Dash, "pprof": &f.Pprof,
+		"telemetry": &f.Telemetry, "trace": &f.Trace, "dash": &f.Dash, "pprof": &f.Pprof,
 		"slo": &f.SLO, "slo-flight": &f.SLOFlight,
 		"cpuprofile": &f.CPUProfile, "memprofile": &f.MemProfile,
 	}
@@ -203,21 +202,13 @@ func (o *Observers) Run(id string) (telemetry.Options, error) {
 
 // openRun opens run id's recorder and tracer, queuing them on o.run.
 func (o *Observers) openRun(id string) error {
-	label, quanta, trace := "", "quanta."+o.f.TelemetryFormat, o.f.Trace
+	label, quanta, trace := "", "quanta.jsonl", o.f.Trace
 	if o.f.PerRun {
 		label, quanta, trace = ": "+id, id+".quanta.jsonl", filepath.Join(trace, id+".trace.json")
 	}
 	if o.f.Telemetry != "" {
 		var err error
-		switch path := filepath.Join(o.f.Telemetry, quanta); {
-		case o.f.PerRun || o.f.TelemetryFormat == "jsonl":
-			o.rec, err = telemetry.OpenJSONLRecorder(path)
-		case o.f.TelemetryFormat == "csv":
-			o.rec, err = telemetry.OpenCSVRecorder(path, []string{"ASM", "FST", "PTCA", "MISE"})
-		default:
-			err = fmt.Errorf("unknown telemetry format %q (want jsonl or csv)", o.f.TelemetryFormat)
-		}
-		if err != nil {
+		if o.rec, err = telemetry.OpenJSONLRecorder(filepath.Join(o.f.Telemetry, quanta)); err != nil {
 			return err
 		}
 		o.run = append(o.run, closer{"telemetry" + label, o.rec.Close})

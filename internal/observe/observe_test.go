@@ -96,7 +96,7 @@ func TestFlightRing(t *testing.T) {
 		wantRing  int    // ring events after one record
 		wantDumps string // the dump directory; "" for no dumps
 	}{
-		{"offers -slo-flight", true, Flags{SLO: spec, Telemetry: filepath.Join(dir, "tel"), TelemetryFormat: "jsonl"}, 1, filepath.Join(dir, "tel")},
+		{"offers -slo-flight", true, Flags{SLO: spec, Telemetry: filepath.Join(dir, "tel")}, 1, filepath.Join(dir, "tel")},
 		{"service", false, Flags{SLO: spec, SLOFlight: filepath.Join(dir, "svc")}, 0, filepath.Join(dir, "svc")},
 		{"service without state", false, Flags{SLO: spec}, 0, ""},
 	} {

@@ -229,8 +229,8 @@ func FingerprintHash(parts ...string) string {
 // soloConfig is the single-core normalization every alone replica needs:
 // one core, no epoch prioritization, FR-FCFS — a lone app on FR-FCFS
 // hardware is the paper's alone-run definition. Every other knob is the
-// shared run's; traced replicas (SlowdownTracker.AttachAloneTracer) run
-// under exactly this.
+// shared run's; the tests' full solo replica (newAloneOracle) runs under
+// exactly this.
 func (c Config) soloConfig() Config {
 	a := c
 	a.Cores = 1

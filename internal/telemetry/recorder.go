@@ -2,13 +2,10 @@ package telemetry
 
 import (
 	"bufio"
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"sort"
-	"strconv"
 	"sync"
 
 	"asmsim/internal/evtrace"
@@ -143,110 +140,8 @@ func (r *JSONLRecorder) Close() error {
 	return r.err
 }
 
-// CSVRecorder streams records as CSV rows with a fixed column set. The
-// estimator columns are fixed at construction so concurrent writers
-// cannot race the header.
-type CSVRecorder struct {
-	mu         sync.Mutex
-	w          *csv.Writer
-	c          io.Closer
-	estimators []string
-	wroteHead  bool
-	err        error
-}
-
-// NewCSVRecorder writes CSV to w with one column per named estimator.
-func NewCSVRecorder(w io.Writer, estimators []string) *CSVRecorder {
-	ests := append([]string(nil), estimators...)
-	sort.Strings(ests)
-	return &CSVRecorder{w: csv.NewWriter(w), estimators: ests}
-}
-
-// OpenCSVRecorder creates (or truncates) the file at path.
-func OpenCSVRecorder(path string, estimators []string) (*CSVRecorder, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("telemetry: %w", err)
-	}
-	r := NewCSVRecorder(f, estimators)
-	r.c = f
-	return r, nil
-}
-
-// counterColumns names the AppCounters columns in row order.
-var counterColumns = []string{
-	"retired", "mem_stall_cycles", "l2_accesses", "l2_hits", "l2_misses",
-	"quantum_hit_time", "quantum_miss_time", "mlp_integral",
-	"epoch_count", "epoch_accesses", "epoch_hits", "epoch_misses",
-	"epoch_hit_time", "epoch_miss_time",
-	"queueing_cycles", "mem_interf_cycles",
-	"miss_count", "miss_latency_sum", "per_req_interf_sum",
-	"pf_contention_misses", "ats_contention_misses",
-	"writebacks", "prefetch_issued", "prefetch_useful",
-}
-
-// counterValues renders the AppCounters in counterColumns order.
-func counterValues(c *AppCounters) []string {
-	u := strconv.FormatUint
-	return []string{
-		u(c.Retired, 10), u(c.MemStallCycles, 10),
-		u(c.L2Accesses, 10), u(c.L2Hits, 10), u(c.L2Misses, 10),
-		u(c.QuantumHitTime, 10), u(c.QuantumMissTime, 10), u(c.MLPIntegral, 10),
-		u(c.EpochCount, 10), u(c.EpochAccesses, 10), u(c.EpochHits, 10), u(c.EpochMisses, 10),
-		u(c.EpochHitTime, 10), u(c.EpochMissTime, 10),
-		u(c.QueueingCycles, 10), strconv.FormatFloat(c.MemInterfCycles, 'g', -1, 64),
-		u(c.MissCount, 10), u(c.MissLatencySum, 10), u(c.PerReqInterfSum, 10),
-		u(c.PFContentionMisses, 10), u(c.ATSContentionMisses, 10),
-		u(c.Writebacks, 10), u(c.PrefetchIssued, 10), u(c.PrefetchUseful, 10),
-	}
-}
-
-// Record implements Recorder.
-func (r *CSVRecorder) Record(rec *QuantumRecord) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.err != nil {
-		return
-	}
-	if !r.wroteHead {
-		head := append([]string{"mix", "scheme", "app", "bench", "quantum", "actual"}, r.estimators...)
-		head = append(head, counterColumns...)
-		if r.err = r.w.Write(head); r.err != nil {
-			return
-		}
-		r.wroteHead = true
-	}
-	row := []string{
-		rec.Mix, rec.Scheme,
-		strconv.Itoa(rec.App), rec.Bench, strconv.Itoa(rec.Quantum),
-		strconv.FormatFloat(rec.Actual, 'g', -1, 64),
-	}
-	for _, e := range r.estimators {
-		row = append(row, strconv.FormatFloat(rec.Estimates[e], 'g', -1, 64))
-	}
-	row = append(row, counterValues(&rec.Counters)...)
-	r.err = r.w.Write(row)
-}
-
-// Close flushes and returns the first write error, if any.
-func (r *CSVRecorder) Close() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.w.Flush()
-	if ferr := r.w.Error(); r.err == nil {
-		r.err = ferr
-	}
-	if r.c != nil {
-		if cerr := r.c.Close(); r.err == nil {
-			r.err = cerr
-		}
-		r.c = nil
-	}
-	return r.err
-}
-
 // Sink fans one quantum-record stream out to several recorders (build
-// one with Fanout): the disk recorder (JSONL/CSV), the dashboard and the
+// one with Fanout): the disk recorder (JSONL), the dashboard and the
 // SLO engine all subscribe to the same stream without knowing about each
 // other. A nil *Sink is a no-op Recorder.
 type Sink struct {

@@ -2,13 +2,13 @@ package telemetry
 
 import (
 	"bytes"
-	"encoding/csv"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -179,34 +179,6 @@ type failingWriter struct{}
 
 func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
 
-func TestCSVRecorder(t *testing.T) {
-	var buf bytes.Buffer
-	rec := NewCSVRecorder(&buf, []string{"FST", "ASM"}) // sorted to ASM,FST
-	rec.Record(sampleRecord())
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("%d rows, want header+1", len(rows))
-	}
-	head, row := rows[0], rows[1]
-	if len(head) != len(row) {
-		t.Fatalf("header %d cols, row %d cols", len(head), len(row))
-	}
-	col := map[string]string{}
-	for i, h := range head {
-		col[h] = row[i]
-	}
-	if col["mix"] != "mcf,libquantum" || col["ASM"] != "2.1" || col["FST"] != "2.9" ||
-		col["retired"] != "12345" || col["actual"] != "2.25" {
-		t.Fatalf("row %v", col)
-	}
-}
-
 func TestProgressOutput(t *testing.T) {
 	var buf bytes.Buffer
 	clock := time.Unix(0, 0)
@@ -332,70 +304,18 @@ func mustRead(t *testing.T, path string) []byte {
 	return data
 }
 
-func TestCSVRecorderAlignmentAcrossEstimatorSets(t *testing.T) {
-	// The column set is fixed at construction; records whose estimate maps
-	// are missing estimators, carry extras, or are nil entirely must still
-	// produce rows aligned with the header.
+func TestJSONLRecorderConcurrentWriters(t *testing.T) {
+	// Sweep workers share one recorder: under contention every record must
+	// still land as one whole line that decodes back to what was recorded.
+	const writers, perWriter = 8, 50
 	var buf bytes.Buffer
-	rec := NewCSVRecorder(&buf, []string{"FST", "ASM", "PTCA"}) // sorted to ASM,FST,PTCA
-
-	full := sampleRecord()
-	full.Estimates = map[string]float64{"ASM": 2.1, "FST": 2.9, "PTCA": 1.7}
-	missing := sampleRecord()
-	missing.Estimates = map[string]float64{"ASM": 1.1} // FST, PTCA absent
-	extra := sampleRecord()
-	extra.Estimates = map[string]float64{"ASM": 3.0, "FST": 3.1, "PTCA": 3.2, "MISE": 9.9}
-	none := sampleRecord()
-	none.Estimates = nil
-
-	for _, r := range []*QuantumRecord{full, missing, extra, none} {
-		rec.Record(r)
-	}
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 5 {
-		t.Fatalf("%d rows, want header+4", len(rows))
-	}
-	head := rows[0]
-	idx := map[string]int{}
-	for i, h := range head {
-		idx[h] = i
-	}
-	if _, ok := idx["MISE"]; ok {
-		t.Fatal("estimator outside the constructed set leaked into the header")
-	}
-	for n, row := range rows[1:] {
-		if len(row) != len(head) {
-			t.Fatalf("row %d has %d cols, header has %d", n, len(row), len(head))
-		}
-	}
-	if got := rows[2][idx["FST"]]; got != "0" {
-		t.Fatalf("missing estimator rendered %q, want 0", got)
-	}
-	if got := rows[3][idx["PTCA"]]; got != "3.2" {
-		t.Fatalf("PTCA = %q", got)
-	}
-	if got := rows[4][idx["ASM"]]; got != "0" {
-		t.Fatalf("nil estimate map rendered %q, want 0", got)
-	}
-}
-
-func TestCSVRecorderConcurrentWriters(t *testing.T) {
-	// Sweep workers share one recorder; the header must be written exactly
-	// once and every row must keep the full column count under contention.
-	var buf bytes.Buffer
-	rec := NewCSVRecorder(&buf, []string{"ASM", "FST"})
+	rec := NewJSONLRecorder(&buf)
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 50; i++ {
+			for i := 0; i < perWriter; i++ {
 				r := sampleRecord()
 				r.App = w
 				r.Quantum = i
@@ -407,24 +327,26 @@ func TestCSVRecorderConcurrentWriters(t *testing.T) {
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != writers*perWriter {
+		t.Fatalf("%d lines, want %d", len(lines), writers*perWriter)
 	}
-	if len(rows) != 1+8*50 {
-		t.Fatalf("%d rows, want header+400", len(rows))
-	}
-	headers := 0
-	for _, row := range rows {
-		if len(row) != len(rows[0]) {
-			t.Fatalf("ragged row: %d cols vs %d", len(row), len(rows[0]))
+	seen := map[[2]int]bool{}
+	for n, line := range lines {
+		var got QuantumRecord
+		if err := json.Unmarshal([]byte(line), &got); err != nil {
+			t.Fatalf("line %d is not a whole JSON object: %v\n%s", n, err, line)
 		}
-		if row[0] == "mix" {
-			headers++
+		want := sampleRecord()
+		want.App, want.Quantum = got.App, got.Quantum
+		if !reflect.DeepEqual(&got, want) {
+			t.Fatalf("line %d does not round-trip:\ngot  %+v\nwant %+v", n, got, *want)
 		}
-	}
-	if headers != 1 {
-		t.Fatalf("%d header rows", headers)
+		key := [2]int{got.App, got.Quantum}
+		if got.App < 0 || got.App >= writers || got.Quantum < 0 || got.Quantum >= perWriter || seen[key] {
+			t.Fatalf("line %d: unexpected or repeated (app, quantum) %v", n, key)
+		}
+		seen[key] = true
 	}
 }
 
