@@ -91,7 +91,7 @@ func TestSweepAccuracyAllocs(t *testing.T) {
 			if _, err := sim.New(cfg, specs); err != nil {
 				tb.Fatal(err)
 			}
-			if _, err := sim.NewSlowdownTrackerShared(cfg, specs, nil); err != nil {
+			if _, err := sim.NewSlowdownTrackerShared(cfg, specs, sim.NewAloneCurveCache()); err != nil {
 				tb.Fatal(err)
 			}
 		}

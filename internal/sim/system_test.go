@@ -254,7 +254,7 @@ func TestInterferenceSlowsSharedRun(t *testing.T) {
 
 func TestAloneCursorMonotonic(t *testing.T) {
 	cfg := testConfig()
-	tracker, err := NewSlowdownTrackerShared(cfg, testSpecs(t, "mcf"), nil)
+	tracker, err := NewSlowdownTrackerShared(cfg, testSpecs(t, "mcf"), NewAloneCurveCache())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestSlowdownTrackerAtLeastOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tracker, err := NewSlowdownTrackerShared(cfg, specs, nil)
+	tracker, err := NewSlowdownTrackerShared(cfg, specs, NewAloneCurveCache())
 	if err != nil {
 		t.Fatal(err)
 	}
