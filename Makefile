@@ -4,7 +4,7 @@ GO ?= go
 
 # check is the CI gate: gofmt, build + vet + tests, then the race detector over
 # the concurrency-heavy packages (alone-curve chasers behind asmsim.Run,
-# sweep workers, cluster rounds, faults, shared telemetry/trace sinks, the
+# sweep workers, cluster rounds, shared telemetry/trace sinks, the
 # job service, the SLO engine and the observer harness), the simulator
 # core again with its debug invariants compiled in, the benchmark smoke
 # run, the benchmark module's vet and tests, the reproduction golden, the
@@ -34,7 +34,7 @@ test-debug:
 	$(GO) test -tags asmdebug ./internal/dram/... ./internal/cpu/... ./internal/sim/...
 
 race:
-	$(GO) test -race . ./internal/sim/... ./internal/exp/... ./internal/dram/... ./internal/cluster/... ./internal/faults/... ./internal/telemetry/... ./internal/evtrace/... ./internal/dash/... ./internal/serve/... ./internal/slo/... ./internal/observe/...
+	$(GO) test -race . ./internal/sim/... ./internal/exp/... ./internal/dram/... ./internal/cluster/... ./internal/telemetry/... ./internal/evtrace/... ./internal/dash/... ./internal/serve/... ./internal/slo/... ./internal/observe/...
 
 # test-1p re-runs the packages whose runs are followed by alone-curve
 # chase goroutines (DESIGN.md decision 10; asmsim.Run with ground truth

@@ -38,7 +38,6 @@ import (
 	"asmsim/internal/dash"
 	"asmsim/internal/evtrace"
 	"asmsim/internal/exp"
-	"asmsim/internal/faults"
 	"asmsim/internal/metrics"
 	"asmsim/internal/model"
 	"asmsim/internal/partition"
@@ -73,17 +72,6 @@ type (
 	ExperimentScale = exp.Scale
 	// ASM is the paper's Application Slowdown Model.
 	ASM = core.ASM
-	// FaultConfig configures deterministic fault injection (evaluation
-	// failures, counter corruption, machine outages) for one
-	// cluster (ClusterConfig.Faults). The job service, jobs and
-	// experiment scales carry none. The zero value injects nothing.
-	FaultConfig = faults.Config
-	// MachineHealth is a cluster machine's health state.
-	MachineHealth = cluster.Health
-	// ClusterEvent is one entry in the cluster's degradation log.
-	ClusterEvent = cluster.Event
-	// ClusterDrain records one job moved (or parked) off a failed machine.
-	ClusterDrain = cluster.Drain
 	// TelemetryOptions is the one observer value a run takes: metrics
 	// registry, quantum recorder (the dashboard and the SLO engine are
 	// recorders composed into it), progress reporter, event tracer and
@@ -147,13 +135,6 @@ type (
 	SLOAlertStatus = slo.AlertStatus
 	// SLOAlertEvent is one alert state transition.
 	SLOAlertEvent = slo.AlertEvent
-)
-
-// Machine health states for the graceful-degradation state machine.
-const (
-	MachineHealthy  = cluster.Healthy
-	MachineDegraded = cluster.Degraded
-	MachineFailed   = cluster.Failed
 )
 
 // Memory scheduling policies.
@@ -427,10 +408,9 @@ type ClusterMigration = cluster.Migration
 // Cluster is the slowdown-aware cluster balancer (Section 7.5):
 // EvaluateRound simulates every machine and refreshes its ASM estimates,
 // Rebalance swaps jobs between the worst and best machines, CanAdmit is
-// SLA admission control, and the Migrations, Events (the degradation
-// log), Drains and Unplaced fields record what the balancer did.
-// SetTelemetry attaches a cluster-wide observer and one observer value
-// per machine.
+// SLA admission control, and the Migrations field records what the
+// balancer did. SetTelemetry attaches a cluster-wide observer and one
+// observer value per machine.
 type Cluster = cluster.Cluster
 
 // NewCluster builds a cluster with the given job placement (one job list

@@ -23,7 +23,7 @@ func main() {
 	obs := observe.Flags{TraceSample: 16}
 	traceDir := flag.String("trace-dir", "", "capture per-node Perfetto traces into this directory (node<k>.trace.json + migrations.jsonl); merge with: tracesum merge <dir>/node*.trace.json")
 	obs.Register(flag.CommandLine, map[string]string{
-		"dash":         "serve the live dashboard on this address; cluster event/health gauges appear under cluster.* in /debug/asm/metrics",
+		"dash":         "serve the live dashboard on this address; each machine's fresh estimates stream as quantum records, and the round counter appears as cluster.rounds in /debug/asm/metrics",
 		"trace-sample": "with -trace-dir, record every Nth miss span (attribution matrices stay exact)",
 	})
 	flag.Parse()
@@ -45,8 +45,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// With -dash, the balancer's audit-log counters and health gauges
-	// stream live on /debug/asm/metrics while the rounds run.
+	// With -dash, each machine's fresh estimates stream to the dashboard
+	// as quantum records, and the cluster.rounds counter to
+	// /debug/asm/metrics, while the rounds run.
 	o, err := observe.Start(obs, nil)
 	if err != nil {
 		log.Fatal(err)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 
 	"asmsim/internal/sim"
@@ -155,37 +156,74 @@ func TestAdmissionControl(t *testing.T) {
 	}
 }
 
+// TestUnknownJob: a placement naming an unknown benchmark is refused by
+// New, and the error names the job.
 func TestUnknownJob(t *testing.T) {
-	c, err := New(testConfig(), Placement{
+	_, err := New(testConfig(), Placement{
 		{"mcf", "nonesuch"},
+		{"h264ref", "namd"},
+	})
+	if err == nil || !strings.Contains(err.Error(), "nonesuch") {
+		t.Fatalf("err %v, want a refusal naming nonesuch", err)
+	}
+}
+
+// TestAllMachinesFailedErrors: when every machine's evaluation fails, the
+// round still completes, leaves every machine unevaluated and reports the
+// first failure, naming its machine and round.
+func TestAllMachinesFailedErrors(t *testing.T) {
+	c, err := New(testConfig(), Placement{
+		{"mcf", "libquantum"},
 		{"h264ref", "namd"},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One machine with a bad job must not abort the round: the machine
-	// fails (it has no stale estimates to serve) and the survivor carries
-	// the cluster.
-	if err := c.EvaluateRound(); err != nil {
-		t.Fatalf("round must survive one bad machine: %v", err)
+	c.cfg.System.Quantum = 0 // no machine's run can be built
+	err = c.EvaluateRound()
+	if err == nil || !strings.Contains(err.Error(), "machine 0 round 0") {
+		t.Fatalf("err %v, want the first failure naming machine 0 round 0", err)
 	}
-	m := c.Machines()[0]
-	if m.Health != Failed {
-		t.Fatalf("machine 0 health %v, want Failed", m.Health)
-	}
-	if m.LastErr == nil {
-		t.Fatal("failed machine must record its error")
-	}
-	if c.Machines()[1].Health != Healthy {
-		t.Fatalf("survivor health %v", c.Machines()[1].Health)
-	}
-	// The unresolvable job must never be re-placed onto the survivor —
-	// that would poison its next evaluation too.
-	for _, mach := range c.Machines() {
-		for _, job := range mach.Jobs {
-			if job == "nonesuch" {
-				t.Fatal("poison job re-placed onto a serving machine")
-			}
+	for i, m := range c.Machines() {
+		if m.Slowdowns != nil {
+			t.Fatalf("failed machine %d kept estimates %v", i, m.Slowdowns)
 		}
+	}
+	if c.Round() != 1 {
+		t.Fatalf("round %d after one failed round, want 1", c.Round())
+	}
+}
+
+// TestRebalanceSkipsFailedMachines: one machine's failed evaluation fails
+// the round but not the other machines' evaluations, and Rebalance then
+// works on the evaluated machines alone.
+func TestRebalanceSkipsFailedMachines(t *testing.T) {
+	cfg := testConfig()
+	cfg.Machines = 3
+	c, err := New(cfg, Placement{
+		{"mcf", "libquantum"},
+		{"povray", "calculix"},
+		{"h264ref", "namd"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.machines[1].Jobs = nil // a run with no cores cannot be built
+	err = c.EvaluateRound()
+	if err == nil || !strings.Contains(err.Error(), "machine 1 round 0") {
+		t.Fatalf("err %v, want the failure naming machine 1 round 0", err)
+	}
+	if c.Machines()[0].Slowdowns == nil || c.Machines()[2].Slowdowns == nil {
+		t.Fatal("a failed machine stopped the others' evaluation")
+	}
+	moved, err := c.Rebalance(0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !moved {
+		t.Fatal("evaluated machines did not rebalance")
+	}
+	if mv := c.Migrations[0]; mv.From == 1 || mv.To == 1 {
+		t.Fatalf("migration touched the failed machine: %+v", mv)
 	}
 }

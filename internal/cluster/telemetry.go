@@ -9,10 +9,8 @@ import (
 )
 
 // SetTelemetry attaches the cluster's observers. o observes the
-// cluster as a whole: with o.Metrics, every audit-log entry bumps a
-// counter named events.<kind> under the "cluster" scope, each completed
-// round increments rounds, and the serving/unplaced gauges track the
-// cluster's health at the end of the latest round. o.Recorder (an SLO
+// cluster as a whole: with o.Metrics, each completed round increments
+// the rounds counter under the "cluster" scope. o.Recorder (an SLO
 // engine, say) receives one synthesized record per job after every
 // successful machine evaluation (Mix "machine<i>", Quantum = the round
 // index, Actual = the job's fresh ASM estimate, EndCycle = the round's
@@ -46,9 +44,8 @@ func (c *Cluster) node(i int) telemetry.Options {
 
 // traceRound emits machine i's round-boundary instant: the node-local
 // cycle at which the machine entered the current evaluation round.
-// Every serving (non-Failed) machine emits one per round — including
-// degraded rounds that end up simulating nothing — so trace consumers
-// can reconcile the per-node clocks on shared round numbers.
+// Every machine emits one per round, so trace consumers can reconcile
+// the per-node clocks on shared round numbers.
 func (c *Cluster) traceRound(i int) {
 	tr := c.node(i).Trace
 	if tr == nil {
@@ -77,23 +74,12 @@ func (c *Cluster) traceMigration(mv Migration) {
 	}
 }
 
-// WriteEventsJSONL streams the robustness audit log (c.Events) as one
-// JSON object per line.
-func (c *Cluster) WriteEventsJSONL(w io.Writer) error { return writeJSONL(w, c.Events) }
-
-// WriteDrainsJSONL streams the drain log (c.Drains) as one JSON object
-// per line.
-func (c *Cluster) WriteDrainsJSONL(w io.Writer) error { return writeJSONL(w, c.Drains) }
-
 // WriteMigrationsJSONL streams the balancer's migration log as one JSON
 // object per line.
-func (c *Cluster) WriteMigrationsJSONL(w io.Writer) error { return writeJSONL(w, c.Migrations) }
-
-// writeJSONL encodes each record as one JSON object per line.
-func writeJSONL[T any](w io.Writer, records []T) error {
+func (c *Cluster) WriteMigrationsJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
-	for _, r := range records {
-		if err := enc.Encode(r); err != nil {
+	for _, mv := range c.Migrations {
+		if err := enc.Encode(mv); err != nil {
 			return err
 		}
 	}

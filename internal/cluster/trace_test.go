@@ -58,7 +58,7 @@ func closeNodeTraces(t *testing.T, nodes []telemetry.Options) {
 // per-node tracing and checks the satellite acceptance property: each
 // node's trace carries exactly the migration instants of the ledger
 // entries that involve it (From or To), one-to-one and in order, and
-// the round instants cover every serving round.
+// the round instants cover every round.
 func TestClusterTracingMigrationInstants(t *testing.T) {
 	cfg, placement := traceTestConfig(t)
 	c, err := New(cfg, placement)
@@ -124,7 +124,7 @@ func TestClusterTracingMigrationInstants(t *testing.T) {
 				t.Errorf("node %d migration %d: got %+v want %+v", k, i, nt.Migrations[i], want[i])
 			}
 		}
-		// Round instants: one per serving round, starting at round 0, with
+		// Round instants: one per round, starting at round 0, with
 		// strictly increasing node-local cycles after a simulating round.
 		if len(nt.Rounds) != rounds {
 			t.Fatalf("node %d: %d round instants, want %d", k, len(nt.Rounds), rounds)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"asmsim/internal/sim"
@@ -171,5 +172,57 @@ func TestMixRunPrivateAloneCacheReportsMetrics(t *testing.T) {
 	}
 	if got := reg.Scope("sim").Scope("alone_cache").Counter("misses").Value(); got != uint64(len(mix.Names)) {
 		t.Fatalf("sim.alone_cache.misses = %d, want %d (one curve per app)", got, len(mix.Names))
+	}
+}
+
+// TestPrivateAloneCachesSumIntoOneRegistry: two ground-truth runs with
+// private caches reporting into one registry leave the sum of what the
+// same runs leave in a registry each. The deterministic alone_cache
+// series are compared; hits and extensions depend on how the follower
+// goroutines interleave with the boundary queries.
+func TestPrivateAloneCachesSumIntoOneRegistry(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	cfg.Quantum = 100_000
+	mixes := []workload.Mix{
+		{Names: []string{"mcf", "libquantum"}},
+		{Names: []string{"h264ref", "mcf"}},
+	}
+	run := func(reg *telemetry.Registry, mix workload.Mix) {
+		t.Helper()
+		if _, err := (MixRun{
+			Config: cfg, Mix: mix, GroundTruth: true, Measured: 2,
+			Telemetry: telemetry.Options{Metrics: reg},
+		}).Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Every series under sim.alone_cache, of whatever kind, but the two
+	// timing-dependent ones.
+	values := func(reg *telemetry.Registry) map[string]int64 {
+		out := map[string]int64{}
+		for _, m := range reg.Snapshot() {
+			n, ok := strings.CutPrefix(m.Name, "sim.alone_cache.")
+			if ok && n != "hits" && n != "extensions" {
+				out[n] = m.Value
+			}
+		}
+		return out
+	}
+	shared := telemetry.NewRegistry()
+	want := map[string]int64{}
+	for _, mix := range mixes {
+		run(shared, mix)
+		own := telemetry.NewRegistry()
+		run(own, mix)
+		for n, v := range values(own) {
+			want[n] += v
+		}
+	}
+	got := values(shared)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("one registry holds %v, the sum of one registry per run is %v", got, want)
+	}
+	if want["points"] == 0 || want["segments"] == 0 || want["queried_cycles"] == 0 {
+		t.Fatalf("runs recorded no curve growth or queries: %v", want)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"asmsim/internal/core"
-	"asmsim/internal/faults"
 	"asmsim/internal/rng"
 	"asmsim/internal/sim"
 	"asmsim/internal/telemetry"
@@ -18,28 +17,41 @@ import (
 
 func lightMix() workload.Mix { return workload.Mix{Names: []string{"h264ref", "namd"}} }
 
+// errLossy is the failure lossy injects, so a test can tell it from a
+// genuine one with errors.Is.
+var errLossy = errors.New("lossy sweep item")
+
 // lossy fails each sweep item with probability p on a coin keyed by
 // (seed, item label), so a lossy sweep loses the same items every time.
 func lossy(seed uint64, p float64) func(string) error {
 	return func(label string) error {
 		if rng.NewNamed(seed, "faults/runfail/"+label).Float64() < p {
-			return &faults.Fault{Kind: faults.EvalFailure, Site: label}
+			return fmt.Errorf("%s: %w", label, errLossy)
 		}
 		return nil
 	}
 }
 
-// corruptingEstimator feeds an estimator each quantum's snapshot as inj
-// may corrupt it at site.
-type corruptingEstimator struct {
-	core.Estimator
-	inj  *faults.Injector
-	site string
-}
+// corruptingEstimator feeds an estimator a clone of each quantum's
+// snapshot with one float counter per app made non-finite, rotating
+// through MemInterfCycles, PFContentionExtra and ATSContentionExtra by
+// app and quantum. The run's own snapshot stays pristine.
+type corruptingEstimator struct{ core.Estimator }
 
 func (e corruptingEstimator) Estimate(st *sim.QuantumStats) []float64 {
-	st, _ = e.inj.CorruptStats(e.site, st)
-	return e.Estimator.Estimate(st)
+	cp := st.Clone()
+	for a := range cp.Apps {
+		aq := &cp.Apps[a]
+		switch (a + cp.Quantum) % 3 {
+		case 0:
+			aq.MemInterfCycles = math.NaN()
+		case 1:
+			aq.PFContentionExtra = math.Inf(1)
+		default:
+			aq.ATSContentionExtra = math.NaN()
+		}
+	}
+	return e.Estimator.Estimate(cp)
 }
 
 func TestRunAccuracyHonorsCancellation(t *testing.T) {
@@ -79,8 +91,8 @@ func TestRunAccuracyInjectedFailure(t *testing.T) {
 	sc := tinyScale()
 	sc.failItem = lossy(1, 1)
 	_, err := RunAccuracy(context.Background(), sc.BaseConfig(), lightMix(), estAll, sc)
-	if !errors.Is(err, faults.ErrInjected) {
-		t.Fatalf("err %v, want an injected fault", err)
+	if !errors.Is(err, errLossy) {
+		t.Fatalf("err %v, want the injected failure", err)
 	}
 }
 
@@ -90,11 +102,10 @@ func TestRunAccuracyInjectedFailure(t *testing.T) {
 // pristine counters) stays untouched.
 func TestRunAccuracyCorruptionStaysFinite(t *testing.T) {
 	sc := tinyScale()
-	inj := faults.New(faults.Config{Seed: 1, CorruptProb: 1})
 	corrupting := func() []core.Estimator {
 		es := estAll()
 		for i, e := range es {
-			es[i] = corruptingEstimator{e, inj, lightMix().String()}
+			es[i] = corruptingEstimator{e}
 		}
 		return es
 	}

@@ -49,9 +49,7 @@ type AloneCurveCache struct {
 	// extended the replica cycles actually simulated, whoever stepped them.
 	queried  atomic.Uint64
 	extended atomic.Uint64
-	// Totals over the entries' curves. Written under mu, read lock-free.
-	points   atomic.Int64 // logical curve points
-	segments atomic.Int64 // stored run-length segments
+	points   atomic.Int64 // logical curve points over the entries' curves
 	tel      atomic.Pointer[aloneCacheTel]
 
 	// labels carries the pprof label sim=alone that chase goroutines run
@@ -73,10 +71,9 @@ type aloneCacheTel struct {
 	misses         *telemetry.Counter
 	extensions     *telemetry.Counter
 	extendedCycles *telemetry.Counter
-	savedCycles    *telemetry.Gauge
-	entries        *telemetry.Gauge
-	points         *telemetry.Gauge
-	segments       *telemetry.Gauge
+	queriedCycles  *telemetry.Counter
+	points         *telemetry.Counter
+	segments       *telemetry.Counter
 }
 
 // NewAloneCurveCache returns an empty cache.
@@ -87,36 +84,35 @@ func NewAloneCurveCache() *AloneCurveCache {
 	}
 }
 
-// SetTelemetry publishes the cache's counters under the "alone_cache"
-// scope of r: hits (queries that stepped no replica themselves), misses
-// (curves built), extensions (write-lock slices that advanced a replica,
-// at most extendSlice instructions each, on behalf of a query or a
-// follower), extended_cycles (replica cycles actually simulated), and the
-// saved_cycles / entries / points / segments gauges (points are logical
-// curve points, segments the stored records that track memory). A nil
-// registry disables telemetry. Safe to call concurrently with queries.
+// SetTelemetry adds the cache's activity, from now on, to counters under
+// the "alone_cache" scope of r: hits (queries that stepped no replica
+// themselves), misses (curves built), extensions (write-lock slices that
+// advanced a replica, at most extendSlice instructions each, on behalf of
+// a query or a follower), extended_cycles (replica cycles actually
+// simulated), queried_cycles (every cursor's alone-cycle advance; saved
+// cycles are queried_cycles - extended_cycles), points (logical curve
+// points) and segments (the stored records that track memory). Being
+// counters, they sum over every cache reporting into one registry.
+// Attaching the registry the cache already reports into does nothing; a
+// nil registry disables telemetry. Safe to call concurrently with queries.
 func (c *AloneCurveCache) SetTelemetry(r *telemetry.Registry) {
 	if c == nil || r == nil {
 		return
 	}
 	sc := r.Scope("alone_cache")
-	t := &aloneCacheTel{
-		hits:           sc.Counter("hits"),
+	hits := sc.Counter("hits")
+	if t := c.tel.Load(); t != nil && t.hits == hits {
+		return
+	}
+	c.tel.Store(&aloneCacheTel{
+		hits:           hits,
 		misses:         sc.Counter("misses"),
 		extensions:     sc.Counter("extensions"),
 		extendedCycles: sc.Counter("extended_cycles"),
-		savedCycles:    sc.Gauge("saved_cycles"),
-		entries:        sc.Gauge("entries"),
-		points:         sc.Gauge("points"),
-		segments:       sc.Gauge("segments"),
-	}
-	t.savedCycles.Set(int64(c.SavedCycles()))
-	c.mu.Lock()
-	t.entries.Set(int64(len(c.entries)))
-	t.points.Set(c.points.Load())
-	t.segments.Set(c.segments.Load())
-	c.tel.Store(t)
-	c.mu.Unlock()
+		queriedCycles:  sc.Counter("queried_cycles"),
+		points:         sc.Counter("points"),
+		segments:       sc.Counter("segments"),
+	})
 }
 
 // Cursor returns a per-tracker-slot view of app's alone curve under cfg,
@@ -151,7 +147,6 @@ func (c *AloneCurveCache) Cursor(cfg Config, app AppSource) (*AloneCursor, error
 		c.entries[key] = cv
 		if t := c.tel.Load(); t != nil {
 			t.misses.Inc()
-			t.entries.Set(int64(len(c.entries)))
 		}
 	}
 	return &AloneCursor{curve: cv}, nil
@@ -199,20 +194,14 @@ func (c *AloneCurveCache) SavedCycles() uint64 {
 // simulated and the points and segments it added towards the cache
 // totals. A curve that extends is listed; a Cursor race loser is dropped
 // before it extends.
-func (c *AloneCurveCache) grew(cycles uint64, points, segs int64) {
+func (c *AloneCurveCache) grew(cycles, points, segs uint64) {
 	c.extended.Add(cycles)
-	t := c.tel.Load()
-	if t != nil {
+	c.points.Add(int64(points))
+	if t := c.tel.Load(); t != nil {
 		t.extensions.Inc()
 		t.extendedCycles.Add(cycles)
-		t.savedCycles.Set(int64(c.SavedCycles()))
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p, s := c.points.Add(points), c.segments.Add(segs)
-	if t != nil {
-		t.points.Set(p)
-		t.segments.Set(s)
+		t.points.Add(points)
+		t.segments.Add(segs)
 	}
 }
 
@@ -226,7 +215,7 @@ func (c *AloneCurveCache) observe(delta uint64, stepped bool) {
 		if !stepped {
 			t.hits.Inc()
 		}
-		t.savedCycles.Set(int64(c.SavedCycles()))
+		t.queriedCycles.Add(delta)
 	}
 }
 
@@ -372,8 +361,7 @@ func (c *aloneCurve) extendTo(n uint64) (stepped bool) {
 		c.target = target
 		sys.advance(math.MaxUint64)
 		c.last.Store(sys.Retired(0))
-		// Lock order: a curve's mu, then the cache's (never the reverse).
-		c.cache.grew(sys.Cycle()-start, c.points-points0, int64(c.segments()-segs0))
+		c.cache.grew(sys.Cycle()-start, uint64(c.points-points0), uint64(c.segments()-segs0))
 		c.mu.Unlock()
 		stepped = true
 	}

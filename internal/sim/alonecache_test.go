@@ -128,11 +128,11 @@ func TestSlowdownTrackerSharedEquivalence(t *testing.T) {
 					if sc.Counter("hits").Value() == 0 || sc.Counter("extensions").Value() == 0 {
 						t.Fatal("telemetry recorded no alone_cache activity")
 					}
-					if got := sc.Gauge("points").Value(); got != cache.Points() || got == 0 {
-						t.Fatalf("points gauge %d, cache.Points() %d", got, cache.Points())
+					if got := sc.Counter("points").Value(); got != uint64(cache.Points()) || got == 0 {
+						t.Fatalf("points counter %d, cache.Points() %d", got, cache.Points())
 					}
-					if segs := sc.Gauge("segments").Value(); segs <= 0 || segs >= cache.Points() {
-						t.Fatalf("segments gauge %d not in (0, points=%d)", segs, cache.Points())
+					if segs := sc.Counter("segments").Value(); segs == 0 || segs >= uint64(cache.Points()) {
+						t.Fatalf("segments counter %d not in (0, points=%d)", segs, cache.Points())
 					}
 				}
 			}
@@ -192,8 +192,42 @@ func TestAloneCurveConcurrentExtension(t *testing.T) {
 		t.Fatal("curve recorded no points")
 	}
 	sc := reg.Scope("alone_cache")
-	if m, e := sc.Counter("misses").Value(), sc.Gauge("entries").Value(); m != 1 || e != 1 {
-		t.Fatalf("racing cursors counted misses=%d entries=%d, want 1 and 1", m, e)
+	if m := sc.Counter("misses").Value(); m != 1 {
+		t.Fatalf("racing cursors counted %d misses, want 1", m)
+	}
+}
+
+// TestAloneCacheTelemetryReattach: attaching the registry a cache already
+// reports into keeps its handles, and attaching another registry sends
+// only the activity that follows to the new one.
+func TestAloneCacheTelemetryReattach(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Quantum = 100_000
+	apps := SourcesFromSpecs(mustSpecs(t, []string{"gcc"}), cfg.streamSeed())
+	cache := NewAloneCurveCache()
+	first := telemetry.NewRegistry()
+	cache.SetTelemetry(first.Scope("sim"))
+	handles := cache.tel.Load()
+	cache.SetTelemetry(first.Scope("sim"))
+	if cache.tel.Load() != handles {
+		t.Fatal("re-attaching the same registry replaced the handles")
+	}
+	cu, err := cache.Cursor(cfg, apps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cu.CyclesAt(10_000)
+	second := telemetry.NewRegistry()
+	cache.SetTelemetry(second)
+	cu.CyclesAt(20_000)
+	sc1, sc2 := first.Scope("sim").Scope("alone_cache"), second.Scope("alone_cache")
+	if sc1.Counter("misses").Value() != 1 || sc2.Counter("misses").Value() != 0 {
+		t.Fatalf("misses %d and %d, want the curve counted once, before the switch",
+			sc1.Counter("misses").Value(), sc2.Counter("misses").Value())
+	}
+	p1, p2 := sc1.Counter("points").Value(), sc2.Counter("points").Value()
+	if p1 == 0 || p2 == 0 || p1+p2 != uint64(cache.Points()) {
+		t.Fatalf("points %d + %d, want both nonzero and summing to the cache's %d", p1, p2, cache.Points())
 	}
 }
 

@@ -91,7 +91,7 @@ func followSweep(t *testing.T, tweak func(*Config), quantum uint64, quanta int, 
 	// final.
 	out.Curves, out.Points, out.Saved = cache.Len(), cache.Points(), cache.SavedCycles()
 	sc := reg.Scope("alone_cache")
-	out.Segments = sc.Gauge("segments").Value()
+	out.Segments = int64(sc.Counter("segments").Value())
 	out.Extended = sc.Counter("extended_cycles").Value()
 	// A curve's lock comes before the cache's: copy the entries out first.
 	cache.mu.Lock()

@@ -42,10 +42,9 @@ type PromRule struct {
 
 // DefaultPromRules is the label mapping for this repo's metric
 // namespace: terminal job states, per-scheme and per-item experiment
-// timers, cluster event kinds, SLO alerting
-// series, and fleet per-endpoint scrape errors. Callers
-// mounting /metrics should pass these so every exporter in the process
-// agrees on series names.
+// timers, SLO alerting series, and fleet per-endpoint scrape errors.
+// Callers mounting /metrics should pass these so every exporter in the
+// process agrees on series names.
 func DefaultPromRules() []PromRule {
 	return []PromRule{
 		{Name: "serve.done", Family: "serve_jobs_finished", Label: "state", Value: "done"},
@@ -53,7 +52,6 @@ func DefaultPromRules() []PromRule {
 		{Name: "serve.cancelled", Family: "serve_jobs_finished", Label: "state", Value: "cancelled"},
 		{Prefix: "exp.scheme.", Family: "exp_scheme", Label: "scheme"},
 		{Prefix: "exp.item.", Family: "exp_item", Label: "item"},
-		{Prefix: "cluster.events.", Family: "cluster_events", Label: "kind"},
 		{Prefix: "slo.budget_remaining.", Family: "slo_error_budget_remaining", Label: "slo"},
 		{Prefix: "slo.burn_rate.", Family: "slo_burn_rate", Label: "slo"},
 		{Prefix: "slo.alerts.", Family: "slo_alerts", Label: "state"},

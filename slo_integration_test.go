@@ -49,9 +49,8 @@ func asmOnly() []core.Estimator { return []core.Estimator{core.NewASM()} }
 // degradingEstimator wraps a model and starts multiplying its estimates
 // after a number of quanta — the shape of a silently broken counter
 // feed or a stale model, which the ISSUE's watchdog exists to catch.
-// (Raw counter corruption via faults.CorruptProb is already absorbed by
-// the estimator sanitizers, so degradation is injected at the model's
-// output.)
+// (Non-finite counters are already absorbed by the estimator sanitizers,
+// so degradation is injected at the model's output.)
 type degradingEstimator struct {
 	inner core.Estimator
 	calls int
