@@ -134,9 +134,10 @@ trace-merge-smoke:
 	$(GO) run ./cmd/tracesum -format json $(TRACE_MERGE_DIR)/cluster.trace.json > $(TRACE_MERGE_DIR)/cluster.summary.json
 	cmp $(TRACE_MERGE_DIR)/cluster.summary.json cmd/tracesum/testdata/trace-merge.golden.json
 
-# dash-smoke launches a real run with the live dashboard enabled, curls
-# every /debug/asm/* endpoint (JSON shapes + one SSE quantum frame), and
-# checks the child tears down cleanly on SIGINT.
+# dash-smoke launches a real run with the live dashboard, a trace and
+# telemetry enabled, curls every /debug/asm/* endpoint (JSON shapes + one
+# SSE quantum frame), checks the child tears down cleanly on SIGINT, and
+# requires its trace to decode as JSON and its metrics.jsonl to exist.
 dash-smoke:
 	$(GO) build -o $(CURDIR)/.dash-smoke-asmsim ./cmd/asmsim
 	$(GO) run ./cmd/smoke dash -bin $(CURDIR)/.dash-smoke-asmsim

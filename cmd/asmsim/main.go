@@ -119,6 +119,9 @@ func main() {
 		Telemetry:    tel,
 	})
 	if err != nil {
+		// A cancelled or failed run still flushes what its observers
+		// gathered: profiles, metrics and a well-formed trace.
+		o.Close()
 		fatal(err)
 	}
 	// Flush the observability outputs before reporting: a recorder or

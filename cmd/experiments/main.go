@@ -15,10 +15,12 @@
 // `-format json` (or csv) output stays machine-parseable when piped.
 // With -run all and -format json, stdout is one JSON array of tables.
 //
-// Ctrl-C (SIGINT/SIGTERM) or the -timeout deadline stops the sweep
-// between quanta; tables built from partial results are still printed,
-// with their failed items listed on stderr, and the process exits
-// non-zero.
+// A table is whole or its experiment fails: a failed mix, Ctrl-C
+// (SIGINT/SIGTERM) or the -timeout deadline (which stops the runs in
+// flight mid-quantum) fails the experiment with an error naming the
+// cause. The tables of the experiments that finished before it are
+// still printed, every observer output is flushed, and the process
+// exits non-zero.
 package main
 
 import (
@@ -118,11 +120,11 @@ func main() {
 	}
 
 	var tables []*exp.Table
-	partial := 0
+	var runErr error
 	for _, e := range exps {
-		tel, err := o.Run(e.ID)
-		if err != nil {
-			fatal(err)
+		var tel telemetry.Options
+		if tel, runErr = o.Run(e.ID); runErr != nil {
+			break
 		}
 		var prg *telemetry.Progress
 		if *progress {
@@ -138,38 +140,30 @@ func main() {
 		prg.Finish()
 		o.EndRun()
 		if err != nil {
-			// Emit what completed before dying so a long sweep's output
-			// is not lost to one broken experiment.
-			emit(os.Stdout, tables, *format)
-			fatal(fmt.Errorf("%s: %w", e.ID, err))
+			runErr = fmt.Errorf("%s: %w", e.ID, err)
+			break
 		}
 		fmt.Fprintf(os.Stderr, "(%s completed in %v)\n", e.ID, time.Since(start).Round(time.Millisecond))
-		if table.Partial() {
-			partial++
-			fmt.Fprintf(os.Stderr, "%s: PARTIAL RESULTS — %d item(s) lost:\n", e.ID, len(table.Failures))
-			for _, f := range table.Failures {
-				fmt.Fprintf(os.Stderr, "  %s\n", f)
-			}
-		}
 		tables = append(tables, table)
 		if *outDir != "" {
-			if err := writeTable(*outDir, table, *format); err != nil {
-				fatal(err)
+			if runErr = writeTable(*outDir, table, *format); runErr != nil {
+				break
 			}
 		}
 	}
-	if err := emit(os.Stdout, tables, *format); err != nil {
-		fatal(err)
+	// Print what finished and flush every observer output whether or not
+	// an experiment failed. Observability sinks that fail to flush make
+	// the invocation fail: silently dropped telemetry or trace data must
+	// not exit zero.
+	if err := emit(os.Stdout, tables, *format); err != nil && runErr == nil {
+		runErr = err
 	}
-	// Observability sinks that fail to flush make the invocation fail:
-	// silently dropped telemetry or trace data must not exit zero.
 	obsErr := o.Close()
 	sloFailed := o.ReportAlerts(os.Stderr)
-	if partial > 0 {
-		fmt.Fprintf(os.Stderr, "%d of %d experiment(s) completed only partially\n", partial, len(exps))
-		os.Exit(1)
+	if runErr != nil {
+		fmt.Fprintln(os.Stderr, runErr)
 	}
-	if obsErr != nil || sloFailed {
+	if runErr != nil || obsErr != nil || sloFailed {
 		os.Exit(1)
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"syscall"
@@ -16,18 +18,27 @@ import (
 var dashBanner = regexp.MustCompile(`dashboard listening on http://(\S+)/debug/asm/`)
 
 // runDash is the live-dashboard smoke: it launches a real asmsim run
-// with -dash, exercises every /debug/asm/* endpoint — validating JSON
-// shapes and one complete SSE quantum frame — then interrupts the child
-// and checks it tears down promptly. The child is given far more quanta
-// than the smoke needs; the run's context-cancellation exit on SIGINT is
-// the expected teardown path.
+// with -dash, -trace and -telemetry, exercises every /debug/asm/*
+// endpoint — validating JSON shapes and one complete SSE quantum frame —
+// then interrupts the child, checks it tears down promptly, and checks
+// that it flushed its trace and metrics on the way out. The child is
+// given far more quanta than the smoke needs; the run's
+// context-cancellation exit on SIGINT is the expected teardown path.
 func runDash(bin, _ string, deadline time.Time) error {
+	dir, err := os.MkdirTemp("", "dash-smoke-*")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(dir)
+	tracePath := filepath.Join(dir, "dash.trace.json")
 	c, err := spawn(bin, "asmsim", dashBanner, io.Discard,
 		"-apps", "mcf,libquantum",
 		"-quanta", "1000000", // far beyond the smoke window; SIGINT ends it
 		"-quantum", "200000",
 		"-groundtruth",
 		"-dash", "127.0.0.1:0",
+		"-trace", tracePath,
+		"-telemetry", dir,
 	)
 	if err != nil {
 		return err
@@ -50,7 +61,25 @@ func runDash(bin, _ string, deadline time.Time) error {
 			return err
 		}
 	}
-	return c.stop(syscall.SIGINT, false)
+	if err := c.stop(syscall.SIGINT, false); err != nil {
+		return err
+	}
+	return step("flush", checkFlushed(tracePath, dir))
+}
+
+// checkFlushed requires the interrupted run's observer outputs to be
+// whole: the trace is valid JSON and the telemetry directory holds
+// metrics.jsonl.
+func checkFlushed(tracePath, telDir string) error {
+	b, err := os.ReadFile(tracePath)
+	if err != nil {
+		return err
+	}
+	if !json.Valid(b) {
+		return fmt.Errorf("trace %s is not valid JSON", filepath.Base(tracePath))
+	}
+	_, err = os.Stat(filepath.Join(telDir, "metrics.jsonl"))
+	return err
 }
 
 func checkIndex(base string, _ time.Time) error {

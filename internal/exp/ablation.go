@@ -17,7 +17,7 @@ func runAblEpoch(ctx context.Context, sc Scale) (*Table, error) {
 	mixes := workload.RandomMixes(suitePool(), 4, sc.Workloads, sc.Seed)
 	cfgs := withATS(sc.BaseConfig(), 64, 64)
 	cfgs[1].EpochRoundRobin = true
-	got, m, err := accuracySweeps(ctx, mixes, estAll, sc, cfgs...)
+	got, err := accuracySweeps(ctx, mixes, estAll, sc, cfgs...)
 	if err != nil {
 		return nil, err
 	}
@@ -29,7 +29,6 @@ func runAblEpoch(ctx context.Context, sc Scale) (*Table, error) {
 	t.AddRow("probabilistic", pct(MeanError(got[0], "ASM")))
 	t.AddRow("round-robin", pct(MeanError(got[1], "ASM")))
 	t.AddNote("paper: the two policies achieve similar effects; probabilistic assignment is what ASM-Mem generalizes")
-	attach(t, m)
 	return t, nil
 }
 
@@ -51,7 +50,7 @@ func runAblQueueing(ctx context.Context, sc Scale) (*Table, error) {
 		off.NoQueueingCorrection = true
 		return core.SanitizeAll([]core.Estimator{core.NewASM(), renamed{off, "ASM-noQ"}})
 	}
-	got, m, err := accuracySweeps(ctx, mixes, newEst, sc, withATS(sc.BaseConfig(), 64)...)
+	got, err := accuracySweeps(ctx, mixes, newEst, sc, withATS(sc.BaseConfig(), 64)...)
 	if err != nil {
 		return nil, err
 	}
@@ -63,7 +62,6 @@ func runAblQueueing(ctx context.Context, sc Scale) (*Table, error) {
 	t.AddRow("with correction", pct(MeanError(got[0], "ASM")))
 	t.AddRow("without correction", pct(MeanError(got[0], "ASM-noQ")))
 	t.AddNote("the correction matters most at higher core counts (Section 6.5); even at 4 cores it should not hurt")
-	attach(t, m)
 	return t, nil
 }
 
@@ -72,7 +70,7 @@ func runAblQueueing(ctx context.Context, sc Scale) (*Table, error) {
 func runAblATS(ctx context.Context, sc Scale) (*Table, error) {
 	mixes := workload.RandomMixes(suitePool(), 4, sc.Workloads, sc.Seed)
 	budgets := []int{8, 32, 64, 256, 0}
-	got, m, err := accuracySweeps(ctx, mixes, estAll, sc, withATS(sc.BaseConfig(), budgets...)...)
+	got, err := accuracySweeps(ctx, mixes, estAll, sc, withATS(sc.BaseConfig(), budgets...)...)
 	if err != nil {
 		return nil, err
 	}
@@ -89,7 +87,6 @@ func runAblATS(ctx context.Context, sc Scale) (*Table, error) {
 		t.AddRow(label, pct(MeanError(got[i], "ASM")), pct(MeanError(got[i], "PTCA")))
 	}
 	t.AddNote("paper: sampling barely moves ASM (9.0%% -> 9.9%%) but destroys PTCA (14.7%% -> 40.4%%)")
-	attach(t, m)
 	return t, nil
 }
 
@@ -170,7 +167,7 @@ func spreadAllocation(n, apps, ways int) []int {
 // buys (per-request vs aggregate x memory-only vs memory+cache).
 func runAblSTFM(ctx context.Context, sc Scale) (*Table, error) {
 	mixes := workload.RandomMixes(suitePool(), 4, sc.Workloads, sc.Seed)
-	got, m, err := accuracySweeps(ctx, mixes, func() []core.Estimator {
+	got, err := accuracySweeps(ctx, mixes, func() []core.Estimator {
 		return core.SanitizeAll([]core.Estimator{
 			core.NewASM(), model.NewFST(), model.NewPTCA(),
 			model.NewMISE(), model.NewSTFM(), model.NewRegression(),
@@ -191,6 +188,5 @@ func runAblSTFM(ctx context.Context, sc Scale) (*Table, error) {
 	t.AddRow("PTCA", "per-request", "memory+cache", pct(MeanError(all, "PTCA")))
 	t.AddRow("MISE", "aggregate", "memory", pct(MeanError(all, "MISE")))
 	t.AddRow("ASM", "aggregate", "memory+cache", pct(MeanError(all, "ASM")))
-	attach(t, m)
 	return t, nil
 }

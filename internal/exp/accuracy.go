@@ -29,37 +29,30 @@ func suitePool() []workload.Spec {
 }
 
 // accuracySweep runs the estimator set over all mixes under cfg and
-// returns the pooled samples from the mixes that completed, plus a
-// manifest of the ones that did not. It returns an error only when no
-// mix completed at all.
-func accuracySweep(ctx context.Context, cfg sim.Config, mixes []workload.Mix, newEst EstimatorSet, sc Scale) ([]Sample, *Manifest, error) {
-	results, m, err := sweepMixes(ctx, cfg, mixes, sc, func(c sim.Config, mix workload.Mix) ([]Sample, error) {
+// returns every mix's samples, pooled in mix order, or the sweep's error.
+func accuracySweep(ctx context.Context, cfg sim.Config, mixes []workload.Mix, newEst EstimatorSet, sc Scale) ([]Sample, error) {
+	results, err := sweepMixes(ctx, cfg, mixes, sc, func(c sim.Config, mix workload.Mix) ([]Sample, error) {
 		return RunAccuracy(ctx, c, mix, newEst, sc)
 	})
 	var all []Sample
 	for _, s := range results {
-		if s != nil {
-			all = append(all, *s...)
-		}
+		all = append(all, s...)
 	}
-	return all, m, err
+	return all, err
 }
 
 // accuracySweeps runs accuracySweep once per config, in order, and
-// returns each sweep's samples with the sweeps' merged manifest. It stops
-// at the first sweep that completes no mix.
-func accuracySweeps(ctx context.Context, mixes []workload.Mix, newEst EstimatorSet, sc Scale, cfgs ...sim.Config) ([][]Sample, *Manifest, error) {
+// returns each sweep's samples. It stops at the first sweep that fails.
+func accuracySweeps(ctx context.Context, mixes []workload.Mix, newEst EstimatorSet, sc Scale, cfgs ...sim.Config) ([][]Sample, error) {
 	got := make([][]Sample, len(cfgs))
-	manifest := &Manifest{}
 	for i, cfg := range cfgs {
-		samples, m, err := accuracySweep(ctx, cfg, mixes, newEst, sc)
+		samples, err := accuracySweep(ctx, cfg, mixes, newEst, sc)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		manifest.Merge(m)
 		got[i] = samples
 	}
-	return got, manifest, nil
+	return got, nil
 }
 
 // withATS returns one copy of cfg per ATS sampling budget (0: unsampled).
@@ -117,13 +110,12 @@ func perBenchTable(id, title string, samples []Sample, estimators []string) *Tab
 func perBenchFigure(id, title, note string, sets int) func(context.Context, Scale) (*Table, error) {
 	return func(ctx context.Context, sc Scale) (*Table, error) {
 		mixes := workload.RandomMixes(suitePool(), 4, sc.Workloads, sc.Seed)
-		got, m, err := accuracySweeps(ctx, mixes, estAll, sc, withATS(sc.BaseConfig(), sets)...)
+		got, err := accuracySweeps(ctx, mixes, estAll, sc, withATS(sc.BaseConfig(), sets)...)
 		if err != nil {
 			return nil, err
 		}
 		t := perBenchTable(id, title, got[0], []string{"FST", "PTCA", "ASM"})
 		t.Notes = append(t.Notes, note)
-		attach(t, m)
 		return t, nil
 	}
 }
@@ -132,7 +124,7 @@ func perBenchFigure(id, title, note string, sets int) func(context.Context, Scal
 // FST/PTCA unsampled and ASM sampled, as in the paper.
 func runFig4(ctx context.Context, sc Scale) (*Table, error) {
 	mixes := workload.RandomMixes(suitePool(), 4, sc.Workloads, sc.Seed)
-	got, m, err := accuracySweeps(ctx, mixes, estAll, sc, withATS(sc.BaseConfig(), 0, 64)...)
+	got, err := accuracySweeps(ctx, mixes, estAll, sc, withATS(sc.BaseConfig(), 0, 64)...)
 	if err != nil {
 		return nil, err
 	}
@@ -164,7 +156,6 @@ func runFig4(ctx context.Context, sc Scale) (*Table, error) {
 	t.AddRow("<=20%", pct(within20(hFST)), pct(within20(hPTCA)), pct(within20(hASM)))
 	t.AddRow("max error", pct(mFST), pct(mPTCA), pct(mASM))
 	t.AddNote("paper: 76.25%%/79.25%%/95.25%% of FST/PTCA/ASM estimates within 20%%; max errors 133%%/87%%/36%%")
-	attach(t, m)
 	return t, nil
 }
 
@@ -175,7 +166,7 @@ func runFig5(ctx context.Context, sc Scale) (*Table, error) {
 	cfg.ATSSampledSets = 0
 	cfg.Prefetch = true
 	mixes := workload.RandomMixes(suitePool(), 4, sc.Workloads, sc.Seed)
-	got, m, err := accuracySweeps(ctx, mixes, estAll, sc, cfg)
+	got, err := accuracySweeps(ctx, mixes, estAll, sc, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +180,6 @@ func runFig5(ctx context.Context, sc Scale) (*Table, error) {
 		t.AddRow(e, pct(stats.Mean(errs)), pct(stats.Std(errs)))
 	}
 	t.AddNote("paper: FST 20%%, PTCA 15%%, ASM 7.5%%")
-	attach(t, m)
 	return t, nil
 }
 
@@ -197,7 +187,7 @@ func runFig5(ctx context.Context, sc Scale) (*Table, error) {
 // workloads (TPC-C, YCSB): FST/PTCA unsampled, ASM sampled.
 func runDBAcc(ctx context.Context, sc Scale) (*Table, error) {
 	mixes := workload.RandomMixes(workload.DB(), 4, sc.Workloads, sc.Seed)
-	got, m, err := accuracySweeps(ctx, mixes, estAll, sc, withATS(sc.BaseConfig(), 0, 64)...)
+	got, err := accuracySweeps(ctx, mixes, estAll, sc, withATS(sc.BaseConfig(), 0, 64)...)
 	if err != nil {
 		return nil, err
 	}
@@ -210,7 +200,6 @@ func runDBAcc(ctx context.Context, sc Scale) (*Table, error) {
 	t.AddRow("PTCA (unsampled)", pct(MeanError(got[0], "PTCA")))
 	t.AddRow("ASM (sampled)", pct(MeanError(got[1], "ASM")))
 	t.AddNote("paper: FST 27%%, PTCA 12%%, ASM 4%%")
-	attach(t, m)
 	return t, nil
 }
 
@@ -222,16 +211,14 @@ func runFig7(ctx context.Context, sc Scale) (*Table, error) {
 		Title:  "Estimation error vs core count (Figure 7)",
 		Header: []string{"cores", "FST", "FST std", "PTCA", "PTCA std", "ASM", "ASM std"},
 	}
-	manifest := &Manifest{}
 	for _, cores := range []int{4, 8, 16} {
 		n := scaledWorkloads(sc, cores)
 		mixes := workload.RandomMixes(suitePool(), cores, n, sc.Seed+uint64(cores))
 		sc := scaleQuantumForCores(sc, cores)
-		got, m, err := accuracySweeps(ctx, mixes, estAll, sc, withATS(sc.BaseConfig(), 0, 64)...)
+		got, err := accuracySweeps(ctx, mixes, estAll, sc, withATS(sc.BaseConfig(), 0, 64)...)
 		if err != nil {
 			return nil, err
 		}
-		manifest.Merge(m)
 		row := []string{fmt.Sprint(cores)}
 		for _, errs := range [][]float64{Errors(got[0], "FST"), Errors(got[0], "PTCA"), Errors(got[1], "ASM")} {
 			row = append(row, pct(stats.Mean(errs)), pct(stats.Std(errs)))
@@ -239,7 +226,6 @@ func runFig7(ctx context.Context, sc Scale) (*Table, error) {
 		t.AddRow(row...)
 	}
 	t.AddNote("paper: error grows with core count for all models; ASM stays lowest with the smallest spread")
-	attach(t, manifest)
 	return t, nil
 }
 
@@ -258,7 +244,7 @@ func runFig8(ctx context.Context, sc Scale) (*Table, error) {
 		cfgs = append(cfgs, withATS(cfg, 0, 64)...)
 	}
 	mixes := workload.RandomMixes(suitePool(), 4, sc.Workloads, sc.Seed)
-	got, m, err := accuracySweeps(ctx, mixes, estAll, sc, cfgs...)
+	got, err := accuracySweeps(ctx, mixes, estAll, sc, cfgs...)
 	if err != nil {
 		return nil, err
 	}
@@ -268,7 +254,6 @@ func runFig8(ctx context.Context, sc Scale) (*Table, error) {
 			pct(MeanError(su, "FST")), pct(MeanError(su, "PTCA")), pct(MeanError(ss, "ASM")))
 	}
 	t.AddNote("paper: ASM significantly more accurate across all cache capacities")
-	attach(t, m)
 	return t, nil
 }
 
@@ -291,7 +276,6 @@ func runTab3(ctx context.Context, sc Scale) (*Table, error) {
 	if nmix > 4 {
 		nmix = 4 // 12-cell grid: bound the quick-mode cost
 	}
-	manifest := &Manifest{}
 	mixes := workload.RandomMixes(suitePool(), 4, nmix, sc.Seed)
 	for _, q := range quanta {
 		// Keep total simulated cycles per workload roughly constant
@@ -312,11 +296,10 @@ func runTab3(ctx context.Context, sc Scale) (*Table, error) {
 			cfg.Epoch = e
 			cfgs = append(cfgs, cfg)
 		}
-		got, m, err := accuracySweeps(ctx, mixes, estAll, rowSc, cfgs...)
+		got, err := accuracySweeps(ctx, mixes, estAll, rowSc, cfgs...)
 		if err != nil {
 			return nil, err
 		}
-		manifest.Merge(m)
 		row := []string{fmt.Sprint(q)}
 		for _, samples := range got {
 			row = append(row, pct(MeanError(samples, "ASM")))
@@ -324,7 +307,6 @@ func runTab3(ctx context.Context, sc Scale) (*Table, error) {
 		t.AddRow(row...)
 	}
 	t.AddNote("paper Table 3: error rises as quantum shrinks or epoch grows (fewer epochs); very short epochs (1000) are worst")
-	attach(t, manifest)
 	return t, nil
 }
 
@@ -332,7 +314,7 @@ func runTab3(ctx context.Context, sc Scale) (*Table, error) {
 // alone (MISE, memory-only) vs ASM (memory + cache).
 func runMISE(ctx context.Context, sc Scale) (*Table, error) {
 	mixes := workload.RandomMixes(suitePool(), 4, sc.Workloads, sc.Seed)
-	got, m, err := accuracySweeps(ctx, mixes, estAll, sc, withATS(sc.BaseConfig(), 64)...)
+	got, err := accuracySweeps(ctx, mixes, estAll, sc, withATS(sc.BaseConfig(), 64)...)
 	if err != nil {
 		return nil, err
 	}
@@ -344,7 +326,6 @@ func runMISE(ctx context.Context, sc Scale) (*Table, error) {
 	t.AddRow("MISE (memory only)", pct(MeanError(got[0], "MISE")))
 	t.AddRow("ASM (memory + cache)", pct(MeanError(got[0], "ASM")))
 	t.AddNote("paper: MISE 22%%, ASM 9.9%%")
-	attach(t, m)
 	return t, nil
 }
 

@@ -50,12 +50,12 @@ func runSweep(tb testing.TB, pool []workload.Spec) {
 	cfg := sc.BaseConfig()
 	cfg.ATSSampledSets = 64
 	sc.AloneCache = sim.NewAloneCurveCache()
-	samples, m, err := accuracySweep(context.Background(), cfg, mixes, estAll, sc)
+	samples, err := accuracySweep(context.Background(), cfg, mixes, estAll, sc)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if !m.Ok() || len(samples) == 0 {
-		tb.Fatalf("sweep lost items: %s", m.Summary())
+	if len(samples) == 0 {
+		tb.Fatal("sweep produced no samples")
 	}
 }
 

@@ -152,12 +152,12 @@ func TestMeanErrorAndGrouping(t *testing.T) {
 
 func TestForEachCollectsErrors(t *testing.T) {
 	var count atomic.Int64 // items run on several workers
-	fails, cancelled := forEach(context.Background(), 5, nil, telemetry.Options{}, func(i int) error {
+	err := forEach(context.Background(), 5, nil, telemetry.Options{}, func(i int) error {
 		count.Add(1)
 		return nil
 	})
-	if len(fails) != 0 || cancelled || count.Load() != 5 {
-		t.Fatalf("fails %v cancelled %v count %d", fails, cancelled, count.Load())
+	if err != nil || count.Load() != 5 {
+		t.Fatalf("err %v count %d", err, count.Load())
 	}
 }
 
@@ -222,9 +222,6 @@ func TestExperimentsSmoke(t *testing.T) {
 		}
 		if len(table.Rows) == 0 {
 			t.Fatalf("%s produced no rows", id)
-		}
-		if table.Partial() {
-			t.Fatalf("%s unexpectedly partial: %v", id, table.Failures)
 		}
 		if table.ID != id {
 			t.Fatalf("%s: table id %q", id, table.ID)

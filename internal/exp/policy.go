@@ -10,21 +10,19 @@ import (
 	"asmsim/internal/workload"
 )
 
-// policySweep runs every scheme over every mix and returns, per scheme,
-// the average unfairness (max slowdown) and harmonic speedup.
+// policyResult is one scheme's average unfairness (max slowdown) and
+// harmonic speedup over a policySweep's mixes.
 type policyResult struct {
 	MaxSlowdown     float64
 	MaxSlowdownStd  float64
 	HarmonicSpeedup float64
 }
 
-// policySweep aggregates over the mixes whose every scheme completed (a
-// mix missing any scheme would skew the scheme-vs-scheme comparison) and
-// reports the lost mixes in the manifest. It errors only when no mix
-// completed at all.
-func policySweep(ctx context.Context, cfg sim.Config, mixes []workload.Mix, schemes []Scheme, sc Scale) (map[string]policyResult, *Manifest, error) {
+// policySweep runs every scheme over every mix and returns each scheme's
+// policyResult, or the sweep's error.
+func policySweep(ctx context.Context, cfg sim.Config, mixes []workload.Mix, schemes []Scheme, sc Scale) (map[string]policyResult, error) {
 	type cell struct{ ms, hs float64 }
-	cells, m, err := sweepMixes(ctx, cfg, mixes, sc, func(c sim.Config, mix workload.Mix) (map[string]cell, error) {
+	cells, err := sweepMixes(ctx, cfg, mixes, sc, func(c sim.Config, mix workload.Mix) (map[string]cell, error) {
 		got := map[string]cell{}
 		for _, scheme := range schemes {
 			out, err := RunPolicy(ctx, c, mix, scheme, sc)
@@ -36,16 +34,13 @@ func policySweep(ctx context.Context, cfg sim.Config, mixes []workload.Mix, sche
 		return got, nil
 	})
 	if err != nil {
-		return nil, m, err
+		return nil, err
 	}
 	res := map[string]policyResult{}
 	for _, scheme := range schemes {
 		var ms, hs []float64
 		for _, got := range cells {
-			if got == nil {
-				continue
-			}
-			c := (*got)[scheme.Name]
+			c := got[scheme.Name]
 			ms = append(ms, c.ms)
 			hs = append(hs, c.hs)
 		}
@@ -55,7 +50,7 @@ func policySweep(ctx context.Context, cfg sim.Config, mixes []workload.Mix, sche
 			HarmonicSpeedup: stats.Mean(hs),
 		}
 	}
-	return res, m, nil
+	return res, nil
 }
 
 // Cache partitioning schemes of Section 7.1.2.
@@ -172,23 +167,20 @@ func policyByCores(id, title, note string, schemes ...Scheme) func(context.Conte
 			Title:  title,
 			Header: []string{"cores", "scheme", "max slowdown", "(std)", "harmonic speedup"},
 		}
-		manifest := &Manifest{}
 		for _, cores := range []int{4, 8, 16} {
 			n := scaledWorkloads(sc, cores)
 			mixes := workload.RandomMixes(suitePool(), cores, n, sc.Seed+uint64(cores))
 			sc := scaleQuantumForCores(sc, cores)
-			res, m, err := policySweep(ctx, sc.BaseConfig(), mixes, schemes, sc)
+			res, err := policySweep(ctx, sc.BaseConfig(), mixes, schemes, sc)
 			if err != nil {
 				return nil, err
 			}
-			manifest.Merge(m)
 			for _, s := range schemes {
 				r := res[s.Name]
 				t.AddRow(fmt.Sprint(cores), s.Name, f2(r.MaxSlowdown), f2(r.MaxSlowdownStd), f3(r.HarmonicSpeedup))
 			}
 		}
 		t.Notes = append(t.Notes, note)
-		attach(t, manifest)
 		return t, nil
 	}
 }
@@ -207,23 +199,20 @@ func runCacheMem(ctx context.Context, sc Scale) (*Table, error) {
 		Title:  "Coordinated cache + bandwidth partitioning (Section 7.2.2)",
 		Header: []string{"channels", "scheme", "max slowdown", "harmonic speedup"},
 	}
-	manifest := &Manifest{}
 	// The paper reports both the 1-channel and 2-channel 16-core systems.
 	for _, channels := range []int{1, 2} {
 		cfg := sc.BaseConfig()
 		cfg.Channels = channels
-		res, m, err := policySweep(ctx, cfg, mixes, schemes, sc)
+		res, err := policySweep(ctx, cfg, mixes, schemes, sc)
 		if err != nil {
 			return nil, err
 		}
-		manifest.Merge(m)
 		for _, s := range schemes {
 			r := res[s.Name]
 			t.AddRow(fmt.Sprint(channels), s.Name, f2(r.MaxSlowdown), f3(r.HarmonicSpeedup))
 		}
 	}
 	t.AddNote("paper: ASM-Cache-Mem improves fairness by 14.6%%/8.9%% over PARBS+UCP on 16-core 1/2-channel systems, within 1%% performance")
-	attach(t, manifest)
 	return t, nil
 }
 

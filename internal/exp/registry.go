@@ -15,10 +15,9 @@ type Experiment struct {
 	Title string
 	// Paper names the paper artifact, empty for ablations.
 	Paper string
-	// Run executes the experiment at the given scale. Cancelling ctx
-	// stops the sweep between quanta; the experiment returns whatever
-	// partial table it can (with its Failures recording the loss) or the
-	// context error when nothing completed.
+	// Run executes the experiment at the given scale and returns the
+	// whole table or an error: a failed sweep item, or ctx cancelled
+	// (which stops the runs in flight mid-quantum), fails the experiment.
 	Run func(ctx context.Context, sc Scale) (*Table, error)
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -134,11 +133,6 @@ func (sc Scale) runItem(ctx context.Context, label string, r MixRun) (err error)
 			err = fmt.Errorf("exp: run %s panicked: %v", label, p)
 		}
 	}()
-	if sc.failItem != nil {
-		if err := sc.failItem(label); err != nil {
-			return fmt.Errorf("exp: run %s: %w", label, err)
-		}
-	}
 	r.Telemetry, r.AloneCache, r.GroundTruth = sc.Telemetry, sc.AloneCache, true
 	r.Warmup, r.Measured = sc.WarmupQuanta, sc.MeasuredQuanta
 	if _, err := r.Run(ctx); err != nil {
@@ -281,72 +275,53 @@ func RunPolicy(ctx context.Context, cfg sim.Config, mix workload.Mix, scheme Sch
 // with a per-mix Seed (decorrelating the epoch lotteries) and the sweep's
 // StreamSeed (keeping each benchmark's instruction stream identical in
 // every mix, so the alone-run curve cache shares one curve per benchmark
-// across the sweep). It returns each mix's result, nil where the item
-// failed, and the sweep's manifest; it errors only when no mix completed.
-func sweepMixes[T any](ctx context.Context, cfg sim.Config, mixes []workload.Mix, sc Scale, run func(sim.Config, workload.Mix) (T, error)) ([]*T, *Manifest, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	results := make([]*T, len(mixes))
-	fails, cancelled := forEach(ctx, len(mixes),
+// across the sweep). It returns every mix's result in mix order, or
+// forEach's error: a sweep is whole or it fails.
+func sweepMixes[T any](ctx context.Context, cfg sim.Config, mixes []workload.Mix, sc Scale, run func(sim.Config, workload.Mix) (T, error)) ([]T, error) {
+	results := make([]T, len(mixes))
+	err := forEach(ctx, len(mixes),
 		func(i int) string { return mixes[i].String() },
 		sc.Telemetry,
-		func(i int) error {
+		func(i int) (err error) {
 			c := cfg
 			c.Seed = sc.Seed + uint64(i)*1000
 			c.StreamSeed = sc.Seed
-			r, err := run(c, mixes[i])
-			if err == nil {
-				results[i] = &r
-			}
+			results[i], err = run(c, mixes[i])
 			return err
 		})
-	completed := 0
-	for _, r := range results {
-		if r != nil {
-			completed++
-		}
+	if err != nil {
+		return nil, err
 	}
-	m := &Manifest{Total: len(mixes), Completed: completed, Failures: fails, Cancelled: cancelled}
-	if completed == 0 && len(mixes) > 0 {
-		if len(fails) > 0 {
-			return nil, m, fmt.Errorf("exp: sweep produced no results: %w", fails[0])
-		}
-		return nil, m, fmt.Errorf("exp: sweep cancelled before any mix completed: %w", ctx.Err())
-	}
-	return results, m, nil
+	return results, nil
 }
 
-// forEach runs fn for every index in [0, n) on up to GOMAXPROCS workers.
-// Unlike a fail-fast pool it keeps going past individual failures: every
-// failure is recorded with its index and the label's workload name,
-// worker panics are recovered into errors instead of crashing the
-// process, and new items stop being scheduled once ctx is cancelled
-// (in-flight items finish). Failures come back sorted by index; cancelled
-// reports whether the sweep stopped early.
+// forEach runs fn for every index in [0, n) on up to GOMAXPROCS workers,
+// which claim items in index order. Once an item fails or ctx is done no
+// further item is claimed; items already in flight finish. A worker
+// panic is recovered into an error naming the item. forEach returns the
+// error of the lowest failed index — an item claimed before a failure
+// always runs, so a deterministic failure gives the same error on every
+// run — or else, when ctx stopped the sweep short, ctx's error wrapped.
 //
 // obs optionally observes the sweep: Progress receives item start/finish
 // updates, Metrics receives per-item wall-time timers (aggregate
 // "exp.item" plus one per item label) and worker-utilization gauges.
 // The zero Options observes nothing.
-func forEach(ctx context.Context, n int, label func(int) string, obs telemetry.Options, fn func(int) error) (failures []ItemError, cancelled bool) {
+func forEach(ctx context.Context, n int, label func(int) string, obs telemetry.Options, fn func(int) error) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	name := func(i int) string {
-		if label == nil {
-			return ""
-		}
-		return label(i)
-	}
 	var busyNs atomic.Int64
 	call := func(i int) (err error) {
-		item := name(i)
+		var item string
+		if label != nil {
+			item = label(i)
+		}
 		obs.Progress.StartItem(item)
 		begin := time.Now()
 		defer func() {
 			if r := recover(); r != nil {
-				err = fmt.Errorf("panic: %v", r)
+				err = fmt.Errorf("exp: item %d (%s) panicked: %v", i, item, r)
 			}
 			d := time.Since(begin)
 			busyNs.Add(int64(d))
@@ -364,9 +339,6 @@ func forEach(ctx context.Context, n int, label func(int) string, obs telemetry.O
 			obs.Progress.DoneItem(item, err)
 		}()
 		return fn(i)
-	}
-	record := func(i int, err error) ItemError {
-		return ItemError{Index: i, Name: name(i), Err: err}
 	}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
@@ -391,39 +363,50 @@ func forEach(ctx context.Context, n int, label func(int) string, obs telemetry.O
 		}
 	}()
 	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		next int
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		next     int
+		failed   = -1 // lowest failed index
+		firstErr error
 	)
+	// claim returns the next index, or -1 once ctx is done, an item
+	// failed or every item is claimed. A failure is recorded under the
+	// lock claims take, so no item is claimed after it. A sweep whose
+	// every item was claimed is complete even if ctx ended as the last
+	// one finished.
+	claim := func() int {
+		if ctx.Err() != nil {
+			return -1
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if next >= n || failed >= 0 {
+			return -1
+		}
+		next++
+		return next - 1
+	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				// Claim before checking ctx: a sweep whose every item ran
-				// is complete even if ctx ended as the last one finished.
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= n {
-					return
-				}
-				if ctx.Err() != nil {
-					mu.Lock()
-					cancelled = true
-					mu.Unlock()
-					return
-				}
+			for i := claim(); i >= 0; i = claim() {
 				if err := call(i); err != nil {
 					mu.Lock()
-					failures = append(failures, record(i, err))
+					if failed < 0 || i < failed {
+						failed, firstErr = i, err
+					}
 					mu.Unlock()
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	sort.Slice(failures, func(a, b int) bool { return failures[a].Index < failures[b].Index })
-	return failures, cancelled
+	switch {
+	case failed >= 0:
+		return firstErr
+	case next < n:
+		return fmt.Errorf("exp: sweep stopped after %d of %d items: %w", next, n, ctx.Err())
+	}
+	return nil
 }

@@ -37,9 +37,6 @@ type Scale struct {
 	// run a private cache, re-simulating each alone run per mix. Quick()
 	// and Full() populate it.
 	AloneCache *sim.AloneCurveCache
-	// failItem, set only by tests, fails the sweep item it returns an
-	// error for (keyed by the item's label) before its run starts.
-	failItem func(label string) error
 }
 
 // Quick returns the scaled-down configuration used by `go test -bench`

@@ -26,14 +26,7 @@ type Table struct {
 	// Notes carries the paper's reference numbers and any methodology
 	// remarks (e.g., substitutions or scale caveats).
 	Notes []string
-	// Failures lists the sweep items that failed when the experiment
-	// completed only partially (see Manifest); empty for a full run.
-	Failures []string
 }
-
-// Partial reports whether the experiment lost items and the table was
-// built from partial results.
-func (t *Table) Partial() bool { return len(t.Failures) > 0 }
 
 // AddRow appends a formatted row.
 func (t *Table) AddRow(cells ...string) {
@@ -83,9 +76,6 @@ func (t *Table) String() string {
 	for _, n := range t.Notes {
 		fmt.Fprintf(&b, "note: %s\n", n)
 	}
-	for _, f := range t.Failures {
-		fmt.Fprintf(&b, "failed: %s\n", f)
-	}
 	return b.String()
 }
 
@@ -101,9 +91,6 @@ func (t *Table) CSV() string {
 	w.Flush()
 	for _, n := range t.Notes {
 		fmt.Fprintf(&b, "# %s\n", n)
-	}
-	for _, f := range t.Failures {
-		fmt.Fprintf(&b, "# failed: %s\n", f)
 	}
 	return b.String()
 }

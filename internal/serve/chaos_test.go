@@ -23,9 +23,8 @@ import (
 // small server while a seeded subset of its runs fail and its journal
 // rejects writes for part of the storm. The server may shed (429) or
 // reject (503) individual submissions, but it must never deadlock, and
-// every job it admits must terminate with either a result table
-// (possibly carrying a partial-results manifest) or an error — no job
-// may hang in queued/running forever.
+// every job it admits must terminate with either a whole result table
+// or an error — no job may hang in queued/running forever.
 func TestChaos(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	stateDir := t.TempDir()

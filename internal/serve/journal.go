@@ -8,8 +8,8 @@
 // deadlines propagate context cancellation into the simulator's cycle
 // loop (jobs stop mid-quantum), each job runs once (a run is a pure
 // function of its spec, so a failure would only repeat), panics are
-// isolated per job, partially-completed sweeps terminate with
-// partial-results manifests, SIGTERM drains gracefully, and an
+// isolated per job, a job's result is a whole table or none (a sweep
+// that loses a mix fails the job), SIGTERM drains gracefully, and an
 // append-only JSONL journal makes the service crash-safe — a restarted
 // server re-runs incomplete jobs and answers completed ones from the
 // on-disk result cache. Results are
@@ -47,7 +47,8 @@ const (
 // set: submitted carries the full spec (the journal is the durable copy
 // of the job), done/failed carry the outcome. Replay reads Fingerprint
 // only from terminal entries. Older journals also carry an "attempt"
-// count on started lines; decoding ignores it.
+// count on started lines and a "partial" flag on done lines; decoding
+// ignores both.
 type Entry struct {
 	Seq         uint64       `json:"seq"`
 	Event       string       `json:"event"`
@@ -55,7 +56,6 @@ type Entry struct {
 	TraceID     string       `json:"trace_id,omitempty"`
 	Fingerprint string       `json:"fp,omitempty"`
 	Spec        *exp.JobSpec `json:"spec,omitempty"`
-	Partial     bool         `json:"partial,omitempty"`
 	Error       string       `json:"error,omitempty"`
 }
 

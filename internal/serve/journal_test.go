@@ -26,7 +26,7 @@ func TestJournalAppendReadRoundTrip(t *testing.T) {
 	for _, e := range []Entry{
 		{Event: evSubmitted, ID: "job-1", Fingerprint: "fp1", Spec: &spec},
 		{Event: evStarted, ID: "job-1", Fingerprint: "fp1"},
-		{Event: evDone, ID: "job-1", Fingerprint: "fp1", Partial: true},
+		{Event: evDone, ID: "job-1", Fingerprint: "fp1"},
 	} {
 		if err := j.Append(e); err != nil {
 			t.Fatal(err)
@@ -174,7 +174,7 @@ func FuzzJournalReplay(f *testing.F) {
 	whole := journalLines(f, []Entry{
 		{Seq: 1, Event: evSubmitted, ID: "job-1", Fingerprint: "fp1", Spec: &spec},
 		{Seq: 2, Event: evStarted, ID: "job-1", Fingerprint: "fp1"},
-		{Seq: 3, Event: evDone, ID: "job-1", Fingerprint: "fp1", Partial: true},
+		{Seq: 3, Event: evDone, ID: "job-1", Fingerprint: "fp1"},
 	})
 	torn := []byte(`{"seq":3,"event":"done","id":"jo`)
 	f.Add(whole, uint8(3), []byte(nil))
@@ -372,7 +372,7 @@ func TestRecoveryRerunsIncompleteJob(t *testing.T) {
 		t.Fatalf("incomplete job not marked resumed: %+v", got)
 	}
 	fin := waitTerminal(t, s2, st.ID)
-	if fin.State != StateDone || fin.Partial {
+	if fin.State != StateDone {
 		t.Fatalf("resumed job finished %+v", fin)
 	}
 	table, err := s2.Result(st.ID)
@@ -421,7 +421,7 @@ func recoverLegacyLine(t *testing.T, line, traceID string, spec exp.JobSpec) {
 		t.Fatalf("recovered job %+v, want %+v resumed under its fingerprint with trace %s", got, spec, traceID)
 	}
 	fin := waitTerminal(t, s, "job-1")
-	if fin.State != StateDone || fin.Partial {
+	if fin.State != StateDone {
 		t.Fatalf("recovered job finished %+v", fin)
 	}
 	table, err := s.Result("job-1")
@@ -470,7 +470,7 @@ func TestRecoveryRekeysStaleFingerprint(t *testing.T) {
 	if !twin.Dedup || twin.ID != "job-1" || twin.TraceID != "00000000feedface" || twin.Fingerprint != spec.Fingerprint() {
 		t.Fatalf("submission beside the resumed job: %+v, want a dedup onto job-1", twin)
 	}
-	if fin := waitTerminal(t, s, "job-1"); fin.State != StateDone || fin.Partial {
+	if fin := waitTerminal(t, s, "job-1"); fin.State != StateDone {
 		t.Fatalf("resumed job finished %+v", fin)
 	}
 	again, err := s.Submit(spec)
@@ -486,7 +486,9 @@ func TestRecoveryRekeysStaleFingerprint(t *testing.T) {
 // before its key changed keeps the key its table was stored under, so
 // its result still answers from disk. A fresh submission of its spec
 // does not inherit that table: it may have been cut short by a field
-// the spec no longer carries.
+// the spec no longer carries. The done line's "partial" flag and the
+// stored table's "Failures" key, which older versions wrote, are
+// ignored.
 func TestRecoveryServesDoneUnderJournaledFingerprint(t *testing.T) {
 	dir := t.TempDir()
 	spec := tinySpec(271)
@@ -496,12 +498,17 @@ func TestRecoveryServesDoneUnderJournaledFingerprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	table := directRun(t, spec)
-	if err := store.Put(stale, table); err != nil {
+	raw, err := json.Marshal(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw = append(raw[:len(raw)-1], `,"Failures":["item 1 (mcf+namd): lost"]}`...)
+	if err := os.WriteFile(store.path(stale), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	lines := fmt.Sprintf("%s\n%s\n",
 		legacySubmitted(t, 1, stale, spec, 10),
-		`{"seq":2,"event":"done","id":"job-1","fp":"`+stale+`"}`)
+		`{"seq":2,"event":"done","id":"job-1","fp":"`+stale+`","partial":true}`)
 	if err := os.WriteFile(journalPath(dir), []byte(lines), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -558,7 +565,7 @@ func TestRecoveryRunsSharedKeyOnce(t *testing.T) {
 	if jobs := s.Jobs(); len(jobs) != 1 {
 		t.Fatalf("jobs sharing one run listed %d times: %+v", len(jobs), jobs)
 	}
-	if fin := waitTerminal(t, s, "job-2"); fin.ID != "job-1" || fin.State != StateDone || fin.Partial {
+	if fin := waitTerminal(t, s, "job-2"); fin.ID != "job-1" || fin.State != StateDone {
 		t.Fatalf("job-2 finished %+v, want job-1's single clean run", fin)
 	}
 	got, err := s.Result("job-2")

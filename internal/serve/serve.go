@@ -27,8 +27,8 @@ const (
 	StateRunning State = "running"
 	StateDone    State = "done"
 	StateFailed  State = "failed"
-	// StateCancelled means a client cancelled the job (DELETE); a run
-	// already in flight keeps whatever partial results it had gathered.
+	// StateCancelled means a client cancelled the job (DELETE) before
+	// its run returned a table; a cancelled job has no result.
 	StateCancelled State = "cancelled"
 	// StateInterrupted means a drain stopped the job mid-run. The
 	// journal deliberately records no terminal event for it, so the next
@@ -64,10 +64,7 @@ type JobStatus struct {
 	// already queued or running (single-flight); the ID is that job's.
 	Dedup bool `json:"dedup,omitempty"`
 	// Resumed marks a job re-enqueued from the journal after a restart.
-	Resumed bool `json:"resumed,omitempty"`
-	// Partial marks a done job whose table carries a partial-results
-	// manifest (some sweep items failed or the run was cut short).
-	Partial bool   `json:"partial,omitempty"`
+	Resumed bool   `json:"resumed,omitempty"`
 	Error   string `json:"error,omitempty"`
 }
 
@@ -298,7 +295,7 @@ func (s *Server) replay(entries []Entry) []*job {
 		case r.terminal:
 			switch r.term.Event {
 			case evDone:
-				j.status.State, j.status.Partial = StateDone, r.term.Partial
+				j.status.State = StateDone
 			case evFailed:
 				j.status.State, j.status.Error = StateFailed, r.term.Error
 			case evCancelled:
@@ -364,7 +361,6 @@ func (s *Server) Submit(spec exp.JobSpec) (JobStatus, error) {
 	if t, ok := s.store.Get(fp); ok {
 		j := s.newJobLocked(spec, fp)
 		j.status.State, j.status.Cached = StateDone, true
-		j.status.Partial = t.Partial()
 		j.result = t
 		close(j.done)
 		st := j.status
@@ -505,8 +501,8 @@ func (s *Server) Result(id string) (*exp.Table, error) {
 
 // Cancel stops a job: a queued job is terminal immediately, a running
 // one has its context cancelled and stops within one quantum-poll
-// stride, keeping whatever results it had. Cancelling a terminal job is
-// a no-op returning its status.
+// stride, without a result. Cancelling a terminal job is a no-op
+// returning its status.
 func (s *Server) Cancel(id string) (JobStatus, error) {
 	s.mu.Lock()
 	j := s.jobs[id]
@@ -675,55 +671,41 @@ func (s *Server) execute(ctx context.Context, spec exp.JobSpec, id, tid string) 
 }
 
 // finish classifies the outcome, journals the terminal event (except
-// for drain interruptions, which must stay resumable), stores clean
-// results in the full-run cache, releases the job's running slot, and
+// for drain interruptions, which must stay resumable), stores a returned
+// table in the full-run cache, releases the job's running slot, and
 // wakes waiters.
 func (s *Server) finish(j *job, ctx context.Context, table *exp.Table, err error) {
-	// Only a run the clock never touched is the job's canonical result:
-	// a table cut short by cancellation or deadline is timing-dependent
-	// and must not poison the cache.
-	clean := err == nil && ctx.Err() == nil
+	// A run returns a whole table or an error, so a returned table is the
+	// job's canonical result even when ctx ended after the run finished.
 	s.mu.Lock()
 	fp, id, tid := j.status.Fingerprint, j.status.ID, j.status.TraceID
 	userCancel := j.userCancel
 	s.mu.Unlock()
 	var storeErr error
-	if clean {
+	if err == nil {
 		storeErr = s.store.Put(fp, table)
 	}
 	s.mu.Lock()
 	delete(s.inflight, fp)
 	var entry *Entry
 	switch {
-	case clean:
-		j.status.State, j.status.Partial = StateDone, table.Partial()
+	case err == nil:
+		j.status.State = StateDone
 		j.result = table
 		if storeErr != nil {
 			j.status.Error = storeErr.Error()
 		}
 		s.met.done.Inc()
-		entry = &Entry{Event: evDone, ID: id, TraceID: tid, Fingerprint: fp, Partial: j.status.Partial}
+		entry = &Entry{Event: evDone, ID: id, TraceID: tid, Fingerprint: fp}
 	case userCancel:
-		j.status.State = StateCancelled
-		j.result = table // partial results, when the run got that far
-		j.status.Partial = table != nil && table.Partial()
-		if err != nil {
-			j.status.Error = err.Error()
-		}
+		j.status.State, j.status.Error = StateCancelled, err.Error()
 		s.met.cancelled.Inc()
 		entry = &Entry{Event: evCancelled, ID: id, TraceID: tid, Fingerprint: fp}
 	case s.stopping() && ctx.Err() != nil:
-		// Drain cut it down (whether the run salvaged a partial table or
-		// not): no terminal journal entry, so the next start re-runs it
-		// and produces the full result.
+		// Drain cut it down: no terminal journal entry, so the next
+		// start re-runs it and produces the result.
 		j.status.State = StateInterrupted
 		j.status.Error = "interrupted by shutdown"
-	case err == nil:
-		// The run beat its own deadline/cancellation to a partial table.
-		j.status.State, j.status.Partial = StateDone, table.Partial()
-		j.result = table
-		s.met.done.Inc()
-		entry = &Entry{Event: evDone, ID: id, TraceID: tid, Fingerprint: fp, Partial: j.status.Partial}
 	default:
 		j.status.State, j.status.Error = StateFailed, err.Error()
 		s.met.failed.Inc()
@@ -740,8 +722,8 @@ func (s *Server) finish(j *job, ctx context.Context, table *exp.Table, err error
 	s.met.running.Set(int64(s.runningN))
 	s.flight.Note("finished", tid, id, string(st.State))
 	var dump string
-	if errors.Is(ctx.Err(), context.DeadlineExceeded) && !s.stopping() {
-		// The job's own deadline expired (not a drain): capture the
+	if st.State == StateFailed && errors.Is(ctx.Err(), context.DeadlineExceeded) && !s.stopping() {
+		// The job's own deadline failed it (not a drain): capture the
 		// run-up for post-mortem. A failed dump costs only that.
 		dump, _ = s.flight.Dump("deadline")
 	}
@@ -749,7 +731,7 @@ func (s *Server) finish(j *job, ctx context.Context, table *exp.Table, err error
 	s.mu.Unlock()
 	s.met.jobLatency.Observe(latency)
 	s.log.Info("job finished", "trace_id", tid, "job", id, "state", string(st.State),
-		"partial", st.Partial, "latency", latency, "err", st.Error)
+		"latency", latency, "err", st.Error)
 	if dump != "" {
 		s.log.Warn("flight record dumped", "trace_id", tid, "job", id, "reason", "deadline expiry", "path", dump)
 	}

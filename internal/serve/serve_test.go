@@ -131,7 +131,7 @@ func TestSubmitRunResultBitIdentity(t *testing.T) {
 		t.Fatalf("fresh submit status = %+v", st)
 	}
 	fin := waitTerminal(t, s, st.ID)
-	if fin.State != StateDone || fin.Partial || fin.Error != "" {
+	if fin.State != StateDone || fin.Error != "" {
 		t.Fatalf("job finished %+v", fin)
 	}
 	got, err := s.Result(st.ID)
@@ -315,6 +315,45 @@ func TestJobDeadline(t *testing.T) {
 	}
 	if got, _ := filepath.Glob(filepath.Join(dumps, "flight-*-deadline.json")); len(got) != 1 {
 		t.Fatalf("deadline dumps after Wait: %v, want one", got)
+	}
+}
+
+// TestWholeTableAfterDeadline: a run that returns its table after the
+// job's deadline has expired returned a whole table all the same. The
+// job ends done with no deadline dump, its table is stored, and a
+// resubmission is answered from the cache.
+func TestWholeTableAfterDeadline(t *testing.T) {
+	dumps := t.TempDir()
+	s := newTestServer(t, Options{JobTimeout: 20 * time.Millisecond,
+		Flight: telemetry.NewFlightRecorder(0, dumps)})
+	spec := tinySpec(53)
+	want := directRun(t, spec)
+	runs := countRuns(s, func(_ exp.JobSpec, ctx context.Context, _ ...func(*exp.Scale)) (*exp.Table, error) {
+		<-ctx.Done()
+		return want, nil
+	})
+	st, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin := waitTerminal(t, s, st.ID); fin.State != StateDone || fin.Error != "" {
+		t.Fatalf("job finished %+v, want done", fin)
+	}
+	if got, err := s.Result(st.ID); err != nil || got != want {
+		t.Fatalf("result %p, %v; want the run's table", got, err)
+	}
+	again, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.Cached || again.State != StateDone {
+		t.Fatalf("resubmission %+v, want a cache hit", again)
+	}
+	if n := runs.Load(); n != 1 {
+		t.Fatalf("%d runs, want 1", n)
+	}
+	if got, _ := filepath.Glob(filepath.Join(dumps, "flight-*-deadline.json")); len(got) != 0 {
+		t.Fatalf("deadline dumps for a done job: %v", got)
 	}
 }
 

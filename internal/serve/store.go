@@ -14,9 +14,9 @@ import (
 // the job's canonical fingerprint, held in memory and (when a state
 // directory is configured) mirrored to disk as results/<fp>.json via
 // write-temp-then-rename, so a reader never observes a half-written
-// result. Only clean, uncancelled runs are stored — a table truncated
-// by a deadline or cancellation is timing-dependent, and caching it
-// would break the fingerprint's bit-identity contract.
+// result. A run returns a whole table or an error, so every table it
+// returns is the fingerprint's bit-identical answer and is stored.
+// Decoding ignores the "Failures" key older tables carry.
 type resultStore struct {
 	dir string // "" = memory-only
 
