@@ -41,7 +41,6 @@ import (
 	"asmsim/internal/metrics"
 	"asmsim/internal/model"
 	"asmsim/internal/partition"
-	"asmsim/internal/serve"
 	"asmsim/internal/sim"
 	"asmsim/internal/slo"
 	"asmsim/internal/telemetry"
@@ -87,7 +86,7 @@ type (
 	// plus every estimator's slowdown estimate and, when available, the
 	// actual slowdown.
 	QuantumRecord = telemetry.QuantumRecord
-	// QuantumRecorder streams QuantumRecords to a sink (JSONL or CSV).
+	// QuantumRecorder streams QuantumRecords to a sink (JSONL).
 	QuantumRecorder = telemetry.Recorder
 	// AloneCurveCache memoizes alone-run ground-truth curves so repeated
 	// runs sharing benchmarks and configuration pay each benchmark's
@@ -112,14 +111,6 @@ type (
 	// QuantumRecorder; its ObserveAttribution is a run's
 	// TelemetryOptions.Attribution.
 	DashServer = dash.Server
-	// FleetPoller scrapes K nodes' /metrics, /debug/asm/hist and
-	// /debug/asm/attribution endpoints on an interval and merges them
-	// into the cluster-wide state served at /debug/asm/fleet (install it
-	// with DashServer.SetFleetSource).
-	FleetPoller = serve.FleetPoller
-	// FleetPollerOptions parameterizes a FleetPoller (targets, scrape
-	// interval, per-request timeout, health-metrics registry).
-	FleetPollerOptions = serve.FleetPollerOptions
 	// SLOSpec is a declarative set of service-level objectives over a
 	// run's slowdown bounds, estimator accuracy and service latency
 	// (load one from JSON with LoadSLOSpec).
@@ -244,11 +235,6 @@ func SummarizeTrace(quanta []QuantumAttribution) TraceSummary { return evtrace.S
 // profiler's mux (telemetry.StartProfiler) and to compose into a run's
 // TelemetryOptions (Recorder and Attribution).
 func NewDashServer() *DashServer { return dash.NewServer() }
-
-// NewFleetPoller returns a poller over the given node base URLs; call
-// Start to begin sweeping, then install it with
-// DashServer.SetFleetSource to light up /debug/asm/fleet.
-func NewFleetPoller(opts FleetPollerOptions) *FleetPoller { return serve.NewFleetPoller(opts) }
 
 // LoadSLOSpec reads and validates a JSON SLO spec file (see
 // internal/slo for the schema; EXPERIMENTS.md documents it).

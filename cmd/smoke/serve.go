@@ -386,12 +386,11 @@ func checkServeMetrics(base string) error {
 			return fmt.Errorf("required series %s missing", want)
 		}
 	}
-	// The fleet poller (serve.FleetPoller) scrapes this endpoint with
-	// the strict parser and marks the node broken on any parse error —
-	// duplicate samples included, which the line-by-line checks above
-	// cannot see. Hold the smoke to the same contract.
+	// The whole body must satisfy the Prometheus 0.0.4 text-exposition
+	// contract under the strict parser — duplicate samples included,
+	// which the line-by-line checks above cannot see.
 	if _, err := telemetry.ParseExposition(body); err != nil {
-		return fmt.Errorf("strict exposition parse (fleet scrape contract): %w", err)
+		return fmt.Errorf("strict exposition parse (0.0.4 exposition contract): %w", err)
 	}
 	if !strings.Contains(body, `serve_jobs_finished_total{state="done"}`) {
 		return fmt.Errorf(`no serve_jobs_finished_total{state="done"} sample`)

@@ -36,7 +36,6 @@ type Server struct {
 	reg      *telemetry.Registry
 	prog     *telemetry.Progress
 	lastAttr *evtrace.QuantumAttribution
-	fleetSrc FleetSource
 	alertSrc AlertSource
 
 	deltaMu    sync.Mutex
@@ -111,9 +110,6 @@ func (s *Server) Mount(mux *http.ServeMux) {
 	mux.Handle("/debug/asm/quanta", s.bc)
 	mux.HandleFunc("/debug/asm/attribution", s.handleAttribution)
 	mux.HandleFunc("/debug/asm/progress", s.handleProgress)
-	mux.HandleFunc("/debug/asm/hist", s.handleHist)
-	mux.HandleFunc("/debug/asm/fleet", s.handleFleet)
-	mux.HandleFunc("/debug/asm/fleet.json", s.handleFleetJSON)
 	mux.HandleFunc("/debug/asm/alerts", s.handleAlerts)
 	mux.HandleFunc("/debug/asm/alerts.json", s.handleAlertsJSON)
 }

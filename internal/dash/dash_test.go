@@ -358,3 +358,31 @@ func TestQuantaSSE(t *testing.T) {
 		t.Fatalf("stream should end cleanly after Close, got %v", err)
 	}
 }
+
+// TestMountedRoutes pins the dashboard's route set: every route Mount
+// registers answers 200 on a fresh server, and the removed multi-node
+// routes are 404 (no route claims them, so the index handler refuses).
+func TestMountedRoutes(t *testing.T) {
+	_, ts := newTestServer(t)
+	for path, want := range map[string]int{
+		"/debug/asm/":            http.StatusOK,
+		"/debug/asm/metrics":     http.StatusOK,
+		"/debug/asm/quanta":      http.StatusOK,
+		"/debug/asm/attribution": http.StatusOK,
+		"/debug/asm/progress":    http.StatusOK,
+		"/debug/asm/alerts":      http.StatusOK,
+		"/debug/asm/alerts.json": http.StatusOK,
+		"/debug/asm/fleet":       http.StatusNotFound,
+		"/debug/asm/fleet.json":  http.StatusNotFound,
+		"/debug/asm/hist":        http.StatusNotFound,
+	} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		resp.Body.Close() // the SSE stream's headers are enough
+		if resp.StatusCode != want {
+			t.Errorf("GET %s: status %d, want %d", path, resp.StatusCode, want)
+		}
+	}
+}

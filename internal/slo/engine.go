@@ -32,8 +32,7 @@ type Transition struct {
 }
 
 // AlertStatus is one SLO's externally visible evaluation state — the
-// document served by /debug/asm/alerts.json and rolled up by the fleet
-// poller.
+// document served by /debug/asm/alerts.json.
 type AlertStatus struct {
 	Name   string `json:"name"`
 	Signal string `json:"signal"`
@@ -60,7 +59,7 @@ type AlertStatus struct {
 }
 
 // AlertEvent is one state transition as published to sinks (SSE frames,
-// OnTransition callbacks, fleet rollups).
+// OnTransition callbacks).
 type AlertEvent struct {
 	SLO     string  `json:"slo"`
 	Signal  string  `json:"signal"`

@@ -37,24 +37,8 @@ func (s State) String() string {
 }
 
 // MarshalJSON renders the state as its lowercase name so wire formats
-// (alerts.json, SSE frames, fleet rollups) are self-describing.
+// (alerts.json, SSE frames) are self-describing.
 func (s State) MarshalJSON() ([]byte, error) { return json.Marshal(s.String()) }
-
-// UnmarshalJSON accepts the lowercase name (fleet scrapes decode node
-// alert payloads back into typed statuses).
-func (s *State) UnmarshalJSON(b []byte) error {
-	var name string
-	if err := json.Unmarshal(b, &name); err != nil {
-		return err
-	}
-	for i, n := range stateNames {
-		if n == name {
-			*s = State(i)
-			return nil
-		}
-	}
-	return fmt.Errorf("slo: unknown state %q", name)
-}
 
 // machine is the per-SLO alert state machine.
 type machine struct {

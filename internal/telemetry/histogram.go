@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
-	"fmt"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -141,25 +139,12 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 }
 
 // HistogramSnapshot is a point-in-time copy of a Histogram, suitable
-// for quantile estimation and cross-shard merging (per-node histograms
-// sum into a fleet view).
+// for quantile estimation.
 type HistogramSnapshot struct {
 	Count   uint64
 	Sum     uint64
 	Max     uint64
 	Buckets [histBuckets]uint64
-}
-
-// Merge adds another snapshot's observations into this one.
-func (s *HistogramSnapshot) Merge(o HistogramSnapshot) {
-	s.Count += o.Count
-	s.Sum += o.Sum
-	if o.Max > s.Max {
-		s.Max = o.Max
-	}
-	for i := range s.Buckets {
-		s.Buckets[i] += o.Buckets[i]
-	}
 }
 
 // Quantile estimates the q-quantile (q in [0, 1]): the value at rank
@@ -204,48 +189,4 @@ func (s *HistogramSnapshot) Mean() uint64 {
 		return 0
 	}
 	return s.Sum / s.Count
-}
-
-// histSnapshotJSON is the wire form of a snapshot: buckets ship sparse
-// (index -> count) because a latency histogram populates a few dozen of
-// the 976 buckets, and the fleet poller moves these over HTTP every
-// poll tick.
-type histSnapshotJSON struct {
-	Count   uint64         `json:"count"`
-	Sum     uint64         `json:"sum"`
-	Max     uint64         `json:"max"`
-	Buckets map[int]uint64 `json:"buckets,omitempty"`
-}
-
-// MarshalJSON encodes the snapshot with sparse buckets.
-func (s HistogramSnapshot) MarshalJSON() ([]byte, error) {
-	out := histSnapshotJSON{Count: s.Count, Sum: s.Sum, Max: s.Max}
-	for i, n := range s.Buckets {
-		if n == 0 {
-			continue
-		}
-		if out.Buckets == nil {
-			out.Buckets = map[int]uint64{}
-		}
-		out.Buckets[i] = n
-	}
-	return json.Marshal(out)
-}
-
-// UnmarshalJSON decodes the sparse wire form. Bucket indexes outside
-// this build's geometry are an error — merging histograms recorded
-// under different geometries would silently misplace counts.
-func (s *HistogramSnapshot) UnmarshalJSON(data []byte) error {
-	var in histSnapshotJSON
-	if err := json.Unmarshal(data, &in); err != nil {
-		return err
-	}
-	*s = HistogramSnapshot{Count: in.Count, Sum: in.Sum, Max: in.Max}
-	for i, n := range in.Buckets {
-		if i < 0 || i >= histBuckets {
-			return fmt.Errorf("telemetry: histogram bucket index %d outside geometry [0, %d)", i, histBuckets)
-		}
-		s.Buckets[i] = n
-	}
-	return nil
 }

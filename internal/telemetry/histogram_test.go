@@ -124,27 +124,6 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 	}
 }
 
-func TestHistogramSnapshotMerge(t *testing.T) {
-	a, b := &Histogram{}, &Histogram{}
-	whole := &Histogram{}
-	r := rand.New(rand.NewSource(7))
-	for i := 0; i < 10_000; i++ {
-		v := uint64(r.Int63n(1_000_000))
-		whole.Record(v)
-		if i%2 == 0 {
-			a.Record(v)
-		} else {
-			b.Record(v)
-		}
-	}
-	merged := a.Snapshot()
-	merged.Merge(b.Snapshot())
-	want := whole.Snapshot()
-	if merged != want {
-		t.Fatal("merged shard snapshots differ from the whole-stream histogram")
-	}
-}
-
 // TestHistogramConcurrency hammers one histogram from many goroutines
 // (run under -race by make race) and checks nothing is lost: the final
 // count and sum must equal the injected totals exactly.
@@ -240,5 +219,25 @@ func BenchmarkHistogramRecord(b *testing.B) {
 	})
 	if a := testing.AllocsPerRun(1000, func() { h.Record(123456) }); a != 0 {
 		b.Fatalf("Record allocates %v bytes/op, want 0", a)
+	}
+}
+
+// TestSnapshotHistograms: the registry hands back every histogram's
+// bucketed state by full dotted name, nil-safely.
+func TestSnapshotHistograms(t *testing.T) {
+	var nilReg *Registry
+	if got := nilReg.SnapshotHistograms(); got != nil {
+		t.Errorf("nil registry SnapshotHistograms = %v", got)
+	}
+	r := NewRegistry()
+	r.Scope("serve").Histogram("job_latency_ns").Record(1234)
+	r.Histogram("other").Record(5)
+	m := r.SnapshotHistograms()
+	if len(m) != 2 {
+		t.Fatalf("got %d histograms, want 2", len(m))
+	}
+	s, ok := m["serve.job_latency_ns"]
+	if !ok || s.Count != 1 || s.Sum != 1234 {
+		t.Errorf("serve.job_latency_ns snapshot = %+v (present %v)", s, ok)
 	}
 }

@@ -42,7 +42,7 @@ type PromRule struct {
 
 // DefaultPromRules is the label mapping for this repo's metric
 // namespace: terminal job states, per-scheme and per-item experiment
-// timers, SLO alerting series, and fleet per-endpoint scrape errors.
+// timers, and SLO alerting series.
 // Callers mounting /metrics should pass these so every exporter in the
 // process agrees on series names.
 func DefaultPromRules() []PromRule {
@@ -55,7 +55,6 @@ func DefaultPromRules() []PromRule {
 		{Prefix: "slo.budget_remaining.", Family: "slo_error_budget_remaining", Label: "slo"},
 		{Prefix: "slo.burn_rate.", Family: "slo_burn_rate", Label: "slo"},
 		{Prefix: "slo.alerts.", Family: "slo_alerts", Label: "state"},
-		{Prefix: "fleet.scrape_errors.", Family: "fleet_scrape_errors", Label: "endpoint"},
 	}
 }
 

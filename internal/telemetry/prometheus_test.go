@@ -95,7 +95,7 @@ func TestWritePrometheus(t *testing.T) {
 // parseable — exactly one sample per series, the histogram's (it has
 // quantiles), regardless of which the snapshot lists first. This shape
 // shipped once (sim.quantum_wall + sim.quantum_wall_ns) and made every
-// asmserve node unscrapeable by the fleet poller.
+// asmserve node's /metrics unparseable by a strict scraper.
 func TestWritePrometheusFamilyCollision(t *testing.T) {
 	var buf bytes.Buffer
 	WritePrometheus(&buf, collisionFixture().Snapshot(), DefaultPromRules())

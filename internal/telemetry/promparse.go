@@ -7,13 +7,12 @@ import (
 	"strings"
 )
 
-// Strict Prometheus text-format (0.0.4) parser. Promoted from the
-// exposition tests because the fleet poller needs the same rigor at
-// runtime: a node whose /metrics drifts from the format should be
-// reported as broken, not silently half-scraped. Every non-comment line
-// must be `name{labels} value`, every sample's family must be declared
-// by a preceding # TYPE line, TYPE lines must not repeat, and counter
-// families must carry the _total suffix.
+// Strict Prometheus text-format (0.0.4) parser, shared by the exposition
+// tests and the serve smoke so a /metrics body that drifts from the
+// format is reported as broken, not silently half-read. Every
+// non-comment line must be `name{labels} value`, every sample's family
+// must be declared by a preceding # TYPE line, TYPE lines must not
+// repeat, and counter families must carry the _total suffix.
 
 var (
 	promNameRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)

@@ -306,11 +306,10 @@ func (r *Registry) Snapshot() []Metric {
 }
 
 // SnapshotHistograms copies every histogram's full bucketed state,
-// keyed by registry name. Unlike Snapshot (which pre-computes quantiles
-// and drops the buckets), these snapshots are mergeable: the fleet
-// poller sums per-node snapshots into one distribution and takes exact
-// cluster-wide quantiles from the merged buckets. A nil registry
-// returns nil.
+// keyed by registry name. Unlike Snapshot (which pre-computes a fixed
+// set of quantiles and drops the buckets), these snapshots answer any
+// quantile; the SLO engine's latency objectives read them. A nil
+// registry returns nil.
 func (r *Registry) SnapshotHistograms() map[string]HistogramSnapshot {
 	if r == nil {
 		return nil

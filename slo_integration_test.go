@@ -162,7 +162,7 @@ func TestSLOCleanSweepStaysQuiet(t *testing.T) {
 // exceed a tight QoS bound pages after enough evaluation rounds, and the
 // engine's flight dump lands on disk.
 func TestClusterSLOAlerts(t *testing.T) {
-	cl := fleetTestCluster(t)
+	cl := testCluster(t)
 	spec := mustSpec(t, `{"slos":[
 		{"name":"cluster-qos","signal":"qos","bound":1.05,
 		 "windows":[{"long":4,"short":2,"burn":2}],
