@@ -28,8 +28,10 @@ test:
 
 # test-debug re-runs the simulator core with -tags asmdebug, which turns
 # the invariants release builds clamp or skip into panics: non-monotonic
-# DRAM request timestamps, and the controller's marked-read count against
-# the queue it summarises (checked on every read pick).
+# DRAM request timestamps, the controller's marked-read count against
+# the queue it summarises (checked on every read pick), and every charged
+# interference cause (a real app, and for a row-buffer disturbance never
+# the victim itself).
 test-debug:
 	$(GO) test -tags asmdebug ./internal/dram/... ./internal/cpu/... ./internal/sim/...
 
@@ -136,7 +138,8 @@ trace-merge-smoke:
 
 # dash-smoke launches a real run with the live dashboard, a trace and
 # telemetry enabled, curls every /debug/asm/* endpoint (JSON shapes + one
-# SSE quantum frame), checks the child tears down cleanly on SIGINT, and
+# SSE quantum frame) and the /debug/pprof/ index the same listener serves,
+# checks the child tears down cleanly on SIGINT, and
 # requires its trace to decode as JSON and its metrics.jsonl to exist.
 dash-smoke:
 	$(GO) build -o $(CURDIR)/.dash-smoke-asmsim ./cmd/asmsim

@@ -48,7 +48,6 @@ func main() {
 		"trace-sample": "record every Nth demand-miss span in the trace (1 = all; attribution is always exact)",
 		"cpuprofile":   "write a CPU profile to this file",
 		"memprofile":   "write a heap profile to this file on exit",
-		"pprof":        "serve net/http/pprof on this address (e.g. localhost:6060)",
 		"dash":         "serve the live dashboard (and pprof) on this address (e.g. localhost:6060); visit /debug/asm/",
 		"slo":          "evaluate SLOs from this JSON spec file (see EXPERIMENTS.md): burn-rate alerts over slowdown bounds and estimator drift, surfaced on the dashboard, /metrics, stderr logs and flight-recorder dumps",
 		"slo-flight":   "directory for flight-recorder dumps written when an alert fires (default: the -telemetry dir, else the working directory)",
@@ -88,9 +87,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// The dashboard and pprof share one listener: -dash selects the
-	// address (and implies the HTTP server); plain -pprof keeps serving
-	// only the profiling routes.
+	// The dashboard, /metrics and pprof share the one -dash listener.
 	if err := o.Listen(o.Dash.MountMetrics); err != nil {
 		fatal(err)
 	}

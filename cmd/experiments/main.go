@@ -9,7 +9,7 @@
 //	experiments -run tab3 -workloads 10 -quanta 5
 //	experiments -run all -timeout 30m
 //	experiments -run fig2 -format json | jq .
-//	experiments -run fig2 -telemetry /tmp/tel -pprof localhost:6060
+//	experiments -run fig2 -telemetry /tmp/tel -dash localhost:6060
 //
 // Tables go to stdout; all progress and diagnostics go to stderr, so
 // `-format json` (or csv) output stays machine-parseable when piped.
@@ -61,7 +61,6 @@ func main() {
 		"trace-sample": "record every Nth demand-miss span in traces (1 = all; attribution is always exact)",
 		"cpuprofile":   "write a CPU profile to this file",
 		"memprofile":   "write a heap profile to this file on exit",
-		"pprof":        "serve net/http/pprof on this address (e.g. localhost:6060)",
 		"dash":         "serve the live dashboard (and pprof) on this address; visit /debug/asm/ while the sweep runs",
 		"slo":          "evaluate SLOs from this JSON spec file over every sweep's quantum records (see EXPERIMENTS.md); the final alert states print to stderr and non-inactive alerts fail the invocation",
 	})
@@ -113,8 +112,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// The dashboard and pprof share one listener: -dash selects the
-	// address; plain -pprof serves only the profiling routes.
+	// The dashboard, /metrics and pprof share the one -dash listener.
 	if err := o.Listen(o.Dash.MountMetrics); err != nil {
 		fatal(err)
 	}

@@ -20,8 +20,9 @@ var dashBanner = regexp.MustCompile(`dashboard listening on http://(\S+)/debug/a
 // runDash is the live-dashboard smoke: it launches a real asmsim run
 // with -dash, -trace and -telemetry, exercises every /debug/asm/*
 // endpoint — validating JSON shapes and one complete SSE quantum frame —
-// then interrupts the child, checks it tears down promptly, and checks
-// that it flushed its trace and metrics on the way out. The child is
+// and the pprof index the same listener serves, then interrupts the
+// child, checks it tears down promptly, and checks that it flushed its
+// trace and metrics on the way out. The child is
 // given far more quanta than the smoke needs; the run's
 // context-cancellation exit on SIGINT is the expected teardown path.
 func runDash(bin, _ string, deadline time.Time) error {
@@ -61,6 +62,9 @@ func runDash(bin, _ string, deadline time.Time) error {
 			return err
 		}
 	}
+	if err := step("pprof", checkPprof(c.base)); err != nil {
+		return err
+	}
 	if err := c.stop(syscall.SIGINT, false); err != nil {
 		return err
 	}
@@ -83,22 +87,41 @@ func checkFlushed(tracePath, telDir string) error {
 }
 
 func checkIndex(base string, _ time.Time) error {
-	resp, err := http.Get(base + "/")
+	body, err := getOK(base + "/")
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("status %d", resp.StatusCode)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if !strings.Contains(string(body), "<!DOCTYPE html>") {
+	if !strings.Contains(body, "<!DOCTYPE html>") {
 		return fmt.Errorf("index page is not the embedded dashboard")
 	}
 	return nil
+}
+
+// checkPprof requires the -dash listener at base to serve the pprof
+// index: it is the process's only pprof listener.
+func checkPprof(base string) error {
+	body, err := getOK(base + "/debug/pprof/")
+	if err != nil {
+		return err
+	}
+	if !strings.Contains(body, "goroutine") {
+		return fmt.Errorf("pprof index lists no goroutine profile")
+	}
+	return nil
+}
+
+// getOK fetches url and returns its body, failing unless it answers 200.
+func getOK(url string) (string, error) {
+	resp, err := http.Get(url)
+	if err != nil {
+		return "", err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return "", fmt.Errorf("status %d", resp.StatusCode)
+	}
+	body, err := io.ReadAll(resp.Body)
+	return string(body), err
 }
 
 func checkDashMetrics(base string, _ time.Time) error {

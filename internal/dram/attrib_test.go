@@ -3,7 +3,8 @@ package dram
 import "testing"
 
 // attribution returns c's attribution matrix as AddAttributionInto
-// reports it: victim-major, numApps+1 columns.
+// reports it into a trace's rows: victim-major, numApps+1 columns, the
+// last of which the controller never fills.
 func attribution(c *Controller) [][]uint64 {
 	m := make([][]uint64, c.numApps)
 	for j := range m {
@@ -80,8 +81,8 @@ func TestAttributionMatchesInterferenceCycles(t *testing.T) {
 			}
 		}
 		// With exactly two apps contending, every interference cycle is
-		// charged to the other app: no self-attribution, nothing on the
-		// system column (refresh is disabled in DDR31333).
+		// charged to the other app: no self-attribution, nothing in the
+		// trailing column.
 		if m[0][0] != 0 || m[1][1] != 0 || m[0][2] != 0 || m[1][2] != 0 || m[0][1] == 0 || m[1][0] == 0 {
 			t.Errorf("%d channels: attribution %v, want only cross-app charges", channels, m)
 		}
@@ -94,7 +95,7 @@ func TestRequestCausesSumToInterfCycles(t *testing.T) {
 	stride := uint64(g.LinesPerRow * g.Channels * g.BanksPerChan)
 	var reqs []*Request
 	for i := 0; i < 8; i++ {
-		r := &Request{App: i % 2, LineAddr: uint64(i) * stride, Causes: make([]uint64, 3)}
+		r := &Request{App: i % 2, LineAddr: uint64(i) * stride, Causes: make([]uint64, 2)}
 		reqs = append(reqs, r)
 		s.Enqueue(r, 0)
 	}

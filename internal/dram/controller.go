@@ -54,11 +54,11 @@ type Controller struct {
 	// cause is the bank's occupant, else the bus owner, else the command
 	// slot's app — a property of the bank, never of the request. So the
 	// controller charges banks, not reads: bankTotal[b] is the cycles
-	// charged to bank b's queued reads, bankCause[b*(numApps+1)+c] splits
-	// them by cause c (the last column is the system/refresh cause), and
-	// bankApp[b*numApps+a] counts app a's queued reads in bank b. A read
-	// settles its own share when it leaves the queue (removeRead): the
-	// bank's charges since it was enqueued, less those it caused itself.
+	// charged to bank b's queued reads, bankCause[b*numApps+c] splits them
+	// by cause app c, and bankApp[b*numApps+a] counts app a's queued reads
+	// in bank b. A read settles its own share when it leaves the queue
+	// (removeRead): the bank's charges since it was enqueued, less those it
+	// caused itself.
 	bankTotal []uint64
 	bankCause []uint64
 	bankApp   []int32
@@ -94,20 +94,15 @@ type Controller struct {
 
 	busyTicks  uint64 // DRAM ticks with a data transfer in flight
 	totalTicks uint64
-	refreshes  uint64
 
 	// ledger, when non-nil, is the event-tracing attribution matrix:
-	// ledger[j*(numApps+1)+i] is the interference cycles cause i inflicted
-	// on victim j this quantum, the last column the system/refresh cause.
-	// It settles from the bank ledger like Request.Causes: Enqueue marks a
-	// read's bank cause row against its app's row, removeRead settles it,
-	// and charge adds row-buffer disturbance directly. While reads are
-	// queued it therefore holds their marks; AddAttributionInto folds them.
+	// ledger[j*numApps+i] is the interference cycles cause app i inflicted
+	// on victim j this quantum. It settles from the bank ledger like
+	// Request.Causes: Enqueue marks a read's bank cause row against its
+	// app's row, removeRead settles it, and charge adds row-buffer
+	// disturbance directly. While reads are queued it therefore holds their
+	// marks; AddAttributionInto folds them.
 	ledger []uint64
-
-	// refreshCountdown counts DRAM ticks down to the next refresh; zero
-	// means refresh is disabled. Replaces a per-tick modulo on TREFI.
-	refreshCountdown uint64
 }
 
 // NewController returns a controller for one channel.
@@ -121,7 +116,7 @@ func NewController(t Timing, g Geometry, channel, numApps int, policy Scheduler)
 		bankReads:      make([]int32, g.BanksPerChan),
 		bankWrites:     make([]int32, g.BanksPerChan),
 		bankTotal:      make([]uint64, g.BanksPerChan),
-		bankCause:      make([]uint64, g.BanksPerChan*(numApps+1)),
+		bankCause:      make([]uint64, g.BanksPerChan*numApps),
 		bankApp:        make([]int32, g.BanksPerChan*numApps),
 		readQCap:       128,
 		writeQCap:      64,
@@ -137,9 +132,6 @@ func NewController(t Timing, g Geometry, channel, numApps int, policy Scheduler)
 		servedReads:    make([]uint64, numApps),
 		blockedScratch: make([]int, numApps),
 		minComplete:    NoEventCycle,
-	}
-	if t.RefreshEnabled() {
-		c.refreshCountdown = uint64(t.TREFI)
 	}
 	for i := range c.banks {
 		c.banks[i].openRow = -1
@@ -159,15 +151,14 @@ func (c *Controller) Policy() Scheduler { return c.policy }
 // from now. It changes no other accounting.
 func (c *Controller) EnableAttribution() {
 	if c.ledger == nil {
-		c.ledger = make([]uint64, c.numApps*(c.numApps+1))
+		c.ledger = make([]uint64, c.numApps*c.numApps)
 		c.rebaseLedger()
 	}
 }
 
 // ledgerRow returns victim app's row of the attribution ledger.
 func (c *Controller) ledgerRow(app int) []uint64 {
-	stride := c.numApps + 1
-	return c.ledger[app*stride : (app+1)*stride]
+	return c.ledger[app*c.numApps : (app+1)*c.numApps]
 }
 
 // rebaseLedger clears the attribution ledger and re-marks the queued
@@ -179,9 +170,10 @@ func (c *Controller) rebaseLedger() {
 	}
 }
 
-// AddAttributionInto adds the attribution ledger into dst (victim-major,
-// rows numApps+1 wide), with every queued read's charges so far settled
-// as removeRead would settle them. It changes nothing in the controller.
+// AddAttributionInto adds the attribution ledger into the first numApps
+// columns of dst (victim-major), with every queued read's charges so far
+// settled as removeRead would settle them. It changes nothing in the
+// controller.
 func (c *Controller) AddAttributionInto(dst [][]uint64) {
 	for j := range c.numApps {
 		for i, v := range c.ledgerRow(j) {
@@ -240,43 +232,27 @@ func (c *Controller) Enqueue(r *Request, now uint64) bool {
 	return true
 }
 
-// causeRow returns bank's per-cause charge columns (numApps+1 wide).
+// causeRow returns bank's per-cause charge columns (numApps wide).
 func (c *Controller) causeRow(bank int) []uint64 {
-	stride := c.numApps + 1
-	return c.bankCause[bank*stride : (bank+1)*stride]
+	return c.bankCause[bank*c.numApps : (bank+1)*c.numApps]
 }
 
 // moveCauses adds row — a bank's per-cause charges, less app's own
-// column — into dst, a cause vector (Request.Causes or a ledger row) of
-// app's read (settle), or subtracts it (mark, at Enqueue). Slots fold as
-// addCause folds a cause. The arithmetic is modulo 2^64, so mark then
-// settle leaves exactly the charges made in between.
+// column — into the first numApps slots of dst, a cause vector
+// (Request.Causes, a ledger row or an attribution row) of app's read
+// (settle), or subtracts it (mark, at Enqueue). The arithmetic is modulo
+// 2^64, so mark then settle leaves exactly the charges made in between.
 func (c *Controller) moveCauses(dst []uint64, app int, row []uint64, settle bool) {
-	last := len(dst) - 1
 	for cause, v := range row {
 		if cause == app {
 			continue
 		}
-		slot := cause
-		if cause >= last || cause == c.numApps {
-			slot = last
-		}
 		if settle {
-			dst[slot] += v
+			dst[cause] += v
 		} else {
-			dst[slot] -= v
+			dst[cause] -= v
 		}
 	}
-}
-
-// addCause books cycles of cause against dst, a cause vector whose last
-// slot is the system/refresh pseudo-cause; a negative (refresh) or
-// out-of-range cause folds into it.
-func addCause(dst []uint64, cause int, cycles uint64) {
-	if cause < 0 || cause >= len(dst)-1 {
-		cause = len(dst) - 1
-	}
-	dst[cause] += cycles
 }
 
 // QueuedReads returns the number of queued (not yet issued) reads.
@@ -292,25 +268,6 @@ func (c *Controller) Tick(now uint64) {
 	c.totalTicks++
 	if c.busBusyUntil > now {
 		c.busyTicks++
-	}
-	// Periodic refresh: all banks occupied for tRFC, rows closed. The
-	// countdown fires on the same ticks totalTicks%TREFI==0 used to,
-	// without the per-tick modulo.
-	if c.refreshCountdown > 0 {
-		c.refreshCountdown--
-		if c.refreshCountdown == 0 {
-			c.refreshCountdown = uint64(c.timing.TREFI)
-			until := now + uint64(c.timing.TRFC*c.timing.CPUPerDRAM)
-			for i := range c.banks {
-				b := &c.banks[i]
-				if b.busyUntil < until {
-					b.busyUntil = until
-					b.occupant = -1
-				}
-				b.openRow = -1
-			}
-			c.refreshes++
-		}
 	}
 	c.completeFinished(now)
 	c.account(now, 1)
@@ -340,7 +297,7 @@ const NoEventCycle = ^uint64(0)
 // NextEventCycle returns the earliest CPU cycle — on the DRAM-tick grid
 // anchored at nextTick, the cycle of the controller's next Tick — at
 // which a Tick can change *scheduling* state. Every tick strictly before
-// the returned cycle is a frozen tick: no completion, refresh, or issue,
+// the returned cycle is a frozen tick: no completion or issue,
 // every queued read's bank stays busy, and the queues are unchanged, so
 // the per-tick accounting (if any) charges the identical amounts each
 // tick and SkipTicks can apply the whole run in one call, bit-identical
@@ -354,8 +311,6 @@ const NoEventCycle = ^uint64(0)
 //     its ranks), which therefore ends the window.
 //   - completeFinished: fires at the first tick at or after the earliest
 //     in-service Complete cycle (minComplete).
-//   - refresh: the countdown fires refreshCountdown-1 ticks after
-//     nextTick (the next tick itself decrements it to countdown-1).
 //   - issue: a queued read (or, when draining or with no reads queued, a
 //     queued write) issues at the first tick its bank is free, so the
 //     window ends where the earliest request-holding bank frees.
@@ -398,11 +353,6 @@ func (c *Controller) NextEventCycle(nextTick uint64) uint64 {
 			}
 		}
 	}
-	if c.refreshCountdown > 0 {
-		if t := nextTick + (c.refreshCountdown-1)*ratio; t < next {
-			next = t
-		}
-	}
 	// The earliest release of a bank holding issuable work.
 	writes := len(c.writeQ) > 0 && (c.draining || len(c.readQ) == 0)
 	free := uint64(NoEventCycle)
@@ -420,9 +370,9 @@ func (c *Controller) NextEventCycle(nextTick uint64) uint64 {
 // SkipTicks advances the controller over n consecutive frozen ticks at
 // cycles nextTick, nextTick+ratio, ... — all strictly before
 // NextEventCycle(nextTick) — bit-identical to calling Tick n times. The
-// tick counter, the bus-busy tally, and the refresh countdown apply in
-// closed form; with multiple apps and queued reads, the per-tick
-// interference accounting is applied for the window: integer charges
+// tick counter and the bus-busy tally apply in closed form; with multiple
+// apps and queued reads, the per-tick interference accounting is applied
+// for the window: integer charges
 // (per-bank interference and its cause columns, queueing cycles)
 // multiply out exactly, and each float accumulator receives the same n
 // identical adds it would see ticking through, preserving bit-equality.
@@ -435,11 +385,6 @@ func (c *Controller) SkipTicks(nextTick uint64, n uint64) {
 			busy = n
 		}
 		c.busyTicks += busy
-	}
-	if c.refreshCountdown > 0 {
-		// n < refreshCountdown is guaranteed by the NextEventCycle bound,
-		// so the countdown can never fire (or wrap) inside the window.
-		c.refreshCountdown -= n
 	}
 	// Every queued read's bank is busy for the whole window (NextEventCycle
 	// ends it where the first one frees), so each bank's cause is its
@@ -455,17 +400,15 @@ func (c *Controller) SkipTicks(nextTick uint64, n uint64) {
 }
 
 // charge books a row-buffer disturbance penalty of cycles against request
-// r from cause — the app whose access displaced the row, or -1 for the
-// system (a refresh window) — on the request and in the attribution
-// ledger. An app cannot interfere with itself: issue folds that cause
-// into -1 before calling.
+// r from cause, the app whose access displaced the row, on the request and
+// in the attribution ledger.
 func (c *Controller) charge(r *Request, cause int, cycles uint64) {
 	r.InterfCycles += cycles
 	if c.ledger != nil {
-		addCause(c.ledgerRow(r.App), cause, cycles)
+		c.ledgerRow(r.App)[cause] += cycles
 	}
 	if r.Causes != nil {
-		addCause(r.Causes, cause, cycles)
+		r.Causes[cause] += cycles
 	}
 }
 
@@ -715,13 +658,16 @@ func (c *Controller) issue(r *Request, now uint64) {
 	// targets the row this app itself opened last in this bank — alone it
 	// would have been a row hit. Charge the activate/precharge overhead
 	// as interference (per-request and parallelism-scaled per-app). The
-	// cause is the bank's previous occupant, whose access (or a refresh
-	// window, occupant -1) displaced the row.
+	// cause is the bank's previous occupant, whose access displaced the
+	// row. It is another app: issue sets openRow, occupant and
+	// lastRow[occupant] together, so the victim's own last access would
+	// have left its row open, and a bank no app has used yet disturbs no
+	// row.
 	if !r.Write && !r.RowHit && b.lastRow[r.App] == int64(r.row) {
 		penalty := uint64(cmdLat-c.timing.TCL) * ratio
 		cause := b.occupant
-		if cause == r.App {
-			cause = -1
+		if debugChecks && (cause < 0 || cause == r.App) {
+			panic(fmt.Sprintf("dram: app %d's row %d disturbed by cause %d", r.App, r.row, cause))
 		}
 		c.charge(r, cause, penalty)
 		par := c.outstanding[r.App] + 1 // +1: this request
@@ -772,16 +718,14 @@ func (c *Controller) issue(r *Request, now uint64) {
 // last command slot (previous tick) went to another app. A read stuck
 // behind its own app's bank work is not being interfered with. The bus
 // owner and the command slot's app are both lastCmdApp, so each bank has
-// one cause per tick — its occupant if busy (-1 for a refresh window),
-// else lastCmdApp if the bus or slot is taken, else none — which charges
-// every read in the bank except those of the cause app itself. The charge
-// goes on the bank (bankTotal, bankCause); reads settle it in removeRead.
+// one cause per tick — its occupant if busy, else lastCmdApp if the bus or
+// slot is taken, else none — which charges every read in the bank except
+// those of the cause app itself. The charge goes on the bank (bankTotal,
+// bankCause); reads settle it in removeRead.
 func (c *Controller) account(now, n uint64) {
 	// A single-app controller has no inter-application interference to
 	// account: every occupant, bus transfer and command slot belongs to
-	// the one app. (Refresh windows set occupant to -1, but refresh
-	// stalls happen identically in an alone run, so they are not
-	// interference either.) With no queued reads nothing is blocked.
+	// the one app. With no queued reads nothing is blocked.
 	if c.numApps == 1 || len(c.readQ) == 0 {
 		return
 	}
@@ -795,12 +739,11 @@ func (c *Controller) account(now, n uint64) {
 	// those in banks with no cause or whose cause is a itself.
 	blocked := c.blockedScratch
 	copy(blocked, c.outstanding)
-	stride := c.numApps + 1
 	for bank, queued := range c.bankReads {
 		if queued == 0 {
 			continue
 		}
-		base := bank * c.numApps // bank's row of bankApp
+		base := bank * c.numApps // bank's row of bankApp and bankCause
 		cause := slotCause
 		if b := &c.banks[bank]; b.busyUntil > now {
 			cause = b.occupant
@@ -811,13 +754,12 @@ func (c *Controller) account(now, n uint64) {
 			}
 			continue
 		}
-		col := c.numApps
-		if cause >= 0 {
-			col = cause
-			blocked[cause] -= int(c.bankApp[base+cause])
+		if debugChecks && cause < 0 {
+			panic(fmt.Sprintf("dram: bank %d charged to cause %d at %d", bank, cause, now))
 		}
+		blocked[cause] -= int(c.bankApp[base+cause])
 		c.bankTotal[bank] += cycles
-		c.bankCause[bank*stride+col] += cycles
+		c.bankCause[base+cause] += cycles
 	}
 	c.chargeBlocked(blocked, ratio, n)
 }
@@ -849,9 +791,6 @@ func (c *Controller) RowHitRate(app int) float64 {
 	}
 	return float64(c.rowHits[app]) / float64(c.readsDone[app])
 }
-
-// Refreshes returns how many refresh windows have occurred.
-func (c *Controller) Refreshes() uint64 { return c.refreshes }
 
 // BusUtilization returns the fraction of DRAM ticks the data bus was busy.
 func (c *Controller) BusUtilization() float64 {

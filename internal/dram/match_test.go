@@ -31,7 +31,6 @@ type refCoverage struct {
 	skipped, sampled, settled int
 	drains, undrains          int    // drain mode switched on, off
 	policies                  [3]int // trials per skipTestPolicies entry
-	refresh                   int    // trials with refresh on
 }
 
 // checkControllerAgainstReference drives a Controller and a refController
@@ -48,10 +47,6 @@ func checkControllerAgainstReference(t *testing.T, src opSource, steps int, cov 
 	t.Helper()
 	numApps := 2 + src.Intn(15)
 	timing := DDR31333()
-	if src.Intn(2) == 0 {
-		timing = DDR31333WithRefresh()
-		cov.refresh++
-	}
 	pi := src.Intn(len(skipTestPolicies))
 	pol := skipTestPolicies[pi]
 	cov.policies[pi]++
@@ -74,11 +69,11 @@ func checkControllerAgainstReference(t *testing.T, src opSource, steps int, cov 
 	enqueue := func(now uint64, write bool) {
 		r := &Request{App: src.Intn(numApps), LineAddr: line(), Write: write, Prefetch: !write && src.Intn(5) == 0}
 		if !write && src.Intn(3) == 0 {
-			r.Causes = make([]uint64, numApps+1)
+			r.Causes = make([]uint64, numApps)
 		}
 		w := *r
 		if w.Causes != nil {
-			w.Causes = make([]uint64, numApps+1)
+			w.Causes = make([]uint64, numApps)
 		}
 		ok, refOK := c.Enqueue(r, now), ref.Enqueue(&w, now)
 		if ok != refOK {
@@ -216,7 +211,7 @@ func checkControllerAgainstReference(t *testing.T, src opSource, steps int, cov 
 
 // TestControllerMatchesReference holds the per-bank interference ledger
 // to the per-request walk it replaced, under FR-FCFS, PARBS and TCM with
-// 2–16 apps, with and without refresh.
+// 2–16 apps.
 func TestControllerMatchesReference(t *testing.T) {
 	var cov refCoverage
 	const trials = 60
@@ -224,7 +219,7 @@ func TestControllerMatchesReference(t *testing.T) {
 		checkControllerAgainstReference(t, rand.New(rand.NewSource(int64(trial)+1)), 2500, &cov)
 	}
 	if cov.skipped == 0 || cov.drains == 0 || cov.undrains == 0 || cov.sampled == 0 || cov.settled == 0 ||
-		min(cov.policies[0], cov.policies[1], cov.policies[2]) == 0 || cov.refresh == 0 || cov.refresh == trials {
+		min(cov.policies[0], cov.policies[1], cov.policies[2]) == 0 {
 		t.Fatalf("comparison left paths unexercised: %+v", cov)
 	}
 }

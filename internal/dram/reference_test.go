@@ -6,12 +6,14 @@ package dram
 // queued read and charge it directly, NextEventCycle aligns each bank's
 // release on its own, and pickRead scans the queue for the priority app's
 // reads whenever any bank is free. They are kept verbatim, bar their
-// names, receiver and the ledger charge writes, as the reference TestControllerMatchesReference and
-// FuzzControllerMatchesReference hold Controller to.
+// names, receiver, the ledger charge writes and the refresh window the
+// package no longer models, as the reference
+// TestControllerMatchesReference and FuzzControllerMatchesReference hold
+// Controller to.
 //
 // refController runs an ordinary Controller through tick, a copy of Tick
 // that calls the reference accounting and pick. Everything else a tick
-// does — completion, refresh, drain mode, the policy's Pick and issue — is
+// does — completion, drain mode, the policy's Pick and issue — is
 // shared code, so the two controllers differ only in what changed. The
 // reference never charges a bank, so the bank ledger the shared Enqueue
 // and removeRead keep stays zero: the marks they and ResetQuantumStats
@@ -29,25 +31,6 @@ func (c refController) tick(now uint64) {
 	c.totalTicks++
 	if c.busBusyUntil > now {
 		c.busyTicks++
-	}
-	// Periodic refresh: all banks occupied for tRFC, rows closed. The
-	// countdown fires on the same ticks totalTicks%TREFI==0 used to,
-	// without the per-tick modulo.
-	if c.refreshCountdown > 0 {
-		c.refreshCountdown--
-		if c.refreshCountdown == 0 {
-			c.refreshCountdown = uint64(c.timing.TREFI)
-			until := now + uint64(c.timing.TRFC*c.timing.CPUPerDRAM)
-			for i := range c.banks {
-				b := &c.banks[i]
-				if b.busyUntil < until {
-					b.busyUntil = until
-					b.occupant = -1
-				}
-				b.openRow = -1
-			}
-			c.refreshes++
-		}
 	}
 	c.completeFinished(now)
 	c.account(now)
@@ -96,11 +79,6 @@ func (c refController) nextEventCycle(nextTick uint64) uint64 {
 			}
 		}
 	}
-	if c.refreshCountdown > 0 {
-		if t := nextTick + (c.refreshCountdown-1)*ratio; t < next {
-			next = t
-		}
-	}
 	for i := range c.banks {
 		if c.bankReads[i] > 0 {
 			if t := alignUp(c.banks[i].busyUntil); t < next {
@@ -132,19 +110,13 @@ func (c refController) skipTicks(nextTick uint64, n uint64) {
 		}
 		c.busyTicks += busy
 	}
-	if c.refreshCountdown > 0 {
-		// n < refreshCountdown is guaranteed by the NextEventCycle bound,
-		// so the countdown can never fire (or wrap) inside the window.
-		c.refreshCountdown -= n
-	}
 	if c.numApps == 1 || len(c.readQ) == 0 {
 		return
 	}
 	// Frozen-window accounting: every queued read's bank is busy for the
 	// whole window (NextEventCycle ends it where the first one frees), so
 	// a read is interfered each tick iff its bank's occupant is another
-	// app (or -1, a refresh window) — account's bank-busy branch with a
-	// constant cause; the bus/command-slot branches are unreachable.
+	// app — account's bank-busy branch with a constant cause; the bus/command-slot branches are unreachable.
 	blocked := c.blockedScratch
 	for i := range blocked {
 		blocked[i] = 0
@@ -162,24 +134,16 @@ func (c refController) skipTicks(nextTick uint64, n uint64) {
 	c.chargeBlocked(blocked, ratio, n)
 }
 
-// charge books cycles of interference against request r from cause —
-// another app whose occupancy held it up, or -1 for the system (a refresh
-// window) — on the request and in the attribution ledger. An app cannot
-// interfere with itself: issue folds that cause into -1 before calling,
-// and the per-tick callers never produce it.
+// charge books cycles of interference against request r from cause,
+// another app whose occupancy held it up, on the request and in the
+// attribution ledger. The per-tick callers never charge an app for
+// itself.
 func (c refController) charge(r *Request, cause int, cycles uint64) {
 	r.InterfCycles += cycles
 	if c.ledger != nil {
-		col := cause
-		if col < 0 || col >= c.numApps {
-			col = c.numApps
-		}
-		c.ledger[r.App*(c.numApps+1)+col] += cycles
+		c.ledger[r.App*c.numApps+cause] += cycles
 	}
 	if r.Causes != nil {
-		if cause < 0 || cause >= len(r.Causes)-1 {
-			cause = len(r.Causes) - 1
-		}
 		r.Causes[cause] += cycles
 	}
 }
@@ -217,10 +181,8 @@ func (c refController) chargeBlocked(blocked []int, ratio, n uint64) {
 func (c refController) account(now uint64) {
 	// A single-app controller has no inter-application interference to
 	// account: every occupant, bus transfer and command slot belongs to
-	// the one app. (Refresh windows set occupant to -1, but refresh
-	// stalls happen identically in an alone run, so they are not
-	// interference either.) Alone-run replicas take this path every
-	// DRAM tick, so skipping the queue walk is a real win there.
+	// the one app. Alone-run replicas take this path every DRAM tick, so
+	// skipping the queue walk is a real win there.
 	if c.numApps == 1 {
 		return
 	}
@@ -251,7 +213,7 @@ func (c refController) account(now uint64) {
 		// its own bank's work is not being interfered with this tick.
 		// Every interfered tick has one deterministic cause, resolved in
 		// fixed priority (bank occupant, then bus owner, then command
-		// slot); -2 means not interfered, -1 the system (refresh).
+		// slot); -2 means not interfered.
 		cause := -2
 		if bankBusy {
 			if b.occupant != r.App {

@@ -26,9 +26,8 @@ type Request struct {
 	InterfCycles uint64
 
 	// Causes, when non-nil, splits InterfCycles by cause application:
-	// Causes[i] is the cycles app i's occupancy cost this request, and the
-	// final slot (index len-1) is the system/refresh pseudo-cause. The
-	// tracer allocates it (numApps+1 long) only for sampled requests, so
+	// Causes[i] is the cycles app i's occupancy cost this request. The
+	// tracer allocates it (numApps long) only for sampled requests, so
 	// the common path stays allocation-free. While the read is queued it
 	// holds a mark against its bank's ledger, not cycles: like
 	// InterfCycles it is final only once the read has issued.

@@ -100,17 +100,11 @@ func compareControllers(t *testing.T, trial int, a, b *Controller, numApps int) 
 	if x, y := a.QueuedReads(), b.QueuedReads(); x != y {
 		t.Errorf("trial %d: queued reads %d vs %d", trial, x, y)
 	}
-	if x, y := a.Refreshes(), b.Refreshes(); x != y {
-		t.Errorf("trial %d: refreshes %d vs %d", trial, x, y)
-	}
 	if x, y := a.BusUtilization(), b.BusUtilization(); math.Float64bits(x) != math.Float64bits(y) {
 		t.Errorf("trial %d: bus utilization %v vs %v", trial, x, y)
 	}
 	if a.totalTicks != b.totalTicks || a.busyTicks != b.busyTicks {
 		t.Errorf("trial %d: ticks %d/%d vs %d/%d", trial, a.busyTicks, a.totalTicks, b.busyTicks, b.totalTicks)
-	}
-	if a.refreshCountdown != b.refreshCountdown {
-		t.Errorf("trial %d: refresh countdown %d vs %d", trial, a.refreshCountdown, b.refreshCountdown)
 	}
 	if a.markedReads != b.markedReads {
 		t.Errorf("trial %d: marked reads %d vs %d", trial, a.markedReads, b.markedReads)
@@ -152,8 +146,8 @@ var skipTestPolicies = []struct {
 
 // TestSkipTicksMatchesTicked is the controller-level differential test
 // for the frozen-window fast path: random multi-app request patterns
-// (with the epoch priority overlay, the attribution ledger, per-request
-// cause vectors, and refresh-enabled timing variants) driven through
+// (with the epoch priority overlay, the attribution ledger and per-request
+// cause vectors) driven through
 // NextEventCycle + SkipTicks must leave every accounting — including the
 // float interference accumulators, compared bit for bit — identical to
 // ticking through every DRAM cycle, under every scheduling policy: PARBS
@@ -169,9 +163,6 @@ func testSkipTicksMatchesTicked(t *testing.T, mkPolicy func(numApps int) Schedul
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
 		timing := DDR31333()
-		if trial%3 == 2 {
-			timing = DDR31333WithRefresh()
-		}
 		numApps := 2 + trial%3
 		geom := DefaultGeometry(1)
 		mk := func() (*Controller, []*Request) {
@@ -186,7 +177,7 @@ func testSkipTicksMatchesTicked(t *testing.T, mkPolicy func(numApps int) Schedul
 					App:      rng.Intn(numApps),
 					LineAddr: uint64(rng.Intn(1 << 14)),
 					Write:    rng.Intn(8) == 0,
-					Causes:   make([]uint64, numApps+1),
+					Causes:   make([]uint64, numApps),
 				}
 				r.Enqueue = at
 				at += uint64(rng.Intn(300))

@@ -132,8 +132,9 @@ func (s *System) EnableAttribution() {
 	}
 }
 
-// AddAttributionInto adds every channel's attribution ledger into dst
-// (victim-major, rows numApps+1 wide; see Controller.AddAttributionInto).
+// AddAttributionInto adds every channel's attribution ledger into the
+// first numApps columns of dst (victim-major; see
+// Controller.AddAttributionInto).
 func (s *System) AddAttributionInto(dst [][]uint64) {
 	for _, c := range s.channels {
 		c.AddAttributionInto(dst)

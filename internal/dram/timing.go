@@ -18,22 +18,15 @@ type Timing struct {
 	TRP    int // PRE to ACT
 	TCL    int // column command to first data
 	TBurst int // data transfer time for one line (BL8, DDR => 4 bus cycles)
-	TRAS   int // ACT to PRE minimum (folded into bank busy time)
-	TWR    int // write recovery (extra bank busy after a write burst)
-
-	// TREFI/TRFC enable periodic refresh when both are non-zero: every
-	// TREFI bus cycles, all banks of a channel are unavailable for TRFC
-	// bus cycles and row buffers close. The paper's evaluation does not
-	// study refresh; DDR31333 leaves it off, DDR31333WithRefresh turns it
-	// on with nominal values (tREFI 7.8us, tRFC ~160ns).
-	TREFI int
-	TRFC  int
+	// TRAS is the ACT to PRE minimum. No command reads it: a bank stays
+	// busy at least TRCD+TCL+TBurst bus cycles after an activate, and a
+	// precharge waits for the bank, so tRAS holds only because
+	// TRCD+TCL+TBurst >= TRAS (24 >= 24 in DDR31333).
+	TRAS int
+	TWR  int // write recovery (extra bank busy after a write burst)
 
 	CPUPerDRAM int // CPU cycles per DRAM bus cycle
 }
-
-// RefreshEnabled reports whether periodic refresh is modeled.
-func (t Timing) RefreshEnabled() bool { return t.TREFI > 0 && t.TRFC > 0 }
 
 // DDR31333 returns the paper's DDR3-1333 (10-10-10) timing with a 5.3 GHz
 // CPU clock (Table 2): the 666.7 MHz DRAM bus gives a ratio of 8 CPU
@@ -48,15 +41,6 @@ func DDR31333() Timing {
 		TWR:        10,
 		CPUPerDRAM: 8,
 	}
-}
-
-// DDR31333WithRefresh returns DDR3-1333 timing with periodic refresh
-// enabled (tREFI = 7.8us = 5200 bus cycles, tRFC = 160ns = 107 cycles).
-func DDR31333WithRefresh() Timing {
-	t := DDR31333()
-	t.TREFI = 5200
-	t.TRFC = 107
-	return t
 }
 
 // Geometry describes the DRAM organization (Table 2: 1-4 channels, 1 rank
@@ -81,8 +65,6 @@ func DefaultGeometry(channels int) Geometry {
 // row-buffer locality), then channel (fine-grained channel interleaving),
 // then bank, then row.
 func (g Geometry) Map(lineAddr uint64) (channel, bank int, row uint64) {
-	col := lineAddr % uint64(g.LinesPerRow)
-	_ = col
 	x := lineAddr / uint64(g.LinesPerRow)
 	channel = int(x % uint64(g.Channels))
 	x /= uint64(g.Channels)

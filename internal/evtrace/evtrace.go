@@ -69,8 +69,8 @@ type MissSpan struct {
 	RowHit  bool
 
 	// InterfCycles is the request's total attributed interference; Causes
-	// breaks it down by cause app (index len-1 is the system/refresh
-	// pseudo-cause). Causes may be nil when per-cause tracking was off.
+	// breaks it down by cause app. Causes may be nil when per-cause
+	// tracking was off.
 	InterfCycles uint64
 	Causes       []uint64
 
@@ -95,8 +95,9 @@ type AppQuantumStats struct {
 
 // QuantumAttribution is one quantum's interference attribution snapshot.
 // Matrices are victim-major: M[j][i] is the cycles cause i inflicted on
-// victim j this quantum; column index NumApps (the last) is the
-// system/refresh pseudo-cause. Mem rows sum bit-exactly to
+// victim j this quantum; column index NumApps (the last) is the system
+// pseudo-cause, which the simulator charges with Cache misses whose
+// evictor it does not know and never in Mem. Mem rows sum bit-exactly to
 // MemRowTotals[j], which in turn equals the controller-side accounting
 // (dram.System.InterferenceCycles summed in channel order).
 type QuantumAttribution struct {
@@ -296,11 +297,7 @@ func (t *Tracer) MissSpan(sp MissSpan) {
 			if v == 0 {
 				continue
 			}
-			key := fmt.Sprintf("app%d", i)
-			if i == len(sp.Causes)-1 {
-				key = "system"
-			}
-			causes[key] = v
+			causes[fmt.Sprintf("app%d", i)] = v
 		}
 		if len(causes) > 0 {
 			args["cause_cycles"] = causes

@@ -105,30 +105,15 @@ func AddMatrix(dst, src [][]float64) [][]float64 {
 	return dst
 }
 
-// WellFormed reports whether q has the shape BlockDiagonal embeds: N
-// apps, N row totals, and N rows of N+1 columns (the trailing system
-// column) in both splits, with N > 0.
-func (q *QuantumAttribution) WellFormed() bool {
-	n := len(q.Apps)
-	if n == 0 || len(q.Mem) != n || len(q.Cache) != n || len(q.MemRowTotals) != n {
-		return false
-	}
-	for j := 0; j < n; j++ {
-		if len(q.Mem[j]) != n+1 || len(q.Cache[j]) != n+1 {
-			return false
-		}
-	}
-	return true
-}
-
 // BlockDiagonal embeds per-node attribution snapshots on the diagonal of
 // one cluster snapshot. Block k's apps become the rows and columns
 // "n<nodes[k]>/<app>", contiguous and in block order; its system column
 // lands in the cluster's last column; everything off the diagonal blocks
 // stays zero, because nodes share no hardware. Values are copied
 // verbatim, so every block survives bit-identical. Quantum, EndCycle and
-// Cycles are the furthest node's. Every block must be well formed
-// (WellFormed); each caller checks or clips its own input.
+// Cycles are the furthest node's. Every block must be well formed: N > 0
+// apps, N row totals, and N rows of N+1 columns (the trailing system
+// column) in both splits; each caller checks or clips its own input.
 func BlockDiagonal(nodes []int, blocks []QuantumAttribution) QuantumAttribution {
 	total := 0
 	for _, b := range blocks {

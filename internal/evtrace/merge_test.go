@@ -393,6 +393,22 @@ func FuzzLoadNodeTrace(f *testing.F) {
 	})
 }
 
+// wellFormed reports whether q has the shape BlockDiagonal embeds: N
+// apps, N row totals, and N rows of N+1 columns (the trailing system
+// column) in both splits, with N > 0.
+func wellFormed(q *QuantumAttribution) bool {
+	n := len(q.Apps)
+	if n == 0 || len(q.Mem) != n || len(q.Cache) != n || len(q.MemRowTotals) != n {
+		return false
+	}
+	for j := 0; j < n; j++ {
+		if len(q.Mem[j]) != n+1 || len(q.Cache[j]) != n+1 {
+			return false
+		}
+	}
+	return true
+}
+
 // TestBlockDiagonal: blocks land on the diagonal under their given node
 // ids, each system column in the cluster's last column, values verbatim,
 // and the cluster clock is the furthest node's.
@@ -404,7 +420,7 @@ func TestBlockDiagonal(t *testing.T) {
 		AppStats: []AppQuantumStats{{Name: "c", Retired: 9}},
 	}
 	for _, q := range []QuantumAttribution{a, b} {
-		if !q.WellFormed() {
+		if !wellFormed(&q) {
 			t.Fatalf("%v is not well formed", q.Apps)
 		}
 	}
@@ -426,7 +442,7 @@ func TestBlockDiagonal(t *testing.T) {
 	}
 	torn := sampleQuantum(0)
 	torn.Cache[1] = torn.Cache[1][:2]
-	if torn.WellFormed() || (&QuantumAttribution{}).WellFormed() {
+	if wellFormed(&torn) || wellFormed(&QuantumAttribution{}) {
 		t.Fatal("a torn or empty snapshot reads as well formed")
 	}
 }

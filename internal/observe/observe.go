@@ -29,7 +29,7 @@ type Flags struct {
 	Telemetry              string // record directory
 	Trace                  string // trace file (a directory with PerRun)
 	TraceSample            int
-	Dash, Pprof            string // listen addresses
+	Dash                   string // listen address: dashboard, /metrics and pprof
 	SLO, SLOFlight         string // spec file; flight-dump directory (see Observers.Flight)
 	CPUProfile, MemProfile string
 	// PerRun makes Telemetry and Trace directories holding one file set
@@ -45,7 +45,7 @@ type Flags struct {
 // usage text and the field's current value as its default.
 func (f *Flags) Register(fs *flag.FlagSet, usage map[string]string) {
 	strs := map[string]*string{
-		"telemetry": &f.Telemetry, "trace": &f.Trace, "dash": &f.Dash, "pprof": &f.Pprof,
+		"telemetry": &f.Telemetry, "trace": &f.Trace, "dash": &f.Dash,
 		"slo": &f.SLO, "slo-flight": &f.SLOFlight,
 		"cpuprofile": &f.CPUProfile, "memprofile": &f.MemProfile,
 	}
@@ -160,21 +160,19 @@ func Start(f Flags, log *slog.Logger) (*Observers, error) {
 	return o, nil
 }
 
-// Listen starts the profiler — CPU and heap profiles, and one HTTP
-// listener at the dashboard (else pprof) address serving pprof, the
-// dashboard and mounts — and announces the bound address on stderr.
+// Listen starts the profiler — CPU and heap profiles, and, with a
+// dashboard address, one HTTP listener serving pprof, the dashboard and
+// mounts — and announces the bound address on stderr.
 func (o *Observers) Listen(mounts ...func(*http.ServeMux)) error {
 	prof, err := telemetry.StartProfiler(o.f.CPUProfile, o.f.MemProfile,
-		cmp.Or(o.f.Dash, o.f.Pprof), append(mounts, o.Dash.Mount)...)
+		o.f.Dash, append(mounts, o.Dash.Mount)...)
 	if err != nil {
 		return err
 	}
 	o.prof = prof
 	if a := o.Addr(); a != "" {
 		fmt.Fprintf(os.Stderr, "pprof server listening on http://%s/debug/pprof/\n", a)
-		if o.Dash != nil {
-			fmt.Fprintf(os.Stderr, "dashboard listening on http://%s/debug/asm/\n", a)
-		}
+		fmt.Fprintf(os.Stderr, "dashboard listening on http://%s/debug/asm/\n", a)
 	}
 	return nil
 }

@@ -15,7 +15,6 @@ import (
 	"strings"
 
 	"asmsim/internal/cache"
-	"asmsim/internal/dram"
 	"asmsim/internal/workload"
 )
 
@@ -54,10 +53,9 @@ type Config struct {
 	WindowSize int
 	IssueWidth int
 
-	// Channels is the number of memory channels (Table 2: 1-4).
+	// Channels is the number of memory channels (Table 2: 1-4). Every
+	// channel runs DDR3-1333 timing (dram.DDR31333).
 	Channels int
-	// Timing is the DRAM timing; zero value selects DDR3-1333.
-	Timing dram.Timing
 
 	// Quantum and Epoch are ASM's Q and E in cycles (Section 4: Q = 5M,
 	// E = 10K).
@@ -118,7 +116,6 @@ func DefaultConfig() Config {
 		WindowSize:    128,
 		IssueWidth:    3,
 		Channels:      1,
-		Timing:        dram.DDR31333(),
 		Quantum:       5_000_000,
 		Epoch:         10_000,
 		EpochPriority: true,
@@ -166,14 +163,6 @@ func (c Config) L1Sets() int { return c.L1Bytes / (workload.LineSize * c.L1Ways)
 // L2Sets returns the L2 set count.
 func (c Config) L2Sets() int { return c.L2Bytes / (workload.LineSize * c.L2Ways) }
 
-// timing returns the DRAM timing, defaulting to DDR3-1333.
-func (c Config) timing() dram.Timing {
-	if c.Timing.CPUPerDRAM == 0 {
-		return dram.DDR31333()
-	}
-	return c.Timing
-}
-
 // defaultWritebackBackpressure is the historical hard-coded limit on
 // parked writebacks before the memory path rejects new L1 misses.
 const defaultWritebackBackpressure = 32
@@ -198,17 +187,17 @@ func (c Config) streamSeed() uint64 {
 
 // Fingerprint returns a canonical string identifying every
 // behavior-relevant knob of the configuration, with defaults resolved
-// (timing, writeback backpressure, stream seed). Two configs with equal
+// (writeback backpressure, stream seed). Two configs with equal
 // fingerprints simulate identically given identical sources. The
 // alone-run curve cache keys entries by the fingerprint of the
 // canonicalized single-core configuration (see aloneCurveConfig).
 func (c Config) Fingerprint() string {
 	return fmt.Sprintf(
-		"cores=%d l1=%d/%d/%d l2=%d/%d/%d mshr=%d win=%d iw=%d ch=%d timing=%+v q=%d e=%d ep=%t rr=%t ats=%d pol=%s pref=%t wb=%d seed=%d stream=%d",
+		"cores=%d l1=%d/%d/%d l2=%d/%d/%d mshr=%d win=%d iw=%d ch=%d q=%d e=%d ep=%t rr=%t ats=%d pol=%s pref=%t wb=%d seed=%d stream=%d",
 		c.Cores, c.L1Bytes, c.L1Ways, c.L1Latency,
 		c.L2Bytes, c.L2Ways, c.L2Latency,
 		c.MSHRs, c.WindowSize, c.IssueWidth,
-		c.Channels, c.timing(), c.Quantum, c.Epoch,
+		c.Channels, c.Quantum, c.Epoch,
 		c.EpochPriority, c.EpochRoundRobin, c.ATSSampledSets, c.Policy,
 		c.Prefetch, c.wbBackpressure(), c.Seed, c.streamSeed())
 }

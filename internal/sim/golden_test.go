@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"asmsim/internal/dram"
 	"asmsim/internal/partition"
 	"asmsim/internal/sim"
 	"asmsim/internal/workload"
@@ -46,7 +45,6 @@ func goldenCases() []goldenCase {
 		{name: "frfcfs4-round-robin-epochs", apps: goldenMix4, tweak: func(c *sim.Config) { c.EpochRoundRobin = true }},
 		{name: "frfcfs4-prefetch", apps: goldenMix4, tweak: func(c *sim.Config) { c.Prefetch = true }},
 		{name: "frfcfs4-2ch", apps: goldenMix4, tweak: func(c *sim.Config) { c.Channels = 2 }},
-		{name: "frfcfs4-refresh", apps: goldenMix4, tweak: func(c *sim.Config) { c.Timing = dram.DDR31333WithRefresh() }},
 		{name: "frfcfs4-sampled-backpressure", apps: []string{"lbm", "libquantum", "milc", "soplex"}, tweak: func(c *sim.Config) {
 			c.ATSSampledSets = 64
 			c.WritebackBackpressure = 4

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"asmsim/internal/dram"
 	"asmsim/internal/workload"
 )
 
@@ -19,7 +18,6 @@ type skipRunResult struct {
 	retired    []uint64
 	cycle      uint64
 	forced     uint64
-	refreshes  []uint64
 	busUtil    []float64
 	interf     [][]float64
 	queueing   [][]uint64
@@ -51,7 +49,6 @@ func runForSkipDiff(t *testing.T, cfg Config, specs []workload.Spec, quanta int,
 	res.cycle = sys.Cycle()
 	res.forced = sys.ForcedWakes()
 	for _, ch := range sys.Mem().Channels() {
-		res.refreshes = append(res.refreshes, ch.Refreshes())
 		res.busUtil = append(res.busUtil, ch.BusUtilization())
 		interf := make([]float64, cfg.Cores)
 		queueing := make([]uint64, cfg.Cores)
@@ -68,8 +65,8 @@ func runForSkipDiff(t *testing.T, cfg Config, specs []workload.Spec, quanta int,
 
 // TestSkipAheadBitIdentical is the differential gate for the advance loop:
 // across a spread of configurations — all three scheduling policies,
-// refresh-enabled timing, prefetching, multiple channels, ATS sampling,
-// epoch priority on and off, write-backpressure — Run, whose cores run
+// prefetching, multiple channels, ATS sampling, epoch priority on and
+// off, write-backpressure — Run, whose cores run
 // ahead between contacts and whose loop jumps idle cycles, must produce
 // bit-identical QuantumStats snapshots, retirement counts, forced-wake
 // tallies, and per-channel DRAM accounting (including the float
@@ -89,9 +86,6 @@ func TestSkipAheadBitIdentical(t *testing.T) {
 		cfg.Prefetch = i%2 == 0
 		cfg.Channels = 1 + i%2
 		cfg.Seed = uint64(i)
-		if i%4 == 3 {
-			cfg.Timing = dram.DDR31333WithRefresh()
-		}
 		if i%3 == 2 {
 			cfg.EpochPriority = false
 			cfg.Epoch = 0

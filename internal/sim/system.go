@@ -251,7 +251,7 @@ func newSystem(cfg Config, apps []AppSource, lean bool) (*System, error) {
 		apps:         append([]AppSource(nil), apps...),
 		ncores:       n,
 		epochOn:      cfg.EpochPriority,
-		cpuPerDRAM:   uint64(cfg.timing().CPUPerDRAM),
+		cpuPerDRAM:   uint64(dram.DDR31333().CPUPerDRAM),
 		quantumEnd:   cfg.Quantum - 1,
 		memDirty:     true,
 		wbLimit:      cfg.wbBackpressure(),
@@ -291,7 +291,7 @@ func newSystem(cfg Config, apps []AppSource, lean bool) (*System, error) {
 		}
 	}
 
-	s.mem = dram.NewSystem(cfg.timing(), dram.DefaultGeometry(cfg.Channels), n, s.policyFactory())
+	s.mem = dram.NewSystem(dram.DDR31333(), dram.DefaultGeometry(cfg.Channels), n, s.policyFactory())
 
 	s.epochWeights = make([]float64, n)
 	for i := range s.epochWeights {
@@ -892,7 +892,7 @@ func (s *System) sendMiss(txn *missTxn, now uint64) {
 	if txn.traced {
 		// Per-cause interference breakdown, only for sampled spans so the
 		// common path stays allocation-free.
-		txn.req.Causes = make([]uint64, s.ncores+1)
+		txn.req.Causes = make([]uint64, s.ncores)
 	}
 	if !s.enqueue(&txn.req, now) {
 		s.retryQ = append(s.retryQ, txn)

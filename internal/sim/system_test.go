@@ -475,25 +475,6 @@ func TestRandomConfigsRun(t *testing.T) {
 	}
 }
 
-// TestRefreshTimingIntegrates runs the full system on refresh-enabled
-// DRAM timing.
-func TestRefreshTimingIntegrates(t *testing.T) {
-	cfg := testConfig()
-	cfg.Cores = 2
-	cfg.Timing = dram.DDR31333WithRefresh()
-	sys, err := New(cfg, testSpecs(t, "libquantum", "bzip2"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.RunQuanta(1)
-	if sys.Mem().Channels()[0].Refreshes() == 0 {
-		t.Fatal("no refreshes occurred")
-	}
-	if sys.Retired(0) == 0 {
-		t.Fatal("no progress under refresh")
-	}
-}
-
 // TestParkedWritebackKeepsLineAndApp: a writeback the full write queue
 // refuses is parked and retried as posted. Lines up to cache.LineAddrLimit
 // reach the write path, so a parked line with bits at or above 2^56 must
