@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt build vet test test-debug race test-1p bench bench-smoke bench-module fuzz repro-diff trace-smoke trace-diff trace-merge-smoke dash-smoke serve-smoke slo-smoke cover
+.PHONY: check fmt build vet test test-debug race test-1p bench bench-smoke bench-module fuzz repro-diff trace-smoke trace-diff cluster-trace-smoke dash-smoke serve-smoke slo-smoke cover
 
 # check is the CI gate: gofmt, build + vet + tests, then the race detector over
 # the concurrency-heavy packages (alone-curve chasers behind asmsim.Run,
@@ -9,9 +9,10 @@ GO ?= go
 # core again with its debug invariants compiled in, the benchmark smoke
 # run, the benchmark module's vet and tests, the reproduction golden, the
 # fuzz targets, the attribution golden (trace-diff, which runs trace-smoke
-# first), then the observability smoke tests; trace-diff, repro-diff and trace-merge-smoke each regenerate a
-# summary and `cmp` it with its committed golden.
-check: fmt build vet test test-debug race test-1p bench-smoke bench-module repro-diff fuzz trace-diff trace-merge-smoke dash-smoke serve-smoke slo-smoke
+# first), then the observability smoke tests; trace-diff, repro-diff and
+# cluster-trace-smoke each regenerate a summary and `cmp` it with its
+# committed golden.
+check: fmt build vet test test-debug race test-1p bench-smoke bench-module repro-diff fuzz trace-diff cluster-trace-smoke dash-smoke serve-smoke slo-smoke
 
 # fmt fails when a Go file is not gofmt-formatted, listing the offenders.
 fmt:
@@ -117,24 +118,24 @@ trace-diff: trace-smoke
 	$(GO) run ./cmd/tracesum -format json $(TRACE_OUT) > trace-smoke.summary.json
 	cmp trace-smoke.summary.json cmd/tracesum/testdata/trace-smoke.golden.json
 
-# trace-merge-smoke drives the cluster tracing pipeline end to end: the
-# migration example with per-node tracing enabled, tracesum merge over
-# the node traces (per-node pid namespacing + clock reconciliation),
-# tracesum -check on the merged file to prove it is a well-formed
-# Perfetto-loadable trace with a cluster-level attribution matrix, then
-# the merged file's JSON summary compared byte for byte with the
-# committed golden. Regenerate the golden (after an intentional change)
-# with:
-#   go run ./cmd/tracesum -format json $(TRACE_MERGE_DIR)/cluster.trace.json > cmd/tracesum/testdata/trace-merge.golden.json
-# TRACE_MERGE_DIR overrides where the traces land (CI uploads them).
-TRACE_MERGE_DIR ?= trace-merge-smoke
-trace-merge-smoke:
-	$(GO) run ./examples/migration -trace-dir $(TRACE_MERGE_DIR)
-	$(GO) run ./cmd/tracesum merge -o $(TRACE_MERGE_DIR)/cluster.trace.json $(TRACE_MERGE_DIR)/node0.trace.json $(TRACE_MERGE_DIR)/node1.trace.json
-	$(GO) run ./cmd/tracesum -check $(TRACE_MERGE_DIR)/cluster.trace.json
-	$(GO) run ./cmd/tracesum $(TRACE_MERGE_DIR)/cluster.trace.json
-	$(GO) run ./cmd/tracesum -format json $(TRACE_MERGE_DIR)/cluster.trace.json > $(TRACE_MERGE_DIR)/cluster.summary.json
-	cmp $(TRACE_MERGE_DIR)/cluster.summary.json cmd/tracesum/testdata/trace-merge.golden.json
+# cluster-trace-smoke drives the cluster tracing pipeline end to end: the
+# migration example writes every machine's rounds into one trace (machine
+# k's apps are pids k*1000+j named n<k>/<app>, on one cluster clock),
+# tracesum -check proves it a well-formed Perfetto-loadable trace, and
+# its JSON summary — one table set per app set, so each machine's rounds
+# before and after the migration are summarized apart — is compared byte
+# for byte with the committed golden. Regenerate the golden (after an
+# intentional change) with:
+#   go run ./cmd/tracesum -format json $(CLUSTER_TRACE_DIR)/cluster.trace.json > cmd/tracesum/testdata/cluster-trace.golden.json
+# CLUSTER_TRACE_DIR overrides where the trace lands (CI uploads it).
+CLUSTER_TRACE_DIR ?= cluster-trace-smoke
+cluster-trace-smoke:
+	mkdir -p $(CLUSTER_TRACE_DIR)
+	$(GO) run ./examples/migration -trace $(CLUSTER_TRACE_DIR)/cluster.trace.json
+	$(GO) run ./cmd/tracesum -check $(CLUSTER_TRACE_DIR)/cluster.trace.json
+	$(GO) run ./cmd/tracesum $(CLUSTER_TRACE_DIR)/cluster.trace.json
+	$(GO) run ./cmd/tracesum -format json $(CLUSTER_TRACE_DIR)/cluster.trace.json > $(CLUSTER_TRACE_DIR)/cluster.summary.json
+	cmp $(CLUSTER_TRACE_DIR)/cluster.summary.json cmd/tracesum/testdata/cluster-trace.golden.json
 
 # dash-smoke launches a real run with the live dashboard, a trace and
 # telemetry enabled, curls every /debug/asm/* endpoint (JSON shapes + one

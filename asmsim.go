@@ -395,8 +395,9 @@ type ClusterMigration = cluster.Migration
 // EvaluateRound simulates every machine and refreshes its ASM estimates,
 // Rebalance swaps jobs between the worst and best machines, CanAdmit is
 // SLA admission control, and the Migrations field records what the
-// balancer did. SetTelemetry attaches a cluster-wide observer and one
-// observer value per machine.
+// balancer did. SetTelemetry attaches the cluster's observers; its
+// Trace receives every machine's simulations, each under its own pids
+// and "n<k>/" app names, on one cluster clock.
 type Cluster = cluster.Cluster
 
 // NewCluster builds a cluster with the given job placement (one job list

@@ -69,7 +69,7 @@ func httpGet(url string) (string, error) {
 
 // TestClusterObservationDoesNotPerturbResults is the cluster analogue of
 // TestObserversDoNotPerturbResults: a cluster run with the observability
-// stack attached — per-node trace capture, a shared telemetry registry,
+// stack attached — one cluster trace, a shared telemetry registry,
 // and the dashboard plus /metrics served over HTTP while a client scrapes
 // /metrics and /debug/asm/attribution throughout — must produce results
 // reflect.DeepEqual to a bare run. The simulation is deterministic, so
@@ -83,20 +83,13 @@ func TestClusterObservationDoesNotPerturbResults(t *testing.T) {
 	clusterRound(t, bare)
 
 	observed := testCluster(t)
-	dir := t.TempDir()
-	var nodes []asmsim.TelemetryOptions
-	var tracePaths []string
-	for k := range observed.Machines() {
-		p := filepath.Join(dir, fmt.Sprintf("node%d.trace.json", k))
-		tr, err := asmsim.OpenTracer(p, asmsim.TracerConfig{SampleEvery: 16})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes = append(nodes, asmsim.TelemetryOptions{Trace: tr})
-		tracePaths = append(tracePaths, p)
+	tracePath := filepath.Join(t.TempDir(), "cluster.trace.json")
+	tr, err := asmsim.OpenTracer(tracePath, asmsim.TracerConfig{SampleEvery: 16})
+	if err != nil {
+		t.Fatal(err)
 	}
 	reg := asmsim.NewTelemetryRegistry()
-	observed.SetTelemetry(asmsim.TelemetryOptions{Metrics: reg}, nodes...)
+	observed.SetTelemetry(asmsim.TelemetryOptions{Metrics: reg, Trace: tr})
 
 	srv := asmsim.NewDashServer()
 	defer srv.Close()
@@ -135,10 +128,8 @@ func TestClusterObservationDoesNotPerturbResults(t *testing.T) {
 	if scrapeErr != nil {
 		t.Fatal(scrapeErr)
 	}
-	for _, n := range nodes {
-		if err := n.Trace.Close(); err != nil {
-			t.Fatal(err)
-		}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
 	}
 
 	if !reflect.DeepEqual(bare.Machines(), observed.Machines()) {
@@ -164,32 +155,16 @@ func TestClusterObservationDoesNotPerturbResults(t *testing.T) {
 		t.Fatalf("cluster_rounds_total = %v (keys = %d), want 2", got, len(samples))
 	}
 
-	// And the per-node traces still merge into one valid cluster trace
-	// whose node blocks are bit-identical (MergeFiles validates
-	// verbatim-copy invariants; WriteTrace is exercised through tracesum
-	// in make trace-merge-smoke).
-	merged, err := evtrace.MergeFiles(nopWriter{}, tracePaths)
+	// And the trace is one valid cluster trace holding every machine's
+	// app set before and after the migration.
+	nt, err := evtrace.LoadNodeTrace(tracePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(merged.Attribution.Apps); n != 4 {
-		t.Fatalf("merged cluster has %d apps, want 4", n)
+	if err := nt.Check(); err != nil {
+		t.Fatal(err)
 	}
-	off := 0 // node k's first row/column in the cluster matrix
-	for k, nt := range merged.Nodes {
-		sum := evtrace.Summarize(nt.Quanta)
-		nk := len(nt.Names)
-		for j := 0; j < nk; j++ {
-			for i := 0; i < nk; i++ {
-				if merged.Attribution.Mem[off+j][off+i] != sum.Mem[j][i] {
-					t.Fatalf("node %d mem block not bit-identical at (%d,%d)", k, j, i)
-				}
-			}
-		}
-		off += nk
+	if sets := evtrace.SplitByApp(nt.Quanta); len(sets) != 4 {
+		t.Fatalf("cluster trace holds %d app sets, want 4", len(sets))
 	}
 }
-
-type nopWriter struct{}
-
-func (nopWriter) Write(p []byte) (int, error) { return len(p), nil }

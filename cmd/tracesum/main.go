@@ -11,21 +11,14 @@
 //	tracesum -check /tmp/run.trace.json       # schema validation only
 //	tracesum -format csv /tmp/run.trace.json
 //	tracesum -format json /tmp/run.trace.json > summary.json  # golden-ready
-//	tracesum merge -o cluster.json node0.json node1.json  # fold node traces
 //
 // A trace whose attribution snapshots carry more than one app set — a
-// node whose slots changed app in a migration — is summarized one set at
-// a time, in sorted set order, each table titled with its set.
-//
-// The merge subcommand folds per-node cluster traces (one file per
-// machine, each that machine's Trace in Cluster.SetTelemetry) into one
-// Perfetto-loadable file with per-node process groups, round-aligned
-// clocks, and a cluster attribution matrix whose per-node blocks are
-// bit-identical to the inputs; it prints a clock-skew report to stderr.
+// cluster trace, whose machines name their apps "n<k>/<app>" and whose
+// slots change app in a migration — is summarized one set at a time, in
+// sorted set order, each table titled with its set.
 //
 // Exit codes: 0 success, 1 operational failure (unreadable file, failed
-// validation), 2 usage error (unknown subcommand, missing file arguments,
-// bad flags).
+// validation), 2 usage error (missing file argument, bad flags).
 package main
 
 import (
@@ -35,7 +28,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"strings"
 
 	"asmsim/internal/evtrace"
 	"asmsim/internal/exp"
@@ -45,9 +37,7 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-const usageText = `usage:
-  tracesum [-check] [-quanta] [-format text|csv|json] <trace.json>
-  tracesum merge [-o <merged.json>] <node0.json> <node1.json> ...`
+const usageText = `usage: tracesum [-check] [-quanta] [-format text|csv|json] <trace.json>`
 
 func usage(stderr io.Writer) int {
 	fmt.Fprintln(stderr, usageText)
@@ -57,19 +47,6 @@ func usage(stderr io.Writer) int {
 // run is the whole command behind a testable seam: argv in, exit code
 // out, all output on the given writers.
 func run(args []string, stdout, stderr io.Writer) int {
-	// Subcommand dispatch: a first argument that is not a flag and not a
-	// readable file is a subcommand name. Only "merge" exists; anything
-	// else is a usage error rather than a confusing file-open failure.
-	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		if args[0] == "merge" {
-			return runMerge(args[1:], stdout, stderr)
-		}
-		if _, err := os.Stat(args[0]); err != nil && !looksLikePath(args[0]) {
-			fmt.Fprintf(stderr, "tracesum: unknown subcommand %q\n", args[0])
-			return usage(stderr)
-		}
-	}
-
 	fs := flag.NewFlagSet("tracesum", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -85,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	path := fs.Arg(0)
 
-	nt, err := evtrace.LoadNodeTrace(path, 0)
+	nt, err := evtrace.LoadNodeTrace(path)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
@@ -132,13 +109,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, out)
 	}
 	return 0
-}
-
-// looksLikePath reports whether a missing first argument still reads as
-// a file path (has a separator or an extension), in which case the
-// helpful error is "no such file", not "unknown subcommand".
-func looksLikePath(s string) bool {
-	return strings.ContainsAny(s, "/\\.")
 }
 
 // summarizeTrace builds the summary tables of a trace, one table set per

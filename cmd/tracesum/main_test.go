@@ -95,10 +95,6 @@ func TestExitCodes(t *testing.T) {
 		wantStderr string
 	}{
 		{name: "no args", args: nil, code: 2, wantUsage: true},
-		{name: "unknown subcommand", args: []string{"frobnicate"}, code: 2,
-			wantUsage: true, wantStderr: "unknown subcommand"},
-		{name: "unknown subcommand with file", args: []string{"frobnicate", tracePath},
-			code: 2, wantUsage: true, wantStderr: "unknown subcommand"},
 		{name: "missing path reads as file", args: []string{"absent.trace.json"},
 			code: 1, wantStderr: "absent.trace.json"},
 		{name: "too many positionals", args: []string{tracePath, tracePath}, code: 2, wantUsage: true},
@@ -107,9 +103,6 @@ func TestExitCodes(t *testing.T) {
 			wantUsage: true, wantStderr: "flag provided but not defined: -diff"},
 		{name: "tol is an unknown flag", args: []string{"-tol", "0.02", tracePath}, code: 2,
 			wantUsage: true, wantStderr: "flag provided but not defined: -tol"},
-		{name: "merge without files", args: []string{"merge"}, code: 2, wantUsage: true},
-		{name: "merge bad flag", args: []string{"merge", "-nope"}, code: 2, wantUsage: true},
-		{name: "merge unreadable input", args: []string{"merge", filepath.Join(dir, "absent.json")}, code: 1},
 		{name: "summarize ok", args: []string{tracePath}, code: 0},
 		{name: "check ok", args: []string{"-check", tracePath}, code: 0},
 		{name: "check garbage", args: []string{"-check", garbage}, code: 1},
@@ -133,67 +126,8 @@ func TestExitCodes(t *testing.T) {
 	}
 }
 
-// TestMergeSubcommandEndToEnd folds two fixture node traces and checks
-// the merged file passes `tracesum -check` and summarizes cleanly, all
-// through the public run() seam.
-func TestMergeSubcommandEndToEnd(t *testing.T) {
-	dir := t.TempDir()
-	n0 := filepath.Join(dir, "node0.trace.json")
-	n1 := filepath.Join(dir, "node1.trace.json")
-	writeFixtureTrace(t, n0)
-	writeFixtureTrace(t, n1)
-	merged := filepath.Join(dir, "merged.trace.json")
-
-	code, _, stderr := runCapture(t, "merge", "-o", merged, n0, n1)
-	if code != 0 {
-		t.Fatalf("merge failed (%d): %s", code, stderr)
-	}
-	if !strings.Contains(stderr, "merged 2 node traces") {
-		t.Errorf("merge skew report missing: %q", stderr)
-	}
-
-	code, stdout, stderr := runCapture(t, "-check", merged)
-	if code != 0 {
-		t.Fatalf("-check on merged file failed (%d): %s", code, stderr)
-	}
-	if !strings.Contains(stdout, "OK") {
-		t.Errorf("-check output: %q", stdout)
-	}
-
-	code, stdout, stderr = runCapture(t, merged)
-	if code != 0 {
-		t.Fatalf("summarize on merged file failed (%d): %s", code, stderr)
-	}
-	// The cluster summary must show node-qualified app names for all
-	// 2+2 apps, proving the plain summarizer read the cluster-level
-	// matrix, not a sum of per-node ones.
-	for _, name := range []string{"n0/mcf", "n0/lbm", "n1/mcf", "n1/lbm"} {
-		if !strings.Contains(stdout, name) {
-			t.Errorf("merged summary lacks app %q", name)
-		}
-	}
-}
-
-// TestMergeToStdout: without -o the trace itself lands on stdout (valid
-// JSON) and the report on stderr.
-func TestMergeToStdout(t *testing.T) {
-	dir := t.TempDir()
-	n0 := filepath.Join(dir, "node0.trace.json")
-	writeFixtureTrace(t, n0)
-	code, stdout, stderr := runCapture(t, "merge", n0)
-	if code != 0 {
-		t.Fatalf("merge failed (%d): %s", code, stderr)
-	}
-	if !strings.HasPrefix(strings.TrimSpace(stdout), "{") {
-		t.Errorf("stdout is not a JSON document: %.60q", stdout)
-	}
-	if strings.Contains(stdout, "merged 1 node traces") {
-		t.Error("skew report leaked into the piped trace on stdout")
-	}
-}
-
 // TestSummarizeSplitsAppSets: a trace holding runs over different app
-// sets (a migrated node's rounds) interleaves their snapshots; here two
+// sets (a cluster's machines, or a migrated machine's rounds) interleaves their snapshots; here two
 // single-app runs each carry one snapshot. Each app must get its own CPI
 // row with its own CPI, not be folded into the first app's row.
 func TestSummarizeSplitsAppSets(t *testing.T) {

@@ -8,12 +8,9 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"os"
-	"path/filepath"
 
 	"asmsim"
 	"asmsim/internal/observe"
@@ -21,10 +18,10 @@ import (
 
 func main() {
 	obs := observe.Flags{TraceSample: 16}
-	traceDir := flag.String("trace-dir", "", "capture per-node Perfetto traces into this directory (node<k>.trace.json + migrations.jsonl); merge with: tracesum merge <dir>/node*.trace.json")
 	obs.Register(flag.CommandLine, map[string]string{
 		"dash":         "serve the live dashboard on this address; each machine's fresh estimates stream as quantum records, and the round counter appears as cluster.rounds in /debug/asm/metrics",
-		"trace-sample": "with -trace-dir, record every Nth miss span (attribution matrices stay exact)",
+		"trace":        "write one Perfetto trace of every machine's rounds to this file (machine k's apps are pids k*1000+j, named n<k>/<app>; round and migration instants on one cluster clock); summarize with: tracesum <file>",
+		"trace-sample": "with -trace, record every Nth miss span (attribution matrices stay exact)",
 	})
 	flag.Parse()
 
@@ -57,40 +54,12 @@ func main() {
 	}
 	tel, _ := o.Run("") // a single-run Run opens nothing, so it cannot fail
 
-	// With -trace-dir, every machine's evaluation rounds stream to its own
-	// trace file on a node-local clock, with round and migration instants;
-	// tracesum merge folds them into one cluster-wide Perfetto view.
-	var nodes []asmsim.TelemetryOptions
-	var paths []string
-	if *traceDir != "" {
-		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
-			log.Fatal(err)
-		}
-		for k := range cl.Machines() {
-			path := filepath.Join(*traceDir, fmt.Sprintf("node%d.trace.json", k))
-			tr, err := asmsim.OpenTracer(path, asmsim.TracerConfig{SampleEvery: obs.TraceSample})
-			if err != nil {
-				log.Fatal(err)
-			}
-			o.Track(path, tr.Close)
-			nodes = append(nodes, asmsim.TelemetryOptions{Trace: tr})
-			paths = append(paths, path)
-		}
-		o.Track("migrations.jsonl", func() error {
-			f, err := os.Create(filepath.Join(*traceDir, "migrations.jsonl"))
-			if err != nil {
-				return err
-			}
-			return errors.Join(cl.WriteMigrationsJSONL(f), f.Close())
-		})
-	}
-	cl.SetTelemetry(tel, nodes...)
+	// With -trace, every machine's evaluation rounds stream into the one
+	// trace file, with round and migration instants.
+	cl.SetTelemetry(tel)
 	defer func() {
 		if err := o.Close(); err != nil {
 			log.Fatal(err)
-		}
-		for _, p := range paths {
-			fmt.Printf("node trace: %s\n", p)
 		}
 	}()
 

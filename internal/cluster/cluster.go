@@ -26,6 +26,7 @@ import (
 	"fmt"
 
 	"asmsim/internal/core"
+	"asmsim/internal/evtrace"
 	"asmsim/internal/exp"
 	"asmsim/internal/metrics"
 	"asmsim/internal/sim"
@@ -82,11 +83,10 @@ type Cluster struct {
 	round      int
 	tel        *telemetry.Registry
 	rec        telemetry.Recorder
-	// nodes[i] observes machine i's simulations (see SetTelemetry).
-	nodes []telemetry.Options
-	// clock[i] is machine i's node-local clock: the cycles covered by
-	// every simulation the machine has run so far.
-	clock []uint64
+	// trace is the cluster's one tracer; nodes[i] is machine i's view
+	// of it (see SetTelemetry).
+	trace *evtrace.Tracer
+	nodes []*evtrace.Tracer
 }
 
 // Migration is one balancer decision.
@@ -109,7 +109,7 @@ func New(cfg Config, placement Placement) (*Cluster, error) {
 	if len(placement) != cfg.Machines {
 		return nil, fmt.Errorf("cluster: placement covers %d of %d machines", len(placement), cfg.Machines)
 	}
-	c := &Cluster{cfg: cfg, machines: make([]Machine, cfg.Machines), clock: make([]uint64, cfg.Machines)}
+	c := &Cluster{cfg: cfg, machines: make([]Machine, cfg.Machines), nodes: make([]*evtrace.Tracer, cfg.Machines)}
 	for i, jobs := range placement {
 		if len(jobs) != cfg.System.Cores {
 			return nil, fmt.Errorf("cluster: machine %d has %d jobs for %d cores", i, len(jobs), cfg.System.Cores)
@@ -135,9 +135,9 @@ func (c *Cluster) Round() int { return c.round }
 // is left unevaluated (nil Slowdowns), and the round returns the first
 // such error, naming the machine and the round.
 func (c *Cluster) EvaluateRound() error {
+	c.traceInstant("round", map[string]any{"round": c.round})
 	var first error
 	for i := range c.machines {
-		c.traceRound(i)
 		sd, err := c.evaluate(i)
 		c.machines[i].Slowdowns = sd
 		if err != nil {
@@ -160,7 +160,6 @@ func (c *Cluster) record(i int) {
 		return
 	}
 	m := &c.machines[i]
-	roundCycles := c.cfg.System.Quantum * uint64(c.cfg.RoundQuanta)
 	for a, sd := range m.Slowdowns {
 		c.rec.Record(&telemetry.QuantumRecord{
 			Mix:      fmt.Sprintf("machine%d", i),
@@ -168,7 +167,7 @@ func (c *Cluster) record(i int) {
 			Bench:    m.Jobs[a],
 			Quantum:  c.round,
 			Actual:   sd,
-			EndCycle: uint64(c.round+1) * roundCycles,
+			EndCycle: uint64(c.round+1) * c.roundCycles(),
 		})
 	}
 }
@@ -187,25 +186,14 @@ func (c *Cluster) evaluate(machine int) ([]float64, error) {
 		Estimators: []core.Estimator{asm},
 		Warmup:     warm,
 		Measured:   c.cfg.RoundQuanta - warm,
-		Telemetry:  c.node(machine),
+		Telemetry:  telemetry.Options{Trace: c.nodes[machine]},
 		OnQuantum: func(_ *sim.QuantumStats, _ []float64, est map[string][]float64) {
 			for i, v := range est[asm.Name()] {
 				sums[i] += v
 			}
 		},
 	}
-	// The machine's tracer sees this round at the node-local clock: the
-	// offset lays rounds out sequentially (each sim starts at cycle zero),
-	// and the clock advances by however many cycles the run covered — also
-	// on a failed run, whose traced quanta are still in the file.
-	tr := run.Telemetry.Trace
-	tr.SetClockOffset(c.clock[machine])
-	sys, err := run.Run(context.TODO())
-	if sys != nil {
-		c.clock[machine] += sys.Cycle()
-		tr.SetClockOffset(c.clock[machine])
-	}
-	if err != nil {
+	if _, err := run.Run(context.TODO()); err != nil {
 		return nil, err
 	}
 	for i := range sums {

@@ -1,87 +1,53 @@
 package cluster
 
-import (
-	"encoding/json"
-	"io"
-	"slices"
+import "asmsim/internal/telemetry"
 
-	"asmsim/internal/telemetry"
-)
-
-// SetTelemetry attaches the cluster's observers. o observes the
-// cluster as a whole: with o.Metrics, each completed round increments
-// the rounds counter under the "cluster" scope. o.Recorder (an SLO
-// engine, say) receives one synthesized record per job after every
-// successful machine evaluation (Mix "machine<i>", Quantum = the round
-// index, Actual = the job's fresh ASM estimate, EndCycle = the round's
-// end on a clock of RoundQuanta quanta per round), so cluster-wide QoS
-// bounds tick on the round clock.
+// SetTelemetry attaches the cluster's observers. With o.Metrics, each
+// completed round increments the rounds counter under the "cluster"
+// scope. o.Recorder (an SLO engine, say) receives one synthesized
+// record per job after every successful machine evaluation (Mix
+// "machine<i>", Quantum = the round index, Actual = the job's fresh ASM
+// estimate, EndCycle = the round's end on the cluster clock), so
+// cluster-wide QoS bounds tick on the round clock.
 //
-// nodes[i] observes machine i: it is the Telemetry of every simulation
-// the machine runs, and nodes[i].Trace also receives the machine's round
-// and migration instants on a node-local clock — rounds re-run the mix
-// from simulated cycle zero, so the cluster advances the tracer's clock
-// offset between them. The shared round marks are what `tracesum merge`
-// aligns the node clocks on; the migration instants cross-check the
-// Migrations ledger one-to-one. A machine without an entry is
-// unobserved. The caller opens and closes every sink.
+// o.Trace receives every machine's simulations, each through the
+// machine's node view (evtrace.Tracer.Node: machine k's app slot j is
+// pid k*PidStride+j, its apps are named "n<k>/<app>"), on one cluster
+// clock of RoundQuanta quanta per round: round r's simulations start
+// at cycle r × RoundQuanta × Quantum. The tracer also receives one
+// "round" instant at each round's start and one "migration" instant per
+// balancer decision, whose args mirror its Migrations entry. The caller
+// opens and closes the tracer.
 //
 // Balancer decisions are identical with or without observers; the zero
-// values (the default) disable all of it.
-func (c *Cluster) SetTelemetry(o telemetry.Options, nodes ...telemetry.Options) {
+// value (the default) disables all of it.
+func (c *Cluster) SetTelemetry(o telemetry.Options) {
 	c.tel = o.Metrics.Scope("cluster")
 	c.rec = o.Recorder
-	c.nodes = slices.Clone(nodes)
-}
-
-// node returns machine i's observers (the zero value when it has none).
-func (c *Cluster) node(i int) telemetry.Options {
-	if i < len(c.nodes) {
-		return c.nodes[i]
+	c.trace = o.Trace
+	for k := range c.nodes {
+		c.nodes[k] = o.Trace.Node(k)
 	}
-	return telemetry.Options{}
 }
 
-// traceRound emits machine i's round-boundary instant: the node-local
-// cycle at which the machine entered the current evaluation round.
-// Every machine emits one per round, so trace consumers can reconcile
-// the per-node clocks on shared round numbers.
-func (c *Cluster) traceRound(i int) {
-	tr := c.node(i).Trace
-	if tr == nil {
-		return
-	}
-	tr.SetClockOffset(c.clock[i])
-	tr.Instant("round", "cluster", 0, map[string]any{
-		"round": c.round, "cycle": c.clock[i], "node": i,
-	})
+// roundCycles is the length of one evaluation round on the cluster
+// clock: every machine simulates exactly RoundQuanta quanta per round.
+func (c *Cluster) roundCycles() uint64 {
+	return c.cfg.System.Quantum * uint64(c.cfg.RoundQuanta)
 }
 
-// traceMigration emits one migration decision into both affected
-// nodes' traces, at each node's current local clock. The args mirror
-// the Migrations ledger entry exactly, so a merged trace's migration
-// instants reconcile with the ledger one-to-one.
+// traceInstant moves the cluster clock to the start of the current
+// round and writes one cluster instant there.
+func (c *Cluster) traceInstant(name string, args map[string]any) {
+	c.trace.SetClockOffset(uint64(c.round) * c.roundCycles())
+	c.trace.Instant(name, "cluster", 0, args)
+}
+
+// traceMigration writes one migration decision; the args mirror the
+// Migrations ledger entry exactly.
 func (c *Cluster) traceMigration(mv Migration) {
-	args := map[string]any{
+	c.traceInstant("migration", map[string]any{
 		"round": mv.Round, "job": mv.Job,
 		"from": mv.From, "to": mv.To, "swapped": mv.Swapped,
-	}
-	for _, i := range []int{mv.From, mv.To} {
-		if tr := c.node(i).Trace; tr != nil {
-			tr.SetClockOffset(c.clock[i])
-			tr.Instant("migration", "cluster", 0, args)
-		}
-	}
-}
-
-// WriteMigrationsJSONL streams the balancer's migration log as one JSON
-// object per line.
-func (c *Cluster) WriteMigrationsJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, mv := range c.Migrations {
-		if err := enc.Encode(mv); err != nil {
-			return err
-		}
-	}
-	return nil
+	})
 }

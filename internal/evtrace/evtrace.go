@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -113,22 +114,39 @@ type QuantumAttribution struct {
 	AppStats []AppQuantumStats `json:"app_stats"`
 }
 
+// PidStride is a node view's pid namespace (Node): node k's app slot j
+// is pid k*PidStride + j. One thousand pids per node leaves room for any
+// realistic per-machine core count while keeping pids readable.
+const PidStride = 1000
+
 // Tracer streams trace events to one JSON file. It keeps no attribution
 // series: the simulator hands each quantum's snapshot to the tracer and
 // to a run's attribution observer itself. It is safe for concurrent use
 // (sweep workers may share one tracer); a nil Tracer is a no-op.
+//
+// New and Open return the root tracer: app slot j is pid j and apps keep
+// their names. Node returns a view of it for one cluster machine.
 type Tracer struct {
+	*stream
+	pidBase int    // pid of app slot 0
+	prefix  string // prepended to app names ("n<k>/" in a node view)
+	named   bool   // process names written (guarded by stream.mu)
+}
+
+// stream is the state a tracer shares with its node views: the file,
+// its lock, the sampling clock and the clock offset.
+type stream struct {
 	sampleEvery uint64
 	missCount   atomic.Uint64 // demand misses seen (sampling clock)
 	spanCount   atomic.Uint64 // sampled spans emitted (lane rotation)
 
 	// clockOffset (cycles) shifts every emitted event timestamp. A
-	// cluster node re-runs its mix from simulated cycle zero each
+	// cluster re-runs each machine's mix from simulated cycle zero every
 	// evaluation round; the balancer advances this offset between rounds
-	// so one node's rounds lay out sequentially on a single node-local
-	// clock instead of stacking at the origin. Attribution snapshots keep
-	// their run-local EndCycle — the offset is a presentation-clock
-	// concern only and never touches accounting.
+	// so the rounds lay out sequentially on one cluster clock instead of
+	// stacking at the origin. Attribution snapshots keep their run-local
+	// EndCycle — the offset is a presentation-clock concern only and
+	// never touches accounting.
 	clockOffset atomic.Uint64
 
 	mu     sync.Mutex
@@ -137,8 +155,6 @@ type Tracer struct {
 	wrote  bool // any event written yet (comma management)
 	closed bool
 	err    error
-
-	apps []string
 }
 
 // New returns a tracer streaming chrome-trace JSON to w.
@@ -147,7 +163,7 @@ func New(w io.Writer, cfg Config) *Tracer {
 	if se < 1 {
 		se = 1
 	}
-	t := &Tracer{sampleEvery: uint64(se), bw: bufio.NewWriter(w)}
+	t := &Tracer{stream: &stream{sampleEvery: uint64(se), bw: bufio.NewWriter(w)}}
 	t.bw.WriteString(`{"displayTimeUnit":"ns","otherData":{"tool":"asmsim","cycles_per_us":1000},"traceEvents":[`)
 	return t
 }
@@ -163,11 +179,25 @@ func Open(path string, cfg Config) (*Tracer, error) {
 	return t, nil
 }
 
-// SetClockOffset shifts all subsequently emitted event timestamps by
-// the given number of cycles. Cluster rounds restart the simulated
-// clock at zero; setting the offset to the node's accumulated cycles
-// before each round keeps the node's trace timeline monotone. Safe on a
-// nil tracer and from any goroutine.
+// Node returns cluster machine k's view of the root tracer t: it writes
+// to the same file on the same sampling clock and clock offset, maps app
+// slot j to pid k*PidStride + j, and names every app "n<k>/<app>" in
+// process names and attribution snapshots. Runs of different machines
+// therefore never share a pid, and tracesum splits their snapshots by
+// app set. Node of a nil tracer is nil.
+func (t *Tracer) Node(k int) *Tracer {
+	if t == nil {
+		return nil
+	}
+	return &Tracer{stream: t.stream, pidBase: k * PidStride, prefix: fmt.Sprintf("n%d/", k)}
+}
+
+// SetClockOffset shifts all subsequently emitted event timestamps, of
+// the tracer and of every view sharing its file, by the given number of
+// cycles. Cluster rounds restart the simulated clock at zero; setting
+// the offset to the round's start on the cluster clock before each
+// round keeps the trace timeline monotone. Safe on a nil tracer and from
+// any goroutine.
 func (t *Tracer) SetClockOffset(cycles uint64) {
 	if t == nil {
 		return
@@ -178,7 +208,7 @@ func (t *Tracer) SetClockOffset(cycles uint64) {
 // Instant emits one global instant event ("ph":"i") at the given cycle
 // (clock offset applied), carrying args verbatim. The cluster balancer
 // uses it for round boundaries and migration decisions, so trace
-// consumers can reconcile per-node clocks and cross-check the
+// consumers can place rounds on the cluster clock and cross-check the
 // migration ledger. No-op on a nil tracer.
 func (t *Tracer) Instant(name, cat string, cycle uint64, args map[string]any) {
 	if t == nil {
@@ -241,24 +271,25 @@ func (t *Tracer) emitLocked(evs ...event) {
 	}
 }
 
-// BeginRun names the traced applications: pid j is app slot j. The first
-// call wins; later runs sharing the tracer (experiment sweeps) reuse the
-// pids, so traces of concurrent sweeps are best read via their
-// attribution events, which carry app names per quantum.
+// BeginRun names the traced applications: app slot j is pid j (offset
+// by a node view's pid base). The first call on a tracer or view wins;
+// later runs sharing it (experiment sweeps, a machine's later rounds)
+// reuse the pids, so their traces are best read via the attribution
+// events, which carry app names per quantum.
 func (t *Tracer) BeginRun(names []string) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.apps != nil {
+	if t.named {
 		return
 	}
-	t.apps = append([]string(nil), names...)
+	t.named = true
 	for i, n := range names {
 		t.emitLocked(event{
-			Name: "process_name", Ph: "M", Pid: i,
-			Args: map[string]any{"name": fmt.Sprintf("app%d %s", i, n)},
+			Name: "process_name", Ph: "M", Pid: t.pidBase + i,
+			Args: map[string]any{"name": fmt.Sprintf("app%d %s%s", i, t.prefix, n)},
 		})
 	}
 }
@@ -314,20 +345,20 @@ func (t *Tracer) MissSpan(sp MissSpan) {
 	evs := []event{{
 		Name: "miss", Ph: "X", Cat: "miss",
 		Ts: us(sp.Detect), Dur: dur(sp.Detect, sp.Done),
-		Pid: sp.App, Tid: lane, Args: args,
+		Pid: t.pidBase + sp.App, Tid: lane, Args: args,
 	}}
 	if sp.Enqueue >= sp.Detect && sp.Start >= sp.Enqueue {
 		evs = append(evs, event{
 			Name: "mc-queue", Ph: "X", Cat: "miss",
 			Ts: us(sp.Enqueue), Dur: dur(sp.Enqueue, sp.Start),
-			Pid: sp.App, Tid: lane,
+			Pid: t.pidBase + sp.App, Tid: lane,
 		})
 	}
 	if sp.Complete >= sp.Start {
 		evs = append(evs, event{
 			Name: "bank-service", Ph: "X", Cat: "miss",
 			Ts: us(sp.Start), Dur: dur(sp.Start, sp.Complete),
-			Pid: sp.App, Tid: lane,
+			Pid: t.pidBase + sp.App, Tid: lane,
 		})
 	}
 	t.emit(evs...)
@@ -335,11 +366,23 @@ func (t *Tracer) MissSpan(sp MissSpan) {
 
 // Quantum writes one quantum's attribution snapshot: an instant event
 // carrying the full matrices plus one counter event per victim app
-// (memory- and cache-side interference). ParseTrace reads the series
-// back.
+// (memory- and cache-side interference). A node view writes the
+// snapshot with its app names prefixed; the caller's q is not modified.
+// ParseTrace reads the series back.
 func (t *Tracer) Quantum(q QuantumAttribution) {
 	if t == nil {
 		return
+	}
+	if t.prefix != "" {
+		apps := make([]string, len(q.Apps))
+		for j, a := range q.Apps {
+			apps[j] = t.prefix + a
+		}
+		q.Apps = apps
+		q.AppStats = slices.Clone(q.AppStats)
+		for j := range q.AppStats {
+			q.AppStats[j].Name = t.prefix + q.AppStats[j].Name
+		}
 	}
 	off := t.clockOffset.Load()
 	evs := make([]event, 0, len(q.Apps)+1)
@@ -361,7 +404,7 @@ func (t *Tracer) Quantum(q QuantumAttribution) {
 		}
 		evs = append(evs, event{
 			Name: "interference", Ph: "C",
-			Ts: float64(q.EndCycle+off) / cyclesPerMicro, Pid: j, Tid: 0,
+			Ts: float64(q.EndCycle+off) / cyclesPerMicro, Pid: t.pidBase + j, Tid: 0,
 			Args: map[string]any{"mem": mem, "cache": cache},
 		})
 	}

@@ -1,7 +1,6 @@
 package evtrace
 
 import (
-	"fmt"
 	"math"
 	"strings"
 )
@@ -105,54 +104,6 @@ func AddMatrix(dst, src [][]float64) [][]float64 {
 	return dst
 }
 
-// BlockDiagonal embeds per-node attribution snapshots on the diagonal of
-// one cluster snapshot. Block k's apps become the rows and columns
-// "n<nodes[k]>/<app>", contiguous and in block order; its system column
-// lands in the cluster's last column; everything off the diagonal blocks
-// stays zero, because nodes share no hardware. Values are copied
-// verbatim, so every block survives bit-identical. Quantum, EndCycle and
-// Cycles are the furthest node's. Every block must be well formed: N > 0
-// apps, N row totals, and N rows of N+1 columns (the trailing system
-// column) in both splits; each caller checks or clips its own input.
-func BlockDiagonal(nodes []int, blocks []QuantumAttribution) QuantumAttribution {
-	total := 0
-	for _, b := range blocks {
-		total += len(b.Apps)
-	}
-	out := QuantumAttribution{
-		Mem:          make([][]float64, total),
-		Cache:        make([][]float64, total),
-		MemRowTotals: make([]float64, total),
-	}
-	// embed places one block row: its nk cause columns at the block's
-	// offset, its system column last.
-	embed := func(src []float64, off int) []float64 {
-		row := make([]float64, total+1)
-		nk := len(src) - 1
-		copy(row[off:], src[:nk])
-		row[total] = src[nk]
-		return row
-	}
-	off := 0
-	for k, b := range blocks {
-		for j, app := range b.Apps {
-			out.Apps = append(out.Apps, fmt.Sprintf("n%d/%s", nodes[k], app))
-			out.Mem[off+j] = embed(b.Mem[j], off)
-			out.Cache[off+j] = embed(b.Cache[j], off)
-			out.MemRowTotals[off+j] = b.MemRowTotals[j]
-		}
-		for _, as := range b.AppStats {
-			as.Name = fmt.Sprintf("n%d/%s", nodes[k], as.Name)
-			out.AppStats = append(out.AppStats, as)
-		}
-		out.Quantum = max(out.Quantum, b.Quantum)
-		out.EndCycle = max(out.EndCycle, b.EndCycle)
-		out.Cycles = max(out.Cycles, b.Cycles)
-		off += len(b.Apps)
-	}
-	return out
-}
-
 // Summary aggregates a per-quantum attribution series: element-wise sums
 // of the memory and cache matrices, summed row totals, and summed
 // per-app stats. Returns the zero value for an empty series.
@@ -205,11 +156,12 @@ func Summarize(quanta []QuantumAttribution) Summary {
 }
 
 // SplitByApp groups a mixed attribution series by its app-name set.
-// When runs over different app sets share one tracer (a cluster node
-// whose slots changed between rounds, after migration), their
-// per-quantum snapshots interleave in emission order; grouping by the
-// Apps fingerprint recovers one coherent series per app set, each
-// summarizable on its own. The fingerprint joins app names with "+",
+// When runs over different app sets share one tracer (a cluster's
+// machines, whose node views prefix each app with its machine, and whose
+// slots change app after a migration), their per-quantum snapshots
+// interleave in emission order; grouping by the Apps fingerprint
+// recovers one coherent series per app set, each summarizable on its
+// own. The fingerprint joins app names with "+",
 // matching workload.Mix.
 func SplitByApp(quanta []QuantumAttribution) map[string][]QuantumAttribution {
 	out := map[string][]QuantumAttribution{}

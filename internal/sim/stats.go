@@ -216,8 +216,8 @@ func (q *QuantumStats) AvgMLP(app int) float64 {
 }
 
 // Clone deep-copies the snapshot. Consumers that mutate a snapshot (e.g.
-// the fault injector planting corrupted counters) must work on a clone so
-// sibling listeners keep seeing pristine counters.
+// a test estimator feeding the models non-finite counters) must work on a
+// clone so sibling listeners keep seeing pristine counters.
 func (q *QuantumStats) Clone() *QuantumStats { return q.clone() }
 
 // clone deep-copies the snapshot so listeners may retain it.

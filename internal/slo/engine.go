@@ -13,8 +13,8 @@ import (
 )
 
 // nonFiniteError is the deterministic relative error assigned to a
-// non-finite slowdown estimate (NaN/Inf, e.g. from fault-injected
-// counter corruption): 10 = 1000%, far beyond any sane envelope, so a
+// non-finite slowdown estimate (NaN/Inf, e.g. from a model fed a zero or
+// non-finite counter): 10 = 1000%, far beyond any sane envelope, so a
 // poisoned estimator trips the drift detector within a couple of
 // observations instead of silently vanishing from the average.
 const nonFiniteError = 10.0

@@ -1,5 +1,5 @@
 // Package stats provides the small statistical building blocks used across
-// the simulator: running means and standard deviations, fixed-bucket
+// the simulator: means and standard deviations, fixed-bucket
 // histograms for latency and error distributions, and simple aggregation
 // helpers for experiment tables.
 package stats
@@ -7,59 +7,7 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
-
-// Running accumulates a running mean and variance using Welford's method.
-type Running struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add incorporates one observation.
-func (r *Running) Add(x float64) {
-	r.n++
-	d := x - r.mean
-	r.mean += d / float64(r.n)
-	r.m2 += d * (x - r.mean)
-}
-
-// N returns the number of observations.
-func (r *Running) N() int { return r.n }
-
-// Mean returns the running mean, or 0 with no observations.
-func (r *Running) Mean() float64 {
-	if r.n == 0 {
-		return 0
-	}
-	return r.mean
-}
-
-// Std returns the population standard deviation, or 0 with fewer than two
-// observations.
-func (r *Running) Std() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return math.Sqrt(r.m2 / float64(r.n))
-}
-
-// Merge combines another accumulator into r.
-func (r *Running) Merge(o Running) {
-	if o.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = o
-		return
-	}
-	n := r.n + o.n
-	d := o.mean - r.mean
-	mean := r.mean + d*float64(o.n)/float64(n)
-	m2 := r.m2 + o.m2 + d*d*float64(r.n)*float64(o.n)/float64(n)
-	r.n, r.mean, r.m2 = n, mean, m2
-}
 
 // Histogram is a fixed-width-bucket histogram over [Min, Min+Width*len(buckets)).
 // Samples outside the range are clamped into the first or last bucket, and
@@ -172,21 +120,6 @@ func Std(xs []float64) float64 {
 	return math.Sqrt(s / float64(len(xs)))
 }
 
-// Median returns the median of xs, or 0 for an empty slice. xs is not
-// modified.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	n := len(cp)
-	if n%2 == 1 {
-		return cp[n/2]
-	}
-	return (cp[n/2-1] + cp[n/2]) / 2
-}
-
 // Max returns the maximum of xs, or 0 for an empty slice.
 func Max(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -195,20 +128,6 @@ func Max(xs []float64) float64 {
 	m := xs[0]
 	for _, x := range xs[1:] {
 		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Min returns the minimum of xs, or 0 for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
 			m = x
 		}
 	}

@@ -15,7 +15,7 @@ import (
 type FlightEvent struct {
 	Seq     uint64         `json:"seq"`
 	Time    time.Time      `json:"time"`
-	Kind    string         `json:"kind"` // submitted|started|finished|fault|panic|deadline|quantum|...
+	Kind    string         `json:"kind"` // submitted|resumed|started|finished|cancelled|panic|drain|slo-firing|quantum
 	TraceID string         `json:"trace_id,omitempty"`
 	Job     string         `json:"job,omitempty"`
 	Detail  string         `json:"detail,omitempty"`
