@@ -69,20 +69,23 @@ bench-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # fuzz runs every fuzz target for 10 s, one at a time: go test -fuzz
-# takes one target per package run.
+# takes one target per package run. Each input that widens coverage is
+# minimized in at most 100 calls: go's default, 60 s an input, spends the
+# whole 10 s minimizing the first few inputs of a target whose inputs
+# are kilobytes long, so it would run a handful of fuzz executions.
 FUZZ_TARGETS = \
 	FuzzJobSpecFingerprint:./internal/exp \
 	FuzzParseExposition:./internal/telemetry \
 	FuzzJournalReplay:./internal/serve \
 	FuzzSLOParse:./internal/slo \
-	FuzzLoadNodeTrace:./internal/evtrace \
+	FuzzParseTrace:./internal/evtrace \
 	FuzzCacheMatchesReference:./internal/cache \
 	FuzzCurveMatchesPointOracle:./internal/sim \
 	FuzzControllerMatchesReference:./internal/dram
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \
 		echo "fuzz $${t%%:*} ($${t#*:})"; \
-		$(GO) test -run='^$$' -fuzz="^$${t%%:*}$$" -fuzztime=10s $${t#*:}; \
+		$(GO) test -run='^$$' -fuzz="^$${t%%:*}$$" -fuzztime=10s -fuzzminimizetime=100x $${t#*:}; \
 	done
 
 # repro-diff pins every reproduced number: it re-runs the quick-scale

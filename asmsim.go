@@ -77,7 +77,7 @@ type (
 	// attribution subscriber. The zero value disables all observation at
 	// zero cost.
 	TelemetryOptions = telemetry.Options
-	// TelemetryRegistry is an allocation-free atomic counter/gauge/timer
+	// TelemetryRegistry is an allocation-free atomic counter/gauge/histogram
 	// registry with named scopes; nil is a valid no-op registry.
 	TelemetryRegistry = telemetry.Registry
 	// TelemetryMetric is one snapshotted registry entry.
@@ -268,7 +268,7 @@ type RunOptions struct {
 	// starts — use it to install partitioning or bandwidth policies.
 	Attach func(*System)
 	// Telemetry optionally observes the run: Metrics receives the
-	// simulator's counters/gauges/timers, Recorder receives one
+	// simulator's counters/gauges/histograms, Recorder receives one
 	// QuantumRecord per (app, quantum), warmup included, and Trace and
 	// Attribution observe the shared run's interference. The zero value
 	// disables all of it.

@@ -53,7 +53,7 @@ func main() {
 		format    = flag.String("format", "text", "output format: text, csv, json")
 		outDir    = flag.String("o", "", "also write each table to <dir>/<id>.<format>")
 		timeout   = flag.Duration("timeout", 0, "overall deadline for the whole invocation (0 = none)")
-		progress  = flag.Bool("progress", true, "report live sweep progress (done/total, ETA, losses) on stderr")
+		progress  = flag.Bool("progress", true, "report live sweep progress (done/total, ETA, failures) on stderr")
 	)
 	obs.Register(flag.CommandLine, map[string]string{
 		"telemetry":    "write quantum telemetry (<id>.quanta.jsonl per experiment + metrics.jsonl) to this directory",

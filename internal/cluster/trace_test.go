@@ -207,9 +207,10 @@ func TestClusterTraceSplitsByAppSet(t *testing.T) {
 	}
 
 	// Machine k's pids are k*PidStride+j, each named for an app of
-	// machine k, every event on an app pid belongs to a named pid, and
-	// each pid carries exactly its own slot's interference counters, one
-	// per quantum the machine ran.
+	// machine k (TestClusterTraceRenamesMigratedSlots pins which), every
+	// event on an app pid belongs to a named pid, and each pid carries
+	// exactly its own slot's interference counters, one per quantum the
+	// machine ran.
 	named := map[int]bool{}
 	for _, e := range nt.Events {
 		if e.Name != "process_name" {
@@ -220,7 +221,7 @@ func TestClusterTraceSplitsByAppSet(t *testing.T) {
 			t.Fatal(err)
 		}
 		k, j := *e.Pid/evtrace.PidStride, *e.Pid%evtrace.PidStride
-		if named[*e.Pid] || k >= cfg.Machines || j >= cfg.System.Cores ||
+		if k >= cfg.Machines || j >= cfg.System.Cores ||
 			!strings.HasPrefix(args.Name, fmt.Sprintf("app%d n%d/", j, k)) {
 			t.Errorf("pid %d named %q", *e.Pid, args.Name)
 		}
@@ -242,6 +243,42 @@ func TestClusterTraceSplitsByAppSet(t *testing.T) {
 		if want := c.Round() * cfg.RoundQuanta; counters[pid] != want {
 			t.Errorf("pid %d carries %d interference counters, want %d", pid, counters[pid], want)
 		}
+	}
+}
+
+// TestClusterTraceRenamesMigratedSlots: a pid is named when its slot
+// first runs and again exactly when a migration changes the slot's app,
+// so each pid's last process name is the app it traced last. The demo's
+// migration moves h264ref into machine 0's slot 0: Perfetto must label
+// pid 0 "app0 n0/h264ref", not the mcf it started with.
+func TestClusterTraceRenamesMigratedSlots(t *testing.T) {
+	c, nt := tracedCluster(t)
+	names := map[int][]string{}
+	for _, e := range nt.Events {
+		if e.Name != "process_name" {
+			continue
+		}
+		var args struct{ Name string }
+		if err := json.Unmarshal(e.Args, &args); err != nil {
+			t.Fatal(err)
+		}
+		names[*e.Pid] = append(names[*e.Pid], args.Name)
+	}
+	_, placement := traceTestConfig(t)
+	for k, jobs := range placement {
+		for j, job := range jobs {
+			pid := k*evtrace.PidStride + j
+			want := []string{fmt.Sprintf("app%d n%d/%s", j, k, job)}
+			if now := c.Machines()[k].Jobs[j]; now != job {
+				want = append(want, fmt.Sprintf("app%d n%d/%s", j, k, now))
+			}
+			if !slices.Equal(names[pid], want) {
+				t.Errorf("pid %d named %q, want %q", pid, names[pid], want)
+			}
+		}
+	}
+	if got := names[0]; len(got) == 0 || got[len(got)-1] != "app0 n0/h264ref" {
+		t.Errorf("pid 0's last process name %q, want the migrated-in h264ref", got)
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package dash is the live observability layer: it mounts HTTP handlers
 // on the profiler's mux that stream what a running simulation or sweep is
-// doing — live metrics with delta-since-last-poll, per-quantum records
-// and slowdown estimates over Server-Sent Events, the latest interference
-// attribution matrix, sweep progress, and a single embedded HTML page
-// that renders all of it with no external assets.
+// doing — live metrics, per-quantum records and slowdown estimates over
+// Server-Sent Events, the latest interference attribution matrix, sweep
+// progress, and a single embedded HTML page that renders all of it with
+// no external assets.
 //
 // The package never imports the simulator: a run reaches the dashboard
 // through its telemetry.Options — the Server is one of the run's

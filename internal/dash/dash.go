@@ -15,12 +15,6 @@ import (
 //go:embed static/index.html
 var indexHTML []byte
 
-// maxDeltaTokens caps how many distinct ?delta= clients the metrics
-// endpoint remembers previous snapshots for; the oldest token is evicted
-// past the cap so an endpoint scraper cycling random tokens cannot grow
-// server memory.
-const maxDeltaTokens = 64
-
 // Server is the dashboard's state hub. It is a telemetry.Recorder —
 // composed once into a run's Options.Recorder, it streams the records to
 // SSE clients — and ObserveAttribution is the run's
@@ -37,18 +31,11 @@ type Server struct {
 	prog     *telemetry.Progress
 	lastAttr *evtrace.QuantumAttribution
 	alertSrc AlertSource
-
-	deltaMu    sync.Mutex
-	deltas     map[string]map[string]telemetry.Metric
-	deltaOrder []string
 }
 
 // NewServer returns a dashboard with a fresh broadcaster.
 func NewServer() *Server {
-	return &Server{
-		bc:     NewBroadcaster(),
-		deltas: map[string]map[string]telemetry.Metric{},
-	}
+	return &Server{bc: NewBroadcaster()}
 }
 
 // SetRegistry points /debug/asm/metrics (and /metrics) at r; a binary
@@ -159,10 +146,6 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 type metricsResponse struct {
 	// Metrics is the full registry snapshot, sorted by name.
 	Metrics []telemetry.Metric `json:"metrics"`
-	// Delta maps metric name to its value change since the same ?delta=
-	// token's previous poll (non-zero changes only; omitted on a token's
-	// first poll).
-	Delta map[string]int64 `json:"delta,omitempty"`
 	// Dash reports the dashboard's own stream health.
 	Dash dashStats `json:"dash"`
 }
@@ -172,10 +155,9 @@ type dashStats struct {
 	QuantaSeen uint64 `json:"quanta_seen"`
 }
 
-// handleMetrics serves the live registry snapshot as JSON. An optional
-// ?delta=<token> query makes the response carry per-metric deltas since
-// that token's previous poll, so pollers get rates without client-side
-// bookkeeping.
+// handleMetrics serves the live registry snapshot as JSON. The server
+// keeps no per-client state: a poller that wants per-poll changes keeps
+// its previous snapshot and subtracts.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	reg := s.reg
@@ -187,40 +169,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if resp.Metrics == nil {
 		resp.Metrics = []telemetry.Metric{}
 	}
-	if tok := r.URL.Query().Get("delta"); tok != "" {
-		resp.Delta = s.delta(tok, resp.Metrics)
-	}
 	writeJSON(w, resp)
-}
-
-// delta diffs snap against the token's previous snapshot (remembering
-// snap for next time) and returns the non-zero value changes.
-func (s *Server) delta(tok string, snap []telemetry.Metric) map[string]int64 {
-	cur := make(map[string]telemetry.Metric, len(snap))
-	for _, m := range snap {
-		cur[m.Name] = m
-	}
-	s.deltaMu.Lock()
-	defer s.deltaMu.Unlock()
-	prev, seen := s.deltas[tok]
-	if !seen {
-		if len(s.deltaOrder) >= maxDeltaTokens {
-			delete(s.deltas, s.deltaOrder[0])
-			s.deltaOrder = s.deltaOrder[1:]
-		}
-		s.deltaOrder = append(s.deltaOrder, tok)
-	}
-	s.deltas[tok] = cur
-	if !seen {
-		return nil
-	}
-	out := map[string]int64{}
-	for name, m := range cur {
-		if d := m.Value - prev[name].Value; d != 0 {
-			out[name] = d
-		}
-	}
-	return out
 }
 
 // attributionResponse is the /debug/asm/attribution payload.
@@ -251,12 +200,13 @@ func (s *Server) handleAttribution(w http.ResponseWriter, r *http.Request) {
 type progressResponse struct {
 	Progress telemetry.ProgressState `json:"progress"`
 	// Metrics is the sweep-health slice of the registry (the exp.* scope:
-	// item timers, done/failed counts, worker utilization gauges).
+	// the item wall-time histogram, done/failed counts, worker
+	// utilization).
 	Metrics []telemetry.Metric `json:"metrics"`
 }
 
 // handleProgress serves the sweep's progress state plus the registry's
-// exp.* metrics (timers, losses, worker utilization).
+// exp.* metrics (item wall time, failures, worker utilization).
 func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	prog, reg := s.prog, s.reg

@@ -56,13 +56,13 @@ func TestNilServerPassthrough(t *testing.T) {
 }
 
 // TestMetricsGolden pins the /debug/asm/metrics response shape: full
-// sorted snapshot, dash stream health, no delta without a token.
+// sorted snapshot (a histogram with its quantiles), dash stream health.
 func TestMetricsGolden(t *testing.T) {
 	s, ts := newTestServer(t)
 	reg := telemetry.NewRegistry()
 	reg.Counter("sim.quanta").Add(3)
 	reg.Gauge("exp.workers").Set(4)
-	reg.Timer("exp.item").Observe(5 * time.Millisecond)
+	reg.Histogram("exp.item").Observe(5 * time.Millisecond)
 	s.SetRegistry(reg)
 
 	got := get(t, ts.URL+"/debug/asm/metrics")
@@ -75,11 +75,15 @@ func TestMetricsGolden(t *testing.T) {
   },
   {
    "name": "exp.item",
-   "kind": "timer",
+   "kind": "histogram",
    "value": 1,
    "total_ns": 5000000,
    "mean_ns": 5000000,
-   "max_ns": 5000000
+   "max_ns": 5000000,
+   "p50_ns": 5000000,
+   "p90_ns": 5000000,
+   "p99_ns": 5000000,
+   "p999_ns": 5000000
   },
   {
    "name": "exp.workers",
@@ -102,49 +106,6 @@ func TestMetricsGolden(t *testing.T) {
 `
 	if string(got) != want {
 		t.Fatalf("metrics golden mismatch:\ngot:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-func TestMetricsDelta(t *testing.T) {
-	s, ts := newTestServer(t)
-	reg := telemetry.NewRegistry()
-	c := reg.Counter("sim.ticks")
-	c.Add(10)
-	s.SetRegistry(reg)
-
-	var m metricsResponse
-	if err := json.Unmarshal(get(t, ts.URL+"/debug/asm/metrics?delta=tok1"), &m); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if m.Delta != nil {
-		t.Fatalf("first poll should carry no delta, got %v", m.Delta)
-	}
-	c.Add(7)
-	if err := json.Unmarshal(get(t, ts.URL+"/debug/asm/metrics?delta=tok1"), &m); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if m.Delta["sim.ticks"] != 7 {
-		t.Fatalf("delta = %v, want sim.ticks=7", m.Delta)
-	}
-	// A different token diffs against its own history, not tok1's.
-	var m2 metricsResponse
-	if err := json.Unmarshal(get(t, ts.URL+"/debug/asm/metrics?delta=tok2"), &m2); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if m2.Delta != nil {
-		t.Fatalf("fresh token should carry no delta, got %v", m2.Delta)
-	}
-}
-
-func TestMetricsDeltaTokenCap(t *testing.T) {
-	s := NewServer()
-	defer s.Close()
-	snap := []telemetry.Metric{{Name: "x", Kind: "counter", Value: 1}}
-	for i := 0; i < maxDeltaTokens+5; i++ {
-		s.delta(strings.Repeat("t", 1)+string(rune('0'+i%10))+strings.Repeat("-", i/10), snap)
-	}
-	if n := len(s.deltas); n > maxDeltaTokens {
-		t.Fatalf("delta store grew to %d tokens, cap is %d", n, maxDeltaTokens)
 	}
 }
 

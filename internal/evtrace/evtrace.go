@@ -130,7 +130,6 @@ type Tracer struct {
 	*stream
 	pidBase int    // pid of app slot 0
 	prefix  string // prepended to app names ("n<k>/" in a node view)
-	named   bool   // process names written (guarded by stream.mu)
 }
 
 // stream is the state a tracer shares with its node views: the file,
@@ -152,7 +151,8 @@ type stream struct {
 	mu     sync.Mutex
 	bw     *bufio.Writer
 	c      io.Closer
-	wrote  bool // any event written yet (comma management)
+	wrote  bool           // any event written yet (comma management)
+	names  map[int]string // pid -> the process name last written for it
 	closed bool
 	err    error
 }
@@ -163,7 +163,7 @@ func New(w io.Writer, cfg Config) *Tracer {
 	if se < 1 {
 		se = 1
 	}
-	t := &Tracer{stream: &stream{sampleEvery: uint64(se), bw: bufio.NewWriter(w)}}
+	t := &Tracer{stream: &stream{sampleEvery: uint64(se), bw: bufio.NewWriter(w), names: map[int]string{}}}
 	t.bw.WriteString(`{"displayTimeUnit":"ns","otherData":{"tool":"asmsim","cycles_per_us":1000},"traceEvents":[`)
 	return t
 }
@@ -272,25 +272,26 @@ func (t *Tracer) emitLocked(evs ...event) {
 }
 
 // BeginRun names the traced applications: app slot j is pid j (offset
-// by a node view's pid base). The first call on a tracer or view wins;
-// later runs sharing it (experiment sweeps, a machine's later rounds)
-// reuse the pids, so their traces are best read via the attribution
-// events, which carry app names per quantum.
+// by a node view's pid base). A pid is named again only when the app in
+// its slot changes, so a later run sharing the tracer or view (a sweep's
+// next mix, a machine's round after a migration) relabels exactly the
+// slots whose app it changed, and each pid's last process name is the
+// app it traced last. Concurrent runs sharing one tracer (sweep workers)
+// take turns naming the pids; their traces are best read via the
+// attribution events, which carry app names per quantum.
 func (t *Tracer) BeginRun(names []string) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.named {
-		return
-	}
-	t.named = true
 	for i, n := range names {
-		t.emitLocked(event{
-			Name: "process_name", Ph: "M", Pid: t.pidBase + i,
-			Args: map[string]any{"name": fmt.Sprintf("app%d %s%s", i, t.prefix, n)},
-		})
+		pid, name := t.pidBase+i, fmt.Sprintf("app%d %s%s", i, t.prefix, n)
+		if t.names[pid] == name {
+			continue
+		}
+		t.names[pid] = name
+		t.emitLocked(event{Name: "process_name", Ph: "M", Pid: pid, Args: map[string]any{"name": name}})
 	}
 }
 

@@ -11,14 +11,15 @@ import (
 	"testing"
 )
 
-// writeClusterFixture writes a realistic cluster trace through the real
-// Tracer API: one node view per entry of specs, `rounds` rounds of
-// `quanta` quanta of `qlen` cycles, a "round" instant at each round
-// start on the cluster clock, sampled miss spans, and matrices with full
-// mantissas.
-func writeClusterFixture(t testing.TB, w *bytes.Buffer, specs [][]string, rounds, quanta int, qlen uint64) {
+// writeClusterFixture writes a cluster trace through the real Tracer
+// API: one node view per entry of specs, `rounds` rounds of `quanta`
+// quanta of `qlen` cycles, a "round" instant at each round start on the
+// cluster clock, a miss span for every sampleEvery-th node quantum (the views share
+// one sampling clock), and
+// matrices with full mantissas.
+func writeClusterFixture(t testing.TB, w *bytes.Buffer, specs [][]string, rounds, quanta, sampleEvery int, qlen uint64) {
 	t.Helper()
-	tr := New(w, Config{SampleEvery: 2})
+	tr := New(w, Config{SampleEvery: sampleEvery})
 	for r := 0; r < rounds; r++ {
 		tr.SetClockOffset(uint64(r*quanta) * qlen)
 		tr.Instant("round", "cluster", 0, map[string]any{"round": r})
@@ -67,7 +68,8 @@ func writeClusterFixture(t testing.TB, w *bytes.Buffer, specs [][]string, rounds
 // TestNodeViewsShareOneStream: node views write into the root tracer's
 // file under their own pids and "n<k>/" app names, on the root's
 // sampling clock and clock offset, while the root keeps pid base 0 and
-// unprefixed names, and the caller's snapshot is left as it was.
+// unprefixed names, and the caller's snapshot is left as it was. A pid
+// is named again exactly when the app in its slot changes.
 func TestNodeViewsShareOneStream(t *testing.T) {
 	if (*Tracer)(nil).Node(1) != nil {
 		t.Fatal("Node of a nil tracer is not nil")
@@ -77,7 +79,8 @@ func TestNodeViewsShareOneStream(t *testing.T) {
 	n1 := root.Node(1)
 	root.BeginRun([]string{"a", "b"})
 	n1.BeginRun([]string{"a", "b"})
-	n1.BeginRun([]string{"x", "y"}) // the first call on a view wins
+	n1.BeginRun([]string{"a", "b"}) // same apps: no new names
+	n1.BeginRun([]string{"a", "y"}) // slot 1 changed app: renamed
 	if root.SampleMiss() || !n1.SampleMiss() {
 		t.Fatal("node view does not share the root's sampling clock")
 	}
@@ -104,7 +107,7 @@ func TestNodeViewsShareOneStream(t *testing.T) {
 	if err := nt.Check(); err != nil {
 		t.Fatal(err)
 	}
-	names := map[int]string{}
+	names := map[int][]string{}
 	for _, e := range nt.Events {
 		switch e.Name {
 		case "process_name":
@@ -112,17 +115,14 @@ func TestNodeViewsShareOneStream(t *testing.T) {
 			if err := json.Unmarshal(e.Args, &args); err != nil {
 				t.Fatal(err)
 			}
-			if _, dup := names[*e.Pid]; dup {
-				t.Errorf("pid %d named twice", *e.Pid)
-			}
-			names[*e.Pid] = args.Name
+			names[*e.Pid] = append(names[*e.Pid], args.Name)
 		case "miss":
 			if *e.Pid != PidStride+1 || *e.Ts != 5 {
 				t.Errorf("node 1's miss at pid %d ts %v, want pid %d ts 5", *e.Pid, *e.Ts, PidStride+1)
 			}
 		}
 	}
-	wantNames := map[int]string{0: "app0 a", 1: "app1 b", PidStride: "app0 n1/a", PidStride + 1: "app1 n1/b"}
+	wantNames := map[int][]string{0: {"app0 a"}, 1: {"app1 b"}, PidStride: {"app0 n1/a"}, PidStride + 1: {"app1 n1/b", "app1 n1/y"}}
 	if !reflect.DeepEqual(names, wantNames) {
 		t.Errorf("process names = %v, want %v", names, wantNames)
 	}
@@ -195,14 +195,15 @@ func TestLoadNodeTraceErrors(t *testing.T) {
 	}
 }
 
-// FuzzLoadNodeTrace feeds arbitrary bytes to the trace parser and, when
+// FuzzParseTrace feeds arbitrary bytes to the trace parser and, when
 // they parse, checks the trace and summarizes each of its app sets: none
-// may panic, whatever the file holds. It parses in memory (ParseTrace,
-// the body of LoadNodeTrace), so the fuzzer writes no files.
-func FuzzLoadNodeTrace(f *testing.F) {
-	for _, specs := range [][][]string{{{"mcf", "libquantum"}}, {{"mcf", "libquantum"}, {"astar", "lbm", "milc"}}} {
+// may panic, whatever the document holds. The seeds are small (one or
+// two quanta of 10 cycles, one miss span) so each execution is cheap and
+// the fuzzer mutates every section of a trace within its budget.
+func FuzzParseTrace(f *testing.F) {
+	for _, specs := range [][][]string{{{"mcf", "libquantum"}}, {{"mcf"}, {"astar", "lbm"}}} {
 		var buf bytes.Buffer
-		writeClusterFixture(f, &buf, specs, 2, 2, 100000)
+		writeClusterFixture(f, &buf, specs, 2, 1, 2*len(specs), 10) // one miss span
 		f.Add(buf.Bytes())
 	}
 	f.Add([]byte("not json"))

@@ -237,7 +237,8 @@ func RunPolicy(ctx context.Context, cfg sim.Config, mix workload.Mix, scheme Sch
 	if scheme.Configure != nil {
 		scheme.Configure(&cfg)
 	}
-	defer sc.Telemetry.Metrics.Scope("exp").Scope("scheme").Timer(scheme.Name).Start()()
+	wall, begin := sc.Telemetry.Metrics.Scope("exp").Scope("scheme").Histogram(scheme.Name), time.Now()
+	defer func() { wall.Observe(time.Since(begin)) }()
 	// Ground truth needs no baseline config of its own: an alone curve
 	// always runs the unmanaged system (one core, FR-FCFS, no epochs) with
 	// the full cache and all bandwidth, whatever the scheme configures.
@@ -304,8 +305,9 @@ func sweepMixes[T any](ctx context.Context, cfg sim.Config, mixes []workload.Mix
 // run — or else, when ctx stopped the sweep short, ctx's error wrapped.
 //
 // obs optionally observes the sweep: Progress receives item start/finish
-// updates, Metrics receives per-item wall-time timers (aggregate
-// "exp.item" plus one per item label) and worker-utilization gauges.
+// updates, Metrics receives the per-item wall-time histogram "exp.item"
+// (one series for every sweep, whatever its items) and
+// worker-utilization counters and gauge.
 // The zero Options observes nothing.
 func forEach(ctx context.Context, n int, label func(int) string, obs telemetry.Options, fn func(int) error) error {
 	if ctx == nil {
@@ -326,10 +328,7 @@ func forEach(ctx context.Context, n int, label func(int) string, obs telemetry.O
 			d := time.Since(begin)
 			busyNs.Add(int64(d))
 			if m := obs.Metrics.Scope("exp"); m != nil {
-				m.Timer("item").Observe(d)
-				if item != "" {
-					m.Scope("item").Timer(item).Observe(d)
-				}
+				m.Histogram("item").Observe(d)
 				if err != nil {
 					m.Counter("items_failed").Inc()
 				} else {

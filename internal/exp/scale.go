@@ -24,8 +24,8 @@ type Scale struct {
 	Seed uint64
 	// Telemetry optionally observes the sweep: a Recorder receives one
 	// record per (app, quantum) with counters, actual and estimated
-	// slowdowns; Metrics receives per-mix/per-scheme wall-time timers,
-	// worker-utilization gauges and simulator counters; Progress
+	// slowdowns; Metrics receives per-item and per-scheme wall-time
+	// histograms, worker-utilization counters and simulator counters; Progress
 	// receives live item start/finish updates; Trace and Attribution
 	// observe every shared run's interference (alone runs are never
 	// traced). The zero value disables all observation.

@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"asmsim/internal/sim"
 	"asmsim/internal/telemetry"
 	"asmsim/internal/workload"
 )
@@ -139,5 +141,44 @@ func TestForEachCompleteWhenLastItemCancels(t *testing.T) {
 	})
 	if err != nil || ran.Load() != 2 {
 		t.Fatalf("err=%v ran=%d, want a complete sweep of 2", err, ran.Load())
+	}
+}
+
+// TestSweepSeriesBounded runs sweeps over disjoint mixes into one
+// registry: the set of exp.* series the first sweep creates is the set
+// every later sweep ends with, so a long-lived process that runs sweep
+// after sweep over new mixes (asmserve's cold jobs) holds a bounded
+// number of series and exports a bounded /metrics.
+func TestSweepSeriesBounded(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	sc := Scale{Telemetry: telemetry.Options{Metrics: reg}}
+	names := func() []string {
+		var out []string
+		for _, m := range reg.Snapshot() {
+			if strings.HasPrefix(m.Name, "exp.") {
+				out = append(out, m.Name)
+			}
+		}
+		return out
+	}
+	var first []string
+	for s, apps := range [][]string{{"mcf", "lbm"}, {"astar", "milc"}, {"namd", "gcc"}} {
+		mixes := []workload.Mix{{Names: apps}, {Names: []string{apps[1], apps[0]}}}
+		_, err := sweepMixes(context.Background(), sim.Config{}, mixes, sc, func(sim.Config, workload.Mix) (int, error) {
+			return 0, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s == 0 {
+			first = names()
+			continue
+		}
+		if got := names(); !slices.Equal(got, first) {
+			t.Fatalf("sweep %d ends with exp.* series %v, the first sweep with %v", s, got, first)
+		}
+	}
+	if !slices.Contains(first, "exp.item") {
+		t.Fatalf("exp.* series %v lack the item wall-time histogram", first)
 	}
 }

@@ -82,8 +82,8 @@ func scrape(url string) (string, error) {
 }
 
 // TestMetricsEndpointExposition: after one job, /metrics serves a
-// strictly parseable exposition carrying the service's core series,
-// with the rule-mapped labels in place.
+// strictly parseable exposition carrying the service's core series and
+// the sweep's one item series, with the rule-mapped labels in place.
 func TestMetricsEndpointExposition(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	s := newTestServer(t, Options{Metrics: reg})
@@ -123,6 +123,7 @@ func TestMetricsEndpointExposition(t *testing.T) {
 		"serve_job_latency_ns_max",
 		"serve_queue_wait_ns_count",
 		"serve_attempt_ns_count",
+		"exp_item_ns_count",
 	} {
 		if !names[want] {
 			t.Errorf("required series %s missing from /metrics", want)
@@ -131,10 +132,16 @@ func TestMetricsEndpointExposition(t *testing.T) {
 	for _, want := range []string{
 		`serve_jobs_finished_total{state="done"} 1`,
 		`serve_job_latency_ns{quantile="0.5"}`,
+		`exp_item_ns{quantile="0.5"}`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+	// Sweep items share one series: no per-mix sample may grow /metrics
+	// with every new mix a job runs.
+	if strings.Contains(body, `exp_item_ns{item=`) {
+		t.Errorf("exposition carries per-mix exp_item_ns samples\n%s", body)
 	}
 }
 

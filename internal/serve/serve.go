@@ -75,7 +75,6 @@ type job struct {
 	status      JobStatus
 	cancel      context.CancelFunc // set while running
 	userCancel  bool               // a client asked for cancellation
-	result      *exp.Table         // set before done closes
 	submittedAt time.Time          // admission instant (end-to-end latency base)
 	startedAt   time.Time          // first claim by a worker (queue wait end)
 	done        chan struct{}
@@ -358,10 +357,9 @@ func (s *Server) Submit(spec exp.JobSpec) (JobStatus, error) {
 		s.mu.Unlock()
 		return st, nil
 	}
-	if t, ok := s.store.Get(fp); ok {
+	if _, ok := s.store.Get(fp); ok {
 		j := s.newJobLocked(spec, fp)
 		j.status.State, j.status.Cached = StateDone, true
-		j.result = t
 		close(j.done)
 		st := j.status
 		s.met.cacheHits.Inc()
@@ -472,8 +470,9 @@ func (s *Server) Jobs() []JobStatus {
 	return out
 }
 
-// Result returns the job's result table. Done jobs recovered from the
-// journal load it from the on-disk cache on first access.
+// Result returns the job's result table from the result store, which
+// holds every done job's table in memory (Put fills memory before disk)
+// and loads a done job recovered from the journal from disk.
 func (s *Server) Result(id string) (*exp.Table, error) {
 	s.mu.Lock()
 	j := s.jobs[id]
@@ -481,11 +480,8 @@ func (s *Server) Result(id string) (*exp.Table, error) {
 		s.mu.Unlock()
 		return nil, ErrNotFound
 	}
-	st, t := j.status, j.result
+	st := j.status
 	s.mu.Unlock()
-	if t != nil {
-		return t, nil
-	}
 	if st.State != StateDone {
 		return nil, fmt.Errorf("serve: job %s is %s, no result", id, st.State)
 	}
@@ -493,9 +489,6 @@ func (s *Server) Result(id string) (*exp.Table, error) {
 	if !ok {
 		return nil, fmt.Errorf("serve: job %s result missing from cache", id)
 	}
-	s.mu.Lock()
-	j.result = t
-	s.mu.Unlock()
 	return t, nil
 }
 
@@ -691,7 +684,6 @@ func (s *Server) finish(j *job, ctx context.Context, table *exp.Table, err error
 	switch {
 	case err == nil:
 		j.status.State = StateDone
-		j.result = table
 		if storeErr != nil {
 			j.status.Error = storeErr.Error()
 		}

@@ -362,7 +362,7 @@ func (s *System) ATS(app int) *cache.AuxTagStore { return s.ats[app] }
 // setTelemetry wires the system's quantum-boundary instrumentation into
 // the registry under the "sim" scope: quanta/cycles/instruction/L2
 // traffic counters, event-heap and retry-queue depth gauges, and a
-// per-quantum wall-time timer. Handles are resolved here once, so the
+// per-quantum wall-time histogram. Handles are resolved here once, so the
 // per-quantum cost is a few atomic updates and the simulator's per-cycle
 // hot path is untouched. A nil registry (the default) disables
 // everything.
@@ -378,10 +378,6 @@ func (s *System) setTelemetry(r *telemetry.Registry) {
 	s.telRetryDepth = sc.Gauge("retry_queue_depth")
 	s.telPendingWB = sc.Gauge("pending_writebacks")
 	s.telInFlightPf = sc.Gauge("inflight_prefetches")
-	// One histogram, not a timer+histogram pair: a timer named
-	// "quantum_wall" would export into the same Prometheus family as
-	// this histogram (timers gain a _ns suffix), and duplicate samples
-	// make the exposition unscrapeable under a strict parse.
 	s.telQuantumHist = sc.Histogram("quantum_wall_ns")
 	s.telSkipWindows = sc.Counter("skip.windows")
 	s.telSkipCycles = sc.Counter("skip.cycles")

@@ -61,15 +61,14 @@ type AlertStatus struct {
 // AlertEvent is one state transition as published to sinks (SSE frames,
 // OnTransition callbacks).
 type AlertEvent struct {
-	SLO     string  `json:"slo"`
-	Signal  string  `json:"signal"`
-	From    State   `json:"from"`
-	To      State   `json:"to"`
-	Tick    uint64  `json:"tick"`
-	Value   float64 `json:"value"`
-	Burn    float64 `json:"burn"`
-	TraceID string  `json:"trace_id,omitempty"`
-	Detail  string  `json:"detail,omitempty"`
+	SLO    string  `json:"slo"`
+	Signal string  `json:"signal"`
+	From   State   `json:"from"`
+	To     State   `json:"to"`
+	Tick   uint64  `json:"tick"`
+	Value  float64 `json:"value"`
+	Burn   float64 `json:"burn"`
+	Detail string  `json:"detail,omitempty"`
 }
 
 // Sinks are the alert surfaces an Engine drives. Every field is
@@ -82,8 +81,6 @@ type Sinks struct {
 	// Log receives one structured record per transition (Warn when a
 	// firing edge, Info otherwise).
 	Log *slog.Logger
-	// TraceID stamps transition logs and events (job correlation).
-	TraceID string
 	// Flight gets a note and a dump ("slo-<name>") when an alert fires.
 	Flight *telemetry.FlightRecorder
 	// Trace gets one instant event per transition at the quantum's end
@@ -374,8 +371,7 @@ func (e *Engine) tick(in *instance, bad, drift bool, value float64, cycle uint64
 
 	ev := AlertEvent{
 		SLO: in.slo.Name, Signal: in.slo.Signal, From: from, To: to,
-		Tick: in.ticks, Value: value, Burn: rate,
-		TraceID: e.sinks.TraceID, Detail: detail,
+		Tick: in.ticks, Value: value, Burn: rate, Detail: detail,
 	}
 	if l := e.sinks.Log; l != nil {
 		msg := "slo alert transition"
@@ -384,9 +380,6 @@ func (e *Engine) tick(in *instance, bad, drift bool, value float64, cycle uint64
 			"from", from.String(), "to", to.String(),
 			"tick", in.ticks, "value", value, "burn", rate,
 		}
-		if e.sinks.TraceID != "" {
-			attrs = append(attrs, "trace_id", e.sinks.TraceID)
-		}
 		if to == Firing {
 			l.Warn(msg, attrs...)
 		} else {
@@ -394,7 +387,7 @@ func (e *Engine) tick(in *instance, bad, drift bool, value float64, cycle uint64
 		}
 	}
 	if to == Firing {
-		e.sinks.Flight.Note("slo-firing", e.sinks.TraceID, in.slo.Name, detail)
+		e.sinks.Flight.Note("slo-firing", "", in.slo.Name, detail)
 		e.sinks.Flight.Dump("slo-" + in.slo.Name)
 	}
 	e.sinks.Trace.Instant("slo:"+in.slo.Name, "slo", cycle, map[string]any{

@@ -10,7 +10,7 @@ import (
 )
 
 // Progress reports live sweep status (items done/total, ETA, the item
-// currently running, losses so far) as plain lines, rate-limited so a
+// currently running, failures so far) as plain lines, rate-limited so a
 // thousand-item sweep does not flood the terminal. It is written to
 // stderr by the CLIs so machine-parseable stdout stays clean. All
 // methods are safe for concurrent use and no-ops on a nil *Progress.
@@ -72,8 +72,9 @@ func (p *Progress) StartItem(name string) {
 	p.current[name] = true
 }
 
-// DoneItem marks an item finished (err non-nil counts it as lost) and
-// prints a rate-limited status line. Failures always print.
+// DoneItem marks an item finished (err non-nil counts it as failed,
+// which fails the sweep) and prints a rate-limited status line. Failures
+// always print.
 func (p *Progress) DoneItem(name string, err error) {
 	if p == nil {
 		return
@@ -84,7 +85,7 @@ func (p *Progress) DoneItem(name string, err error) {
 	p.done++
 	if err != nil {
 		p.failed++
-		fmt.Fprintf(p.w, "%s: LOST %s: %v\n", p.label, name, err)
+		fmt.Fprintf(p.w, "%s: FAILED %s: %v\n", p.label, name, err)
 	}
 	p.maybePrint(err != nil)
 }
@@ -110,7 +111,7 @@ func (p *Progress) maybePrint(force bool) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s: %d/%d done", p.label, p.done, p.total)
 	if p.failed > 0 {
-		fmt.Fprintf(&b, ", %d lost", p.failed)
+		fmt.Fprintf(&b, ", %d failed", p.failed)
 	}
 	if eta := p.eta(now); eta > 0 {
 		fmt.Fprintf(&b, ", eta %s", eta.Round(time.Second))

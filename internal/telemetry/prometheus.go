@@ -17,18 +17,17 @@ import (
 // label. Anything no rule claims is exported under its sanitized flat
 // name — nothing in the registry is ever silently dropped, with one
 // exception: when two registry entries collide into the same
-// family+label (a timer "x" and a histogram "x_ns" both export as
-// family "x_ns"), only one sample survives — the histogram (it carries
-// quantiles on top of the timer's sum/count/max), else the first seen.
-// Duplicate samples would make the whole exposition unscrapeable under
-// a strict parse (ParseExposition, and real Prometheus servers reject
-// them too), which is worse than dropping the poorer duplicate.
+// family+label (a histogram "x" and another "x_ns" both export as
+// family "x_ns"), only the first seen survives. Duplicate samples would
+// make the whole exposition unscrapeable under a strict parse
+// (ParseExposition, and real Prometheus servers reject them too), which
+// is worse than dropping the duplicate.
 //
 // Kind mapping: counters gain the conventional _total suffix, gauges
-// export as-is, timers become summaries (sum/count/max, all
-// nanoseconds), histograms become summaries with p50/p90/p99/p999
-// quantile lines. Timer and histogram families carry a _ns unit suffix
-// unless the registry name already ends in _ns.
+// export as-is, histograms become summaries (sum/count plus
+// p50/p90/p99/p999 quantile lines, all nanoseconds) with the max as a
+// _max gauge. Histogram families carry a _ns unit suffix unless the
+// registry name already ends in _ns.
 
 // PromRule maps registry metric names onto one labeled Prometheus
 // family. Exactly one of Name or Prefix must be set.
@@ -41,8 +40,8 @@ type PromRule struct {
 }
 
 // DefaultPromRules is the label mapping for this repo's metric
-// namespace: terminal job states, per-scheme and per-item experiment
-// timers, and SLO alerting series.
+// namespace: terminal job states, per-scheme experiment wall times, and
+// SLO alerting series.
 // Callers mounting /metrics should pass these so every exporter in the
 // process agrees on series names.
 func DefaultPromRules() []PromRule {
@@ -51,7 +50,6 @@ func DefaultPromRules() []PromRule {
 		{Name: "serve.failed", Family: "serve_jobs_finished", Label: "state", Value: "failed"},
 		{Name: "serve.cancelled", Family: "serve_jobs_finished", Label: "state", Value: "cancelled"},
 		{Prefix: "exp.scheme.", Family: "exp_scheme", Label: "scheme"},
-		{Prefix: "exp.item.", Family: "exp_item", Label: "item"},
 		{Prefix: "slo.budget_remaining.", Family: "slo_error_budget_remaining", Label: "slo"},
 		{Prefix: "slo.burn_rate.", Family: "slo_burn_rate", Label: "slo"},
 		{Prefix: "slo.alerts.", Family: "slo_alerts", Label: "state"},
@@ -129,17 +127,12 @@ func WritePrometheus(w *bytes.Buffer, snap []Metric, rules []PromRule) {
 			f = &promFamily{name: name, typ: typ}
 			fams[name] = f
 		}
-		// Collision resolution: one sample per family+label. A
-		// histogram replaces a colliding timer (richer: quantile
-		// lines); anything else keeps the first sample seen.
-		for i, s := range f.samples {
-			if s.label != label {
-				continue
+		// Collision resolution: one sample per family+label, the first
+		// seen.
+		for _, s := range f.samples {
+			if s.label == label {
+				return
 			}
-			if m.Kind == "histogram" && s.m.Kind == "timer" {
-				f.samples[i] = promSample{label: label, m: m}
-			}
-			return
 		}
 		f.samples = append(f.samples, promSample{label: label, m: m})
 	}
@@ -158,7 +151,7 @@ func WritePrometheus(w *bytes.Buffer, snap []Metric, rules []PromRule) {
 			add(family, "counter", label, m)
 		case "gauge":
 			add(family, "gauge", label, m)
-		case "timer", "histogram":
+		case "histogram":
 			if !strings.HasSuffix(family, "_ns") {
 				family += "_ns"
 			}
@@ -180,13 +173,11 @@ func WritePrometheus(w *bytes.Buffer, snap []Metric, rules []PromRule) {
 		for _, s := range f.samples {
 			switch {
 			case f.typ == "summary":
-				if s.m.Kind == "histogram" {
-					for _, qv := range [...]struct {
-						q string
-						v int64
-					}{{"0.5", s.m.P50Ns}, {"0.9", s.m.P90Ns}, {"0.99", s.m.P99Ns}, {"0.999", s.m.P999Ns}} {
-						fmt.Fprintf(w, "%s{%squantile=%q} %d\n", f.name, joinLabel(s.label), qv.q, qv.v)
-					}
+				for _, qv := range [...]struct {
+					q string
+					v int64
+				}{{"0.5", s.m.P50Ns}, {"0.9", s.m.P90Ns}, {"0.99", s.m.P99Ns}, {"0.999", s.m.P999Ns}} {
+					fmt.Fprintf(w, "%s{%squantile=%q} %d\n", f.name, joinLabel(s.label), qv.q, qv.v)
 				}
 				fmt.Fprintf(w, "%s_sum%s %d\n", f.name, wrapLabel(s.label), s.m.TotalNs)
 				fmt.Fprintf(w, "%s_count%s %d\n", f.name, wrapLabel(s.label), s.m.Value)

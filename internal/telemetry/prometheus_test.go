@@ -38,8 +38,8 @@ func promFixture() *Registry {
 	for i := uint64(1); i <= 100; i++ {
 		h.Record(i * 1000)
 	}
-	r.Scope("exp").Scope("scheme").Timer("ASM").Observe(2 * time.Millisecond)
-	r.Scope("sim").Timer("quantum_wall").Observe(time.Millisecond)
+	r.Scope("exp").Scope("scheme").Histogram("ASM").Observe(2 * time.Millisecond)
+	r.Scope("sim").Histogram("quantum_wall_ns").Observe(time.Millisecond)
 	r.Scope("slo").Scope("alerts").Counter("firing").Add(3)
 	return r
 }
@@ -89,41 +89,37 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
-// TestWritePrometheusFamilyCollision pins the collision rule: a timer
-// "x" and a histogram "x_ns" both export into family "x_ns" (timers
-// gain the _ns unit suffix), and the exposition must stay strictly
-// parseable — exactly one sample per series, the histogram's (it has
-// quantiles), regardless of which the snapshot lists first. This shape
-// shipped once (sim.quantum_wall + sim.quantum_wall_ns) and made every
-// asmserve node's /metrics unparseable by a strict scraper.
+// TestWritePrometheusFamilyCollision pins the collision rule: histograms
+// "x" and "x_ns" both export into family "x_ns" (the _ns unit suffix is
+// added only where missing), and the exposition must stay strictly
+// parseable — exactly one sample per series, the first in snapshot
+// (name) order. This shape shipped once (sim.quantum_wall +
+// sim.quantum_wall_ns) and made every asmserve node's /metrics
+// unparseable by a strict scraper.
 func TestWritePrometheusFamilyCollision(t *testing.T) {
 	var buf bytes.Buffer
 	WritePrometheus(&buf, collisionFixture().Snapshot(), DefaultPromRules())
 	body := buf.String()
 	samples := parseExposition(t, body) // strict: fails on any duplicate sample
 
-	if got := samples[`sim_quantum_wall_ns_count`]; got != 2 {
-		t.Errorf("count = %d, want the histogram's 2\nbody:\n%s", got, body)
+	if got := samples[`sim_quantum_wall_ns_count`]; got != 1 {
+		t.Errorf("count = %d, want sim.quantum_wall's 1\nbody:\n%s", got, body)
 	}
-	if got := samples[`sim_quantum_wall_ns_sum`]; got != 6_000_000 {
-		t.Errorf("sum = %d, want the histogram's 6000000", got)
+	if got := samples[`sim_quantum_wall_ns_max`]; got != 1_000_000 {
+		t.Errorf("max = %d, want sim.quantum_wall's 1000000", got)
 	}
-	if got := samples[`sim_quantum_wall_ns_max`]; got != 4_000_000 {
-		t.Errorf("max = %d, want the histogram's 4000000", got)
-	}
-	if _, ok := samples[`sim_quantum_wall_ns{quantile="0.5"}`]; !ok {
-		t.Errorf("histogram quantile lines missing — timer won the collision\nbody:\n%s", body)
+	if n := strings.Count(body, `sim_quantum_wall_ns{quantile="0.5"}`); n != 1 {
+		t.Errorf("%d p50 lines, want exactly 1\nbody:\n%s", n, body)
 	}
 	if n := strings.Count(body, "sim_quantum_wall_ns_sum "); n != 1 {
 		t.Errorf("%d sim_quantum_wall_ns_sum samples, want exactly 1", n)
 	}
 }
 
-// collisionFixture holds a timer and a histogram that export into one
-// family.
+// collisionFixture holds two histograms that export into one family.
 func collisionFixture() *Registry {
 	r := NewRegistry()
-	r.Scope("sim").Timer("quantum_wall").Observe(time.Millisecond)
+	r.Scope("sim").Histogram("quantum_wall").Observe(time.Millisecond)
 	h := r.Scope("sim").Histogram("quantum_wall_ns")
 	h.Record(2_000_000)
 	h.Record(4_000_000)

@@ -202,7 +202,7 @@ func (s *Sink) Close() error {
 type Options struct {
 	// Recorder receives one QuantumRecord per (app, quantum).
 	Recorder Recorder
-	// Metrics receives counters, gauges and timers.
+	// Metrics receives counters, gauges and histograms.
 	Metrics *Registry
 	// Progress receives live sweep item start/finish notifications.
 	Progress *Progress

@@ -1,5 +1,5 @@
 // Package telemetry is the observability layer: an allocation-free
-// atomic counter/gauge/timer registry, a quantum-level time-series
+// atomic counter/gauge/histogram registry, a quantum-level time-series
 // recorder for per-app counters and slowdown estimates, runtime
 // profiling hooks, and live sweep progress reporting.
 //
@@ -19,7 +19,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing uint64. The zero value is
@@ -69,79 +68,12 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// Timer accumulates event durations: count, total, and max. The zero
-// value is ready; a nil *Timer is a no-op.
-type Timer struct {
-	count   atomic.Uint64
-	totalNs atomic.Int64
-	maxNs   atomic.Int64
-}
-
-// Observe records one event of the given duration.
-func (t *Timer) Observe(d time.Duration) {
-	if t == nil {
-		return
-	}
-	t.count.Add(1)
-	t.totalNs.Add(int64(d))
-	for {
-		cur := t.maxNs.Load()
-		if int64(d) <= cur || t.maxNs.CompareAndSwap(cur, int64(d)) {
-			return
-		}
-	}
-}
-
-// Start returns a stop function that observes the elapsed time when
-// called. A nil timer returns a no-op stop.
-func (t *Timer) Start() func() {
-	if t == nil {
-		return func() {}
-	}
-	begin := time.Now()
-	return func() { t.Observe(time.Since(begin)) }
-}
-
-// Count returns the number of observed events.
-func (t *Timer) Count() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.count.Load()
-}
-
-// Total returns the summed duration of all events.
-func (t *Timer) Total() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Duration(t.totalNs.Load())
-}
-
-// Max returns the longest observed event.
-func (t *Timer) Max() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Duration(t.maxNs.Load())
-}
-
-// Mean returns the average event duration (0 with no events).
-func (t *Timer) Mean() time.Duration {
-	n := t.Count()
-	if n == 0 {
-		return 0
-	}
-	return t.Total() / time.Duration(n)
-}
-
 // registryData is the shared name->metric store behind a Registry and
 // all its scopes.
 type registryData struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	timers   map[string]*Timer
 	hists    map[string]*Histogram
 }
 
@@ -159,7 +91,6 @@ func NewRegistry() *Registry {
 	return &Registry{data: &registryData{
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
-		timers:   map[string]*Timer{},
 		hists:    map[string]*Histogram{},
 	}}
 }
@@ -208,23 +139,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Timer returns the named timer, creating it on first use.
-func (r *Registry) Timer(name string) *Timer {
-	if r == nil {
-		return nil
-	}
-	d := r.data
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	full := r.prefix + name
-	t := d.timers[full]
-	if t == nil {
-		t = &Timer{}
-		d.timers[full] = t
-	}
-	return t
-}
-
 // Histogram returns the named histogram, creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
@@ -245,19 +159,19 @@ func (r *Registry) Histogram(name string) *Histogram {
 // Metric is one registry entry's exported state.
 type Metric struct {
 	Name string `json:"name"`
-	Kind string `json:"kind"` // "counter", "gauge", "timer" or "histogram"
-	// Value is the counter count or gauge value; for timers and
-	// histograms it is the event count.
+	Kind string `json:"kind"` // "counter", "gauge" or "histogram"
+	// Value is the counter count or gauge value; for histograms it is
+	// the event count.
 	Value int64 `json:"value"`
-	// TotalNs, MeanNs and MaxNs are set for timers and histograms.
+	// TotalNs, MeanNs, MaxNs and the quantile estimates are set for
+	// histograms.
 	TotalNs int64 `json:"total_ns,omitempty"`
 	MeanNs  int64 `json:"mean_ns,omitempty"`
 	MaxNs   int64 `json:"max_ns,omitempty"`
-	// Quantile estimates, set for histograms only.
-	P50Ns  int64 `json:"p50_ns,omitempty"`
-	P90Ns  int64 `json:"p90_ns,omitempty"`
-	P99Ns  int64 `json:"p99_ns,omitempty"`
-	P999Ns int64 `json:"p999_ns,omitempty"`
+	P50Ns   int64 `json:"p50_ns,omitempty"`
+	P90Ns   int64 `json:"p90_ns,omitempty"`
+	P99Ns   int64 `json:"p99_ns,omitempty"`
+	P999Ns  int64 `json:"p999_ns,omitempty"`
 }
 
 // Snapshot returns every metric in the registry (including all scopes),
@@ -269,22 +183,12 @@ func (r *Registry) Snapshot() []Metric {
 	d := r.data
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]Metric, 0, len(d.counters)+len(d.gauges)+len(d.timers)+len(d.hists))
+	out := make([]Metric, 0, len(d.counters)+len(d.gauges)+len(d.hists))
 	for name, c := range d.counters {
 		out = append(out, Metric{Name: name, Kind: "counter", Value: int64(c.Value())})
 	}
 	for name, g := range d.gauges {
 		out = append(out, Metric{Name: name, Kind: "gauge", Value: g.Value()})
-	}
-	for name, t := range d.timers {
-		out = append(out, Metric{
-			Name:    name,
-			Kind:    "timer",
-			Value:   int64(t.Count()),
-			TotalNs: int64(t.Total()),
-			MeanNs:  int64(t.Mean()),
-			MaxNs:   int64(t.Max()),
-		})
 	}
 	for name, h := range d.hists {
 		s := h.Snapshot()

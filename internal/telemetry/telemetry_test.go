@@ -31,11 +31,10 @@ func TestNilSafety(t *testing.T) {
 	if g.Value() != 0 {
 		t.Fatal("nil gauge must stay zero")
 	}
-	tm := r.Timer("t")
-	tm.Observe(time.Second)
-	tm.Start()()
-	if tm.Count() != 0 || tm.Total() != 0 || tm.Mean() != 0 || tm.Max() != 0 {
-		t.Fatal("nil timer must stay zero")
+	h := r.Histogram("h")
+	h.Observe(time.Second)
+	if s := h.Snapshot(); s.Count != 0 || s.Sum != 0 || s.Max != 0 {
+		t.Fatal("nil histogram must stay zero")
 	}
 	if snap := r.Snapshot(); snap != nil {
 		t.Fatal("nil registry must snapshot empty")
@@ -57,18 +56,15 @@ func TestRegistryScopesAndSnapshot(t *testing.T) {
 	sim := r.Scope("sim")
 	sim.Counter("quanta").Add(5)
 	sim.Scope("deep").Gauge("depth").Set(-3)
-	tm := r.Timer("wall")
-	tm.Observe(10 * time.Millisecond)
-	tm.Observe(30 * time.Millisecond)
+	wall := r.Histogram("wall")
+	wall.Observe(10 * time.Millisecond)
+	wall.Observe(30 * time.Millisecond)
 
 	if got := r.Counter("quanta").Value(); got != 2 {
 		t.Fatalf("root counter %d", got)
 	}
 	if got := sim.Counter("quanta").Value(); got != 5 {
 		t.Fatalf("scoped counter %d", got)
-	}
-	if tm.Mean() != 20*time.Millisecond || tm.Max() != 30*time.Millisecond {
-		t.Fatalf("timer mean %v max %v", tm.Mean(), tm.Max())
 	}
 
 	snap := r.Snapshot()
@@ -82,8 +78,9 @@ func TestRegistryScopesAndSnapshot(t *testing.T) {
 	if byName["sim.quanta"].Value != 5 || byName["sim.deep.depth"].Value != -3 {
 		t.Fatalf("snapshot %v", byName)
 	}
-	if w := byName["wall"]; w.Kind != "timer" || w.Value != 2 || w.TotalNs != int64(40*time.Millisecond) {
-		t.Fatalf("timer metric %+v", w)
+	if w := byName["wall"]; w.Kind != "histogram" || w.Value != 2 || w.TotalNs != int64(40*time.Millisecond) ||
+		w.MeanNs != int64(20*time.Millisecond) || w.MaxNs != int64(30*time.Millisecond) {
+		t.Fatalf("histogram metric %+v", w)
 	}
 
 	var buf bytes.Buffer
@@ -109,7 +106,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			for i := 0; i < 1000; i++ {
 				c.Inc()
 				r.Gauge("depth").Set(int64(i))
-				r.Timer("t").Observe(time.Microsecond)
+				r.Histogram("t").Observe(time.Microsecond)
 			}
 		}()
 	}
@@ -117,8 +114,8 @@ func TestRegistryConcurrent(t *testing.T) {
 	if got := r.Counter("hits").Value(); got != 8000 {
 		t.Fatalf("counter %d, want 8000", got)
 	}
-	if got := r.Timer("t").Count(); got != 8000 {
-		t.Fatalf("timer count %d, want 8000", got)
+	if got := r.Histogram("t").Snapshot().Count; got != 8000 {
+		t.Fatalf("histogram count %d, want 8000", got)
 	}
 }
 
@@ -193,7 +190,7 @@ func TestProgressOutput(t *testing.T) {
 	p.DoneItem("mix2", errors.New("boom"))
 	p.Finish()
 	out := buf.String()
-	for _, want := range []string{"fig2: 1/4 done", "LOST mix2: boom", "2/4 done, 1 lost", "eta"} {
+	for _, want := range []string{"fig2: 1/4 done", "FAILED mix2: boom", "2/4 done, 1 failed", "eta"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("progress output missing %q:\n%s", want, out)
 		}
@@ -365,7 +362,7 @@ func TestRegistrySnapshotUnderConcurrentWriters(t *testing.T) {
 			for i := 0; i < 2000; i++ {
 				sc.Counter("ops").Inc()
 				sc.Gauge("depth").Set(int64(i))
-				sc.Timer("lat").Observe(time.Microsecond)
+				sc.Histogram("lat").Observe(time.Microsecond)
 			}
 		}(w)
 	}
